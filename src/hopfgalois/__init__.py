@@ -7,13 +7,13 @@ explicit bases, isomorphism classes, Wedderburn decompositions) in exact
 rational arithmetic.
 """
 
-from .algebra import (Algebra, AxiomReport, HopfPresentation,
-                      group_hopf_algebra, hopf_axiom_report, hopf_map_violation)
+from .algebra import (Algebra, Check, CheckReport, HopfPresentation,
+                      action_report, algebra_axiom_report, group_hopf_algebra,
+                      hopf_axiom_report, hopf_map_violation)
 from .analysis import (WedderburnComponent, WedderburnReport,
                        algebra_iso_classes_p3, commutative_wedderburn,
-                       hopf_iso_classes, is_cocommutative, is_commutative,
-                       minimal_splitting_subfield_check, nilpotent_witness,
-                       noncommutative_wedderburn_p3)
+                       hopf_iso_classes, minimal_splitting_subfield_check,
+                       nilpotent_witness, noncommutative_wedderburn_p3)
 from .catalog import (SUPPORTED_PRIMES, CatalogEntry, catalog, catalog_checks,
                       completeness_check_p3, cyclic_generator)
 from .descent import (DescentError, GroupAlgebraOverL, NormalizationError,
@@ -24,8 +24,8 @@ from .extensions import (GaloisAlgebra, quadratic_field, quadratic_sqrt_witness,
                          rational_square_of, split_model, splitting_field_cubic)
 from .groups import (ClosureBoundExceeded, FiniteGroup, Perm, PermSubgroup,
                      UnknownGroupType, dihedral, elementary_abelian_4,
-                     enumerate_regular_normalized, equivariant_isomorphisms,
-                     group_isomorphisms, iso_type, left_regular, right_regular)
+                     enumerate_regular_normalized, group_isomorphisms,
+                     iso_type, left_regular, right_regular)
 from .linalg import Matrix, Q, rational
 from .polyform import (PolyHopfAlgebra, PolyMapError, check_iso_to_descended,
                        normal_form, point_decomposition_check, poly_hopf_algebra,
@@ -34,20 +34,20 @@ from .polyform import (PolyHopfAlgebra, PolyMapError, check_iso_to_descended,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Algebra", "AxiomReport", "CatalogEntry", "ClosureBoundExceeded",
+    "Algebra", "CatalogEntry", "Check", "CheckReport", "ClosureBoundExceeded",
     "DescentError", "FiniteGroup", "GaloisAlgebra", "GroupAlgebraOverL",
     "HopfPresentation", "Matrix", "NormalizationError", "Perm",
     "PermSubgroup", "PolyHopfAlgebra", "PolyMapError", "Q",
     "SUPPORTED_PRIMES", "SemilinearAction", "UnknownGroupType",
-    "WedderburnComponent", "WedderburnReport", "algebra_iso_classes_p3",
+    "WedderburnComponent", "WedderburnReport", "action_report",
+    "algebra_axiom_report", "algebra_iso_classes_p3",
     "base_change_is_group_algebra", "catalog", "catalog_checks",
     "check_iso_to_descended", "commutative_wedderburn",
     "completeness_check_p3", "cyclic_generator", "descend", "dihedral",
     "elementary_abelian_4", "enumerate_regular_normalized",
-    "equivariant_isomorphisms", "explicit_basis_matches", "group_algebra",
-    "group_hopf_algebra", "group_isomorphisms", "hopf_action",
-    "hopf_axiom_report", "hopf_iso_classes", "hopf_map_violation",
-    "is_cocommutative", "is_commutative", "iso_type", "left_regular",
+    "explicit_basis_matches", "group_algebra", "group_hopf_algebra",
+    "group_isomorphisms", "hopf_action", "hopf_axiom_report",
+    "hopf_iso_classes", "hopf_map_violation", "iso_type", "left_regular",
     "measuring_report", "minimal_splitting_subfield_check", "nilpotent_witness",
     "noncommutative_wedderburn_p3", "normal_form",
     "point_decomposition_check", "poly_hopf_algebra", "quadratic_field",

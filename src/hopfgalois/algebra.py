@@ -8,7 +8,9 @@ matrices; the tensor square H (x) H indexes basis pairs (i, j) as i*dim + j.
 
 from __future__ import annotations
 
-from .linalg import Matrix, Q, ZERO
+from typing import NamedTuple
+
+from .linalg import Matrix, Q, ZERO, vec_is_zero
 
 
 class Algebra:
@@ -68,23 +70,33 @@ class Algebra:
                     return False
         return True
 
-    def is_associative(self):
-        for i in range(self.dim):
-            for j in range(self.dim):
-                ij = self.prod[i][j]
-                for k in range(self.dim):
-                    left = self.mul(ij, self.basis_vector(k))
-                    right = self.mul(self.basis_vector(i), self.prod[j][k])
-                    if left != right:
-                        return False
-        return True
+    def rational_multiple_of_unit(self, vec):
+        """The rational c with vec = c * unit, or None if there is none."""
+        if vec_is_zero(vec):
+            return ZERO
+        for k, u in enumerate(self.unit):
+            if u:
+                c = vec[k] / u
+                return c if [c * v for v in self.unit] == list(vec) else None
+        return None
 
-    def unit_is_identity(self):
-        for i in range(self.dim):
-            e = self.basis_vector(i)
-            if self.mul(self.unit, e) != e or self.mul(e, self.unit) != e:
-                return False
-        return True
+    def tensor_mul(self, u, v):
+        """Product of two sparse tensors {(i, j): coefficient} in A (x) A."""
+        out = {}
+        for (a, b), c1 in u.items():
+            for (cc, d), c2 in v.items():
+                coeff = c1 * c2
+                left = self.prod[a][cc]
+                right = self.prod[b][d]
+                for i, li in enumerate(left):
+                    if not li:
+                        continue
+                    cli = coeff * li
+                    for j, rj in enumerate(right):
+                        if rj:
+                            key = (i, j)
+                            out[key] = out.get(key, ZERO) + cli * rj
+        return {k: v for k, v in out.items() if v}
 
 
 class HopfPresentation(Algebra):
@@ -139,24 +151,6 @@ class HopfPresentation(Algebra):
     def antipode_of(self, x):
         return self.antipode.apply(x)
 
-    def tensor_mul(self, u, v):
-        """Product of two sparse tensors in H (x) H."""
-        out = {}
-        for (a, b), c1 in u.items():
-            for (cc, d), c2 in v.items():
-                coeff = c1 * c2
-                left = self.prod[a][cc]
-                right = self.prod[b][d]
-                for i, li in enumerate(left):
-                    if not li:
-                        continue
-                    cli = coeff * li
-                    for j, rj in enumerate(right):
-                        if rj:
-                            key = (i, j)
-                            out[key] = out.get(key, ZERO) + cli * rj
-        return {k: v for k, v in out.items() if v}
-
     def is_cocommutative(self):
         n = self.dim
         for k in range(n):
@@ -198,43 +192,37 @@ def group_hopf_algebra(G, names=None):
                             group=G)
 
 
-class AxiomReport:
-    """Ordered list of named exact checks with pass/fail and details."""
+class Check(NamedTuple):
+    """One named exact claim: its verdict and the first counterexample."""
 
-    def __init__(self):
-        self.entries = []
+    name: str
+    passed: bool
+    detail: str = ""
+
+
+class CheckReport(list):
+    """Ordered list of Checks; passes when every check passes."""
 
     def add(self, name, ok, detail=None):
-        self.entries.append((name, bool(ok), detail))
+        self.append(Check(name, bool(ok), "" if detail is None else str(detail)))
 
     @property
     def passed(self):
-        return all(ok for _, ok, _ in self.entries)
+        return all(c.passed for c in self)
 
     def failures(self):
-        return [(name, detail) for name, ok, detail in self.entries if not ok]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __repr__(self):
-        flags = ", ".join(f"{name}={'ok' if ok else 'FAIL'}" for name, ok, _ in self.entries)
-        return f"AxiomReport({flags})"
+        return [(c.name, c.detail) for c in self if not c.passed]
 
 
-def hopf_axiom_report(H):
-    """Exact verification of all Hopf algebra axioms for a presentation.
-
-    Every identity is checked coefficient by coefficient over Q; the report
-    lists each axiom with the first counterexample on failure.
-    """
-    n = H.dim
-    report = AxiomReport()
+def algebra_axiom_report(A):
+    """Exact check of the unit and associativity laws of an Algebra."""
+    n = A.dim
+    report = CheckReport()
 
     ok, detail = True, None
     for i in range(n):
-        e = H.basis_vector(i)
-        if H.mul(H.unit, e) != e or H.mul(e, H.unit) != e:
+        e = A.basis_vector(i)
+        if A.mul(A.unit, e) != e or A.mul(e, A.unit) != e:
             ok, detail = False, f"unit fails on basis {i}"
             break
     report.add("unit", ok, detail)
@@ -246,12 +234,50 @@ def hopf_axiom_report(H):
         for j in range(n):
             if not ok:
                 break
-            ij = H.prod[i][j]
+            ij = A.prod[i][j]
             for k in range(n):
-                if H.mul(ij, H.basis_vector(k)) != H.mul(H.basis_vector(i), H.prod[j][k]):
+                if A.mul(ij, A.basis_vector(k)) != A.mul(A.basis_vector(i), A.prod[j][k]):
                     ok, detail = False, f"associativity fails at ({i},{j},{k})"
                     break
     report.add("associativity", ok, detail)
+    return report
+
+
+def action_report(G, matrix, mul, dim):
+    """Exact check that g -> matrix(g) is an action of G by algebra maps.
+
+    `matrix(g)` acts on an algebra of dimension `dim` with multiplication
+    `mul`; each failed check names its first counterexample.
+    """
+    report = CheckReport()
+    report.add("identity-acts-trivially", matrix(G.identity) == Matrix.identity(dim))
+    bad = next(((g, h) for g in range(G.order) for h in range(G.order)
+                if matrix(g) * matrix(h) != matrix(G.mul(g, h))), None)
+    report.add("action-homomorphism", bad is None,
+               bad and f"fails at ({G.names[bad[0]]}, {G.names[bad[1]]})")
+    basis = Matrix.identity(dim).columns()
+    prods = [[mul(x, y) for y in basis] for x in basis]
+    bad = None
+    for g in range(G.order):
+        m = matrix(g)
+        images = m.columns()
+        bad = next(((g, i, j) for i in range(dim) for j in range(dim)
+                    if m.apply(prods[i][j]) != mul(images[i], images[j])), None)
+        if bad:
+            break
+    report.add("action-by-algebra-maps", bad is None,
+               bad and f"fails for {G.names[bad[0]]} at basis ({bad[1]},{bad[2]})")
+    return report
+
+
+def hopf_axiom_report(H):
+    """Exact verification of all Hopf algebra axioms for a presentation.
+
+    Every identity is checked coefficient by coefficient over Q; the report
+    lists each axiom with the first counterexample on failure.
+    """
+    n = H.dim
+    report = algebra_axiom_report(H)
 
     ok, detail = True, None
     if H.counit_of(H.unit) != 1:

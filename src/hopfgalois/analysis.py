@@ -65,14 +65,6 @@ class WedderburnReport:
         return sum(c.dim for c in self.components)
 
 
-def is_commutative(H):
-    return H.is_commutative()
-
-
-def is_cocommutative(H):
-    return H.is_cocommutative()
-
-
 # -- commutative splitting ----------------------------------------------------
 
 def minimal_polynomial(M):
@@ -211,16 +203,20 @@ def commutative_wedderburn(H):
 
 # -- noncommutative dimension 6 -----------------------------------------------
 
+def _character_idempotents(orders):
+    """The trivial and sign character idempotents e = (1/n) sum chi(g^-1) g
+    over a group basis whose elements have the given orders.  For the groups
+    used here (dihedral of odd prime degree, cyclic of order 2p) the sign
+    character is -1 exactly on the involutions, and chi(g) = chi(g^-1)."""
+    n = len(orders)
+    return [Q(1, n)] * n, [Q(-1, n) if o == 2 else Q(1, n) for o in orders]
+
+
 def character_idempotents(p):
     """The two degree-1 character idempotents of Q[D_p], as coordinate
-    vectors over the group-element basis: e = (1/2p) sum chi(g^-1) g with
-    chi trivial resp. the sign character.  For an odd prime p the sign
-    character is -1 exactly on the involutions, and chi(g) = chi(g^-1)."""
+    vectors over the group-element basis."""
     G = dihedral(p)
-    n = G.order
-    e1 = [Q(1, n)] * n
-    e2 = [Q(-1, n) if G.element_order(g) == 2 else Q(1, n) for g in range(n)]
-    return e1, e2
+    return _character_idempotents([G.element_order(g) for g in range(G.order)])
 
 
 def _idempotents_in(H):
@@ -234,24 +230,12 @@ def _idempotents_in(H):
         G = H.group
         if G is None or G.order != H.dim:
             raise ValueError("need a group algebra or a descended presentation")
-        orders = [G.element_order(g) for g in range(G.order)]
-        n = G.order
-        e1 = [Q(1, n)] * n
-        e2 = [Q(-1, n) if o == 2 else Q(1, n) for o in orders]
-        return e1, e2
+        return _character_idempotents([G.element_order(g) for g in range(G.order)])
     A = H.provenance.parent
-    N = A.N
-    n = N.order
-    vec1 = [ZERO] * A.dim
-    vec2 = [ZERO] * A.dim
-    for t in range(n):
-        sign = Q(-1, n) if N.element_orders[t] == 2 else Q(1, n)
-        for a, u in enumerate(A.L.unit):
-            if u:
-                vec1[t * A.L.dim + a] += Q(1, n) * u
-                vec2[t * A.L.dim + a] += sign * u
-    sol = H.provenance.basis.solve(
-        Matrix.from_columns([vec1, vec2], rows=A.dim))
+    # slot t of L[N] holds e[t] * unit(L)
+    cols = [[c * u for c in e for u in A.L.unit]
+            for e in _character_idempotents(A.N.element_orders)]
+    sol = H.provenance.basis.solve(Matrix.from_columns(cols, rows=A.dim))
     if sol is None:
         raise ValueError("character idempotents do not lie in the descended ring")
     return [sol[i, 0] for i in range(H.dim)], [sol[i, 1] for i in range(H.dim)]
@@ -335,9 +319,7 @@ def noncommutative_wedderburn_p3(H, nilpotent=None, scan_bound=2):
         witness = find_square_zero_element(H, basis3, bound=scan_bound)
     kind = KIND_MATRIX2 if (center == 1 and witness is not None) else KIND_UNDETERMINED
     components.append(WedderburnComponent(4, center, kind, tuple(e3), basis3))
-    report = WedderburnReport(components)
-    assert report.total_dim == 6
-    return report
+    return WedderburnReport(components)
 
 
 def nilpotent_witness(L):
@@ -413,6 +395,18 @@ def _induced_hopf_map(Ha, Hb, iso):
     return sol
 
 
+def _descend_catalog(p, L, descended):
+    """The catalog at p, with every entry descended over L into the cache
+    `descended` (label -> presentation; a new dict when None)."""
+    entries = catalog(p)
+    if descended is None:
+        descended = {}
+    for e in entries:
+        if e.label not in descended:
+            descended[e.label] = descend(group_algebra(L, e.subgroup), label=e.label)
+    return entries, descended
+
+
 def hopf_iso_classes(p, L, descended=None):
     """Partition of the catalog labels into Hopf isomorphism classes.
 
@@ -421,14 +415,8 @@ def hopf_iso_classes(p, L, descended=None):
     the descended presentations against all Hopf-map identities, and each
     negative answer records the exhaustive certificate.
     """
-    entries = catalog(p)
+    entries, descended = _descend_catalog(p, L, descended)
     G = L.group
-    if descended is None:
-        descended = {}
-    for e in entries:
-        if e.label not in descended:
-            descended[e.label] = descend(group_algebra(L, e.subgroup), label=e.label)
-
     labels = [e.label for e in entries]
     evidence = {}
     parent = {lab: lab for lab in labels}
@@ -507,12 +495,7 @@ def minimal_splitting_subfield_check(L):
 
 def algebra_iso_classes_p3(L, descended=None):
     """Partition of the five p=3 structures by exact Wedderburn summary."""
-    entries = catalog(3)
-    if descended is None:
-        descended = {}
-    for e in entries:
-        if e.label not in descended:
-            descended[e.label] = descend(group_algebra(L, e.subgroup), label=e.label)
+    entries, descended = _descend_catalog(3, L, descended)
     lam_key = left_regular(L.group).canonical_key()
     reports = {}
     for e in entries:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+from .algebra import CheckReport
 from .groups import (PermSubgroup, Perm, conj_by, dihedral,
                      enumerate_regular_normalized, is_normalized_by,
                      is_regular, iso_type, left_regular, right_regular)
@@ -71,26 +72,25 @@ def catalog(p):
 def catalog_checks(p):
     """Exact verification of every claimed property of the catalog.
 
-    Returns a list of (name, passed, detail) covering: entry count,
-    regularity, normalization by left translations, the conjugation laws
-    of the cyclic generators (fixed by r, inverted by s), the involution
-    identity gen^p = rho(r^c s), and pairwise distinctness.
+    Returns a CheckReport covering: entry count, regularity, normalization
+    by left translations, the conjugation laws of the cyclic generators
+    (fixed by r, inverted by s), the involution identity gen^p = rho(r^c s),
+    and pairwise distinctness.
     """
     G = dihedral(p)
     lam = left_regular(G)
     rho = right_regular(G)
     entries = catalog(p)
-    checks = []
+    checks = CheckReport()
 
-    checks.append(("entry-count", len(entries) == p + 2,
-                   f"{len(entries)} structures"))
+    checks.add("entry-count", len(entries) == p + 2, f"{len(entries)} structures")
 
     bad = next((e.label for e in entries if not is_regular(e.subgroup)), None)
-    checks.append(("regular", bad is None, bad and f"{bad} is not regular"))
+    checks.add("regular", bad is None, bad and f"{bad} is not regular")
 
     bad = next((e.label for e in entries
                 if not is_normalized_by(e.subgroup, lam)), None)
-    checks.append(("normalized", bad is None, bad and f"{bad} is not normalized"))
+    checks.add("normalized", bad is None, bad and f"{bad} is not normalized")
 
     r_perm = lam.elements[G.generators[0]]
     s_perm = lam.elements[G.generators[1]]
@@ -103,7 +103,7 @@ def catalog_checks(p):
         if conj_by(s_perm, gen) != gen.inverse():
             ok, detail = False, f"conjugation by s does not invert the generator of N{c}"
             break
-    checks.append(("generator-conjugation", ok, detail))
+    checks.add("generator-conjugation", ok, detail)
 
     ok, detail = True, None
     involutions = []
@@ -115,20 +115,20 @@ def catalog_checks(p):
             ok, detail = False, f"involution of N{c} is not rho(r^{c}s)"
             break
         involutions.append(invol)
-    checks.append(("involution-identity", ok, detail))
+    checks.add("involution-identity", ok, detail)
 
     distinct = len({inv.images for inv in involutions}) == p
-    checks.append(("involutions-distinct", distinct,
-                   None if distinct else "cyclic structures collide"))
+    checks.add("involutions-distinct", distinct,
+               None if distinct else "cyclic structures collide")
 
     keys = {e.subgroup.canonical_key() for e in entries}
-    checks.append(("pairwise-distinct", len(keys) == p + 2,
-                   None if len(keys) == p + 2 else "duplicate subgroups"))
+    checks.add("pairwise-distinct", len(keys) == p + 2,
+               None if len(keys) == p + 2 else "duplicate subgroups")
 
     census = Counter(e.iso_label for e in entries)
     expected_census = Counter({f"D{p}": 2, f"C{2 * p}": p})
-    checks.append(("iso-census", census == expected_census,
-                   f"{dict(sorted(census.items()))}"))
+    checks.add("iso-census", census == expected_census,
+               f"{dict(sorted(census.items()))}")
 
     return checks
 

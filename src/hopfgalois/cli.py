@@ -7,10 +7,13 @@ Four subcommands, all exact and deterministic:
   descend    build one descended Hopf algebra and run its verification battery
   classify   full p = 3 classification over a cubic splitting field
 
-Every command emits a report with a ``checks`` list; the exit code is 0 when
-all checks pass, 1 when any fails (or a closure bound aborts), 2 on usage
-errors.  ``--json`` switches to a stable JSON rendering, ``--out`` writes the
-rendered report to a file instead of stdout.
+Every command emits a report whose ``checks`` entry is a CheckReport of
+Check(name, passed, detail) records.  The exit code is 0 when all checks
+pass, 1 when any fails (or a subgroup closure exceeds its bound), and 2 on
+usage errors: bad arguments, an HGL_CLOSURE_BOUND that is not a positive
+integer, or an ``--out`` file that cannot be written.  ``--json`` switches
+to a stable JSON rendering, ``--out`` writes the rendered report to a file
+instead of stdout.
 """
 
 from __future__ import annotations
@@ -20,15 +23,14 @@ import json
 import sys
 from collections import Counter
 
-from .algebra import hopf_axiom_report
+from .algebra import Check, CheckReport, hopf_axiom_report
 from .analysis import (algebra_iso_classes_p3, hopf_iso_classes,
-                       is_cocommutative, is_commutative,
                        minimal_splitting_subfield_check)
 from .catalog import SUPPORTED_PRIMES, catalog, catalog_checks, completeness_check_p3, cyclic_generator
 from .descent import (base_change_is_group_algebra, descend, group_algebra,
                       measuring_report, verify_hopf_galois, explicit_basis_matches)
 from .extensions import split_model, splitting_field_cubic
-from .groups import (ClosureBoundExceeded, closure, dihedral,
+from .groups import (ClosureBoundExceeded, _closure_bound, closure, dihedral,
                      elementary_abelian_4, enumerate_regular_normalized,
                      iso_type, minimal_generators)
 from .linalg import rational
@@ -45,14 +47,11 @@ class UsageError(Exception):
 
 # -- report assembly -----------------------------------------------------------
 
-def _check(name, passed, detail=None):
-    return {"name": name, "passed": bool(passed),
-            "detail": "" if detail is None else str(detail)}
-
-
 def _jsonable(obj):
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
+    if isinstance(obj, Check):
+        return obj._asdict()
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -102,11 +101,10 @@ def render_text(report):
     _render_value(_jsonable(report["results"]), 1, lines)
     lines.append("checks:")
     for c in report["checks"]:
-        mark = "PASS" if c["passed"] else "FAIL"
-        detail = f"  ({c['detail']})" if c["detail"] else ""
-        lines.append(f"  [{mark}] {c['name']}{detail}")
-    ok = all(c["passed"] for c in report["checks"])
-    lines.append(f"overall: {'PASS' if ok else 'FAIL'}")
+        mark = "PASS" if c.passed else "FAIL"
+        detail = f"  ({c.detail})" if c.detail else ""
+        lines.append(f"  [{mark}] {c.name}{detail}")
+    lines.append(f"overall: {'PASS' if report['checks'].passed else 'FAIL'}")
     return "\n".join(lines) + "\n"
 
 
@@ -162,9 +160,9 @@ def cmd_catalog(args):
             for e in entries
         ],
     }
-    checks = [_check(name, ok, detail) for name, ok, detail in catalog_checks(p)]
+    checks = catalog_checks(p)
     if p == 3:
-        checks.append(_check("matches-exhaustive-enumeration", completeness_check_p3()))
+        checks.add("matches-exhaustive-enumeration", completeness_check_p3())
     return {"command": "catalog", "inputs": {"p": p}, "results": results, "checks": checks}
 
 
@@ -195,15 +193,14 @@ def cmd_enumerate(args):
             for N in subs
         ],
     }
-    checks = [
-        _check("count", len(subs) == expected_count,
-               f"found {len(subs)}, expected {expected_count}"),
-        _check("census", dict(census) == expected_census,
-               f"found {dict(sorted(census.items()))}"),
-        _check("closure-regenerates", reproduced),
-    ]
+    checks = CheckReport()
+    checks.add("count", len(subs) == expected_count,
+               f"found {len(subs)}, expected {expected_count}")
+    checks.add("census", dict(census) == expected_census,
+               f"found {dict(sorted(census.items()))}")
+    checks.add("closure-regenerates", reproduced)
     if args.group == "d3":
-        checks.append(_check("matches-catalog", completeness_check_p3()))
+        checks.add("matches-catalog", completeness_check_p3())
     return {"command": "enumerate", "inputs": {"group": args.group},
             "results": results, "checks": checks}
 
@@ -219,24 +216,18 @@ def cmd_descend(args):
     A = group_algebra(L, entry.subgroup)
     H = descend(A, label=entry.label)
 
-    checks = []
-    for name, ok, detail in hopf_axiom_report(H):
-        checks.append(_check(f"axiom:{name}", ok, detail or ""))
+    checks = CheckReport(c._replace(name=f"axiom:{c.name}") for c in hopf_axiom_report(H))
     hg = verify_hopf_galois(H)
-    checks.append(_check("action-bijective", hg.passed,
-                         f"rank {hg.rank} of {hg.expected}"))
-    checks.append(_check("base-change-recovers-group-algebra",
-                         base_change_is_group_algebra(H)))
-    for name, ok, detail in measuring_report(H):
-        checks.append(_check(name, ok, detail or ""))
+    checks.add("action-bijective", hg.passed, f"rank {hg.rank} of {hg.expected}")
+    checks.add("base-change-recovers-group-algebra", base_change_is_group_algebra(H))
+    checks.extend(measuring_report(H))
     if entry.label == "rho":
         kind, gen = "classical", None
     elif entry.label == "lambda":
         kind, gen = "translation", None
     else:
         kind, gen = "cyclic", cyclic_generator(p, int(entry.label[1:]))
-    checks.append(_check(f"explicit-basis-{kind}",
-                         explicit_basis_matches(H, kind, gen=gen)))
+    checks.add(f"explicit-basis-{kind}", explicit_basis_matches(H, kind, gen=gen))
 
     results = {
         "p": p,
@@ -244,8 +235,8 @@ def cmd_descend(args):
         "structure_type": entry.iso_label,
         "field": args.field,
         "dim": H.dim,
-        "commutative": is_commutative(H),
-        "cocommutative": is_cocommutative(H),
+        "commutative": H.is_commutative(),
+        "cocommutative": H.is_cocommutative(),
         "basis": [_ln_string(A, H.provenance.basis.column(j))
                   for j in range(H.dim)],
     }
@@ -271,48 +262,48 @@ def cmd_classify(args):
     pd = point_decomposition_check(b)
 
     poly_results = {"b": b, "points": [(x, y) for x, y in pd["points"]]}
-    checks = []
+    checks = CheckReport()
     for cls, want in ((hopf.class_of("rho"), ["rho"]),
                       (hopf.class_of("lambda"), ["lambda"]),
                       (hopf.class_of("N0"), ["N0", "N1", "N2"])):
-        checks.append(_check(f"hopf-class-{want[0]}", cls == want, f"{cls}"))
-    checks.append(_check("hopf-class-count", len(hopf.classes) == 3,
-                         f"{len(hopf.classes)} classes"))
+        checks.add(f"hopf-class-{want[0]}", cls == want, f"{cls}")
+    checks.add("hopf-class-count", len(hopf.classes) == 3,
+               f"{len(hopf.classes)} classes")
     ev = hopf.evidence[("rho", "lambda")]
     sample = ev.certificate[0] if ev.certificate else None
-    checks.append(_check("rho-lam-not-hopf-isomorphic",
-                         not ev.isomorphic and bool(ev.certificate),
-                         f"{ev.isos_tested} group isomorphisms rejected; "
-                         f"sample failure {sample[1] if sample else None}"))
+    checks.add("rho-lam-not-hopf-isomorphic",
+               not ev.isomorphic and bool(ev.certificate),
+               f"{ev.isos_tested} group isomorphisms rejected; "
+               f"sample failure {sample[1] if sample else None}")
     want_algebra = sorted([sorted(c) for c in (["lambda", "rho"], ["N0", "N1", "N2"])])
     got_algebra = sorted([sorted(c) for c in algebra_classes])
-    checks.append(_check("algebra-class-count", got_algebra == want_algebra,
-                         f"{got_algebra}"))
+    checks.add("algebra-class-count", got_algebra == want_algebra,
+               f"{got_algebra}")
     six_fields = tuple([(1, 1, "field")] * 6)
     for c in ("N0", "N1", "N2"):
-        checks.append(_check(f"wedderburn-{c}-six-fields",
-                             wedder[c].summary() == six_fields,
-                             f"{wedder[c].summary()}"))
+        checks.add(f"wedderburn-{c}-six-fields",
+                   wedder[c].summary() == six_fields,
+                   f"{wedder[c].summary()}")
     matrix_summary = ((1, 1, "field"), (1, 1, "field"), (4, 1, "matrix2_over_center"))
     for lab in ("rho", "lambda"):
-        checks.append(_check(f"wedderburn-{lab}-group-algebra-type",
-                             wedder[lab].summary() == matrix_summary,
-                             f"{wedder[lab].summary()}"))
-    checks.append(_check("no-proper-splitting-subfield", splitting["passed"],
-                         f"center trivial: {splitting['center_trivial']}"))
-    checks.append(_check("polyform-points", pd["passed"],
-                         f"rank {pd['evaluation_rank']}, units match: {pd['units_match_lagrange']}"))
+        checks.add(f"wedderburn-{lab}-group-algebra-type",
+                   wedder[lab].summary() == matrix_summary,
+                   f"{wedder[lab].summary()}")
+    checks.add("no-proper-splitting-subfield", splitting["passed"],
+               f"center trivial: {splitting['center_trivial']}")
+    checks.add("polyform-points", pd["passed"],
+               f"rank {pd['evaluation_rank']}, units match: {pd['units_match_lagrange']}")
     for c in (0, 1, 2):
         try:
             check_iso_to_descended(P, shared[f"N{c}"], cyclic_generator(3, c))
-            checks.append(_check(f"polyform-iso-N{c}", True))
+            checks.add(f"polyform-iso-N{c}", True)
         except PolyMapError as exc:
-            checks.append(_check(f"polyform-iso-N{c}", False, exc.identity))
+            checks.add(f"polyform-iso-N{c}", False, exc.identity)
     try:
         scaling_invariance_check(b)
-        checks.append(_check("polyform-scaling-4b", True))
+        checks.add("polyform-scaling-4b", True)
     except (PolyMapError, ValueError) as exc:
-        checks.append(_check("polyform-scaling-4b", False, str(exc)))
+        checks.add("polyform-scaling-4b", False, str(exc))
 
     results = {
         "p": p,
@@ -375,6 +366,11 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _closure_bound()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
         report = args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -384,11 +380,16 @@ def main(argv=None):
         return 1
     rendered = render_json(report) if args.json else render_text(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            print(f"error: cannot write report to {args.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(rendered)
-    return 0 if all(c["passed"] for c in report["checks"]) else 1
+    return 0 if report["checks"].passed else 1
 
 
 if __name__ == "__main__":

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import AxiomReport, HopfPresentation
+from .algebra import CheckReport, HopfPresentation, action_report
 from .extensions import fixed_subalgebra, quadratic_sqrt_witness
 from .groups import conj_by, left_regular
-from .linalg import (Matrix, ONE, ZERO, integer_normalized, spans_equal,
-                     vec_add, vec_is_zero, vstack)
+from .linalg import (Matrix, ZERO, integer_normalized, spans_equal, vec_add,
+                     vec_is_zero, vstack)
 
 
 class DescentError(RuntimeError):
@@ -94,17 +94,11 @@ class GroupAlgebraOverL:
                         out[base + a] += c
         return out
 
-    def scalar_mul(self, x, vec):
-        """Multiplication by x in L, applied chunk by chunk."""
-        out = [ZERO] * self.dim
-        d = self.L.dim
-        for t, ch in self.split(vec):
-            pr = self.L.mul(x, ch)
-            base = t * d
-            for a, c in enumerate(pr):
-                if c:
-                    out[base + a] = c
-        return out
+    def plus_minus_pair(self, w, t, u):
+        """The elements 1*(eta_t + eta_u) and w*(eta_t - eta_u)."""
+        unit = self.L.unit
+        return (vec_add(self.embed(unit, t), self.embed(unit, u)),
+                vec_add(self.embed(w, t), [-c for c in self.embed(w, u)]))
 
     def name_of_basis(self, idx):
         d = self.L.dim
@@ -171,26 +165,9 @@ class SemilinearAction:
         return out
 
     def verify(self):
-        """Exact invariants: homomorphism in g, Q-algebra maps on L[N]."""
+        """Exact invariants as a CheckReport: an action of G by Q-algebra maps."""
         A = self.parent
-        G = A.L.group
-        ident = Matrix.identity(A.dim)
-        assert self.matrix(G.identity) == ident
-        for g in range(G.order):
-            for h in range(G.order):
-                assert self.matrix(g) * self.matrix(h) == self.matrix(G.mul(g, h)), \
-                    "semilinear action is not a homomorphism"
-        for g in range(G.order):
-            for i in range(A.dim):
-                ei = [ZERO] * A.dim
-                ei[i] = ONE
-                gi = self.apply(g, ei)
-                for j in range(A.dim):
-                    ej = [ZERO] * A.dim
-                    ej[j] = ONE
-                    lhs = self.apply(g, A.mul(ei, ej))
-                    rhs = A.mul(gi, self.apply(g, ej))
-                    assert lhs == rhs, "semilinear action is not multiplicative"
+        return action_report(A.L.group, self.matrix, A.mul, A.dim)
 
 
 def semilinear_action(A):
@@ -208,14 +185,8 @@ class DescentProvenance:
 
 def _rational_multiple_of_unit(L, vec, context):
     """The rational c with vec = c * unit(L); DescentError otherwise."""
-    if vec_is_zero(vec):
-        return ZERO
-    c = None
-    for k, u in enumerate(L.unit):
-        if u:
-            c = vec[k] / u
-            break
-    if c is None or [c * u for u in L.unit] != list(vec):
+    c = L.rational_multiple_of_unit(vec)
+    if c is None:
         raise DescentError(f"{context}: expected a rational multiple of the unit")
     return c
 
@@ -374,7 +345,7 @@ def measuring_report(H, L=None):
     prov = _provenance_of(H)
     L = L if L is not None else prov.parent.L
     mats = hopf_action(H, L)
-    report = AxiomReport()
+    report = CheckReport()
 
     ok, detail = True, None
     for k in range(H.dim):
@@ -494,11 +465,7 @@ def explicit_translation_basis(A):
 
     cols = [A.embed(L.unit, slot[G.identity])]
     for i in range(1, (p - 1) // 2 + 1):
-        plus = vec_add(A.embed(L.unit, slot[rpow(i)]), A.embed(L.unit, slot[rpow(p - i)]))
-        minus = vec_add(A.embed(w, slot[rpow(i)]),
-                        [-c for c in A.embed(w, slot[rpow(p - i)])])
-        cols.append(plus)
-        cols.append(minus)
+        cols.extend(A.plus_minus_pair(w, slot[rpow(i)], slot[rpow(p - i)]))
     ybasis = fixed_subalgebra(L, [s_idx]).basis
     step = (p + 1) // 2
     for m in range(ybasis.cols):
@@ -527,10 +494,7 @@ def explicit_cyclic_basis(A, gen):
     slot = [A.N.index_of(gen.power(k)) for k in range(n)]
     cols = [A.embed(L.unit, slot[0]), A.embed(L.unit, slot[p])]
     for i in range(1, p):
-        plus = vec_add(A.embed(L.unit, slot[i]), A.embed(L.unit, slot[n - i]))
-        minus = vec_add(A.embed(w, slot[i]), [-c for c in A.embed(w, slot[n - i])])
-        cols.append(plus)
-        cols.append(minus)
+        cols.extend(A.plus_minus_pair(w, slot[i], slot[n - i]))
     return Matrix.from_columns(cols, rows=A.dim)
 
 

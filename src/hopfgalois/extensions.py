@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .algebra import Algebra
+from .algebra import Algebra, action_report, algebra_axiom_report
 from .groups import cyclic, dihedral
 from .linalg import Matrix, Q, ZERO, ONE, integer_normalized, rational, vstack
 
@@ -81,25 +81,12 @@ class GaloisAlgebra(Algebra):
         return stacked.kernel()
 
     def verify(self):
-        """Full invariant check; used by tests, not by hot paths."""
-        assert self.unit_is_identity(), "unit fails"
-        assert self.is_commutative(), "not commutative"
-        assert self.is_associative(), "not associative"
-        G = self.group
-        ident = Matrix.identity(self.dim)
-        assert self.action[G.identity] == ident, "identity must act trivially"
-        for g in range(G.order):
-            for h in range(G.order):
-                assert self.action[g] * self.action[h] == self.action[G.mul(g, h)], \
-                    "action is not a homomorphism"
-        for g in range(G.order):
-            m = self.action[g]
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    lhs = m.apply(self.prod[i][j])
-                    rhs = self.mul(m.column(i), m.column(j))
-                    assert lhs == rhs, "action is not by algebra maps"
-        assert self.fixed_space(range(G.order)).cols == 1, "fixed field larger than Q"
+        """Full invariant check as a CheckReport; used by tests, not by hot paths."""
+        report = algebra_axiom_report(self)
+        report.add("commutative", self.is_commutative())
+        report.extend(action_report(self.group, self.action.__getitem__, self.mul, self.dim))
+        report.add("fixed-field-is-Q", self.fixed_space(range(self.group.order)).cols == 1)
+        return report
 
 
 @dataclass
@@ -277,24 +264,13 @@ def quadratic_sqrt_witness(L):
     if anti.cols == 0:
         raise ValueError("no element is negated by the reflection")
     w = integer_normalized((quad * anti).column(0))
-    w2 = L.mul(w, w)
-    ratio = None
-    for k, u in enumerate(L.unit):
-        if u:
-            ratio = w2[k] / u
-            break
-    if [ratio * u for u in L.unit] != w2:
-        raise ValueError("witness square is not rational")
+    rational_square_of(L, w)  # raises unless w^2 is rational
     return w
 
 
 def rational_square_of(L, w):
     """The rational d with w*w = d * unit; raises if w^2 is not rational."""
-    w2 = L.mul(w, w)
-    for k, u in enumerate(L.unit):
-        if u:
-            d = w2[k] / u
-            if [d * uu for uu in L.unit] == w2:
-                return d
-            break
-    raise ValueError("square is not a rational multiple of the unit")
+    d = L.rational_multiple_of_unit(L.mul(w, w))
+    if d is None:
+        raise ValueError("square is not a rational multiple of the unit")
+    return d

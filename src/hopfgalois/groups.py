@@ -32,12 +32,23 @@ class UnknownGroupType(ValueError):
 
 
 def _closure_bound(bound=None):
+    """`bound`, else the HGL_CLOSURE_BOUND value, else the default.
+
+    Raises ValueError naming the variable unless its value is a positive
+    integer.
+    """
     if bound is not None:
         return bound
     env = os.environ.get(CLOSURE_BOUND_ENV)
-    if env is not None:
-        return int(env)
-    return DEFAULT_CLOSURE_BOUND
+    if env is None:
+        return DEFAULT_CLOSURE_BOUND
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise ValueError(f"{CLOSURE_BOUND_ENV} must be a positive integer, got {env!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -463,7 +474,8 @@ def enumerate_regular_normalized(G):
     for key in sorted(found):
         elems = tuple(found[key][img] for img in key)
         N = PermSubgroup(n, elems)
-        assert is_regular(N) and is_normalized_by(N, lam)
+        if not (is_regular(N) and is_normalized_by(N, lam)):
+            raise AssertionError("enumerated subgroup is not regular and normalized")
         out.append(N)
     return out
 
@@ -651,8 +663,3 @@ def equivariant_iso_search(N, N2, G, respect=None):
         else:
             rejections.append((iso, bad))
     return equivariant, rejections
-
-
-def equivariant_isomorphisms(N, N2, G, respect=None):
-    """Isomorphisms N -> N2 commuting with conjugation by translations."""
-    return equivariant_iso_search(N, N2, G, respect)[0]

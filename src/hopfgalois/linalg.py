@@ -108,9 +108,6 @@ class Matrix:
     def columns(self):
         return [self.column(j) for j in range(self.cols)]
 
-    def to_lists(self):
-        return [list(row) for row in self._data]
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -170,9 +167,6 @@ class Matrix:
         return Matrix._wrap(self.cols, self.rows,
                             [[self._data[i][j] for i in range(self.rows)]
                              for j in range(self.cols)])
-
-    def is_zero(self):
-        return all(not e for row in self._data for e in row)
 
     def apply(self, vec):
         """Matrix-vector product; `vec` is any sequence, result is a list."""
@@ -337,14 +331,6 @@ def vec_add(u, v):
     return [a + b for a, b in zip(u, v)]
 
 
-def vec_sub(u, v):
-    return [a - b for a, b in zip(u, v)]
-
-
-def vec_scale(v, q):
-    return [a * q for a in v]
-
-
 def vec_dot(u, v):
     s = ZERO
     for a, b in zip(u, v):
@@ -373,8 +359,3 @@ def integer_normalized(v):
     if first < 0:
         ints = [-n for n in ints]
     return [Q(n) for n in ints]
-
-
-def format_rational(q):
-    """Render a rational as 'num/den' (or plain integer string)."""
-    return str(q)

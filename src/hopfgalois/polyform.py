@@ -23,7 +23,7 @@ from __future__ import annotations
 from .algebra import Algebra, HopfPresentation
 from .descent import _provenance_of
 from .extensions import is_rational_square, quadratic_sqrt_witness
-from .linalg import Matrix, ONE, Q, ZERO, rational, vec_add
+from .linalg import Matrix, ONE, Q, ZERO, rational
 
 MONOMIALS = ((0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1))
 MONOMIAL_INDEX = {m: k for k, m in enumerate(MONOMIALS)}
@@ -76,24 +76,6 @@ def evaluate_poly(poly, point):
     return total
 
 
-def _tensor_mul(alg, u, v):
-    out = {}
-    for (a, bb), c1 in u.items():
-        for (cc, d), c2 in v.items():
-            coeff = c1 * c2
-            left = alg.prod[a][cc]
-            right = alg.prod[bb][d]
-            for ii, li in enumerate(left):
-                if not li:
-                    continue
-                cli = coeff * li
-                for jj, rj in enumerate(right):
-                    if rj:
-                        key = (ii, jj)
-                        out[key] = out.get(key, ZERO) + cli * rj
-    return {k: v2 for k, v2 in out.items() if v2}
-
-
 class PolyHopfAlgebra(HopfPresentation):
     """The presentation Q[x,y]/I as a HopfPresentation, with its parameter."""
 
@@ -118,9 +100,9 @@ class PolyHopfAlgebra(HopfPresentation):
         for (i, j) in MONOMIALS:
             term = {(0, 0): ONE}
             for _ in range(i):
-                term = _tensor_mul(plain, term, dx)
+                term = plain.tensor_mul(term, dx)
             for _ in range(j):
-                term = _tensor_mul(plain, term, dy)
+                term = plain.tensor_mul(term, dy)
             col = [ZERO] * 36
             for (a, bb), c in term.items():
                 col[a * 6 + bb] = c
@@ -203,10 +185,7 @@ def check_iso_to_descended(P, H, gen):
     if H.dim != 6 or P.dim != 6:
         raise ValueError("presentation and target must have dimension 6")
     w = quadratic_sqrt_witness(L)
-    t_plus = A.N.index_of(gen)
-    t_minus = A.N.index_of(gen.inverse())
-    x_ln = vec_add(A.embed(L.unit, t_plus), A.embed(L.unit, t_minus))
-    y_ln = vec_add(A.embed(w, t_plus), [-c for c in A.embed(w, t_minus)])
+    x_ln, y_ln = A.plus_minus_pair(w, A.N.index_of(gen), A.N.index_of(gen.inverse()))
     sol = prov.basis.solve(Matrix.from_columns([x_ln, y_ln], rows=A.dim))
     if sol is None:
         raise PolyMapError("membership")

@@ -1,6 +1,7 @@
 import pytest
 
-from hopfgalois.algebra import (Algebra, group_hopf_algebra, hopf_axiom_report,
+from hopfgalois.algebra import (Algebra, Check, algebra_axiom_report,
+                                group_hopf_algebra, hopf_axiom_report,
                                 hopf_map_violation)
 from hopfgalois.groups import cyclic, dihedral, elementary_abelian_4
 from hopfgalois.linalg import Matrix, ONE, Q, ZERO
@@ -84,9 +85,10 @@ def test_hopf_map_violation_detects_non_maps():
 def test_algebra_flags():
     G = dihedral(3)
     H = group_hopf_algebra(G)
-    assert H.is_associative()
+    axioms = {c.name: c.passed for c in algebra_axiom_report(H)}
+    assert axioms["associativity"]
     assert not H.is_commutative()
-    assert H.unit_is_identity()
+    assert axioms["unit"]
     two_r = H.mul(H.basis_vector(1), [Q(2) * u for u in H.unit])
     assert two_r == [Q(2) * c for c in H.basis_vector(1)]
 
@@ -98,4 +100,26 @@ def test_plain_algebra_operator_views():
     e0 = A.basis_vector(0)
     assert A.mult_operator(e0).apply([Q(3), Q(5)]) == [Q(3), Q(0)]
     assert A.power(e0, 5) == e0
-    assert A.is_commutative() and A.is_associative()
+    assert A.is_commutative() and algebra_axiom_report(A).passed
+
+
+def test_algebra_axiom_report_names_first_nonassociative_triple():
+    def e(k):
+        return tuple(ONE if i == k else ZERO for i in range(3))
+
+    zero = (ZERO,) * 3
+    # e1*e1 = e2 and e2*e1 = e1, but e1*e2 = 0: (e1 e1) e1 != e1 (e1 e1)
+    prod = ((e(0), e(1), e(2)), (e(1), e(2), zero), (e(2), e(1), zero))
+    report = algebra_axiom_report(Algebra(prod, e(0)))
+    assert report[0] == Check("unit", True, "")
+    assert not report.passed
+    assert report.failures() == [("associativity", "associativity fails at (1,1,1)")]
+
+
+def test_rational_multiple_of_unit():
+    prod = (((ONE, ZERO), (ZERO, ZERO)), ((ZERO, ZERO), (ZERO, ONE)))
+    A = Algebra(prod, (ONE, ONE))
+    assert A.rational_multiple_of_unit([Q(2), Q(2)]) == Q(2)
+    assert A.rational_multiple_of_unit([Q(1), Q(2)]) is None
+    zero = A.rational_multiple_of_unit([ZERO, ZERO])
+    assert zero is not None and zero == 0

@@ -1,10 +1,9 @@
 import pytest
 
-from hopfgalois.algebra import Algebra, group_hopf_algebra
+from hopfgalois.algebra import Algebra, algebra_axiom_report, group_hopf_algebra
 from hopfgalois.analysis import (algebra_iso_classes_p3, character_idempotents,
                                  commutative_wedderburn, find_square_zero_element,
-                                 hopf_iso_classes, is_cocommutative,
-                                 is_commutative, minimal_polynomial,
+                                 hopf_iso_classes, minimal_polynomial,
                                  minimal_splitting_subfield_check,
                                  nilpotent_witness,
                                  noncommutative_wedderburn_p3, rational_roots)
@@ -127,7 +126,7 @@ def test_square_zero_scan():
 
 def test_quaternion_is_division_shaped():
     Hq = quaternion_algebra()
-    assert Hq.is_associative()
+    assert algebra_axiom_report(Hq).passed
     assert not Hq.is_commutative()
 
 
@@ -155,9 +154,9 @@ def test_minimal_splitting_subfield(L3):
 
 
 def test_commutativity_predicates(descended3):
-    assert is_commutative(descended3["N0"])
-    assert not is_commutative(descended3["rho"])
-    assert is_cocommutative(descended3["lambda"])
+    assert descended3["N0"].is_commutative()
+    assert not descended3["rho"].is_commutative()
+    assert descended3["lambda"].is_cocommutative()
 
 
 def test_commutative_wedderburn_rejects_noncommutative(descended3):

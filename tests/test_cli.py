@@ -130,6 +130,24 @@ def test_closure_bound_large_enough(capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_bad_closure_bound_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("HGL_CLOSURE_BOUND", value)
+    code, out, err = run(capsys, "enumerate", "--group", "klein4")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "HGL_CLOSURE_BOUND" in err
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "r.json"
+    code, out, err = run(capsys, "catalog", "--p", "3", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write report to {target}")
+    assert not target.exists()
+
+
 def test_rationals_rendered_as_strings(capsys):
     _, out, _ = run(capsys, "classify", "--field", "cubic:2", "--json")
     points = json.loads(out)["results"]["polyform"]["points"]

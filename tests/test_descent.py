@@ -187,7 +187,7 @@ def test_non_normalized_subgroup_rejected(L3):
 def test_semilinear_action_verifies(L3, catalog3):
     for e in catalog3:
         act = semilinear_action(group_algebra(L3, e.subgroup))
-        act.verify()
+        assert act.verify().passed
 
 
 @pytest.mark.parametrize("p,label", [(5, "rho"), (5, "lambda"), (5, "N0"),

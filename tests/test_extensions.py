@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,8 +13,8 @@ from hopfgalois.extensions import (GaloisAlgebra, Subalgebra, fixed_subalgebra,
                                    quadratic_field, quadratic_sqrt_witness,
                                    rational_square_of, split_model,
                                    splitting_field_cubic)
-from hopfgalois.groups import dihedral
-from hopfgalois.linalg import Matrix, Q
+from hopfgalois.groups import cyclic, dihedral
+from hopfgalois.linalg import Matrix, ONE, Q, ZERO
 
 # frozen witness data: the square root of -3 in the degree-6 splitting field,
 # on the basis (1, a, a^2, z, az, a^2z), is 1 + 2z independently of v
@@ -31,7 +37,7 @@ def test_cubic_field_axioms(v):
     L = splitting_field_cubic(v)
     assert L.dim == 6
     assert L.model == "cubic"
-    L.verify()
+    assert L.verify().passed
     a = L.basis_vector(1)
     assert L.mul(a, L.mul(a, a)) == [Q(v), Q(0), Q(0), Q(0), Q(0), Q(0)]
 
@@ -53,7 +59,7 @@ def test_cubic_witness_frozen(v):
 def test_split_model():
     L = split_model(dihedral(3))
     assert L.model == "split"
-    L.verify()
+    assert L.verify().passed
     w = quadratic_sqrt_witness(L)
     assert w == SPLIT_WITNESS_D3
     assert rational_square_of(L, w) == Q(1)
@@ -62,16 +68,55 @@ def test_split_model():
 def test_split_model_larger_prime():
     L = split_model(dihedral(7))
     assert L.dim == 14
-    L.verify()
+    assert L.verify().passed
     assert rational_square_of(L, quadratic_sqrt_witness(L)) == Q(1)
 
 
 def test_quadratic_field():
     L = quadratic_field(5)
-    L.verify()
+    assert L.verify().passed
     assert L.model == "quadratic"
     w = quadratic_sqrt_witness(L)
     assert rational_square_of(L, w) == Q(5)
+
+
+def test_rational_square_of_rejects_irrational_square():
+    L = splitting_field_cubic(2)
+    with pytest.raises(ValueError):
+        rational_square_of(L, L.basis_vector(1))  # the cube root a: a^2 is irrational
+
+
+QUADRATIC_5 = (((ONE, ZERO), (ZERO, ONE)), ((ZERO, ONE), (Q(5), ZERO)))
+
+
+def test_verify_names_first_counterexamples():
+    # g acts as w -> 2w: neither an involution nor an algebra map
+    L = GaloisAlgebra(QUADRATIC_5, (ONE, ZERO), cyclic(2),
+                      [Matrix.identity(2), Matrix.from_rows([[ONE, ZERO], [ZERO, Q(2)]])])
+    assert L.verify().failures() == [
+        ("action-homomorphism", "fails at (g, g)"),
+        ("action-by-algebra-maps", "fails for g at basis (1,1)"),
+    ]
+
+
+def test_verify_fails_loudly_under_python_O():
+    # python -O strips assert statements; verify() must still see that a
+    # trivial action leaves a fixed field larger than Q
+    script = (
+        "import json, sys\n"
+        "from hopfgalois.extensions import GaloisAlgebra\n"
+        "from hopfgalois.groups import cyclic\n"
+        "from hopfgalois.linalg import Matrix, ONE, Q, ZERO\n"
+        "prod = (((ONE, ZERO), (ZERO, ONE)), ((ZERO, ONE), (Q(5), ZERO)))\n"
+        "L = GaloisAlgebra(prod, (ONE, ZERO), cyclic(2), [Matrix.identity(2)] * 2)\n"
+        "print(json.dumps([sys.flags.optimize, L.verify().failures()]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == [1, [["fixed-field-is-Q", ""]]]
 
 
 @pytest.mark.parametrize("b", [4, 9, Q(9, 4), 0, 1])

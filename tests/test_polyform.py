@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfgalois.algebra import hopf_axiom_report
-from hopfgalois.analysis import commutative_wedderburn, is_cocommutative, is_commutative
+from hopfgalois.analysis import commutative_wedderburn
 from hopfgalois.catalog import cyclic_generator
 from hopfgalois.linalg import Q, ZERO
 from hopfgalois.polyform import (MONOMIALS, PolyMapError, check_iso_to_descended,
@@ -60,8 +60,8 @@ def test_hopf_axioms(b):
     P = poly_hopf_algebra(b)
     report = hopf_axiom_report(P)
     assert report.passed, report.failures()
-    assert is_commutative(P)
-    assert is_cocommutative(P)
+    assert P.is_commutative()
+    assert P.is_cocommutative()
 
 
 @pytest.mark.parametrize("bad", [0, 1, 4, Q(9, 4), Q(16)])
