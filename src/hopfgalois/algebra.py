@@ -18,7 +18,8 @@ class Algebra:
 
     def __init__(self, prod, unit, names=None):
         self.dim = len(prod)
-        self.prod = tuple(tuple(tuple(Q(c) for c in vec) for vec in row) for row in prod)
+        self.prod = tuple(tuple(tuple(c if type(c) is Q else Q(c) for c in vec) for vec in row)
+                          for row in prod)
         if any(len(row) != self.dim for row in self.prod):
             raise ValueError("product table must be square")
         if any(len(vec) != self.dim for row in self.prod for vec in row):
@@ -27,6 +28,9 @@ class Algebra:
         if len(self.unit) != self.dim:
             raise ValueError("unit vector length mismatch")
         self.names = tuple(names) if names is not None else tuple(f"e{i}" for i in range(self.dim))
+        # the nonzero structure constants (k, c) of each basis product
+        self._terms = tuple(tuple(tuple((k, c) for k, c in enumerate(vec) if c) for vec in row)
+                            for row in self.prod)
 
     def basis_vector(self, i):
         v = [ZERO] * self.dim
@@ -35,16 +39,16 @@ class Algebra:
 
     def mul(self, x, y):
         out = [ZERO] * self.dim
+        ys = [(j, b) for j, b in enumerate(y) if b]
         for i, a in enumerate(x):
             if not a:
                 continue
-            prow = self.prod[i]
-            for j, b in enumerate(y):
-                if not b:
-                    continue
-                ab = a * b
-                for k, c in enumerate(prow[j]):
-                    if c:
+            trow = self._terms[i]
+            for j, b in ys:
+                terms = trow[j]
+                if terms:
+                    ab = a * b
+                    for k, c in terms:
                         out[k] += ab * c
         return out
 
@@ -86,16 +90,12 @@ class Algebra:
         for (a, b), c1 in u.items():
             for (cc, d), c2 in v.items():
                 coeff = c1 * c2
-                left = self.prod[a][cc]
-                right = self.prod[b][d]
-                for i, li in enumerate(left):
-                    if not li:
-                        continue
+                right = self._terms[b][d]
+                for i, li in self._terms[a][cc]:
                     cli = coeff * li
-                    for j, rj in enumerate(right):
-                        if rj:
-                            key = (i, j)
-                            out[key] = out.get(key, ZERO) + cli * rj
+                    for j, rj in right:
+                        key = (i, j)
+                        out[key] = out.get(key, ZERO) + cli * rj
         return {k: v for k, v in out.items() if v}
 
 
@@ -124,12 +124,7 @@ class HopfPresentation(Algebra):
     def comul_terms(self, k):
         """Sparse form of comul column k: dict (i, j) -> coefficient."""
         n = self.dim
-        out = {}
-        for idx in range(n * n):
-            c = self.comul[idx, k]
-            if c:
-                out[(idx // n, idx % n)] = c
-        return out
+        return {divmod(idx, n): c for idx, c in self.comul.column_entries(k).items()}
 
     def comul_of(self, x):
         """Comultiplication of a coordinate vector, as a sparse tensor dict."""
@@ -152,13 +147,8 @@ class HopfPresentation(Algebra):
         return self.antipode.apply(x)
 
     def is_cocommutative(self):
-        n = self.dim
-        for k in range(n):
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if self.comul[i * n + j, k] != self.comul[j * n + i, k]:
-                        return False
-        return True
+        return all(terms == {(j, i): c for (i, j), c in terms.items()}
+                   for terms in map(self.comul_terms, range(self.dim)))
 
 
 def group_hopf_algebra(G, names=None):

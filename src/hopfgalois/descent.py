@@ -135,21 +135,16 @@ class SemilinearAction:
         self._matrices = {}
 
     def matrix(self, g):
+        """x * eta_t -> g(x) * eta_conj(t), from the nonzero entries of g on L."""
         if g not in self._matrices:
             A = self.parent
             d = A.L.dim
             act = A.L.action[g]
-            cols = []
-            for t in range(A.N.order):
-                tp = self.conj_map[g][t]
-                for a in range(d):
-                    col = [ZERO] * A.dim
-                    for b in range(d):
-                        c = act[b, a]
-                        if c:
-                            col[tp * d + b] = c
-                    cols.append(col)
-            self._matrices[g] = Matrix.from_columns(cols, rows=A.dim)
+            self._matrices[g] = Matrix.from_entries(
+                A.dim, A.dim,
+                ((tp * d + b, t * d + a, c)
+                 for t, tp in enumerate(self.conj_map[g])
+                 for b in range(d) for a, c in act.row_entries(b)))
         return self._matrices[g]
 
     def apply(self, g, vec):
@@ -230,18 +225,10 @@ def descend(A, label=None):
         eps.append(_rational_multiple_of_unit(A.L, total, "counit"))
     counit = Matrix(1, n, eps)
 
-    inv = A.N.inverse_table
-    scols = []
-    for k in range(n):
-        v = [ZERO] * A.dim
-        d = A.L.dim
-        for t, ch in A.split(hcols[k]):
-            base = inv[t] * d
-            for a, c in enumerate(ch):
-                if c:
-                    v[base + a] = c
-        scols.append(v)
-    antipode = B.solve(Matrix.from_columns(scols, rows=A.dim))
+    inv, d = A.N.inverse_table, A.L.dim
+    antipode = B.solve(Matrix.from_entries(A.dim, n, (
+        (inv[t] * d + a, k, c)
+        for k in range(n) for t, ch in A.split(hcols[k]) for a, c in enumerate(ch) if c)))
     if antipode is None:
         raise DescentError("an antipode image left the fixed ring")
 
@@ -257,20 +244,15 @@ def lform_matrix(A, B):
     """Matrix of Phi: L (x) H -> L[N], x (x) h -> x*h; column (a,k) = a*n+k."""
     d = A.L.dim
     n = B.cols
-    hsplit = [A.split(B.column(k)) for k in range(n)]
-    cols = []
+    hsplit = [A.split(hk) for hk in B.columns()]
+    entries = []
     for a in range(d):
         e_a = A.L.basis_vector(a)
         for k in range(n):
-            col = [ZERO] * A.dim
             for t, ch in hsplit[k]:
-                pr = A.L.mul(e_a, ch)
-                base = t * d
-                for bb, c in enumerate(pr):
-                    if c:
-                        col[base + bb] = c
-            cols.append(col)
-    return Matrix.from_columns(cols, rows=A.dim)
+                entries.extend((t * d + bb, a * n + k, c)
+                               for bb, c in enumerate(A.L.mul(e_a, ch)) if c)
+    return Matrix.from_entries(A.dim, d * n, entries)
 
 
 def _descended_comultiplication(A, B):
@@ -281,7 +263,7 @@ def _descended_comultiplication(A, B):
     if phi_inv is None:
         raise DescentError("base change L (x) H -> L[N] is not invertible")
 
-    comul_cols = []
+    entries = []
     for k in range(n):
         # stage 1: x_t eta_t = sum_i y_i h_i with y_i in L, so that
         # Delta(h_k) = sum_i h_i (x) w_i with w_i = sum_t y_i^(t) eta_t
@@ -296,18 +278,15 @@ def _descended_comultiplication(A, B):
                     if c:
                         w[i][base + a] = c
         # stage 2: w_i must be a rational combination of the h_j
-        col = [ZERO] * (n * n)
         for i in range(n):
             if vec_is_zero(w[i]):
                 continue
             z = phi_inv.apply(w[i])
             for j in range(n):
                 zvec = [z[a * n + j] for a in range(d)]
-                c = _rational_multiple_of_unit(A.L, zvec, "comultiplication")
-                if c:
-                    col[i * n + j] = c
-        comul_cols.append(col)
-    return Matrix.from_columns(comul_cols, rows=n * n)
+                entries.append((i * n + j, k,
+                                _rational_multiple_of_unit(A.L, zvec, "comultiplication")))
+    return Matrix.from_entries(n * n, n, entries)
 
 
 def _provenance_of(H):
@@ -384,13 +363,15 @@ def hopf_galois_matrix(L, action_matrices):
     Endomorphisms are flattened row-major; column (a, k) is a*|H| + k.
     """
     d = L.dim
-    cols = []
-    mult_ops = [L.mult_operator(L.basis_vector(a)) for a in range(d)]
+    n = len(action_matrices)
+    entries = []
     for a in range(d):
-        for m in action_matrices:
-            composed = mult_ops[a] * m
-            cols.append([composed[p, q] for p in range(d) for q in range(d)])
-    return Matrix.from_columns(cols, rows=d * d)
+        mult_op = L.mult_operator(L.basis_vector(a))
+        for k, m in enumerate(action_matrices):
+            composed = mult_op * m
+            entries.extend((p * d + q, a * n + k, c)
+                           for p in range(d) for q, c in composed.row_entries(p))
+    return Matrix.from_entries(d * d, d * n, entries)
 
 
 @dataclass

@@ -23,18 +23,31 @@ from .linalg import Matrix, Q, ZERO, ONE, integer_normalized, rational, vstack
 
 
 def _int_is_cube(n):
-    if n < 0:
-        return _int_is_cube(-n)
-    lo, hi = 0, 1
-    while hi ** 3 < n:
-        hi *= 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid ** 3 < n:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo ** 3 == n
+    """Whether the integer n is a cube, by Newton's integer cube root."""
+    n = abs(n)
+    if n < 2:
+        return True
+    x = 1 << -(-n.bit_length() // 3)  # 2^ceil(bits/3) >= cbrt(n)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x ** 3 == n
+        x = y
+
+
+def _short_text(q):
+    """q as text, or its digit counts when it is too long to print."""
+    num, den = abs(int(q.numerator)), int(q.denominator)
+    if max(num, den).bit_length() <= 3000:  # at most 904 digits
+        return str(q)
+    return f"v ({_digit_count(num)}-digit numerator, {_digit_count(den)}-digit denominator)"
+
+
+def _digit_count(n):
+    k = max(1, n.bit_length() * 30103 // 100000)  # floor(bits * log10 2) <= digits
+    while 10 ** k <= n:
+        k += 1
+    return k
 
 
 def is_rational_cube(q):
@@ -119,7 +132,7 @@ def splitting_field_cubic(v):
     """
     v = rational(v)
     if v == 0 or is_rational_cube(v):
-        raise ValueError(f"{v} is a rational cube; x^3 - v does not cut out a field")
+        raise ValueError(f"{_short_text(v)} is a rational cube; x^3 - v does not cut out a field")
     G = dihedral(3)
     dim = 6
 

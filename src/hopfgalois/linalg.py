@@ -1,9 +1,10 @@
 """Exact rational linear algebra.
 
-Dense, immutable, row-major matrices over arbitrary-precision rationals.
-Everything is computed exactly; no floating point appears anywhere in this
-package.  Pivoting in row reduction always takes the first nonzero entry,
-so reduced forms, kernels and solutions are reproducible across runs.
+Immutable sparse-row matrices over arbitrary-precision rationals: each row
+keeps only its nonzero entries, so work scales with the nonzeros, not the
+shape.  Everything is computed exactly; no floating point appears anywhere
+in this package.  Pivoting in row reduction always takes the first nonzero
+entry, so reduced forms, kernels and solutions are reproducible across runs.
 
 The scalar type is gmpy2.mpq when available (roughly an order of magnitude
 faster than fractions.Fraction on the elimination-heavy workloads here) and
@@ -33,25 +34,26 @@ def rational(value, den=None):
 
 
 class Matrix:
-    """Immutable dense matrix over exact rationals."""
+    """Immutable sparse matrix over exact rationals.
 
-    __slots__ = ("rows", "cols", "_data")
+    Each row is a dict {column: value} holding only the nonzero entries, so
+    a zero is never stored and two equal matrices have equal row dicts.
+    """
+
+    __slots__ = ("rows", "cols", "_rows")
 
     def __init__(self, rows, cols, entries):
-        entries = [Q(e) for e in entries]
+        entries = list(entries)
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        self.rows = rows
-        self.cols = cols
-        self._data = [entries[i * cols:(i + 1) * cols] for i in range(rows)]
+        self.rows, self.cols = rows, cols
+        self._rows = [_sparse(entries[i * cols:(i + 1) * cols]) for i in range(rows)]
 
     @classmethod
     def _wrap(cls, rows, cols, data):
-        # internal: adopt `data` (list of row lists) without copying
+        # internal: adopt `data` (list of zero-free row dicts) without copying
         m = object.__new__(cls)
-        m.rows = rows
-        m.cols = cols
-        m._data = data
+        m.rows, m.cols, m._rows = rows, cols, data
         return m
 
     @classmethod
@@ -62,7 +64,7 @@ class Matrix:
         cols = len(rows_list[0])
         if any(len(r) != cols for r in rows_list):
             raise ValueError("ragged rows")
-        return cls(len(rows_list), cols, [e for r in rows_list for e in r])
+        return cls._wrap(len(rows_list), cols, [_sparse(r) for r in rows_list])
 
     @classmethod
     def from_columns(cls, cols_list, rows=None):
@@ -70,51 +72,80 @@ class Matrix:
         if not cols_list:
             if rows is None:
                 raise ValueError("from_columns with no columns needs an explicit row count")
-            return cls._wrap(rows, 0, [[] for _ in range(rows)])
+            return cls.zeros(rows, 0)
         n = len(cols_list[0])
         if rows is not None and rows != n:
             raise ValueError("row count mismatch")
         if any(len(c) != n for c in cols_list):
             raise ValueError("ragged columns")
-        data = [[Q(c[i]) for c in cols_list] for i in range(n)]
+        data = [{} for _ in range(n)]
+        for j, col in enumerate(cols_list):
+            for i, x in _sparse(col).items():
+                data[i][j] = x
         return cls._wrap(n, len(cols_list), data)
 
     @classmethod
+    def from_entries(cls, rows, cols, entries):
+        """Matrix from (i, j, value) triples; repeated positions add up."""
+        data = [{} for _ in range(rows)]
+        for i, j, x in entries:
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise IndexError(f"entry ({i}, {j}) outside {rows}x{cols}")
+            row = data[i]
+            x = row.get(j, ZERO) + x
+            if x:
+                row[j] = x
+            else:
+                row.pop(j, None)
+        return cls._wrap(rows, cols, data)
+
+    @classmethod
     def zeros(cls, rows, cols):
-        return cls._wrap(rows, cols, [[ZERO] * cols for _ in range(rows)])
+        return cls._wrap(rows, cols, [{} for _ in range(rows)])
 
     @classmethod
     def identity(cls, n):
-        data = [[ZERO] * n for _ in range(n)]
-        for i in range(n):
-            data[i][i] = ONE
-        return cls._wrap(n, n, data)
+        return cls._wrap(n, n, [{i: ONE} for i in range(n)])
 
     @property
     def entries(self):
         """Row-major flat tuple of all entries."""
-        return tuple(e for row in self._data for e in row)
+        return tuple(e for i in range(self.rows) for e in self.row(i))
 
     def __getitem__(self, key):
         i, j = key
-        return self._data[i][j]
+        if not 0 <= j < self.cols:
+            raise IndexError("column index out of range")
+        return self._rows[i].get(j, ZERO)
 
     def row(self, i):
-        return tuple(self._data[i])
+        r = self._rows[i]
+        return tuple(r.get(j, ZERO) for j in range(self.cols))
+
+    def row_entries(self, i):
+        """The nonzero entries of row i as (column, value) pairs."""
+        return self._rows[i].items()
 
     def column(self, j):
-        return tuple(row[j] for row in self._data)
+        if not 0 <= j < self.cols:
+            raise IndexError("column index out of range")
+        return tuple(r.get(j, ZERO) for r in self._rows)
+
+    def column_entries(self, j):
+        """The nonzero entries of column j as a dict {row: value}."""
+        return {i: r[j] for i, r in enumerate(self._rows) if j in r}
 
     def columns(self):
-        return [self.column(j) for j in range(self.cols)]
+        t = self.transpose()
+        return [t.row(j) for j in range(self.cols)]
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and self._data == other._data
+        return (self.rows, self.cols) == (other.rows, other.cols) and self._rows == other._rows
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self._rows)))
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
@@ -122,18 +153,16 @@ class Matrix:
     def __add__(self, other):
         self._check_same_shape(other)
         return Matrix._wrap(self.rows, self.cols,
-                            [[a + b for a, b in zip(ra, rb)]
-                             for ra, rb in zip(self._data, other._data)])
+                            [_axpy(ra, ONE, rb) for ra, rb in zip(self._rows, other._rows)])
 
     def __sub__(self, other):
         self._check_same_shape(other)
         return Matrix._wrap(self.rows, self.cols,
-                            [[a - b for a, b in zip(ra, rb)]
-                             for ra, rb in zip(self._data, other._data)])
+                            [_axpy(ra, -ONE, rb) for ra, rb in zip(self._rows, other._rows)])
 
     def __neg__(self):
         return Matrix._wrap(self.rows, self.cols,
-                            [[-a for a in row] for row in self._data])
+                            [{j: -a for j, a in r.items()} for r in self._rows])
 
     def _check_same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -144,59 +173,61 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in product")
-            out = [[ZERO] * other.cols for _ in range(self.rows)]
-            for i, row in enumerate(self._data):
-                orow = out[i]
-                for k, a in enumerate(row):
-                    if a:
-                        brow = other._data[k]
-                        for j, b in enumerate(brow):
-                            if b:
-                                orow[j] += a * b
+            brows = other._rows
+            out = []
+            for r in self._rows:
+                acc = {}
+                for k, a in r.items():
+                    for j, b in brows[k].items():
+                        acc[j] = acc.get(j, ZERO) + a * b
+                out.append({j: x for j, x in acc.items() if x})
             return Matrix._wrap(self.rows, other.cols, out)
-        q = Q(other)
-        return Matrix._wrap(self.rows, self.cols,
-                            [[a * q for a in row] for row in self._data])
+        return self._scaled(Q(other))
 
     def __rmul__(self, other):
-        q = Q(other)
+        return self._scaled(Q(other))
+
+    def _scaled(self, q):
+        if not q:
+            return Matrix.zeros(self.rows, self.cols)
         return Matrix._wrap(self.rows, self.cols,
-                            [[q * a for a in row] for row in self._data])
+                            [{j: a * q for j, a in r.items()} for r in self._rows])
 
     def transpose(self):
-        return Matrix._wrap(self.cols, self.rows,
-                            [[self._data[i][j] for i in range(self.rows)]
-                             for j in range(self.cols)])
+        out = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self._rows):
+            for j, x in r.items():
+                out[j][i] = x
+        return Matrix._wrap(self.cols, self.rows, out)
 
     def apply(self, vec):
         """Matrix-vector product; `vec` is any sequence, result is a list."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         out = [ZERO] * self.rows
-        for j, x in enumerate(vec):
-            if x:
-                for i in range(self.rows):
-                    a = self._data[i][j]
-                    if a:
-                        out[i] += a * x
+        for i, r in enumerate(self._rows):
+            s = ZERO
+            for j, a in r.items():
+                x = vec[j]
+                if x:
+                    s += a * x
+            out[i] = s
         return out
 
     def rref(self):
         """Reduced row echelon form and the tuple of pivot columns.
 
         Deterministic: the pivot is always the first row with a nonzero
-        entry in the current column.  Elimination skips zero factors and
-        zero entries of the pivot row, so block-sparse inputs reduce fast.
+        entry in the current column.  Elimination touches only the nonzero
+        entries of the pivot row and the rows that are nonzero in the
+        pivot column.
         """
-        data = [row[:] for row in self._data]
+        data = [dict(r) for r in self._rows]
+        nrows = self.rows
         pivots = []
         r = 0
         for c in range(self.cols):
-            pr = None
-            for i in range(r, self.rows):
-                if data[i][c]:
-                    pr = i
-                    break
+            pr = next((i for i in range(r, nrows) if c in data[i]), None)
             if pr is None:
                 continue
             data[r], data[pr] = data[pr], data[r]
@@ -204,21 +235,26 @@ class Matrix:
             piv = prow[c]
             if piv != 1:
                 inv = 1 / piv
-                prow = [x * inv for x in prow]
+                prow = {j: x * inv for j, x in prow.items()}
                 data[r] = prow
-            # rows at or below r are zero left of c, so start the scan at c
-            nz = [(j, prow[j]) for j in range(c, self.cols) if prow[j]]
-            for i in range(len(data)):
-                if i == r:
+            items = tuple(prow.items())
+            for i, row in enumerate(data):
+                f = row.get(c)
+                if f is None or i == r:
                     continue
-                row = data[i]
-                f = row[c]
-                if f:
-                    for j, v in nz:
-                        row[j] -= f * v
+                for j, v in items:
+                    x = row.get(j)
+                    if x is None:
+                        row[j] = -f * v
+                    else:
+                        x -= f * v
+                        if x:
+                            row[j] = x
+                        else:
+                            del row[j]
             pivots.append(c)
             r += 1
-            if r == self.rows:
+            if r == nrows:
                 break
         return Matrix._wrap(self.rows, self.cols, data), tuple(pivots)
 
@@ -229,16 +265,14 @@ class Matrix:
         """Basis of the right null space, one column per free variable."""
         red, pivots = self.rref()
         pivset = set(pivots)
-        cols = []
-        for f in range(self.cols):
-            if f in pivset:
-                continue
-            v = [ZERO] * self.cols
-            v[f] = ONE
-            for i, p in enumerate(pivots):
-                v[p] = -red._data[i][f]
-            cols.append(v)
-        return Matrix.from_columns(cols, rows=self.cols)
+        free = {f: k for k, f in enumerate(f for f in range(self.cols) if f not in pivset)}
+        out = [{} for _ in range(self.cols)]
+        for f, k in free.items():
+            out[f][k] = ONE
+        for i, p in enumerate(pivots):
+            # row i is 1 at p and 0 at the other pivots, so the rest is free
+            out[p] = {free[f]: -x for f, x in red._rows[i].items() if f != p}
+        return Matrix._wrap(self.cols, len(free), out)
 
     def solve(self, rhs):
         """Solve self @ X = rhs for X (free variables set to zero).
@@ -250,13 +284,13 @@ class Matrix:
             raise ValueError("rhs row count mismatch")
         aug = hstack(self, rhs)
         red, pivots = aug.rref()
-        for p in pivots:
-            if p >= self.cols:
-                return None
-        out = [[ZERO] * rhs.cols for _ in range(self.cols)]
+        n = self.cols
+        if pivots and pivots[-1] >= n:
+            return None
+        out = [{} for _ in range(n)]
         for i, p in enumerate(pivots):
-            out[p] = red._data[i][self.cols:]
-        return Matrix._wrap(self.cols, rhs.cols, out)
+            out[p] = {j - n: x for j, x in red._rows[i].items() if j >= n}
+        return Matrix._wrap(n, rhs.cols, out)
 
     def inverse(self):
         """Inverse of a square matrix, or None if singular."""
@@ -273,42 +307,60 @@ class Matrix:
 
     def kron(self, other):
         """Kronecker product; index (i,j) of a factor pair maps to i*dim+j."""
-        rows = self.rows * other.rows
-        cols = self.cols * other.cols
-        out = [[ZERO] * cols for _ in range(rows)]
-        for i, arow in enumerate(self._data):
-            for j, a in enumerate(arow):
-                if a:
-                    base_r = i * other.rows
-                    base_c = j * other.cols
-                    for k, brow in enumerate(other._data):
-                        orow = out[base_r + k]
-                        for l, b in enumerate(brow):
-                            if b:
-                                orow[base_c + l] = a * b
-        return Matrix._wrap(rows, cols, out)
+        w = other.cols
+        return Matrix._wrap(self.rows * other.rows, self.cols * w,
+                            [{j * w + l: a * b for j, a in arow.items() for l, b in brow.items()}
+                             for arow in self._rows for brow in other._rows])
+
+
+def _sparse(values):
+    """Zero-free {index: value} dict of a sequence, coerced to Q."""
+    out = {}
+    for j, x in enumerate(values):
+        if type(x) is not Q:
+            x = Q(x)
+        if x:
+            out[j] = x
+    return out
+
+
+def _axpy(a, s, b):
+    """The zero-free row dict a + s*b."""
+    out = dict(a)
+    for j, x in b.items():
+        y = out.get(j, ZERO) + s * x
+        if y:
+            out[j] = y
+        else:
+            del out[j]
+    return out
 
 
 def hstack(*mats):
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise ValueError("row count mismatch in hstack")
-    data = [sum((m._data[i] for m in mats), []) for i in range(rows)]
-    return Matrix._wrap(rows, sum(m.cols for m in mats), data)
+    data = [{} for _ in range(rows)]
+    offset = 0
+    for m in mats:
+        for out, r in zip(data, m._rows):
+            out.update((j + offset, x) for j, x in r.items())
+        offset += m.cols
+    return Matrix._wrap(rows, offset, data)
 
 
 def vstack(*mats):
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise ValueError("column count mismatch in vstack")
-    data = [row[:] for m in mats for row in m._data]
+    data = [dict(r) for m in mats for r in m._rows]
     return Matrix._wrap(sum(m.rows for m in mats), cols, data)
 
 
 def column_space_basis(m):
     """Canonical basis of the column space: nonzero rows of rref(m^T)."""
     red, pivots = m.transpose().rref()
-    return Matrix.from_columns([red.row(i) for i in range(len(pivots))], rows=m.rows)
+    return Matrix._wrap(len(pivots), m.rows, red._rows[:len(pivots)]).transpose()
 
 
 def spans_equal(a, b):

@@ -111,6 +111,15 @@ def test_usage_errors(capsys, argv):
     assert err.startswith("error:")
 
 
+def test_huge_cube_is_named_without_printing_it(capsys):
+    code, out, err = run(capsys, "descend", "--p", "3", "--structure", "N0",
+                         "--field", "cubic:1e30000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "rational cube" in err
+    assert "30001-digit numerator" in err
+    assert len(err) < 200
+
 def test_bad_flags_exit_2(capsys):
     assert run(capsys, "enumerate", "--group", "d5")[0] == 2
     assert run(capsys, "nosuchcommand")[0] == 2

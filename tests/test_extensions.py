@@ -32,6 +32,39 @@ def test_cube_and_square_predicates():
     assert not is_rational_square(Q(5))
 
 
+
+def test_cube_predicate_on_huge_powers_of_ten():
+    assert is_rational_cube(Q(10) ** 30000)
+    assert not is_rational_cube(Q(10) ** 30001)
+
+
+def test_cube_predicate_near_a_40_digit_cube():
+    k = 1234567890123456789012345678901234567891
+    assert len(str(k)) == 40
+    assert is_rational_cube(Q(k ** 3))
+    assert not is_rational_cube(Q(k ** 3 + 1))
+    assert not is_rational_cube(Q(k ** 3 - 1))
+
+
+def test_cube_predicate_on_negatives_and_fractions():
+    k = 10 ** 25 + 7
+    assert is_rational_cube(Q(-(k ** 3)))
+    assert not is_rational_cube(Q(-(k ** 3) + 1))
+    assert is_rational_cube(Q(-8, 27))
+    assert is_rational_cube(Q(k ** 3, 125))
+    assert not is_rational_cube(Q(k ** 3, 4))
+    assert not is_rational_cube(Q(8, 2 * 10 ** 30))
+
+
+@given(st.integers(0, 10 ** 60))
+@settings(max_examples=300, deadline=None)
+def test_cube_predicate_matches_exact_cubes(k):
+    assert is_rational_cube(Q(k ** 3))
+    if k > 0:
+        assert not is_rational_cube(Q(k ** 3 + 1))
+    if k > 1:
+        assert not is_rational_cube(Q(k ** 3 - 1))
+
 @pytest.mark.parametrize("v", [2, 3, 5, Q(3, 2)])
 def test_cubic_field_axioms(v):
     L = splitting_field_cubic(v)

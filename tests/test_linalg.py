@@ -125,3 +125,127 @@ def test_spans_equal():
 
 def test_vec_dot():
     assert vec_dot([Q(1), Q(2)], [Q(3), Q(4)]) == 11
+
+
+# -- sparse inputs ---------------------------------------------------------------
+#
+# Entries are zero about 80 % of the time, shapes run from 1x1 to 6x6 and are
+# mostly not square, so zero rows, zero columns and empty pivots are common.
+
+sparse_entries = st.one_of(st.just(Q(0)), st.just(Q(0)), st.just(Q(0)), st.just(Q(0)),
+                           rationals)
+
+
+def sparse_matrix(rows, cols):
+    return st.lists(sparse_entries, min_size=rows * cols,
+                    max_size=rows * cols).map(lambda e: Matrix(rows, cols, e))
+
+
+sparse = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda shape: sparse_matrix(*shape))
+sparse_square = st.integers(1, 6).flatmap(lambda n: sparse_matrix(n, n))
+
+
+def dense_rref(rows):
+    """Textbook Gauss-Jordan on lists of lists; the oracle for Matrix.rref."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(len(rows[0])):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, tuple(pivots)
+
+
+@given(sparse)
+@settings(max_examples=100, deadline=None)
+def test_sparse_rref_matches_dense_oracle(m):
+    red, pivots = m.rref()
+    want, want_pivots = dense_rref([m.row(i) for i in range(m.rows)])
+    assert pivots == want_pivots
+    assert red == Matrix.from_rows(want)
+
+
+@given(sparse)
+@settings(max_examples=60, deadline=None)
+def test_sparse_difference_stores_no_zero(m):
+    z = m - m
+    assert z == Matrix.zeros(m.rows, m.cols)
+    assert hash(z) == hash(Matrix.zeros(m.rows, m.cols))
+    assert m + (-m) == z and m * Q(0) == z
+    assert all(not z.row_entries(i) for i in range(m.rows))
+
+
+@given(sparse)
+@settings(max_examples=60, deadline=None)
+def test_sparse_entries_round_trip(m):
+    assert m.transpose().transpose() == m
+    assert hash(m.transpose().transpose()) == hash(m)
+    assert Matrix.from_columns(m.columns(), rows=m.rows) == m
+    assert Matrix(m.rows, m.cols, m.entries) == m
+    for i in range(m.rows):
+        assert dict(m.row_entries(i)) == {j: x for j, x in enumerate(m.row(i)) if x}
+    for j in range(m.cols):
+        assert m.column_entries(j) == {i: x for i, x in enumerate(m.column(j)) if x}
+    triples = [(i, j, m[i, j]) for i in range(m.rows) for j in range(m.cols)]
+    assert Matrix.from_entries(m.rows, m.cols, triples) == m
+
+
+@given(sparse)
+@settings(max_examples=60, deadline=None)
+def test_sparse_kernel_annihilated(m):
+    k = m.kernel()
+    assert k.rows == m.cols
+    assert m.rank() + k.cols == m.cols
+    assert m * k == Matrix.zeros(m.rows, k.cols)
+    assert k.rank() == k.cols
+
+
+@given(sparse, st.data())
+@settings(max_examples=60, deadline=None)
+def test_sparse_solve_residual(m, data):
+    x = data.draw(st.lists(sparse_entries, min_size=m.cols, max_size=m.cols))
+    y = data.draw(st.lists(sparse_entries, min_size=m.cols, max_size=m.cols))
+    rhs = Matrix.from_columns([m.apply(x), m.apply(y)], rows=m.rows)
+    sol = m.solve(rhs)
+    assert sol is not None
+    assert m * sol == rhs
+
+
+@given(sparse_square)
+@settings(max_examples=60, deadline=None)
+def test_sparse_inverse_residual(m):
+    inv = m.inverse()
+    if m.rank() < m.rows:
+        assert inv is None
+    else:
+        assert m * inv == Matrix.identity(m.rows)
+        assert inv * m == Matrix.identity(m.rows)
+
+
+@given(sparse, sparse)
+@settings(max_examples=40, deadline=None)
+def test_sparse_product_matches_dense(a, b):
+    b = Matrix.from_rows([[b[i % b.rows, j] for j in range(b.cols)] for i in range(a.cols)])
+    want = [[sum((a[i, k] * b[k, j] for k in range(a.cols)), Q(0)) for j in range(b.cols)]
+            for i in range(a.rows)]
+    assert a * b == Matrix.from_rows(want)
+    assert (a * b).transpose() == b.transpose() * a.transpose()
+
+
+def test_sparse_stacks_keep_offsets():
+    a = Matrix.from_rows([[0, 1], [0, 0]])
+    b = Matrix.from_rows([[2, 0], [0, 3]])
+    assert hstack(a, b) == Matrix.from_rows([[0, 1, 2, 0], [0, 0, 0, 3]])
+    assert vstack(a, b) == Matrix.from_rows([[0, 1], [0, 0], [2, 0], [0, 3]])
+    assert Matrix.from_entries(2, 2, [(0, 1, Q(1)), (0, 1, Q(-1))]) == Matrix.zeros(2, 2)
+    with pytest.raises(IndexError):
+        Matrix.from_entries(2, 2, [(2, 0, Q(1))])
