@@ -154,29 +154,13 @@ class HopfPresentation(Algebra):
 def group_hopf_algebra(G, names=None):
     """The group algebra Q[G] with its standard Hopf structure."""
     n = G.order
-    prod = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            vec = [ZERO] * n
-            vec[G.mul(i, j)] = Q(1)
-            row.append(tuple(vec))
-        prod.append(tuple(row))
+    # left multiplication by g_i permutes the basis by row i of the table
+    prod = [Matrix.permutation(G.table[i]).columns() for i in range(n)]
     unit = [ZERO] * n
     unit[G.identity] = Q(1)
-    comul_cols = []
-    for k in range(n):
-        col = [ZERO] * (n * n)
-        col[k * n + k] = Q(1)
-        comul_cols.append(col)
-    comul = Matrix.from_columns(comul_cols, rows=n * n)
+    comul = Matrix.from_entries(n * n, n, ((k * n + k, k, Q(1)) for k in range(n)))
     counit = Matrix(1, n, [Q(1)] * n)
-    anti_cols = []
-    for k in range(n):
-        col = [ZERO] * n
-        col[G.inv(k)] = Q(1)
-        anti_cols.append(col)
-    antipode = Matrix.from_columns(anti_cols, rows=n)
+    antipode = Matrix.permutation([G.inv(k) for k in range(n)])
     return HopfPresentation(prod, unit, comul, counit, antipode,
                             names=names if names is not None else G.names,
                             group=G)

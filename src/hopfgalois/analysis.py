@@ -233,9 +233,9 @@ def _idempotents_in(H):
         return _character_idempotents([G.element_order(g) for g in range(G.order)])
     A = H.provenance.parent
     # slot t of L[N] holds e[t] * unit(L)
-    cols = [[c * u for c in e for u in A.L.unit]
-            for e in _character_idempotents(A.N.element_orders)]
-    sol = H.provenance.basis.solve(Matrix.from_columns(cols, rows=A.dim))
+    idempotents = Matrix.from_columns(_character_idempotents(A.N.element_orders))
+    unit_slots = A.slot_map(range(A.N.order), Matrix.from_columns([A.L.unit]))
+    sol = H.provenance.basis.solve(unit_slots * idempotents)
     if sol is None:
         raise ValueError("character idempotents do not lie in the descended ring")
     return [sol[i, 0] for i in range(H.dim)], [sol[i, 1] for i in range(H.dim)]
@@ -377,18 +377,7 @@ class HopfIsoClassReport:
 
 def _induced_hopf_map(Ha, Hb, iso):
     """The linear map of descended presentations induced by a subgroup iso."""
-    Aa, Ab = Ha.provenance.parent, Hb.provenance.parent
-    d = Aa.L.dim
-    cols = []
-    for k in range(Ha.dim):
-        vec = [ZERO] * Ab.dim
-        for t, ch in Aa.split(Ha.provenance.basis.column(k)):
-            base = iso.mapping[t] * d
-            for a, c in enumerate(ch):
-                if c:
-                    vec[base + a] += c
-        cols.append(vec)
-    moved = Matrix.from_columns(cols, rows=Ab.dim)
+    moved = Ha.provenance.parent.slot_map(iso.mapping) * Ha.provenance.basis
     sol = Hb.provenance.basis.solve(moved)
     if sol is None:
         raise AssertionError("induced image left the target fixed ring")

@@ -40,6 +40,10 @@ from .polyform import (PolyMapError, check_iso_to_descended,
 
 DESCENT_PRIMES = (3, 5, 7)
 
+# Most digits a 'cubic:<v>' spec may give the numerator or denominator of v:
+# descent takes seconds at the limit, and building v grows without bound past it.
+MAX_CUBIC_DIGITS = 100_000
+
 
 class UsageError(Exception):
     pass
@@ -123,6 +127,9 @@ def _parse_field(spec, p):
         if p != 3:
             raise UsageError("cubic splitting fields describe degree-6 extensions; use p = 3")
         raw = spec[len("cubic:"):]
+        if max(_numeral_digits(raw)) > MAX_CUBIC_DIGITS:
+            raise UsageError(f"v would have more than {MAX_CUBIC_DIGITS} digits "
+                             "in its numerator or denominator")
         try:
             v = rational(raw)
         except (ValueError, ZeroDivisionError):
@@ -132,6 +139,20 @@ def _parse_field(spec, p):
         except ValueError as exc:
             raise UsageError(str(exc))
     raise UsageError(f"unknown field spec {spec!r}; expected 'cubic:<v>' or 'split'")
+
+
+def _numeral_digits(raw):
+    """Upper bounds on the digits of the numerator and of the denominator of
+    the rational written `raw`, read from the text before any integer is built."""
+    num, _, den = raw.partition("/")
+    mantissa, _, exponent = num.lower().partition("e")
+    fraction = mantissa.partition(".")[2]
+    try:
+        shift = int(exponent)
+    except ValueError:  # no exponent, or one that rational() rejects too
+        shift = 0
+    return (sum(map(str.isdigit, mantissa)) + max(shift, 0),
+            sum(map(str.isdigit, den + fraction)) + max(-shift, 0) + 1)
 
 
 def _ln_string(A, vec):

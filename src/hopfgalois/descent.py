@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from .algebra import CheckReport, HopfPresentation, action_report
 from .extensions import fixed_subalgebra, quadratic_sqrt_witness
 from .groups import conj_by, left_regular
-from .linalg import (Matrix, ZERO, integer_normalized, spans_equal, vec_add,
-                     vec_is_zero, vstack)
+from .linalg import (Matrix, ONE, ZERO, hstack, integer_normalized, spans_equal,
+                     vec_add, vec_is_zero, vstack)
 
 
 class DescentError(RuntimeError):
@@ -69,15 +69,22 @@ class GroupAlgebraOverL:
 
     def embed(self, x, t):
         """The element x * eta_t for an L-coordinate vector x."""
-        vec = [ZERO] * self.dim
         d = self.L.dim
-        for a, c in enumerate(x):
-            if c:
-                vec[t * d + a] = c
-        return vec
+        return [ZERO] * (t * d) + list(x) + [ZERO] * (self.dim - (t + 1) * d)
 
     def unit_vector(self):
         return self.embed(self.L.unit, self.N.identity_position)
+
+    def slot_map(self, images, M=None):
+        """The map x * eta_t -> M(x) * eta_images[t], as permutation(images) (x) M.
+
+        M acts on the L-coefficients and defaults to the identity of L; an
+        M with another shape maps into or out of the slots of another
+        coefficient space (a one-column M = u sends Q[N] to L[N], e_t -> u * eta_t).
+        """
+        if M is None:
+            M = Matrix.identity(self.L.dim)
+        return Matrix.permutation(images).kron(M)
 
     def mul(self, x, y):
         out = [ZERO] * self.dim
@@ -135,29 +142,14 @@ class SemilinearAction:
         self._matrices = {}
 
     def matrix(self, g):
-        """x * eta_t -> g(x) * eta_conj(t), from the nonzero entries of g on L."""
+        """x * eta_t -> g(x) * eta_conj(t)."""
         if g not in self._matrices:
             A = self.parent
-            d = A.L.dim
-            act = A.L.action[g]
-            self._matrices[g] = Matrix.from_entries(
-                A.dim, A.dim,
-                ((tp * d + b, t * d + a, c)
-                 for t, tp in enumerate(self.conj_map[g])
-                 for b in range(d) for a, c in act.row_entries(b)))
+            self._matrices[g] = A.slot_map(self.conj_map[g], A.L.action[g])
         return self._matrices[g]
 
     def apply(self, g, vec):
-        A = self.parent
-        out = [ZERO] * A.dim
-        d = A.L.dim
-        for t, ch in A.split(vec):
-            img = A.L.act(g, ch)
-            base = self.conj_map[g][t] * d
-            for a, c in enumerate(img):
-                if c:
-                    out[base + a] = c
-        return out
+        return self.matrix(g).apply(vec)
 
     def verify(self):
         """Exact invariants as a CheckReport: an action of G by Q-algebra maps."""
@@ -217,18 +209,11 @@ def descend(A, label=None):
         raise DescentError("the unit of L[N] is not in the fixed ring")
     unit = unit_sol.column(0)
 
-    eps = []
-    for k in range(n):
-        total = [ZERO] * A.L.dim
-        for _, ch in A.split(hcols[k]):
-            total = vec_add(total, ch)
-        eps.append(_rational_multiple_of_unit(A.L, total, "counit"))
-    counit = Matrix(1, n, eps)
+    slot_sums = Matrix(1, n, [ONE] * n).kron(Matrix.identity(A.L.dim)) * B
+    counit = Matrix(1, n, [_rational_multiple_of_unit(A.L, slot_sums.column(k), "counit")
+                           for k in range(n)])
 
-    inv, d = A.N.inverse_table, A.L.dim
-    antipode = B.solve(Matrix.from_entries(A.dim, n, (
-        (inv[t] * d + a, k, c)
-        for k in range(n) for t, ch in A.split(hcols[k]) for a, c in enumerate(ch) if c)))
+    antipode = B.solve(A.slot_map(A.N.inverse_table) * B)
     if antipode is None:
         raise DescentError("an antipode image left the fixed ring")
 
@@ -242,17 +227,9 @@ def descend(A, label=None):
 
 def lform_matrix(A, B):
     """Matrix of Phi: L (x) H -> L[N], x (x) h -> x*h; column (a,k) = a*n+k."""
-    d = A.L.dim
-    n = B.cols
-    hsplit = [A.split(hk) for hk in B.columns()]
-    entries = []
-    for a in range(d):
-        e_a = A.L.basis_vector(a)
-        for k in range(n):
-            for t, ch in hsplit[k]:
-                entries.extend((t * d + bb, a * n + k, c)
-                               for bb, c in enumerate(A.L.mul(e_a, ch)) if c)
-    return Matrix.from_entries(A.dim, d * n, entries)
+    L, slots = A.L, range(A.N.order)
+    return hstack(*[A.slot_map(slots, L.mult_operator(L.basis_vector(a))) * B
+                    for a in range(L.dim)])
 
 
 def _descended_comultiplication(A, B):
@@ -295,7 +272,7 @@ def _provenance_of(H):
     return H.provenance
 
 
-def hopf_action(H, L=None):
+def hopf_action(H):
     """Action matrices of the basis of H on L.
 
     Each eta in N acts on L as the Galois automorphism eta^-1[identity],
@@ -304,10 +281,7 @@ def hopf_action(H, L=None):
     """
     prov = _provenance_of(H)
     A = prov.parent
-    if L is None:
-        L = A.L
-    elif L is not A.L:
-        raise ValueError("presentation was descended over a different model")
+    L = A.L
     G = L.group
     slot_gal = [eta.inverse()(G.identity) for eta in A.N.elements]
     mats = []
@@ -319,11 +293,10 @@ def hopf_action(H, L=None):
     return mats
 
 
-def measuring_report(H, L=None):
+def measuring_report(H):
     """Exact check that H measures L: h.(xy) = sum (h1.x)(h2.y), h.1 = eps(h)1."""
-    prov = _provenance_of(H)
-    L = L if L is not None else prov.parent.L
-    mats = hopf_action(H, L)
+    L = _provenance_of(H).parent.L
+    mats = hopf_action(H)
     report = CheckReport()
 
     ok, detail = True, None
@@ -381,23 +354,20 @@ class HopfGaloisCheck:
     passed: bool
 
 
-def verify_hopf_galois(H, L=None):
+def verify_hopf_galois(H):
     """Exact bijectivity of j: L (x) H -> End_Q(L)."""
-    prov = _provenance_of(H)
-    L = L if L is not None else prov.parent.L
-    j = hopf_galois_matrix(L, hopf_action(H, L))
+    L = _provenance_of(H).parent.L
+    j = hopf_galois_matrix(L, hopf_action(H))
     rank = j.rank()
     expected = L.dim * L.dim
     return HopfGaloisCheck(rank=rank, expected=expected,
                            passed=(rank == expected and j.cols == expected))
 
 
-def base_change_is_group_algebra(H, L=None):
+def base_change_is_group_algebra(H):
     """Whether L (x) H -> L[N] is bijective (H is an L-form of L[N])."""
     prov = _provenance_of(H)
     A = prov.parent
-    if L is not None and L is not A.L:
-        raise ValueError("presentation not descended over this model")
     phi = lform_matrix(A, prov.basis)
     return phi.cols == A.dim and phi.rank() == A.dim
 

@@ -223,24 +223,10 @@ def split_model(G):
     The basis is the coordinate idempotents d_h; g sends d_h to d_{gh}.
     """
     n = G.order
-    prod = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            vec = [ZERO] * n
-            if i == j:
-                vec[i] = ONE
-            row.append(tuple(vec))
-        prod.append(tuple(row))
+    # d_i d_j = d_i if i == j else 0: left multiplication by d_i projects onto d_i
+    prod = [Matrix.from_entries(n, n, [(i, i, ONE)]).columns() for i in range(n)]
     unit = [ONE] * n
-    action = []
-    for g in range(n):
-        cols = []
-        for h in range(n):
-            col = [ZERO] * n
-            col[G.mul(g, h)] = ONE
-            cols.append(col)
-        action.append(Matrix.from_columns(cols, rows=n))
+    action = [Matrix.permutation(G.table[g]) for g in range(n)]
     names = tuple(f"d[{name}]" for name in G.names)
     return GaloisAlgebra(prod, unit, G, action, names=names, model="split")
 

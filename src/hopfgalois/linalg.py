@@ -107,6 +107,14 @@ class Matrix:
     def identity(cls, n):
         return cls._wrap(n, n, [{i: ONE} for i in range(n)])
 
+    @classmethod
+    def permutation(cls, images):
+        """The matrix sending basis vector j to basis vector images[j]."""
+        n = len(images)
+        if sorted(images) != list(range(n)):
+            raise ValueError("images must be a permutation of 0..n-1")
+        return cls.from_entries(n, n, ((i, j, ONE) for j, i in enumerate(images)))
+
     @property
     def entries(self):
         """Row-major flat tuple of all entries."""
@@ -381,14 +389,6 @@ def vec_is_zero(v):
 
 def vec_add(u, v):
     return [a + b for a, b in zip(u, v)]
-
-
-def vec_dot(u, v):
-    s = ZERO
-    for a, b in zip(u, v):
-        if a and b:
-            s += a * b
-    return s
 
 
 def integer_normalized(v):

@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from hopfgalois.cli import main
+from hopfgalois.cli import MAX_CUBIC_DIGITS, main
 
 
 def run(capsys, *argv):
@@ -119,6 +120,18 @@ def test_huge_cube_is_named_without_printing_it(capsys):
     assert err.startswith("error:") and "rational cube" in err
     assert "30001-digit numerator" in err
     assert len(err) < 200
+
+
+@pytest.mark.parametrize("value", ["1e1000000", "1e-1000000", "1e1000000000"])
+def test_overlong_cubic_parameter_is_rejected_before_it_is_built(capsys, value):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "descend", "--p", "3", "--structure", "N0",
+                         "--field", f"cubic:{value}")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and f"{MAX_CUBIC_DIGITS} digits" in err
+
 
 def test_bad_flags_exit_2(capsys):
     assert run(capsys, "enumerate", "--group", "d5")[0] == 2

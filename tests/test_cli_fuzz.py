@@ -2,7 +2,8 @@
 
 Arguments are drawn from the real subcommands and flags, mixed with
 malformed primes, structure labels and `cubic:` field specs of at most 40
-digits (exponents stay small, so no draw builds a huge integer).
+digits (exponents stay small, so no draw builds a huge integer), plus three
+whose exponents name millions of digits, which the CLI must reject unbuilt.
 """
 
 import contextlib
@@ -11,7 +12,8 @@ import io
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfgalois.cli import main
+from hopfgalois.cli import MAX_CUBIC_DIGITS, _numeral_digits, main
+from hopfgalois.linalg import rational
 
 primes = st.one_of(
     st.sampled_from(["3", "5", "7", "11", "13"]),
@@ -32,7 +34,8 @@ numerals = st.one_of(
     st.tuples(digits, digits).map("/".join),
     st.tuples(st.integers(-9, 9), st.integers(-40, 40)).map(lambda t: f"{t[0]}e{t[1]}"),
     st.sampled_from(["0", "8", "-27", "27/8", "0.5", "1/0", "", "x", "2/", "/3",
-                     "--2", "+2", " 2", "2 ", "1.5.2", "nan", "inf"]),
+                     "--2", "+2", " 2", "2 ", "1.5.2", "nan", "inf",
+                     "1e1000000", "1e-1000000", "1e1000000000"]),
     st.text(alphabet="0123456789/-+. x", max_size=40),
 )
 
@@ -84,3 +87,17 @@ def test_cli_exit_codes(argv):
         assert err.getvalue(), argv
     else:
         assert out.getvalue(), argv
+
+
+@given(numerals)
+@settings(max_examples=200, deadline=None)
+def test_numeral_digit_bounds_cover_the_parsed_value(raw):
+    bounds = _numeral_digits(raw)
+    if max(bounds) > MAX_CUBIC_DIGITS:
+        return
+    try:
+        v = rational(raw)
+    except (ValueError, ZeroDivisionError):
+        return
+    assert len(str(abs(v.numerator))) <= max(bounds[0], 1), raw
+    assert len(str(v.denominator)) <= max(bounds[1], 1), raw

@@ -9,7 +9,8 @@ from hopfgalois.descent import (NormalizationError, base_change_is_group_algebra
                                 measuring_report, semilinear_action,
                                 verify_hopf_galois)
 from hopfgalois.extensions import split_model, splitting_field_cubic
-from hopfgalois.groups import Perm, closure, dihedral, is_normalized_by, left_regular
+from hopfgalois.groups import (Perm, closure, dihedral, group_isomorphisms,
+                               is_normalized_by, left_regular)
 from hopfgalois.linalg import Matrix, ONE, Q, ZERO, vec_is_zero
 
 LABELS3 = ("rho", "lambda", "N0", "N1", "N2")
@@ -213,3 +214,51 @@ def test_descend_labels_provenance(descended3):
         prov = descended3[label].provenance
         assert prov.label == label
         assert prov.basis.cols == 6
+
+
+# -- the L[N] slot layout against an entry-wise oracle -----------------------
+
+ISO_PARTNER = {"rho": "lambda", "lambda": "rho", "N0": "N1"}
+
+
+def _layout_models(L3):
+    return ((L3, 3), (split_model(dihedral(5)), 5))
+
+
+def _slot_map_cases(L3):
+    """(A, images, M): the conjugation maps with the Galois matrices of L,
+    slot inversion, and a subgroup isomorphism with a multiplication operator."""
+    for L, p in _layout_models(L3):
+        entries = {e.label: e for e in catalog(p)}
+        for label, partner in ISO_PARTNER.items():
+            A = group_algebra(L, entries[label].subgroup)
+            act = semilinear_action(A)
+            for g in range(L.group.order):
+                yield A, act.conj_map[g], L.action[g]
+            yield A, A.N.inverse_table, None
+            iso = group_isomorphisms(A.N, entries[partner].subgroup)[-1]
+            yield A, iso.mapping, L.mult_operator(L.basis_vector(1))
+
+
+def test_slot_map_sends_each_slot_through_M(L3):
+    for A, images, M in _slot_map_cases(L3):
+        S = A.slot_map(images, M)
+        oracle = Matrix.identity(A.L.dim) if M is None else M
+        for t in range(A.N.order):
+            for a in range(A.L.dim):
+                x = A.L.basis_vector(a)
+                assert S.apply(A.embed(x, t)) == A.embed(oracle.apply(x), images[t])
+
+
+def test_semilinear_matrix_matches_entrywise_formula(L3):
+    for L, p in _layout_models(L3):
+        d = L.dim
+        for e in catalog(p):
+            A = group_algebra(L, e.subgroup)
+            act = semilinear_action(A)
+            for g in range(L.group.order):
+                expected = Matrix.from_entries(A.dim, A.dim, (
+                    (tp * d + b, t * d + a, c)
+                    for t, tp in enumerate(act.conj_map[g])
+                    for b in range(d) for a, c in L.action[g].row_entries(b)))
+                assert act.matrix(g) == expected

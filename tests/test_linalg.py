@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfgalois.linalg import (Matrix, ONE, Q, ZERO, hstack, integer_normalized,
-                               rational, spans_equal, vec_dot, vstack)
+                               rational, spans_equal, vstack)
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7).map(
     lambda f: Q(f.numerator, f.denominator))
@@ -115,16 +115,35 @@ def test_stacking():
     assert vstack(a, b).rows == 4
 
 
+permutation_pairs = st.integers(1, 7).flatmap(
+    lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n))))
+
+
+@given(permutation_pairs)
+def test_permutation_matrix(pair):
+    images, other = pair
+    n = len(images)
+    P = Matrix.permutation(images)
+    assert all(P[i, j] == (ONE if i == images[j] else ZERO)
+               for i in range(n) for j in range(n))
+    assert P.inverse() == P.transpose()
+    composed = [images[other[j]] for j in range(n)]
+    assert P * Matrix.permutation(other) == Matrix.permutation(composed)
+
+
+def test_permutation_rejects_non_bijections():
+    with pytest.raises(ValueError):
+        Matrix.permutation([0, 0, 1])
+    with pytest.raises(ValueError):
+        Matrix.permutation([1, 2])
+
+
 def test_spans_equal():
     b1 = Matrix.from_columns([[ONE, ZERO], [ZERO, ONE]], rows=2)
     b2 = Matrix.from_columns([[Q(2), Q(2)], [ZERO, Q(3)]], rows=2)
     b3 = Matrix.from_columns([[ONE, ONE]], rows=2)
     assert spans_equal(b1, b2)
     assert not spans_equal(b1, b3)
-
-
-def test_vec_dot():
-    assert vec_dot([Q(1), Q(2)], [Q(3), Q(4)]) == 11
 
 
 # -- sparse inputs ---------------------------------------------------------------
