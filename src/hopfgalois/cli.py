@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from collections import Counter
 
@@ -29,7 +30,8 @@ from .analysis import (algebra_iso_classes_p3, hopf_iso_classes,
 from .catalog import SUPPORTED_PRIMES, catalog, catalog_checks, completeness_check_p3, cyclic_generator
 from .descent import (base_change_is_group_algebra, descend, group_algebra,
                       measuring_report, verify_hopf_galois, explicit_basis_matches)
-from .extensions import split_model, splitting_field_cubic
+from .extensions import (quadratic_sqrt_witness, rational_square_of, split_model,
+                         splitting_field_cubic)
 from .groups import (ClosureBoundExceeded, _closure_bound, closure, dihedral,
                      elementary_abelian_4, enumerate_regular_normalized,
                      iso_type, minimal_generators)
@@ -130,15 +132,26 @@ def _parse_field(spec, p):
         if max(_numeral_digits(raw)) > MAX_CUBIC_DIGITS:
             raise UsageError(f"v would have more than {MAX_CUBIC_DIGITS} digits "
                              "in its numerator or denominator")
+        limit = sys.get_int_max_str_digits()
+        if limit and max(map(len, re.findall(r"\d+", raw)), default=0) > limit:
+            raise UsageError(f"v is written with a run of more than {limit} digits, Python's limit "
+                             "for reading an integer; write it in exponent notation, such as 2e5000")
         try:
             v = rational(raw)
         except (ValueError, ZeroDivisionError):
-            raise UsageError(f"cannot parse {raw!r} as a rational number")
+            raise UsageError(f"cannot parse {_shown(raw)} as a rational number")
         try:
             return splitting_field_cubic(v)
         except ValueError as exc:
             raise UsageError(str(exc))
-    raise UsageError(f"unknown field spec {spec!r}; expected 'cubic:<v>' or 'split'")
+    raise UsageError(f"unknown field spec {_shown(spec)}; expected 'cubic:<v>' or 'split'")
+
+
+def _shown(text):
+    """repr of user text, cut to its first 40 characters plus its length."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
 
 
 def _numeral_digits(raw):
@@ -232,7 +245,7 @@ def cmd_descend(args):
     entries = {e.label: e for e in catalog(p)}
     if args.structure not in entries:
         raise UsageError(
-            f"unknown structure {args.structure!r}; choose from {sorted(entries)}")
+            f"unknown structure {_shown(args.structure)}; choose from {sorted(entries)}")
     entry = entries[args.structure]
     A = group_algebra(L, entry.subgroup)
     H = descend(A, label=entry.label)
@@ -277,7 +290,6 @@ def cmd_classify(args):
     algebra_classes, wedder = algebra_iso_classes_p3(L, descended=shared)
     splitting = minimal_splitting_subfield_check(L)
 
-    from .extensions import quadratic_sqrt_witness, rational_square_of
     b = rational_square_of(L, quadratic_sqrt_witness(L))
     P = poly_hopf_algebra(b)
     pd = point_decomposition_check(b)

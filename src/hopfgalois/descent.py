@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import CheckReport, HopfPresentation, action_report
+from .algebra import CheckReport, HopfPresentation, action_report, first_difference
 from .extensions import fixed_subalgebra, quadratic_sqrt_witness
 from .groups import conj_by, left_regular
 from .linalg import (Matrix, ONE, ZERO, hstack, integer_normalized, spans_equal,
@@ -284,49 +284,39 @@ def hopf_action(H):
     L = A.L
     G = L.group
     slot_gal = [eta.inverse()(G.identity) for eta in A.N.elements]
-    mats = []
-    for k in range(H.dim):
-        m = Matrix.zeros(L.dim, L.dim)
-        for t, ch in A.split(prov.basis.column(k)):
-            m = m + L.mult_operator(ch) * L.action[slot_gal[t]]
-        mats.append(m)
-    return mats
+    return [sum((L.mult_operator(ch) * L.action[slot_gal[t]]
+                 for t, ch in A.split(prov.basis.column(k))), Matrix.zeros(L.dim, L.dim))
+            for k in range(H.dim)]
 
 
 def measuring_report(H):
-    """Exact check that H measures L: h.(xy) = sum (h1.x)(h2.y), h.1 = eps(h)1."""
+    """Exact check that H measures L: h.(xy) = sum (h1.x)(h2.y), h.1 = eps(h)1.
+
+    With M_k the action of h_k on L, the laws are M_k u_L = eps(h_k) u_L and
+    M_k m_L = m_L (sum of c M_i (x) M_j over the terms c h_i (x) h_j of
+    Delta(h_k)), stacked side by side over k.
+    """
     L = _provenance_of(H).parent.L
+    d = L.dim
     mats = hopf_action(H)
+    u = Matrix.from_columns([L.unit])
     report = CheckReport()
 
-    ok, detail = True, None
-    for k in range(H.dim):
-        if mats[k].apply(L.unit) != [H.counit[0, k] * u for u in L.unit]:
-            ok, detail = False, f"h{k}.1 != eps(h{k})1"
-            break
-    report.add("measures-unit", ok, detail)
+    col = first_difference((hstack(*[m * u for m in mats]), u * H.counit))
+    report.add("measures-unit", col is None,
+               None if col is None else f"h{col}.1 != eps(h{col})1")
 
-    ok, detail = True, None
-    action_cols = [[m.column(a) for a in range(L.dim)] for m in mats]
-    for k in range(H.dim):
-        if not ok:
-            break
-        terms = H.comul_terms(k)
-        for a in range(L.dim):
-            if not ok:
-                break
-            for b in range(L.dim):
-                lhs = mats[k].apply(L.prod[a][b])
-                rhs = [ZERO] * L.dim
-                for (i, j), c in terms.items():
-                    pr = L.mul(action_cols[i][a], action_cols[j][b])
-                    for idx, vv in enumerate(pr):
-                        if vv:
-                            rhs[idx] += c * vv
-                if lhs != rhs:
-                    ok, detail = False, f"measuring fails at (h{k}, {L.names[a]}, {L.names[b]})"
-                    break
-    report.add("measures-products", ok, detail)
+    zero = Matrix.zeros(d * d, d * d)
+    rhs = [L.mult * sum((mats[i].kron(mats[j]) * c for (i, j), c in H.comul_terms(k).items()),
+                        zero) for k in range(H.dim)]
+    col = first_difference((hstack(*[m * L.mult for m in mats]), hstack(*rhs)))
+    if col is None:
+        report.add("measures-products", True)
+    else:
+        k, ab = divmod(col, d * d)
+        a, b = divmod(ab, d)
+        report.add("measures-products", False,
+                   f"measuring fails at (h{k}, {L.names[a]}, {L.names[b]})")
     return report
 
 

@@ -113,7 +113,10 @@ class Matrix:
         n = len(images)
         if sorted(images) != list(range(n)):
             raise ValueError("images must be a permutation of 0..n-1")
-        return cls.from_entries(n, n, ((i, j, ONE) for j, i in enumerate(images)))
+        data = [{} for _ in range(n)]
+        for j, i in enumerate(images):
+            data[i][j] = ONE
+        return cls._wrap(n, n, data)
 
     @property
     def entries(self):
@@ -187,7 +190,8 @@ class Matrix:
                 acc = {}
                 for k, a in r.items():
                     for j, b in brows[k].items():
-                        acc[j] = acc.get(j, ZERO) + a * b
+                        x = acc.get(j)
+                        acc[j] = a * b if x is None else x + a * b
                 out.append({j: x for j, x in acc.items() if x})
             return Matrix._wrap(self.rows, other.cols, out)
         return self._scaled(Q(other))
@@ -314,10 +318,15 @@ class Matrix:
         return sol
 
     def kron(self, other):
-        """Kronecker product; index (i,j) of a factor pair maps to i*dim+j."""
+        """Kronecker product; index (i,j) of a factor pair maps to i*dim+j.
+
+        Identity factors are common (A (x) 1 and 1 (x) A in the axiom
+        checks), so a product by the shared ONE is taken without arithmetic.
+        """
         w = other.cols
         return Matrix._wrap(self.rows * other.rows, self.cols * w,
-                            [{j * w + l: a * b for j, a in arow.items() for l, b in brow.items()}
+                            [{j * w + l: a if b is ONE else b if a is ONE else a * b
+                              for j, a in arow.items() for l, b in brow.items()}
                              for arow in self._rows for brow in other._rows])
 
 

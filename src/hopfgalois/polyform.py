@@ -20,7 +20,10 @@ quadratic witness; all Hopf identities of that map are checked exactly.
 
 from __future__ import annotations
 
-from .algebra import Algebra, HopfPresentation
+from math import isqrt
+
+from .algebra import Algebra, HopfPresentation, hopf_map_violation
+from .analysis import commutative_wedderburn
 from .descent import _provenance_of
 from .extensions import is_rational_square, quadratic_sqrt_witness
 from .linalg import Matrix, ONE, Q, ZERO, rational
@@ -85,37 +88,26 @@ class PolyHopfAlgebra(HopfPresentation):
             raise ValueError("b = 0 makes the comultiplication coefficient 1/2b undefined")
         if is_rational_square(b):
             raise ValueError(f"b = {b} is a rational square; the quadratic witness would be rational")
-        prod = []
-        for (i1, j1) in MONOMIALS:
-            row = []
-            for (i2, j2) in MONOMIALS:
-                row.append(tuple(normal_form(i1 + i2, j1 + j2, b)))
-            prod.append(tuple(row))
+        prod = [[normal_form(i1 + i2, j1 + j2, b) for (i2, j2) in MONOMIALS]
+                for (i1, j1) in MONOMIALS]
         unit = [ONE, ZERO, ZERO, ZERO, ZERO, ZERO]
         plain = Algebra(prod, unit)
 
         dx = {(1, 1): Q(1, 2), (4, 4): 1 / (2 * b)}
         dy = {(1, 4): Q(1, 2), (4, 1): Q(1, 2)}
-        comul_cols = []
-        for (i, j) in MONOMIALS:
+        comul_entries = []
+        for k, (i, j) in enumerate(MONOMIALS):
             term = {(0, 0): ONE}
             for _ in range(i):
                 term = plain.tensor_mul(term, dx)
             for _ in range(j):
                 term = plain.tensor_mul(term, dy)
-            col = [ZERO] * 36
-            for (a, bb), c in term.items():
-                col[a * 6 + bb] = c
-            comul_cols.append(col)
-        comul = Matrix.from_columns(comul_cols, rows=36)
+            comul_entries.extend((a * 6 + bb, k, c) for (a, bb), c in term.items())
+        comul = Matrix.from_entries(36, 6, comul_entries)
 
         counit = Matrix(1, 6, [Q(2) ** i if j == 0 else ZERO for (i, j) in MONOMIALS])
-        anti_cols = []
-        for k, (i, j) in enumerate(MONOMIALS):
-            col = [ZERO] * 6
-            col[k] = -ONE if j else ONE
-            anti_cols.append(col)
-        antipode = Matrix.from_columns(anti_cols, rows=6)
+        antipode = Matrix.from_entries(6, 6, ((k, k, -ONE if j else ONE)
+                                              for k, (i, j) in enumerate(MONOMIALS)))
 
         super().__init__(prod, unit, comul, counit, antipode, names=MONOMIAL_NAMES)
         self.b = b
@@ -138,7 +130,6 @@ def variety_points(b):
     t2 = -3 * b
     if not is_rational_square(t2):
         raise ValueError(f"-3b = {t2} is not a rational square; the variety is not split")
-    from math import isqrt
     num = isqrt(int(t2.numerator))
     den = isqrt(int(t2.denominator))
     t = Q(num, den)
@@ -152,23 +143,14 @@ def variety_points(b):
 
 def evaluation_matrix(points):
     """Row j evaluates the basis monomials at point j."""
-    rows = []
-    for (x, y) in points:
-        rows.append([x ** i * y ** j for (i, j) in MONOMIALS])
-    return Matrix.from_rows(rows)
+    return Matrix.from_rows([[x ** i * y ** j for (i, j) in MONOMIALS] for (x, y) in points])
 
 
 def evaluation_is_homomorphism(P, point):
-    """Exact check that evaluation at a point is an algebra map to Q."""
-    x, y = point
-    vals = [x ** i * y ** j for (i, j) in MONOMIALS]
-    for k in range(6):
-        for l in range(6):
-            prod_val = sum((c * vals[m] for m, c in enumerate(P.prod[k][l]) if c), ZERO)
-            if prod_val != vals[k] * vals[l]:
-                return False
-    unit_val = sum((c * vals[m] for m, c in enumerate(P.unit) if c), ZERO)
-    return unit_val == 1
+    """Exact check that evaluation v at a point is an algebra map to Q:
+    v m = v (x) v and v u = 1, with v the row of monomial values."""
+    v = evaluation_matrix([point])
+    return v * P.mult == v.kron(v) and v * Matrix.from_columns([P.unit]) == Matrix.identity(1)
 
 
 def check_iso_to_descended(P, H, gen):
@@ -189,18 +171,9 @@ def check_iso_to_descended(P, H, gen):
     sol = prov.basis.solve(Matrix.from_columns([x_ln, y_ln], rows=A.dim))
     if sol is None:
         raise PolyMapError("membership")
-    x_h = [sol[i, 0] for i in range(6)]
-    y_h = [sol[i, 1] for i in range(6)]
-    cols = []
-    for (i, j) in MONOMIALS:
-        img = list(H.unit)
-        for _ in range(i):
-            img = H.mul(img, x_h)
-        for _ in range(j):
-            img = H.mul(img, y_h)
-        cols.append(img)
-    T = Matrix.from_columns(cols, rows=6)
-    from .algebra import hopf_map_violation
+    x_h, y_h = sol.columns()
+    T = Matrix.from_columns([H.mul(H.power(x_h, i), H.power(y_h, j)) for (i, j) in MONOMIALS],
+                            rows=6)
     violation = hopf_map_violation(T, P, H)
     if violation is not None:
         raise PolyMapError(violation)
@@ -214,14 +187,8 @@ def scaling_invariance_check(b):
     b = rational(b)
     src = PolyHopfAlgebra(4 * b)
     dst = PolyHopfAlgebra(b)
-    diag = [ONE, ONE, ONE, ONE, Q(2), Q(2)]
-    cols = []
-    for k in range(6):
-        col = [ZERO] * 6
-        col[k] = diag[k]
-        cols.append(col)
-    T = Matrix.from_columns(cols, rows=6)
-    from .algebra import hopf_map_violation
+    T = Matrix.from_entries(6, 6, ((k, k, Q(2) if j else ONE)
+                                   for k, (i, j) in enumerate(MONOMIALS)))
     violation = hopf_map_violation(T, src, dst)
     if violation is not None:
         raise PolyMapError(violation)
@@ -236,7 +203,6 @@ def point_decomposition_check(b):
     evaluation matrix) must coincide, as a set, with the component units
     found by the eigenvalue splitting.  Returns a report dict.
     """
-    from .analysis import commutative_wedderburn
     P = poly_hopf_algebra(b)
     pts = variety_points(b)
     ev = evaluation_matrix(pts)

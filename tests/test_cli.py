@@ -133,6 +133,25 @@ def test_overlong_cubic_parameter_is_rejected_before_it_is_built(capsys, value):
     assert err.startswith("error:") and f"{MAX_CUBIC_DIGITS} digits" in err
 
 
+@pytest.mark.parametrize("value", ["2" + "0" * 5000, "1" * 4301 + "/7", "2/" + "3" * 4400])
+def test_written_out_cubic_parameter_past_the_int_string_limit(capsys, value):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "descend", "--p", "3", "--structure", "N0",
+                         "--field", f"cubic:{value}")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "4300 digits" in err and "exponent notation" in err
+    assert len(err) < 200
+
+
+def test_unparsable_spec_is_echoed_only_in_part(capsys):
+    code, _, err = run(capsys, "descend", "--p", "3", "--structure", "N0",
+                       "--field", "cubic:" + "x" * 5000)
+    assert code == 2
+    assert "(5000 characters)" in err and len(err) < 200
+
+
 def test_bad_flags_exit_2(capsys):
     assert run(capsys, "enumerate", "--group", "d5")[0] == 2
     assert run(capsys, "nosuchcommand")[0] == 2

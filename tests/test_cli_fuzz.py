@@ -3,7 +3,8 @@
 Arguments are drawn from the real subcommands and flags, mixed with
 malformed primes, structure labels and `cubic:` field specs of at most 40
 digits (exponents stay small, so no draw builds a huge integer), plus three
-whose exponents name millions of digits, which the CLI must reject unbuilt.
+whose exponents name millions of digits, which the CLI must reject unbuilt,
+and one written out past Python's 4300-digit integer string limit.
 """
 
 import contextlib
@@ -35,7 +36,7 @@ numerals = st.one_of(
     st.tuples(st.integers(-9, 9), st.integers(-40, 40)).map(lambda t: f"{t[0]}e{t[1]}"),
     st.sampled_from(["0", "8", "-27", "27/8", "0.5", "1/0", "", "x", "2/", "/3",
                      "--2", "+2", " 2", "2 ", "1.5.2", "nan", "inf",
-                     "1e1000000", "1e-1000000", "1e1000000000"]),
+                     "1e1000000", "1e-1000000", "1e1000000000", "2" + "0" * 5000]),
     st.text(alphabet="0123456789/-+. x", max_size=40),
 )
 

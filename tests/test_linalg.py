@@ -90,7 +90,8 @@ def test_inverse_when_full_rank(m):
         assert inv * m == Matrix.identity(m.rows)
 
 
-@given(small_matrix(2, 2), small_matrix(3, 3), st.data())
+@given(st.one_of(small_matrix(2, 2), st.just(Matrix.identity(2))),
+       st.one_of(small_matrix(3, 3), st.just(Matrix.identity(3))), st.data())
 @settings(max_examples=40, deadline=None)
 def test_kron_on_simple_tensors(a, b, data):
     x = data.draw(st.lists(rationals, min_size=2, max_size=2))
