@@ -213,30 +213,28 @@ def algebra_axiom_report(A):
     return report
 
 
-def action_report(G, matrix, mul, dim):
+def action_report(G, matrix, mult):
     """Exact check that g -> matrix(g) is an action of G by algebra maps.
 
-    `matrix(g)` acts on an algebra of dimension `dim` with multiplication
-    `mul`; each failed check names its first counterexample.
+    `matrix(g)` acts on the algebra whose n x n^2 multiplication matrix is
+    `mult`; g is an algebra map when matrix(g) mult = mult (matrix(g) (x)
+    matrix(g)).  Each failed check names its first counterexample.
     """
+    dim = mult.rows
     report = CheckReport()
     report.add("identity-acts-trivially", matrix(G.identity) == Matrix.identity(dim))
     bad = next(((g, h) for g in range(G.order) for h in range(G.order)
                 if matrix(g) * matrix(h) != matrix(G.mul(g, h))), None)
     report.add("action-homomorphism", bad is None,
                bad and f"fails at ({G.names[bad[0]]}, {G.names[bad[1]]})")
-    basis = Matrix.identity(dim).columns()
-    prods = [[mul(x, y) for y in basis] for x in basis]
     bad = None
     for g in range(G.order):
         m = matrix(g)
-        images = m.columns()
-        bad = next(((g, i, j) for i in range(dim) for j in range(dim)
-                    if m.apply(prods[i][j]) != mul(images[i], images[j])), None)
-        if bad:
+        col = first_difference((m * mult, mult * m.kron(m)))
+        if col is not None:
+            bad = "fails for {} at basis ({},{})".format(G.names[g], *divmod(col, dim))
             break
-    report.add("action-by-algebra-maps", bad is None,
-               bad and f"fails for {G.names[bad[0]]} at basis ({bad[1]},{bad[2]})")
+    report.add("action-by-algebra-maps", bad is None, bad)
     return report
 
 

@@ -40,8 +40,6 @@ from .polyform import (PolyMapError, check_iso_to_descended,
                        point_decomposition_check, poly_hopf_algebra,
                        scaling_invariance_check)
 
-DESCENT_PRIMES = (3, 5, 7)
-
 # Most digits a 'cubic:<v>' spec may give the numerator or denominator of v:
 # descent takes seconds at the limit, and building v grows without bound past it.
 MAX_CUBIC_DIGITS = 100_000
@@ -49,6 +47,21 @@ MAX_CUBIC_DIGITS = 100_000
 
 class UsageError(Exception):
     pass
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An ArgumentParser whose error messages show each argument of more
+    than 40 characters, or the value after its '=', by `_shown`."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._args = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message):
+        long = {text for arg in self._args for text in (arg, arg.partition("=")[2]) if len(text) > 40}
+        for text in sorted(long, key=len, reverse=True):
+            message = message.replace(repr(text), _shown(text)).replace(text, _shown(text))
+        super().error(message)
 
 
 # -- report assembly -----------------------------------------------------------
@@ -240,7 +253,7 @@ def cmd_enumerate(args):
 
 
 def cmd_descend(args):
-    p = _parse_prime(args.p, DESCENT_PRIMES, "descend")
+    p = _parse_prime(args.p, SUPPORTED_PRIMES, "descend")
     L = _parse_field(args.field, p)
     entries = {e.label: e for e in catalog(p)}
     if args.structure not in entries:
@@ -356,7 +369,7 @@ def cmd_classify(args):
 # -- entry point ---------------------------------------------------------------
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="hopfgalois",
         description="Exact Hopf-Galois structures on dihedral extensions of degree 2p.")
     sub = parser.add_subparsers(dest="command", required=True)

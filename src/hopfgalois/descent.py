@@ -12,11 +12,13 @@ report, the induced action of H on L with its measuring property, exact
 bijectivity of the Hopf-Galois map j: L (x) H -> End(L), the base-change
 check L (x) H = L[N], and span comparison against closed-form bases.
 
+Every product in L[N] goes through the sparse GroupAlgebraOverL.left_operator,
+so the structure constants of H are one solve of the stacked h_i * B.
 Comultiplication descends through the base-change map Phi: L (x) H -> L[N],
 x (x) h -> x*h.  Applying Phi^-1 to Delta(h) = sum_t x_t (eta_t (x) eta_t)
-one tensor leg at a time rewrites it over h_i (x) h_j; the coefficients are
-provably rational, and this implementation checks that exactly instead of
-assuming it.
+one tensor leg at a time, as one sparse product per leg, rewrites it over
+h_i (x) h_j; the coefficients are provably rational, and this
+implementation checks that exactly instead of assuming it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .algebra import CheckReport, HopfPresentation, action_report, first_differe
 from .extensions import fixed_subalgebra, quadratic_sqrt_witness
 from .groups import conj_by, left_regular
 from .linalg import (Matrix, ONE, ZERO, hstack, integer_normalized, spans_equal,
-                     vec_add, vec_is_zero, vstack)
+                     vec_add, vstack)
 
 
 class DescentError(RuntimeError):
@@ -57,23 +59,10 @@ class GroupAlgebraOverL:
         d = self.L.dim
         return list(vec[t * d:(t + 1) * d])
 
-    def split(self, vec):
-        """Nonzero (slot, L-chunk) pairs of a coordinate vector."""
-        d = self.L.dim
-        out = []
-        for t in range(self.N.order):
-            ch = vec[t * d:(t + 1) * d]
-            if any(ch):
-                out.append((t, list(ch)))
-        return out
-
     def embed(self, x, t):
         """The element x * eta_t for an L-coordinate vector x."""
         d = self.L.dim
         return [ZERO] * (t * d) + list(x) + [ZERO] * (self.dim - (t + 1) * d)
-
-    def unit_vector(self):
-        return self.embed(self.L.unit, self.N.identity_position)
 
     def slot_map(self, images, M=None):
         """The map x * eta_t -> M(x) * eta_images[t], as permutation(images) (x) M.
@@ -86,20 +75,22 @@ class GroupAlgebraOverL:
             M = Matrix.identity(self.L.dim)
         return Matrix.permutation(images).kron(M)
 
-    def mul(self, x, y):
-        out = [ZERO] * self.dim
-        d = self.L.dim
+    def coefficients(self, x):
+        """x as the N.order x L.dim matrix whose row t is the L-coefficient of eta_t."""
+        return Matrix(self.N.order, self.L.dim, x)
+
+    def left_operator(self, x):
+        """Matrix of left multiplication by x = sum_t x_t eta_t: as (x_t eta_t)(y eta_u)
+        = (x_t y) eta_(tu), the sum over the nonzero slots t of x of
+        slot_map(row t of N's multiplication table, L.mult_operator(x_t))."""
+        coeffs = self.coefficients(x)
         mt = self.N.mult_table
-        for t, xc in self.split(x):
-            row = mt[t]
-            for u, yc in self.split(y):
-                w = row[u]
-                pr = self.L.mul(xc, yc)
-                base = w * d
-                for a, c in enumerate(pr):
-                    if c:
-                        out[base + a] += c
-        return out
+        return sum((self.slot_map(mt[t], self.L.mult_operator(coeffs.row(t)))
+                    for t in range(self.N.order) if coeffs.row_entries(t)),
+                   Matrix.zeros(self.dim, self.dim))
+
+    def mul(self, x, y):
+        return self.left_operator(x).apply(y)
 
     def plus_minus_pair(self, w, t, u):
         """The elements 1*(eta_t + eta_u) and w*(eta_t - eta_u)."""
@@ -154,7 +145,8 @@ class SemilinearAction:
     def verify(self):
         """Exact invariants as a CheckReport: an action of G by Q-algebra maps."""
         A = self.parent
-        return action_report(A.L.group, self.matrix, A.mul, A.dim)
+        mult = hstack(*[A.left_operator(e) for e in Matrix.identity(A.dim).columns()])
+        return action_report(A.L.group, self.matrix, mult)
 
 
 def semilinear_action(A):
@@ -170,9 +162,10 @@ class DescentProvenance:
     label: str = None
 
 
-def _rational_multiple_of_unit(L, vec, context):
-    """The rational c with vec = c * unit(L); DescentError otherwise."""
-    c = L.rational_multiple_of_unit(vec)
+def _rational_coefficients(L, z, context):
+    """The rational c with z = (u (x) I) c, u the unit of L: each L.dim-block of
+    a column of z must be a rational multiple of u; DescentError otherwise."""
+    c = Matrix.from_columns([L.unit]).kron(Matrix.identity(z.rows // L.dim)).solve(z)
     if c is None:
         raise DescentError(f"{context}: expected a rational multiple of the unit")
     return c
@@ -196,22 +189,20 @@ def descend(A, label=None):
         raise DescentError(f"fixed ring has dimension {ker.cols}, expected {n}")
     cols = sorted((integer_normalized(c) for c in ker.columns()), key=tuple)
     B = Matrix.from_columns(cols, rows=A.dim)
-    hcols = B.columns()
 
-    prods = [A.mul(hcols[i], hcols[j]) for i in range(n) for j in range(n)]
-    sols = B.solve(Matrix.from_columns(prods, rows=A.dim))
+    # column i*n + j is h_i h_j
+    sols = B.solve(hstack(*[A.left_operator(h) * B for h in B.columns()]))
     if sols is None:
         raise DescentError("a product of fixed vectors left the fixed ring")
     prod = tuple(tuple(tuple(sols.column(i * n + j)) for j in range(n)) for i in range(n))
 
-    unit_sol = B.solve(Matrix.from_columns([A.unit_vector()]))
+    unit_sol = B.solve(Matrix.from_columns([A.embed(A.L.unit, A.N.identity_position)]))
     if unit_sol is None:
         raise DescentError("the unit of L[N] is not in the fixed ring")
     unit = unit_sol.column(0)
 
     slot_sums = Matrix(1, n, [ONE] * n).kron(Matrix.identity(A.L.dim)) * B
-    counit = Matrix(1, n, [_rational_multiple_of_unit(A.L, slot_sums.column(k), "counit")
-                           for k in range(n)])
+    counit = _rational_coefficients(A.L, slot_sums, "counit")
 
     antipode = B.solve(A.slot_map(A.N.inverse_table) * B)
     if antipode is None:
@@ -227,43 +218,33 @@ def descend(A, label=None):
 
 def lform_matrix(A, B):
     """Matrix of Phi: L (x) H -> L[N], x (x) h -> x*h; column (a,k) = a*n+k."""
-    L, slots = A.L, range(A.N.order)
-    return hstack(*[A.slot_map(slots, L.mult_operator(L.basis_vector(a))) * B
-                    for a in range(L.dim)])
+    return hstack(*[A.left_operator(A.embed(x, A.N.identity_position)) * B
+                    for x in Matrix.identity(A.L.dim).columns()])
 
 
 def _descended_comultiplication(A, B):
-    d = A.L.dim
-    n = B.cols
-    phi = lform_matrix(A, B)
-    phi_inv = phi.inverse()
+    d, n = A.L.dim, B.cols
+    phi_inv = lform_matrix(A, B).inverse()
     if phi_inv is None:
         raise DescentError("base change L (x) H -> L[N] is not invertible")
-
+    # stage 1: column k*n + t of `pieces` is the term x_t eta_t of h_k, and
+    # Phi^-1 writes it as sum_i y_i h_i over L, so Delta(h_k) = sum_i h_i (x) w_i
+    # with w_i = sum_t y_i eta_t, column k*n + i of `w`
+    pieces = Matrix.from_entries(A.dim, n * n, ((r, k * n + r // d, c) for k in range(n)
+                                               for r, c in B.column_entries(k).items()))
+    y = phi_inv * pieces
     entries = []
-    for k in range(n):
-        # stage 1: x_t eta_t = sum_i y_i h_i with y_i in L, so that
-        # Delta(h_k) = sum_i h_i (x) w_i with w_i = sum_t y_i^(t) eta_t
-        w = [[ZERO] * A.dim for _ in range(n)]
-        for t, ch in A.split(B.column(k)):
-            y = phi_inv.apply(A.embed(ch, t))
-            base = t * d
-            for a in range(d):
-                arow = a * n
-                for i in range(n):
-                    c = y[arow + i]
-                    if c:
-                        w[i][base + a] = c
-        # stage 2: w_i must be a rational combination of the h_j
-        for i in range(n):
-            if vec_is_zero(w[i]):
-                continue
-            z = phi_inv.apply(w[i])
-            for j in range(n):
-                zvec = [z[a * n + j] for a in range(d)]
-                entries.append((i * n + j, k,
-                                _rational_multiple_of_unit(A.L, zvec, "comultiplication")))
-    return Matrix.from_entries(n * n, n, entries)
+    for r in range(y.rows):
+        a, i = divmod(r, n)
+        for kt, c in y.row_entries(r):
+            k, t = divmod(kt, n)
+            entries.append((t * d + a, k * n + i, c))
+    w = Matrix.from_entries(A.dim, n * n, entries)
+    # stage 2: w_i = sum_j c_ij h_j, and every c_ij must be rational
+    coeffs = _rational_coefficients(A.L, phi_inv * w, "comultiplication")
+    return Matrix.from_entries(n * n, n, ((i * n + j, k, c) for j in range(n)
+                                          for ki, c in coeffs.row_entries(j)
+                                          for k, i in [divmod(ki, n)]))
 
 
 def _provenance_of(H):
@@ -284,9 +265,9 @@ def hopf_action(H):
     L = A.L
     G = L.group
     slot_gal = [eta.inverse()(G.identity) for eta in A.N.elements]
-    return [sum((L.mult_operator(ch) * L.action[slot_gal[t]]
-                 for t, ch in A.split(prov.basis.column(k))), Matrix.zeros(L.dim, L.dim))
-            for k in range(H.dim)]
+    return [sum((L.mult_operator(x.row(t)) * L.action[slot_gal[t]]
+                 for t in range(x.rows) if x.row_entries(t)), Matrix.zeros(L.dim, L.dim))
+            for x in map(A.coefficients, prov.basis.columns())]
 
 
 def measuring_report(H):

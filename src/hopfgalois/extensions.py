@@ -97,7 +97,7 @@ class GaloisAlgebra(Algebra):
         """Full invariant check as a CheckReport; used by tests, not by hot paths."""
         report = algebra_axiom_report(self)
         report.add("commutative", self.is_commutative())
-        report.extend(action_report(self.group, self.action.__getitem__, self.mul, self.dim))
+        report.extend(action_report(self.group, self.action.__getitem__, self.mult))
         report.add("fixed-field-is-Q", self.fixed_space(range(self.group.order)).cols == 1)
         return report
 

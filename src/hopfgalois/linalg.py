@@ -342,10 +342,13 @@ def _sparse(values):
 
 
 def _axpy(a, s, b):
-    """The zero-free row dict a + s*b."""
+    """The zero-free row dict a + s*b; a position only b fills takes no addition,
+    so a sum of matrices with disjoint supports costs no arithmetic."""
     out = dict(a)
     for j, x in b.items():
-        y = out.get(j, ZERO) + s * x
+        x = x if s is ONE else s * x
+        y = out.get(j)
+        y = x if y is None else y + x
         if y:
             out[j] = y
         else:

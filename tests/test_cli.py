@@ -44,6 +44,13 @@ def test_enumerate_commands(capsys):
     assert json.loads(out)["results"]["census"] == {"C2xC2": 1, "C4": 3}
 
 
+@pytest.mark.parametrize("p,label", [("11", "N0"), ("13", "rho")])
+def test_descend_at_large_primes(capsys, p, label):
+    code, out, _ = run(capsys, "descend", "--p", p, "--structure", label, "--field", "split")
+    assert code == 0
+    assert "[FAIL]" not in out and out.endswith("overall: PASS\n")
+
+
 def test_descend_cubic(capsys):
     code, out, _ = run(capsys, "descend", "--p", "3", "--structure", "N0",
                        "--field", "cubic:2", "--json")
@@ -97,7 +104,7 @@ def test_out_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ("catalog", "--p", "4"),
-    ("descend", "--p", "11", "--structure", "rho", "--field", "split"),
+    ("descend", "--p", "17", "--structure", "rho", "--field", "split"),
     ("descend", "--p", "3", "--structure", "N7", "--field", "cubic:2"),
     ("descend", "--p", "3", "--structure", "N0", "--field", "cubic:8"),
     ("descend", "--p", "3", "--structure", "N0", "--field", "cubic:x"),
@@ -150,6 +157,16 @@ def test_unparsable_spec_is_echoed_only_in_part(capsys):
                        "--field", "cubic:" + "x" * 5000)
     assert code == 2
     assert "(5000 characters)" in err and len(err) < 200
+
+
+@pytest.mark.parametrize("argv", [("catalog", "--p", "9" * 5000),
+                                  ("enumerate", "--group", "x" * 5000)])
+def test_argparse_errors_echo_user_text_only_in_part(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage:")
+    assert "(5000 characters)" in err and max(map(len, err.splitlines())) < 200
 
 
 def test_bad_flags_exit_2(capsys):

@@ -4,7 +4,9 @@ Arguments are drawn from the real subcommands and flags, mixed with
 malformed primes, structure labels and `cubic:` field specs of at most 40
 digits (exponents stay small, so no draw builds a huge integer), plus three
 whose exponents name millions of digits, which the CLI must reject unbuilt,
-and one written out past Python's 4300-digit integer string limit.
+and one written out past Python's 4300-digit integer string limit.  A
+5000-character prime and group name check that argparse's own errors stay
+short.
 """
 
 import contextlib
@@ -19,7 +21,7 @@ from hopfgalois.linalg import rational
 primes = st.one_of(
     st.sampled_from(["3", "5", "7", "11", "13"]),
     st.sampled_from(["0", "1", "2", "4", "-3", "3.0", " 3", "x", "", "1e3",
-                     "99999999999999999999999999999999999999"]),
+                     "99999999999999999999999999999999999999", "9" * 5000]),
     st.integers(-20, 20).map(str),
 )
 
@@ -63,7 +65,7 @@ def argvs(draw):
     if command == "catalog":
         argv += flag_pairs(draw, [("--p", primes)])
     elif command == "enumerate":
-        argv += flag_pairs(draw, [("--group", st.sampled_from(["d3", "klein4", "d5", ""]))])
+        argv += flag_pairs(draw, [("--group", st.sampled_from(["d3", "klein4", "d5", "", "x" * 5000]))])
     elif command == "descend":
         argv += flag_pairs(draw, [("--p", primes), ("--structure", structures),
                                   ("--field", fields)])
@@ -84,6 +86,7 @@ def test_cli_exit_codes(argv):
         code = main(argv)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
+    assert all(len(line) < 1000 for line in err.getvalue().splitlines()), argv
     if code == 2:
         assert err.getvalue(), argv
     else:

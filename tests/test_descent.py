@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from hopfgalois.algebra import HopfPresentation, hopf_axiom_report
 from hopfgalois.catalog import catalog, cyclic_generator
-from hopfgalois.descent import (NormalizationError, base_change_is_group_algebra,
+from hopfgalois.descent import (DescentError, NormalizationError, _descended_comultiplication,
+                                base_change_is_group_algebra,
                                 descend, explicit_basis_matches,
                                 explicit_classical_basis, group_algebra,
                                 hopf_action, hopf_galois_matrix, lform_matrix,
@@ -262,3 +265,82 @@ def test_semilinear_matrix_matches_entrywise_formula(L3):
                     for t, tp in enumerate(act.conj_map[g])
                     for b in range(d) for a, c in L.action[g].row_entries(b)))
                 assert act.matrix(g) == expected
+
+
+# -- L[N] products against the slot-by-slot loop -------------------------------
+
+def _slot_loop_mul(A, x, y):
+    """(x_t eta_t)(y_u eta_u) = (x_t y_u) eta_(tu), summed over nonzero slots."""
+    d = A.L.dim
+
+    def chunks(v):
+        return [(t, v[t * d:(t + 1) * d]) for t in range(A.N.order) if any(v[t * d:(t + 1) * d])]
+
+    out = [ZERO] * A.dim
+    for t, xc in chunks(x):
+        for u, yc in chunks(y):
+            base = A.N.mult_table[t][u] * d
+            for a, c in enumerate(A.L.mul(xc, yc)):
+                out[base + a] += c
+    return out
+
+
+def _random_sparse(rng, n):
+    v = [ZERO] * n
+    for i in rng.sample(range(n), rng.randint(1, 8)):
+        v[i] = Q(rng.randint(-9, 9), rng.randint(1, 4))
+    return v
+
+
+def test_left_operator_matches_the_slot_loop(L3):
+    rng = random.Random(6)
+    for L, p in _layout_models(L3):
+        for e in catalog(p):
+            A = group_algebra(L, e.subgroup)
+            for _ in range(4):
+                x, y = _random_sparse(rng, A.dim), _random_sparse(rng, A.dim)
+                expected = _slot_loop_mul(A, x, y)
+                assert A.left_operator(x).apply(y) == expected
+                assert A.mul(x, y) == expected
+
+
+def _entrywise_algebra_map_failure(G, matrix, mul, dim):
+    """The first (g, i, j) with g(e_i e_j) != g(e_i) g(e_j), as action_report words it."""
+    basis = Matrix.identity(dim).columns()
+    prods = [[mul(x, y) for y in basis] for x in basis]
+    for g in range(G.order):
+        m = matrix(g)
+        images = m.columns()
+        for i in range(dim):
+            for j in range(dim):
+                if m.apply(prods[i][j]) != mul(images[i], images[j]):
+                    return f"fails for {G.names[g]} at basis ({i},{j})"
+    return ""
+
+
+def test_semilinear_verify_names_the_entrywise_counterexample(L3, catalog3):
+    rng = random.Random(3)
+    G = L3.group
+    for e in (catalog3[1], catalog3[2]):
+        A = group_algebra(L3, e.subgroup)
+        act = semilinear_action(A)
+        exact = act.matrix
+        for _ in range(2):
+            g, i, j = rng.randrange(G.order), rng.randrange(A.dim), rng.randrange(A.dim)
+            bumped = exact(g) + Matrix.from_entries(A.dim, A.dim, [(i, j, Q(1, 2))])
+            act.matrix = lambda h, g=g, bumped=bumped: bumped if h == g else exact(h)
+            detail = {c.name: c.detail for c in act.verify()}["action-by-algebra-maps"]
+            assert detail
+            assert detail == _entrywise_algebra_map_failure(
+                G, act.matrix, lambda x, y: _slot_loop_mul(A, x, y), A.dim)
+
+
+def test_irrational_comultiplication_coefficients_are_refused(descended3):
+    """Scaling the fixed basis by the cube root a keeps Phi invertible, but
+    Delta(a h_k) has coefficients in a^-1 Q, which the descent must refuse."""
+    H = descended3["N0"]
+    A = H.provenance.parent
+    scaled = A.slot_map(range(A.N.order), A.L.mult_operator(A.L.basis_vector(1))) * H.provenance.basis
+    assert base_change_is_group_algebra(H)
+    with pytest.raises(DescentError, match="comultiplication: expected a rational multiple"):
+        _descended_comultiplication(A, scaled)
