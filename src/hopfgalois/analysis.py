@@ -31,7 +31,7 @@ from .catalog import catalog
 from .descent import group_algebra, descend
 from .groups import dihedral, equivariant_iso_search, left_regular, right_regular
 from .linalg import (Matrix, ONE, Q, ZERO, column_space_basis, hstack,
-                     vec_is_zero, vstack)
+                     integer_normalized, vec_is_zero, vstack)
 
 KIND_FIELD = "field"
 KIND_MATRIX2 = "matrix2_over_center"
@@ -85,43 +85,64 @@ def minimal_polynomial(M):
             raise AssertionError("minimal polynomial must have degree <= dim")
 
 
-def _divisors(n):
-    n = abs(n)
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+def _at_half(p, t):
+    """2^deg(p) * p(t / 2) for an integer t: an integer with the sign of p(t / 2)."""
+    v = 0
+    for i, c in enumerate(reversed(p)):
+        v = v * t + (c << i)
+    return v
 
 
 def rational_roots(coeffs):
-    """All rational roots of a polynomial with rational coefficients."""
+    """Sorted rational roots of a polynomial with rational coefficients.
+
+    With denominators cleared and x^k (the root 0) taken out, f = a x^n + ...
+    gives the monic integer g(y) = a^(n-1) f(y/a); the roots of f are y/a for
+    the integer roots y of g.  g's Sturm chain of pseudo-remainders (scaled
+    by positive integers only) counts distinct real roots between
+    half-integers, never roots of g.  Bisection from the Cauchy bound
+    1 + max|g_i| takes O(n log2 bound) chain evaluations down to unit
+    intervals; g is evaluated exactly at the integer in each one with a root.
+    """
     while coeffs and coeffs[-1] == 0:
         coeffs = coeffs[:-1]
     if not coeffs:
         raise ValueError("zero polynomial")
-    scale = 1
-    for c in coeffs:
-        d = int(Q(c).denominator)
-        scale = scale // gcd(scale, d) * d
-    ints = [int(Q(c) * scale) for c in coeffs]
-    roots = []
-    low = 0
-    while ints[low] == 0:
-        low += 1
-    if low > 0:
-        roots.append(ZERO)
-    lead = ints[-1]
-    trail = ints[low]
-    cands = set()
-    for num in _divisors(trail):
-        for den in _divisors(lead):
-            cands.add(Q(num, den))
-            cands.add(Q(-num, den))
-    for cand in sorted(cands):
-        val = ZERO
-        for c in reversed(ints):
-            val = val * cand + c
-        if val == 0:
-            roots.append(cand)
-    return sorted(set(roots))
+    ints = [int(c) for c in integer_normalized(coeffs)]
+    low = next(i for i, c in enumerate(ints) if c)
+    roots = [ZERO] if low else []
+    n, a = len(ints) - low - 1, ints[-1]
+    g = [c * a ** (n - 1 - i) for i, c in enumerate(ints[low:-1])] + [1]
+    chain = [g, [i * c for i, c in enumerate(g)][1:]]
+    while len(chain[-1]) > 1:
+        r, b = chain[-2], chain[-1]
+        while len(r) >= len(b):  # r <- |lc b| r - sign(lc b) lc(r) x^k b
+            q, k = (r[-1] if b[-1] > 0 else -r[-1]), len(r) - len(b)
+            r = [abs(b[-1]) * c - (q * b[i - k] if i >= k else 0) for i, c in enumerate(r)]
+            while r and r[-1] == 0:
+                r.pop()
+        if not r:
+            break
+        d = gcd(*r)
+        chain.append([-c // d for c in r])
+
+    def changes(t):
+        signs = [v > 0 for v in (_at_half(p, t) for p in chain) if v]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    t = 2 * max(map(abs, g)) + 1
+    stack = [(-t, changes(-t), t, changes(t))]
+    while stack:
+        lo, v_lo, hi, v_hi = stack.pop()
+        if v_lo == v_hi:
+            continue
+        if hi - lo > 2:
+            mid = lo + (hi - lo) // 4 * 2
+            v_mid = changes(mid)
+            stack += [(lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)]
+        elif _at_half(g, lo + 1) == 0:
+            roots.append(Q((lo + 1) // 2, a))
+    return sorted(roots)
 
 
 def _restricted_operator(H, basis, x):

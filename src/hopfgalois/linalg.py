@@ -15,7 +15,7 @@ terms with positive denominator, print as "num/den", and hash alike.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 try:
     from gmpy2 import mpq as Q
@@ -409,15 +409,9 @@ def integer_normalized(v):
     v = [Q(x) for x in v]
     if vec_is_zero(v):
         raise ValueError("cannot normalize the zero vector")
-    den_lcm = 1
-    for x in v:
-        if x:
-            d = int(x.denominator)
-            den_lcm = den_lcm // gcd(den_lcm, d) * d
+    den_lcm = lcm(*(int(x.denominator) for x in v if x))
     ints = [int(x * den_lcm) for x in v]
-    g = 0
-    for n in ints:
-        g = gcd(g, abs(n))
+    g = gcd(*ints)
     ints = [n // g for n in ints]
     first = next(n for n in ints if n)
     if first < 0:

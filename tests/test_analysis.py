@@ -1,4 +1,9 @@
+from math import gcd
+from time import perf_counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfgalois.algebra import Algebra, algebra_axiom_report, group_hopf_algebra
 from hopfgalois.analysis import (algebra_iso_classes_p3, character_idempotents,
@@ -10,6 +15,7 @@ from hopfgalois.analysis import (algebra_iso_classes_p3, character_idempotents,
 from hopfgalois.extensions import split_model, splitting_field_cubic
 from hopfgalois.groups import cyclic, dihedral
 from hopfgalois.linalg import Matrix, ONE, Q, ZERO
+from hopfgalois.polyform import point_decomposition_check
 
 SIX_FIELDS = tuple([(1, 1, "field")] * 6)
 GROUP_ALGEBRA_D3 = ((1, 1, "field"), (1, 1, "field"), (4, 1, "matrix2_over_center"))
@@ -45,6 +51,125 @@ def test_rational_roots():
     assert rational_roots([Q(-2), Q(0), Q(1)]) == []
     assert rational_roots([Q(0), Q(1)]) == [Q(0)]
     assert rational_roots([Q(-1), Q(2)]) == [Q(1, 2)]
+
+
+# -- rational roots: trial-division reference and differential oracle -----------
+
+def ref_rational_roots(coeffs):
+    """Rational root theorem by trial division: every +-p/q with p | a_0 and
+    q | a_n is evaluated.  Cost grows with the coefficients themselves."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs = coeffs[:-1]
+    if not coeffs:
+        raise ValueError("zero polynomial")
+    scale = 1
+    for c in coeffs:
+        d = int(Q(c).denominator)
+        scale = scale // gcd(scale, d) * d
+    ints = [int(Q(c) * scale) for c in coeffs]
+    roots = []
+    low = 0
+    while ints[low] == 0:
+        low += 1
+    if low > 0:
+        roots.append(ZERO)
+
+    def divisors(n):
+        return [d for d in range(1, abs(n) + 1) if n % d == 0]
+
+    cands = {Q(s * num, den) for num in divisors(ints[low])
+             for den in divisors(ints[-1]) for s in (1, -1)}
+    for cand in sorted(cands):
+        val = ZERO
+        for c in reversed(ints):
+            val = val * cand + c
+        if val == 0:
+            roots.append(cand)
+    return sorted(set(roots))
+
+
+def poly_mul(p, q):
+    out = [ZERO] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 10007)
+# No rational root: x^2 + 1, x^2 - q, and x^2 - (k^2 + 1), whose real roots lie
+# within 1/(2k) of the integers +-k.
+IRRATIONAL_FACTORS = st.one_of(
+    st.just([]),
+    st.just([Q(1), ZERO, Q(1)]),
+    st.sampled_from(PRIMES).map(lambda q: [Q(-q), ZERO, Q(1)]),
+    st.integers(1, 10 ** 6).map(lambda k: [Q(-(k * k + 1)), ZERO, Q(1)]),
+)
+ROOTS = st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 12), st.integers(1, 2)),
+                 max_size=4)
+LEADING = st.tuples(st.integers(-9, 9).filter(bool), st.sampled_from((1, 2, 3, 7)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ROOTS, st.integers(0, 3), LEADING, IRRATIONAL_FACTORS)
+def test_rational_roots_differential(roots, zero_mult, leading, factor):
+    poly = [ZERO] * zero_mult + [Q(*leading)]
+    expected = {ZERO} if zero_mult else set()
+    for num, den, mult in roots:
+        r = Q(num, den)
+        expected.add(r)
+        for _ in range(mult):
+            poly = poly_mul(poly, [-r, ONE])
+    if factor:
+        poly = poly_mul(poly, factor)
+    got = rational_roots(poly)
+    assert got == sorted(expected)
+    scale = 1
+    for c in poly:
+        scale = scale * c.denominator // gcd(scale, c.denominator)
+    if max(abs(c * scale) for c in poly) < 10 ** 4:
+        assert got == ref_rational_roots(poly)
+
+
+def test_rational_roots_edge_cases():
+    for zero in ([], [ZERO], [ZERO, ZERO], (), [0]):
+        with pytest.raises(ValueError, match="^zero polynomial$"):
+            rational_roots(zero)
+    assert rational_roots([Q(5)]) == []
+    assert rational_roots([Q(-1, 3)]) == []
+    assert rational_roots([Q(-1), ZERO, Q(1), ZERO, ZERO]) == [Q(-1), Q(1)]
+    coeffs = (Q(-4), ZERO, Q(1), ZERO)
+    assert rational_roots(coeffs) == [Q(-2), Q(2)]
+    assert coeffs == (Q(-4), ZERO, Q(1), ZERO)
+    listed = [Q(-4), ZERO, Q(1), ZERO]
+    rational_roots(listed)
+    assert listed == [Q(-4), ZERO, Q(1), ZERO]
+    for k in (1, 2, 5):
+        assert rational_roots([ZERO] * k + [Q(-1, 2), ONE]) == [ZERO, Q(1, 2)]
+
+
+def test_rational_roots_at_scale():
+    k, n = 10 ** 30 + 57, 7  # 9 k^2 has 61 digits
+    start = perf_counter()
+    assert rational_roots([Q(-9 * k * k, n * n), ZERO, ONE]) == [Q(-3 * k, n), Q(3 * k, n)]
+    assert rational_roots([Q(-9 * k * k - 1), ZERO, ONE]) == []
+    assert rational_roots([Q(-9 * k * k), ZERO, Q(-1)]) == []
+    # -5 (x - k/3)^2 (x + 2^70/5) (x^2 + 1): non-monic, repeated, 50-digit roots
+    poly = [Q(-5)]
+    for r in (Q(k, 3), Q(k, 3), Q(-2 ** 70, 5)):
+        poly = poly_mul(poly, [-r, ONE])
+    poly = poly_mul(poly, [ONE, ZERO, ONE])
+    assert rational_roots(poly) == [Q(-2 ** 70, 5), Q(k, 3)]
+    assert perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("k", [10007, 10 ** 39 + 7], ids=["k=10007", "k=40-digit"])
+def test_point_decomposition_at_scale(k):
+    start = perf_counter()
+    report = point_decomposition_check(-3 * k * k)
+    assert report["passed"] is True
+    assert report["wedderburn_summary"] == SIX_FIELDS
+    assert perf_counter() - start < 20.0
 
 
 def test_wedderburn_cyclic_group_algebras():
