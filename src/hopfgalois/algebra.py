@@ -1,11 +1,11 @@
 """Structure-constant algebras and Hopf presentations over the rationals.
 
-An Algebra is a finite-dimensional unital Q-algebra given by its full
-multiplication table: prod[i][j] is the coordinate vector of basis_i*basis_j,
-and `mult` is the same table as the n x n^2 matrix of m: A (x) A -> A.
-A HopfPresentation adds comultiplication, counit and antipode as exact
-matrices; tensor powers index basis tuples (i, j, ...) in base dim, as
-Matrix.kron does, so H (x) H puts (i, j) at i*dim + j.
+An Algebra is a finite-dimensional unital Q-algebra given by the n x n^2
+matrix `mult` of its multiplication m: A (x) A -> A; column i*n + j holds
+the coordinates of basis_i*basis_j.  A HopfPresentation adds
+comultiplication, counit and antipode as exact matrices; tensor powers index
+basis tuples (i, j, ...) in base dim, as Matrix.kron does, so H (x) H puts
+(i, j) at i*dim + j.
 
 Every axiom is checked as an equality of composite linear maps built from
 these matrices, for example m(m (x) 1) = m(1 (x) m); a failed check names
@@ -17,27 +17,27 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from .linalg import Matrix, Q, ZERO, vec_is_zero
+from .linalg import Matrix, ONE, Q, ZERO
 
 
 class Algebra:
     """Finite-dimensional unital algebra with explicit structure constants."""
 
-    def __init__(self, prod, unit, names=None):
-        self.dim = len(prod)
-        self.prod = tuple(tuple(tuple(c if type(c) is Q else Q(c) for c in vec) for vec in row)
-                          for row in prod)
-        if any(len(row) != self.dim for row in self.prod):
-            raise ValueError("product table must be square")
-        if any(len(vec) != self.dim for row in self.prod for vec in row):
-            raise ValueError("structure constant vectors must have length dim")
+    def __init__(self, mult, unit, names=None):
+        self.dim = mult.rows
+        if mult.cols != self.dim * self.dim:
+            raise ValueError("multiplication matrix must be dim x dim^2")
+        self.mult = mult
         self.unit = tuple(Q(c) for c in unit)
         if len(self.unit) != self.dim:
             raise ValueError("unit vector length mismatch")
         self.names = tuple(names) if names is not None else tuple(f"e{i}" for i in range(self.dim))
-        # the nonzero structure constants (k, c) of each basis product
-        self._terms = tuple(tuple(tuple((k, c) for k, c in enumerate(vec) if c) for vec in row)
-                            for row in self.prod)
+
+    @cached_property
+    def _products(self):
+        # entry i*n + j: the nonzero structure constants (k, c) of basis_i*basis_j
+        t = self.mult.transpose()
+        return tuple(tuple(t.row_entries(col)) for col in range(t.rows))
 
     def basis_vector(self, i):
         v = [ZERO] * self.dim
@@ -45,27 +45,20 @@ class Algebra:
         return v
 
     def mul(self, x, y):
-        out = [ZERO] * self.dim
+        n, terms = self.dim, self._products
+        out = [ZERO] * n
         ys = [(j, b) for j, b in enumerate(y) if b]
         for i, a in enumerate(x):
             if not a:
                 continue
-            trow = self._terms[i]
+            row = i * n
             for j, b in ys:
-                terms = trow[j]
-                if terms:
+                ij = terms[row + j]
+                if ij:
                     ab = a * b
-                    for k, c in terms:
+                    for k, c in ij:
                         out[k] += ab * c
         return out
-
-    @cached_property
-    def mult(self):
-        """The n x n^2 matrix of m: A (x) A -> A; column i*n + j is prod[i][j]."""
-        n = self.dim
-        return Matrix.from_entries(n, n * n, ((k, i * n + j, c)
-                                              for i, row in enumerate(self._terms)
-                                              for j, terms in enumerate(row) for k, c in terms))
 
     def mult_operator(self, x):
         """Matrix of left multiplication by x: m(x (x) 1)."""
@@ -85,24 +78,15 @@ class Algebra:
         """m tau = m, with tau the swap of the tensor factors."""
         return self.mult * _swap(self.dim) == self.mult
 
-    def rational_multiple_of_unit(self, vec):
-        """The rational c with vec = c * unit, or None if there is none."""
-        if vec_is_zero(vec):
-            return ZERO
-        for k, u in enumerate(self.unit):
-            if u:
-                c = vec[k] / u
-                return c if [c * v for v in self.unit] == list(vec) else None
-        return None
-
     def tensor_mul(self, u, v):
         """Product of two sparse tensors {(i, j): coefficient} in A (x) A."""
+        n, terms = self.dim, self._products
         out = {}
         for (a, b), c1 in u.items():
             for (cc, d), c2 in v.items():
                 coeff = c1 * c2
-                right = self._terms[b][d]
-                for i, li in self._terms[a][cc]:
+                right = terms[b * n + d]
+                for i, li in terms[a * n + cc]:
                     cli = coeff * li
                     for j, rj in right:
                         key = (i, j)
@@ -117,9 +101,9 @@ class HopfPresentation(Algebra):
     comultiplied k-th basis element), counit is 1 x dim, antipode dim x dim.
     """
 
-    def __init__(self, prod, unit, comul, counit, antipode,
+    def __init__(self, mult, unit, comul, counit, antipode,
                  names=None, provenance=None, group=None):
-        super().__init__(prod, unit, names=names)
+        super().__init__(mult, unit, names=names)
         if comul.rows != self.dim * self.dim or comul.cols != self.dim:
             raise ValueError("comul must be dim^2 x dim")
         if counit.rows != 1 or counit.cols != self.dim:
@@ -156,14 +140,14 @@ def _swap(n):
 def group_hopf_algebra(G, names=None):
     """The group algebra Q[G] with its standard Hopf structure."""
     n = G.order
-    # left multiplication by g_i permutes the basis by row i of the table
-    prod = [Matrix.permutation(G.table[i]).columns() for i in range(n)]
+    mult = Matrix.from_entries(n, n * n, ((G.table[i][j], i * n + j, ONE)
+                                          for i in range(n) for j in range(n)))
     unit = [ZERO] * n
     unit[G.identity] = Q(1)
     comul = Matrix.from_entries(n * n, n, ((k * n + k, k, Q(1)) for k in range(n)))
     counit = Matrix(1, n, [Q(1)] * n)
     antipode = Matrix.permutation([G.inv(k) for k in range(n)])
-    return HopfPresentation(prod, unit, comul, counit, antipode,
+    return HopfPresentation(mult, unit, comul, counit, antipode,
                             names=names if names is not None else G.names,
                             group=G)
 

@@ -271,17 +271,10 @@ def find_square_zero_element(H, basis=None, bound=2):
     """
     if basis is None:
         basis = Matrix.identity(H.dim)
-    k = basis.cols
-    cols = [basis.column(m) for m in range(k)]
-    for coords in iter_product(range(-bound, bound + 1), repeat=k):
+    for coords in iter_product(range(-bound, bound + 1), repeat=basis.cols):
         if all(c == 0 for c in coords):
             continue
-        x = [ZERO] * H.dim
-        for m, c in enumerate(coords):
-            if c:
-                for idx, v in enumerate(cols[m]):
-                    if v:
-                        x[idx] += c * v
+        x = basis.apply(coords)
         if vec_is_zero(x):
             continue
         if vec_is_zero(H.mul(x, x)):

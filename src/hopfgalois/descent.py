@@ -28,8 +28,7 @@ from dataclasses import dataclass
 from .algebra import CheckReport, HopfPresentation, action_report, first_difference
 from .extensions import fixed_subalgebra, quadratic_sqrt_witness
 from .groups import conj_by, left_regular
-from .linalg import (Matrix, ONE, ZERO, hstack, integer_normalized, spans_equal,
-                     vec_add, vstack)
+from .linalg import Matrix, ONE, ZERO, fixed_basis, hstack, spans_equal, vec_add
 
 
 class DescentError(RuntimeError):
@@ -180,21 +179,15 @@ def descend(A, label=None):
     content 1 and sorted, so the output is reproducible.
     """
     act = semilinear_action(A)
-    G = A.L.group
     n = A.N.order
-    ident = Matrix.identity(A.dim)
-    stacked = vstack(*[act.matrix(g) - ident for g in G.generators])
-    ker = stacked.kernel()
-    if ker.cols != n:
-        raise DescentError(f"fixed ring has dimension {ker.cols}, expected {n}")
-    cols = sorted((integer_normalized(c) for c in ker.columns()), key=tuple)
-    B = Matrix.from_columns(cols, rows=A.dim)
+    B = fixed_basis([act.matrix(g) for g in A.L.group.generators], A.dim)
+    if B.cols != n:
+        raise DescentError(f"fixed ring has dimension {B.cols}, expected {n}")
 
     # column i*n + j is h_i h_j
-    sols = B.solve(hstack(*[A.left_operator(h) * B for h in B.columns()]))
-    if sols is None:
+    mult = B.solve(hstack(*[A.left_operator(h) * B for h in B.columns()]))
+    if mult is None:
         raise DescentError("a product of fixed vectors left the fixed ring")
-    prod = tuple(tuple(tuple(sols.column(i * n + j)) for j in range(n)) for i in range(n))
 
     unit_sol = B.solve(Matrix.from_columns([A.embed(A.L.unit, A.N.identity_position)]))
     if unit_sol is None:
@@ -212,7 +205,7 @@ def descend(A, label=None):
 
     prov = DescentProvenance(parent=A, basis=B, label=label)
     names = tuple(f"h{k}" for k in range(n))
-    return HopfPresentation(prod, unit, comul, counit, antipode,
+    return HopfPresentation(mult, unit, comul, counit, antipode,
                             names=names, provenance=prov)
 
 

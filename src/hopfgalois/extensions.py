@@ -19,7 +19,7 @@ from math import isqrt
 
 from .algebra import Algebra, action_report, algebra_axiom_report
 from .groups import cyclic, dihedral
-from .linalg import Matrix, Q, ZERO, ONE, integer_normalized, rational, vstack
+from .linalg import Matrix, Q, ZERO, ONE, fixed_basis, integer_normalized, rational
 
 
 def _int_is_cube(n):
@@ -70,8 +70,8 @@ class GaloisAlgebra(Algebra):
     index g; the assignment g -> action[g] is a homomorphism.
     """
 
-    def __init__(self, prod, unit, group, action, names=None, model=None):
-        super().__init__(prod, unit, names=names)
+    def __init__(self, mult, unit, group, action, names=None, model=None):
+        super().__init__(mult, unit, names=names)
         self.group = group
         self.action = tuple(action)
         self.model = model
@@ -85,13 +85,8 @@ class GaloisAlgebra(Algebra):
         return self.action[g].apply(x)
 
     def fixed_space(self, indices):
-        """Kernel of the stacked (action(g) - 1) for g in indices."""
-        indices = list(indices)
-        if not indices:
-            return Matrix.identity(self.dim)
-        ident = Matrix.identity(self.dim)
-        stacked = vstack(*[self.action[g] - ident for g in indices])
-        return stacked.kernel()
+        """Normalized basis of the space fixed by action(g) for g in indices."""
+        return fixed_basis([self.action[g] for g in indices], self.dim)
 
     def verify(self):
         """Full invariant check as a CheckReport; used by tests, not by hot paths."""
@@ -157,17 +152,10 @@ def splitting_field_cubic(v):
         put(i, j, ONE)
         return out
 
-    prod = []
-    for a1 in range(dim):
-        i1, j1 = a1 % 3, a1 // 3
-        row = []
-        for a2 in range(dim):
-            i2, j2 = a2 % 3, a2 // 3
-            vec = [ZERO] * dim
-            for key, c in reduce_monomial(i1 + i2, j1 + j2).items():
-                vec[key] += c
-            row.append(tuple(vec))
-        prod.append(tuple(row))
+    # basis index i + 3j is a^i z^j, so a product adds exponents
+    mult = Matrix.from_entries(dim, dim * dim, (
+        (key, a1 * dim + a2, c) for a1 in range(dim) for a2 in range(dim)
+        for key, c in reduce_monomial(a1 % 3 + a2 % 3, a1 // 3 + a2 // 3).items()))
 
     unit = [ONE] + [ZERO] * 5
 
@@ -199,7 +187,7 @@ def splitting_field_cubic(v):
         action.append(m)
 
     names = ("1", "a", "a^2", "z", "az", "a^2z")
-    return GaloisAlgebra(prod, unit, G, action, names=names, model="cubic")
+    return GaloisAlgebra(mult, unit, G, action, names=names, model="cubic")
 
 
 def quadratic_field(b):
@@ -208,13 +196,11 @@ def quadratic_field(b):
     if b == 0 or is_rational_square(b):
         raise ValueError(f"{b} is a rational square; need a quadratic extension")
     G = cyclic(2)
-    prod = (
-        ((ONE, ZERO), (ZERO, ONE)),
-        ((ZERO, ONE), (b, ZERO)),
-    )
+    # columns 1*1, 1*w, w*1, w*w
+    mult = Matrix.from_rows([[ONE, ZERO, ZERO, b], [ZERO, ONE, ONE, ZERO]])
     unit = (ONE, ZERO)
     action = (Matrix.identity(2), Matrix.from_rows([[ONE, ZERO], [ZERO, -ONE]]))
-    return GaloisAlgebra(prod, unit, G, action, names=("1", "w"), model="quadratic")
+    return GaloisAlgebra(mult, unit, G, action, names=("1", "w"), model="quadratic")
 
 
 def split_model(G):
@@ -223,25 +209,21 @@ def split_model(G):
     The basis is the coordinate idempotents d_h; g sends d_h to d_{gh}.
     """
     n = G.order
-    # d_i d_j = d_i if i == j else 0: left multiplication by d_i projects onto d_i
-    prod = [Matrix.from_entries(n, n, [(i, i, ONE)]).columns() for i in range(n)]
+    # d_i d_j = d_i if i == j else 0
+    mult = Matrix.from_entries(n, n * n, ((i, i * n + i, ONE) for i in range(n)))
     unit = [ONE] * n
     action = [Matrix.permutation(G.table[g]) for g in range(n)]
     names = tuple(f"d[{name}]" for name in G.names)
-    return GaloisAlgebra(prod, unit, G, action, names=names, model="split")
+    return GaloisAlgebra(mult, unit, G, action, names=names, model="split")
 
 
 def fixed_subalgebra(L, indices):
     """Fixed subalgebra of the subgroup generated by the given elements.
 
     The fixed space of a generating set equals the fixed space of the whole
-    subgroup, so only the listed elements are stacked.  Basis columns are
-    integer-normalized and sorted for reproducibility.
+    subgroup, so only the listed elements are stacked.
     """
-    ker = L.fixed_space(indices)
-    cols = sorted((integer_normalized(c) for c in ker.columns()),
-                  key=lambda col: tuple(col))
-    return Subalgebra(L, Matrix.from_columns(cols, rows=L.dim))
+    return Subalgebra(L, L.fixed_space(indices))
 
 
 def quadratic_sqrt_witness(L):
@@ -269,7 +251,7 @@ def quadratic_sqrt_witness(L):
 
 def rational_square_of(L, w):
     """The rational d with w*w = d * unit; raises if w^2 is not rational."""
-    d = L.rational_multiple_of_unit(L.mul(w, w))
+    d = Matrix.from_columns([L.unit]).solve(Matrix.from_columns([L.mul(w, w)]))
     if d is None:
         raise ValueError("square is not a rational multiple of the unit")
-    return d
+    return d[0, 0]

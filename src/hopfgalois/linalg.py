@@ -377,6 +377,18 @@ def vstack(*mats):
     return Matrix._wrap(sum(m.rows for m in mats), cols, data)
 
 
+def fixed_basis(mats, dim):
+    """Basis of the common fixed space of the dim x dim matrices `mats`: the
+    kernel of the stacked M - I, columns integer-normalized and sorted so the
+    basis is reproducible; the identity when `mats` is empty."""
+    ident = Matrix.identity(dim)
+    if not mats:
+        return ident
+    ker = vstack(*[m - ident for m in mats]).kernel()
+    return Matrix.from_columns(sorted((integer_normalized(c) for c in ker.columns()), key=tuple),
+                               rows=dim)
+
+
 def column_space_basis(m):
     """Canonical basis of the column space: nonzero rows of rref(m^T)."""
     red, pivots = m.transpose().rref()

@@ -88,10 +88,10 @@ class PolyHopfAlgebra(HopfPresentation):
             raise ValueError("b = 0 makes the comultiplication coefficient 1/2b undefined")
         if is_rational_square(b):
             raise ValueError(f"b = {b} is a rational square; the quadratic witness would be rational")
-        prod = [[normal_form(i1 + i2, j1 + j2, b) for (i2, j2) in MONOMIALS]
-                for (i1, j1) in MONOMIALS]
+        mult = Matrix.from_columns([normal_form(i1 + i2, j1 + j2, b) for (i1, j1) in MONOMIALS
+                                    for (i2, j2) in MONOMIALS])
         unit = [ONE, ZERO, ZERO, ZERO, ZERO, ZERO]
-        plain = Algebra(prod, unit)
+        plain = Algebra(mult, unit)
 
         dx = {(1, 1): Q(1, 2), (4, 4): 1 / (2 * b)}
         dy = {(1, 4): Q(1, 2), (4, 1): Q(1, 2)}
@@ -109,7 +109,7 @@ class PolyHopfAlgebra(HopfPresentation):
         antipode = Matrix.from_entries(6, 6, ((k, k, -ONE if j else ONE)
                                               for k, (i, j) in enumerate(MONOMIALS)))
 
-        super().__init__(prod, unit, comul, counit, antipode, names=MONOMIAL_NAMES)
+        super().__init__(mult, unit, comul, counit, antipode, names=MONOMIAL_NAMES)
         self.b = b
         self.u = 4 * b
 

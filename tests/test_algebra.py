@@ -3,6 +3,7 @@ import pytest
 from hopfgalois.algebra import (Algebra, Check, algebra_axiom_report,
                                 group_hopf_algebra, hopf_axiom_report,
                                 hopf_map_violation)
+from hopfgalois.extensions import rational_square_of
 from hopfgalois.groups import cyclic, dihedral, elementary_abelian_4
 from hopfgalois.linalg import Matrix, ONE, Q, ZERO
 
@@ -36,7 +37,7 @@ def test_axiom_report_catches_bad_antipode():
     G = cyclic(3)
     H = group_hopf_algebra(G)
     from hopfgalois.algebra import HopfPresentation
-    broken = HopfPresentation(H.prod, H.unit, H.comul, H.counit,
+    broken = HopfPresentation(H.mult, H.unit, H.comul, H.counit,
                               Matrix.identity(6 // 2), names=H.names)
     report = hopf_axiom_report(broken)
     assert not report.passed
@@ -48,7 +49,7 @@ def test_axiom_report_catches_bad_comultiplication():
     cols = [list(H.comul.column(j)) for j in range(2)]
     cols[1][0] += 1  # perturb one coefficient
     from hopfgalois.algebra import HopfPresentation
-    broken = HopfPresentation(H.prod, H.unit,
+    broken = HopfPresentation(H.mult, H.unit,
                               Matrix.from_columns(cols, rows=4),
                               H.counit, H.antipode, names=H.names)
     report = hopf_axiom_report(broken)
@@ -95,8 +96,8 @@ def test_algebra_flags():
 
 def test_plain_algebra_operator_views():
     # 2x2 split algebra Q x Q
-    prod = (((ONE, ZERO), (ZERO, ZERO)), ((ZERO, ZERO), (ZERO, ONE)))
-    A = Algebra(prod, (ONE, ONE))
+    A = Algebra(Matrix.from_columns([(ONE, ZERO), (ZERO, ZERO), (ZERO, ZERO), (ZERO, ONE)]),
+                (ONE, ONE))
     e0 = A.basis_vector(0)
     assert A.mult_operator(e0).apply([Q(3), Q(5)]) == [Q(3), Q(0)]
     assert A.power(e0, 5) == e0
@@ -110,16 +111,29 @@ def test_algebra_axiom_report_names_first_nonassociative_triple():
     zero = (ZERO,) * 3
     # e1*e1 = e2 and e2*e1 = e1, but e1*e2 = 0: (e1 e1) e1 != e1 (e1 e1)
     prod = ((e(0), e(1), e(2)), (e(1), e(2), zero), (e(2), e(1), zero))
-    report = algebra_axiom_report(Algebra(prod, e(0)))
+    report = algebra_axiom_report(Algebra(Matrix.from_columns([v for row in prod for v in row]),
+                                          e(0)))
     assert report[0] == Check("unit", True, "")
     assert not report.passed
     assert report.failures() == [("associativity", "associativity fails at (1,1,1)")]
 
 
-def test_rational_multiple_of_unit():
-    prod = (((ONE, ZERO), (ZERO, ZERO)), ((ZERO, ZERO), (ZERO, ONE)))
-    A = Algebra(prod, (ONE, ONE))
-    assert A.rational_multiple_of_unit([Q(2), Q(2)]) == Q(2)
-    assert A.rational_multiple_of_unit([Q(1), Q(2)]) is None
-    zero = A.rational_multiple_of_unit([ZERO, ZERO])
+def test_rational_square_of_split_algebra():
+    # Q x Q, where w = (1, -1) squares to the unit but w = (1, 2) squares to (1, 4)
+    A = Algebra(Matrix.from_columns([(ONE, ZERO), (ZERO, ZERO), (ZERO, ZERO), (ZERO, ONE)]),
+                (ONE, ONE))
+    assert rational_square_of(A, [Q(1), Q(-1)]) == Q(1)
+    with pytest.raises(ValueError):
+        rational_square_of(A, [Q(1), Q(2)])
+    zero = rational_square_of(A, [ZERO, ZERO])
     assert zero is not None and zero == 0
+
+
+def test_algebra_rejects_malformed_structure_constants():
+    with pytest.raises(ValueError):
+        Algebra(Matrix.zeros(2, 3), (ONE, ZERO))
+    with pytest.raises(ValueError):
+        Algebra(Matrix.zeros(2, 8), (ONE, ZERO))
+    with pytest.raises(ValueError):
+        Algebra(Matrix.from_columns([(ONE, ZERO), (ZERO, ONE), (ZERO, ONE), (ONE, ZERO)]),
+                (ONE, ZERO, ZERO))

@@ -34,7 +34,8 @@ def quaternion_algebra():
                     for m in range(4))
               for j, c in ((jj, table[(i, jj)][1]) for jj in range(4)))
         for i in range(4))
-    return Algebra(prod, (ONE, ZERO, ZERO, ZERO), names=("1", "i", "j", "k"))
+    return Algebra(Matrix.from_columns([v for row in prod for v in row]),
+                   (ONE, ZERO, ZERO, ZERO), names=("1", "i", "j", "k"))
 
 
 def test_minimal_polynomial():

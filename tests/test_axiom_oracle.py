@@ -42,10 +42,11 @@ def ref_algebra_axiom_report(A):
                    if A.mul(A.unit, A.basis_vector(i)) != A.basis_vector(i)
                    or A.mul(A.basis_vector(i), A.unit) != A.basis_vector(i)), None)
     report.add("unit", detail is None, detail)
+    prods = [A.mult.column(ij) for ij in range(n * n)]
     detail = next((f"associativity fails at ({i},{j},{k})"
                    for i in range(n) for j in range(n) for k in range(n)
-                   if A.mul(A.prod[i][j], A.basis_vector(k))
-                   != A.mul(A.basis_vector(i), A.prod[j][k])), None)
+                   if A.mul(prods[i * n + j], A.basis_vector(k))
+                   != A.mul(A.basis_vector(i), prods[j * n + k])), None)
     report.add("associativity", detail is None, detail)
     return report
 
@@ -87,12 +88,13 @@ def ref_hopf_axiom_report(H):
     n = H.dim
     report = ref_algebra_axiom_report(H)
     pairs = [(i, j) for i in range(n) for j in range(n)]
+    prods = [H.mult.column(ij) for ij in range(n * n)]
 
     if H.counit_of(H.unit) != 1:
         detail = "counit(unit) != 1"
     else:
         detail = next((f"counit not multiplicative at ({i},{j})" for i, j in pairs
-                       if H.counit_of(H.prod[i][j]) != H.counit[0, i] * H.counit[0, j]), None)
+                       if H.counit_of(prods[i * n + j]) != H.counit[0, i] * H.counit[0, j]), None)
     report.add("counit-algebra-map", detail is None, detail)
 
     unit_tensor = {(i, j): a * b for i, a in enumerate(H.unit) for j, b in enumerate(H.unit)
@@ -102,7 +104,7 @@ def ref_hopf_axiom_report(H):
     else:
         detail = next((f"comul not multiplicative at ({i},{j})" for i, j in pairs
                        if H.tensor_mul(H.comul_terms(i), H.comul_terms(j))
-                       != ref_comul_of(H, H.prod[i][j])), None)
+                       != ref_comul_of(H, prods[i * n + j])), None)
     report.add("comul-algebra-map", detail is None, detail)
 
     for name, message, fails in (
@@ -122,12 +124,14 @@ def ref_measuring_report(H):
                    if mats[k].apply(L.unit) != [H.counit[0, k] * u for u in L.unit]), None)
     report.add("measures-unit", detail is None, detail)
 
+    prods = [L.mult.column(ab) for ab in range(L.dim * L.dim)]
+
     def products_fail(k, a, b):
         rhs = [ZERO] * L.dim
         for (i, j), c in H.comul_terms(k).items():
             pr = L.mul(mats[i].column(a), mats[j].column(b))
             rhs = [r + c * v for r, v in zip(rhs, pr)]
-        return mats[k].apply(L.prod[a][b]) != rhs
+        return mats[k].apply(prods[a * L.dim + b]) != rhs
 
     detail = next((f"measuring fails at (h{k}, {L.names[a]}, {L.names[b]})"
                    for k in range(H.dim) for a in range(L.dim) for b in range(L.dim)
@@ -143,7 +147,8 @@ def ref_hopf_map_violation(T, src, dst):
     if T.apply(src.unit) != list(dst.unit):
         return "unit"
     timgs = [T.column(j) for j in range(n)]
-    if any(T.apply(src.prod[i][j]) != dst.mul(timgs[i], timgs[j])
+    prods = [src.mult.column(ij) for ij in range(n * n)]
+    if any(T.apply(prods[i * n + j]) != dst.mul(timgs[i], timgs[j])
            for i in range(n) for j in range(n)):
         return "multiplication"
     if T.kron(T) * src.comul != dst.comul * T:
@@ -182,13 +187,15 @@ def _perturbed_matrix(M, rng):
 
 
 def perturb(H, rng):
-    """H with one coefficient of prod, unit, comul, counit or antipode changed."""
+    """H with one coefficient of mult, unit, comul, counit or antipode changed."""
     n = H.dim
-    prod, unit = [[list(v) for v in row] for row in H.prod], list(H.unit)
+    mult, unit = H.mult, list(H.unit)
     comul, counit, antipode = H.comul, H.counit, H.antipode
-    part = rng.choice(["prod", "unit", "comul", "counit", "antipode"])
-    if part == "prod":
-        prod[rng.randrange(n)][rng.randrange(n)][rng.randrange(n)] += _nudge(rng)
+    part = rng.choice(["mult", "unit", "comul", "counit", "antipode"])
+    if part == "mult":
+        # the coefficient of e_k in e_i e_j
+        i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        mult = mult + Matrix.from_entries(n, n * n, [(k, i * n + j, _nudge(rng))])
     elif part == "unit":
         unit[rng.randrange(n)] += _nudge(rng)
     elif part == "comul":
@@ -197,7 +204,7 @@ def perturb(H, rng):
         counit = _perturbed_matrix(counit, rng)
     else:
         antipode = _perturbed_matrix(antipode, rng)
-    return HopfPresentation(prod, unit, comul, counit, antipode,
+    return HopfPresentation(mult, unit, comul, counit, antipode,
                             names=H.names, provenance=H.provenance, group=H.group)
 
 
@@ -230,7 +237,7 @@ def test_failing_measuring_report_names_the_first_counterexample(presentations, 
     rng = random.Random(f"measuring-{name}")
     seen = set()
     for _ in range(20):
-        P = HopfPresentation(H.prod, H.unit, _perturbed_matrix(H.comul, rng),
+        P = HopfPresentation(H.mult, H.unit, _perturbed_matrix(H.comul, rng),
                              _perturbed_matrix(H.counit, rng), H.antipode,
                              names=H.names, provenance=H.provenance)
         report = measuring_report(P)
@@ -261,7 +268,7 @@ def test_mult_columns_are_the_product_table(presentations, name):
     assert (A.mult.rows, A.mult.cols) == (n, n * n)
     for i in range(n):
         for j in range(n):
-            assert A.mult.column(i * n + j) == A.prod[i][j]
+            assert tuple(A.mul(A.basis_vector(i), A.basis_vector(j))) == A.mult.column(i * n + j)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -280,11 +287,11 @@ def test_swap_identities_decide_commutativity():
     e = [[[Q(int(r == i and c == l and j == k)) for r in range(2) for c in range(2)]
           for k in range(2) for l in range(2)] for i in range(2) for j in range(2)]
     unit = [Q(1), Q(0), Q(0), Q(1)]
-    M2 = Algebra(e, unit)
+    M2 = Algebra(Matrix.from_columns([v for row in e for v in row]), unit)
     assert algebra_axiom_report(M2).passed and not M2.is_commutative()
     H = group_hopf_algebra(cyclic(4))
     assert H.is_commutative() and H.is_cocommutative()
     # Delta(e0) = e0 (x) e0 + e0 (x) e1 is not symmetric
     comul = H.comul + Matrix.from_entries(16, 4, [(0 * 4 + 1, 0, Q(1))])
-    skew = HopfPresentation(H.prod, H.unit, comul, H.counit, H.antipode)
+    skew = HopfPresentation(H.mult, H.unit, comul, H.counit, H.antipode)
     assert not skew.is_cocommutative()

@@ -173,7 +173,7 @@ def test_corrupted_comultiplication_fails_axioms(descended3):
     H = descended3["N0"]
     cols = [list(H.comul.column(j)) for j in range(H.dim)]
     cols[2][7] += Q(1, 3)
-    broken = HopfPresentation(H.prod, H.unit,
+    broken = HopfPresentation(H.mult, H.unit,
                               Matrix.from_columns(cols, rows=36),
                               H.counit, H.antipode, names=H.names)
     assert not hopf_axiom_report(broken).passed

@@ -119,7 +119,7 @@ def test_rational_square_of_rejects_irrational_square():
         rational_square_of(L, L.basis_vector(1))  # the cube root a: a^2 is irrational
 
 
-QUADRATIC_5 = (((ONE, ZERO), (ZERO, ONE)), ((ZERO, ONE), (Q(5), ZERO)))
+QUADRATIC_5 = Matrix.from_columns([(ONE, ZERO), (ZERO, ONE), (ZERO, ONE), (Q(5), ZERO)])
 
 
 def test_verify_names_first_counterexamples():
@@ -140,8 +140,8 @@ def test_verify_fails_loudly_under_python_O():
         "from hopfgalois.extensions import GaloisAlgebra\n"
         "from hopfgalois.groups import cyclic\n"
         "from hopfgalois.linalg import Matrix, ONE, Q, ZERO\n"
-        "prod = (((ONE, ZERO), (ZERO, ONE)), ((ZERO, ONE), (Q(5), ZERO)))\n"
-        "L = GaloisAlgebra(prod, (ONE, ZERO), cyclic(2), [Matrix.identity(2)] * 2)\n"
+        "mult = Matrix.from_columns([(ONE, ZERO), (ZERO, ONE), (ZERO, ONE), (Q(5), ZERO)])\n"
+        "L = GaloisAlgebra(mult, (ONE, ZERO), cyclic(2), [Matrix.identity(2)] * 2)\n"
         "print(json.dumps([sys.flags.optimize, L.verify().failures()]))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -171,7 +171,7 @@ def test_action_is_group_homomorphism():
 def test_action_by_algebra_maps(g, i, j):
     L = splitting_field_cubic(3)
     m = L.action[g]
-    assert m.apply(L.prod[i][j]) == L.mul(m.column(i), m.column(j))
+    assert m.apply(L.mult.column(i * L.dim + j)) == L.mul(m.column(i), m.column(j))
 
 
 def test_fixed_space_is_rationals():
