@@ -61,8 +61,11 @@ class Algebra:
         return out
 
     def mult_operator(self, x):
-        """Matrix of left multiplication by x: m(x (x) 1)."""
-        return self.mult * Matrix.from_columns([x]).kron(Matrix.identity(self.dim))
+        """Matrix of left multiplication by x, m(x (x) 1): column j is the sum
+        of x_i basis_i*basis_j over the nonzero x_i."""
+        n, terms = self.dim, self._products
+        return Matrix.from_entries(n, n, ((k, j, a * c) for i, a in enumerate(x) if a
+                                          for j in range(n) for k, c in terms[i * n + j]))
 
     def right_mult_operator(self, x):
         """Matrix of right multiplication by x: m(1 (x) x)."""

@@ -381,17 +381,15 @@ def explicit_translation_basis(A):
     cols = [A.embed(L.unit, slot[G.identity])]
     for i in range(1, (p - 1) // 2 + 1):
         cols.extend(A.plus_minus_pair(w, slot[rpow(i)], slot[rpow(p - i)]))
+    # the slots of r^i s are distinct, so each coefficient lands in its own place
     ybasis = fixed_subalgebra(L, [s_idx]).basis
     step = (p + 1) // 2
-    for m in range(ybasis.cols):
-        y = ybasis.column(m)
-        vec = [ZERO] * A.dim
-        for i in range(p):
-            coeff = L.act(rpow(step * i), y)
-            g = G.mul(rpow(i), s_idx)
-            vec = vec_add(vec, A.embed(coeff, slot[g]))
-        cols.append(vec)
-    return Matrix.from_columns(cols, rows=A.dim)
+    d = L.dim
+    reflections = Matrix.from_entries(A.dim, ybasis.cols, (
+        (slot[G.mul(rpow(i), s_idx)] * d + a, m, c)
+        for m, y in enumerate(ybasis.columns()) for i in range(p)
+        for a, c in enumerate(L.act(rpow(step * i), y)) if c))
+    return hstack(Matrix.from_columns(cols, rows=A.dim), reflections)
 
 
 def explicit_cyclic_basis(A, gen):

@@ -3,8 +3,9 @@
 Immutable sparse-row matrices over arbitrary-precision rationals: each row
 keeps only its nonzero entries, so work scales with the nonzeros, not the
 shape.  Everything is computed exactly; no floating point appears anywhere
-in this package.  Pivoting in row reduction always takes the first nonzero
-entry, so reduced forms, kernels and solutions are reproducible across runs.
+in this package.  Row reduction eliminates on primitive integer rows and
+returns the unique reduced row echelon form, whichever rows it pivots on, so
+kernels and solutions are reproducible across runs.
 
 The scalar type is gmpy2.mpq when available (roughly an order of magnitude
 faster than fractions.Fraction on the elimination-heavy workloads here) and
@@ -92,11 +93,16 @@ class Matrix:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise IndexError(f"entry ({i}, {j}) outside {rows}x{cols}")
             row = data[i]
-            x = row.get(j, ZERO) + x
+            y = row.get(j)
+            if y is None:
+                if type(x) is not Q:
+                    x = Q(x)
+            else:
+                x += y
             if x:
                 row[j] = x
-            else:
-                row.pop(j, None)
+            elif y is not None:
+                del row[j]
         return cls._wrap(rows, cols, data)
 
     @classmethod
@@ -229,46 +235,64 @@ class Matrix:
     def rref(self):
         """Reduced row echelon form and the tuple of pivot columns.
 
-        Deterministic: the pivot is always the first row with a nonzero
-        entry in the current column.  Elimination touches only the nonzero
-        entries of the pivot row and the rows that are nonzero in the
-        pivot column.
+        Fraction-free sparse Gauss-Jordan.  Each row is kept as a primitive
+        integer row and a column -> rows index is kept up to date, so
+        column c is searched and eliminated only in the rows nonzero there.
+        The pivot is the shortest unused candidate row (ties to the lower
+        row number); the reduced form is unique, so the choice changes only
+        the cost.  Pivot rows are divided by their pivot once, at the end.
         """
-        data = [dict(r) for r in self._rows]
-        nrows = self.rows
-        pivots = []
-        r = 0
+        rows = [_primitive(r) if r else {} for r in self._rows]
+        index = {}
+        for i, row in enumerate(rows):
+            for j in row:
+                index.setdefault(j, set()).add(i)
+        used = [False] * self.rows
+        order = []
         for c in range(self.cols):
-            pr = next((i for i in range(r, nrows) if c in data[i]), None)
+            cand = index.get(c)
+            if not cand:
+                continue
+            pr = min((i for i in cand if not used[i]), key=lambda i: (len(rows[i]), i),
+                     default=None)
             if pr is None:
                 continue
-            data[r], data[pr] = data[pr], data[r]
-            prow = data[r]
-            piv = prow[c]
-            if piv != 1:
-                inv = 1 / piv
-                prow = {j: x * inv for j, x in prow.items()}
-                data[r] = prow
+            used[pr] = True
+            order.append((c, pr))
+            prow = rows[pr]
+            pv = prow[c]
             items = tuple(prow.items())
-            for i, row in enumerate(data):
-                f = row.get(c)
-                if f is None or i == r:
+            for i in tuple(cand):
+                if i == pr:
                     continue
-                for j, v in items:
+                row = rows[i]
+                f = row[c]
+                g = gcd(pv, f)
+                a, b = pv // g, f // g
+                if a != 1:
+                    rows[i] = row = {j: a * x for j, x in row.items()}
+                # row := a*row - b*prow, which cancels column c
+                for j, y in items:
                     x = row.get(j)
                     if x is None:
-                        row[j] = -f * v
+                        row[j] = -b * y
+                        index.setdefault(j, set()).add(i)
                     else:
-                        x -= f * v
+                        x -= b * y
                         if x:
                             row[j] = x
                         else:
                             del row[j]
-            pivots.append(c)
-            r += 1
-            if r == nrows:
+                            index[j].discard(i)
+                g = gcd(*row.values())
+                if g > 1:
+                    rows[i] = {j: x // g for j, x in row.items()}
+            if len(order) == self.rows:
                 break
-        return Matrix._wrap(self.rows, self.cols, data), tuple(pivots)
+        data = [{j: ONE if j == c else Q(x, rows[pr][c]) for j, x in rows[pr].items()}
+                for c, pr in order]
+        data.extend({} for _ in range(self.rows - len(order)))
+        return Matrix._wrap(self.rows, self.cols, data), tuple(c for c, _ in order)
 
     def rank(self):
         return len(self.rref()[1])
@@ -330,6 +354,17 @@ class Matrix:
                              for arow in self._rows for brow in other._rows])
 
 
+def _primitive(row):
+    """The integer multiple of a nonzero sparse rational row {j: x} with
+    content 1 and a positive entry at its lowest column; it is unique."""
+    den = lcm(*(x.denominator for x in row.values()))
+    ints = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+    g = gcd(*ints.values())
+    if ints[min(ints)] < 0:
+        g = -g
+    return ints if g == 1 else {j: n // g for j, n in ints.items()}
+
+
 def _sparse(values):
     """Zero-free {index: value} dict of a sequence, coerced to Q."""
     out = {}
@@ -384,9 +419,10 @@ def fixed_basis(mats, dim):
     ident = Matrix.identity(dim)
     if not mats:
         return ident
-    ker = vstack(*[m - ident for m in mats]).kernel()
-    return Matrix.from_columns(sorted((integer_normalized(c) for c in ker.columns()), key=tuple),
-                               rows=dim)
+    vecs = [_primitive(r) for r in vstack(*[m - ident for m in mats]).kernel().transpose()._rows]
+    vecs.sort(key=lambda v: _dense(v, dim))
+    cols = [{j: Q(n) for j, n in v.items()} for v in vecs]
+    return Matrix._wrap(len(cols), dim, cols).transpose()
 
 
 def column_space_basis(m):
@@ -418,14 +454,16 @@ def vec_add(u, v):
 def integer_normalized(v):
     """Scale a nonzero rational vector to integer entries with content 1 and
     positive first nonzero entry.  The result is the unique such multiple."""
-    v = [Q(x) for x in v]
-    if vec_is_zero(v):
+    v = list(v)
+    row = _sparse(v)
+    if not row:
         raise ValueError("cannot normalize the zero vector")
-    den_lcm = lcm(*(int(x.denominator) for x in v if x))
-    ints = [int(x * den_lcm) for x in v]
-    g = gcd(*ints)
-    ints = [n // g for n in ints]
-    first = next(n for n in ints if n)
-    if first < 0:
-        ints = [-n for n in ints]
-    return [Q(n) for n in ints]
+    return [Q(n) for n in _dense(_primitive(row), len(v))]
+
+
+def _dense(v, n):
+    """The length-n list of a sparse {index: value} dict, zeros as int 0."""
+    out = [0] * n
+    for j, x in v.items():
+        out[j] = x
+    return out

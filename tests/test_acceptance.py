@@ -20,8 +20,7 @@ from hopfgalois.descent import (base_change_is_group_algebra, descend,
                                 verify_hopf_galois)
 from hopfgalois.extensions import (split_model, splitting_field_cubic,
                                    quadratic_sqrt_witness, rational_square_of)
-from hopfgalois.groups import (dihedral, enumerate_regular_normalized, iso_type,
-                               left_regular)
+from hopfgalois.groups import dihedral, enumerate_regular_normalized, iso_type
 from hopfgalois.linalg import Matrix, Q, ZERO
 from hopfgalois.polyform import (check_iso_to_descended, point_decomposition_check,
                                  poly_hopf_algebra, scaling_invariance_check)

@@ -12,7 +12,7 @@ from hopfgalois.analysis import (algebra_iso_classes_p3, character_idempotents,
                                  minimal_splitting_subfield_check,
                                  nilpotent_witness,
                                  noncommutative_wedderburn_p3, rational_roots)
-from hopfgalois.extensions import split_model, splitting_field_cubic
+from hopfgalois.extensions import split_model
 from hopfgalois.groups import cyclic, dihedral
 from hopfgalois.linalg import Matrix, ONE, Q, ZERO
 from hopfgalois.polyform import point_decomposition_check

@@ -11,10 +11,10 @@ from hopfgalois.descent import (DescentError, NormalizationError, _descended_com
                                 hopf_action, hopf_galois_matrix, lform_matrix,
                                 measuring_report, semilinear_action,
                                 verify_hopf_galois)
-from hopfgalois.extensions import split_model, splitting_field_cubic
+from hopfgalois.extensions import split_model
 from hopfgalois.groups import (Perm, closure, dihedral, group_isomorphisms,
                                is_normalized_by, left_regular)
-from hopfgalois.linalg import Matrix, ONE, Q, ZERO, vec_is_zero
+from hopfgalois.linalg import Matrix, Q, ZERO, vec_is_zero
 
 LABELS3 = ("rho", "lambda", "N0", "N1", "N2")
 

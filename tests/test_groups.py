@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfgalois.groups import (ClosureBoundExceeded, FiniteGroup, Perm,
-                               PermSubgroup, UnknownGroupType, closure, conj_by,
+                               UnknownGroupType, closure, conj_by,
                                cyclic, dihedral, elementary_abelian_4,
                                enumerate_regular_normalized,
                                equivariant_iso_search, group_isomorphisms,

@@ -1,8 +1,11 @@
+from math import gcd, lcm
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfgalois.linalg import (Matrix, ONE, Q, ZERO, hstack, integer_normalized,
+from hopfgalois.descent import group_algebra, semilinear_action
+from hopfgalois.linalg import (Matrix, ONE, Q, ZERO, fixed_basis, hstack, integer_normalized,
                                rational, spans_equal, vstack)
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7).map(
@@ -269,3 +272,178 @@ def test_sparse_stacks_keep_offsets():
     assert Matrix.from_entries(2, 2, [(0, 1, Q(1)), (0, 1, Q(-1))]) == Matrix.zeros(2, 2)
     with pytest.raises(IndexError):
         Matrix.from_entries(2, 2, [(2, 0, Q(1))])
+
+
+# -- differential tests against textbook Fraction elimination ---------------------
+#
+# reference_rref is plain Gauss-Jordan over the rationals on the sparse rows:
+# the pivot of each column is the first remaining row that is nonzero there,
+# and every step is Fraction arithmetic.  Matrix.rref pivots on other rows and
+# eliminates on integer rows, so agreeing with it on rows, pivots and scalar
+# type checks both the reduced form and the conversion back to Q.
+
+def reference_rref(m):
+    data = [dict(m.row_entries(i)) for i in range(m.rows)]
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        pr = next((i for i in range(r, m.rows) if c in data[i]), None)
+        if pr is None:
+            continue
+        data[r], data[pr] = data[pr], data[r]
+        inv = 1 / data[r][c]
+        prow = data[r] = {j: x * inv for j, x in data[r].items()}
+        for i, row in enumerate(data):
+            f = row.get(c)
+            if f is None or i == r:
+                continue
+            for j, v in prow.items():
+                x = row.get(j, ZERO) - f * v
+                if x:
+                    row[j] = x
+                else:
+                    row.pop(j, None)
+        pivots.append(c)
+        r += 1
+    return data, tuple(pivots)
+
+
+def reference_kernel(m):
+    red, pivots = reference_rref(m)
+    free = [f for f in range(m.cols) if f not in pivots]
+    cols = []
+    for f in free:
+        v = [ZERO] * m.cols
+        v[f] = ONE
+        for i, p in enumerate(pivots):
+            v[p] = -red[i].get(f, ZERO)
+        cols.append(v)
+    return Matrix.from_columns(cols, rows=m.cols)
+
+
+def reference_solve(m, rhs):
+    red, pivots = reference_rref(hstack(m, rhs))
+    if pivots and pivots[-1] >= m.cols:
+        return None
+    out = [[ZERO] * rhs.cols for _ in range(m.cols)]
+    for i, p in enumerate(pivots):
+        out[p] = [red[i].get(m.cols + k, ZERO) for k in range(rhs.cols)]
+    return Matrix.from_rows(out)
+
+
+def reference_inverse(m):
+    red, pivots = reference_rref(m)
+    if len(pivots) < m.rows:
+        return None
+    return reference_solve(m, Matrix.identity(m.rows))
+
+
+BIG = 10 ** 40
+elimination_entries = st.one_of(
+    st.just(Q(0)), st.just(Q(0)), st.just(Q(0)), st.just(Q(0)), st.just(Q(0)),
+    rationals,
+    st.builds(Q, st.integers(-BIG, BIG), st.integers(1, 10 ** 6)),
+    st.builds(Q, st.integers(-50, 50), st.sampled_from([1, 2, 3, 4, 6, 9, 10, 12, 35])))
+
+
+@st.composite
+def elimination_matrices(draw, rows=None, cols=None):
+    """Sparse rational matrices up to 12 x 16, wide and tall, with mixed and
+    40-digit entries, zero rows, repeated rows and multiples of earlier rows."""
+    rows = draw(st.integers(1, 12)) if rows is None else rows
+    cols = draw(st.integers(1, 16)) if cols is None else cols
+    data = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(["fresh", "fresh", "fresh", "zero", "repeat", "multiple"]))
+        if kind == "zero":
+            data.append([ZERO] * cols)
+        elif kind != "fresh" and data:
+            row = draw(st.sampled_from(data))
+            scale = ONE if kind == "repeat" else draw(elimination_entries.filter(bool))
+            data.append([x * scale for x in row])
+        else:
+            data.append(draw(st.lists(elimination_entries, min_size=cols, max_size=cols)))
+    return Matrix.from_rows(data)
+
+
+square_elimination = st.integers(1, 10).flatmap(lambda n: elimination_matrices(n, n))
+
+
+@given(elimination_matrices())
+@settings(max_examples=100, deadline=None)
+def test_rref_matches_reference_elimination(m):
+    red, pivots = m.rref()
+    want, want_pivots = reference_rref(m)
+    assert pivots == want_pivots
+    assert [dict(red.row_entries(i)) for i in range(red.rows)] == want
+    assert all(type(x) is Q for i in range(red.rows) for _, x in red.row_entries(i))
+
+
+@given(elimination_matrices())
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_reference_elimination(m):
+    k = m.kernel()
+    assert k == reference_kernel(m)
+    assert all(type(x) is Q for i in range(k.rows) for _, x in k.row_entries(i))
+
+
+@given(elimination_matrices(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_solve_matches_reference_elimination(m, data):
+    k = data.draw(st.integers(1, 3))
+    if data.draw(st.booleans()):
+        rhs = m * data.draw(elimination_matrices(m.cols, k))
+    else:
+        rhs = data.draw(elimination_matrices(m.rows, k))
+    assert m.solve(rhs) == reference_solve(m, rhs)
+
+
+@given(square_elimination)
+@settings(max_examples=60, deadline=None)
+def test_inverse_matches_reference_elimination(m):
+    assert m.inverse() == reference_inverse(m)
+
+
+def reference_fixed_basis(mats, dim):
+    """Dense fixed-space basis: kernel columns scaled to content-1 integer
+    vectors with a positive first entry, then sorted as tuples."""
+    if not mats:
+        return Matrix.identity(dim)
+    ident = Matrix.identity(dim)
+    ker = reference_kernel(vstack(*[m - ident for m in mats]))
+    cols = []
+    for c in ker.columns():
+        den = lcm(*(x.denominator for x in c))
+        ints = [int(x * den) for x in c]
+        g = gcd(*ints)
+        first = next(n for n in ints if n)
+        cols.append(tuple(n // (g if first > 0 else -g) for n in ints))
+    return Matrix.from_columns(sorted(cols), rows=dim)
+
+
+monomial_actions = st.integers(1, 8).flatmap(lambda n: st.lists(
+    st.tuples(st.permutations(range(n)),
+              st.lists(st.sampled_from([ONE, ONE, -ONE, Q(2), Q(-1, 3)]), min_size=n, max_size=n)),
+    max_size=3).map(lambda gens: (n, gens)))
+
+
+@given(monomial_actions)
+@settings(max_examples=100, deadline=None)
+def test_fixed_basis_matches_dense_normalization(action):
+    n, gens = action
+    mats = [Matrix.permutation(images) for images, _ in gens]
+    signed = [P * Matrix.from_entries(n, n, [(i, i, s) for i, s in enumerate(signs)])
+              for P, (_, signs) in zip(mats, gens)]
+    for group in (mats, signed):
+        assert fixed_basis(group, n) == reference_fixed_basis(group, n)
+
+
+def test_fixed_basis_matches_dense_normalization_p3_cubic(L3, catalog3):
+    for gens in ([1], [2], [1, 2], list(range(L3.group.order))):
+        mats = [L3.action[g] for g in gens]
+        assert fixed_basis(mats, L3.dim) == reference_fixed_basis(mats, L3.dim)
+    for entry in catalog3:
+        act = semilinear_action(group_algebra(L3, entry.subgroup))
+        A = act.parent
+        mats = [act.matrix(g) for g in L3.group.generators]
+        assert fixed_basis(mats, A.dim) == reference_fixed_basis(mats, A.dim)
