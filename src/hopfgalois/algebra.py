@@ -180,8 +180,7 @@ class CheckReport(list):
 def first_difference(*pairs):
     """The smallest column at which some (lhs, rhs) pair of equally shaped
     matrices differs, or None when every pair is equal."""
-    diffs = [lhs - rhs for lhs, rhs in pairs]
-    return min((j for diff in diffs for i in range(diff.rows) for j, _ in diff.row_entries(i)),
+    return min((j for j in (lhs.first_difference(rhs) for lhs, rhs in pairs) if j is not None),
                default=None)
 
 

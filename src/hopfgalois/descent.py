@@ -15,10 +15,12 @@ check L (x) H = L[N], and span comparison against closed-form bases.
 Every product in L[N] goes through the sparse GroupAlgebraOverL.left_operator,
 so the structure constants of H are one solve of the stacked h_i * B.
 Comultiplication descends through the base-change map Phi: L (x) H -> L[N],
-x (x) h -> x*h.  Applying Phi^-1 to Delta(h) = sum_t x_t (eta_t (x) eta_t)
-one tensor leg at a time, as one sparse product per leg, rewrites it over
-h_i (x) h_j; the coefficients are provably rational, and this
-implementation checks that exactly instead of assuming it.
+x (x) h -> x*h, which descend builds once and keeps on DescentProvenance.phi
+for the base-change check.  Applying Phi^-1 to
+Delta(h) = sum_t x_t (eta_t (x) eta_t) one tensor leg at a time, as one
+sparse product per leg, rewrites it over h_i (x) h_j; the coefficients are
+provably rational, and this implementation checks that exactly instead of
+assuming it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from dataclasses import dataclass
 from .algebra import CheckReport, HopfPresentation, action_report, first_difference
 from .extensions import fixed_subalgebra, quadratic_sqrt_witness
 from .groups import conj_by, left_regular
-from .linalg import Matrix, ONE, ZERO, fixed_basis, hstack, spans_equal, vec_add
+from .linalg import (Matrix, ONE, ZERO, disjoint_sum, fixed_basis, hstack, spans_equal,
+                     vec_add)
 
 
 class DescentError(RuntimeError):
@@ -81,12 +84,14 @@ class GroupAlgebraOverL:
     def left_operator(self, x):
         """Matrix of left multiplication by x = sum_t x_t eta_t: as (x_t eta_t)(y eta_u)
         = (x_t y) eta_(tu), the sum over the nonzero slots t of x of
-        slot_map(row t of N's multiplication table, L.mult_operator(x_t))."""
+        slot_map(row t of N's multiplication table, L.mult_operator(x_t)).
+        These slot maps have disjoint supports (block t*u, u for each u), so
+        the sum is one pass that writes each into the same rows."""
         coeffs = self.coefficients(x)
         mt = self.N.mult_table
-        return sum((self.slot_map(mt[t], self.L.mult_operator(coeffs.row(t)))
-                    for t in range(self.N.order) if coeffs.row_entries(t)),
-                   Matrix.zeros(self.dim, self.dim))
+        return disjoint_sum(self.dim, self.dim,
+                            (self.slot_map(mt[t], self.L.mult_operator(coeffs.row(t)))
+                             for t in range(self.N.order) if coeffs.row_entries(t)))
 
     def mul(self, x, y):
         return self.left_operator(x).apply(y)
@@ -158,6 +163,7 @@ class DescentProvenance:
 
     parent: GroupAlgebraOverL
     basis: Matrix
+    phi: Matrix  # the base change L (x) H -> L[N], as lform_matrix(parent, basis)
     label: str = None
 
 
@@ -201,9 +207,9 @@ def descend(A, label=None):
     if antipode is None:
         raise DescentError("an antipode image left the fixed ring")
 
-    comul = _descended_comultiplication(A, B)
+    comul, phi = _descended_comultiplication(A, B)
 
-    prov = DescentProvenance(parent=A, basis=B, label=label)
+    prov = DescentProvenance(parent=A, basis=B, phi=phi, label=label)
     names = tuple(f"h{k}" for k in range(n))
     return HopfPresentation(mult, unit, comul, counit, antipode,
                             names=names, provenance=prov)
@@ -216,8 +222,10 @@ def lform_matrix(A, B):
 
 
 def _descended_comultiplication(A, B):
+    """The comultiplication of the fixed ring with basis B, and Phi."""
     d, n = A.L.dim, B.cols
-    phi_inv = lform_matrix(A, B).inverse()
+    phi = lform_matrix(A, B)
+    phi_inv = phi.inverse()
     if phi_inv is None:
         raise DescentError("base change L (x) H -> L[N] is not invertible")
     # stage 1: column k*n + t of `pieces` is the term x_t eta_t of h_k, and
@@ -235,9 +243,10 @@ def _descended_comultiplication(A, B):
     w = Matrix.from_entries(A.dim, n * n, entries)
     # stage 2: w_i = sum_j c_ij h_j, and every c_ij must be rational
     coeffs = _rational_coefficients(A.L, phi_inv * w, "comultiplication")
-    return Matrix.from_entries(n * n, n, ((i * n + j, k, c) for j in range(n)
-                                          for ki, c in coeffs.row_entries(j)
-                                          for k, i in [divmod(ki, n)]))
+    comul = Matrix.from_entries(n * n, n, ((i * n + j, k, c) for j in range(n)
+                                           for ki, c in coeffs.row_entries(j)
+                                           for k, i in [divmod(ki, n)]))
+    return comul, phi
 
 
 def _provenance_of(H):
@@ -329,11 +338,11 @@ def verify_hopf_galois(H):
 
 
 def base_change_is_group_algebra(H):
-    """Whether L (x) H -> L[N] is bijective (H is an L-form of L[N])."""
+    """Whether L (x) H -> L[N] is bijective (H is an L-form of L[N]), read off
+    the Phi that descend built and kept."""
     prov = _provenance_of(H)
-    A = prov.parent
-    phi = lform_matrix(A, prov.basis)
-    return phi.cols == A.dim and phi.rank() == A.dim
+    phi, dim = prov.phi, prov.parent.dim
+    return phi.cols == dim and phi.rank() == dim
 
 
 # -- closed-form bases --------------------------------------------------------

@@ -3,9 +3,11 @@
 Immutable sparse-row matrices over arbitrary-precision rationals: each row
 keeps only its nonzero entries, so work scales with the nonzeros, not the
 shape.  Everything is computed exactly; no floating point appears anywhere
-in this package.  Row reduction eliminates on primitive integer rows and
-returns the unique reduced row echelon form, whichever rows it pivots on, so
-kernels and solutions are reproducible across runs.
+in this package.  In a matrix product a left factor equal to one costs no
+arithmetic, and so does scaling by one.  Row reduction eliminates on
+primitive integer rows and returns the unique reduced row echelon form,
+whichever rows it pivots on, so kernels and solutions are reproducible
+across runs.
 
 The scalar type is gmpy2.mpq when available (roughly an order of magnitude
 faster than fractions.Fraction on the elimination-heavy workloads here) and
@@ -181,12 +183,24 @@ class Matrix:
         return Matrix._wrap(self.rows, self.cols,
                             [{j: -a for j, a in r.items()} for r in self._rows])
 
+    def first_difference(self, other):
+        """The smallest column at which `other`, of the same shape, differs
+        from this matrix, or None when they are equal; the zero-free row
+        dicts are compared, so no difference matrix is built."""
+        self._check_same_shape(other)
+        return min((min(j for j in ra.keys() | rb.keys() if ra.get(j) != rb.get(j))
+                    for ra, rb in zip(self._rows, other._rows) if ra != rb), default=None)
+
     def _check_same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
 
     def __mul__(self, other):
-        """Matrix product, or scalar multiple when `other` is a scalar."""
+        """Matrix product, or scalar multiple when `other` is a scalar.
+
+        A left entry equal to one adds its right-hand row unchanged, so a
+        factor of one costs no arithmetic.
+        """
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in product")
@@ -195,9 +209,14 @@ class Matrix:
             for r in self._rows:
                 acc = {}
                 for k, a in r.items():
-                    for j, b in brows[k].items():
-                        x = acc.get(j)
-                        acc[j] = a * b if x is None else x + a * b
+                    if a == 1:
+                        for j, b in brows[k].items():
+                            x = acc.get(j)
+                            acc[j] = b if x is None else x + b
+                    else:
+                        for j, b in brows[k].items():
+                            x = acc.get(j)
+                            acc[j] = a * b if x is None else x + a * b
                 out.append({j: x for j, x in acc.items() if x})
             return Matrix._wrap(self.rows, other.cols, out)
         return self._scaled(Q(other))
@@ -206,6 +225,8 @@ class Matrix:
         return self._scaled(Q(other))
 
     def _scaled(self, q):
+        if q == 1:
+            return self
         if not q:
             return Matrix.zeros(self.rows, self.cols)
         return Matrix._wrap(self.rows, self.cols,
@@ -402,6 +423,21 @@ def hstack(*mats):
             out.update((j + offset, x) for j, x in r.items())
         offset += m.cols
     return Matrix._wrap(rows, offset, data)
+
+
+def disjoint_sum(rows, cols, mats):
+    """The sum of rows x cols matrices with pairwise disjoint supports, written
+    into one set of rows with no arithmetic; ValueError when supports overlap."""
+    data = [{} for _ in range(rows)]
+    for m in mats:
+        if (m.rows, m.cols) != (rows, cols):
+            raise ValueError("shape mismatch in disjoint_sum")
+        for out, r in zip(data, m._rows):
+            n = len(out)
+            out.update(r)
+            if len(out) != n + len(r):
+                raise ValueError("supports overlap in disjoint_sum")
+    return Matrix._wrap(rows, cols, data)
 
 
 def vstack(*mats):

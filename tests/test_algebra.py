@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hopfgalois.algebra import (Algebra, Check, algebra_axiom_report,
+from hopfgalois.algebra import (Algebra, Check, algebra_axiom_report, first_difference,
                                 group_hopf_algebra, hopf_axiom_report,
                                 hopf_map_violation)
 from hopfgalois.extensions import rational_square_of
@@ -137,3 +139,59 @@ def test_algebra_rejects_malformed_structure_constants():
     with pytest.raises(ValueError):
         Algebra(Matrix.from_columns([(ONE, ZERO), (ZERO, ONE), (ZERO, ONE), (ONE, ZERO)]),
                 (ONE, ZERO, ZERO))
+
+
+# -- first_difference against the difference-matrix formula -----------------------
+
+def reference_first_difference(*pairs):
+    """The smallest column at which some lhs - rhs has a nonzero entry."""
+    diffs = [lhs - rhs for lhs, rhs in pairs]
+    return min((j for diff in diffs for i in range(diff.rows) for j, _ in diff.row_entries(i)),
+               default=None)
+
+
+small_rationals = st.builds(Q, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def matrix_pairs(draw):
+    """One to three equally shaped pairs; each rhs is its lhs with some
+    entries kept, re-created as equal but distinct objects, zeroed, or
+    replaced, so entries present on one side only are common."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 7))
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        lhs = draw(st.lists(st.one_of(st.just(ZERO), small_rationals),
+                            min_size=rows * cols, max_size=rows * cols))
+        rhs = []
+        for x in lhs:
+            kind = draw(st.sampled_from(["keep", "keep", "copy", "copy", "zero", "new"]))
+            rhs.append(x if kind == "keep" else Q(x.numerator, x.denominator) if kind == "copy"
+                       else ZERO if kind == "zero" else draw(small_rationals))
+        pairs.append((Matrix(rows, cols, lhs), Matrix(rows, cols, rhs)))
+    return pairs
+
+
+@given(matrix_pairs())
+@example([(Matrix.from_rows([[0, 1, 0], [0, 0, 0]]), Matrix.from_rows([[0, 1, 0], [2, 0, 0]]))])
+@example([(Matrix.from_rows([[Q(1, 2), 3]]), Matrix.from_rows([[Q(2, 4), Q(6, 2)]]))])
+@example([(Matrix.from_rows([[1, 0, 5], [0, 0, 0]]), Matrix.from_rows([[1, 0, 4], [0, 7, 0]])),
+          (Matrix.from_rows([[0, 0, 0], [0, 0, 0]]), Matrix.from_rows([[0, 0, 0], [0, 0, 1]]))])
+@settings(max_examples=100, deadline=None)
+def test_first_difference_matches_the_difference_formula(pairs):
+    assert first_difference(*pairs) == reference_first_difference(*pairs)
+
+
+def test_first_difference_cases():
+    a = Matrix.from_rows([[1, 0, 5], [0, 0, 0]])
+    # present on one side only, in either direction
+    assert first_difference((a, Matrix.from_rows([[1, 2, 5], [0, 0, 0]]))) == 1
+    assert first_difference((Matrix.from_rows([[1, 2, 5], [0, 0, 0]]), a)) == 1
+    # equal values held as distinct objects are no difference
+    assert first_difference((a, Matrix.from_rows([[Q(2, 2), 0, Q(10, 2)], [0, 0, 0]]))) is None
+    # a later row at a smaller column wins
+    b = Matrix.from_rows([[1, 0, 6], [0, 3, 0]])
+    assert first_difference((a, b)) == 1
+    assert first_difference((a, a)) is None
+    with pytest.raises(ValueError):
+        first_difference((a, Matrix.zeros(3, 2)))

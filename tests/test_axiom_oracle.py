@@ -37,16 +37,15 @@ def ref_comul_of(H, x):
 
 def ref_algebra_axiom_report(A):
     n = A.dim
+    e = [A.basis_vector(i) for i in range(n)]
     report = CheckReport()
     detail = next((f"unit fails on basis {i}" for i in range(n)
-                   if A.mul(A.unit, A.basis_vector(i)) != A.basis_vector(i)
-                   or A.mul(A.basis_vector(i), A.unit) != A.basis_vector(i)), None)
+                   if A.mul(A.unit, e[i]) != e[i] or A.mul(e[i], A.unit) != e[i]), None)
     report.add("unit", detail is None, detail)
     prods = [A.mult.column(ij) for ij in range(n * n)]
     detail = next((f"associativity fails at ({i},{j},{k})"
                    for i in range(n) for j in range(n) for k in range(n)
-                   if A.mul(prods[i * n + j], A.basis_vector(k))
-                   != A.mul(A.basis_vector(i), prods[j * n + k])), None)
+                   if A.mul(prods[i * n + j], e[k]) != A.mul(e[i], prods[j * n + k])), None)
     report.add("associativity", detail is None, detail)
     return report
 
@@ -125,12 +124,20 @@ def ref_measuring_report(H):
     report.add("measures-unit", detail is None, detail)
 
     prods = [L.mult.column(ab) for ab in range(L.dim * L.dim)]
+    # column a of mats[i] is h_i.e_a; the product (h_i.e_a)(h_j.e_b) is taken once
+    images = [[m.column(a) for a in range(L.dim)] for m in mats]
+    products = {}
+    terms = [H.comul_terms(k) for k in range(H.dim)]
 
     def products_fail(k, a, b):
         rhs = [ZERO] * L.dim
-        for (i, j), c in H.comul_terms(k).items():
-            pr = L.mul(mats[i].column(a), mats[j].column(b))
-            rhs = [r + c * v for r, v in zip(rhs, pr)]
+        for (i, j), c in terms[k].items():
+            key = (i, a, j, b)
+            if key not in products:
+                products[key] = [(m, v) for m, v in enumerate(L.mul(images[i][a], images[j][b]))
+                                 if v]
+            for m, v in products[key]:
+                rhs[m] += c * v
         return mats[k].apply(prods[a * L.dim + b]) != rhs
 
     detail = next((f"measuring fails at (h{k}, {L.names[a]}, {L.names[b]})"

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -211,3 +215,15 @@ def test_rationals_rendered_as_strings(capsys):
     points = json.loads(out)["results"]["polyform"]["points"]
     assert points[0] == ["-2", "0"]
     assert all(isinstance(v, str) for pt in points for v in pt)
+
+
+@pytest.mark.parametrize("argv,want", [(["catalog", "--p", "3"], 0), (["catalog", "--p", "4"], 2)])
+def test_module_entry_point_matches_main(capsys, argv, want):
+    code, out, _ = run(capsys, *argv)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    done = subprocess.run([sys.executable, "-m", "hopfgalois", *argv], capture_output=True,
+                          env=env, timeout=300)
+    assert code == done.returncode == want
+    assert done.stdout == out.encode()

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hopfgalois import descent
 from hopfgalois.algebra import HopfPresentation, hopf_axiom_report
 from hopfgalois.catalog import catalog, cyclic_generator
 from hopfgalois.descent import (DescentError, NormalizationError, _descended_comultiplication,
@@ -167,6 +168,27 @@ def test_lform_negative_control(descended3):
     assert full.rank() == 36
     truncated = Matrix.from_columns([B.column(j) for j in range(5)], rows=A.dim)
     assert lform_matrix(A, truncated).rank() == 30
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_phi_is_built_once_and_kept(monkeypatch, L3, p):
+    # p = 3 over cubic:2, p = 5 over the split model; every structure of each
+    L = L3 if p == 3 else split_model(dihedral(p))
+    calls = []
+
+    def counted(A, B):
+        calls.append(B.cols)
+        return lform_matrix(A, B)
+
+    for e in catalog(p):
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(descent, "lform_matrix", counted)
+            H = descend(group_algebra(L, e.subgroup), label=e.label)
+            assert base_change_is_group_algebra(H)
+        assert calls == [2 * p], e.label
+        prov = H.provenance
+        assert prov.phi == lform_matrix(prov.parent, prov.basis)
 
 
 def test_corrupted_comultiplication_fails_axioms(descended3):

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfgalois.descent import group_algebra, semilinear_action
-from hopfgalois.linalg import (Matrix, ONE, Q, ZERO, fixed_basis, hstack, integer_normalized,
-                               rational, spans_equal, vstack)
+from hopfgalois.linalg import (Matrix, ONE, Q, ZERO, disjoint_sum, fixed_basis, hstack,
+                               integer_normalized, rational, spans_equal, vstack)
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7).map(
     lambda f: Q(f.numerator, f.denominator))
@@ -262,6 +262,68 @@ def test_sparse_product_matches_dense(a, b):
             for i in range(a.rows)]
     assert a * b == Matrix.from_rows(want)
     assert (a * b).transpose() == b.transpose() * a.transpose()
+
+
+# -- the unit path of the product ------------------------------------------------
+#
+# A left factor equal to one is added without a multiplication, whether it is
+# the shared ONE or another object equal to one; the entries must stay of type
+# Q either way.
+
+unit_entries = st.one_of(st.just(ZERO), st.just(ONE), st.builds(Q, st.just(1)),
+                         st.builds(Q, st.just(2), st.just(2)), st.just(Q(-1)), rationals)
+
+
+def unit_matrix(rows, cols):
+    return st.lists(unit_entries, min_size=rows * cols,
+                    max_size=rows * cols).map(lambda e: Matrix(rows, cols, e))
+
+
+def dense_product(a, b):
+    return [[sum((a[i, k] * b[k, j] for k in range(a.cols)), Q(0)) for j in range(b.cols)]
+            for i in range(a.rows)]
+
+
+def all_entries_are_q(m):
+    return all(type(x) is Q for i in range(m.rows) for _, x in m.row_entries(i))
+
+
+@given(st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda s: st.tuples(unit_matrix(s[0], s[1]), unit_matrix(s[1], s[2]))))
+@settings(max_examples=100, deadline=None)
+def test_products_with_unit_factors_match_dense(pair):
+    a, b = pair
+    for got, want in ((a * b, dense_product(a, b)),
+                      (a * 1, [list(a.row(i)) for i in range(a.rows)]),
+                      (1 * a, [list(a.row(i)) for i in range(a.rows)]),
+                      (a.kron(b), [[a[i // b.rows, j // b.cols] * b[i % b.rows, j % b.cols]
+                                    for j in range(a.cols * b.cols)]
+                                   for i in range(a.rows * b.rows)])):
+        assert got == Matrix.from_rows(want)
+        assert all_entries_are_q(got)
+
+
+@given(sparse, st.data())
+@settings(max_examples=60, deadline=None)
+def test_disjoint_sum_is_the_sum(m, data):
+    # split the support of m at random into three parts
+    parts = [[], [], []]
+    for i in range(m.rows):
+        for j, x in m.row_entries(i):
+            parts[data.draw(st.integers(0, 2))].append((i, j, x))
+    mats = [Matrix.from_entries(m.rows, m.cols, part) for part in parts]
+    total = disjoint_sum(m.rows, m.cols, mats)
+    assert total == m == mats[0] + mats[1] + mats[2]
+    assert all_entries_are_q(total)
+    assert disjoint_sum(m.rows, m.cols, []) == Matrix.zeros(m.rows, m.cols)
+
+
+def test_disjoint_sum_refuses_overlap_and_shape():
+    a = Matrix.from_rows([[1, 0], [0, 2]])
+    with pytest.raises(ValueError):
+        disjoint_sum(2, 2, [a, Matrix.from_rows([[0, 0], [0, 3]])])
+    with pytest.raises(ValueError):
+        disjoint_sum(2, 2, [Matrix.identity(3)])
 
 
 def test_sparse_stacks_keep_offsets():

@@ -2,8 +2,9 @@
 
 gmpy2 is optional, so this puts a small `gmpy2` on sys.path whose `mpq` is a
 rational type distinct from fractions.Fraction and closed under arithmetic.
-Row reduction, kernels, solves and a p = 3 descent must give the same str()
-output with it as with Fraction, and every entry they return must be an mpq.
+Row reduction, kernels, solves, products by unit factors and a p = 3
+descent must give the same str() output with it as with Fraction, and every
+entry they return must be an mpq.
 """
 
 import subprocess
@@ -77,6 +78,10 @@ SCRIPT = textwrap.dedent('''
     rhs = m * Matrix.from_rows([[Q(k - j, 1 + j) for j in range(2)] for k in range(5)])
     show("solve", m.solve(rhs))
     show("inverse", (m + Matrix.identity(5)).inverse())
+    # left factors equal to one (shared, fresh and unnormalized) add rows without arithmetic
+    unit = Matrix.from_rows([[Q(1), Q(0), Q(2, 2), Q(0), Q(0)], [Q(0)] * 4 + [rational("1")]])
+    show("unit-product", unit * m)
+    show("unit-scaled", m * 1)
 
     L = splitting_field_cubic(2)
     for entry in catalog(3):
