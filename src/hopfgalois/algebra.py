@@ -32,6 +32,8 @@ class Algebra:
         if len(self.unit) != self.dim:
             raise ValueError("unit vector length mismatch")
         self.names = tuple(names) if names is not None else tuple(f"e{i}" for i in range(self.dim))
+        if len(self.names) != self.dim:
+            raise ValueError("names length mismatch")
 
     @cached_property
     def _products(self):
@@ -40,9 +42,7 @@ class Algebra:
         return tuple(tuple(t.row_entries(col)) for col in range(t.rows))
 
     def basis_vector(self, i):
-        v = [ZERO] * self.dim
-        v[i] = Q(1)
-        return v
+        return list(Matrix.identity(self.dim).column(i))
 
     def mul(self, x, y):
         n, terms = self.dim, self._products
@@ -145,8 +145,7 @@ def group_hopf_algebra(G, names=None):
     n = G.order
     mult = Matrix.from_entries(n, n * n, ((G.table[i][j], i * n + j, ONE)
                                           for i in range(n) for j in range(n)))
-    unit = [ZERO] * n
-    unit[G.identity] = Q(1)
+    unit = Matrix.identity(n).column(G.identity)
     comul = Matrix.from_entries(n * n, n, ((k * n + k, k, Q(1)) for k in range(n)))
     counit = Matrix(1, n, [Q(1)] * n)
     antipode = Matrix.permutation([G.inv(k) for k in range(n)])

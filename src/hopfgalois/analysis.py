@@ -31,7 +31,7 @@ from .catalog import catalog
 from .descent import group_algebra, descend
 from .groups import dihedral, equivariant_iso_search, left_regular, right_regular
 from .linalg import (Matrix, ONE, Q, ZERO, column_space_basis, hstack,
-                     integer_normalized, vec_is_zero, vstack)
+                     integer_normalized, vstack)
 
 KIND_FIELD = "field"
 KIND_MATRIX2 = "matrix2_over_center"
@@ -147,8 +147,7 @@ def rational_roots(coeffs):
 
 def _restricted_operator(H, basis, x):
     """Matrix of multiplication by x on the span of `basis` columns."""
-    images = [H.mul(x, basis.column(m)) for m in range(basis.cols)]
-    sol = basis.solve(Matrix.from_columns(images, rows=H.dim))
+    sol = basis.solve(H.mult_operator(x) * basis)
     if sol is None:
         raise AssertionError("span is not an ideal")
     return sol
@@ -164,7 +163,7 @@ def _split_unit(H, unit, part_a, part_b):
     for u in (ua, ub):
         if H.mul(u, u) != u:
             raise AssertionError("component unit is not idempotent")
-    if H.mul(ua, ub) != [ZERO] * H.dim:
+    if any(H.mul(ua, ub)):
         raise AssertionError("component units are not orthogonal")
     return ua, ub
 
@@ -255,8 +254,7 @@ def _idempotents_in(H):
     A = H.provenance.parent
     # slot t of L[N] holds e[t] * unit(L)
     idempotents = Matrix.from_columns(_character_idempotents(A.N.element_orders))
-    unit_slots = A.slot_map(range(A.N.order), Matrix.from_columns([A.L.unit]))
-    sol = H.provenance.basis.solve(unit_slots * idempotents)
+    sol = H.provenance.basis.solve(A.slots(A.L.unit) * idempotents)
     if sol is None:
         raise ValueError("character idempotents do not lie in the descended ring")
     return [sol[i, 0] for i in range(H.dim)], [sol[i, 1] for i in range(H.dim)]
@@ -272,12 +270,8 @@ def find_square_zero_element(H, basis=None, bound=2):
     if basis is None:
         basis = Matrix.identity(H.dim)
     for coords in iter_product(range(-bound, bound + 1), repeat=basis.cols):
-        if all(c == 0 for c in coords):
-            continue
         x = basis.apply(coords)
-        if vec_is_zero(x):
-            continue
-        if vec_is_zero(H.mul(x, x)):
+        if any(x) and not any(H.mul(x, x)):
             return x
     return None
 
@@ -308,7 +302,7 @@ def noncommutative_wedderburn_p3(H, nilpotent=None, scan_bound=2):
     for e in (e1, e2):
         if H.mul(e, e) != list(e):
             raise AssertionError("character element is not idempotent")
-    if not vec_is_zero(H.mul(e1, e2)):
+    if any(H.mul(e1, e2)):
         raise AssertionError("character idempotents are not orthogonal")
     e3 = [u - a - b for u, a, b in zip(H.unit, e1, e2)]
 
@@ -327,7 +321,7 @@ def noncommutative_wedderburn_p3(H, nilpotent=None, scan_bound=2):
     if nilpotent is not None:
         x = list(nilpotent)
         in_span = basis3.solve(Matrix.from_columns([x], rows=H.dim)) is not None
-        if in_span and not vec_is_zero(x) and vec_is_zero(H.mul(x, x)):
+        if in_span and any(x) and not any(H.mul(x, x)):
             witness = x
     if witness is None:
         witness = find_square_zero_element(H, basis3, bound=scan_bound)
@@ -350,17 +344,12 @@ def nilpotent_witness(L):
         raise ValueError("nilpotent witness lives over the cubic D_3 model")
     lam = left_regular(G)
     A = group_algebra(L, lam)
-    a_vec = L.basis_vector(1)                       # a
-    az_vec = L.basis_vector(4)                      # az
-    azz_vec = [ZERO] * 6
-    azz_vec[1] = -ONE                               # a z^2 = -a - az
-    azz_vec[4] = -ONE
-    s_idx, rs_idx, r2s_idx = 3, 4, 5
-    vec = [ZERO] * A.dim
-    for coeff, g in ((a_vec, s_idx), (azz_vec, rs_idx), (az_vec, r2s_idx)):
-        emb = A.embed(coeff, A.N.index_of(lam.elements[g]))
-        vec = [x + y for x, y in zip(vec, emb)]
-    return vec
+    # the coefficients a, a z^2 = -a - az and az, as columns j = 0, 1, 2
+    coeffs = Matrix.from_entries(6, 3, [(1, 0, ONE), (1, 1, -ONE), (4, 1, -ONE), (4, 2, ONE)])
+    # e_t (x) e_j for the slot t of the j-th of s, rs, r^2 s
+    picks = Matrix.from_entries(A.N.order * 3, 1, ((A.N.index_of(lam.elements[g]) * 3 + j, 0, ONE)
+                                                   for j, g in enumerate((3, 4, 5))))
+    return list((A.slot_map(range(A.N.order), coeffs) * picks).column(0))
 
 
 # -- isomorphism classes ------------------------------------------------------

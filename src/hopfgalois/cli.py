@@ -181,11 +181,8 @@ def _numeral_digits(raw):
             sum(map(str.isdigit, den + fraction)) + max(-shift, 0) + 1)
 
 
-def _ln_string(A, vec):
-    terms = []
-    for idx, c in enumerate(vec):
-        if c:
-            terms.append(f"({c})*{A.name_of_basis(idx)}")
+def _ln_string(A, entries):
+    terms = [f"({c})*{A.name_of_basis(idx)}" for idx, c in sorted(entries.items())]
     return " + ".join(terms) if terms else "0"
 
 
@@ -284,7 +281,7 @@ def cmd_descend(args):
         "dim": H.dim,
         "commutative": H.is_commutative(),
         "cocommutative": H.is_cocommutative(),
-        "basis": [_ln_string(A, H.provenance.basis.column(j))
+        "basis": [_ln_string(A, H.provenance.basis.column_entries(j))
                   for j in range(H.dim)],
     }
     return {"command": "descend",

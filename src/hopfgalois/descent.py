@@ -12,8 +12,13 @@ report, the induced action of H on L with its measuring property, exact
 bijectivity of the Hopf-Galois map j: L (x) H -> End(L), the base-change
 check L (x) H = L[N], and span comparison against closed-form bases.
 
-Every product in L[N] goes through the sparse GroupAlgebraOverL.left_operator,
-so the structure constants of H are one solve of the stacked h_i * B.
+Elements and maps of L[N] are sparse slot maps, GroupAlgebraOverL.slot_map =
+permutation(images) (x) M, with slots(u) (column t is u * eta_t) its one-column
+case.  Products go through left_operator, a sum of slot maps, so the structure
+constants of H are one solve of the stacked h_i * B.  The closed-form bases are
+products of U = slots(1), W = slots(w) for the rational-square witness w of L,
+and the slot inversion iota: U + iota U has the columns eta_t + eta_t^-1, and
+W - iota W the columns w*(eta_t - eta_t^-1).
 Comultiplication descends through the base-change map Phi: L (x) H -> L[N],
 x (x) h -> x*h, which descend builds once and keeps on DescentProvenance.phi
 for the base-change check.  Applying Phi^-1 to
@@ -28,10 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import CheckReport, HopfPresentation, action_report, first_difference
-from .extensions import fixed_subalgebra, quadratic_sqrt_witness
+from .extensions import quadratic_sqrt_witness
 from .groups import conj_by, left_regular
-from .linalg import (Matrix, ONE, ZERO, disjoint_sum, fixed_basis, hstack, spans_equal,
-                     vec_add)
+from .linalg import Matrix, ONE, disjoint_sum, fixed_basis, hstack, spans_equal
 
 
 class DescentError(RuntimeError):
@@ -57,15 +61,6 @@ class GroupAlgebraOverL:
         self.N = N
         self.dim = L.dim * N.order
 
-    def chunk(self, vec, t):
-        d = self.L.dim
-        return list(vec[t * d:(t + 1) * d])
-
-    def embed(self, x, t):
-        """The element x * eta_t for an L-coordinate vector x."""
-        d = self.L.dim
-        return [ZERO] * (t * d) + list(x) + [ZERO] * (self.dim - (t + 1) * d)
-
     def slot_map(self, images, M=None):
         """The map x * eta_t -> M(x) * eta_images[t], as permutation(images) (x) M.
 
@@ -76,6 +71,10 @@ class GroupAlgebraOverL:
         if M is None:
             M = Matrix.identity(self.L.dim)
         return Matrix.permutation(images).kron(M)
+
+    def slots(self, u):
+        """The dim x |N| matrix whose column t is u * eta_t: slot_map(identity, u)."""
+        return self.slot_map(range(self.N.order), Matrix.from_columns([u]))
 
     def coefficients(self, x):
         """x as the N.order x L.dim matrix whose row t is the L-coefficient of eta_t."""
@@ -95,12 +94,6 @@ class GroupAlgebraOverL:
 
     def mul(self, x, y):
         return self.left_operator(x).apply(y)
-
-    def plus_minus_pair(self, w, t, u):
-        """The elements 1*(eta_t + eta_u) and w*(eta_t - eta_u)."""
-        unit = self.L.unit
-        return (vec_add(self.embed(unit, t), self.embed(unit, u)),
-                vec_add(self.embed(w, t), [-c for c in self.embed(w, u)]))
 
     def name_of_basis(self, idx):
         d = self.L.dim
@@ -195,7 +188,8 @@ def descend(A, label=None):
     if mult is None:
         raise DescentError("a product of fixed vectors left the fixed ring")
 
-    unit_sol = B.solve(Matrix.from_columns([A.embed(A.L.unit, A.N.identity_position)]))
+    unit_sol = B.solve(A.slots(A.L.unit)
+                       * Matrix.from_entries(n, 1, [(A.N.identity_position, 0, ONE)]))
     if unit_sol is None:
         raise DescentError("the unit of L[N] is not in the fixed ring")
     unit = unit_sol.column(0)
@@ -216,9 +210,11 @@ def descend(A, label=None):
 
 
 def lform_matrix(A, B):
-    """Matrix of Phi: L (x) H -> L[N], x (x) h -> x*h; column (a,k) = a*n+k."""
-    return hstack(*[A.left_operator(A.embed(x, A.N.identity_position)) * B
-                    for x in Matrix.identity(A.L.dim).columns()])
+    """Matrix of Phi: L (x) H -> L[N], x (x) h -> x*h; column (a,k) = a*n+k; x * eta_1
+    multiplies on the left as slot_map(identity, L.mult_operator(x))."""
+    L = A.L
+    return hstack(*[A.slot_map(range(A.N.order), L.mult_operator(L.basis_vector(a))) * B
+                    for a in range(L.dim)])
 
 
 def _descended_comultiplication(A, B):
@@ -348,28 +344,39 @@ def base_change_is_group_algebra(H):
 # -- closed-form bases --------------------------------------------------------
 
 def explicit_classical_basis(A):
-    """Basis {1 * eta_t}: valid when conjugation fixes N pointwise."""
+    """Basis {1 * eta_t}, the matrix U: valid when conjugation fixes N pointwise."""
     lam = left_regular(A.L.group)
     for lamg in lam.elements:
         for eta in A.N.elements:
             if conj_by(lamg, eta).images != eta.images:
                 raise ValueError("classical basis needs a centralized N")
-    cols = [A.embed(A.L.unit, t) for t in range(A.N.order)]
-    return Matrix.from_columns(cols, rows=A.dim)
+    return A.slots(A.L.unit)
+
+
+def inverse_pair_columns(A, sums, differences):
+    """The columns of U + iota U at the slots `sums`, then of W - iota W at `differences`."""
+    inv = A.slot_map(A.N.inverse_table)
+    U, W = A.slots(A.L.unit), A.slots(quadratic_sqrt_witness(A.L))
+    n = A.N.order
+    picks = list(sums) + [n + t for t in differences]
+    return hstack(U + inv * U, W - inv * W) * Matrix.from_entries(
+        2 * n, len(picks), ((t, c, ONE) for c, t in enumerate(picks)))
 
 
 def explicit_translation_basis(A):
     """Closed-form basis of the fixed ring of L[lam(G)] for dihedral G.
 
     With w the rational-square witness (r(w) = w, s(w) = -w) and y running
-    over a basis of the s-fixed subalgebra:
+    over a basis Y of the s-fixed subalgebra:
 
       1,
       lam(r^i) + lam(r^(p-i))        and   w*(lam(r^i) - lam(r^(p-i))),
       sum_i r^((p+1)/2 * i)(y) * lam(r^i s).
 
-    The reflection coefficients solve the fixedness recursion b_{i+2} =
-    r(b_i) on the coefficients of lam(r^i s).
+    The first two lines are columns of U + iota U and W - iota W (1 as
+    2 * lam(1)).  The reflection coefficients solve the fixedness recursion
+    b_{i+2} = r(b_i) on the coefficients of lam(r^i s): the last line is
+    (sum over i of e_(r^i s) (x) r^((p+1)/2 * i)) * Y.
     """
     L = A.L
     G = L.group
@@ -378,46 +385,32 @@ def explicit_translation_basis(A):
         raise ValueError("translation basis needs N = lam(G)")
     r_idx, s_idx = G.generators
     p = G.element_order(r_idx)
-    w = quadratic_sqrt_witness(L)
     slot = [A.N.index_of(lam.elements[g]) for g in range(G.order)]
-
-    def rpow(i):
-        g = G.identity
-        for _ in range(i % p):
-            g = G.mul(g, r_idx)
-        return g
-
-    cols = [A.embed(L.unit, slot[G.identity])]
-    for i in range(1, (p - 1) // 2 + 1):
-        cols.extend(A.plus_minus_pair(w, slot[rpow(i)], slot[rpow(p - i)]))
-    # the slots of r^i s are distinct, so each coefficient lands in its own place
-    ybasis = fixed_subalgebra(L, [s_idx]).basis
+    rpow = [G.identity]  # rpow[i] = r^i
+    while len(rpow) < p:
+        rpow.append(G.mul(rpow[-1], r_idx))
     step = (p + 1) // 2
-    d = L.dim
-    reflections = Matrix.from_entries(A.dim, ybasis.cols, (
-        (slot[G.mul(rpow(i), s_idx)] * d + a, m, c)
-        for m, y in enumerate(ybasis.columns()) for i in range(p)
-        for a, c in enumerate(L.act(rpow(step * i), y)) if c))
-    return hstack(Matrix.from_columns(cols, rows=A.dim), reflections)
+    rotations = [slot[rpow[i]] for i in range(1, step)]
+    # the slots of r^i s are distinct, so the summands have disjoint supports
+    reflections = disjoint_sum(A.dim, L.dim, (
+        Matrix.from_entries(A.N.order, 1, [(slot[G.mul(rpow[i], s_idx)], 0, ONE)])
+        .kron(L.action[rpow[step * i % p]]) for i in range(p)))
+    return hstack(inverse_pair_columns(A, [slot[G.identity]] + rotations, rotations),
+                  reflections * L.fixed_space([s_idx]))
 
 
 def explicit_cyclic_basis(A, gen):
     """Closed-form basis for a cyclic N = <gen> of order 2p:
 
     1, gen^p, gen^i + gen^(2p-i), w*(gen^i - gen^(2p-i)) for i = 1..p-1,
-    with w the rational-square witness of L.
+    with w the rational-square witness of L (1 and gen^p taken as 2 and 2 gen^p).
     """
-    L = A.L
     n = A.N.order
     if n % 2 or gen not in A.N or gen.order() != n:
         raise ValueError("need a generator of a cyclic N of even order")
     p = n // 2
-    w = quadratic_sqrt_witness(L)
     slot = [A.N.index_of(gen.power(k)) for k in range(n)]
-    cols = [A.embed(L.unit, slot[0]), A.embed(L.unit, slot[p])]
-    for i in range(1, p):
-        cols.extend(A.plus_minus_pair(w, slot[i], slot[n - i]))
-    return Matrix.from_columns(cols, rows=A.dim)
+    return inverse_pair_columns(A, [slot[0], slot[p]] + slot[1:p], slot[1:p])
 
 
 def explicit_basis_matches(H, kind, gen=None):

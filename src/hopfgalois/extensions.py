@@ -81,9 +81,6 @@ class GaloisAlgebra(Algebra):
             if m.rows != self.dim or m.cols != self.dim:
                 raise ValueError("action matrix shape mismatch")
 
-    def act(self, g, x):
-        return self.action[g].apply(x)
-
     def fixed_space(self, indices):
         """Normalized basis of the space fixed by action(g) for g in indices."""
         return fixed_basis([self.action[g] for g in indices], self.dim)
@@ -109,12 +106,8 @@ class Subalgebra:
         return self.basis.cols
 
     def is_closed(self):
-        cols = self.basis.columns()
-        unit_sol = self.basis.solve(Matrix.from_columns([self.parent.unit]))
-        if unit_sol is None:
-            return False
-        prods = [self.parent.mul(x, y) for x in cols for y in cols]
-        return self.basis.solve(Matrix.from_columns(prods, rows=self.parent.dim)) is not None
+        return (self.basis.solve(Matrix.from_columns([self.parent.unit])) is not None
+                and self.basis.solve(self.parent.mult * self.basis.kron(self.basis)) is not None)
 
 
 def splitting_field_cubic(v):
@@ -132,24 +125,19 @@ def splitting_field_cubic(v):
     dim = 6
 
     def reduce_monomial(i, j):
-        # a^i z^j as a coordinate vector, i < 6, j < 4
+        # a^i z^j as a coordinate vector, i < 6, j < 4, expanded depth first
         out = {}
-
-        def put(ii, jj, coeff):
-            if coeff == 0:
-                return
+        work = [(i, j, ONE)]
+        while work:
+            ii, jj, coeff = work.pop()
             if jj >= 2:
                 # z^2 = -1 - z
-                put(ii, jj - 2, -coeff)
-                put(ii, jj - 1, -coeff)
-                return
-            if ii >= 3:
-                put(ii - 3, jj, coeff * v)
-                return
-            key = ii + 3 * jj
-            out[key] = out.get(key, ZERO) + coeff
-
-        put(i, j, ONE)
+                work += [(ii, jj - 1, -coeff), (ii, jj - 2, -coeff)]
+            elif ii >= 3:
+                work.append((ii - 3, jj, coeff * v))
+            else:
+                key = ii + 3 * jj
+                out[key] = out.get(key, ZERO) + coeff
         return out
 
     # basis index i + 3j is a^i z^j, so a product adds exponents
@@ -161,17 +149,12 @@ def splitting_field_cubic(v):
 
     # generator matrices, built by pushing each basis monomial through the map
     def matrix_for(image_of_a, image_of_z):
-        cols = []
-        for idx in range(dim):
-            i, j = idx % 3, idx // 3
-            # (image_of_a)^i * (image_of_z)^j where images are monomials a^x z^y
-            ax, ay = image_of_a
-            zx, zy = image_of_z
-            vec = [ZERO] * dim
-            for key, c in reduce_monomial(ax * i + zx * j, ay * i + zy * j).items():
-                vec[key] += c
-            cols.append(vec)
-        return Matrix.from_columns(cols, rows=dim)
+        # column i + 3j is (image_of_a)^i * (image_of_z)^j, the images being
+        # monomials a^x z^y
+        (ax, ay), (zx, zy) = image_of_a, image_of_z
+        return Matrix.from_entries(dim, dim, (
+            (key, i + 3 * j, c) for j in range(2) for i in range(3)
+            for key, c in reduce_monomial(ax * i + zx * j, ay * i + zy * j).items()))
 
     mat_r = matrix_for((1, 1), (0, 1))   # r: a -> a z, z -> z
     mat_s = matrix_for((1, 0), (0, 2))   # s: a -> a, z -> z^2

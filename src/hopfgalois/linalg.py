@@ -133,25 +133,23 @@ class Matrix:
 
     def __getitem__(self, key):
         i, j = key
-        if not 0 <= j < self.cols:
-            raise IndexError("column index out of range")
-        return self._rows[i].get(j, ZERO)
+        return self._rows[_checked(i, self.rows, "row")].get(_checked(j, self.cols, "column"), ZERO)
 
     def row(self, i):
-        r = self._rows[i]
+        r = self._rows[_checked(i, self.rows, "row")]
         return tuple(r.get(j, ZERO) for j in range(self.cols))
 
     def row_entries(self, i):
         """The nonzero entries of row i as (column, value) pairs."""
-        return self._rows[i].items()
+        return self._rows[_checked(i, self.rows, "row")].items()
 
     def column(self, j):
-        if not 0 <= j < self.cols:
-            raise IndexError("column index out of range")
+        _checked(j, self.cols, "column")
         return tuple(r.get(j, ZERO) for r in self._rows)
 
     def column_entries(self, j):
         """The nonzero entries of column j as a dict {row: value}."""
+        _checked(j, self.cols, "column")
         return {i: r[j] for i, r in enumerate(self._rows) if j in r}
 
     def columns(self):
@@ -375,6 +373,12 @@ class Matrix:
                              for arow in self._rows for brow in other._rows])
 
 
+def _checked(i, n, kind):
+    if not 0 <= i < n:  # a negative index does not count from the end
+        raise IndexError(f"{kind} index {i} out of range for size {n}")
+    return i
+
+
 def _primitive(row):
     """The integer multiple of a nonzero sparse rational row {j: x} with
     content 1 and a positive entry at its lowest column; it is unique."""
@@ -472,19 +476,6 @@ def spans_equal(a, b):
     if a.rows != b.rows:
         raise ValueError("ambient dimension mismatch")
     return column_space_basis(a) == column_space_basis(b)
-
-
-# -- vector helpers -----------------------------------------------------------
-#
-# Hot loops in the algebra layers work on plain lists of Q; Matrix is kept for
-# operators and bases.
-
-def vec_is_zero(v):
-    return all(not x for x in v)
-
-
-def vec_add(u, v):
-    return [a + b for a, b in zip(u, v)]
 
 
 def integer_normalized(v):

@@ -24,8 +24,8 @@ from math import isqrt
 
 from .algebra import Algebra, HopfPresentation, hopf_map_violation
 from .analysis import commutative_wedderburn
-from .descent import _provenance_of
-from .extensions import is_rational_square, quadratic_sqrt_witness
+from .descent import _provenance_of, inverse_pair_columns
+from .extensions import is_rational_square
 from .linalg import Matrix, ONE, Q, ZERO, rational
 
 MONOMIALS = ((0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1))
@@ -163,12 +163,10 @@ def check_iso_to_descended(P, H, gen):
     """
     prov = _provenance_of(H)
     A = prov.parent
-    L = A.L
     if H.dim != 6 or P.dim != 6:
         raise ValueError("presentation and target must have dimension 6")
-    w = quadratic_sqrt_witness(L)
-    x_ln, y_ln = A.plus_minus_pair(w, A.N.index_of(gen), A.N.index_of(gen.inverse()))
-    sol = prov.basis.solve(Matrix.from_columns([x_ln, y_ln], rows=A.dim))
+    t = A.N.index_of(gen)
+    sol = prov.basis.solve(inverse_pair_columns(A, [t], [t]))
     if sol is None:
         raise PolyMapError("membership")
     x_h, y_h = sol.columns()

@@ -141,6 +141,17 @@ def test_algebra_rejects_malformed_structure_constants():
                 (ONE, ZERO, ZERO))
 
 
+@pytest.mark.parametrize("names", [(), ("1",), ("1", "x", "y")])
+def test_algebra_rejects_names_of_the_wrong_length(names):
+    # Q[x]/(x^2) on the basis (1, x)
+    mult = Matrix.from_columns([(ONE, ZERO), (ZERO, ONE), (ZERO, ONE), (ZERO, ZERO)])
+    assert Algebra(mult, (ONE, ZERO), names=("1", "x")).names == ("1", "x")
+    with pytest.raises(ValueError, match="names"):
+        Algebra(mult, (ONE, ZERO), names=names)
+    with pytest.raises(ValueError, match="names"):
+        group_hopf_algebra(cyclic(2), names=names)
+
+
 # -- first_difference against the difference-matrix formula -----------------------
 
 def reference_first_difference(*pairs):

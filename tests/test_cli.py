@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -95,6 +96,28 @@ def test_deterministic_output(capsys):
     _, t1, _ = run(capsys, "catalog", "--p", "7")
     _, t2, _ = run(capsys, "catalog", "--p", "7")
     assert t1 == t2
+
+
+# SHA-256 of the stdout of the README examples (run without --out), pinned so a
+# change of any report byte shows; they do not depend on PYTHONHASHSEED
+README_REPORT_DIGESTS = {
+    "catalog --p 13": "1ecfbef469c7618fe6d4ef5f2dd60a80d7fd214b7512446345b44b7f89243187",
+    "enumerate --group d3 --json":
+        "4416e8f15914f54da2acee3870796ab340a5adee647b257084eb00329fdee06d",
+    "descend --p 3 --structure lambda --field cubic:2":
+        "b467ff0f551a24661f7fdcb0be82d3391dfd1551c7cf30d577cbceb94cd581f7",
+    "descend --p 7 --structure N3 --field split --json":
+        "b76757764b69cd35bdc01c6ab8f844827face2c2dbaff3dd149c178327f379b0",
+    "classify --field cubic:2 --json":
+        "5dba7a61df4bb1ea818d013d3d09291a1bc1f876c5197e68828154a5a5f3d981",
+}
+
+
+@pytest.mark.parametrize("command", list(README_REPORT_DIGESTS))
+def test_readme_reports_keep_their_bytes(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == README_REPORT_DIGESTS[command]
 
 
 def test_out_file(tmp_path, capsys):

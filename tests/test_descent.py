@@ -5,19 +5,33 @@ import pytest
 from hopfgalois import descent
 from hopfgalois.algebra import HopfPresentation, hopf_axiom_report
 from hopfgalois.catalog import catalog, cyclic_generator
+from hopfgalois.analysis import nilpotent_witness
 from hopfgalois.descent import (DescentError, NormalizationError, _descended_comultiplication,
                                 base_change_is_group_algebra,
                                 descend, explicit_basis_matches,
-                                explicit_classical_basis, group_algebra,
-                                hopf_action, hopf_galois_matrix, lform_matrix,
-                                measuring_report, semilinear_action,
+                                explicit_classical_basis, explicit_cyclic_basis,
+                                explicit_translation_basis, group_algebra,
+                                hopf_action, hopf_galois_matrix, inverse_pair_columns,
+                                lform_matrix, measuring_report, semilinear_action,
                                 verify_hopf_galois)
-from hopfgalois.extensions import split_model
+from hopfgalois.extensions import quadratic_sqrt_witness, split_model
 from hopfgalois.groups import (Perm, closure, dihedral, group_isomorphisms,
                                is_normalized_by, left_regular)
-from hopfgalois.linalg import Matrix, Q, ZERO, vec_is_zero
+from hopfgalois.linalg import Matrix, ONE, Q, ZERO, hstack, spans_equal
 
 LABELS3 = ("rho", "lambda", "N0", "N1", "N2")
+
+
+def _chunk(A, vec, t):
+    """The L-coefficient of eta_t in an L[N] coordinate vector."""
+    d = A.L.dim
+    return list(vec[t * d:(t + 1) * d])
+
+
+def _embed(A, x, t):
+    """The element x * eta_t for an L-coordinate vector x."""
+    d = A.L.dim
+    return [ZERO] * (t * d) + list(x) + [ZERO] * (A.dim - (t + 1) * d)
 
 
 def test_all_five_descents_pass_axioms(descended3):
@@ -56,7 +70,7 @@ def test_comultiplication_reconstructs_in_group_algebra(descended3):
         A = H.provenance.parent
         B = H.provenance.basis
         n = A.N.order
-        chunks = [[A.chunk(B.column(i), t) for t in range(n)] for i in range(H.dim)]
+        chunks = [[_chunk(A, B.column(i), t) for t in range(n)] for i in range(H.dim)]
         L = A.L
         zero = [ZERO] * L.dim
         for k in range(H.dim):
@@ -83,7 +97,7 @@ def test_antipode_is_slot_inversion(descended3):
             flipped = [ZERO] * A.dim
             for t in range(A.N.order):
                 ti = A.N.index_of(A.N.elements[t].inverse())
-                chunk = A.chunk(col, t)
+                chunk = _chunk(A, col, t)
                 for a, v in enumerate(chunk):
                     flipped[ti * A.L.dim + a] = v
             assert list(B.apply(H.antipode.column(k))) == flipped
@@ -98,7 +112,7 @@ def test_counit_sums_slots(descended3):
             col = H.provenance.basis.column(k)
             total = [ZERO] * L.dim
             for t in range(A.N.order):
-                for a, v in enumerate(A.chunk(col, t)):
+                for a, v in enumerate(_chunk(A, col, t)):
                     total[a] += v
             assert total == [H.counit[0, k] * u for u in L.unit]
 
@@ -146,9 +160,9 @@ def test_classical_basis_is_group_elements(L3, catalog3):
     for j in range(B.cols):
         col = B.column(j)
         nonzero_slots = [t for t in range(A.N.order)
-                         if not vec_is_zero(A.chunk(col, t))]
+                         if any(_chunk(A, col, t))]
         assert len(nonzero_slots) == 1
-        assert list(A.chunk(col, nonzero_slots[0])) == list(L3.unit)
+        assert list(_chunk(A, col, nonzero_slots[0])) == list(L3.unit)
 
 
 def test_action_negative_control(L3, descended3):
@@ -272,7 +286,7 @@ def test_slot_map_sends_each_slot_through_M(L3):
         for t in range(A.N.order):
             for a in range(A.L.dim):
                 x = A.L.basis_vector(a)
-                assert S.apply(A.embed(x, t)) == A.embed(oracle.apply(x), images[t])
+                assert S.apply(_embed(A, x, t)) == _embed(A, oracle.apply(x), images[t])
 
 
 def test_semilinear_matrix_matches_entrywise_formula(L3):
@@ -366,3 +380,109 @@ def test_irrational_comultiplication_coefficients_are_refused(descended3):
     assert base_change_is_group_algebra(H)
     with pytest.raises(DescentError, match="comultiplication: expected a rational multiple"):
         _descended_comultiplication(A, scaled)
+
+
+# -- closed-form bases against their coordinate-list constructions -------------
+
+def _pair_reference(A, w, t, u):
+    """1*(eta_t + eta_u) and w*(eta_t - eta_u) as coordinate lists."""
+    unit = A.L.unit
+    return ([a + b for a, b in zip(_embed(A, unit, t), _embed(A, unit, u))],
+            [a - b for a, b in zip(_embed(A, w, t), _embed(A, w, u))])
+
+
+def _reference_basis(A, kind, gen, w):
+    """The closed-form basis of `kind`, built column by column in L[N] coordinates."""
+    L = A.L
+    if kind == "classical":
+        return Matrix.from_columns([_embed(A, L.unit, t) for t in range(A.N.order)], rows=A.dim)
+    if kind == "cyclic":
+        n = A.N.order
+        p = n // 2
+        slot = [A.N.index_of(gen.power(k)) for k in range(n)]
+        cols = [_embed(A, L.unit, slot[0]), _embed(A, L.unit, slot[p])]
+        for i in range(1, p):
+            cols.extend(_pair_reference(A, w, slot[i], slot[n - i]))
+        return Matrix.from_columns(cols, rows=A.dim)
+    G = L.group
+    lam = left_regular(G)
+    r_idx, s_idx = G.generators
+    p = G.element_order(r_idx)
+    slot = [A.N.index_of(lam.elements[g]) for g in range(G.order)]
+
+    def rpow(i):
+        g = G.identity
+        for _ in range(i % p):
+            g = G.mul(g, r_idx)
+        return g
+
+    cols = [_embed(A, L.unit, slot[G.identity])]
+    for i in range(1, (p - 1) // 2 + 1):
+        cols.extend(_pair_reference(A, w, slot[rpow(i)], slot[rpow(p - i)]))
+    ybasis = L.fixed_space([s_idx])
+    step = (p + 1) // 2
+    d = L.dim
+    reflections = Matrix.from_entries(A.dim, ybasis.cols, (
+        (slot[G.mul(rpow(i), s_idx)] * d + a, m, c)
+        for m, y in enumerate(ybasis.columns()) for i in range(p)
+        for a, c in enumerate(L.action[rpow(step * i)].apply(y)) if c))
+    return hstack(Matrix.from_columns(cols, rows=A.dim), reflections)
+
+
+def _closed_form_cases(L3):
+    """(A, kind, gen) for every structure at p = 3 over cubic:2 and p = 5, 7 split."""
+    for L, p in ((L3, 3), (split_model(dihedral(5)), 5), (split_model(dihedral(7)), 7)):
+        for e in catalog(p):
+            A = group_algebra(L, e.subgroup)
+            if e.label in ("rho", "lambda"):
+                yield A, "classical" if e.label == "rho" else "translation", None
+            else:
+                yield A, "cyclic", cyclic_generator(p, int(e.label[1:]))
+
+
+def _closed_form(A, kind, gen):
+    if kind == "classical":
+        return explicit_classical_basis(A)
+    if kind == "translation":
+        return explicit_translation_basis(A)
+    return explicit_cyclic_basis(A, gen)
+
+
+def test_closed_forms_match_the_coordinate_lists(L3):
+    for A, kind, gen in _closed_form_cases(L3):
+        w = quadratic_sqrt_witness(A.L)
+        ref = _reference_basis(A, kind, gen, w)
+        basis = _closed_form(A, kind, gen)
+        assert basis.cols == basis.rank() == A.N.order, kind
+        assert spans_equal(basis, ref), kind
+        if kind == "classical":
+            assert basis == ref
+        elif kind == "cyclic":
+            # the pair check_iso_to_descended maps x and y to, entry for entry
+            t = A.N.index_of(gen)
+            pair = _pair_reference(A, w, t, A.N.index_of(gen.inverse()))
+            assert inverse_pair_columns(A, [t], [t]) == Matrix.from_columns(pair)
+
+
+def test_closed_forms_with_the_unit_for_w_do_not_match(L3, monkeypatch):
+    # negative control: w * (eta_t - eta_t^-1) is what tells these forms apart
+    monkeypatch.setattr(descent, "quadratic_sqrt_witness", lambda L: L.unit)
+    for A, kind, gen in _closed_form_cases(L3):
+        if kind == "classical":
+            continue
+        ref = _reference_basis(A, kind, gen, quadratic_sqrt_witness(A.L))
+        assert not spans_equal(_closed_form(A, kind, gen), ref), kind
+        assert not spans_equal(_reference_basis(A, kind, gen, A.L.unit), ref), kind
+
+
+def test_nilpotent_witness_matches_the_dense_sum(L3):
+    lam = left_regular(L3.group)
+    A = group_algebra(L3, lam)
+    azz = [ZERO] * 6
+    azz[1] = azz[4] = -ONE                          # a z^2 = -a - az
+    vec = [ZERO] * A.dim
+    for coeff, g in ((L3.basis_vector(1), 3), (azz, 4), (L3.basis_vector(4), 5)):
+        emb = _embed(A, coeff, A.N.index_of(lam.elements[g]))
+        vec = [x + y for x, y in zip(vec, emb)]
+    witness = nilpotent_witness(L3)
+    assert type(witness) is list and witness == vec

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -189,6 +190,16 @@ def test_fixed_subalgebra_closed():
     sub = fixed_subalgebra(L, [G.identity, s])
     assert sub.dim == 3
     assert sub.is_closed()
+
+
+def test_splitting_field_cubic_leaves_no_cyclic_garbage():
+    gc.collect()
+    gc.disable()
+    try:
+        splitting_field_cubic(2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_subalgebra_not_closed():

@@ -336,6 +336,26 @@ def test_sparse_stacks_keep_offsets():
         Matrix.from_entries(2, 2, [(2, 0, Q(1))])
 
 
+OUT_OF_SHAPE = {"m[-1, 0]": lambda m: m[-1, 0], "m[3, 0]": lambda m: m[3, 0],
+                "m[0, -1]": lambda m: m[0, -1], "m[0, 2]": lambda m: m[0, 2],
+                "row(-1)": lambda m: m.row(-1), "row(3)": lambda m: m.row(3),
+                "row_entries(-3)": lambda m: m.row_entries(-3),
+                "row_entries(3)": lambda m: m.row_entries(3),
+                "column(-1)": lambda m: m.column(-1), "column(7)": lambda m: m.column(7),
+                "column_entries(-1)": lambda m: m.column_entries(-1),
+                "column_entries(7)": lambda m: m.column_entries(7)}
+
+
+@pytest.mark.parametrize("read", list(OUT_OF_SHAPE))
+def test_index_outside_the_shape_raises(read):
+    # a negative index does not count from the end, as it would on a list
+    m = Matrix.from_rows([[1, 2], [0, 4], [5, 0]])
+    with pytest.raises(IndexError):
+        OUT_OF_SHAPE[read](m)
+    assert (m[2, 1], m.row(2), dict(m.row_entries(2))) == (ZERO, (Q(5), ZERO), {0: Q(5)})
+    assert (m.column(1), m.column_entries(1)) == ((Q(2), Q(4), ZERO), {0: Q(2), 1: Q(4)})
+
+
 # -- differential tests against textbook Fraction elimination ---------------------
 #
 # reference_rref is plain Gauss-Jordan over the rationals on the sparse rows:
