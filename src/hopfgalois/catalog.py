@@ -60,27 +60,33 @@ def catalog(p):
         CatalogEntry("rho", rho, iso_type(rho)),
         CatalogEntry("lambda", lam, iso_type(lam)),
     ]
+    r, s = G.generators
     for c in range(p):
-        gen = cyclic_generator(p, c)
-        elems = tuple(gen.power(k) for k in range(2 * p))
-        N = PermSubgroup(G.order, elems, label=f"N{c}",
+        gen = lam.elements[r] * rho.elements[G.mul(c, s)]  # cyclic_generator(p, c)
+        elems = [Perm.identity(G.order)]  # elems[k] = gen^k
+        while len(elems) < 2 * p:
+            elems.append(gen * elems[-1])
+        N = PermSubgroup(G.order, tuple(elems), label=f"N{c}",
                          element_names=tuple(f"g^{k}" for k in range(2 * p)))
         entries.append(CatalogEntry(f"N{c}", N, iso_type(N)))
     return entries
 
 
-def catalog_checks(p):
+def catalog_checks(p, entries=None):
     """Exact verification of every claimed property of the catalog.
 
-    Returns a CheckReport covering: entry count, regularity, normalization
-    by left translations, the conjugation laws of the cyclic generators
-    (fixed by r, inverted by s), the involution identity gen^p = rho(r^c s),
-    and pairwise distinctness.
+    Checks `entries`, by default catalog(p).  Returns a CheckReport covering:
+    entry count, regularity, normalization by left translations (by the
+    generators of lam(D_p) alone, see is_normalized_by), the conjugation laws
+    of the cyclic generators (fixed by r, inverted by s), the involution
+    identity gen^p = rho(r^c s), and pairwise distinctness.  N_c lists gen^k
+    at position k, so gen and gen^p are read from its entry.
     """
     G = dihedral(p)
     lam = left_regular(G)
     rho = right_regular(G)
-    entries = catalog(p)
+    if entries is None:
+        entries = catalog(p)
     checks = CheckReport()
 
     checks.add("entry-count", len(entries) == p + 2, f"{len(entries)} structures")
@@ -95,8 +101,8 @@ def catalog_checks(p):
     r_perm = lam.elements[G.generators[0]]
     s_perm = lam.elements[G.generators[1]]
     ok, detail = True, None
-    for c in range(p):
-        gen = cyclic_generator(p, c)
+    for c, e in enumerate(entries[2:]):
+        gen = e.subgroup.elements[1]
         if conj_by(r_perm, gen) != gen:
             ok, detail = False, f"conjugation by r moves the generator of N{c}"
             break
@@ -107,10 +113,9 @@ def catalog_checks(p):
 
     ok, detail = True, None
     involutions = []
-    for c in range(p):
-        gen = cyclic_generator(p, c)
+    for c, e in enumerate(entries[2:]):
         expected = rho.elements[G.mul(c % p, G.generators[1])]
-        invol = gen.power(p)
+        invol = e.subgroup.elements[p]
         if invol != expected:
             ok, detail = False, f"involution of N{c} is not rho(r^{c}s)"
             break
@@ -133,8 +138,12 @@ def catalog_checks(p):
     return checks
 
 
+def matches_catalog(p, subgroups):
+    """Whether `subgroups` are the catalog(p) structures, as sets of perms."""
+    return ({N.canonical_key() for N in subgroups}
+            == {e.subgroup.canonical_key() for e in catalog(p)})
+
+
 def completeness_check_p3():
     """Exhaustive enumeration at p = 3 reproduces the catalog exactly."""
-    listed = {e.subgroup.canonical_key() for e in catalog(3)}
-    found = {N.canonical_key() for N in enumerate_regular_normalized(dihedral(3))}
-    return listed == found
+    return matches_catalog(3, enumerate_regular_normalized(dihedral(3)))

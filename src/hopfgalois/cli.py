@@ -19,6 +19,7 @@ instead of stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -27,7 +28,8 @@ from collections import Counter
 from .algebra import Check, CheckReport, hopf_axiom_report
 from .analysis import (algebra_iso_classes_p3, hopf_iso_classes,
                        minimal_splitting_subfield_check)
-from .catalog import SUPPORTED_PRIMES, catalog, catalog_checks, completeness_check_p3, cyclic_generator
+from .catalog import (SUPPORTED_PRIMES, catalog, catalog_checks, completeness_check_p3,
+                      cyclic_generator, matches_catalog)
 from .descent import (base_change_is_group_algebra, descend, group_algebra,
                       measuring_report, verify_hopf_galois, explicit_basis_matches)
 from .extensions import (quadratic_sqrt_witness, rational_square_of, split_model,
@@ -204,7 +206,7 @@ def cmd_catalog(args):
             for e in entries
         ],
     }
-    checks = catalog_checks(p)
+    checks = catalog_checks(p, entries)
     if p == 3:
         checks.add("matches-exhaustive-enumeration", completeness_check_p3())
     return {"command": "catalog", "inputs": {"p": p}, "results": results, "checks": checks}
@@ -244,7 +246,7 @@ def cmd_enumerate(args):
                f"found {dict(sorted(census.items()))}")
     checks.add("closure-regenerates", reproduced)
     if args.group == "d3":
-        checks.add("matches-catalog", completeness_check_p3())
+        checks.add("matches-catalog", matches_catalog(3, subs))
     return {"command": "enumerate", "inputs": {"group": args.group},
             "results": results, "checks": checks}
 
@@ -365,6 +367,7 @@ def cmd_classify(args):
 
 # -- entry point ---------------------------------------------------------------
 
+@functools.cache
 def build_parser():
     parser = _ArgumentParser(
         prog="hopfgalois",

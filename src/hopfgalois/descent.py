@@ -344,9 +344,11 @@ def base_change_is_group_algebra(H):
 # -- closed-form bases --------------------------------------------------------
 
 def explicit_classical_basis(A):
-    """Basis {1 * eta_t}, the matrix U: valid when conjugation fixes N pointwise."""
-    lam = left_regular(A.L.group)
-    for lamg in lam.elements:
+    """Basis {1 * eta_t}, the matrix U: valid when conjugation fixes N pointwise
+    (tried for generators of lam(G), as the centralizer of N is a group)."""
+    G = A.L.group
+    lam = left_regular(G).elements
+    for lamg in (lam[g] for g in G.generators):
         for eta in A.N.elements:
             if conj_by(lamg, eta).images != eta.images:
                 raise ValueError("classical basis needs a centralized N")

@@ -14,7 +14,6 @@ carrying an action of their Galois group by algebra automorphisms:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
 from .algebra import Algebra, action_report, algebra_axiom_report
@@ -92,22 +91,6 @@ class GaloisAlgebra(Algebra):
         report.extend(action_report(self.group, self.action.__getitem__, self.mult))
         report.add("fixed-field-is-Q", self.fixed_space(range(self.group.order)).cols == 1)
         return report
-
-
-@dataclass
-class Subalgebra:
-    """A subspace of a GaloisAlgebra given by basis columns."""
-
-    parent: GaloisAlgebra
-    basis: Matrix
-
-    @property
-    def dim(self):
-        return self.basis.cols
-
-    def is_closed(self):
-        return (self.basis.solve(Matrix.from_columns([self.parent.unit])) is not None
-                and self.basis.solve(self.parent.mult * self.basis.kron(self.basis)) is not None)
 
 
 def splitting_field_cubic(v):
@@ -198,15 +181,6 @@ def split_model(G):
     action = [Matrix.permutation(G.table[g]) for g in range(n)]
     names = tuple(f"d[{name}]" for name in G.names)
     return GaloisAlgebra(mult, unit, G, action, names=names, model="split")
-
-
-def fixed_subalgebra(L, indices):
-    """Fixed subalgebra of the subgroup generated by the given elements.
-
-    The fixed space of a generating set equals the fixed space of the whole
-    subgroup, so only the listed elements are stacked.
-    """
-    return Subalgebra(L, L.fixed_space(indices))
 
 
 def quadratic_sqrt_witness(L):

@@ -75,7 +75,7 @@ class Perm:
 
     def __mul__(self, other):
         """Composition: (self * other)(x) = self(other(x))."""
-        return Perm(tuple(self.images[other.images[x]] for x in range(self.degree)))
+        return Perm(tuple(map(self.images.__getitem__, other.images)))
 
     def inverse(self):
         inv = [0] * self.degree
@@ -348,13 +348,21 @@ def is_regular(N):
 
 
 def conj_by(g, p):
-    """Conjugate g p g^-1."""
-    return g * p * g.inverse()
+    """Conjugate g p g^-1, which sends g(x) to g(p(x))."""
+    images = [0] * g.degree
+    for x, y in zip(g.images, p.images):
+        images[x] = g.images[y]
+    return Perm(tuple(images))
 
 
 def is_normalized_by(N, translations):
-    """Whether every conjugate of N by the given perms stays inside N."""
-    for g in translations.elements:
+    """Whether conjugation by every element of `translations` maps N into N.
+
+    Trying the minimal generators of `translations` is exact: conjugation is
+    injective and N finite, so g N g^-1 within N means g N g^-1 = N, and the
+    g with g N g^-1 = N form a group."""
+    for t in minimal_generators(translations):
+        g = translations.elements[t]
         for p in N.elements:
             if conj_by(g, p) not in N:
                 return False
@@ -391,13 +399,14 @@ def closure(gens, bound=None):
     return PermSubgroup(degree, elems)
 
 
-def _invariant_closure(gens, lam_elements, max_order):
-    """Closure under products and conjugation by `lam_elements`, pruned.
+def _invariant_closure(gens, conjugators, max_order):
+    """Closure under products and conjugation by `conjugators`, pruned.
 
     Returns the element set, or None as soon as the closure acquires a
     non-identity element with a fixed point or grows past max_order.  Any
     regular subgroup normalized by the translations must contain this
-    closure, which justifies the pruning.
+    closure, which justifies the pruning.  The closure is invariant under the
+    group `conjugators` generate, as in is_normalized_by.
     """
     degree = gens[0].degree
     ident = Perm.identity(degree)
@@ -414,8 +423,8 @@ def _invariant_closure(gens, lam_elements, max_order):
         for y in list(elems.values()):
             new.append(x * y)
             new.append(y * x)
-        for lam in lam_elements:
-            new.append(conj_by(lam, x))
+        for g in conjugators:
+            new.append(conj_by(g, x))
         for z in new:
             if z.images not in elems:
                 elems[z.images] = z
@@ -433,15 +442,16 @@ def enumerate_regular_normalized(G):
 
     Exhaustive search, restricted to |G| <= 8.  Seeds are fixed-point-free
     permutations; each seed is closed under group operations and conjugation
-    by translations, which prunes almost everything immediately.  Seeds whose
-    invariant closure stays proper are retried in pairs (every candidate
-    subgroup of order <= 8 met here is generated by two of its elements).
+    by generators of the translations, which prunes almost everything
+    immediately.  Seeds whose invariant closure stays proper are retried in
+    pairs (every candidate subgroup of order <= 8 met here is generated by
+    two of its elements).
     """
     n = G.order
     if n > 8:
         raise ValueError("exhaustive enumeration is limited to groups of order <= 8")
     lam = left_regular(G)
-    ident = Perm.identity(n)
+    conjugators = [lam.elements[g] for g in G.generators]
     seeds = []
     for images in permutations(range(n)):
         if all(images[i] != i for i in range(n)):
@@ -450,7 +460,7 @@ def enumerate_regular_normalized(G):
     found = {}
     partial = []
     for seed in seeds:
-        closed = _invariant_closure([seed], lam.elements, n)
+        closed = _invariant_closure([seed], conjugators, n)
         if closed is None:
             continue
         if len(closed) == n:
@@ -464,7 +474,7 @@ def enumerate_regular_normalized(G):
         for b, _ in partial[i + 1:]:
             if b.images in ca:
                 continue
-            closed = _invariant_closure([a, b], lam.elements, n)
+            closed = _invariant_closure([a, b], conjugators, n)
             if closed is not None and len(closed) == n:
                 key = tuple(sorted(closed))
                 if key not in found:

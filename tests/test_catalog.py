@@ -1,9 +1,15 @@
+import importlib
+
 import pytest
 
-from hopfgalois.catalog import (SUPPORTED_PRIMES, catalog, catalog_checks,
-                                completeness_check_p3, cyclic_generator)
-from hopfgalois.groups import (conj_by, dihedral, is_normalized_by, is_regular,
-                               left_regular, right_regular)
+from hopfgalois.catalog import (SUPPORTED_PRIMES, CatalogEntry, catalog, catalog_checks,
+                                completeness_check_p3, cyclic_generator, matches_catalog)
+from hopfgalois.groups import (Perm, closure, conj_by, dihedral, enumerate_regular_normalized,
+                               is_normalized_by, is_regular, iso_type, left_regular,
+                               right_regular)
+
+# the package exports the function catalog under the name of its module
+catalog_module = importlib.import_module("hopfgalois.catalog")
 
 
 @pytest.mark.parametrize("p", SUPPORTED_PRIMES)
@@ -22,6 +28,8 @@ def test_catalog_shape(p):
     for c in range(p):
         assert entries[2 + c].label == f"N{c}"
         assert entries[2 + c].iso_label == f"C{2 * p}"
+        gen = cyclic_generator(p, c)
+        assert entries[2 + c].subgroup.elements == tuple(gen.power(k) for k in range(2 * p))
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -58,6 +66,31 @@ def test_catalog_entries_distinct():
 
 def test_completeness_at_p3():
     assert completeness_check_p3()
+
+
+def test_matches_catalog_needs_every_entry():
+    subs = enumerate_regular_normalized(dihedral(3))
+    assert matches_catalog(3, subs)
+    assert not matches_catalog(3, subs[1:])
+    assert not matches_catalog(5, subs)
+
+
+def test_catalog_checks_fail_normalized_on_a_non_normalized_entry(monkeypatch):
+    # the six-cycle generates a regular C6 that lam(D_3) does not normalize
+    N = closure([Perm((1, 2, 3, 4, 5, 0))])
+    assert is_regular(N)
+    real = catalog_module.catalog
+
+    def patched(p):
+        entries = real(p)
+        entries[2] = CatalogEntry("N0", N, iso_type(N))
+        return entries
+
+    monkeypatch.setattr(catalog_module, "catalog", patched)
+    checks = {c.name: c for c in catalog_checks(3)}
+    assert checks["regular"].passed
+    assert not checks["normalized"].passed
+    assert checks["normalized"].detail == "N0 is not normalized"
 
 
 @pytest.mark.parametrize("bad", [2, 4, 9, 11 * 13])

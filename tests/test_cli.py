@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -9,6 +11,13 @@ from pathlib import Path
 import pytest
 
 from hopfgalois.cli import MAX_CUBIC_DIGITS, main
+
+
+def _env_with_src(**extra):
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
 
 
 def run(capsys, *argv):
@@ -118,6 +127,103 @@ def test_readme_reports_keep_their_bytes(capsys, command):
     code, out, err = run(capsys, *command.split())
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == README_REPORT_DIGESTS[command]
+
+
+# SHA-256 of the stdout of every catalog and enumerate report, pinned so a
+# change of any report byte shows
+CATALOG_REPORT_DIGESTS = {
+    "catalog --p 3":
+        "3ac23ec487c3ce5475d6b3141a28d1a46a3a7490a11a53c29cb455ccaedc6672",
+    "catalog --p 3 --json":
+        "e7460792d510d369133e3dc4c7d5ace01961b951a94083985ef434adc850085a",
+    "catalog --p 5":
+        "44c47266e259768b91688e2d21c260330778599d414f2abc02070d410deb1f6a",
+    "catalog --p 5 --json":
+        "09f8930e8ffb9f73eb45def2a73b27b2139435dd0a44e11ba22f9ef3e750e862",
+    "catalog --p 7":
+        "7492d9e2100943a7121f8fe4651d3977fa484c4b108200958c39781874ea2304",
+    "catalog --p 7 --json":
+        "f0e967e7275cefce3cedf62152780bf9c64bf8d3b307904b112fb79a89f5bd0f",
+    "catalog --p 11":
+        "234f22a134b56b14aea7a12b0a17a845dc527645d8a40a34372fabaa2d380b06",
+    "catalog --p 11 --json":
+        "84a2f2da179cb2f66fed9b074ac663abb9b3a74c6b99def0962268f2c7c176b0",
+    "catalog --p 13":
+        "1ecfbef469c7618fe6d4ef5f2dd60a80d7fd214b7512446345b44b7f89243187",
+    "catalog --p 13 --json":
+        "6e6cbac5a637b7a739179bb516aa2a71ab5b31c0aa359fdd92ca768f2d450680",
+    "enumerate --group d3":
+        "493de02d06b9b1e4329d1b423f8ab4a0c84237fab0f7c1d2a70446516896d81e",
+    "enumerate --group d3 --json":
+        "4416e8f15914f54da2acee3870796ab340a5adee647b257084eb00329fdee06d",
+    "enumerate --group klein4":
+        "dc6fa6aca8e891eb6901c283d635c3e3aee88a584247da425b0c578b7241be88",
+    "enumerate --group klein4 --json":
+        "78704005f6396a54039417efc036f3a5a305b1f44da7aa0601c86e0d0c619467",
+}
+
+
+@pytest.mark.parametrize("command", list(CATALOG_REPORT_DIGESTS))
+def test_catalog_reports_keep_their_bytes(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CATALOG_REPORT_DIGESTS[command]
+
+
+_DIGEST_SCRIPT = """
+import contextlib, hashlib, io, sys
+from hopfgalois.cli import main
+for command in sys.argv[1:]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(command.split())
+    print(hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("hashseed", ["1", "2"])
+def test_catalog_reports_do_not_depend_on_the_hash_seed(hashseed):
+    done = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT, *CATALOG_REPORT_DIGESTS],
+                          capture_output=True, text=True, timeout=300,
+                          env=_env_with_src(PYTHONHASHSEED=hashseed))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == list(CATALOG_REPORT_DIGESTS.values())
+
+
+def test_enumerate_d3_fails_when_the_catalog_drops_an_entry(capsys, monkeypatch):
+    catalog_module = importlib.import_module("hopfgalois.catalog")
+    real = catalog_module.catalog
+    monkeypatch.setattr(catalog_module, "catalog", lambda p: real(p)[:-1])
+    code, out, err = run(capsys, "enumerate", "--group", "d3")
+    assert (code, err) == (1, "")
+    assert [line for line in out.splitlines() if "[FAIL]" in line] == [
+        "  [FAIL] matches-catalog"]
+
+
+def test_cli_call_leaves_no_cyclic_garbage(capsys):
+    # text output only: the stdlib JSON encoder leaves cycles of its own under --json
+    run(capsys, "catalog", "--p", "3")
+    gc.collect()
+    gc.disable()
+    try:
+        code = main(["catalog", "--p", "3"])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert code == 0
+    capsys.readouterr()
+
+
+def test_consecutive_argparse_errors_echo_their_own_text(capsys):
+    calls = [(("catalog", "--p"), "7" * 5000), (("enumerate", "--group="), "x" * 6000),
+             (("catalog", "--p"), "8" * 4500)]
+    for (command, flag), text in calls:
+        argv = (command, flag + text) if flag.endswith("=") else (command, flag, text)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"{text[:40]!r}... ({len(text)} characters)" in err
+        assert max(map(len, err.splitlines())) < 200
+        assert all(other[:40] not in err for _, other in calls if other != text)
 
 
 def test_out_file(tmp_path, capsys):
@@ -243,10 +349,7 @@ def test_rationals_rendered_as_strings(capsys):
 @pytest.mark.parametrize("argv,want", [(["catalog", "--p", "3"], 0), (["catalog", "--p", "4"], 2)])
 def test_module_entry_point_matches_main(capsys, argv, want):
     code, out, _ = run(capsys, *argv)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
     done = subprocess.run([sys.executable, "-m", "hopfgalois", *argv], capture_output=True,
-                          env=env, timeout=300)
+                          env=_env_with_src(), timeout=300)
     assert code == done.returncode == want
     assert done.stdout == out.encode()

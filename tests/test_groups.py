@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfgalois.groups import (ClosureBoundExceeded, FiniteGroup, Perm,
+from hopfgalois.catalog import SUPPORTED_PRIMES, catalog
+from hopfgalois.groups import (ClosureBoundExceeded, FiniteGroup, Perm, PermSubgroup,
                                UnknownGroupType, closure, conj_by,
                                cyclic, dihedral, elementary_abelian_4,
                                enumerate_regular_normalized,
@@ -79,6 +80,59 @@ def test_conjugation_normalizes_catalog_subgroups():
     g = lam.elements[1]
     x = rho.elements[2]
     assert conj_by(g, x) == g * x * g.inverse()
+
+
+@given(perms6, perms6)
+@settings(max_examples=50, deadline=None)
+def test_conj_by_matches_the_product_formula(g, p):
+    assert conj_by(g, p) == g * p * g.inverse()
+
+
+def _normalized_by_every_element(N, translations):
+    """Reference for is_normalized_by: all |translations| * |N| conjugates."""
+    return all(g * p * g.inverse() in N for g in translations.elements for p in N.elements)
+
+
+@pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+def test_generator_normalization_matches_the_full_check_on_the_catalog(p):
+    lam = left_regular(dihedral(p))
+    for e in catalog(p):
+        assert is_normalized_by(e.subgroup, lam) == _normalized_by_every_element(e.subgroup, lam)
+        assert is_normalized_by(e.subgroup, lam), e.label
+
+
+@pytest.mark.parametrize("G", [dihedral(3), elementary_abelian_4()])
+def test_generator_normalization_matches_the_full_check_on_enumerated_subgroups(G):
+    lam = left_regular(G)
+    subs = enumerate_regular_normalized(G)
+    assert subs
+    for N in subs:
+        assert _normalized_by_every_element(N, lam)
+        assert is_normalized_by(N, lam)
+
+
+def test_generator_normalization_rejects_the_six_cycle():
+    lam = left_regular(dihedral(3))
+    N = closure([Perm((1, 2, 3, 4, 5, 0))])
+    assert is_regular(N)
+    assert _normalized_by_every_element(N, lam) is False
+    assert is_normalized_by(N, lam) is False
+
+
+def test_generator_normalization_tries_every_generator():
+    G = dihedral(3)
+    lam = left_regular(G)
+    r, s = G.generators
+    assert minimal_generators(lam) == (r, s)
+    ident = Perm.identity(G.order)
+    # {1, lam(r)} is preserved by conjugation with lam(r) but not with lam(s),
+    # {1, lam(s)} the other way round
+    for kept, moved in ((r, s), (s, r)):
+        S = PermSubgroup(G.order, (ident, lam.elements[kept]))
+        assert all(conj_by(lam.elements[kept], x) in S for x in S.elements)
+        assert not all(conj_by(lam.elements[moved], x) in S for x in S.elements)
+        assert _normalized_by_every_element(S, lam) is False
+        assert is_normalized_by(S, lam) is False
 
 
 def test_closure_and_bound():
