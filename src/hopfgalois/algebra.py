@@ -44,7 +44,12 @@ class Algebra:
     def basis_vector(self, i):
         return list(Matrix.identity(self.dim).column(i))
 
+    def _check_length(self, *vectors):
+        if any(len(v) != self.dim for v in vectors):
+            raise ValueError("vector length mismatch")
+
     def mul(self, x, y):
+        self._check_length(x, y)
         n, terms = self.dim, self._products
         out = [ZERO] * n
         ys = [(j, b) for j, b in enumerate(y) if b]
@@ -63,6 +68,7 @@ class Algebra:
     def mult_operator(self, x):
         """Matrix of left multiplication by x, m(x (x) 1): column j is the sum
         of x_i basis_i*basis_j over the nonzero x_i."""
+        self._check_length(x)
         n, terms = self.dim, self._products
         return Matrix.from_entries(n, n, ((k, j, a * c) for i, a in enumerate(x) if a
                                           for j in range(n) for k, c in terms[i * n + j]))
@@ -72,6 +78,9 @@ class Algebra:
         return self.mult * Matrix.identity(self.dim).kron(Matrix.from_columns([x]))
 
     def power(self, x, k):
+        self._check_length(x)
+        if k < 0:
+            raise ValueError("power needs k >= 0")
         out = list(self.unit)
         for _ in range(k):
             out = self.mul(out, x)

@@ -10,13 +10,13 @@ Two classifications run side by side and are cross-checked:
   an exhaustive certificate listing every plain group isomorphism together
   with the first equivariance failure.
 
-* Algebra structure, decided by exact Wedderburn data: commutative
-  algebras are split into ideals by rational eigenvalues of multiplication
-  operators; the 6-dimensional noncommutative ones are split by the two
-  degree-1 character idempotents, and the remaining 4-dimensional block is
-  recognized as 2x2 matrices over its center once a square-zero element is
-  found (an explicit witness or a small exact scan; when no witness turns
-  up the component is reported as undetermined, never guessed).
+* Algebra structure, decided by exact Wedderburn data: a commutative
+  algebra is split into ideals by rational eigenvalues of multiplication
+  operators, and a 6-dimensional noncommutative one by the primitive
+  idempotents of its center, split the same way.  A 4-dimensional block
+  with center Q is 2x2 matrices over Q once a square-zero element is found
+  (an explicit witness or a small exact scan; without one the component is
+  reported as undetermined, never guessed).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from itertools import product as iter_product
 
 from math import gcd
 
-from .algebra import hopf_map_violation
+from .algebra import Algebra, hopf_map_violation
 from .catalog import catalog
 from .descent import group_algebra, descend
 from .groups import dihedral, equivariant_iso_search, left_regular, right_regular
@@ -223,41 +223,13 @@ def commutative_wedderburn(H):
 
 # -- noncommutative dimension 6 -----------------------------------------------
 
-def _character_idempotents(orders):
-    """The trivial and sign character idempotents e = (1/n) sum chi(g^-1) g
-    over a group basis whose elements have the given orders.  For the groups
-    used here (dihedral of odd prime degree, cyclic of order 2p) the sign
-    character is -1 exactly on the involutions, and chi(g) = chi(g^-1)."""
-    n = len(orders)
-    return [Q(1, n)] * n, [Q(-1, n) if o == 2 else Q(1, n) for o in orders]
-
-
 def character_idempotents(p):
-    """The two degree-1 character idempotents of Q[D_p], as coordinate
-    vectors over the group-element basis."""
+    """The trivial and sign character idempotents e = (1/n) sum chi(g^-1) g of
+    Q[D_p], as coordinate vectors over the group-element basis; the sign
+    character is -1 exactly on the involutions, and chi(g) = chi(g^-1)."""
     G = dihedral(p)
-    return _character_idempotents([G.element_order(g) for g in range(G.order)])
-
-
-def _idempotents_in(H):
-    """The two character idempotents expressed in H's own basis.
-
-    Works for a dihedral group algebra (group attached, no provenance) and
-    for presentations descended from a dihedral N: the sign character is
-    intrinsic, -1 exactly on the involutions of N.
-    """
-    if H.provenance is None:
-        G = H.group
-        if G is None or G.order != H.dim:
-            raise ValueError("need a group algebra or a descended presentation")
-        return _character_idempotents([G.element_order(g) for g in range(G.order)])
-    A = H.provenance.parent
-    # slot t of L[N] holds e[t] * unit(L)
-    idempotents = Matrix.from_columns(_character_idempotents(A.N.element_orders))
-    sol = H.provenance.basis.solve(A.slots(A.L.unit) * idempotents)
-    if sol is None:
-        raise ValueError("character idempotents do not lie in the descended ring")
-    return [sol[i, 0] for i in range(H.dim)], [sol[i, 1] for i in range(H.dim)]
+    n = G.order
+    return [Q(1, n)] * n, [Q(-1, n) if G.element_order(g) == 2 else Q(1, n) for g in range(n)]
 
 
 def find_square_zero_element(H, basis=None, bound=2):
@@ -276,57 +248,49 @@ def find_square_zero_element(H, basis=None, bound=2):
     return None
 
 
-def _center_dim(H, basis):
-    rows = []
-    for m in range(basis.cols):
-        b = basis.column(m)
-        op = H.mult_operator(b) - H.right_mult_operator(b)
-        rows.append(op * basis)
-    return vstack(*rows).kernel().cols
+def _square_zero_in(H, basis, hint, bound):
+    """The hint when it is a square-zero element of span(basis), else a scan."""
+    if hint is not None:
+        x = list(hint)
+        if (basis.solve(Matrix.from_columns([x], rows=H.dim)) is not None
+                and any(x) and not any(H.mul(x, x))):
+            return x
+    return find_square_zero_element(H, basis, bound=bound)
 
 
 def noncommutative_wedderburn_p3(H, nilpotent=None, scan_bound=2):
     """Wedderburn data for the 6-dimensional noncommutative case.
 
-    Splits off the two character idempotents (two rational field
-    components) and analyzes the remaining 4-dimensional ideal: center
-    must be the span of its unit, and a square-zero element certifies
-    2x2 matrices over the center.  Without a certificate the component
-    kind is "undetermined" (e.g. a division algebra would scan clean).
+    The center Z(H), the kernel of the commutators with the basis, is
+    split by commutative_wedderburn; each component unit e is a central
+    idempotent of H, and the block eH has the component's dimension as its
+    center dimension.  A 4-dimensional block with a 1-dimensional center is
+    2x2 matrices over it once a square-zero element is found (`nilpotent`
+    or a scan up to `scan_bound`); any other block larger than 1 is
+    "undetermined" (e.g. a division algebra would scan clean).
     """
     if H.dim != 6:
         raise ValueError("this routine handles dimension 6 only")
     if H.is_commutative():
         raise ValueError("use commutative_wedderburn for commutative input")
-    e1, e2 = _idempotents_in(H)
-    for e in (e1, e2):
-        if H.mul(e, e) != list(e):
-            raise AssertionError("character element is not idempotent")
-    if any(H.mul(e1, e2)):
-        raise AssertionError("character idempotents are not orthogonal")
-    e3 = [u - a - b for u, a, b in zip(H.unit, e1, e2)]
+    Z = vstack(*(H.mult_operator(b) - H.right_mult_operator(b)
+                 for b in map(H.basis_vector, range(H.dim)))).kernel()
+    mult = Z.solve(hstack(*(H.mult_operator(Z.column(j)) * Z for j in range(Z.cols))))
+    unit = Z.solve(Matrix.from_columns([H.unit]))
+    if mult is None or unit is None:
+        raise AssertionError("the center is not a subalgebra")
 
     components = []
-    for e in (e1, e2):
+    for comp in commutative_wedderburn(Algebra(mult, unit.column(0))).components:
+        e = Z.apply(comp.unit)
         basis = column_space_basis(H.mult_operator(e))
-        if basis.cols != 1:
-            raise AssertionError("character component is not 1-dimensional")
-        components.append(WedderburnComponent(1, 1, KIND_FIELD, tuple(e), basis))
-
-    basis3 = column_space_basis(H.mult_operator(e3))
-    if basis3.cols != 4:
-        raise AssertionError("matrix component should have dimension 4")
-    center = _center_dim(H, basis3)
-    witness = None
-    if nilpotent is not None:
-        x = list(nilpotent)
-        in_span = basis3.solve(Matrix.from_columns([x], rows=H.dim)) is not None
-        if in_span and any(x) and not any(H.mul(x, x)):
-            witness = x
-    if witness is None:
-        witness = find_square_zero_element(H, basis3, bound=scan_bound)
-    kind = KIND_MATRIX2 if (center == 1 and witness is not None) else KIND_UNDETERMINED
-    components.append(WedderburnComponent(4, center, kind, tuple(e3), basis3))
+        kind = KIND_FIELD if basis.cols == 1 else KIND_UNDETERMINED
+        if (basis.cols == 4 and comp.dim == 1
+                and _square_zero_in(H, basis, nilpotent, scan_bound) is not None):
+            kind = KIND_MATRIX2
+        components.append(WedderburnComponent(basis.cols, comp.dim, kind, tuple(e), basis))
+    if sum(c.dim for c in components) != H.dim:
+        raise AssertionError("block dimensions do not add up")
     return WedderburnReport(components)
 
 
@@ -376,6 +340,15 @@ class HopfIsoClassReport:
             if label in cls:
                 return cls
         raise KeyError(label)
+
+
+def _group_by(labels, key):
+    """The labels grouped into classes of equal key(label), in order of first
+    appearance."""
+    classes = {}
+    for lab in labels:
+        classes.setdefault(key(lab), []).append(lab)
+    return list(classes.values())
 
 
 def _induced_hopf_map(Ha, Hb, iso):
@@ -437,15 +410,7 @@ def hopf_iso_classes(p, L, descended=None):
                 evidence[(a.label, b.label)] = PairEvidence(
                     False, certificate=cert, isos_tested=len(rejected))
 
-    classes = []
-    for lab in labels:
-        root = find(lab)
-        for cls in classes:
-            if find(cls[0]) == root:
-                cls.append(lab)
-                break
-        else:
-            classes.append([lab])
+    classes = _group_by(labels, find)
 
     # consistency: evidence must agree with the partition
     for (la, lb), ev in evidence.items():
@@ -504,13 +469,4 @@ def algebra_iso_classes_p3(L, descended=None):
                 if sol is not None:
                     hint = [sol[i, 0] for i in range(H.dim)]
             reports[e.label] = noncommutative_wedderburn_p3(H, nilpotent=hint)
-    classes = []
-    for e in entries:
-        summary = reports[e.label].summary()
-        for cls in classes:
-            if reports[cls[0]].summary() == summary:
-                cls.append(e.label)
-                break
-        else:
-            classes.append([e.label])
-    return classes, reports
+    return _group_by([e.label for e in entries], lambda lab: reports[lab].summary()), reports

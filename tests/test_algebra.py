@@ -141,6 +141,31 @@ def test_algebra_rejects_malformed_structure_constants():
                 (ONE, ZERO, ZERO))
 
 
+def test_mul_rejects_a_vector_longer_than_dim():
+    # index 3 of a 3-dimensional algebra must not land in the next table row
+    H = group_hopf_algebra(cyclic(3))
+    with pytest.raises(ValueError, match="vector length mismatch"):
+        H.mul([ZERO, ONE, ZERO], [ZERO, ZERO, ZERO, ONE])
+
+
+def test_mul_rejects_a_vector_shorter_than_dim():
+    H = group_hopf_algebra(cyclic(3))
+    with pytest.raises(ValueError, match="vector length mismatch"):
+        H.mul([ONE], [ZERO, ONE, ZERO])
+
+
+def test_mult_operator_rejects_a_vector_of_the_wrong_length():
+    H = group_hopf_algebra(cyclic(3))
+    with pytest.raises(ValueError, match="vector length mismatch"):
+        H.mult_operator([ZERO, ONE])
+
+
+def test_power_rejects_a_negative_exponent():
+    H = group_hopf_algebra(cyclic(3))
+    with pytest.raises(ValueError, match="k >= 0"):
+        H.power(H.basis_vector(1), -1)
+
+
 @pytest.mark.parametrize("names", [(), ("1",), ("1", "x", "y")])
 def test_algebra_rejects_names_of_the_wrong_length(names):
     # Q[x]/(x^2) on the basis (1, x)

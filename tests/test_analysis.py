@@ -209,9 +209,16 @@ def test_character_idempotents():
         assert KD3.mul(e2, b) == KD3.mul(b, e2)
 
 
+def _character_units(H, e1, e2):
+    """The units e1, e2 and 1 - e1 - e2 that split H, as a set of tuples."""
+    return {tuple(e1), tuple(e2), tuple(u - a - b for u, a, b in zip(H.unit, e1, e2))}
+
+
 def test_group_algebra_wedderburn():
-    rep = noncommutative_wedderburn_p3(group_hopf_algebra(dihedral(3)))
+    KD3 = group_hopf_algebra(dihedral(3))
+    rep = noncommutative_wedderburn_p3(KD3)
     assert rep.summary() == GROUP_ALGEBRA_D3
+    assert {c.unit for c in rep.components} == _character_units(KD3, *character_idempotents(3))
 
 
 def test_descended_noncommutative_wedderburn(L3, descended3):
@@ -220,6 +227,15 @@ def test_descended_noncommutative_wedderburn(L3, descended3):
         ["N0", "N1", "N2"], ["lambda", "rho"]]
     assert reports["rho"].summary() == GROUP_ALGEBRA_D3
     assert reports["lambda"].summary() == GROUP_ALGEBRA_D3
+    for label in ("rho", "lambda"):
+        # the character idempotents of N, solved into H's basis
+        H = descended3[label]
+        A = H.provenance.parent
+        sol = H.provenance.basis.solve(
+            A.slots(L3.unit) * Matrix.from_columns(character_idempotents(3)))
+        assert sol is not None
+        e1, e2 = (list(sol.column(j)) for j in range(2))
+        assert {c.unit for c in reports[label].components} == _character_units(H, e1, e2)
     for c in range(3):
         assert reports[f"N{c}"].summary() == SIX_FIELDS
 

@@ -170,6 +170,43 @@ def test_catalog_reports_keep_their_bytes(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == CATALOG_REPORT_DIGESTS[command]
 
 
+# SHA-256 of the stdout of every classify report over the cubic models
+# v = 2, 3, 5, 6, 7 and 1/2, pinned so a change of any report byte shows
+CLASSIFY_REPORT_DIGESTS = {
+    "classify --field cubic:2":
+        "3bbf083f4d5c14996091d997feeac9607d605704db12fc1cfc34556124430391",
+    "classify --field cubic:2 --json":
+        "5dba7a61df4bb1ea818d013d3d09291a1bc1f876c5197e68828154a5a5f3d981",
+    "classify --field cubic:3":
+        "4dc0cb42d5b9888a11695e397cbf24efdf68ee17505aa3a039081b2c319aebf7",
+    "classify --field cubic:3 --json":
+        "b34240d671ceb932c86eade33663bcb8b5c9244721d8d1e5b7a4df9300dfa4f4",
+    "classify --field cubic:5":
+        "fab45451c169212bfe869076713ef0389674638cdfb03e56e9113f2a2251046b",
+    "classify --field cubic:5 --json":
+        "66e0b8593e4a13fb16185c323c403e46c7dd9b6cc37c856ccac36d5eb71c6c35",
+    "classify --field cubic:6":
+        "70cd52a94498f62cac6d3dcdc97c57ff4cda002dce5c2ae6cbf4d6dfc115ecb0",
+    "classify --field cubic:6 --json":
+        "2517410e4dae44c13e89ba1b680383b20da5675ced9faec7ccf1d7546ff8a926",
+    "classify --field cubic:7":
+        "b2f8d5de56ce53066b87cddeb868a565c9c17b68a273c838dcd8e2e99aa56183",
+    "classify --field cubic:7 --json":
+        "6ff233719d8b9909e41111aeb824bce1ef4d7440f26c9b451c0d0aecd94d65f0",
+    "classify --field cubic:1/2":
+        "39c0729704fa0450b27537c496d98db5b9418071b74acb2d418c0b7ba0bb0b50",
+    "classify --field cubic:1/2 --json":
+        "7611f8718adaed8da878409a5cf5e98d3898c76d5ea777a55c5a47b23249d118",
+}
+
+
+@pytest.mark.parametrize("command", list(CLASSIFY_REPORT_DIGESTS))
+def test_classify_reports_keep_their_bytes(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_REPORT_DIGESTS[command]
+
+
 _DIGEST_SCRIPT = """
 import contextlib, hashlib, io, sys
 from hopfgalois.cli import main
