@@ -8,8 +8,10 @@ basis tuples (i, j, ...) in base dim, as Matrix.kron does, so H (x) H puts
 (i, j) at i*dim + j.
 
 Every axiom is checked as an equality of composite linear maps built from
-these matrices, for example m(m (x) 1) = m(1 (x) m); a failed check names
-the first column where the two sides differ, decoded into basis indices.
+these matrices, for example m(m (x) 1) = m(1 (x) m) by linalg.mul_kron; a
+failed check names the first column where the two sides differ, decoded into
+basis indices (the tall coassociativity and counit laws compare transposes,
+so that column is their first differing row).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from .linalg import Matrix, ONE, Q, ZERO
+from .linalg import Matrix, ONE, Q, ZERO, mul_kron
 
 
 class Algebra:
@@ -75,7 +77,7 @@ class Algebra:
 
     def right_mult_operator(self, x):
         """Matrix of right multiplication by x: m(1 (x) x)."""
-        return self.mult * Matrix.identity(self.dim).kron(Matrix.from_columns([x]))
+        return mul_kron(self.mult, Matrix.identity(self.dim), Matrix.from_columns([x]))
 
     def power(self, x, k):
         self._check_length(x)
@@ -192,16 +194,25 @@ def first_difference(*pairs):
                default=None)
 
 
+def first_row_difference(*pairs):
+    """The smallest row at which some (lhs, rhs) pair of equally shaped
+    matrices differs, or None: first_difference of the transposed pairs."""
+    if any((lhs.rows, lhs.cols) != (rhs.rows, rhs.cols) for lhs, rhs in pairs):
+        raise ValueError("shape mismatch")
+    return min((i for lhs, rhs in pairs for i in range(lhs.rows)
+                if lhs.row_entries(i) != rhs.row_entries(i)), default=None)
+
+
 def algebra_axiom_report(A):
     """Exact check of the unit and associativity laws of an Algebra."""
     n = A.dim
     m, one, u = A.mult, Matrix.identity(n), Matrix.from_columns([A.unit])
     report = CheckReport()
 
-    col = first_difference((m * u.kron(one), one), (m * one.kron(u), one))
+    col = first_difference((mul_kron(m, u, one), one), (mul_kron(m, one, u), one))
     report.add("unit", col is None, None if col is None else f"unit fails on basis {col}")
 
-    col = first_difference((m * m.kron(one), m * one.kron(m)))
+    col = first_difference((mul_kron(m, m, one), mul_kron(m, one, m)))
     report.add("associativity", col is None, None if col is None else
                "associativity fails at ({},{},{})".format(col // (n * n), col // n % n, col % n))
     return report
@@ -224,7 +235,7 @@ def action_report(G, matrix, mult):
     bad = None
     for g in range(G.order):
         m = matrix(g)
-        col = first_difference((m * mult, mult * m.kron(m)))
+        col = first_difference((m * mult, mul_kron(mult, m, m)))
         if col is not None:
             bad = "fails for {} at basis ({},{})".format(G.names[g], *divmod(col, dim))
             break
@@ -263,16 +274,19 @@ def hopf_axiom_report(H):
         report.add("comul-algebra-map", col is None, None if col is None else
                    "comul not multiplicative at ({},{})".format(*divmod(col, n)))
 
-    col = first_difference((d.kron(one) * d, one.kron(d) * d))
-    report.add("coassociativity", col is None,
-               None if col is None else f"coassociativity fails on basis {col}")
+    # checked on transposes, with n rows: the first differing row of the
+    # transposes is the first differing column of the n^3- and n^2-row originals
+    dt, et = d.transpose(), e.transpose()
+    row = first_row_difference((mul_kron(dt, dt, one), mul_kron(dt, one, dt)))
+    report.add("coassociativity", row is None,
+               None if row is None else f"coassociativity fails on basis {row}")
 
-    col = first_difference((e.kron(one) * d, one), (one.kron(e) * d, one))
-    report.add("counit-law", col is None,
-               None if col is None else f"counit law fails on basis {col}")
+    row = first_row_difference((mul_kron(dt, et, one), one), (mul_kron(dt, one, et), one))
+    report.add("counit-law", row is None,
+               None if row is None else f"counit law fails on basis {row}")
 
     ue = u * e
-    col = first_difference((m * (s.kron(one) * d), ue), (m * (one.kron(s) * d), ue))
+    col = first_difference((mul_kron(m, s, one) * d, ue), (mul_kron(m, one, s) * d, ue))
     report.add("antipode-law", col is None,
                None if col is None else f"antipode law fails on basis {col}")
     return report
@@ -292,10 +306,9 @@ def hopf_map_violation(T, src, dst):
         return "bijectivity"
     if T.apply(src.unit) != list(dst.unit):
         return "unit"
-    tt = T.kron(T)
-    if T * src.mult != dst.mult * tt:
+    if T * src.mult != mul_kron(dst.mult, T, T):
         return "multiplication"
-    if tt * src.comul != dst.comul * T:
+    if T.kron(T) * src.comul != dst.comul * T:
         return "comultiplication"
     if dst.counit * T != src.counit:
         return "counit"

@@ -81,7 +81,20 @@ def _jsonable(obj):
 
 
 def render_json(report):
-    return json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
+    return _json(_jsonable(report)) + "\n"
+
+
+def _json(value, pad="\n"):
+    """json.dumps(value, indent=2, sort_keys=True) by plain recursion: the
+    stdlib's indenting encoder is closures that reference one another, so
+    every call of it would leave reference cycles behind."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{json.dumps(k)}: {_json(value[k], inner)}" for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, list) and value:
+        return "[" + inner + ("," + inner).join(_json(v, inner) for v in value) + pad + "]"
+    return json.dumps(value)  # a scalar, {} or []
 
 
 def _render_value(value, indent, lines):

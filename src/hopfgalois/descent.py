@@ -14,11 +14,13 @@ check L (x) H = L[N], and span comparison against closed-form bases.
 
 Elements and maps of L[N] are sparse slot maps, GroupAlgebraOverL.slot_map =
 permutation(images) (x) M, with slots(u) (column t is u * eta_t) its one-column
-case.  Products go through left_operator, a sum of slot maps, so the structure
-constants of H are one solve of the stacked h_i * B.  The closed-form bases are
-products of U = slots(1), W = slots(w) for the rational-square witness w of L,
-and the slot inversion iota: U + iota U has the columns eta_t + eta_t^-1, and
-W - iota W the columns w*(eta_t - eta_t^-1).
+case.  Products go through left_operator, which writes the nonzero rows of each
+slot's L-multiplication into their blocks, so the structure constants of H are
+one solve of the stacked h_i * B.  The closed-form bases are products of
+U = slots(1), W = slots(w) for the rational-square witness w of L, and the slot
+inversion iota: U + iota U has the columns eta_t + eta_t^-1, and W - iota W the
+columns w*(eta_t - eta_t^-1).  The action of H on L is built once, as
+DescentProvenance.action, for the measuring and Hopf-Galois checks.
 Comultiplication descends through the base-change map Phi: L (x) H -> L[N],
 x (x) h -> x*h, which descend builds once and keeps on DescentProvenance.phi
 for the base-change check.  Applying Phi^-1 to
@@ -31,11 +33,12 @@ assuming it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import CheckReport, HopfPresentation, action_report, first_difference
 from .extensions import quadratic_sqrt_witness
 from .groups import conj_by, left_regular
-from .linalg import Matrix, ONE, disjoint_sum, fixed_basis, hstack, spans_equal
+from .linalg import Matrix, ONE, fixed_basis, hstack, mul_kron, spans_equal, vstack
 
 
 class DescentError(RuntimeError):
@@ -85,12 +88,18 @@ class GroupAlgebraOverL:
         = (x_t y) eta_(tu), the sum over the nonzero slots t of x of
         slot_map(row t of N's multiplication table, L.mult_operator(x_t)).
         These slot maps have disjoint supports (block t*u, u for each u), so
-        the sum is one pass that writes each into the same rows."""
-        coeffs = self.coefficients(x)
-        mt = self.N.mult_table
-        return disjoint_sum(self.dim, self.dim,
-                            (self.slot_map(mt[t], self.L.mult_operator(coeffs.row(t)))
-                             for t in range(self.N.order) if coeffs.row_entries(t)))
+        the nonzero rows of each L.mult_operator(x_t) are written straight
+        into their blocks."""
+        coeffs, d = self.coefficients(x), self.L.dim
+        blocks = []  # row t of N's table, and the nonzeros (a, b, c) of L.mult_operator(x_t)
+        for t in range(self.N.order):
+            if coeffs.row_entries(t):
+                m = self.L.mult_operator(coeffs.row(t))
+                blocks.append((self.N.mult_table[t],
+                               [(a, b, c) for a in range(d) for b, c in m.row_entries(a)]))
+        return Matrix.from_entries(self.dim, self.dim, (
+            (tu * d + a, u * d + b, c) for images, nonzeros in blocks
+            for u, tu in enumerate(images) for a, b, c in nonzeros))
 
     def mul(self, x, y):
         return self.left_operator(x).apply(y)
@@ -158,6 +167,11 @@ class DescentProvenance:
     basis: Matrix
     phi: Matrix  # the base change L (x) H -> L[N], as lform_matrix(parent, basis)
     label: str = None
+
+    @cached_property
+    def action(self):
+        """hopf_action, built once: it depends only on the parent and the basis."""
+        return _action_matrices(self.parent, self.basis)
 
 
 def _rational_coefficients(L, z, context):
@@ -252,20 +266,22 @@ def _provenance_of(H):
 
 
 def hopf_action(H):
-    """Action matrices of the basis of H on L.
+    """Action matrices of the basis of H on L, kept on the provenance of H.
 
     Each eta in N acts on L as the Galois automorphism eta^-1[identity],
     extended L-linearly over the coefficients:
     (sum_t x_t eta_t) . y = sum_t x_t * (eta_t^-1[1])(y).
     """
-    prov = _provenance_of(H)
-    A = prov.parent
+    return _provenance_of(H).action
+
+
+def _action_matrices(A, B):
     L = A.L
     G = L.group
     slot_gal = [eta.inverse()(G.identity) for eta in A.N.elements]
     return [sum((L.mult_operator(x.row(t)) * L.action[slot_gal[t]]
                  for t in range(x.rows) if x.row_entries(t)), Matrix.zeros(L.dim, L.dim))
-            for x in map(A.coefficients, prov.basis.columns())]
+            for x in map(A.coefficients, B.columns())]
 
 
 def measuring_report(H):
@@ -273,7 +289,8 @@ def measuring_report(H):
 
     With M_k the action of h_k on L, the laws are M_k u_L = eps(h_k) u_L and
     M_k m_L = m_L (sum of c M_i (x) M_j over the terms c h_i (x) h_j of
-    Delta(h_k)), stacked side by side over k.
+    Delta(h_k)), stacked side by side over k, with each m_L (M_i (x) M_j) one
+    mul_kron.  The action matrices are built once per provenance.
     """
     L = _provenance_of(H).parent.L
     d = L.dim
@@ -285,9 +302,9 @@ def measuring_report(H):
     report.add("measures-unit", col is None,
                None if col is None else f"h{col}.1 != eps(h{col})1")
 
-    zero = Matrix.zeros(d * d, d * d)
-    rhs = [L.mult * sum((mats[i].kron(mats[j]) * c for (i, j), c in H.comul_terms(k).items()),
-                        zero) for k in range(H.dim)]
+    zero = Matrix.zeros(d, d * d)
+    rhs = [sum((mul_kron(L.mult, mats[i], mats[j]) * c for (i, j), c in H.comul_terms(k).items()),
+               zero) for k in range(H.dim)]
     col = first_difference((hstack(*[m * L.mult for m in mats]), hstack(*rhs)))
     if col is None:
         report.add("measures-products", True)
@@ -393,10 +410,11 @@ def explicit_translation_basis(A):
         rpow.append(G.mul(rpow[-1], r_idx))
     step = (p + 1) // 2
     rotations = [slot[rpow[i]] for i in range(1, step)]
-    # the slots of r^i s are distinct, so the summands have disjoint supports
-    reflections = disjoint_sum(A.dim, L.dim, (
-        Matrix.from_entries(A.N.order, 1, [(slot[G.mul(rpow[i], s_idx)], 0, ONE)])
-        .kron(L.action[rpow[step * i % p]]) for i in range(p)))
+    # block t of the stack is r^((p+1)/2 * i) at the slot t of r^i s, zero elsewhere
+    blocks = [Matrix.zeros(L.dim, L.dim)] * A.N.order
+    for i in range(p):
+        blocks[slot[G.mul(rpow[i], s_idx)]] = L.action[rpow[step * i % p]]
+    reflections = vstack(*blocks)
     return hstack(inverse_pair_columns(A, [slot[G.identity]] + rotations, rotations),
                   reflections * L.fixed_space([s_idx]))
 

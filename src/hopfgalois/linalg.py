@@ -4,10 +4,10 @@ Immutable sparse-row matrices over arbitrary-precision rationals: each row
 keeps only its nonzero entries, so work scales with the nonzeros, not the
 shape.  Everything is computed exactly; no floating point appears anywhere
 in this package.  In a matrix product a left factor equal to one costs no
-arithmetic, and so does scaling by one.  Row reduction eliminates on
-primitive integer rows and returns the unique reduced row echelon form,
-whichever rows it pivots on, so kernels and solutions are reproducible
-across runs.
+arithmetic, and so does scaling by one; mul_kron multiplies by a Kronecker
+product without building it.  Row reduction eliminates on primitive integer
+rows and returns the unique reduced row echelon form, whichever rows it
+pivots on, so kernels and solutions are reproducible across runs.
 
 The scalar type is gmpy2.mpq when available (roughly an order of magnitude
 faster than fractions.Fraction on the elimination-heavy workloads here) and
@@ -416,6 +416,37 @@ def _axpy(a, s, b):
     return out
 
 
+def mul_kron(x, y, z):
+    """The product x (y (x) z), without building y (x) z: each nonzero of x at
+    column i*z.rows + k meets row i of y and row k of z.  Entries equal to one
+    become the shared ONE first, so, as in kron, a factor of one costs no
+    arithmetic."""
+    h, w = z.rows, z.cols
+    if x.cols != y.rows * h:
+        raise ValueError("shape mismatch in product")
+    yrows, zrows = ([tuple((j, ONE if b == 1 else b) for j, b in r.items()) for r in m._rows]
+                    for m in (y, z))
+    out = []
+    for r in x._rows:
+        acc = {}
+        for ik, a in r.items():
+            i, k = divmod(ik, h)
+            zrow = zrows[k]
+            if not zrow:
+                continue
+            if a == 1:
+                a = ONE
+            for j, b in yrows[i]:
+                ab = b if a is ONE else a if b is ONE else a * b
+                base = j * w
+                for l, c in zrow:
+                    v = c if ab is ONE else ab if c is ONE else ab * c
+                    s = acc.get(base + l)
+                    acc[base + l] = v if s is None else s + v
+        out.append({j: v for j, v in acc.items() if v})
+    return Matrix._wrap(x.rows, y.cols * w, out)
+
+
 def hstack(*mats):
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
@@ -427,21 +458,6 @@ def hstack(*mats):
             out.update((j + offset, x) for j, x in r.items())
         offset += m.cols
     return Matrix._wrap(rows, offset, data)
-
-
-def disjoint_sum(rows, cols, mats):
-    """The sum of rows x cols matrices with pairwise disjoint supports, written
-    into one set of rows with no arithmetic; ValueError when supports overlap."""
-    data = [{} for _ in range(rows)]
-    for m in mats:
-        if (m.rows, m.cols) != (rows, cols):
-            raise ValueError("shape mismatch in disjoint_sum")
-        for out, r in zip(data, m._rows):
-            n = len(out)
-            out.update(r)
-            if len(out) != n + len(r):
-                raise ValueError("supports overlap in disjoint_sum")
-    return Matrix._wrap(rows, cols, data)
 
 
 def vstack(*mats):

@@ -2,10 +2,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hopfgalois.algebra import (Algebra, Check, algebra_axiom_report, first_difference,
-                                group_hopf_algebra, hopf_axiom_report,
-                                hopf_map_violation)
-from hopfgalois.extensions import rational_square_of
+from hopfgalois.algebra import (Algebra, Check, HopfPresentation, algebra_axiom_report,
+                                first_difference, first_row_difference, group_hopf_algebra,
+                                hopf_axiom_report, hopf_map_violation)
+from hopfgalois.catalog import catalog
+from hopfgalois.descent import descend, group_algebra
+from hopfgalois.extensions import rational_square_of, split_model
 from hopfgalois.groups import cyclic, dihedral, elementary_abelian_4
 from hopfgalois.linalg import Matrix, ONE, Q, ZERO
 
@@ -231,3 +233,47 @@ def test_first_difference_cases():
     assert first_difference((a, a)) is None
     with pytest.raises(ValueError):
         first_difference((a, Matrix.zeros(3, 2)))
+
+
+# -- the transposed checks ------------------------------------------------------------
+
+@given(matrix_pairs())
+@settings(max_examples=100, deadline=None)
+def test_first_row_difference_of_transposes_is_first_difference(pairs):
+    transposed = [(lhs.transpose(), rhs.transpose()) for lhs, rhs in pairs]
+    assert first_row_difference(*transposed) == first_difference(*pairs)
+
+
+def test_first_row_difference_refuses_a_shape_mismatch():
+    with pytest.raises(ValueError):
+        first_row_difference((Matrix.zeros(2, 3), Matrix.zeros(3, 2)))
+
+
+@pytest.fixture(scope="module")
+def split5_n2():
+    n2 = next(e for e in catalog(5) if e.label == "N2")
+    return descend(group_algebra(split_model(dihedral(5)), n2.subgroup), label="N2")
+
+
+# (row, column, added value) in comul, and the expected coassociativity and
+# counit-law details: the first basis element at which the untransposed
+# identities fail
+PERTURBED_COMUL_DETAILS = [
+    ([(33, 3, Q(1))], "", "counit law fails on basis 3"),
+    ([(72, 9, Q(-1, 2)), (55, 4, Q(2))],
+     "coassociativity fails on basis 4", "counit law fails on basis 4"),
+    ([(0, 8, Q(1)), (90, 6, Q(3, 2)), (33, 3, Q(1))],
+     "coassociativity fails on basis 6", "counit law fails on basis 3"),
+    ([(46, 7, Q(-1))], "coassociativity fails on basis 7", "counit law fails on basis 7"),
+]
+
+
+@pytest.mark.parametrize("added, coassociativity, counit_law", PERTURBED_COMUL_DETAILS)
+def test_perturbed_comultiplication_details_are_unchanged(split5_n2, added, coassociativity,
+                                                          counit_law):
+    H = split5_n2
+    comul = H.comul + Matrix.from_entries(H.dim * H.dim, H.dim, added)
+    report = {c.name: c for c in hopf_axiom_report(
+        HopfPresentation(H.mult, H.unit, comul, H.counit, H.antipode, names=H.names))}
+    assert report["coassociativity"] == ("coassociativity", not coassociativity, coassociativity)
+    assert report["counit-law"] == ("counit-law", False, counit_law)

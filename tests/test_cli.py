@@ -238,17 +238,17 @@ def test_enumerate_d3_fails_when_the_catalog_drops_an_entry(capsys, monkeypatch)
 
 
 def test_cli_call_leaves_no_cyclic_garbage(capsys):
-    # text output only: the stdlib JSON encoder leaves cycles of its own under --json
-    run(capsys, "catalog", "--p", "3")
-    gc.collect()
-    gc.disable()
-    try:
-        code = main(["catalog", "--p", "3"])
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
-    assert code == 0
-    capsys.readouterr()
+    for argv in (["catalog", "--p", "3"], ["catalog", "--p", "3", "--json"]):
+        run(capsys, *argv)
+        gc.collect()
+        gc.disable()
+        try:
+            code = main(argv)
+            assert gc.collect() == 0, argv
+        finally:
+            gc.enable()
+        assert code == 0
+        capsys.readouterr()
 
 
 def test_consecutive_argparse_errors_echo_their_own_text(capsys):

@@ -340,6 +340,67 @@ def test_left_operator_matches_the_slot_loop(L3):
                 assert A.mul(x, y) == expected
 
 
+def _disjoint_sum(rows, cols, mats):
+    """The sum of matrices with pairwise disjoint supports, refusing an overlap."""
+    entries = {}
+    for m in mats:
+        for i in range(rows):
+            for j, x in m.row_entries(i):
+                assert (i, j) not in entries, "supports overlap"
+                entries[i, j] = x
+    return Matrix.from_entries(rows, cols, ((i, j, x) for (i, j), x in entries.items()))
+
+
+def _slot_map_sum(A, x):
+    """left_operator(x) as the disjoint sum over the nonzero slots t of x of
+    slot_map(row t of N's table, L.mult_operator(x_t))."""
+    coeffs = A.coefficients(x)
+    return _disjoint_sum(A.dim, A.dim, [
+        A.slot_map(A.N.mult_table[t], A.L.mult_operator(coeffs.row(t)))
+        for t in range(A.N.order) if coeffs.row_entries(t)])
+
+
+@pytest.mark.parametrize("model", ["p7-split-lambda", "p3-cubic2"])
+def test_left_operator_is_the_disjoint_sum_of_slot_maps(L3, model):
+    rng = random.Random(model)
+    if model == "p3-cubic2":
+        L, entries = L3, catalog(3)
+    else:
+        L, entries = split_model(dihedral(7)), [e for e in catalog(7) if e.label == "lambda"]
+    for e in entries:
+        A = group_algebra(L, e.subgroup)
+        for _ in range(2):
+            x = [Q(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(A.dim)]
+            op = A.left_operator(x)
+            assert op == _slot_map_sum(A, x)
+            assert all(type(c) is Q for i in range(op.rows) for _, c in op.row_entries(i))
+        sparse = _random_sparse(rng, A.dim)
+        assert A.left_operator(sparse) == _slot_map_sum(A, sparse)
+    assert A.left_operator([ZERO] * A.dim) == Matrix.zeros(A.dim, A.dim)
+
+
+def test_hopf_action_is_built_once_per_presentation(monkeypatch, L3, catalog3):
+    calls = []
+
+    def counted(A, B):
+        calls.append(B.cols)
+        return built(A, B)
+
+    built = descent._action_matrices
+    monkeypatch.setattr(descent, "_action_matrices", counted)
+    H = descend(group_algebra(L3, catalog3[2].subgroup), label="N0")
+    assert calls == []
+    assert measuring_report(H).passed
+    assert verify_hopf_galois(H).passed
+    # a presentation sharing the provenance shares its action
+    twin = HopfPresentation(H.mult, H.unit, H.comul, H.counit, H.antipode,
+                            names=H.names, provenance=H.provenance)
+    assert measuring_report(twin).passed
+    assert hopf_action(twin) is hopf_action(H)
+    assert calls == [6]
+    assert hopf_action(H) == built(H.provenance.parent, H.provenance.basis)
+
+
 def _entrywise_algebra_map_failure(G, matrix, mul, dim):
     """The first (g, i, j) with g(e_i e_j) != g(e_i) g(e_j), as action_report words it."""
     basis = Matrix.identity(dim).columns()

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfgalois.descent import group_algebra, semilinear_action
-from hopfgalois.linalg import (Matrix, ONE, Q, ZERO, disjoint_sum, fixed_basis, hstack,
-                               integer_normalized, rational, spans_equal, vstack)
+from hopfgalois.linalg import (Matrix, ONE, Q, ZERO, fixed_basis, hstack, integer_normalized,
+                               mul_kron, rational, spans_equal, vstack)
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7).map(
     lambda f: Q(f.numerator, f.denominator))
@@ -303,27 +303,67 @@ def test_products_with_unit_factors_match_dense(pair):
         assert all_entries_are_q(got)
 
 
-@given(sparse, st.data())
-@settings(max_examples=60, deadline=None)
-def test_disjoint_sum_is_the_sum(m, data):
-    # split the support of m at random into three parts
-    parts = [[], [], []]
-    for i in range(m.rows):
-        for j, x in m.row_entries(i):
-            parts[data.draw(st.integers(0, 2))].append((i, j, x))
-    mats = [Matrix.from_entries(m.rows, m.cols, part) for part in parts]
-    total = disjoint_sum(m.rows, m.cols, mats)
-    assert total == m == mats[0] + mats[1] + mats[2]
-    assert all_entries_are_q(total)
-    assert disjoint_sum(m.rows, m.cols, []) == Matrix.zeros(m.rows, m.cols)
+# -- products by a Kronecker factor -----------------------------------------------
+#
+# mul_kron(x, y, z) must be x * y.kron(z) exactly, entry types included, for
+# the factors the axiom checks use (identities, permutations, one-column
+# units) as well as general ones with zero rows, entries equal to one that
+# are not the shared ONE, and long numerators.
+
+kron_entries = st.one_of(unit_entries, st.builds(Q, st.integers(-10 ** 40, 10 ** 40),
+                                                 st.integers(1, 10 ** 40)))
 
 
-def test_disjoint_sum_refuses_overlap_and_shape():
-    a = Matrix.from_rows([[1, 0], [0, 2]])
+@st.composite
+def kron_factor(draw, rows=None, cols=None):
+    """A factor with the given number of rows or of columns (the other drawn)."""
+    kind = draw(st.sampled_from(["identity", "permutation", "column", "general", "zero-rows"]))
+    if kind in ("identity", "permutation"):
+        n = cols if rows is None else rows
+        return Matrix.identity(n) if kind == "identity" else Matrix.permutation(
+            draw(st.permutations(range(n))))
+    rows = draw(st.integers(1, 3)) if rows is None else rows
+    cols = (1 if kind == "column" else draw(st.integers(1, 3))) if cols is None else cols
+    m = draw(st.lists(kron_entries, min_size=rows * cols, max_size=rows * cols))
+    if kind == "zero-rows":
+        dropped = draw(st.sets(st.integers(0, rows - 1)))
+        m = [ZERO if k // cols in dropped else x for k, x in enumerate(m)]
+    return Matrix(rows, cols, m)
+
+
+@st.composite
+def kron_triples(draw):
+    y = draw(kron_factor(rows=draw(st.integers(1, 3))))
+    z = draw(kron_factor(rows=draw(st.integers(1, 3))))
+    return draw(kron_factor(cols=y.rows * z.rows)), y, z
+
+
+@given(kron_triples())
+@settings(max_examples=150, deadline=None)
+def test_mul_kron_is_the_product_by_the_kronecker_factor(triple):
+    x, y, z = triple
+    got = mul_kron(x, y, z)
+    assert got == x * y.kron(z)
+    assert (got.rows, got.cols) == (x.rows, y.cols * z.cols)
+    assert all_entries_are_q(got)
+
+
+def test_mul_kron_with_fresh_ones_and_zero_rows():
+    one = Q(2, 2)
+    assert one == 1 and one is not ONE
+    y = Matrix.from_rows([[one, 0], [0, 0]])
+    z = Matrix.from_rows([[0, Q(3, 4)], [one, 0]])
+    x = Matrix.from_rows([[one, Q(-1), 0, 2], [0, 0, 0, 0]])
+    got = mul_kron(x, y, z)
+    assert got == x * y.kron(z) == Matrix.from_rows([[-1, Q(3, 4), 0, 0], [0, 0, 0, 0]])
+    assert all_entries_are_q(got)
+
+
+def test_mul_kron_refuses_a_shape_mismatch():
     with pytest.raises(ValueError):
-        disjoint_sum(2, 2, [a, Matrix.from_rows([[0, 0], [0, 3]])])
+        mul_kron(Matrix.identity(3), Matrix.identity(2), Matrix.identity(2))
     with pytest.raises(ValueError):
-        disjoint_sum(2, 2, [Matrix.identity(3)])
+        mul_kron(Matrix.zeros(1, 4), Matrix.identity(2), Matrix.zeros(1, 2))
 
 
 def test_sparse_stacks_keep_offsets():

@@ -2,9 +2,9 @@
 
 gmpy2 is optional, so this puts a small `gmpy2` on sys.path whose `mpq` is a
 rational type distinct from fractions.Fraction and closed under arithmetic.
-Row reduction, kernels, solves, products by unit factors and a p = 3
-descent must give the same str() output with it as with Fraction, and every
-entry they return must be an mpq.
+Row reduction, kernels, solves, products by unit and Kronecker factors and a
+p = 3 descent must give the same str() output with it as with Fraction, and
+every entry they return must be an mpq.
 """
 
 import subprocess
@@ -49,7 +49,7 @@ SCRIPT = textwrap.dedent('''
     from hopfgalois.catalog import catalog
     from hopfgalois.descent import descend, group_algebra
     from hopfgalois.extensions import splitting_field_cubic
-    from hopfgalois.linalg import Matrix, Q, rational
+    from hopfgalois.linalg import Matrix, Q, mul_kron, rational
 
     print("backend", Q.__module__)
 
@@ -82,6 +82,7 @@ SCRIPT = textwrap.dedent('''
     unit = Matrix.from_rows([[Q(1), Q(0), Q(2, 2), Q(0), Q(0)], [Q(0)] * 4 + [rational("1")]])
     show("unit-product", unit * m)
     show("unit-scaled", m * 1)
+    show("mul-kron", mul_kron(unit, m, Matrix.from_rows([[Q(2, 2), rational("-1/3")]])))
 
     L = splitting_field_cubic(2)
     for entry in catalog(3):
