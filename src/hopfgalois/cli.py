@@ -197,7 +197,7 @@ def _numeral_digits(raw):
 
 
 def _ln_string(A, entries):
-    terms = [f"({c})*{A.name_of_basis(idx)}" for idx, c in sorted(entries.items())]
+    terms = [f"({c})*{A.names[idx]}" for idx, c in sorted(entries.items())]
     return " + ".join(terms) if terms else "0"
 
 

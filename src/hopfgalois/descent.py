@@ -12,11 +12,13 @@ report, the induced action of H on L with its measuring property, exact
 bijectivity of the Hopf-Galois map j: L (x) H -> End(L), the base-change
 check L (x) H = L[N], and span comparison against closed-form bases.
 
-Elements and maps of L[N] are sparse slot maps, GroupAlgebraOverL.slot_map =
-permutation(images) (x) M, with slots(u) (column t is u * eta_t) its one-column
-case.  Products go through left_operator, which writes the nonzero rows of each
-slot's L-multiplication into their blocks, so the structure constants of H are
-one solve of the stacked h_i * B.  The closed-form bases are products of
+L[N] is an Algebra: its dim x dim^2 `mult` places L's multiplication in slot
+tu for each slot pair (t, u), and every product in L[N] is one mul_kron over
+it.  The structure constants of H are the solve of mult (B (x) B), Phi is
+mult (E (x) B) for the embedding E: x -> x * eta_1, and the semilinear-action
+check reads `mult` directly.  Maps of L[N] are sparse slot maps,
+GroupAlgebraOverL.slot_map = permutation(images) (x) M, with slots(u) (column
+t is u * eta_t) its one-column case.  The closed-form bases are products of
 U = slots(1), W = slots(w) for the rational-square witness w of L, and the slot
 inversion iota: U + iota U has the columns eta_t + eta_t^-1, and W - iota W the
 columns w*(eta_t - eta_t^-1).  The action of H on L is built once, as
@@ -35,10 +37,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra import CheckReport, HopfPresentation, action_report, first_difference
+from .algebra import Algebra, CheckReport, HopfPresentation, action_report, first_difference
 from .extensions import quadratic_sqrt_witness
 from .groups import conj_by, left_regular
-from .linalg import Matrix, ONE, fixed_basis, hstack, mul_kron, spans_equal, vstack
+from .linalg import Matrix, ONE, ZERO, fixed_basis, hstack, mul_kron, spans_equal, vstack
 
 
 class DescentError(RuntimeError):
@@ -54,15 +56,31 @@ class NormalizationError(RuntimeError):
         self.eta_name = eta_name
 
 
-class GroupAlgebraOverL:
-    """The group algebra L[N], basis (eta_t, e_a) at index t*dim(L) + a."""
+class GroupAlgebraOverL(Algebra):
+    """The group algebra L[N], basis (eta_t, e_a) at index t*dim(L) + a.
+
+    As (x eta_t)(y eta_u) = (xy) eta_(tu), column (t*d + a)*D + u*d + b of
+    `mult` (d = dim L, D = dim L[N]) is column a*d + b of L.mult, placed in
+    slot tu.
+    """
 
     def __init__(self, L, N):
         if N.degree != L.group.order:
             raise ValueError("N must permute the points of G")
         self.L = L
         self.N = N
-        self.dim = L.dim * N.order
+        d, n = L.dim, N.order
+        D = d * n
+        lmult = [(c, *divmod(ab, d), x) for c in range(d) for ab, x in L.mult.row_entries(c)]
+        mult = Matrix.from_entries(D, D * D, (
+            (tu * d + c, (t * d + a) * D + u * d + b, x)
+            for t, row in enumerate(N.mult_table) for u, tu in enumerate(row)
+            for c, a, b, x in lmult))
+        unit = [ZERO] * D
+        e = N.identity_position
+        unit[e * d:(e + 1) * d] = L.unit
+        super().__init__(mult, unit, names=[f"{L.names[a]}*{N.name_of(t)}"
+                                            for t in range(n) for a in range(d)])
 
     def slot_map(self, images, M=None):
         """The map x * eta_t -> M(x) * eta_images[t], as permutation(images) (x) M.
@@ -83,30 +101,12 @@ class GroupAlgebraOverL:
         """x as the N.order x L.dim matrix whose row t is the L-coefficient of eta_t."""
         return Matrix(self.N.order, self.L.dim, x)
 
-    def left_operator(self, x):
-        """Matrix of left multiplication by x = sum_t x_t eta_t: as (x_t eta_t)(y eta_u)
-        = (x_t y) eta_(tu), the sum over the nonzero slots t of x of
-        slot_map(row t of N's multiplication table, L.mult_operator(x_t)).
-        These slot maps have disjoint supports (block t*u, u for each u), so
-        the nonzero rows of each L.mult_operator(x_t) are written straight
-        into their blocks."""
-        coeffs, d = self.coefficients(x), self.L.dim
-        blocks = []  # row t of N's table, and the nonzeros (a, b, c) of L.mult_operator(x_t)
-        for t in range(self.N.order):
-            if coeffs.row_entries(t):
-                m = self.L.mult_operator(coeffs.row(t))
-                blocks.append((self.N.mult_table[t],
-                               [(a, b, c) for a in range(d) for b, c in m.row_entries(a)]))
-        return Matrix.from_entries(self.dim, self.dim, (
-            (tu * d + a, u * d + b, c) for images, nonzeros in blocks
-            for u, tu in enumerate(images) for a, b, c in nonzeros))
-
     def mul(self, x, y):
-        return self.left_operator(x).apply(y)
-
-    def name_of_basis(self, idx):
-        d = self.L.dim
-        return f"{self.L.names[idx % d]}*{self.N.name_of(idx // d)}"
+        """x * y as mult (x (x) y) on one-column matrices, without the
+        per-column index of `mult` that Algebra.mul builds."""
+        self._check_length(x, y)
+        return list(mul_kron(self.mult, Matrix.from_columns([x]),
+                             Matrix.from_columns([y])).column(0))
 
 
 def group_algebra(L, N):
@@ -151,8 +151,7 @@ class SemilinearAction:
     def verify(self):
         """Exact invariants as a CheckReport: an action of G by Q-algebra maps."""
         A = self.parent
-        mult = hstack(*[A.left_operator(e) for e in Matrix.identity(A.dim).columns()])
-        return action_report(A.L.group, self.matrix, mult)
+        return action_report(A.L.group, self.matrix, A.mult)
 
 
 def semilinear_action(A):
@@ -198,12 +197,11 @@ def descend(A, label=None):
         raise DescentError(f"fixed ring has dimension {B.cols}, expected {n}")
 
     # column i*n + j is h_i h_j
-    mult = B.solve(hstack(*[A.left_operator(h) * B for h in B.columns()]))
+    mult = B.solve(mul_kron(A.mult, B, B))
     if mult is None:
         raise DescentError("a product of fixed vectors left the fixed ring")
 
-    unit_sol = B.solve(A.slots(A.L.unit)
-                       * Matrix.from_entries(n, 1, [(A.N.identity_position, 0, ONE)]))
+    unit_sol = B.solve(Matrix.from_columns([A.unit]))
     if unit_sol is None:
         raise DescentError("the unit of L[N] is not in the fixed ring")
     unit = unit_sol.column(0)
@@ -224,11 +222,10 @@ def descend(A, label=None):
 
 
 def lform_matrix(A, B):
-    """Matrix of Phi: L (x) H -> L[N], x (x) h -> x*h; column (a,k) = a*n+k; x * eta_1
-    multiplies on the left as slot_map(identity, L.mult_operator(x))."""
-    L = A.L
-    return hstack(*[A.slot_map(range(A.N.order), L.mult_operator(L.basis_vector(a))) * B
-                    for a in range(L.dim)])
+    """Matrix of Phi: L (x) H -> L[N], x (x) h -> x*h, as mult (E (x) B) with E the
+    embedding x -> x * eta_1; column (a, k) = a*n + k is e_a * h_k."""
+    eta_1 = Matrix.from_entries(A.N.order, 1, [(A.N.identity_position, 0, ONE)])
+    return mul_kron(A.mult, eta_1.kron(Matrix.identity(A.L.dim)), B)
 
 
 def _descended_comultiplication(A, B):
@@ -319,18 +316,15 @@ def measuring_report(H):
 def hopf_galois_matrix(L, action_matrices):
     """Matrix of j: L (x) H -> End(L), x (x) h -> (y -> x*(h.y)).
 
-    Endomorphisms are flattened row-major; column (a, k) is a*|H| + k.
+    Endomorphisms are flattened row-major; column (a, k) is a*|H| + k.  Entry
+    (p, (a*|H| + k)*d + q) of L.mult (1 (x) (M_0 ... M_|H|-1)) is entry (p, q)
+    of e_a M_k, so j is that one product re-indexed.
     """
-    d = L.dim
-    n = len(action_matrices)
-    entries = []
-    for a in range(d):
-        mult_op = L.mult_operator(L.basis_vector(a))
-        for k, m in enumerate(action_matrices):
-            composed = mult_op * m
-            entries.extend((p * d + q, a * n + k, c)
-                           for p in range(d) for q, c in composed.row_entries(p))
-    return Matrix.from_entries(d * d, d * n, entries)
+    d, n = L.dim, len(action_matrices)
+    prod = mul_kron(L.mult, Matrix.identity(d), hstack(*action_matrices))
+    return Matrix.from_entries(d * d, d * n, (
+        (p * d + q, ak, c) for p in range(d) for akq, c in prod.row_entries(p)
+        for ak, q in [divmod(akq, d)]))
 
 
 @dataclass

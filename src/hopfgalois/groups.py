@@ -34,10 +34,12 @@ class UnknownGroupType(ValueError):
 def _closure_bound(bound=None):
     """`bound`, else the HGL_CLOSURE_BOUND value, else the default.
 
-    Raises ValueError naming the variable unless its value is a positive
-    integer.
+    Raises ValueError unless the bound, or the variable's value, is a
+    positive integer (a bool is not one).
     """
     if bound is not None:
+        if isinstance(bound, bool) or not isinstance(bound, int) or bound <= 0:
+            raise ValueError(f"closure bound must be a positive integer, got {bound!r}")
         return bound
     env = os.environ.get(CLOSURE_BOUND_ENV)
     if env is None:

@@ -207,6 +207,67 @@ def test_classify_reports_keep_their_bytes(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == CLASSIFY_REPORT_DIGESTS[command]
 
 
+# SHA-256 of the stdout of every descend report at p = 3 over cubic:2 and at
+# p = 5 over the split model, pinned so a change of any report byte shows
+DESCEND_REPORT_DIGESTS = {
+    "descend --p 3 --structure rho --field cubic:2":
+        "132d30f2b555bc3fa42240088c86d62185e205121aa8349de7d066773d4dae53",
+    "descend --p 3 --structure rho --field cubic:2 --json":
+        "02bb44b2e5ee42133b13695728df4afca166db037a07bdd1f05b52af885fce4a",
+    "descend --p 3 --structure lambda --field cubic:2":
+        "b467ff0f551a24661f7fdcb0be82d3391dfd1551c7cf30d577cbceb94cd581f7",
+    "descend --p 3 --structure lambda --field cubic:2 --json":
+        "bc82527292e7b925be44295e2e0a661d5826d6964f08dc65d7d813e6db9e98ba",
+    "descend --p 3 --structure N0 --field cubic:2":
+        "12c11f8da7fc376e0daa73513b7a595959f06eeb9926373f46dbc10bebf4993f",
+    "descend --p 3 --structure N0 --field cubic:2 --json":
+        "c140bc22c90bcbf343c40808fe8bc7a9212de690333e8d8676d8a6fed94dc0fb",
+    "descend --p 3 --structure N1 --field cubic:2":
+        "fcdf9a255af00a928333d0a0a964afdb225b02dc33bcac18446704d79d61319d",
+    "descend --p 3 --structure N1 --field cubic:2 --json":
+        "a2cf69cb6df5d9475b2cd647704c1632bd9f9fde9a31993989435d5502db7026",
+    "descend --p 3 --structure N2 --field cubic:2":
+        "ea0e5815b2bd3aa76ab08f14498decd5ba7bd8ddb62cc9c9c08777347684f37c",
+    "descend --p 3 --structure N2 --field cubic:2 --json":
+        "a4caa16bbcd5208935aadd39922bd23b18c9b19d41c8cb20681894aa956cc3cf",
+    "descend --p 5 --structure rho --field split":
+        "d5304c112c0b5f5fe13bcffb1b2b3fbb45d81c6047b3cb55d0115a80c70ab301",
+    "descend --p 5 --structure rho --field split --json":
+        "ecd078eb72295cbadcc92cc9ed54cb00ca0ed2d968e2cf7d49f9bf1a1fff65ef",
+    "descend --p 5 --structure lambda --field split":
+        "c7931f8390905f1b703eca749b97c64e39da098f08bc1927ad267267fbb54bde",
+    "descend --p 5 --structure lambda --field split --json":
+        "9178be41f758f7f9dfa326f9677d93f977aaf1b5ac3e7ec1d2527e4984f5a1dd",
+    "descend --p 5 --structure N0 --field split":
+        "0d3e64854214801fb0fbec8e109c4f644c9fcb8615608fc7442f53dd4bd98e8e",
+    "descend --p 5 --structure N0 --field split --json":
+        "8dc2c667fca98300565c4f2d443a8c5af433450c20fa06c4d2c07577ae144176",
+    "descend --p 5 --structure N1 --field split":
+        "e614242c01469298f9d37f8c847ec1d2b8e96fbbf878b3fde26ef7ce1919bffb",
+    "descend --p 5 --structure N1 --field split --json":
+        "69a03724cdfcbd2dd90c1ea0e59228536f2409722363a28810f33812560f24c9",
+    "descend --p 5 --structure N2 --field split":
+        "41439e09351a801cb5da365bdc0f01a2255ada5ee264cede54e4430fe64dcc39",
+    "descend --p 5 --structure N2 --field split --json":
+        "39f44ba7bee05a40060f4bc42780ba4353691fc825ce80a43af273a876cf0d0d",
+    "descend --p 5 --structure N3 --field split":
+        "282da1369feadfaf8bf7a08628ddb6716623220b8249ac3f22efef676ed022dd",
+    "descend --p 5 --structure N3 --field split --json":
+        "8f31a883e0fea50822f48f049d83bc6c01c4e1e0b7e63931a75d48123c905dea",
+    "descend --p 5 --structure N4 --field split":
+        "d666a2f9c5510e6eb2c7325c16a3a53fab94d51ef169038bc83f73754d41d7c8",
+    "descend --p 5 --structure N4 --field split --json":
+        "03b4f4e1b81c256fb10cde23f3b157ad796f6dde76bbd29d1735a03115bbbe88",
+}
+
+
+@pytest.mark.parametrize("command", list(DESCEND_REPORT_DIGESTS))
+def test_descend_reports_keep_their_bytes(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == DESCEND_REPORT_DIGESTS[command]
+
+
 _DIGEST_SCRIPT = """
 import contextlib, hashlib, io, sys
 from hopfgalois.cli import main

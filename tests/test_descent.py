@@ -3,7 +3,7 @@ import random
 import pytest
 
 from hopfgalois import descent
-from hopfgalois.algebra import HopfPresentation, hopf_axiom_report
+from hopfgalois.algebra import HopfPresentation, algebra_axiom_report, hopf_axiom_report
 from hopfgalois.catalog import catalog, cyclic_generator
 from hopfgalois.analysis import nilpotent_witness
 from hopfgalois.descent import (DescentError, NormalizationError, _descended_comultiplication,
@@ -184,6 +184,51 @@ def test_lform_negative_control(descended3):
     assert lform_matrix(A, truncated).rank() == 30
 
 
+# -- Phi and j against their per-basis-element formulas ------------------------
+
+def _lform_by_slot_maps(A, B):
+    """Phi as the stack over a of slot_map(identity, L.mult_operator(e_a)) * B."""
+    L = A.L
+    return hstack(*[A.slot_map(range(A.N.order), L.mult_operator(L.basis_vector(a))) * B
+                    for a in range(L.dim)])
+
+
+def _hopf_galois_by_products(L, action_matrices):
+    """j with column a*n + k the flattened product L.mult_operator(e_a) * M_k."""
+    d, n = L.dim, len(action_matrices)
+    entries = []
+    for a in range(d):
+        mult_op = L.mult_operator(L.basis_vector(a))
+        for k, m in enumerate(action_matrices):
+            composed = mult_op * m
+            entries.extend((p * d + q, a * n + k, c)
+                           for p in range(d) for q, c in composed.row_entries(p))
+    return Matrix.from_entries(d * d, d * n, entries)
+
+
+def _differential_presentations(descended3):
+    """Every p = 3 cubic:2 presentation, then p = 5 split lambda and N2."""
+    yield from descended3.items()
+    L5 = split_model(dihedral(5))
+    for e in catalog(5):
+        if e.label in ("lambda", "N2"):
+            yield f"p5-{e.label}", descend(group_algebra(L5, e.subgroup), label=e.label)
+
+
+def test_phi_and_j_match_their_per_basis_formulas(descended3):
+    for label, H in _differential_presentations(descended3):
+        A, B = H.provenance.parent, H.provenance.basis
+        # the negative controls: a truncated basis and a zeroed action matrix
+        truncated = Matrix.from_columns([B.column(j) for j in range(B.cols - 1)], rows=A.dim)
+        for basis in (B, truncated):
+            assert lform_matrix(A, basis) == _lform_by_slot_maps(A, basis), label
+        mats = hopf_action(H)
+        zeroed = list(mats)
+        zeroed[len(mats) // 2] = Matrix.zeros(A.L.dim, A.L.dim)
+        for action in (mats, zeroed):
+            assert hopf_galois_matrix(A.L, action) == _hopf_galois_by_products(A.L, action), label
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_phi_is_built_once_and_kept(monkeypatch, L3, p):
     # p = 3 over cubic:2, p = 5 over the split model; every structure of each
@@ -328,7 +373,7 @@ def _random_sparse(rng, n):
     return v
 
 
-def test_left_operator_matches_the_slot_loop(L3):
+def test_mult_operator_matches_the_slot_loop(L3):
     rng = random.Random(6)
     for L, p in _layout_models(L3):
         for e in catalog(p):
@@ -336,8 +381,20 @@ def test_left_operator_matches_the_slot_loop(L3):
             for _ in range(4):
                 x, y = _random_sparse(rng, A.dim), _random_sparse(rng, A.dim)
                 expected = _slot_loop_mul(A, x, y)
-                assert A.left_operator(x).apply(y) == expected
+                assert A.mult_operator(x).apply(y) == expected
                 assert A.mul(x, y) == expected
+
+
+@pytest.mark.parametrize("model", ["p3-cubic2", "p5-split-lambda"])
+def test_group_algebra_passes_the_algebra_axioms(L3, model):
+    if model == "p3-cubic2":
+        L, entries = L3, catalog(3)
+    else:
+        L, entries = split_model(dihedral(5)), [e for e in catalog(5) if e.label == "lambda"]
+    for e in entries:
+        A = group_algebra(L, e.subgroup)
+        report = algebra_axiom_report(A)
+        assert report.passed, (e.label, report.failures())
 
 
 def _disjoint_sum(rows, cols, mats):
@@ -352,7 +409,7 @@ def _disjoint_sum(rows, cols, mats):
 
 
 def _slot_map_sum(A, x):
-    """left_operator(x) as the disjoint sum over the nonzero slots t of x of
+    """mult_operator(x) as the disjoint sum over the nonzero slots t of x of
     slot_map(row t of N's table, L.mult_operator(x_t))."""
     coeffs = A.coefficients(x)
     return _disjoint_sum(A.dim, A.dim, [
@@ -361,7 +418,7 @@ def _slot_map_sum(A, x):
 
 
 @pytest.mark.parametrize("model", ["p7-split-lambda", "p3-cubic2"])
-def test_left_operator_is_the_disjoint_sum_of_slot_maps(L3, model):
+def test_mult_operator_is_the_disjoint_sum_of_slot_maps(L3, model):
     rng = random.Random(model)
     if model == "p3-cubic2":
         L, entries = L3, catalog(3)
@@ -371,12 +428,15 @@ def test_left_operator_is_the_disjoint_sum_of_slot_maps(L3, model):
         A = group_algebra(L, e.subgroup)
         for _ in range(2):
             x = [Q(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(A.dim)]
-            op = A.left_operator(x)
+            op = A.mult_operator(x)
             assert op == _slot_map_sum(A, x)
             assert all(type(c) is Q for i in range(op.rows) for _, c in op.row_entries(i))
+            assert A.mul(x, x) == op.apply(x)
         sparse = _random_sparse(rng, A.dim)
-        assert A.left_operator(sparse) == _slot_map_sum(A, sparse)
-    assert A.left_operator([ZERO] * A.dim) == Matrix.zeros(A.dim, A.dim)
+        assert A.mult_operator(sparse) == _slot_map_sum(A, sparse)
+    zero = [ZERO] * A.dim
+    assert A.mult_operator(zero) == Matrix.zeros(A.dim, A.dim)
+    assert A.mul(zero, sparse) == zero
 
 
 def test_hopf_action_is_built_once_per_presentation(monkeypatch, L3, catalog3):

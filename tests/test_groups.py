@@ -145,6 +145,13 @@ def test_closure_and_bound():
         closure([lam.elements[1], lam.elements[3]], bound=4)
 
 
+@pytest.mark.parametrize("bound", [0, -3, True, False, 2.5, "x", "6"])
+def test_closure_rejects_a_bound_that_is_not_a_positive_int(bound):
+    lam = left_regular(dihedral(3))
+    with pytest.raises(ValueError, match="closure bound must be a positive integer"):
+        closure([lam.elements[1], lam.elements[3]], bound=bound)
+
+
 def test_closure_bound_env(monkeypatch):
     G = dihedral(3)
     lam = left_regular(G)
