@@ -97,10 +97,6 @@ class GroupAlgebraOverL(Algebra):
         """The dim x |N| matrix whose column t is u * eta_t: slot_map(identity, u)."""
         return self.slot_map(range(self.N.order), Matrix.from_columns([u]))
 
-    def coefficients(self, x):
-        """x as the N.order x L.dim matrix whose row t is the L-coefficient of eta_t."""
-        return Matrix(self.N.order, self.L.dim, x)
-
     def mul(self, x, y):
         """x * y as mult (x (x) y) on one-column matrices, without the
         per-column index of `mult` that Algebra.mul builds."""
@@ -273,12 +269,25 @@ def hopf_action(H):
 
 
 def _action_matrices(A, B):
+    """M_k = sum_t L.mult_operator(x_kt) * L.action[eta_t^-1[1]] for x_kt the
+    L-coefficient of eta_t in column k of B, read off two mul_krons.  Column
+    k*n + t of X is x_kt, so column (k*n + t)*d + b of L.mult (X (x) I_d) is
+    x_kt * e_b; times I_m (x) S, with S the n*d x d stack of the Galois
+    matrices, column k*d + c is column c of M_k."""
     L = A.L
     G = L.group
-    slot_gal = [eta.inverse()(G.identity) for eta in A.N.elements]
-    return [sum((L.mult_operator(x.row(t)) * L.action[slot_gal[t]]
-                 for t in range(x.rows) if x.row_entries(t)), Matrix.zeros(L.dim, L.dim))
-            for x in map(A.coefficients, B.columns())]
+    d, n, m = L.dim, A.N.order, B.cols
+    X = Matrix.from_entries(d, m * n, ((a, k * n + t, c) for k in range(m)
+                                       for r, c in B.column_entries(k).items()
+                                       for t, a in [divmod(r, d)]))
+    S = vstack(*[L.action[eta.inverse()(G.identity)] for eta in A.N.elements])
+    stacked = mul_kron(mul_kron(L.mult, X, Matrix.identity(d)), Matrix.identity(m), S)
+    entries = [[] for _ in range(m)]
+    for p in range(d):
+        for kc, x in stacked.row_entries(p):
+            k, c = divmod(kc, d)
+            entries[k].append((p, c, x))
+    return [Matrix.from_entries(d, d, e) for e in entries]
 
 
 def measuring_report(H):

@@ -7,7 +7,10 @@ in this package.  In a matrix product a left factor equal to one costs no
 arithmetic, and so does scaling by one; mul_kron multiplies by a Kronecker
 product without building it.  Row reduction eliminates on primitive integer
 rows and returns the unique reduced row echelon form, whichever rows it
-pivots on, so kernels and solutions are reproducible across runs.
+pivots on, so kernels and solutions are reproducible across runs.  A solve
+against a matrix in which every column owns a row (a row whose only nonzero
+sits in that column), such as a kernel basis with its free rows, eliminates
+nothing: the answer is read off the owned rows and checked by one product.
 
 The scalar type is gmpy2.mpq when available (roughly an order of magnitude
 faster than fractions.Fraction on the elimination-heavy workloads here) and
@@ -334,9 +337,29 @@ class Matrix:
 
         `rhs` may have several columns.  Returns None when any column has
         no solution.
+
+        When every column j owns a row, one whose only nonzero sits in column
+        j, self has full column rank, so a solution is unique: row j of X is
+        the owned row of rhs divided by the owned entry, and X is returned
+        exactly when self * X == rhs.  That one product is the whole check,
+        and no elimination is made.  Other matrices are solved by the rref of
+        (self | rhs).
         """
         if rhs.rows != self.rows:
             raise ValueError("rhs row count mismatch")
+        owner = {}
+        for i, r in enumerate(self._rows):
+            if len(r) == 1:
+                owner.setdefault(next(iter(r)), i)
+        if len(owner) == self.cols:
+            out = []
+            for j in range(self.cols):
+                i = owner[j]
+                a = self._rows[i][j]
+                out.append(dict(rhs._rows[i]) if a == 1
+                           else {k: x / a for k, x in rhs._rows[i].items()})
+            sol = Matrix._wrap(self.cols, rhs.cols, out)
+            return sol if self * sol == rhs else None
         aug = hstack(self, rhs)
         red, pivots = aug.rref()
         n = self.cols

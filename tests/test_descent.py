@@ -229,6 +229,102 @@ def test_phi_and_j_match_their_per_basis_formulas(descended3):
             assert hopf_galois_matrix(A.L, action) == _hopf_galois_by_products(A.L, action), label
 
 
+def _action_by_slot_products(A, B):
+    """The action of each column of B on L as the sum over the nonzero slots t
+    of L.mult_operator(x_t) * L.action[eta_t^-1[1]]."""
+    L = A.L
+    G = L.group
+    slot_gal = [eta.inverse()(G.identity) for eta in A.N.elements]
+    mats = []
+    for col in B.columns():
+        x = Matrix(A.N.order, L.dim, col)
+        mats.append(sum((L.mult_operator(x.row(t)) * L.action[slot_gal[t]]
+                         for t in range(x.rows) if x.row_entries(t)),
+                        Matrix.zeros(L.dim, L.dim)))
+    return mats
+
+
+def test_action_matrices_match_the_per_slot_formula(descended3):
+    for label, H in _differential_presentations(descended3):
+        A, B = H.provenance.parent, H.provenance.basis
+        # the negative control: a truncated basis, fewer h_k than slots
+        truncated = Matrix.from_columns([B.column(j) for j in range(B.cols - 1)], rows=A.dim)
+        for basis in (B, truncated):
+            mats = descent._action_matrices(A, basis)
+            assert mats == _action_by_slot_products(A, basis), label
+            assert all(type(c) is Q for m in mats for i in range(m.rows)
+                       for _, c in m.row_entries(i)), label
+        assert hopf_action(H) == _action_by_slot_products(A, B), label
+
+
+def _one_split_and_one_cubic(L3):
+    """(label, L[N]) for p = 5 split lambda and p = 3 cubic:2 N0."""
+    lam5 = next(e for e in catalog(5) if e.label == "lambda")
+    n0 = next(e for e in catalog(3) if e.label == "N0")
+    return [("p5-lambda", group_algebra(split_model(dihedral(5)), lam5.subgroup)),
+            ("p3-N0", group_algebra(L3, n0.subgroup))]
+
+
+def _owns_a_row_per_column(m):
+    """Whether each column has a row whose only nonzero sits in that column."""
+    rows = [dict(m.row_entries(i)) for i in range(m.rows)]
+    return {next(iter(r)) for r in rows if len(r) == 1} == set(range(m.cols))
+
+
+@pytest.mark.parametrize("owned", [True, False])
+def test_a_basis_not_closed_under_products_is_refused(monkeypatch, L3, owned):
+    """The fixed basis with e_i, outside its span, added to column 0, so the
+    span is no longer closed under products.  With `owned` every column keeps
+    an owned row and the structure constants are read off and refused by
+    their product check; otherwise column 1 first loses its owned rows
+    (column 0 += column 1, which keeps the span) and the refusal comes from
+    elimination."""
+    real = descent.fixed_basis
+
+    def perturbed(mats, dim):
+        B = real(mats, dim)
+        if not owned:
+            B += Matrix.from_columns([B.column(1)] + [[ZERO] * B.rows] * (B.cols - 1))
+        for i in range(B.rows):
+            e_i = Matrix.from_entries(B.rows, B.cols, [(i, 0, ONE)])
+            moved = B + e_i
+            if hstack(B, e_i).rank() > B.cols and _owns_a_row_per_column(moved) is owned:
+                return moved
+        pytest.fail("no row to move column 0 at")
+
+    monkeypatch.setattr(descent, "fixed_basis", perturbed)
+    for label, A in _one_split_and_one_cubic(L3):
+        act = semilinear_action(A)
+        B = perturbed([act.matrix(g) for g in A.L.group.generators], A.dim)
+        assert B.cols == A.N.order and B.rank() == B.cols, label
+        with pytest.raises(DescentError, match="^a product of fixed vectors left the fixed ring$"):
+            descend(A, label=label)
+
+
+def test_descend_eliminates_only_where_no_row_is_owned(monkeypatch, L3):
+    """One descend row-reduces at p = 5 split lambda only once: the fixed-space
+    kernel (the stacked M_g - I over the two generators, 200 x 100).  The
+    structure constants, the unit and the antipode against B, the counit and
+    both stages of Delta against u (x) I, and Phi^-1 are read off owned rows
+    and checked by one product each.  At p = 3 over cubic:2, N0 row-reduces
+    twice: the kernel (72 x 36) and the solve for Phi^-1 (36 x 72), as that
+    Phi has a column that owns no row."""
+    shapes = []
+    real = Matrix.rref
+
+    def counted(m):
+        shapes.append((m.rows, m.cols))
+        return real(m)
+
+    monkeypatch.setattr(Matrix, "rref", counted)
+    expected = {"p5-lambda": [(200, 100)], "p3-N0": [(72, 36), (36, 72)]}
+    for label, A in _one_split_and_one_cubic(L3):
+        shapes.clear()
+        H = descend(A, label=label)
+        assert shapes == expected[label], label
+        assert _owns_a_row_per_column(H.provenance.phi) is (label == "p5-lambda"), label
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_phi_is_built_once_and_kept(monkeypatch, L3, p):
     # p = 3 over cubic:2, p = 5 over the split model; every structure of each
@@ -411,7 +507,7 @@ def _disjoint_sum(rows, cols, mats):
 def _slot_map_sum(A, x):
     """mult_operator(x) as the disjoint sum over the nonzero slots t of x of
     slot_map(row t of N's table, L.mult_operator(x_t))."""
-    coeffs = A.coefficients(x)
+    coeffs = Matrix(A.N.order, A.L.dim, x)  # row t is the L-coefficient of eta_t
     return _disjoint_sum(A.dim, A.dim, [
         A.slot_map(A.N.mult_table[t], A.L.mult_operator(coeffs.row(t)))
         for t in range(A.N.order) if coeffs.row_entries(t)])

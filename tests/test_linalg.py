@@ -526,6 +526,93 @@ def test_inverse_matches_reference_elimination(m):
     assert m.inverse() == reference_inverse(m)
 
 
+nonzero_entries = st.one_of(
+    st.sampled_from([ONE, -ONE, Q(2), Q(-1, 3)]),
+    st.builds(Q, st.integers(1, BIG) | st.integers(-BIG, -1), st.integers(1, 10 ** 6)),
+    st.builds(Q, st.integers(1, 50) | st.integers(-50, -1), st.sampled_from([1, 3, 4, 35])))
+
+
+@st.composite
+def owned_row_matrices(draw, cols=None, extra=None, twice=True):
+    """Matrices in which every column owns a row (its only nonzero sits in that
+    column): a scaled permutation with mixed and 40-digit scales, its rows
+    placed at random among `extra` random sparse rows, and with `twice` up to
+    two columns owning a second row."""
+    cols = draw(st.integers(1, 8)) if cols is None else cols
+    extra = draw(st.integers(0, 6)) if extra is None else extra
+    data = [draw(st.lists(elimination_entries, min_size=cols, max_size=cols))
+            for _ in range(extra)]
+    owners = draw(st.permutations(range(cols)))
+    if twice:
+        owners += draw(st.lists(st.integers(0, cols - 1), max_size=2))
+    for j in owners:
+        row = [ZERO] * cols
+        row[j] = draw(nonzero_entries)
+        data.insert(draw(st.integers(0, len(data))), row)
+    return Matrix.from_rows(data)
+
+
+def _refuse_elimination(m):
+    pytest.fail(f"row-reduced a {m.rows}x{m.cols} matrix")
+
+
+def _without_elimination(solve, *args):
+    """solve(*args), failing the test if it row-reduces anything."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Matrix, "rref", _refuse_elimination)
+        return solve(*args)
+
+
+@st.composite
+def right_hand_sides(draw, m):
+    """Inside the span, inside it with one entry moved, or random (almost
+    always outside it); one to three columns."""
+    k = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["span", "moved", "random"]))
+    if kind == "random":
+        return draw(elimination_matrices(m.rows, k))
+    rhs = m * draw(elimination_matrices(m.cols, k))
+    if kind == "moved":
+        i, j = draw(st.integers(0, m.rows - 1)), draw(st.integers(0, k - 1))
+        rhs = rhs + Matrix.from_entries(m.rows, k, [(i, j, draw(nonzero_entries))])
+    return rhs
+
+
+@given(owned_row_matrices(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_owned_row_solve_matches_reference_elimination(m, data):
+    rhs = data.draw(right_hand_sides(m))
+    sol = _without_elimination(m.solve, rhs)
+    assert sol == reference_solve(m, rhs)
+    if sol is not None:
+        assert m * sol == rhs
+        assert all(type(x) is Q for i in range(sol.rows) for _, x in sol.row_entries(i))
+
+
+@given(owned_row_matrices(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_zero_column_owns_no_row_and_is_solved_by_elimination(m, data):
+    j = data.draw(st.integers(0, m.cols - 1))
+    zeroed = m * Matrix.from_entries(m.cols, m.cols, [(c, c, ONE) for c in range(m.cols) if c != j])
+    rhs = data.draw(right_hand_sides(zeroed))
+    assert zeroed.solve(rhs) == reference_solve(zeroed, rhs)
+
+
+def test_solve_with_no_columns():
+    # every column of a matrix with none owns a row; only a zero rhs is solvable
+    m = Matrix.zeros(3, 0)
+    assert _without_elimination(m.solve, Matrix.zeros(3, 2)) == Matrix.zeros(0, 2)
+    assert _without_elimination(m.solve, Matrix.from_rows([[0], [Q(1, 2)], [0]])) is None
+
+
+@given(st.integers(1, 8).flatmap(lambda n: owned_row_matrices(n, 0, twice=False)))
+@settings(max_examples=60, deadline=None)
+def test_owned_row_inverse_matches_reference_elimination(m):
+    inv = _without_elimination(m.inverse)
+    assert inv == reference_inverse(m)
+    assert inv * m == Matrix.identity(m.rows)
+
+
 def reference_fixed_basis(mats, dim):
     """Dense fixed-space basis: kernel columns scaled to content-1 integer
     vectors with a positive first entry, then sorted as tuples."""
