@@ -384,13 +384,6 @@ def hopf_iso_classes(p, L, descended=None):
     G = L.group
     labels = [e.label for e in entries]
     evidence = {}
-    parent = {lab: lab for lab in labels}
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
     for i in range(len(entries)):
         for j in range(i + 1, len(entries)):
             a, b = entries[i], entries[j]
@@ -404,18 +397,19 @@ def hopf_iso_classes(p, L, descended=None):
                 evidence[(a.label, b.label)] = PairEvidence(
                     True, witness=isos[0], induced_map_checked=True,
                     isos_tested=len(isos) + len(rejected))
-                parent[find(b.label)] = find(a.label)
             else:
                 cert = [(iso.mapping, (G.names[g], t)) for iso, (g, t) in rejected]
                 evidence[(a.label, b.label)] = PairEvidence(
                     False, certificate=cert, isos_tested=len(rejected))
 
-    classes = _group_by(labels, find)
+    # each label's key is the first label equal or isomorphic to it
+    first = {lab: next(la for la in labels if la == lab or evidence[(la, lab)].isomorphic)
+             for lab in labels}
+    classes = _group_by(labels, first.get)
 
     # consistency: evidence must agree with the partition
     for (la, lb), ev in evidence.items():
-        same = find(la) == find(lb)
-        if same != ev.isomorphic:
+        if (first[la] == first[lb]) != ev.isomorphic:
             raise AssertionError("pairwise evidence is not transitive")
     return HopfIsoClassReport(labels=labels, classes=classes, evidence=evidence)
 

@@ -120,6 +120,26 @@ class Perm:
         return out
 
 
+def _walk(table, identity, gens):
+    """The subgroup that `gens` generate in the Cayley table `table`.
+
+    Returns it in breadth-first order from `identity` as (element, parent,
+    generator) triples with element = table[parent][generator]; parent and
+    generator are None for the identity.  Following the triples rebuilds any
+    homomorphic image from the images of `gens`.
+    """
+    walk = [(identity, None, None)]
+    seen = {identity}
+    for x, _, _ in walk:
+        row = table[x]
+        for g in gens:
+            y = row[g]
+            if y not in seen:
+                seen.add(y)
+                walk.append((y, x, g))
+    return walk
+
+
 @dataclass(frozen=True)
 class FiniteGroup:
     """A finite group as a Cayley table with named elements."""
@@ -158,17 +178,7 @@ class FiniteGroup:
         return k
 
     def subgroup_generated(self, gens):
-        seen = {self.identity}
-        frontier = [self.identity]
-        gens = list(gens)
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = self.mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return frozenset(seen)
+        return frozenset(x for x, _, _ in _walk(self.table, self.identity, list(gens)))
 
     def all_subgroups(self):
         """All subgroups reachable from at most two generators.
@@ -374,9 +384,11 @@ def is_normalized_by(N, translations):
 def closure(gens, bound=None):
     """Subgroup generated by `gens`, elements sorted by image tuple.
 
-    Aborts with ClosureBoundExceeded once more than `bound` elements appear
-    (default DEFAULT_CLOSURE_BOUND, overridable via the HGL_CLOSURE_BOUND
-    environment variable).
+    Aborts with ClosureBoundExceeded once more than `bound` elements appear.
+    Only a call without an explicit `bound` reads the HGL_CLOSURE_BOUND
+    environment variable (else DEFAULT_CLOSURE_BOUND): in the CLI that is
+    the regeneration check of `enumerate`.  The invariant closures of
+    enumerate_regular_normalized pass |G| and are not affected by it.
     """
     gens = list(gens)
     if not gens:
@@ -402,41 +414,32 @@ def closure(gens, bound=None):
 
 
 def _invariant_closure(gens, conjugators, max_order):
-    """Closure under products and conjugation by `conjugators`, pruned.
+    """Subgroup generated by `gens` and their conjugates, pruned.
 
-    Returns the element set, or None as soon as the closure acquires a
-    non-identity element with a fixed point or grows past max_order.  Any
-    regular subgroup normalized by the translations must contain this
-    closure, which justifies the pruning.  The closure is invariant under the
-    group `conjugators` generate, as in is_normalized_by.
+    The conjugation orbit of `gens` under the group `conjugators` generate is
+    closed under that conjugation, so the subgroup it generates is too.
+    Returns that subgroup (a `closure`), or None when it grows past
+    max_order or a non-identity element has a fixed point.  Any regular
+    subgroup normalized by the translations must contain this closure, which
+    justifies the pruning.
     """
-    degree = gens[0].degree
-    ident = Perm.identity(degree)
-    elems = {ident.images: ident}
-    frontier = list(gens)
-    for g in gens:
-        elems[g.images] = g
-    work = list(frontier)
+    orbit = {g.images: g for g in gens}
+    work = list(gens)
     while work:
         x = work.pop()
-        if not x.is_identity() and x.has_fixed_point():
-            return None
-        new = []
-        for y in list(elems.values()):
-            new.append(x * y)
-            new.append(y * x)
-        for g in conjugators:
-            new.append(conj_by(g, x))
-        for z in new:
-            if z.images not in elems:
-                elems[z.images] = z
-                work.append(z)
-                if len(elems) > max_order:
-                    return None
-    for z in elems.values():
+        for c in conjugators:
+            y = conj_by(c, x)
+            if y.images not in orbit:
+                orbit[y.images] = y
+                work.append(y)
+    try:
+        N = closure(orbit.values(), bound=max_order)
+    except ClosureBoundExceeded:
+        return None
+    for z in N.elements:
         if not z.is_identity() and z.has_fixed_point():
             return None
-    return elems
+    return N
 
 
 def enumerate_regular_normalized(G):
@@ -462,30 +465,25 @@ def enumerate_regular_normalized(G):
     found = {}
     partial = []
     for seed in seeds:
-        closed = _invariant_closure([seed], conjugators, n)
-        if closed is None:
+        N = _invariant_closure([seed], conjugators, n)
+        if N is None:
             continue
-        if len(closed) == n:
-            key = tuple(sorted(closed))
-            if key not in found:
-                found[key] = closed
+        if N.order == n:
+            found.setdefault(N.canonical_key(), N)
         else:
-            partial.append((seed, closed))
+            partial.append((seed, N))
 
-    for i, (a, ca) in enumerate(partial):
+    for i, (a, Na) in enumerate(partial):
         for b, _ in partial[i + 1:]:
-            if b.images in ca:
+            if b in Na:
                 continue
-            closed = _invariant_closure([a, b], conjugators, n)
-            if closed is not None and len(closed) == n:
-                key = tuple(sorted(closed))
-                if key not in found:
-                    found[key] = closed
+            N = _invariant_closure([a, b], conjugators, n)
+            if N is not None and N.order == n:
+                found.setdefault(N.canonical_key(), N)
 
     out = []
     for key in sorted(found):
-        elems = tuple(found[key][img] for img in key)
-        N = PermSubgroup(n, elems)
+        N = found[key]
         if not (is_regular(N) and is_normalized_by(N, lam)):
             raise AssertionError("enumerated subgroup is not regular and normalized")
         out.append(N)
@@ -540,24 +538,13 @@ class GroupIso:
         A, B, m = self.source, self.target, self.mapping
         if sorted(m) != list(range(A.order)):
             return False
-        for t in range(A.order):
-            for u in range(A.order):
-                if m[A.mult_table[t][u]] != B.mult_table[m[t]][m[u]]:
+        rows_b = B.mult_table
+        for t, row_a in enumerate(A.mult_table):
+            row_b = rows_b[m[t]]
+            for u, v in enumerate(row_a):
+                if m[v] != row_b[m[u]]:
                     return False
         return True
-
-
-def _closure_positions(N, gens):
-    have = {N.identity_position}
-    work = [N.identity_position]
-    while work:
-        x = work.pop()
-        for g in gens:
-            for z in (N.mult_table[x][g], N.mult_table[g][x]):
-                if z not in have:
-                    have.add(z)
-                    work.append(z)
-    return have
 
 
 def minimal_generators(N):
@@ -568,39 +555,10 @@ def minimal_generators(N):
         if t in have:
             continue
         gens.append(t)
-        have = _closure_positions(N, gens)
+        have = {x for x, _, _ in _walk(N.mult_table, N.identity_position, gens)}
         if len(have) == N.order:
             break
     return tuple(gens)
-
-
-def _expansion_recipe(N, gens):
-    """Order every element as product of earlier ones and a generator.
-
-    Returns a list of (position, parent_position, generator_position) with
-    parent None for the identity, generator None for the generators
-    themselves; following the list rebuilds any homomorphic image.
-    """
-    recipe = [(N.identity_position, None, None)]
-    known = {N.identity_position}
-    for g in gens:
-        if g not in known:
-            recipe.append((g, None, g))
-            known.add(g)
-    frontier = list(known)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = N.mult_table[x][g]
-                if y not in known:
-                    recipe.append((y, x, g))
-                    known.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    if len(known) != N.order:
-        raise AssertionError("generators do not generate")
-    return recipe
 
 
 def group_isomorphisms(A, B):
@@ -608,35 +566,21 @@ def group_isomorphisms(A, B):
     if A.order != B.order:
         return []
     gens = minimal_generators(A)
-    recipe = _expansion_recipe(A, gens)
-    gen_orders = [A.element_orders[g] for g in gens]
-    candidates = [[u for u in range(B.order) if B.element_orders[u] == o]
-                  for o in gen_orders]
+    walk = _walk(A.mult_table, A.identity_position, gens)
+    if len(walk) != A.order:
+        raise AssertionError("generators do not generate")
+    candidates = [[u for u in range(B.order) if B.element_orders[u] == A.element_orders[g]]
+                  for g in gens]
     isos = []
     for choice in iter_product(*candidates):
-        m = [None] * A.order
         images = dict(zip(gens, choice))
-        ok = True
-        for pos, parent, gen in recipe:
-            if parent is None and gen is None:
-                m[pos] = B.identity_position
-            elif parent is None:
-                m[pos] = images[gen]
-            else:
-                m[pos] = B.mult_table[m[parent]][images[gen]]
-        if len(set(m)) != A.order:
-            continue
-        for t in range(A.order):
-            row_a = A.mult_table[t]
-            row_b = B.mult_table[m[t]]
-            for u in range(A.order):
-                if m[row_a[u]] != row_b[m[u]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            isos.append(GroupIso(A, B, tuple(m)))
+        m = [None] * A.order
+        m[A.identity_position] = B.identity_position
+        for x, parent, g in walk[1:]:
+            m[x] = B.mult_table[m[parent]][images[g]]
+        iso = GroupIso(A, B, tuple(m))
+        if iso.verify():
+            isos.append(iso)
     return isos
 
 

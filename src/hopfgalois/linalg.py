@@ -336,14 +336,13 @@ class Matrix:
         """Solve self @ X = rhs for X (free variables set to zero).
 
         `rhs` may have several columns.  Returns None when any column has
-        no solution.
+        no solution.  X is returned exactly when self * X == rhs; that one
+        product is the whole check.
 
         When every column j owns a row, one whose only nonzero sits in column
         j, self has full column rank, so a solution is unique: row j of X is
-        the owned row of rhs divided by the owned entry, and X is returned
-        exactly when self * X == rhs.  That one product is the whole check,
-        and no elimination is made.  Other matrices are solved by the rref of
-        (self | rhs).
+        the owned row of rhs divided by the owned entry, and no elimination
+        is made.  Other matrices are solved by the rref of (self | rhs).
         """
         if rhs.rows != self.rows:
             raise ValueError("rhs row count mismatch")
@@ -351,37 +350,32 @@ class Matrix:
         for i, r in enumerate(self._rows):
             if len(r) == 1:
                 owner.setdefault(next(iter(r)), i)
-        if len(owner) == self.cols:
+        n = self.cols
+        if len(owner) == n:
             out = []
-            for j in range(self.cols):
+            for j in range(n):
                 i = owner[j]
                 a = self._rows[i][j]
                 out.append(dict(rhs._rows[i]) if a == 1
                            else {k: x / a for k, x in rhs._rows[i].items()})
-            sol = Matrix._wrap(self.cols, rhs.cols, out)
-            return sol if self * sol == rhs else None
-        aug = hstack(self, rhs)
-        red, pivots = aug.rref()
-        n = self.cols
-        if pivots and pivots[-1] >= n:
-            return None
-        out = [{} for _ in range(n)]
-        for i, p in enumerate(pivots):
-            out[p] = {j - n: x for j, x in red._rows[i].items() if j >= n}
-        return Matrix._wrap(n, rhs.cols, out)
+        else:
+            red, pivots = hstack(self, rhs).rref()
+            if pivots and pivots[-1] >= n:
+                return None
+            out = [{} for _ in range(n)]
+            for i, p in enumerate(pivots):
+                out[p] = {j - n: x for j, x in red._rows[i].items() if j >= n}
+        sol = Matrix._wrap(n, rhs.cols, out)
+        return sol if self * sol == rhs else None
 
     def inverse(self):
-        """Inverse of a square matrix, or None if singular."""
+        """Inverse of a square matrix, or None if singular.
+
+        solve confirms self * X == I, and for a square matrix a right
+        inverse is the inverse."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        sol = self.solve(Matrix.identity(self.rows))
-        if sol is None:
-            return None
-        # solve() found a preimage of I; for square matrices that forces
-        # full rank, but confirm to keep the contract airtight
-        if (self * sol) != Matrix.identity(self.rows):
-            return None
-        return sol
+        return self.solve(Matrix.identity(self.rows))
 
     def kron(self, other):
         """Kronecker product; index (i,j) of a factor pair maps to i*dim+j.

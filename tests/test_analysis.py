@@ -1,3 +1,4 @@
+import importlib
 from math import gcd
 from time import perf_counter
 
@@ -284,6 +285,21 @@ def test_hopf_iso_classes(L3, descended3):
     assert report.class_of("N2") == ["N0", "N1", "N2"]
     with pytest.raises(KeyError):
         report.class_of("N9")
+
+
+def test_hopf_iso_classes_refuses_intransitive_evidence(L3, descended3, monkeypatch):
+    # rho ~ N0 and N0 ~ N1, but rho !~ N1
+    analysis = importlib.import_module("hopfgalois.analysis")
+    linked = {("rho", "N0"), ("N0", "N1")}
+
+    def search(N, N2, G):
+        return (["iso"], []) if (N.label, N2.label) in linked else ([], [])
+
+    monkeypatch.setattr(analysis, "equivariant_iso_search", search)
+    monkeypatch.setattr(analysis, "_induced_hopf_map", lambda Ha, Hb, iso: None)
+    monkeypatch.setattr(analysis, "hopf_map_violation", lambda T, Ha, Hb: None)
+    with pytest.raises(AssertionError, match="pairwise evidence is not transitive"):
+        hopf_iso_classes(3, L3, descended=dict(descended3))
 
 
 def test_minimal_splitting_subfield(L3):

@@ -1,10 +1,12 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfgalois.catalog import SUPPORTED_PRIMES, catalog
 from hopfgalois.groups import (ClosureBoundExceeded, FiniteGroup, Perm, PermSubgroup,
-                               UnknownGroupType, closure, conj_by,
+                               GroupIso, UnknownGroupType, closure, conj_by,
                                cyclic, dihedral, elementary_abelian_4,
                                enumerate_regular_normalized,
                                equivariant_iso_search, group_isomorphisms,
@@ -195,6 +197,17 @@ def test_group_isomorphism_counts():
     assert group_isomorphisms(d3, c6) == []
     iso = group_isomorphisms(d3, d3)[0]
     assert iso.verify()
+    swapped = list(iso.mapping)
+    swapped[1], swapped[2] = swapped[2], swapped[1]
+    assert not GroupIso(d3, d3, tuple(swapped)).verify()
+    assert not GroupIso(d3, d3, (0,) * 6).verify()
+    for p in (5, 7):
+        by_label = {e.label: e.subgroup for e in catalog(p)}
+        rho, lam, n0, n1 = (by_label[k] for k in ("rho", "lambda", "N0", "N1"))
+        assert len(group_isomorphisms(rho, rho)) == p * (p - 1)  # |Aut(D_p)|
+        assert len(group_isomorphisms(n0, n1)) == p - 1  # |Aut(C_2p)|
+        assert len(group_isomorphisms(rho, lam)) == p * (p - 1)
+        assert group_isomorphisms(rho, n0) == []
 
 
 def test_minimal_generators_regenerate():
@@ -240,6 +253,20 @@ def test_enumerate_d3():
 def test_enumerate_klein():
     subs = enumerate_regular_normalized(elementary_abelian_4())
     assert sorted(iso_type(N) for N in subs) == ["C2xC2", "C4", "C4", "C4"]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_enumerate_cyclic_of_order_prime_to_its_totient(q):
+    # Byott 1996: gcd(n, phi(n)) = 1 makes lambda(C_n) the only structure
+    subs = enumerate_regular_normalized(cyclic(q))
+    assert [N.canonical_key() for N in subs] == [left_regular(cyclic(q)).canonical_key()]
+
+
+def test_enumerate_cyclic_of_order_six():
+    # Byott 2004: a cyclic group of order pq with q | p - 1 has 2q - 1 structures
+    subs = enumerate_regular_normalized(cyclic(6))
+    assert len(subs) == 3
+    assert Counter(iso_type(N) for N in subs) == Counter({"C6": 1, "D3": 2})
 
 
 def test_enumerate_rejects_large_groups():

@@ -613,6 +613,23 @@ def test_owned_row_inverse_matches_reference_elimination(m):
     assert inv * m == Matrix.identity(m.rows)
 
 
+@given(st.integers(1, 8).flatmap(lambda n: owned_row_matrices(n, 0, twice=False)))
+@settings(max_examples=30, deadline=None)
+def test_inverse_of_a_scaled_permutation_is_checked_by_one_product(m):
+    products = []
+    mul = Matrix.__mul__
+
+    def counting_mul(a, b):
+        products.append((a.rows, b.cols))
+        return mul(a, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Matrix, "__mul__", counting_mul)
+        inv = m.inverse()
+    assert products == [(m.rows, m.rows)]
+    assert inv == reference_inverse(m)
+
+
 def reference_fixed_basis(mats, dim):
     """Dense fixed-space basis: kernel columns scaled to content-1 integer
     vectors with a positive first entry, then sorted as tuples."""
