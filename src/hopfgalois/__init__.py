@@ -5,6 +5,10 @@ group of order 2p, descends each group algebra L[N] to a Hopf algebra over Q,
 and verifies every structural claim (Hopf axioms, the Hopf-Galois property,
 explicit bases, isomorphism classes, Wedderburn decompositions) in exact
 rational arithmetic.
+
+The attribute `catalog` is the function, which shadows its module (so does
+`import hopfgalois.catalog as m`); importlib.import_module("hopfgalois.catalog")
+returns the module, under the name tools look it up by.
 """
 
 from .algebra import (Algebra, Check, CheckReport, HopfPresentation,

@@ -68,12 +68,9 @@ class Algebra:
         return out
 
     def mult_operator(self, x):
-        """Matrix of left multiplication by x, m(x (x) 1): column j is the sum
-        of x_i basis_i*basis_j over the nonzero x_i."""
+        """Matrix of left multiplication by x: m(x (x) 1)."""
         self._check_length(x)
-        n, terms = self.dim, self._products
-        return Matrix.from_entries(n, n, ((k, j, a * c) for i, a in enumerate(x) if a
-                                          for j in range(n) for k, c in terms[i * n + j]))
+        return mul_kron(self.mult, Matrix.from_columns([x]), Matrix.identity(self.dim))
 
     def right_mult_operator(self, x):
         """Matrix of right multiplication by x: m(1 (x) x)."""
@@ -304,7 +301,7 @@ def hopf_map_violation(T, src, dst):
         raise ValueError("dimension mismatch")
     if T.rank() != n:
         return "bijectivity"
-    if T.apply(src.unit) != list(dst.unit):
+    if T * Matrix.from_columns([src.unit]) != Matrix.from_columns([dst.unit]):
         return "unit"
     if T * src.mult != mul_kron(dst.mult, T, T):
         return "multiplication"

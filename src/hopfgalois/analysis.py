@@ -22,7 +22,8 @@ Two classifications run side by side and are cross-checked:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
+from functools import cache
+from itertools import combinations, product as iter_product
 
 from math import gcd
 
@@ -31,7 +32,7 @@ from .catalog import catalog
 from .descent import group_algebra, descend
 from .groups import dihedral, equivariant_iso_search, left_regular, right_regular
 from .linalg import (Matrix, ONE, Q, ZERO, column_space_basis, hstack,
-                     integer_normalized, vstack)
+                     integer_normalized, mul_kron)
 
 KIND_FIELD = "field"
 KIND_MATRIX2 = "matrix2_over_center"
@@ -69,20 +70,14 @@ class WedderburnReport:
 
 def minimal_polynomial(M):
     """Monic minimal polynomial of a square matrix, low degree first."""
-    n = M.rows
-    powers = [Matrix.identity(n)]
-    vectors = [list(powers[0].entries)]
-    while True:
-        powers.append(powers[-1] * M)
-        vectors.append(list(powers[-1].entries))
-        span = Matrix.from_columns(vectors[:-1], rows=n * n)
-        sol = span.solve(Matrix.from_columns([vectors[-1]], rows=n * n))
+    power, vectors = Matrix.identity(M.rows), []
+    while len(vectors) <= M.rows:
+        vectors.append(power.entries)
+        power = power * M
+        sol = Matrix.from_columns(vectors).solve(Matrix.from_columns([power.entries]))
         if sol is not None:
-            coeffs = [-sol[i, 0] for i in range(sol.rows)]
-            coeffs.append(ONE)
-            return coeffs
-        if len(powers) > n + 1:
-            raise AssertionError("minimal polynomial must have degree <= dim")
+            return [-x for x in sol.column(0)] + [ONE]
+    raise AssertionError("minimal polynomial must have degree <= dim")
 
 
 def _at_half(p, t):
@@ -145,79 +140,71 @@ def rational_roots(coeffs):
     return sorted(roots)
 
 
-def _restricted_operator(H, basis, x):
-    """Matrix of multiplication by x on the span of `basis` columns."""
-    sol = basis.solve(H.mult_operator(x) * basis)
-    if sol is None:
-        raise AssertionError("span is not an ideal")
-    return sol
-
-
 def _split_unit(H, unit, part_a, part_b):
-    combined = hstack(part_a, part_b)
-    sol = combined.solve(Matrix.from_columns([list(unit)], rows=H.dim))
+    """The units ua and unit - ua of the ideals spanned by part_a and part_b."""
+    sol = hstack(part_a, part_b).solve(unit)
     if sol is None:
         raise AssertionError("unit left the component")
-    ua = part_a.apply([sol[i, 0] for i in range(part_a.cols)])
-    ub = part_b.apply([sol[part_a.cols + i, 0] for i in range(part_b.cols)])
+    ua = hstack(part_a, Matrix.zeros(H.dim, part_b.cols)) * sol
+    ub = unit - ua
     for u in (ua, ub):
-        if H.mul(u, u) != u:
+        if mul_kron(H.mult, u, u) != u:
             raise AssertionError("component unit is not idempotent")
-    if any(H.mul(ua, ub)):
+    if mul_kron(H.mult, ua, ub) != Matrix.zeros(H.dim, 1):
         raise AssertionError("component units are not orthogonal")
     return ua, ub
+
+
+def _eigen_split(H, unit, basis, operators):
+    """The component (unit, basis) split by the first of the operators with a
+    complementary eigen-split, as two (unit, basis) pairs, or None."""
+    k = basis.cols
+    for op in operators:
+        Mz = basis.solve(op * basis)
+        if Mz is None:
+            raise AssertionError("span is not an ideal")
+        for a in rational_roots(minimal_polynomial(Mz)):
+            shifted = Mz - Matrix.identity(k) * a
+            ker = shifted.kernel()
+            if 0 < ker.cols < k and hstack(ker, shifted).rank() == k:
+                parts = column_space_basis(basis * ker), column_space_basis(basis * shifted)
+                return list(zip(_split_unit(H, unit, *parts), parts))
+    return None
 
 
 def commutative_wedderburn(H):
     """Decomposition of a commutative algebra into indecomposable ideals.
 
     Splitting elements are the basis vectors and their pairwise sums; each
-    is used through the rational eigenvalues of its multiplication operator.
-    Components that no splitting element separates are reported with kind
-    "field" when 1-dimensional and "undetermined" otherwise.
+    is used through the rational eigenvalues a of its multiplication operator
+    L_z.  On a component eH, z acts as ez does, so L_z restricts to it as
+    basis.solve(L_z * basis).  The ideals ker(L_z - a) and im(L_z - a) of
+    the component split it when they are complementary, as they always are
+    in a semisimple algebra.  Components that no splitting element separates
+    are reported with kind "field" when 1-dimensional and "undetermined"
+    otherwise.
     """
     if not H.is_commutative():
         raise ValueError("commutative_wedderburn needs a commutative algebra")
-    n = H.dim
-    seq = [H.basis_vector(i) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = H.basis_vector(i)
-            v[j] = ONE
-            seq.append(v)
+    n, one = H.dim, Matrix.identity(H.dim)
+    sums = [*combinations(range(n), 1), *combinations(range(n), 2)]
 
-    work = [(list(H.unit), Matrix.identity(n))]
+    @cache
+    def operator(z):  # L_z for z the sum of the basis vectors indexed by z
+        return mul_kron(H.mult, Matrix.from_entries(n, 1, ((i, 0, ONE) for i in z)), one)
+
+    work = [(Matrix.from_columns([H.unit]), one)]
     done = []
     while work:
         unit, basis = work.pop(0)
         k = basis.cols
-        if k == 1:
-            done.append(WedderburnComponent(1, 1, KIND_FIELD,
-                                            tuple(unit), basis))
-            continue
-        split = None
-        for z in seq:
-            zc = H.mul(unit, z)
-            Mz = _restricted_operator(H, basis, zc)
-            for a in rational_roots(minimal_polynomial(Mz)):
-                shifted = Mz - Matrix.identity(k) * a
-                ker = shifted.kernel()
-                if 0 < ker.cols < k:
-                    part_a = column_space_basis(basis * ker)
-                    part_b = column_space_basis(basis * shifted)
-                    if part_a.cols + part_b.cols != k:
-                        raise AssertionError("eigen-split dimensions do not add up")
-                    ua, ub = _split_unit(H, unit, part_a, part_b)
-                    split = ((ua, part_a), (ub, part_b))
-                    break
-            if split:
-                break
+        split = _eigen_split(H, unit, basis, map(operator, sums)) if k > 1 else None
         if split:
             work.extend(split)
         else:
-            done.append(WedderburnComponent(k, k, KIND_UNDETERMINED,
-                                            tuple(unit), basis))
-    done.sort(key=lambda c: (c.dim, tuple(c.unit)))
+            done.append(WedderburnComponent(k, k, KIND_FIELD if k == 1 else KIND_UNDETERMINED,
+                                            unit.column(0), basis))
+    done.sort(key=lambda c: (c.dim, c.unit))
     return WedderburnReport(done)
 
 
@@ -232,6 +219,12 @@ def character_idempotents(p):
     return [Q(1, n)] * n, [Q(-1, n) if G.element_order(g) == 2 else Q(1, n) for g in range(n)]
 
 
+def _check_scan_bound(bound):
+    """Raise ValueError unless `bound` is a non-negative int (a bool is not one)."""
+    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
+        raise ValueError(f"scan bound must be a non-negative integer, got {bound!r}")
+
+
 def find_square_zero_element(H, basis=None, bound=2):
     """Exact scan for a nonzero x with x*x = 0 in the span of `basis`.
 
@@ -239,6 +232,7 @@ def find_square_zero_element(H, basis=None, bound=2):
     order; returns the first witness or None.  A scan failure is reported
     as None, never as a nonexistence proof.
     """
+    _check_scan_bound(bound)
     if basis is None:
         basis = Matrix.identity(H.dim)
     for coords in iter_product(range(-bound, bound + 1), repeat=basis.cols):
@@ -248,14 +242,13 @@ def find_square_zero_element(H, basis=None, bound=2):
     return None
 
 
-def _square_zero_in(H, basis, hint, bound):
-    """The hint when it is a square-zero element of span(basis), else a scan."""
+def _has_square_zero(H, basis, hint, bound):
+    """Whether the hint, or else a scan up to `bound`, is a square-zero element of span(basis)."""
     if hint is not None:
-        x = list(hint)
-        if (basis.solve(Matrix.from_columns([x], rows=H.dim)) is not None
-                and any(x) and not any(H.mul(x, x))):
-            return x
-    return find_square_zero_element(H, basis, bound=bound)
+        x, zero = Matrix.from_columns([hint], rows=H.dim), Matrix.zeros(H.dim, 1)
+        if basis.solve(x) is not None and x != zero and mul_kron(H.mult, x, x) == zero:
+            return True
+    return find_square_zero_element(H, basis, bound=bound) is not None
 
 
 def noncommutative_wedderburn_p3(H, nilpotent=None, scan_bound=2):
@@ -273,22 +266,25 @@ def noncommutative_wedderburn_p3(H, nilpotent=None, scan_bound=2):
         raise ValueError("this routine handles dimension 6 only")
     if H.is_commutative():
         raise ValueError("use commutative_wedderburn for commutative input")
-    Z = vstack(*(H.mult_operator(b) - H.right_mult_operator(b)
-                 for b in map(H.basis_vector, range(H.dim)))).kernel()
-    mult = Z.solve(hstack(*(H.mult_operator(Z.column(j)) * Z for j in range(Z.cols))))
+    _check_scan_bound(scan_bound)
+    n, one = H.dim, Matrix.identity(H.dim)
+    # row j*n + k, column i: coordinate k of e_i e_j - e_j e_i, read off mult
+    Z = Matrix.from_entries(n * n, n, (t for k in range(n) for ij, c in H.mult.row_entries(k)
+                                       for i, j in [divmod(ij, n)]
+                                       for t in ((j * n + k, i, c), (i * n + k, j, -c)))).kernel()
+    mult = Z.solve(mul_kron(H.mult, Z, Z))
     unit = Z.solve(Matrix.from_columns([H.unit]))
     if mult is None or unit is None:
         raise AssertionError("the center is not a subalgebra")
 
     components = []
     for comp in commutative_wedderburn(Algebra(mult, unit.column(0))).components:
-        e = Z.apply(comp.unit)
-        basis = column_space_basis(H.mult_operator(e))
+        e = Z * Matrix.from_columns([comp.unit])
+        basis = column_space_basis(mul_kron(H.mult, e, one))
         kind = KIND_FIELD if basis.cols == 1 else KIND_UNDETERMINED
-        if (basis.cols == 4 and comp.dim == 1
-                and _square_zero_in(H, basis, nilpotent, scan_bound) is not None):
+        if basis.cols == 4 and comp.dim == 1 and _has_square_zero(H, basis, nilpotent, scan_bound):
             kind = KIND_MATRIX2
-        components.append(WedderburnComponent(basis.cols, comp.dim, kind, tuple(e), basis))
+        components.append(WedderburnComponent(basis.cols, comp.dim, kind, e.column(0), basis))
     if sum(c.dim for c in components) != H.dim:
         raise AssertionError("block dimensions do not add up")
     return WedderburnReport(components)
@@ -460,7 +456,6 @@ def algebra_iso_classes_p3(L, descended=None):
                     and prov.parent.N.canonical_key() == lam_key):
                 sol = prov.basis.solve(
                     Matrix.from_columns([nilpotent_witness(L)], rows=prov.parent.dim))
-                if sol is not None:
-                    hint = [sol[i, 0] for i in range(H.dim)]
+                hint = None if sol is None else sol.column(0)
             reports[e.label] = noncommutative_wedderburn_p3(H, nilpotent=hint)
     return _group_by([e.label for e in entries], lambda lab: reports[lab].summary()), reports

@@ -18,7 +18,7 @@ from math import isqrt
 
 from .algebra import Algebra, action_report, algebra_axiom_report
 from .groups import cyclic, dihedral
-from .linalg import Matrix, Q, ZERO, ONE, fixed_basis, integer_normalized, rational
+from .linalg import Matrix, Q, ZERO, ONE, fixed_basis, integer_normalized, mul_kron, rational
 
 
 def _int_is_cube(n):
@@ -208,7 +208,8 @@ def quadratic_sqrt_witness(L):
 
 def rational_square_of(L, w):
     """The rational d with w*w = d * unit; raises if w^2 is not rational."""
-    d = Matrix.from_columns([L.unit]).solve(Matrix.from_columns([L.mul(w, w)]))
+    w = Matrix.from_columns([w])
+    d = Matrix.from_columns([L.unit]).solve(mul_kron(L.mult, w, w))
     if d is None:
         raise ValueError("square is not a rational multiple of the unit")
     return d[0, 0]

@@ -2,7 +2,8 @@ import pytest
 
 from hopfgalois.catalog import catalog
 from hopfgalois.descent import descend, group_algebra
-from hopfgalois.extensions import splitting_field_cubic
+from hopfgalois.extensions import split_model, splitting_field_cubic
+from hopfgalois.groups import dihedral
 
 
 @pytest.fixture(scope="session")
@@ -19,3 +20,11 @@ def catalog3():
 def descended3(L3, catalog3):
     return {e.label: descend(group_algebra(L3, e.subgroup), label=e.label)
             for e in catalog3}
+
+
+@pytest.fixture(scope="session")
+def split5_nc():
+    """The p = 5 N_c presentations descended over the split model, by label."""
+    L = split_model(dihedral(5))
+    return {e.label: descend(group_algebra(L, e.subgroup), label=e.label)
+            for e in catalog(5) if e.label not in ("rho", "lambda")}

@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 from hopfgalois.algebra import (Algebra, Check, HopfPresentation, algebra_axiom_report,
                                 first_difference, first_row_difference, group_hopf_algebra,
                                 hopf_axiom_report, hopf_map_violation)
-from hopfgalois.catalog import catalog
-from hopfgalois.descent import descend, group_algebra
-from hopfgalois.extensions import rational_square_of, split_model
+from hopfgalois.extensions import rational_square_of
 from hopfgalois.groups import cyclic, dihedral, elementary_abelian_4
 from hopfgalois.linalg import Matrix, ONE, Q, ZERO
 
@@ -250,9 +248,8 @@ def test_first_row_difference_refuses_a_shape_mismatch():
 
 
 @pytest.fixture(scope="module")
-def split5_n2():
-    n2 = next(e for e in catalog(5) if e.label == "N2")
-    return descend(group_algebra(split_model(dihedral(5)), n2.subgroup), label="N2")
+def split5_n2(split5_nc):
+    return split5_nc["N2"]
 
 
 # (row, column, added value) in comul, and the expected coassociativity and

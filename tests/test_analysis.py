@@ -198,6 +198,27 @@ def test_wedderburn_components_sum(descended3):
     assert total == list(H.unit)
 
 
+def _algebra(n, products, unit):
+    """The algebra with basis products e_i e_j = e_k for (i, j) -> k, others 0."""
+    return Algebra(Matrix.from_entries(n, n * n, [(k, i * n + j, ONE)
+                                                  for (i, j), k in products.items()]), unit)
+
+
+def test_wedderburn_keeps_a_non_semisimple_block_whole():
+    # Q[x]/(x^2): ker(L_x) = im(L_x) = Qx, so no eigen-split is complementary
+    dual = _algebra(2, {(0, 0): 0, (0, 1): 1, (1, 0): 1}, (ONE, ZERO))
+    assert algebra_axiom_report(dual).passed
+    rep = commutative_wedderburn(dual)
+    assert rep.summary() == ((2, 2, "undetermined"),)
+    assert rep.components[0].unit == (ONE, ZERO)
+    # Q x Q[x]/(x^2): e0 splits off Q, and the dual-number block stays whole
+    mixed = _algebra(3, {(0, 0): 0, (1, 1): 1, (1, 2): 2, (2, 1): 2}, (ONE, ONE, ZERO))
+    assert algebra_axiom_report(mixed).passed
+    rep = commutative_wedderburn(mixed)
+    assert rep.summary() == ((1, 1, "field"), (2, 2, "undetermined"))
+    assert [c.unit for c in rep.components] == [(ONE, ZERO, ZERO), (ZERO, ONE, ZERO)]
+
+
 def test_character_idempotents():
     e1, e2 = character_idempotents(3)
     KD3 = group_hopf_algebra(dihedral(3))
@@ -265,6 +286,20 @@ def test_square_zero_scan():
     assert KD3.mul(found, found) == [ZERO] * 6
     # a division algebra has no square-zero elements: honest None
     assert find_square_zero_element(quaternion_algebra()) is None
+
+
+@pytest.mark.parametrize("bad", [-1, True, 1.0, "2", None])
+def test_square_zero_scan_bound_must_be_a_non_negative_int(bad):
+    KD3 = group_hopf_algebra(dihedral(3))
+    with pytest.raises(ValueError, match="scan bound"):
+        find_square_zero_element(KD3, bound=bad)
+    with pytest.raises(ValueError, match="scan bound"):
+        noncommutative_wedderburn_p3(KD3, scan_bound=bad)
+
+
+def test_square_zero_scan_with_bound_zero_finds_nothing():
+    # the box [0, 0]^k holds only the zero vector
+    assert find_square_zero_element(group_hopf_algebra(dihedral(3)), bound=0) is None
 
 
 def test_quaternion_is_division_shaped():

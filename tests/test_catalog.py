@@ -1,4 +1,6 @@
 import importlib
+import sys
+import types
 
 import pytest
 
@@ -97,3 +99,17 @@ def test_catalog_checks_fail_normalized_on_a_non_normalized_entry(monkeypatch):
 def test_catalog_rejects_unsupported(bad):
     with pytest.raises(ValueError):
         catalog(bad)
+
+
+def test_package_attribute_catalog_is_the_function_and_the_module_is_importable():
+    import hopfgalois
+    import hopfgalois.catalog as bound
+    from hopfgalois import catalog as exported
+
+    # the package's attribute, and so both import forms, give the function
+    assert exported is bound is hopfgalois.catalog is catalog
+    assert callable(exported) and not isinstance(exported, types.ModuleType)
+    # the module is reached by its dotted name
+    assert isinstance(catalog_module, types.ModuleType)
+    assert catalog_module is sys.modules["hopfgalois.catalog"]
+    assert catalog_module.catalog is catalog
