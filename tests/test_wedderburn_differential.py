@@ -12,7 +12,7 @@ import importlib
 
 import pytest
 
-from hopfgalois.algebra import group_hopf_algebra
+from hopfgalois.algebra import Algebra, algebra_axiom_report, group_hopf_algebra
 from hopfgalois.analysis import (KIND_FIELD, KIND_UNDETERMINED, WedderburnComponent,
                                  WedderburnReport, commutative_wedderburn,
                                  minimal_polynomial, noncommutative_wedderburn_p3,
@@ -112,6 +112,28 @@ def test_split_p5_nc_presentations_split_alike(split5_nc):
     assert sorted(split5_nc) == ["N0", "N1", "N2", "N3", "N4"]
     for H in split5_nc.values():
         assert_same_split(H)
+
+
+def gaussian_pair_algebra():
+    """Q(i) x Q(i) on the basis (i, i), (1 - i, 2 - i), (i, 2i), (1 + i, 3 + i).
+
+    No basis vector has a rational eigenvalue, so only a pairwise sum, here
+    the first two, (1, 2), splits it."""
+    def times(x, y):  # (a + bi, c + di) as (a, b, c, d)
+        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0],
+                x[2] * y[2] - x[3] * y[3], x[2] * y[3] + x[3] * y[2])
+
+    zs = [(0, 1, 0, 1), (1, -1, 2, -1), (0, 1, 0, 2), (1, 1, 3, 1)]
+    B = Matrix.from_columns(zs)
+    mult = B.solve(Matrix.from_columns([times(x, y) for x in zs for y in zs]))
+    return Algebra(mult, B.solve(Matrix.from_columns([(1, 0, 1, 0)])).column(0))
+
+
+def test_only_a_pairwise_sum_splits_the_gaussian_pair_algebra():
+    A = gaussian_pair_algebra()
+    assert algebra_axiom_report(A).passed
+    assert commutative_wedderburn(A).summary() == ((2, 2, "undetermined"),) * 2
+    assert_same_split(A)
 
 
 def test_centres_of_the_noncommutative_p3_algebras_split_alike(descended3, monkeypatch):
