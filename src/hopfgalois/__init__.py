@@ -8,7 +8,7 @@ rational arithmetic.
 
 The attribute `catalog` is the function, which shadows its module (so does
 `import hopfgalois.catalog as m`); importlib.import_module("hopfgalois.catalog")
-returns the module, under the name tools look it up by.
+returns the module, which keeps its name because the benchmark imports it.
 """
 
 from .algebra import (Algebra, Check, CheckReport, HopfPresentation,
