@@ -14,16 +14,17 @@ Two classifications run side by side and are cross-checked:
   algebra is split into ideals by rational eigenvalues of multiplication
   operators, and a 6-dimensional noncommutative one by the primitive
   idempotents of its center, split the same way.  A 4-dimensional block
-  with center Q is 2x2 matrices over Q once a square-zero element is found
-  (an explicit witness or a small exact scan; without one the component is
-  reported as undetermined, never guessed).
+  with center Q is 2x2 matrices over Q once the eigen-split of a left
+  multiplication operator finds an idempotent in it other than 0 and the
+  block's unit (a division algebra has none); without one the block is
+  reported as undetermined, never guessed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, product as iter_product
+from itertools import combinations
 
 from math import gcd
 
@@ -36,9 +37,7 @@ from .linalg import (Matrix, ONE, Q, ZERO, column_space_basis, hstack,
 
 KIND_FIELD = "field"
 KIND_MATRIX2 = "matrix2_over_center"
-KIND_DIVISION = "division_noncommutative"
 KIND_UNDETERMINED = "undetermined"
-VALID_KINDS = (KIND_FIELD, KIND_MATRIX2, KIND_DIVISION, KIND_UNDETERMINED)
 
 
 @dataclass
@@ -141,16 +140,18 @@ def rational_roots(coeffs):
 
 
 def _split_unit(H, unit, part_a, part_b):
-    """The units ua and unit - ua of the ideals spanned by part_a and part_b."""
+    """The units ua and unit - ua of the (right) ideals spanned by part_a and part_b."""
     sol = hstack(part_a, part_b).solve(unit)
     if sol is None:
         raise AssertionError("unit left the component")
     ua = hstack(part_a, Matrix.zeros(H.dim, part_b.cols)) * sol
-    ub = unit - ua
+    ub, zero = unit - ua, Matrix.zeros(H.dim, 1)
+    if zero in (ua, ub):
+        raise AssertionError("component unit is zero")
     for u in (ua, ub):
         if mul_kron(H.mult, u, u) != u:
             raise AssertionError("component unit is not idempotent")
-    if mul_kron(H.mult, ua, ub) != Matrix.zeros(H.dim, 1):
+    if mul_kron(H.mult, ua, ub) != zero:
         raise AssertionError("component units are not orthogonal")
     return ua, ub
 
@@ -172,6 +173,20 @@ def _eigen_split(H, unit, basis, operators):
     return None
 
 
+def _candidate_operators(H):
+    """A function returning an iterator over the left multiplication operators
+    L_z of the splitting candidates z of H: the basis vectors, then the sums
+    e_i + e_j with i < j.  Each L_z is built from `mult` on first use and kept."""
+    n, one = H.dim, Matrix.identity(H.dim)
+    sums = [*combinations(range(n), 1), *combinations(range(n), 2)]
+
+    @cache
+    def operator(z):  # L_z for z the sum of the basis vectors indexed by z
+        return mul_kron(H.mult, Matrix.from_entries(n, 1, ((i, 0, ONE) for i in z)), one)
+
+    return lambda: map(operator, sums)
+
+
 def commutative_wedderburn(H):
     """Decomposition of a commutative algebra into indecomposable ideals.
 
@@ -186,19 +201,13 @@ def commutative_wedderburn(H):
     """
     if not H.is_commutative():
         raise ValueError("commutative_wedderburn needs a commutative algebra")
-    n, one = H.dim, Matrix.identity(H.dim)
-    sums = [*combinations(range(n), 1), *combinations(range(n), 2)]
-
-    @cache
-    def operator(z):  # L_z for z the sum of the basis vectors indexed by z
-        return mul_kron(H.mult, Matrix.from_entries(n, 1, ((i, 0, ONE) for i in z)), one)
-
-    work = [(Matrix.from_columns([H.unit]), one)]
+    operators = _candidate_operators(H)
+    work = [(Matrix.from_columns([H.unit]), Matrix.identity(H.dim))]
     done = []
     while work:
         unit, basis = work.pop(0)
         k = basis.cols
-        split = _eigen_split(H, unit, basis, map(operator, sums)) if k > 1 else None
+        split = _eigen_split(H, unit, basis, operators()) if k > 1 else None
         if split:
             work.extend(split)
         else:
@@ -219,54 +228,26 @@ def character_idempotents(p):
     return [Q(1, n)] * n, [Q(-1, n) if G.element_order(g) == 2 else Q(1, n) for g in range(n)]
 
 
-def _check_scan_bound(bound):
-    """Raise ValueError unless `bound` is a non-negative int (a bool is not one)."""
-    if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
-        raise ValueError(f"scan bound must be a non-negative integer, got {bound!r}")
-
-
-def find_square_zero_element(H, basis=None, bound=2):
-    """Exact scan for a nonzero x with x*x = 0 in the span of `basis`.
-
-    Coordinates run over the integer box [-bound, bound]^k in a fixed
-    order; returns the first witness or None.  A scan failure is reported
-    as None, never as a nonexistence proof.
-    """
-    _check_scan_bound(bound)
-    if basis is None:
-        basis = Matrix.identity(H.dim)
-    for coords in iter_product(range(-bound, bound + 1), repeat=basis.cols):
-        x = basis.apply(coords)
-        if any(x) and not any(H.mul(x, x)):
-            return x
-    return None
-
-
-def _has_square_zero(H, basis, hint, bound):
-    """Whether the hint, or else a scan up to `bound`, is a square-zero element of span(basis)."""
-    if hint is not None:
-        x, zero = Matrix.from_columns([hint], rows=H.dim), Matrix.zeros(H.dim, 1)
-        if basis.solve(x) is not None and x != zero and mul_kron(H.mult, x, x) == zero:
-            return True
-    return find_square_zero_element(H, basis, bound=bound) is not None
-
-
-def noncommutative_wedderburn_p3(H, nilpotent=None, scan_bound=2):
+def noncommutative_wedderburn_p3(H):
     """Wedderburn data for the 6-dimensional noncommutative case.
 
     The center Z(H), the kernel of the commutators with the basis, is
     split by commutative_wedderburn; each component unit e is a central
     idempotent of H, and the block eH has the component's dimension as its
-    center dimension.  A 4-dimensional block with a 1-dimensional center is
-    2x2 matrices over it once a square-zero element is found (`nilpotent`
-    or a scan up to `scan_bound`); any other block larger than 1 is
-    "undetermined" (e.g. a division algebra would scan clean).
+    center dimension.  As e is central, eH is a two-sided ideal, so every
+    left multiplication L_z restricts to it, and ker(L_z - a) and
+    im(L_z - a) are right ideals of eH; when they are complementary, the
+    eigen-split's units are idempotents of eH other than 0 and e.  A
+    4-dimensional block with a 1-dimensional center is then 2x2 matrices
+    over it when H is semisimple (a form of a group algebra is), since a
+    division algebra has no such idempotent; semisimplicity is assumed,
+    not checked.  Any other block larger than 1, or a 4-dimensional one
+    that no candidate splits, is "undetermined".
     """
     if H.dim != 6:
         raise ValueError("this routine handles dimension 6 only")
     if H.is_commutative():
         raise ValueError("use commutative_wedderburn for commutative input")
-    _check_scan_bound(scan_bound)
     n, one = H.dim, Matrix.identity(H.dim)
     # row j*n + k, column i: coordinate k of e_i e_j - e_j e_i, read off mult
     Z = Matrix.from_entries(n * n, n, (t for k in range(n) for ij, c in H.mult.row_entries(k)
@@ -277,12 +258,13 @@ def noncommutative_wedderburn_p3(H, nilpotent=None, scan_bound=2):
     if mult is None or unit is None:
         raise AssertionError("the center is not a subalgebra")
 
+    operators = _candidate_operators(H)
     components = []
     for comp in commutative_wedderburn(Algebra(mult, unit.column(0))).components:
         e = Z * Matrix.from_columns([comp.unit])
         basis = column_space_basis(mul_kron(H.mult, e, one))
         kind = KIND_FIELD if basis.cols == 1 else KIND_UNDETERMINED
-        if basis.cols == 4 and comp.dim == 1 and _has_square_zero(H, basis, nilpotent, scan_bound):
+        if basis.cols == 4 and comp.dim == 1 and _eigen_split(H, e, basis, operators()):
             kind = KIND_MATRIX2
         components.append(WedderburnComponent(basis.cols, comp.dim, kind, e.column(0), basis))
     if sum(c.dim for c in components) != H.dim:
@@ -443,19 +425,9 @@ def minimal_splitting_subfield_check(L):
 def algebra_iso_classes_p3(L, descended=None):
     """Partition of the five p=3 structures by exact Wedderburn summary."""
     entries, descended = _descend_catalog(3, L, descended)
-    lam_key = left_regular(L.group).canonical_key()
     reports = {}
     for e in entries:
         H = descended[e.label]
-        if H.is_commutative():
-            reports[e.label] = commutative_wedderburn(H)
-        else:
-            hint = None
-            prov = H.provenance
-            if (L.model == "cubic" and prov is not None
-                    and prov.parent.N.canonical_key() == lam_key):
-                sol = prov.basis.solve(
-                    Matrix.from_columns([nilpotent_witness(L)], rows=prov.parent.dim))
-                hint = None if sol is None else sol.column(0)
-            reports[e.label] = noncommutative_wedderburn_p3(H, nilpotent=hint)
+        split = commutative_wedderburn if H.is_commutative() else noncommutative_wedderburn_p3
+        reports[e.label] = split(H)
     return _group_by([e.label for e in entries], lambda lab: reports[lab].summary()), reports

@@ -29,7 +29,6 @@ from .extensions import is_rational_square
 from .linalg import Matrix, ONE, Q, ZERO, rational
 
 MONOMIALS = ((0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1))
-MONOMIAL_INDEX = {m: k for k, m in enumerate(MONOMIALS)}
 MONOMIAL_NAMES = ("1", "x", "x^2", "x^3", "y", "xy")
 
 
@@ -41,24 +40,29 @@ class PolyMapError(RuntimeError):
         self.identity = identity
 
 
+def _times_x(c):
+    """Integer coordinates of x * v for v with coordinates c, reduced by
+    x^4 -> 5x^2 - 4 and x^2 y -> y."""
+    return [-4 * c[3], c[0], c[1] + 5 * c[3], c[2], c[5], c[4]]
+
+
 def normal_form(i, j, b):
-    """Coordinates of x^i y^j on the basis (1, x, x^2, x^3, y, xy)."""
+    """Coordinates of x^i y^j on the basis (1, x, x^2, x^3, y, xy).
+
+    With j = 2m + r, y^2 = b (x^2 - 4) gives x^i y^j = b^m x^i (x^2 - 4)^m y^r,
+    and the last factor takes 2m + i integer steps of multiplication by x.
+    """
     b = rational(b)
-    if i < 0 or j < 0:
-        raise ValueError("exponents must be nonnegative")
-    if j >= 2:
-        high = normal_form(i + 2, j - 2, b)
-        low = normal_form(i, j - 2, b)
-        return [b * h - 4 * b * l for h, l in zip(high, low)]
-    if j == 1 and i >= 2:
-        return normal_form(i - 2, 1, b)
-    if j == 0 and i >= 4:
-        five = normal_form(i - 2, 0, b)
-        four = normal_form(i - 4, 0, b)
-        return [5 * h - 4 * l for h, l in zip(five, four)]
-    vec = [ZERO] * 6
-    vec[MONOMIAL_INDEX[(i, j)]] = ONE
-    return vec
+    if any(isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in (i, j)):
+        raise ValueError(f"exponents must be non-negative integers, got {i!r}, {j!r}")
+    m, r = divmod(j, 2)
+    c = [1 - r, 0, 0, 0, r, 0]
+    for _ in range(m):
+        c = [x2 - 4 * x0 for x2, x0 in zip(_times_x(_times_x(c)), c)]
+    for _ in range(i):
+        c = _times_x(c)
+    scale = b ** m
+    return [scale * x for x in c]
 
 
 def ideal_generators(b):

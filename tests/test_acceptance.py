@@ -10,9 +10,9 @@ from time import perf_counter
 
 from hopfgalois.algebra import hopf_axiom_report
 from hopfgalois.analysis import (algebra_iso_classes_p3, character_idempotents,
-                                 commutative_wedderburn, find_square_zero_element,
-                                 hopf_iso_classes, minimal_splitting_subfield_check,
-                                 nilpotent_witness)
+                                 commutative_wedderburn, hopf_iso_classes,
+                                 minimal_splitting_subfield_check, nilpotent_witness,
+                                 noncommutative_wedderburn_p3)
 from hopfgalois.catalog import catalog, catalog_checks, cyclic_generator
 from hopfgalois.descent import (base_change_is_group_algebra, descend,
                                 explicit_basis_matches, group_algebra,
@@ -184,12 +184,13 @@ def test_criterion_08_wedderburn_noncommutative():
                 and reports["lambda"].summary() == GROUP_ALGEBRA_D3)
     classes_ok = len(classes) == 2 and sorted(
         sorted(c) for c in classes) == [["N0", "N1", "N2"], ["lambda", "rho"]]
-    from test_analysis import quaternion_algebra
-    control_ok = find_square_zero_element(quaternion_algebra()) is None
+    from test_analysis import quaternion_block_algebra
+    control_ok = noncommutative_wedderburn_p3(quaternion_block_algebra()).summary() == (
+        (1, 1, "field"), (1, 1, "field"), (4, 1, "undetermined"))
     _report(8, shape_ok and classes_ok and control_ok,
             "Q[D3] and H_lambda both decompose as Q x Q x Mat2(Q)-shape "
-            "(1,1,4-matrix2); algebra classes = 2; quaternion negative control "
-            "finds no square-zero element")
+            "(1,1,4-matrix2); algebra classes = 2; the quaternion block of "
+            "the negative control Q x Q x (-1,-1) gets no matrix proof")
 
 
 def test_criterion_09_commutative_decomposition():

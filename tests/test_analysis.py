@@ -7,15 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfgalois.algebra import Algebra, algebra_axiom_report, group_hopf_algebra
-from hopfgalois.analysis import (algebra_iso_classes_p3, character_idempotents,
-                                 commutative_wedderburn, find_square_zero_element,
+from hopfgalois.analysis import (_candidate_operators, _eigen_split, algebra_iso_classes_p3,
+                                 character_idempotents, commutative_wedderburn,
                                  hopf_iso_classes, minimal_polynomial,
                                  minimal_splitting_subfield_check,
                                  nilpotent_witness,
                                  noncommutative_wedderburn_p3, rational_roots)
-from hopfgalois.extensions import split_model
+from hopfgalois.catalog import catalog
+from hopfgalois.descent import descend, group_algebra
+from hopfgalois.extensions import split_model, splitting_field_cubic
 from hopfgalois.groups import cyclic, dihedral
-from hopfgalois.linalg import Matrix, ONE, Q, ZERO
+from hopfgalois.linalg import Matrix, ONE, Q, ZERO, rational
 from hopfgalois.polyform import point_decomposition_check
 
 SIX_FIELDS = tuple([(1, 1, "field")] * 6)
@@ -278,28 +280,47 @@ def test_nilpotent_witness_needs_cubic_model():
         nilpotent_witness(split_model(dihedral(3)))
 
 
-def test_square_zero_scan():
+def quaternion_block_algebra():
+    """Q x Q x (-1,-1/Q): basis e0, e1 (orthogonal idempotents), then 1, i, j, k
+    of the quaternions."""
+    Hq = quaternion_algebra()
+    mult = Matrix.from_entries(6, 36, [(0, 0, ONE), (1, 7, ONE)] + [
+        (k + 2, (ij // 4 + 2) * 6 + ij % 4 + 2, c) for k in range(4)
+        for ij, c in Hq.mult.row_entries(k)])
+    return Algebra(mult, (ONE, ONE, ONE, ZERO, ZERO, ZERO))
+
+
+def test_quaternion_block_stays_undetermined():
+    # a division algebra has no idempotent other than 0 and 1 to prove M_2 with
+    H = quaternion_block_algebra()
+    assert algebra_axiom_report(H).passed
+    assert not H.is_commutative()
+    rep = noncommutative_wedderburn_p3(H)
+    assert rep.summary() == ((1, 1, "field"), (1, 1, "field"), (4, 1, "undetermined"))
+    block = next(c for c in rep.components if c.dim == 4)
+    assert block.unit == (ZERO, ZERO, ONE, ZERO, ZERO, ZERO)
+
+
+@pytest.mark.parametrize("v", ["2", "3", "5", "6", "7", "1/2", "2e50"])
+def test_translation_structures_are_matrix_blocks_over_cubic_fields(v):
+    L = splitting_field_cubic(rational(v))
+    for e in catalog(3):
+        if e.label in ("rho", "lambda"):
+            H = descend(group_algebra(L, e.subgroup), label=e.label)
+            assert noncommutative_wedderburn_p3(H).summary() == GROUP_ALGEBRA_D3, e.label
+
+
+def test_eigen_split_units_of_the_group_algebra_block():
     KD3 = group_hopf_algebra(dihedral(3))
-    e1, e2 = character_idempotents(3)
-    found = find_square_zero_element(KD3)
-    assert found is not None
-    assert KD3.mul(found, found) == [ZERO] * 6
-    # a division algebra has no square-zero elements: honest None
-    assert find_square_zero_element(quaternion_algebra()) is None
-
-
-@pytest.mark.parametrize("bad", [-1, True, 1.0, "2", None])
-def test_square_zero_scan_bound_must_be_a_non_negative_int(bad):
-    KD3 = group_hopf_algebra(dihedral(3))
-    with pytest.raises(ValueError, match="scan bound"):
-        find_square_zero_element(KD3, bound=bad)
-    with pytest.raises(ValueError, match="scan bound"):
-        noncommutative_wedderburn_p3(KD3, scan_bound=bad)
-
-
-def test_square_zero_scan_with_bound_zero_finds_nothing():
-    # the box [0, 0]^k holds only the zero vector
-    assert find_square_zero_element(group_hopf_algebra(dihedral(3)), bound=0) is None
+    block = next(c for c in noncommutative_wedderburn_p3(KD3).components if c.dim == 4)
+    e = Matrix.from_columns([block.unit])
+    split = _eigen_split(KD3, e, block.basis, _candidate_operators(KD3)())
+    assert split is not None
+    (ua, _), (ub, _) = split
+    for u in (ua, ub):
+        assert u != Matrix.zeros(6, 1) and u != e
+        assert KD3.mul(u.column(0), u.column(0)) == list(u.column(0))
+    assert ua + ub == e
 
 
 def test_quaternion_is_division_shaped():

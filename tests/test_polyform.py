@@ -1,3 +1,5 @@
+from functools import cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +19,10 @@ SIX_POINTS = [(Q(-2), Q(0)), (Q(-1), Q(3)), (Q(1), Q(3)),
               (Q(2), Q(0)), (Q(1), Q(-3)), (Q(-1), Q(-3))]
 
 
+@cache
 def xfirst_normal_form(i, j, b):
-    """Alternate reduction order: apply the x-rules before the y-rule."""
+    """Alternate reduction order: apply the x-rules before the y-rule
+    (memoized, as each step recurses twice)."""
     b = Q(b)
     if j == 1 and i >= 2:
         return xfirst_normal_form(i - 2, 1, b)
@@ -48,10 +52,25 @@ def test_normal_form_rejects_negative_exponents():
         normal_form(-1, 0, -3)
 
 
+@pytest.mark.parametrize("i, j", [(2.5, 0), (0, 1.0), (True, 0), (0, False), (0, -1), ("2", 0)])
+def test_normal_form_needs_non_negative_int_exponents(i, j):
+    with pytest.raises(ValueError, match="exponents"):
+        normal_form(i, j, 1)
+
+
+def test_normal_form_at_high_powers():
+    # x^4 = 5x^2 - 4 gives x^(2k) = ((4^k - 1)/3) x^2 + (4 - 4^k)/3
+    k = 5000
+    assert normal_form(2 * k, 0, -3) == [Q(4 - 4 ** k, 3), ZERO, Q(4 ** k - 1, 3), ZERO, ZERO, ZERO]
+    # y^2 = b (x^2 - 4) and (x^2 - 4)^2 = -3 (x^2 - 4) give y^(2m) = b^m (-3)^(m-1) (x^2 - 4)
+    c = Q(-3) ** 2999
+    assert normal_form(0, 3000, -3) == [-4 * c, ZERO, c, ZERO, ZERO, ZERO]
+
+
 @pytest.mark.parametrize("b", [Q(-3), Q(5), Q(-1)])
 def test_reduction_is_confluent(b):
-    for i in range(9):
-        for j in range(5):
+    for i in range(13):
+        for j in range(13):
             assert normal_form(i, j, b) == xfirst_normal_form(i, j, b), (i, j)
 
 
