@@ -14,10 +14,11 @@ Two classifications run side by side and are cross-checked:
   algebra is split into ideals by rational eigenvalues of multiplication
   operators, and a 6-dimensional noncommutative one by the primitive
   idempotents of its center, split the same way.  A 4-dimensional block
-  with center Q is 2x2 matrices over Q once the eigen-split of a left
-  multiplication operator finds an idempotent in it other than 0 and the
-  block's unit (a division algebra has none); without one the block is
-  reported as undetermined, never guessed.
+  with center Q is 2x2 matrices over Q once its trace form is nondegenerate
+  (so it is semisimple) and the eigen-split of a left multiplication
+  operator finds an idempotent in it other than 0 and the block's unit (a
+  division algebra has none); otherwise the block is reported as
+  undetermined, never guessed.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from math import gcd
 
 from .algebra import Algebra, hopf_map_violation
 from .catalog import catalog
-from .descent import group_algebra, descend
+from .descent import SemilinearAction, descend, group_algebra
 from .groups import dihedral, equivariant_iso_search, left_regular, right_regular
 from .linalg import (Matrix, ONE, Q, ZERO, column_space_basis, hstack,
                      integer_normalized, mul_kron)
@@ -238,11 +239,13 @@ def noncommutative_wedderburn_p3(H):
     left multiplication L_z restricts to it, and ker(L_z - a) and
     im(L_z - a) are right ideals of eH; when they are complementary, the
     eigen-split's units are idempotents of eH other than 0 and e.  A
-    4-dimensional block with a 1-dimensional center is then 2x2 matrices
-    over it when H is semisimple (a form of a group algebra is), since a
-    division algebra has no such idempotent; semisimplicity is assumed,
-    not checked.  Any other block larger than 1, or a 4-dimensional one
-    that no candidate splits, is "undetermined".
+    4-dimensional block with a 1-dimensional center is 2x2 matrices over
+    it when it is semisimple and has such an idempotent, which a division
+    algebra has not.  In characteristic 0 the block is semisimple exactly
+    when the trace form t(xy), t(x) = Tr(L_x), has rank 4 on it: e is
+    central, so for x, y in eH the operator L_xy vanishes on (1 - e)H and
+    its trace on H is its trace on eH.  Any other block larger than 1, or
+    a 4-dimensional one that fails either test, is "undetermined".
     """
     if H.dim != 6:
         raise ValueError("this routine handles dimension 6 only")
@@ -259,13 +262,19 @@ def noncommutative_wedderburn_p3(H):
         raise AssertionError("the center is not a subalgebra")
 
     operators = _candidate_operators(H)
+    # t(e_i) = Tr(L_{e_i}) = sum_k mult[k, i*n + k]; column i*n + j is t(e_i e_j)
+    trace_form = Matrix.from_entries(1, n, ((0, i, H.mult[k, i * n + k]) for i in range(n)
+                                            for k in range(n))) * H.mult
     components = []
     for comp in commutative_wedderburn(Algebra(mult, unit.column(0))).components:
         e = Z * Matrix.from_columns([comp.unit])
         basis = column_space_basis(mul_kron(H.mult, e, one))
         kind = KIND_FIELD if basis.cols == 1 else KIND_UNDETERMINED
-        if basis.cols == 4 and comp.dim == 1 and _eigen_split(H, e, basis, operators()):
-            kind = KIND_MATRIX2
+        if basis.cols == 4 and comp.dim == 1:
+            gram = mul_kron(trace_form, basis, basis).row_entries(0)
+            if (Matrix.from_entries(4, 4, ((*divmod(ab, 4), c) for ab, c in gram)).rank() == 4
+                    and _eigen_split(H, e, basis, operators())):
+                kind = KIND_MATRIX2
         components.append(WedderburnComponent(basis.cols, comp.dim, kind, e.column(0), basis))
     if sum(c.dim for c in components) != H.dim:
         raise AssertionError("block dimensions do not add up")
@@ -279,10 +288,11 @@ def nilpotent_witness(L):
 
     The three reflection coefficients are a, r^2(a), r(a); conjugation
     rotates them along while fixing the slots' recursion, so the element
-    is G-fixed, and its square vanishes because 1 + z + z^2 = 0.
+    is G-fixed, and its square vanishes because 1 + z + z^2 = 0.  Both
+    claims are checked; on any other model one fails, with ValueError.
     """
     G = L.group
-    if L.model != "cubic" or G.order != 6:
+    if G.order != 6 or L.dim != 6:
         raise ValueError("nilpotent witness lives over the cubic D_3 model")
     lam = left_regular(G)
     A = group_algebra(L, lam)
@@ -291,7 +301,12 @@ def nilpotent_witness(L):
     # e_t (x) e_j for the slot t of the j-th of s, rs, r^2 s
     picks = Matrix.from_entries(A.N.order * 3, 1, ((A.N.index_of(lam.elements[g]) * 3 + j, 0, ONE)
                                                    for j, g in enumerate((3, 4, 5))))
-    return list((A.slot_map(range(A.N.order), coeffs) * picks).column(0))
+    b = A.slot_map(range(A.N.order), coeffs) * picks
+    action = SemilinearAction(A)
+    if (any(action.matrix(g) * b != b for g in G.generators)
+            or mul_kron(A.mult, b, b) != Matrix.zeros(A.dim, 1)):
+        raise ValueError("the witness is not a G-fixed square-zero element")
+    return list(b.column(0))
 
 
 # -- isomorphism classes ------------------------------------------------------

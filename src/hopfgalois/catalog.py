@@ -34,11 +34,11 @@ def _require_supported(p):
 def cyclic_generator(p, c):
     """The permutation x -> r x r^c s of D_p, of order 2p."""
     _require_supported(p)
-    if not 0 <= c < p:
-        raise ValueError(f"c must lie in 0..{p - 1}")
+    if isinstance(c, bool) or not isinstance(c, int) or not 0 <= c < p:
+        raise ValueError(f"c must be an int in 0..{p - 1}, got {c!r}")
     G = dihedral(p)
     r = G.generators[0]
-    rcs = G.mul(c % p, G.generators[1])  # r^c at index c, times s
+    rcs = G.mul(c, G.generators[1])  # r^c at index c, times s
     return Perm(tuple(G.mul(G.mul(r, x), rcs) for x in range(G.order)))
 
 

@@ -69,11 +69,10 @@ class GaloisAlgebra(Algebra):
     index g; the assignment g -> action[g] is a homomorphism.
     """
 
-    def __init__(self, mult, unit, group, action, names=None, model=None):
+    def __init__(self, mult, unit, group, action, names=None):
         super().__init__(mult, unit, names=names)
         self.group = group
         self.action = tuple(action)
-        self.model = model
         if len(self.action) != group.order:
             raise ValueError("need one action matrix per group element")
         for m in self.action:
@@ -153,7 +152,7 @@ def splitting_field_cubic(v):
         action.append(m)
 
     names = ("1", "a", "a^2", "z", "az", "a^2z")
-    return GaloisAlgebra(mult, unit, G, action, names=names, model="cubic")
+    return GaloisAlgebra(mult, unit, G, action, names=names)
 
 
 def quadratic_field(b):
@@ -166,7 +165,7 @@ def quadratic_field(b):
     mult = Matrix.from_rows([[ONE, ZERO, ZERO, b], [ZERO, ONE, ONE, ZERO]])
     unit = (ONE, ZERO)
     action = (Matrix.identity(2), Matrix.from_rows([[ONE, ZERO], [ZERO, -ONE]]))
-    return GaloisAlgebra(mult, unit, G, action, names=("1", "w"), model="quadratic")
+    return GaloisAlgebra(mult, unit, G, action, names=("1", "w"))
 
 
 def split_model(G):
@@ -180,7 +179,7 @@ def split_model(G):
     unit = [ONE] * n
     action = [Matrix.permutation(G.table[g]) for g in range(n)]
     names = tuple(f"d[{name}]" for name in G.names)
-    return GaloisAlgebra(mult, unit, G, action, names=names, model="split")
+    return GaloisAlgebra(mult, unit, G, action, names=names)
 
 
 def quadratic_sqrt_witness(L):

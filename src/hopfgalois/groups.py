@@ -12,45 +12,19 @@ can be required to commute with conjugation by a chosen set of translations.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations, product as iter_product
 from math import gcd, lcm
 
-DEFAULT_CLOSURE_BOUND = 10080
-CLOSURE_BOUND_ENV = "HGL_CLOSURE_BOUND"
-
 
 class ClosureBoundExceeded(RuntimeError):
-    """Raised when a closure grows past the safety bound."""
+    """Raised when a closure grows past the bound its caller gave."""
 
 
 class UnknownGroupType(ValueError):
     """Raised when iso_type meets a group outside its small catalog."""
-
-
-def _closure_bound(bound=None):
-    """`bound`, else the HGL_CLOSURE_BOUND value, else the default.
-
-    Raises ValueError unless the bound, or the variable's value, is a
-    positive integer (a bool is not one).
-    """
-    if bound is not None:
-        if isinstance(bound, bool) or not isinstance(bound, int) or bound <= 0:
-            raise ValueError(f"closure bound must be a positive integer, got {bound!r}")
-        return bound
-    env = os.environ.get(CLOSURE_BOUND_ENV)
-    if env is None:
-        return DEFAULT_CLOSURE_BOUND
-    try:
-        value = int(env)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise ValueError(f"{CLOSURE_BOUND_ENV} must be a positive integer, got {env!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -381,14 +355,11 @@ def is_normalized_by(N, translations):
     return True
 
 
-def closure(gens, bound=None):
+def closure(gens, bound):
     """Subgroup generated by `gens`, elements sorted by image tuple.
 
-    Aborts with ClosureBoundExceeded once more than `bound` elements appear.
-    Only a call without an explicit `bound` reads the HGL_CLOSURE_BOUND
-    environment variable (else DEFAULT_CLOSURE_BOUND): in the CLI that is
-    the regeneration check of `enumerate`.  The invariant closures of
-    enumerate_regular_normalized pass |G| and are not affected by it.
+    Raises ValueError unless `bound` is a positive integer (a bool is not
+    one), and ClosureBoundExceeded once more than `bound` elements appear.
     """
     gens = list(gens)
     if not gens:
@@ -396,7 +367,8 @@ def closure(gens, bound=None):
     degree = gens[0].degree
     if any(g.degree != degree for g in gens):
         raise ValueError("mixed degrees")
-    bound = _closure_bound(bound)
+    if isinstance(bound, bool) or not isinstance(bound, int) or bound <= 0:
+        raise ValueError(f"closure bound must be a positive integer, got {bound!r}")
     seen = {Perm.identity(degree).images: Perm.identity(degree)}
     frontier = [Perm.identity(degree)]
     while frontier:

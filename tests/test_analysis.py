@@ -15,7 +15,7 @@ from hopfgalois.analysis import (_candidate_operators, _eigen_split, algebra_iso
                                  noncommutative_wedderburn_p3, rational_roots)
 from hopfgalois.catalog import catalog
 from hopfgalois.descent import descend, group_algebra
-from hopfgalois.extensions import split_model, splitting_field_cubic
+from hopfgalois.extensions import quadratic_field, split_model, splitting_field_cubic
 from hopfgalois.groups import cyclic, dihedral
 from hopfgalois.linalg import Matrix, ONE, Q, ZERO, rational
 from hopfgalois.polyform import point_decomposition_check
@@ -278,6 +278,8 @@ def test_nilpotent_witness(L3):
 def test_nilpotent_witness_needs_cubic_model():
     with pytest.raises(ValueError):
         nilpotent_witness(split_model(dihedral(3)))
+    with pytest.raises(ValueError):
+        nilpotent_witness(quadratic_field(2))
 
 
 def quaternion_block_algebra():
@@ -383,3 +385,15 @@ def test_noncommutative_wedderburn_needs_dim6(descended3):
         noncommutative_wedderburn_p3(group_hopf_algebra(cyclic(4)))
     with pytest.raises(ValueError):
         noncommutative_wedderburn_p3(descended3["N0"])  # commutative
+
+
+def test_non_semisimple_block_stays_undetermined():
+    # Q x Q x T, T = {[[a, x, y], [0, d, 0], [0, 0, d]]} on f0, f1, E11, E12,
+    # E13, D: E11 is an idempotent other than 0 and 1 of T, but x and y span
+    # its radical, so the trace form has rank 2 on T
+    H = _algebra(6, {(0, 0): 0, (1, 1): 1, (2, 2): 2, (2, 3): 3, (2, 4): 4,
+                     (3, 5): 3, (4, 5): 4, (5, 5): 5}, (ONE, ONE, ONE, ZERO, ZERO, ONE))
+    assert algebra_axiom_report(H).passed
+    assert not H.is_commutative()
+    rep = noncommutative_wedderburn_p3(H)
+    assert rep.summary() == ((1, 1, "field"), (1, 1, "field"), (4, 1, "undetermined"))

@@ -51,6 +51,12 @@ def test_cyclic_generator_relations(p):
         assert eta.power(p) == rho.elements[c + p]
 
 
+@pytest.mark.parametrize("c", [-1, 3, True, False, 1.5, "1", None])
+def test_cyclic_generator_needs_an_int_below_p(c):
+    with pytest.raises(ValueError, match="c must be an int in 0..2"):
+        cyclic_generator(3, c)
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_catalog_subgroups_regular_normalized(p):
     G = dihedral(p)
@@ -79,7 +85,7 @@ def test_matches_catalog_needs_every_entry():
 
 def test_catalog_checks_fail_normalized_on_a_non_normalized_entry(monkeypatch):
     # the six-cycle generates a regular C6 that lam(D_3) does not normalize
-    N = closure([Perm((1, 2, 3, 4, 5, 0))])
+    N = closure([Perm((1, 2, 3, 4, 5, 0))], 6)
     assert is_regular(N)
     real = catalog_module.catalog
 

@@ -406,26 +406,15 @@ def test_bad_flags_exit_2(capsys):
     assert run(capsys)[0] == 2
 
 
-def test_closure_bound_aborts_with_exit_1(capsys, monkeypatch):
-    monkeypatch.setenv("HGL_CLOSURE_BOUND", "3")
-    code, _, err = run(capsys, "enumerate", "--group", "d3")
-    assert code == 1
-    assert "closure bound" in err
-
-
-def test_closure_bound_large_enough(capsys, monkeypatch):
-    monkeypatch.setenv("HGL_CLOSURE_BOUND", "50")
-    code, _, _ = run(capsys, "enumerate", "--group", "d3")
-    assert code == 0
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-5"])
-def test_bad_closure_bound_is_usage_error(capsys, monkeypatch, value):
-    monkeypatch.setenv("HGL_CLOSURE_BOUND", value)
-    code, out, err = run(capsys, "enumerate", "--group", "klein4")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and "HGL_CLOSURE_BOUND" in err
+def test_enumerate_reads_no_environment(capsys, monkeypatch):
+    # the package reads no environment setting, so this variable (once the
+    # cap of enumerate's regeneration closures) leaves every byte unchanged
+    monkeypatch.delenv("HGL_CLOSURE_BOUND", raising=False)
+    unset = run(capsys, "enumerate", "--group", "d3")
+    assert unset[0] == 0
+    for value in ("3", "abc"):
+        monkeypatch.setenv("HGL_CLOSURE_BOUND", value)
+        assert run(capsys, "enumerate", "--group", "d3") == unset
 
 
 def test_unwritable_out_is_usage_error(tmp_path, capsys):

@@ -358,7 +358,7 @@ def test_corrupted_comultiplication_fails_axioms(descended3):
 
 def test_non_normalized_subgroup_rejected(L3):
     six_cycle = Perm((1, 2, 3, 4, 5, 0))
-    N = closure([six_cycle])
+    N = closure([six_cycle], 6)
     assert N.order == 6
     assert not is_normalized_by(N, left_regular(L3.group))
     with pytest.raises(NormalizationError):

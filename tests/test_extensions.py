@@ -69,7 +69,6 @@ def test_cube_predicate_matches_exact_cubes(k):
 def test_cubic_field_axioms(v):
     L = splitting_field_cubic(v)
     assert L.dim == 6
-    assert L.model == "cubic"
     assert L.verify().passed
     a = L.basis_vector(1)
     assert L.mul(a, L.mul(a, a)) == [Q(v), Q(0), Q(0), Q(0), Q(0), Q(0)]
@@ -91,7 +90,6 @@ def test_cubic_witness_frozen(v):
 
 def test_split_model():
     L = split_model(dihedral(3))
-    assert L.model == "split"
     assert L.verify().passed
     w = quadratic_sqrt_witness(L)
     assert w == SPLIT_WITNESS_D3
@@ -108,7 +106,6 @@ def test_split_model_larger_prime():
 def test_quadratic_field():
     L = quadratic_field(5)
     assert L.verify().passed
-    assert L.model == "quadratic"
     w = quadratic_sqrt_witness(L)
     assert rational_square_of(L, w) == Q(5)
 

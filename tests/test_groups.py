@@ -115,7 +115,7 @@ def test_generator_normalization_matches_the_full_check_on_enumerated_subgroups(
 
 def test_generator_normalization_rejects_the_six_cycle():
     lam = left_regular(dihedral(3))
-    N = closure([Perm((1, 2, 3, 4, 5, 0))])
+    N = closure([Perm((1, 2, 3, 4, 5, 0))], 6)
     assert is_regular(N)
     assert _normalized_by_every_element(N, lam) is False
     assert is_normalized_by(N, lam) is False
@@ -140,7 +140,7 @@ def test_generator_normalization_tries_every_generator():
 def test_closure_and_bound():
     G = dihedral(3)
     lam = left_regular(G)
-    full = closure([lam.elements[1], lam.elements[3]])
+    full = closure([lam.elements[1], lam.elements[3]], 6)
     assert full.order == 6
     assert full.verify_subgroup()
     with pytest.raises(ClosureBoundExceeded):
@@ -152,16 +152,6 @@ def test_closure_rejects_a_bound_that_is_not_a_positive_int(bound):
     lam = left_regular(dihedral(3))
     with pytest.raises(ValueError, match="closure bound must be a positive integer"):
         closure([lam.elements[1], lam.elements[3]], bound=bound)
-
-
-def test_closure_bound_env(monkeypatch):
-    G = dihedral(3)
-    lam = left_regular(G)
-    monkeypatch.setenv("HGL_CLOSURE_BOUND", "4")
-    with pytest.raises(ClosureBoundExceeded):
-        closure([lam.elements[1], lam.elements[3]])
-    monkeypatch.setenv("HGL_CLOSURE_BOUND", "6")
-    assert closure([lam.elements[1], lam.elements[3]]).order == 6
 
 
 def test_iso_type_labels():
@@ -213,7 +203,7 @@ def test_group_isomorphism_counts():
 def test_minimal_generators_regenerate():
     N = left_regular(dihedral(5))
     gens = [N.elements[t] for t in minimal_generators(N)]
-    assert closure(gens).canonical_key() == N.canonical_key()
+    assert closure(gens, N.order).canonical_key() == N.canonical_key()
     assert len(gens) == 2
 
 
