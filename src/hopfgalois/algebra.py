@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from .linalg import Matrix, ONE, Q, ZERO, mul_kron
+from .linalg import Matrix, ONE, Q, ZERO, hstack, mul_kron
 
 
 class Algebra:
@@ -76,15 +76,6 @@ class Algebra:
         """Matrix of right multiplication by x: m(1 (x) x)."""
         return mul_kron(self.mult, Matrix.identity(self.dim), Matrix.from_columns([x]))
 
-    def power(self, x, k):
-        self._check_length(x)
-        if k < 0:
-            raise ValueError("power needs k >= 0")
-        out = list(self.unit)
-        for _ in range(k):
-            out = self.mul(out, x)
-        return out
-
     def is_commutative(self):
         """m tau = m, with tau the swap of the tensor factors."""
         return self.mult * _swap(self.dim) == self.mult
@@ -113,7 +104,7 @@ class HopfPresentation(Algebra):
     """
 
     def __init__(self, mult, unit, comul, counit, antipode,
-                 names=None, provenance=None, group=None):
+                 names=None, provenance=None):
         super().__init__(mult, unit, names=names)
         if comul.rows != self.dim * self.dim or comul.cols != self.dim:
             raise ValueError("comul must be dim^2 x dim")
@@ -125,7 +116,6 @@ class HopfPresentation(Algebra):
         self.counit = counit
         self.antipode = antipode
         self.provenance = provenance
-        self.group = group
 
     def comul_terms(self, k):
         """Sparse form of comul column k: dict (i, j) -> coefficient."""
@@ -143,6 +133,26 @@ class HopfPresentation(Algebra):
         return _swap(self.dim) * self.comul == self.comul
 
 
+def monomials(x, y, exponents, m):
+    """The products x^i y^j m for (i, j) in `exponents`, side by side.
+
+    With the multiplication operators of two commuting generators and m = I,
+    this is the multiplication matrix on the monomial basis `exponents`; with
+    the operators of two images and m the unit column, it is the algebra map
+    that sends the generators to those images.
+    """
+    ys = [m]  # ys[j] = y^j m
+    out = []
+    for i, j in exponents:
+        while len(ys) <= j:
+            ys.append(y * ys[-1])
+        col = ys[j]
+        for _ in range(i):
+            col = x * col
+        out.append(col)
+    return hstack(*out)
+
+
 def _swap(n):
     """The flip tau: e_i (x) e_j -> e_j (x) e_i of Q^n (x) Q^n."""
     return Matrix.permutation([j * n + i for i in range(n) for j in range(n)])
@@ -158,8 +168,7 @@ def group_hopf_algebra(G, names=None):
     counit = Matrix(1, n, [Q(1)] * n)
     antipode = Matrix.permutation([G.inv(k) for k in range(n)])
     return HopfPresentation(mult, unit, comul, counit, antipode,
-                            names=names if names is not None else G.names,
-                            group=G)
+                            names=names if names is not None else G.names)
 
 
 class Check(NamedTuple):

@@ -61,10 +61,6 @@ class WedderburnReport:
         """Multiset of (dim, center_dim, kind), sorted."""
         return tuple(sorted(c.key() for c in self.components))
 
-    @property
-    def total_dim(self):
-        return sum(c.dim for c in self.components)
-
 
 # -- commutative splitting ----------------------------------------------------
 
@@ -168,7 +164,7 @@ def _eigen_split(H, unit, basis, operators):
         for a in rational_roots(minimal_polynomial(Mz)):
             shifted = Mz - Matrix.identity(k) * a
             ker = shifted.kernel()
-            if 0 < ker.cols < k and hstack(ker, shifted).rank() == k:
+            if ker.cols < k and hstack(ker, shifted).rank() == k:
                 parts = column_space_basis(basis * ker), column_space_basis(basis * shifted)
                 return list(zip(_split_unit(H, unit, *parts), parts))
     return None

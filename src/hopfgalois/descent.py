@@ -39,7 +39,7 @@ from functools import cached_property
 
 from .algebra import Algebra, CheckReport, HopfPresentation, action_report, first_difference
 from .extensions import quadratic_sqrt_witness
-from .groups import conj_by, left_regular
+from .groups import left_regular
 from .linalg import Matrix, ONE, ZERO, fixed_basis, hstack, mul_kron, spans_equal, vstack
 
 
@@ -121,17 +121,10 @@ class SemilinearAction:
         self.parent = parent
         L, N = parent.L, parent.N
         G = L.group
-        lam = left_regular(G)
-        conj_map = []
-        for g in range(G.order):
-            row = []
-            for t, eta in enumerate(N.elements):
-                image = conj_by(lam.elements[g], eta)
-                if image not in N:
-                    raise NormalizationError(G.names[g], N.name_of(t))
-                row.append(N.index_of(image))
-            conj_map.append(tuple(row))
-        self.conj_map = tuple(conj_map)
+        self.conj_map = tuple(N.conjugation(lamg) for lamg in left_regular(G).elements)
+        for g, row in enumerate(self.conj_map):
+            if None in row:
+                raise NormalizationError(G.names[g], N.name_of(row.index(None)))
         self._matrices = {}
 
     def matrix(self, g):
@@ -366,12 +359,10 @@ def base_change_is_group_algebra(H):
 def explicit_classical_basis(A):
     """Basis {1 * eta_t}, the matrix U: valid when conjugation fixes N pointwise
     (tried for generators of lam(G), as the centralizer of N is a group)."""
-    G = A.L.group
+    G, N = A.L.group, A.N
     lam = left_regular(G).elements
-    for lamg in (lam[g] for g in G.generators):
-        for eta in A.N.elements:
-            if conj_by(lamg, eta).images != eta.images:
-                raise ValueError("classical basis needs a centralized N")
+    if any(N.conjugation(lam[g]) != tuple(range(N.order)) for g in G.generators):
+        raise ValueError("classical basis needs a centralized N")
     return A.slots(A.L.unit)
 
 

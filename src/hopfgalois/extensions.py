@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .algebra import Algebra, action_report, algebra_axiom_report
+from .algebra import Algebra, action_report, algebra_axiom_report, monomials
 from .groups import cyclic, dihedral
 from .linalg import Matrix, Q, ZERO, ONE, fixed_basis, integer_normalized, mul_kron, rational
 
@@ -103,56 +103,21 @@ def splitting_field_cubic(v):
     v = rational(v)
     if v == 0 or is_rational_cube(v):
         raise ValueError(f"{_short_text(v)} is a rational cube; x^3 - v does not cut out a field")
-    G = dihedral(3)
-    dim = 6
-
-    def reduce_monomial(i, j):
-        # a^i z^j as a coordinate vector, i < 6, j < 4, expanded depth first
-        out = {}
-        work = [(i, j, ONE)]
-        while work:
-            ii, jj, coeff = work.pop()
-            if jj >= 2:
-                # z^2 = -1 - z
-                work += [(ii, jj - 1, -coeff), (ii, jj - 2, -coeff)]
-            elif ii >= 3:
-                work.append((ii - 3, jj, coeff * v))
-            else:
-                key = ii + 3 * jj
-                out[key] = out.get(key, ZERO) + coeff
-        return out
-
-    # basis index i + 3j is a^i z^j, so a product adds exponents
-    mult = Matrix.from_entries(dim, dim * dim, (
-        (key, a1 * dim + a2, c) for a1 in range(dim) for a2 in range(dim)
-        for key, c in reduce_monomial(a1 % 3 + a2 % 3, a1 // 3 + a2 // 3).items()))
-
+    # basis index i + 3j is a^i z^j; a^3 = v and z^2 = -1 - z
+    basis = [(i, j) for j in range(2) for i in range(3)]
+    A = Matrix.from_entries(6, 6, [((i + 1) % 3 + 3 * j, i + 3 * j, v if i == 2 else ONE)
+                                   for j in range(2) for i in range(3)])
+    Z = Matrix.from_entries(6, 6, [(i + 3, i, ONE) for i in range(3)]
+                            + [(k, i + 3, -ONE) for i in range(3) for k in (i, i + 3)])
+    mult = monomials(A, Z, basis, Matrix.identity(6))
+    # r: a -> az, z -> z and s: a -> a, z -> z^2; r^i s^j sits at index i + 3j
+    e0 = Matrix.from_entries(6, 1, [(0, 0, ONE)])
+    r = monomials(A * Z, Z, basis, e0)
+    s = monomials(A, Z * Z, basis, e0)
+    action = [Matrix.identity(6), r, r * r, s, r * s, r * r * s]
     unit = [ONE] + [ZERO] * 5
-
-    # generator matrices, built by pushing each basis monomial through the map
-    def matrix_for(image_of_a, image_of_z):
-        # column i + 3j is (image_of_a)^i * (image_of_z)^j, the images being
-        # monomials a^x z^y
-        (ax, ay), (zx, zy) = image_of_a, image_of_z
-        return Matrix.from_entries(dim, dim, (
-            (key, i + 3 * j, c) for j in range(2) for i in range(3)
-            for key, c in reduce_monomial(ax * i + zx * j, ay * i + zy * j).items()))
-
-    mat_r = matrix_for((1, 1), (0, 1))   # r: a -> a z, z -> z
-    mat_s = matrix_for((1, 0), (0, 2))   # s: a -> a, z -> z^2
-    ident = Matrix.identity(dim)
-    action = []
-    for g in range(6):
-        i, j = g % 3, g // 3
-        m = ident
-        for _ in range(i):
-            m = m * mat_r
-        for _ in range(j):
-            m = m * mat_s
-        action.append(m)
-
     names = ("1", "a", "a^2", "z", "az", "a^2z")
-    return GaloisAlgebra(mult, unit, G, action, names=names)
+    return GaloisAlgebra(mult, unit, dihedral(3), action, names=names)
 
 
 def quadratic_field(b):

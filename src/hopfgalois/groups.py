@@ -290,6 +290,10 @@ class PermSubgroup:
     def element_orders(self):
         return tuple(a.order() for a in self.elements)
 
+    def conjugation(self, g):
+        """The position of g eta g^-1 for each eta, None where it leaves the subgroup."""
+        return tuple(self._position.get(conj_by(g, eta).images) for eta in self.elements)
+
     def canonical_key(self):
         return tuple(sorted(p.images for p in self.elements))
 
@@ -347,12 +351,8 @@ def is_normalized_by(N, translations):
     Trying the minimal generators of `translations` is exact: conjugation is
     injective and N finite, so g N g^-1 within N means g N g^-1 = N, and the
     g with g N g^-1 = N form a group."""
-    for t in minimal_generators(translations):
-        g = translations.elements[t]
-        for p in N.elements:
-            if conj_by(g, p) not in N:
-                return False
-    return True
+    return all(None not in N.conjugation(translations.elements[t])
+               for t in minimal_generators(translations))
 
 
 def closure(gens, bound):
@@ -563,17 +563,17 @@ def equivariant_iso_search(N, N2, G, respect=None):
     equivariance means commuting with conjugation by those left translations.
     Returns (equivariant, rejections) where each rejection pairs a GroupIso
     with the first witness (g_index, element_position) where it fails.
+    Raises ValueError when a respected translation does not normalize N or N2.
     """
     lam = left_regular(G)
     if respect is None:
         respect = range(G.order)
     respect = list(respect)
-    conj_on = {}
-    conj_on2 = {}
+    conj_on = {g: N.conjugation(lam.elements[g]) for g in respect}
+    conj_on2 = {g: N2.conjugation(lam.elements[g]) for g in respect}
     for g in respect:
-        perm = lam.elements[g]
-        conj_on[g] = [N.index_of(conj_by(perm, p)) for p in N.elements]
-        conj_on2[g] = [N2.index_of(conj_by(perm, p)) for p in N2.elements]
+        if None in conj_on[g] + conj_on2[g]:
+            raise ValueError(f"lam[{G.names[g]}] does not normalize both subgroups")
     equivariant = []
     rejections = []
     for iso in group_isomorphisms(N, N2):

@@ -6,9 +6,9 @@ presentation Q[x, y] / I with
     I = ( y^2 - b x^2 + u,  (x-2)(x-1)(x+1)(x+2),  (x-1)(x+1)xy ),
 
 u = 4b, where b is the rational square of the quadratic witness of L.  On
-the basis (1, x, x^2, x^3, y, xy) multiplication reduces by the confluent
-rules y^2 -> b x^2 - u, x^4 -> 5x^2 - 4 and x^2 y -> y (the last lies in I:
-x^2 y - y = -(y/4)(x^4 - 5x^2 + 4) + (x/4)(x^3 y - x y)).  The Hopf maps
+the basis (1, x, x^2, x^3, y, xy) the operators of multiplication by x and
+y reduce by the rules y^2 -> b x^2 - u, x^4 -> 5x^2 - 4 and x^2 y -> y (the
+last lies in I: x^2 y - y = -(y/4)(x^4 - 5x^2 + 4) + (x/4)(x^3 y - x y)).  The Hopf maps
 
     D(x) = (1/2) x (x) x + (1/2b) y (x) y,   D(y) = (1/2)(x (x) y + y (x) x),
     eps(x) = 2, eps(y) = 0, sigma(x) = x, sigma(y) = -y
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .algebra import Algebra, HopfPresentation, hopf_map_violation
+from .algebra import Algebra, HopfPresentation, hopf_map_violation, monomials
 from .analysis import commutative_wedderburn
 from .descent import _provenance_of, inverse_pair_columns
 from .extensions import is_rational_square
@@ -40,29 +40,25 @@ class PolyMapError(RuntimeError):
         self.identity = identity
 
 
-def _times_x(c):
-    """Integer coordinates of x * v for v with coordinates c, reduced by
-    x^4 -> 5x^2 - 4 and x^2 y -> y."""
-    return [-4 * c[3], c[0], c[1] + 5 * c[3], c[2], c[5], c[4]]
+# multiplication by x on the basis: x^4 -> 5x^2 - 4 and x^2 y -> y
+_X = Matrix.from_entries(6, 6, [(1, 0, ONE), (2, 1, ONE), (3, 2, ONE), (0, 3, Q(-4)),
+                                (2, 3, Q(5)), (5, 4, ONE), (4, 5, ONE)])
+
+
+def _y_operator(b):
+    """Multiplication by y on the basis: x^2 y -> y and y^2 -> b x^2 - 4b."""
+    return Matrix.from_entries(6, 6, [(4, 0, ONE), (5, 1, ONE), (4, 2, ONE), (5, 3, ONE),
+                                      (2, 4, b), (0, 4, -4 * b), (3, 5, b), (1, 5, -4 * b)])
 
 
 def normal_form(i, j, b):
-    """Coordinates of x^i y^j on the basis (1, x, x^2, x^3, y, xy).
-
-    With j = 2m + r, y^2 = b (x^2 - 4) gives x^i y^j = b^m x^i (x^2 - 4)^m y^r,
-    and the last factor takes 2m + i integer steps of multiplication by x.
-    """
+    """Coordinates of x^i y^j on the basis (1, x, x^2, x^3, y, xy): i + j
+    steps of multiplication by x and y, applied to 1."""
     b = rational(b)
     if any(isinstance(e, bool) or not isinstance(e, int) or e < 0 for e in (i, j)):
         raise ValueError(f"exponents must be non-negative integers, got {i!r}, {j!r}")
-    m, r = divmod(j, 2)
-    c = [1 - r, 0, 0, 0, r, 0]
-    for _ in range(m):
-        c = [x2 - 4 * x0 for x2, x0 in zip(_times_x(_times_x(c)), c)]
-    for _ in range(i):
-        c = _times_x(c)
-    scale = b ** m
-    return [scale * x for x in c]
+    one = Matrix.from_entries(6, 1, [(0, 0, ONE)])
+    return list(monomials(_X, _y_operator(b), [(i, j)], one).column(0))
 
 
 def ideal_generators(b):
@@ -92,8 +88,7 @@ class PolyHopfAlgebra(HopfPresentation):
             raise ValueError("b = 0 makes the comultiplication coefficient 1/2b undefined")
         if is_rational_square(b):
             raise ValueError(f"b = {b} is a rational square; the quadratic witness would be rational")
-        mult = Matrix.from_columns([normal_form(i1 + i2, j1 + j2, b) for (i1, j1) in MONOMIALS
-                                    for (i2, j2) in MONOMIALS])
+        mult = monomials(_X, _y_operator(b), MONOMIALS, Matrix.identity(6))
         unit = [ONE, ZERO, ZERO, ZERO, ZERO, ZERO]
         plain = Algebra(mult, unit)
 
@@ -174,8 +169,8 @@ def check_iso_to_descended(P, H, gen):
     if sol is None:
         raise PolyMapError("membership")
     x_h, y_h = sol.columns()
-    T = Matrix.from_columns([H.mul(H.power(x_h, i), H.power(y_h, j)) for (i, j) in MONOMIALS],
-                            rows=6)
+    T = monomials(H.mult_operator(x_h), H.mult_operator(y_h), MONOMIALS,
+                  Matrix.from_columns([H.unit]))
     violation = hopf_map_violation(T, P, H)
     if violation is not None:
         raise PolyMapError(violation)

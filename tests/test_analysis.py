@@ -189,7 +189,7 @@ def test_wedderburn_cyclic_group_algebras():
 
 def test_wedderburn_components_sum(descended3):
     rep = commutative_wedderburn(descended3["N0"])
-    assert rep.total_dim == 6
+    assert sum(c.dim for c in rep.components) == 6
     assert rep.summary() == SIX_FIELDS
     # component units are orthogonal idempotents summing to 1
     H = descended3["N0"]

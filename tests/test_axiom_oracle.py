@@ -212,7 +212,7 @@ def perturb(H, rng):
     else:
         antipode = _perturbed_matrix(antipode, rng)
     return HopfPresentation(mult, unit, comul, counit, antipode,
-                            names=H.names, provenance=H.provenance, group=H.group)
+                            names=H.names, provenance=H.provenance)
 
 
 NAMES = ["p3-rho", "p3-lambda", "p3-N0", "p5-split-N2", "Q[C4]", "Q[D3]"]

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from hopfgalois import descent
-from hopfgalois.algebra import HopfPresentation, algebra_axiom_report, hopf_axiom_report
+from hopfgalois.algebra import (HopfPresentation, algebra_axiom_report, group_hopf_algebra,
+                                hopf_axiom_report, hopf_map_violation)
 from hopfgalois.catalog import catalog, cyclic_generator
 from hopfgalois.analysis import nilpotent_witness
 from hopfgalois.descent import (DescentError, NormalizationError, _descended_comultiplication,
@@ -15,8 +16,8 @@ from hopfgalois.descent import (DescentError, NormalizationError, _descended_com
                                 lform_matrix, measuring_report, semilinear_action,
                                 verify_hopf_galois)
 from hopfgalois.extensions import quadratic_sqrt_witness, split_model
-from hopfgalois.groups import (Perm, closure, dihedral, group_isomorphisms,
-                               is_normalized_by, left_regular)
+from hopfgalois.groups import (FiniteGroup, Perm, closure, dihedral, group_isomorphisms,
+                               is_normalized_by, left_regular, minimal_generators)
 from hopfgalois.linalg import Matrix, ONE, Q, ZERO, hstack, spans_equal
 
 LABELS3 = ("rho", "lambda", "N0", "N1", "N2")
@@ -387,6 +388,23 @@ def test_split_model_descents(p, label):
     else:
         assert explicit_basis_matches(H, "cyclic",
                                       gen=cyclic_generator(p, int(label[1:])))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_split_model_descents_evaluate_onto_the_group_algebra(p):
+    """Over the split model, evaluation at the identity point, f -> f(1), is a
+    Hopf isomorphism H_N -> Q[N]: its matrix E_N is the rows of B at the
+    coordinate d[1] of each slot, and no step of it inverts Phi."""
+    G = dihedral(p)
+    L = split_model(G)
+    d, one = L.dim, L.names.index(f"d[{G.names[G.identity]}]")
+    for e in catalog(p):
+        N = e.subgroup
+        H = descend(group_algebra(L, N), label=e.label)
+        E = Matrix.from_rows([H.provenance.basis.row(t * d + one) for t in range(N.order)])
+        QN = group_hopf_algebra(FiniteGroup(N.mult_table, tuple(map(N.name_of, range(N.order))),
+                                            N.identity_position, minimal_generators(N)))
+        assert hopf_map_violation(E, H, QN) is None, e.label
 
 
 def test_descend_labels_provenance(descended3):

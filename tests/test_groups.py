@@ -221,6 +221,31 @@ def test_equivariant_search_separates_translations():
         assert lhs != rhs  # witness really is a failure
 
 
+def test_conjugation_gives_positions_and_marks_conjugates_outside():
+    G = dihedral(3)
+    lam, rho = left_regular(G), right_regular(G)
+    # left and right translations commute
+    assert all(rho.conjugation(g) == tuple(range(6)) for g in lam.elements)
+    N = closure([Perm((1, 2, 3, 4, 5, 0))], 6)
+    rows = [N.conjugation(g) for g in lam.elements]
+    assert any(None in row for row in rows)
+    for g, row in zip(lam.elements, rows):
+        for eta, t in zip(N.elements, row):
+            image = conj_by(g, eta)
+            assert (t is None) == (image not in N)
+            assert t is None or N.elements[t] == image
+
+
+def test_equivariant_search_rejects_a_subgroup_that_is_not_normalized():
+    G = dihedral(3)
+    N = closure([Perm((1, 2, 3, 4, 5, 0))], 6)
+    assert not is_normalized_by(N, left_regular(G))
+    with pytest.raises(ValueError, match="does not normalize"):
+        equivariant_iso_search(N, left_regular(G), G)
+    with pytest.raises(ValueError, match="does not normalize"):
+        equivariant_iso_search(left_regular(G), N, G)
+
+
 def test_equivariant_search_positive():
     G = dihedral(3)
     lam = left_regular(G)

@@ -6,6 +6,9 @@ is a method that extends its base class's method of the same name.
 A name counts where the source reads it (a name, an attribute or an
 imported name); strings count only as the "<module>:<Class>.<method>"
 targets that perfbench/tracer.py looks up by name.
+
+A definition that only the tests name is listed in TEST_ONLY with the reason
+it stays; the package's re-exports in __init__.py do not count as a caller.
 """
 
 import ast
@@ -16,6 +19,25 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hopfgalois"
 TARGET = re.compile(r"^\w+:[\w.]+$")
+
+# every definition of the package that no module of it (other than the
+# re-exports of __init__.py) and no perfbench module names, with its reason
+TEST_ONLY = {
+    "right_mult_operator": "the right-hand twin of mult_operator; the axiom oracle checks both",
+    "group_hopf_algebra": "Q[G], the reference Hopf algebra of the axiom, Wedderburn and "
+                         "descent tests",
+    "character_idempotents": "the two character idempotents of Q[D_p], the tests' reference "
+                             "units for its Wedderburn split",
+    "nilpotent_witness": "the square-zero element of H_lambda over a cubic field that "
+                         "acceptance criterion 7 checks",
+    "quadratic_field": "Q(sqrt b), a second Galois model for the extension tests "
+                       "(ROADMAP item 2 builds on it)",
+    "check_axioms": "the group axioms of the hand-written Cayley tables",
+    "verify_subgroup": "closure of a catalog subgroup's element list under products "
+                       "and inverses",
+    "normal_form": "x^i y^j on the basis of the p = 3 presentation, the tests' handle "
+                   "on its relations",
+}
 
 
 def _uses(tree):
@@ -72,3 +94,19 @@ def test_every_definition_is_named_elsewhere():
     unnamed = [f"{path.name}:{node.lineno} {name}" for path, name, node in defined
                if uses[name] <= _uses(node)[name]]
     assert not unnamed, f"defined but never named elsewhere: {', '.join(unnamed)}"
+
+
+def test_definitions_only_tests_name_are_listed_with_a_reason():
+    sources = [p for d in ("src", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in sources}
+    uses = Counter()
+    for path, tree in trees.items():
+        if path.name != "__init__.py":
+            uses += _uses(tree)
+    test_only = {name for path in sorted(PACKAGE.glob("*.py"))
+                 for name, node in _definitions(trees[path])
+                 if not (name.startswith("__") and name.endswith("__"))
+                 and uses[name] <= _uses(node)[name]}
+    assert test_only == set(TEST_ONLY), (
+        f"named only from tests but not listed: {sorted(test_only - set(TEST_ONLY))}; "
+        f"listed but called from the package: {sorted(set(TEST_ONLY) - test_only)}")
