@@ -12,21 +12,32 @@ report, the induced action of H on L with its measuring property, exact
 bijectivity of the Hopf-Galois map j: L (x) H -> End(L), the base-change
 check L (x) H = L[N], and span comparison against closed-form bases.
 
+The route.  Let K be the kernel of G's conjugation action on N (action_kernel:
+the g whose conjugation map fixes N pointwise).  K acts on L[N] through the
+coefficients only, so H = (L^K[N])^G, and descend works in L^K[N]: L^K is a
+GaloisAlgebra of the same G on the basis F = L.fixed_space(K), and G acts on
+it through G/K.  L^K is Q for rho (K = G), Q<1, w> for every N_c (K = <r>),
+and L itself for lambda (K = 1, F = I, and L^K[N] is the given L[N]).  The
+fixed basis B' of L^K[N] is written back as X = (I (x) F) B' and given the
+basis B = kernel_form(X), the fixed basis of all of L[N]; when B != X, every
+structure map moves from X to B by the S with B = X S.  DescentProvenance
+keeps L[N] and B, so every check of H reads L[N] coordinates.
+
 L[N] is an Algebra: its dim x dim^2 `mult` places L's multiplication in slot
 tu for each slot pair (t, u), and every product in L[N] is one mul_kron over
-it.  The structure constants of H are the solve of mult (B (x) B), Phi is
-mult (E (x) B) for the embedding E: x -> x * eta_1, and the semilinear-action
-check reads `mult` directly.  Maps of L[N] are sparse slot maps,
-GroupAlgebraOverL.slot_map = permutation(images) (x) M, with slots(u) (column
-t is u * eta_t) its one-column case.  The closed-form bases are products of
-U = slots(1), W = slots(w) for the rational-square witness w of L, and the slot
-inversion iota: U + iota U has the columns eta_t + eta_t^-1, and W - iota W the
-columns w*(eta_t - eta_t^-1).  The action of H on L is built once, as
-DescentProvenance.action, for the measuring and Hopf-Galois checks.
-Comultiplication descends through the base-change map Phi: L (x) H -> L[N],
-x (x) h -> x*h, which descend builds once and keeps on DescentProvenance.phi
-for the base-change check.  Applying Phi^-1 to
-Delta(h) = sum_t x_t (eta_t (x) eta_t) one tensor leg at a time, as one
+it.  The structure constants of H are the solve of mult (B' (x) B'), Phi' is
+mult (E (x) B') for the embedding E: x -> x * eta_1 of L^K, and the
+semilinear-action check reads `mult` directly.  Maps of L[N] are sparse slot
+maps, GroupAlgebraOverL.slot_map = permutation(images) (x) M, with slots(u)
+(column t is u * eta_t) its one-column case.  The closed-form bases are
+products of U = slots(1), W = slots(w) for the rational-square witness w of
+L, and the slot inversion iota: U + iota U has the columns eta_t + eta_t^-1,
+and W - iota W the columns w*(eta_t - eta_t^-1).  The action of H on L is
+built once, as DescentProvenance.action, for the measuring and Hopf-Galois
+checks.  Comultiplication descends through the base-change map
+Phi': L^K (x) H -> L^K[N], x (x) h -> x*h, which descend builds once and
+keeps on DescentProvenance.phi for the base-change check.  Applying Phi'^-1
+to Delta(h) = sum_t x_t (eta_t (x) eta_t) one tensor leg at a time, as one
 sparse product per leg, rewrites it over h_i (x) h_j; the coefficients are
 provably rational, and this implementation checks that exactly instead of
 assuming it.
@@ -38,9 +49,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .algebra import Algebra, CheckReport, HopfPresentation, action_report, first_difference
-from .extensions import quadratic_sqrt_witness
+from .extensions import GaloisAlgebra, quadratic_sqrt_witness
 from .groups import left_regular
-from .linalg import Matrix, ONE, ZERO, fixed_basis, hstack, mul_kron, spans_equal, vstack
+from .linalg import (Matrix, ONE, ZERO, fixed_basis, hstack, kernel_form, mul_kron, spans_equal,
+                     vstack)
 
 
 class DescentError(RuntimeError):
@@ -153,7 +165,7 @@ class DescentProvenance:
 
     parent: GroupAlgebraOverL
     basis: Matrix
-    phi: Matrix  # the base change L (x) H -> L[N], as lform_matrix(parent, basis)
+    phi: Matrix  # the base change Phi': L^K (x) H -> L^K[N], as lform_matrix over L^K[N] and B'
     label: str = None
 
     @cached_property
@@ -162,51 +174,95 @@ class DescentProvenance:
         return _action_matrices(self.parent, self.basis)
 
 
+def _solved(B, rhs, failure):
+    """B.solve(rhs), or DescentError(failure) when it has no solution."""
+    sol = B.solve(rhs)
+    if sol is None:
+        raise DescentError(failure)
+    return sol
+
+
 def _rational_coefficients(L, z, context):
     """The rational c with z = (u (x) I) c, u the unit of L: each L.dim-block of
     a column of z must be a rational multiple of u; DescentError otherwise."""
-    c = Matrix.from_columns([L.unit]).kron(Matrix.identity(z.rows // L.dim)).solve(z)
-    if c is None:
-        raise DescentError(f"{context}: expected a rational multiple of the unit")
-    return c
+    return _solved(Matrix.from_columns([L.unit]).kron(Matrix.identity(z.rows // L.dim)), z,
+                   f"{context}: expected a rational multiple of the unit")
+
+
+def action_kernel(act):
+    """K, the elements g of G whose conjugation fixes N pointwise (the kernel
+    of G -> Aut(N)), read off the conjugation maps of a SemilinearAction."""
+    fixed = tuple(range(act.parent.N.order))
+    return [g for g, row in enumerate(act.conj_map) if row == fixed]
+
+
+def _fixed_coefficients(A, act):
+    """(F, L^K[N], its semilinear action) for K = action_kernel(act).
+
+    F is the basis L.fixed_space(K) of L^K, taken over generators of K.
+    L^K is a GaloisAlgebra of the same G, which acts on it through G/K: mult
+    F^-1 m_L (F (x) F), unit F^-1 u and action F^-1 g F.  When K = 1, F = I
+    and A and act are returned.
+    """
+    L = A.L
+    G = L.group
+    K = action_kernel(act)
+    if len(K) == 1:
+        return Matrix.identity(L.dim), A, act
+    gens, seen = [], {G.identity}
+    for g in K:
+        if g not in seen:
+            gens.append(g)
+            seen = G.subgroup_generated(gens)
+    F = L.fixed_space(gens)
+    fail = "L^K is not closed under the product and the Galois action"
+    LK = GaloisAlgebra(_solved(F, mul_kron(L.mult, F, F), fail),
+                       _solved(F, Matrix.from_columns([L.unit]), fail).column(0),
+                       G, [_solved(F, m * F, fail) for m in L.action])
+    AK = group_algebra(LK, A.N)
+    return F, AK, semilinear_action(AK)
 
 
 def descend(A, label=None):
     """The fixed ring of L[N] as an exact Hopf presentation over Q.
 
-    The fixed-space basis comes from the kernel of the stacked
-    (matrix(g) - 1) over the generators of G only (their fixed space equals
-    the fixed space of all of G); columns are integer-normalized with
-    content 1 and sorted, so the output is reproducible.
+    K acts on L[N] through the coefficients only, so the fixed ring is
+    computed in L^K[N] (see _fixed_coefficients) with the basis B' =
+    fixed_basis of the generators of G, written back to L[N] as X = (I (x) F)
+    B', and given the basis B = kernel_form(X), which is fixed_basis of the
+    fixed space of L[N] itself: columns integer-normalized with content 1 and
+    sorted, so the output is reproducible.  When B != X, B = X S, and every
+    structure map moves from the columns of X to those of B by S and S^-1.
     """
     act = semilinear_action(A)
+    F, AK, act_K = _fixed_coefficients(A, act)
     n = A.N.order
-    B = fixed_basis([act.matrix(g) for g in A.L.group.generators], A.dim)
-    if B.cols != n:
-        raise DescentError(f"fixed ring has dimension {B.cols}, expected {n}")
+    Bk = fixed_basis([act_K.matrix(g) for g in A.L.group.generators], AK.dim)
+    if Bk.cols != n:
+        raise DescentError(f"fixed ring has dimension {Bk.cols}, expected {n}")
 
     # column i*n + j is h_i h_j
-    mult = B.solve(mul_kron(A.mult, B, B))
-    if mult is None:
-        raise DescentError("a product of fixed vectors left the fixed ring")
+    mult = _solved(Bk, mul_kron(AK.mult, Bk, Bk), "a product of fixed vectors left the fixed ring")
+    unit = _solved(Bk, Matrix.from_columns([AK.unit]), "the unit of L[N] is not in the fixed ring")
+    slot_sums = Matrix(1, n, [ONE] * n).kron(Matrix.identity(AK.L.dim)) * Bk
+    counit = _rational_coefficients(AK.L, slot_sums, "counit")
+    antipode = _solved(Bk, AK.slot_map(A.N.inverse_table) * Bk,
+                       "an antipode image left the fixed ring")
+    comul, phi = _descended_comultiplication(AK, Bk)
 
-    unit_sol = B.solve(Matrix.from_columns([A.unit]))
-    if unit_sol is None:
-        raise DescentError("the unit of L[N] is not in the fixed ring")
-    unit = unit_sol.column(0)
-
-    slot_sums = Matrix(1, n, [ONE] * n).kron(Matrix.identity(A.L.dim)) * B
-    counit = _rational_coefficients(A.L, slot_sums, "counit")
-
-    antipode = B.solve(A.slot_map(A.N.inverse_table) * B)
-    if antipode is None:
-        raise DescentError("an antipode image left the fixed ring")
-
-    comul, phi = _descended_comultiplication(A, B)
-
+    # X = (I (x) F) B', the transpose of B'^T (I (x) F^T)
+    X = mul_kron(Bk.transpose(), Matrix.identity(n), F.transpose()).transpose()
+    B = kernel_form(X)
+    if B != X:
+        fail = "the fixed ring of L^K[N] does not span that of L[N]"
+        S, S_inv = _solved(X, B, fail), _solved(B, X, fail)
+        St = S_inv.transpose()
+        mult, unit, antipode = S_inv * mul_kron(mult, S, S), S_inv * unit, S_inv * antipode * S
+        comul = mul_kron((comul * S).transpose(), St, St).transpose()  # (S^-1 (x) S^-1) comul S
+        counit = counit * S
     prov = DescentProvenance(parent=A, basis=B, phi=phi, label=label)
     names = tuple(f"h{k}" for k in range(n))
-    return HopfPresentation(mult, unit, comul, counit, antipode,
+    return HopfPresentation(mult, unit.column(0), comul, counit, antipode,
                             names=names, provenance=prov)
 
 
@@ -348,20 +404,19 @@ def verify_hopf_galois(H):
 
 def base_change_is_group_algebra(H):
     """Whether L (x) H -> L[N] is bijective (H is an L-form of L[N]), read off
-    the Phi that descend built and kept."""
-    prov = _provenance_of(H)
-    phi, dim = prov.phi, prov.parent.dim
-    return phi.cols == dim and phi.rank() == dim
+    the Phi': L^K (x) H -> L^K[N] that descend built and kept: Phi' is square
+    with full rank.  L (x)_{L^K} - is faithfully flat and carries Phi' to Phi,
+    so Phi is bijective exactly when Phi' is."""
+    phi = _provenance_of(H).phi
+    return phi.cols == phi.rows and phi.rank() == phi.rows
 
 
 # -- closed-form bases --------------------------------------------------------
 
 def explicit_classical_basis(A):
-    """Basis {1 * eta_t}, the matrix U: valid when conjugation fixes N pointwise
-    (tried for generators of lam(G), as the centralizer of N is a group)."""
-    G, N = A.L.group, A.N
-    lam = left_regular(G).elements
-    if any(N.conjugation(lam[g]) != tuple(range(N.order)) for g in G.generators):
+    """Basis {1 * eta_t}, the matrix U: valid when conjugation fixes N pointwise,
+    that is when the kernel of the action is all of G."""
+    if len(action_kernel(semilinear_action(A))) != A.L.group.order:
         raise ValueError("classical basis needs a centralized N")
     return A.slots(A.L.unit)
 

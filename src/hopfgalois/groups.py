@@ -292,7 +292,7 @@ class PermSubgroup:
 
     def conjugation(self, g):
         """The position of g eta g^-1 for each eta, None where it leaves the subgroup."""
-        return tuple(self._position.get(conj_by(g, eta).images) for eta in self.elements)
+        return tuple(self._position.get(_conj_images(g, eta)) for eta in self.elements)
 
     def canonical_key(self):
         return tuple(sorted(p.images for p in self.elements))
@@ -339,10 +339,15 @@ def is_regular(N):
 
 def conj_by(g, p):
     """Conjugate g p g^-1, which sends g(x) to g(p(x))."""
-    images = [0] * g.degree
+    return Perm(_conj_images(g, p))
+
+
+def _conj_images(g, p):
+    """The image tuple of g p g^-1, a bijection by construction."""
+    images = [0] * len(g.images)
     for x, y in zip(g.images, p.images):
         images[x] = g.images[y]
-    return Perm(tuple(images))
+    return tuple(images)
 
 
 def is_normalized_by(N, translations):

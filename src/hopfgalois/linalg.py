@@ -492,8 +492,33 @@ def fixed_basis(mats, dim):
     ident = Matrix.identity(dim)
     if not mats:
         return ident
-    vecs = [_primitive(r) for r in vstack(*[m - ident for m in mats]).kernel().transpose()._rows]
-    vecs.sort(key=lambda v: _dense(v, dim))
+    return _sorted_primitive(vstack(*[m - ident for m in mats]).kernel().transpose()._rows, dim)
+
+
+def kernel_form(m):
+    """The basis of the column space of m in the form of fixed_basis: each
+    column is 1 at one free coordinate and 0 at the others, the free
+    coordinates being the last ones on which the span projects isomorphically
+    (the reversed-coordinate rref of m^T), then made primitive and sorted.  A
+    space has one such basis, so it equals fixed_basis for a fixed space.
+
+    When the last nonzero of every column sits in a row that column owns, m^T
+    is already reduced in reversed coordinates, and no elimination is made.
+    """
+    n = m.rows
+    cols = m.transpose()._rows
+    if all(c and len(m._rows[max(c)]) == 1 for c in cols):
+        return _sorted_primitive(cols, n)
+    red, pivots = Matrix._wrap(m.cols, n, [{n - 1 - i: x for i, x in c.items()}
+                                           for c in cols]).rref()
+    return _sorted_primitive([{n - 1 - j: x for j, x in r.items()}
+                              for r in red._rows[:len(pivots)]], n)
+
+
+def _sorted_primitive(vecs, dim):
+    """The matrix whose columns are the primitive forms of the sparse vectors
+    `vecs` of length dim, in increasing order of their dense lists."""
+    vecs = sorted((_primitive(v) for v in vecs), key=lambda v: _dense(v, dim))
     cols = [{j: Q(n) for j, n in v.items()} for v in vecs]
     return Matrix._wrap(len(cols), dim, cols).transpose()
 

@@ -23,8 +23,19 @@ def descended3(L3, catalog3):
 
 
 @pytest.fixture(scope="session")
-def split5_nc():
+def L5():
+    return split_model(dihedral(5))
+
+
+@pytest.fixture(scope="session")
+def split5_nc(L5):
     """The p = 5 N_c presentations descended over the split model, by label."""
-    L = split_model(dihedral(5))
-    return {e.label: descend(group_algebra(L, e.subgroup), label=e.label)
+    return {e.label: descend(group_algebra(L5, e.subgroup), label=e.label)
             for e in catalog(5) if e.label not in ("rho", "lambda")}
+
+
+@pytest.fixture(scope="session")
+def split5_rho_lambda(L5):
+    """The p = 5 rho and lambda presentations descended over the split model."""
+    return {e.label: descend(group_algebra(L5, e.subgroup), label=e.label)
+            for e in catalog(5) if e.label in ("rho", "lambda")}

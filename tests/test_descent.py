@@ -15,10 +15,10 @@ from hopfgalois.descent import (DescentError, NormalizationError, _descended_com
                                 hopf_action, hopf_galois_matrix, inverse_pair_columns,
                                 lform_matrix, measuring_report, semilinear_action,
                                 verify_hopf_galois)
-from hopfgalois.extensions import quadratic_sqrt_witness, split_model
+from hopfgalois.extensions import GaloisAlgebra, quadratic_sqrt_witness, split_model
 from hopfgalois.groups import (FiniteGroup, Perm, closure, dihedral, group_isomorphisms,
                                is_normalized_by, left_regular, minimal_generators)
-from hopfgalois.linalg import Matrix, ONE, Q, ZERO, hstack, spans_equal
+from hopfgalois.linalg import Matrix, ONE, Q, ZERO, fixed_basis, hstack, mul_kron, spans_equal
 
 LABELS3 = ("rho", "lambda", "N0", "N1", "N2")
 
@@ -304,12 +304,15 @@ def test_a_basis_not_closed_under_products_is_refused(monkeypatch, L3, owned):
 
 def test_descend_eliminates_only_where_no_row_is_owned(monkeypatch, L3):
     """One descend row-reduces at p = 5 split lambda only once: the fixed-space
-    kernel (the stacked M_g - I over the two generators, 200 x 100).  The
-    structure constants, the unit and the antipode against B, the counit and
-    both stages of Delta against u (x) I, and Phi^-1 are read off owned rows
-    and checked by one product each.  At p = 3 over cubic:2, N0 row-reduces
-    twice: the kernel (72 x 36) and the solve for Phi^-1 (36 x 72), as that
-    Phi has a column that owns no row."""
+    kernel (the stacked M_g - I over the two generators, 200 x 100).  K = 1
+    there, so L^K[N] is L[N] and no fixed space of K is solved.  The
+    structure constants, the unit and the antipode against B', the counit and
+    both stages of Delta against u (x) I, Phi'^-1, the kernel form of
+    X = (I (x) F) B' and the change of basis between X and B are read off
+    owned rows and checked by one product each.  At p = 3 over cubic:2, N0
+    (K = <r>) row-reduces three times: the fixed space of K in L (6 x 6, M_r
+    - I), the kernel in its 12-dimensional ambient L^K[N] (24 x 12) and the
+    solve for Phi'^-1 (12 x 24), as that Phi' has a column that owns no row."""
     shapes = []
     real = Matrix.rref
 
@@ -318,7 +321,7 @@ def test_descend_eliminates_only_where_no_row_is_owned(monkeypatch, L3):
         return real(m)
 
     monkeypatch.setattr(Matrix, "rref", counted)
-    expected = {"p5-lambda": [(200, 100)], "p3-N0": [(72, 36), (36, 72)]}
+    expected = {"p5-lambda": [(200, 100)], "p3-N0": [(6, 6), (24, 12), (12, 24)]}
     for label, A in _one_split_and_one_cubic(L3):
         shapes.clear()
         H = descend(A, label=label)
@@ -328,12 +331,14 @@ def test_descend_eliminates_only_where_no_row_is_owned(monkeypatch, L3):
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_phi_is_built_once_and_kept(monkeypatch, L3, p):
+    """Phi' is built once, over L^K[N] and the basis B' there, and kept: it is
+    lform_matrix of exactly those, and B' is the fixed basis of L^K[N]."""
     # p = 3 over cubic:2, p = 5 over the split model; every structure of each
     L = L3 if p == 3 else split_model(dihedral(p))
     calls = []
 
     def counted(A, B):
-        calls.append(B.cols)
+        calls.append((A, B))
         return lform_matrix(A, B)
 
     for e in catalog(p):
@@ -342,9 +347,75 @@ def test_phi_is_built_once_and_kept(monkeypatch, L3, p):
             patch.setattr(descent, "lform_matrix", counted)
             H = descend(group_algebra(L, e.subgroup), label=e.label)
             assert base_change_is_group_algebra(H)
-        assert calls == [2 * p], e.label
+        assert [B.cols for _, B in calls] == [2 * p], e.label
         prov = H.provenance
-        assert prov.phi == lform_matrix(prov.parent, prov.basis)
+        (AK, Bk), = calls
+        assert prov.phi == lform_matrix(AK, Bk), e.label
+        assert (AK is prov.parent) is (e.label == "lambda"), e.label
+        assert AK.N is prov.parent.N and AK.dim == 2 * p * AK.L.dim, e.label
+        act = semilinear_action(AK)
+        assert Bk == descent.fixed_basis([act.matrix(g) for g in L.group.generators], AK.dim)
+
+
+def _full_ambient_descent(A):
+    """The fixed ring computed in all of L[N], without L^K: its basis B and
+    (mult, unit, comul, counit, antipode) in B's coordinates."""
+    act = semilinear_action(A)
+    B = fixed_basis([act.matrix(g) for g in A.L.group.generators], A.dim)
+    n = A.N.order
+    mult = B.solve(mul_kron(A.mult, B, B))
+    unit = B.solve(Matrix.from_columns([A.unit])).column(0)
+    slot_sums = Matrix(1, n, [ONE] * n).kron(Matrix.identity(A.L.dim)) * B
+    counit = Matrix.from_columns([A.L.unit]).solve(slot_sums)
+    antipode = B.solve(A.slot_map(A.N.inverse_table) * B)
+    comul, _ = _descended_comultiplication(A, B)
+    return B, (mult, unit, comul, counit, antipode)
+
+
+def test_descent_through_the_fixed_algebra_matches_the_full_ambient(
+        descended3, split5_rho_lambda, split5_nc):
+    """Every structure at p = 3 over cubic:2 and at p = 5 split: the route
+    through L^K gives the basis and every structure map of the fixed ring of
+    all of L[N], and K and L^K have the expected sizes."""
+    presentations = [(3, descended3)] + [(5, split5_rho_lambda), (5, split5_nc)]
+    for p, by_label in presentations:
+        for label, H in by_label.items():
+            A, B = H.provenance.parent, H.provenance.basis
+            full_B, maps = _full_ambient_descent(A)
+            assert B == full_B, (p, label)
+            assert H.mult == B.solve(mul_kron(A.mult, B, B)), (p, label)
+            assert (H.mult, H.unit, H.comul, H.counit, H.antipode) == maps, (p, label)
+            K = descent.action_kernel(semilinear_action(A))
+            sizes = {"rho": (2 * p, 1), "lambda": (1, 2 * p)}.get(label, (p, 2))
+            assert (len(K), A.L.fixed_space(K).cols) == sizes, (p, label)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_descent_over_another_basis_of_L_changes_to_the_fixed_basis(monkeypatch, L3, L5, p):
+    """L on another basis: cubic:2 on 1, 1 + e_j (j > 0) and the p = 5 split
+    model on d_j + d_last (j < last), d_last.  For N_c the written-back
+    X = (I (x) F) B' is not the fixed basis B, and B = X S for an S that is no
+    Hopf automorphism (at p = 3 it does not commute with the antipode, at
+    p = 5 it moves the unit); the route still gives the full ambient's basis
+    and every structure map."""
+    base = L3 if p == 3 else L5
+    n = base.dim
+    row = 0 if p == 3 else n - 1
+    T = Matrix.from_entries(n, n, [(i, i, ONE) for i in range(n)]
+                            + [(row, j, ONE) for j in range(n) if j != row])
+    T_inv = T.inverse()
+    L = GaloisAlgebra(T_inv * mul_kron(base.mult, T, T), T_inv.apply(base.unit), base.group,
+                      [T_inv * m * T for m in base.action])
+    written_back = []
+    real = descent.kernel_form
+    monkeypatch.setattr(descent, "kernel_form", lambda X: written_back.append(X) or real(X))
+    for e in catalog(p):
+        written_back.clear()
+        H = descend(group_algebra(L, e.subgroup), label=e.label)
+        B = H.provenance.basis
+        full_B, maps = _full_ambient_descent(H.provenance.parent)
+        assert B == full_B and (H.mult, H.unit, H.comul, H.counit, H.antipode) == maps, e.label
+        assert (written_back != [B]) is (e.label not in ("rho", "lambda")), e.label
 
 
 def test_corrupted_comultiplication_fails_axioms(descended3):

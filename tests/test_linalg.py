@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from hopfgalois.descent import group_algebra, semilinear_action
 from hopfgalois.linalg import (Matrix, ONE, Q, ZERO, fixed_basis, hstack, integer_normalized,
-                               mul_kron, rational, spans_equal, vstack)
+                               kernel_form, mul_kron, rational, spans_equal, vstack)
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7).map(
     lambda f: Q(f.numerator, f.denominator))
@@ -662,6 +662,37 @@ def test_fixed_basis_matches_dense_normalization(action):
               for P, (_, signs) in zip(mats, gens)]
     for group in (mats, signed):
         assert fixed_basis(group, n) == reference_fixed_basis(group, n)
+
+
+@given(square, st.data())
+@settings(max_examples=40, deadline=None)
+def test_kernel_form_of_any_spanning_set_is_the_dense_fixed_basis(m, data):
+    """kernel_form of a spanning set of ker m, mixed by an invertible
+    matrix or padded with dependent columns, is the dense reference's fixed
+    basis of m + I."""
+    n = m.rows
+    expected = reference_fixed_basis([m + Matrix.identity(n)], n)
+    ker = m.kernel()
+    k = ker.cols
+    below = data.draw(st.lists(rationals, min_size=k * k, max_size=k * k))
+    mix = Matrix.from_entries(k, k, [(i, j, ONE if i == j else below[i * k + j])
+                                     for i in range(k) for j in range(i + 1)])
+    for spanning in (ker, ker * mix, hstack(ker * mix, ker, Matrix.zeros(n, 1))):
+        assert kernel_form(spanning) == expected
+
+
+def test_kernel_form_reads_an_echelon_basis_without_elimination(monkeypatch):
+    shapes = []
+    real = Matrix.rref
+    monkeypatch.setattr(Matrix, "rref", lambda m: shapes.append((m.rows, m.cols)) or real(m))
+    expected = Matrix.from_columns([[1, 0, -1], [1, 1, 0]])
+    assert kernel_form(Matrix.from_columns([[1, 1, 0], [0, 1, 1]])) == expected
+    assert shapes == [(2, 3)]
+    shapes.clear()
+    # the last nonzero of each column sits in a row it owns: scaled and sorted only
+    for echelon in (expected, Matrix.from_columns([[2, 2, 0], [-1, 0, 1]])):
+        assert kernel_form(echelon) == expected
+    assert shapes == []
 
 
 def test_fixed_basis_matches_dense_normalization_p3_cubic(L3, catalog3):
