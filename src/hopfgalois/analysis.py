@@ -33,8 +33,7 @@ from .algebra import Algebra, hopf_map_violation
 from .catalog import catalog
 from .descent import SemilinearAction, descend, group_algebra
 from .groups import dihedral, equivariant_iso_search, left_regular, right_regular
-from .linalg import (Matrix, ONE, Q, ZERO, column_space_basis, hstack,
-                     integer_normalized, mul_kron)
+from .linalg import Matrix, ONE, Q, ZERO, hstack, kernel_form, mul_kron
 
 KIND_FIELD = "field"
 KIND_MATRIX2 = "matrix2_over_center"
@@ -99,7 +98,7 @@ def rational_roots(coeffs):
         coeffs = coeffs[:-1]
     if not coeffs:
         raise ValueError("zero polynomial")
-    ints = [int(c) for c in integer_normalized(coeffs)]
+    ints = [int(c) for c in kernel_form(Matrix.from_columns([coeffs])).column(0)]
     low = next(i for i, c in enumerate(ints) if c)
     roots = [ZERO] if low else []
     n, a = len(ints) - low - 1, ints[-1]
@@ -165,7 +164,7 @@ def _eigen_split(H, unit, basis, operators):
             shifted = Mz - Matrix.identity(k) * a
             ker = shifted.kernel()
             if ker.cols < k and hstack(ker, shifted).rank() == k:
-                parts = column_space_basis(basis * ker), column_space_basis(basis * shifted)
+                parts = kernel_form(basis * ker), kernel_form(basis * shifted)
                 return list(zip(_split_unit(H, unit, *parts), parts))
     return None
 
@@ -264,7 +263,7 @@ def noncommutative_wedderburn_p3(H):
     components = []
     for comp in commutative_wedderburn(Algebra(mult, unit.column(0))).components:
         e = Z * Matrix.from_columns([comp.unit])
-        basis = column_space_basis(mul_kron(H.mult, e, one))
+        basis = kernel_form(mul_kron(H.mult, e, one))
         kind = KIND_FIELD if basis.cols == 1 else KIND_UNDETERMINED
         if basis.cols == 4 and comp.dim == 1:
             gram = mul_kron(trace_form, basis, basis).row_entries(0)

@@ -18,10 +18,11 @@ coefficients only, so H = (L^K[N])^G, and descend works in L^K[N]: L^K is a
 GaloisAlgebra of the same G on the basis F = L.fixed_space(K), and G acts on
 it through G/K.  L^K is Q for rho (K = G), Q<1, w> for every N_c (K = <r>),
 and L itself for lambda (K = 1, F = I, and L^K[N] is the given L[N]).  The
-fixed basis B' of L^K[N] is written back as X = (I (x) F) B' and given the
-basis B = kernel_form(X), the fixed basis of all of L[N]; when B != X, every
-structure map moves from X to B by the S with B = X S.  DescentProvenance
-keeps L[N] and B, so every check of H reads L[N] coordinates.
+fixed basis of L^K[N] is written back as X = (I (x) F) fixed_basis, and B =
+kernel_form(X) is the fixed basis of all of L[N].  It is found first, and
+every structure map is read over its preimage B' in L^K[N].
+DescentProvenance keeps L[N] and B, so every check of H reads L[N]
+coordinates.
 
 L[N] is an Algebra: its dim x dim^2 `mult` places L's multiplication in slot
 tu for each slot pair (t, u), and every product in L[N] is one mul_kron over
@@ -45,14 +46,14 @@ assuming it.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from functools import cached_property
 
 from .algebra import Algebra, CheckReport, HopfPresentation, action_report, first_difference
 from .extensions import GaloisAlgebra, quadratic_sqrt_witness
 from .groups import left_regular
-from .linalg import (Matrix, ONE, ZERO, fixed_basis, hstack, kernel_form, mul_kron, spans_equal,
-                     vstack)
+from .linalg import Matrix, ONE, ZERO, fixed_basis, hstack, kernel_form, mul_kron, vstack
 
 
 class DescentError(RuntimeError):
@@ -146,9 +147,6 @@ class SemilinearAction:
             self._matrices[g] = A.slot_map(self.conj_map[g], A.L.action[g])
         return self._matrices[g]
 
-    def apply(self, g, vec):
-        return self.matrix(g).apply(vec)
-
     def verify(self):
         """Exact invariants as a CheckReport: an action of G by Q-algebra maps."""
         A = self.parent
@@ -201,8 +199,9 @@ def _fixed_coefficients(A, act):
 
     F is the basis L.fixed_space(K) of L^K, taken over generators of K.
     L^K is a GaloisAlgebra of the same G, which acts on it through G/K: mult
-    F^-1 m_L (F (x) F), unit F^-1 u and action F^-1 g F.  When K = 1, F = I
-    and A and act are returned.
+    F^-1 m_L (F (x) F), unit F^-1 u and action F^-1 g F.  The action on
+    L^K[N] shares act's conjugation maps, as N and G are the same.  When
+    K = 1, F = I and A and act are returned.
     """
     L = A.L
     G = L.group
@@ -220,19 +219,22 @@ def _fixed_coefficients(A, act):
                        _solved(F, Matrix.from_columns([L.unit]), fail).column(0),
                        G, [_solved(F, m * F, fail) for m in L.action])
     AK = group_algebra(LK, A.N)
-    return F, AK, semilinear_action(AK)
+    act_K = copy(act)
+    act_K.parent, act_K._matrices = AK, {}
+    return F, AK, act_K
 
 
 def descend(A, label=None):
     """The fixed ring of L[N] as an exact Hopf presentation over Q.
 
     K acts on L[N] through the coefficients only, so the fixed ring is
-    computed in L^K[N] (see _fixed_coefficients) with the basis B' =
-    fixed_basis of the generators of G, written back to L[N] as X = (I (x) F)
-    B', and given the basis B = kernel_form(X), which is fixed_basis of the
-    fixed space of L[N] itself: columns integer-normalized with content 1 and
-    sorted, so the output is reproducible.  When B != X, B = X S, and every
-    structure map moves from the columns of X to those of B by S and S^-1.
+    computed in L^K[N] (see _fixed_coefficients).  Its fixed_basis there is
+    written back to L[N] as X by the algebra embedding I (x) F, and the basis
+    B = kernel_form(X), the fixed_basis of L[N] itself, is found before any
+    structure map, so the output is reproducible.  B' is the preimage of B
+    under I (x) F: the fixed_basis of L^K[N] when B == X, and otherwise one
+    solve against the owned rows of I (x) F.  Every structure map is read
+    once over B', whose coordinates are those of B.
     """
     act = semilinear_action(A)
     F, AK, act_K = _fixed_coefficients(A, act)
@@ -240,6 +242,11 @@ def descend(A, label=None):
     Bk = fixed_basis([act_K.matrix(g) for g in A.L.group.generators], AK.dim)
     if Bk.cols != n:
         raise DescentError(f"fixed ring has dimension {Bk.cols}, expected {n}")
+    lift = Matrix.identity(n).kron(F)
+    X = lift * Bk
+    B = kernel_form(X)
+    if B != X:
+        Bk = _solved(lift, B, "the fixed ring of L[N] is not written over L^K")
 
     # column i*n + j is h_i h_j
     mult = _solved(Bk, mul_kron(AK.mult, Bk, Bk), "a product of fixed vectors left the fixed ring")
@@ -249,17 +256,6 @@ def descend(A, label=None):
     antipode = _solved(Bk, AK.slot_map(A.N.inverse_table) * Bk,
                        "an antipode image left the fixed ring")
     comul, phi = _descended_comultiplication(AK, Bk)
-
-    # X = (I (x) F) B', the transpose of B'^T (I (x) F^T)
-    X = mul_kron(Bk.transpose(), Matrix.identity(n), F.transpose()).transpose()
-    B = kernel_form(X)
-    if B != X:
-        fail = "the fixed ring of L^K[N] does not span that of L[N]"
-        S, S_inv = _solved(X, B, fail), _solved(B, X, fail)
-        St = S_inv.transpose()
-        mult, unit, antipode = S_inv * mul_kron(mult, S, S), S_inv * unit, S_inv * antipode * S
-        comul = mul_kron((comul * S).transpose(), St, St).transpose()  # (S^-1 (x) S^-1) comul S
-        counit = counit * S
     prov = DescentProvenance(parent=A, basis=B, phi=phi, label=label)
     names = tuple(f"h{k}" for k in range(n))
     return HopfPresentation(mult, unit.column(0), comul, counit, antipode,
@@ -415,8 +411,10 @@ def base_change_is_group_algebra(H):
 
 def explicit_classical_basis(A):
     """Basis {1 * eta_t}, the matrix U: valid when conjugation fixes N pointwise,
-    that is when the kernel of the action is all of G."""
-    if len(action_kernel(semilinear_action(A))) != A.L.group.order:
+    that is when every generator of G centralizes N."""
+    G, fixed = A.L.group, tuple(range(A.N.order))
+    lam = left_regular(G).elements
+    if any(A.N.conjugation(lam[g]) != fixed for g in G.generators):
         raise ValueError("classical basis needs a centralized N")
     return A.slots(A.L.unit)
 
@@ -496,4 +494,4 @@ def explicit_basis_matches(H, kind, gen=None):
         ref = explicit_cyclic_basis(A, gen)
     else:
         raise ValueError(f"unknown basis kind {kind!r}")
-    return spans_equal(prov.basis, ref)
+    return prov.basis == kernel_form(ref)

@@ -18,7 +18,7 @@ from math import isqrt
 
 from .algebra import Algebra, action_report, algebra_axiom_report, monomials
 from .groups import cyclic, dihedral
-from .linalg import Matrix, Q, ZERO, ONE, fixed_basis, integer_normalized, mul_kron, rational
+from .linalg import Matrix, Q, ZERO, ONE, fixed_basis, kernel_form, mul_kron, rational
 
 
 def _int_is_cube(n):
@@ -151,8 +151,9 @@ def quadratic_sqrt_witness(L):
     """Element of the rotation-fixed quadratic subalgebra negated by s.
 
     For L with dihedral group (generators r of odd order p and s of order
-    2), returns the unique integer-normalized w with r(w) = w, s(w) = -w
-    and w^2 rational.  Raises ValueError if no such element exists.
+    2), returns the w with r(w) = w, s(w) = -w and w^2 rational, as the
+    one column of the kernel_form of that line (a primitive integer
+    vector).  Raises ValueError if no such element exists.
     """
     G = L.group
     if len(G.generators) == 1:
@@ -165,7 +166,7 @@ def quadratic_sqrt_witness(L):
     anti = (L.action[s_idx] * quad + quad).kernel()
     if anti.cols == 0:
         raise ValueError("no element is negated by the reflection")
-    w = integer_normalized((quad * anti).column(0))
+    w = list(kernel_form(quad * anti).column(0))
     rational_square_of(L, w)  # raises unless w^2 is rational
     return w
 

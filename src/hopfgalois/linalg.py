@@ -487,63 +487,36 @@ def vstack(*mats):
 
 def fixed_basis(mats, dim):
     """Basis of the common fixed space of the dim x dim matrices `mats`: the
-    kernel of the stacked M - I, columns integer-normalized and sorted so the
-    basis is reproducible; the identity when `mats` is empty."""
+    kernel_form of the kernel of the stacked M - I; the identity when `mats`
+    is empty."""
     ident = Matrix.identity(dim)
     if not mats:
         return ident
-    return _sorted_primitive(vstack(*[m - ident for m in mats]).kernel().transpose()._rows, dim)
+    return kernel_form(vstack(*[m - ident for m in mats]).kernel())
 
 
 def kernel_form(m):
-    """The basis of the column space of m in the form of fixed_basis: each
-    column is 1 at one free coordinate and 0 at the others, the free
-    coordinates being the last ones on which the span projects isomorphically
-    (the reversed-coordinate rref of m^T), then made primitive and sorted.  A
-    space has one such basis, so it equals fixed_basis for a fixed space.
+    """The canonical basis of the column space of m, the one normal form of a
+    subspace in this package: two matrices span the same space exactly when
+    their kernel forms are equal.  Before scaling, each column is 1 at one
+    free coordinate and 0 at the others, the free coordinates being the last
+    ones on which the span projects isomorphically (the reversed-coordinate
+    rref of m^T); each column is then made primitive (integer, content 1,
+    positive at its lowest nonzero), and the columns are sorted by their
+    entry lists.
 
-    When the last nonzero of every column sits in a row that column owns, m^T
-    is already reduced in reversed coordinates, and no elimination is made.
+    When the last nonzero of every column sits in a row that column owns, as
+    in the output of Matrix.kernel, m^T is already reduced in reversed
+    coordinates, and no elimination is made.
     """
     n = m.rows
     cols = m.transpose()._rows
-    if all(c and len(m._rows[max(c)]) == 1 for c in cols):
-        return _sorted_primitive(cols, n)
-    red, pivots = Matrix._wrap(m.cols, n, [{n - 1 - i: x for i, x in c.items()}
-                                           for c in cols]).rref()
-    return _sorted_primitive([{n - 1 - j: x for j, x in r.items()}
-                              for r in red._rows[:len(pivots)]], n)
-
-
-def _sorted_primitive(vecs, dim):
-    """The matrix whose columns are the primitive forms of the sparse vectors
-    `vecs` of length dim, in increasing order of their dense lists."""
-    vecs = sorted((_primitive(v) for v in vecs), key=lambda v: _dense(v, dim))
-    cols = [{j: Q(n) for j, n in v.items()} for v in vecs]
-    return Matrix._wrap(len(cols), dim, cols).transpose()
-
-
-def column_space_basis(m):
-    """Canonical basis of the column space: nonzero rows of rref(m^T)."""
-    red, pivots = m.transpose().rref()
-    return Matrix._wrap(len(pivots), m.rows, red._rows[:len(pivots)]).transpose()
-
-
-def spans_equal(a, b):
-    """Whether two matrices with equally long columns span the same space."""
-    if a.rows != b.rows:
-        raise ValueError("ambient dimension mismatch")
-    return column_space_basis(a) == column_space_basis(b)
-
-
-def integer_normalized(v):
-    """Scale a nonzero rational vector to integer entries with content 1 and
-    positive first nonzero entry.  The result is the unique such multiple."""
-    v = list(v)
-    row = _sparse(v)
-    if not row:
-        raise ValueError("cannot normalize the zero vector")
-    return [Q(n) for n in _dense(_primitive(row), len(v))]
+    if not all(c and len(m._rows[max(c)]) == 1 for c in cols):
+        red, pivots = Matrix._wrap(m.cols, n, [{n - 1 - i: x for i, x in c.items()}
+                                               for c in cols]).rref()
+        cols = [{n - 1 - j: x for j, x in r.items()} for r in red._rows[:len(pivots)]]
+    vecs = sorted((_primitive(c) for c in cols), key=lambda v: _dense(v, n))
+    return Matrix._wrap(len(vecs), n, [{j: Q(x) for j, x in v.items()} for v in vecs]).transpose()
 
 
 def _dense(v, n):

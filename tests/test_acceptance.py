@@ -155,7 +155,7 @@ def test_criterion_07_idempotent_and_nilpotent_witnesses():
     solved = []
     for e in character_idempotents(3):
         ln = to_ln(e)
-        ok = ok and all(act.apply(g, ln) == ln for g in range(6))
+        ok = ok and all(act.matrix(g).apply(ln) == ln for g in range(6))
         sol = B.solve(Matrix.from_columns([ln], rows=A.dim))
         ok = ok and sol is not None
         solved.append([sol[i, 0] for i in range(6)] if sol is not None else None)
@@ -170,7 +170,7 @@ def test_criterion_07_idempotent_and_nilpotent_witnesses():
 
     w = nilpotent_witness(L)
     ok = ok and A.mul(w, w) == [ZERO] * A.dim
-    ok = ok and all(act.apply(g, w) == w for g in range(6))
+    ok = ok and all(act.matrix(g).apply(w) == w for g in range(6))
     ok = ok and B.solve(Matrix.from_columns([w], rows=A.dim)) is not None
     _report(7, ok, "e1, e2 are idempotent, orthogonal, central, G-fixed and lie "
                    "in the descended H_lambda; the nilpotent witness b lies in "

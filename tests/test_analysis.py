@@ -272,7 +272,7 @@ def test_nilpotent_witness(L3):
     assert A.mul(b, b) == [ZERO] * A.dim
     act = semilinear_action(A)
     for g in range(L3.group.order):
-        assert act.apply(g, b) == b
+        assert act.matrix(g).apply(b) == b
 
 
 def test_nilpotent_witness_needs_cubic_model():

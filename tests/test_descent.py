@@ -16,9 +16,10 @@ from hopfgalois.descent import (DescentError, NormalizationError, _descended_com
                                 lform_matrix, measuring_report, semilinear_action,
                                 verify_hopf_galois)
 from hopfgalois.extensions import GaloisAlgebra, quadratic_sqrt_witness, split_model
-from hopfgalois.groups import (FiniteGroup, Perm, closure, dihedral, group_isomorphisms,
-                               is_normalized_by, left_regular, minimal_generators)
-from hopfgalois.linalg import Matrix, ONE, Q, ZERO, fixed_basis, hstack, mul_kron, spans_equal
+from hopfgalois.groups import (FiniteGroup, Perm, PermSubgroup, closure, dihedral,
+                               group_isomorphisms, is_normalized_by, left_regular,
+                               minimal_generators)
+from hopfgalois.linalg import Matrix, ONE, Q, ZERO, fixed_basis, hstack, kernel_form, mul_kron
 
 LABELS3 = ("rho", "lambda", "N0", "N1", "N2")
 
@@ -60,7 +61,7 @@ def test_descended_basis_is_pointwise_fixed(L3, descended3):
         for j in range(H.dim):
             col = list(H.provenance.basis.column(j))
             for g in range(L3.group.order):
-                assert act.apply(g, col) == col
+                assert act.matrix(g).apply(col) == col
 
 
 def test_comultiplication_reconstructs_in_group_algebra(descended3):
@@ -302,37 +303,47 @@ def test_a_basis_not_closed_under_products_is_refused(monkeypatch, L3, owned):
             descend(A, label=label)
 
 
-def test_descend_eliminates_only_where_no_row_is_owned(monkeypatch, L3):
+def test_descend_eliminates_only_where_no_row_is_owned(monkeypatch, L3, L5):
     """One descend row-reduces at p = 5 split lambda only once: the fixed-space
     kernel (the stacked M_g - I over the two generators, 200 x 100).  K = 1
     there, so L^K[N] is L[N] and no fixed space of K is solved.  The
     structure constants, the unit and the antipode against B', the counit and
-    both stages of Delta against u (x) I, Phi'^-1, the kernel form of
-    X = (I (x) F) B' and the change of basis between X and B are read off
-    owned rows and checked by one product each.  At p = 3 over cubic:2, N0
-    (K = <r>) row-reduces three times: the fixed space of K in L (6 x 6, M_r
-    - I), the kernel in its 12-dimensional ambient L^K[N] (24 x 12) and the
-    solve for Phi'^-1 (12 x 24), as that Phi' has a column that owns no row."""
-    shapes = []
-    real = Matrix.rref
+    both stages of Delta against u (x) I, Phi'^-1 and the kernel form of
+    X = (I (x) F) B' are read off owned rows and checked by one product each.
+    At p = 5 split, N0 (K = <r>) row-reduces twice: the fixed space of K in L
+    (10 x 10, M_r - I) and the kernel in its 20-dimensional ambient L^K[N]
+    (40 x 20).  There X is not its own kernel form, and B' is the preimage
+    of B = kernel_form(X), read off the owned rows of I (x) F.  At p = 3 over
+    cubic:2, N0 (K = <r>) row-reduces three times: the fixed space of K in L
+    (6 x 6), the kernel in L^K[N] (24 x 12) and the solve for Phi'^-1
+    (12 x 24), as that Phi' has a column that owns no row."""
+    shapes, written_back = [], []
+    real, real_form = Matrix.rref, descent.kernel_form
 
     def counted(m):
         shapes.append((m.rows, m.cols))
         return real(m)
 
     monkeypatch.setattr(Matrix, "rref", counted)
-    expected = {"p5-lambda": [(200, 100)], "p3-N0": [(6, 6), (24, 12), (12, 24)]}
-    for label, A in _one_split_and_one_cubic(L3):
+    monkeypatch.setattr(descent, "kernel_form", lambda X: written_back.append(X) or real_form(X))
+    n0 = next(e for e in catalog(5) if e.label == "N0")
+    cases = _one_split_and_one_cubic(L3) + [("p5-N0", group_algebra(L5, n0.subgroup))]
+    expected = {"p5-lambda": [(200, 100)], "p3-N0": [(6, 6), (24, 12), (12, 24)],
+                "p5-N0": [(10, 10), (40, 20)]}
+    for label, A in cases:
         shapes.clear()
+        written_back.clear()
         H = descend(A, label=label)
         assert shapes == expected[label], label
-        assert _owns_a_row_per_column(H.provenance.phi) is (label == "p5-lambda"), label
+        assert _owns_a_row_per_column(H.provenance.phi) is (label != "p3-N0"), label
+        assert (written_back != [H.provenance.basis]) is (label == "p5-N0"), label
 
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_phi_is_built_once_and_kept(monkeypatch, L3, p):
     """Phi' is built once, over L^K[N] and the basis B' there, and kept: it is
-    lform_matrix of exactly those, and B' is the fixed basis of L^K[N]."""
+    lform_matrix of exactly those, (I (x) F) B' is the descended basis, and
+    B' spans the fixed space of L^K[N]."""
     # p = 3 over cubic:2, p = 5 over the split model; every structure of each
     L = L3 if p == 3 else split_model(dihedral(p))
     calls = []
@@ -353,8 +364,12 @@ def test_phi_is_built_once_and_kept(monkeypatch, L3, p):
         assert prov.phi == lform_matrix(AK, Bk), e.label
         assert (AK is prov.parent) is (e.label == "lambda"), e.label
         assert AK.N is prov.parent.N and AK.dim == 2 * p * AK.L.dim, e.label
+        K = descent.action_kernel(semilinear_action(prov.parent))
+        F = L.fixed_space(K) if len(K) > 1 else Matrix.identity(L.dim)
+        assert Matrix.identity(2 * p).kron(F) * Bk == prov.basis, e.label
         act = semilinear_action(AK)
-        assert Bk == descent.fixed_basis([act.matrix(g) for g in L.group.generators], AK.dim)
+        fixed = descent.fixed_basis([act.matrix(g) for g in L.group.generators], AK.dim)
+        assert kernel_form(Bk) == fixed, e.label
 
 
 def _full_ambient_descent(A):
@@ -416,6 +431,22 @@ def test_descent_over_another_basis_of_L_changes_to_the_fixed_basis(monkeypatch,
         full_B, maps = _full_ambient_descent(H.provenance.parent)
         assert B == full_B and (H.mult, H.unit, H.comul, H.counit, H.antipode) == maps, e.label
         assert (written_back != [B]) is (e.label not in ("rho", "lambda")), e.label
+
+
+def test_one_conjugation_table_per_descend(monkeypatch, L5):
+    """A descend conjugates N by each element of G once, L^K[N] sharing the
+    table of L[N], and the classical basis conjugates only by G's generators."""
+    calls = []
+    real = PermSubgroup.conjugation
+    monkeypatch.setattr(PermSubgroup, "conjugation", lambda N, g: calls.append(g) or real(N, g))
+    for e in catalog(5):
+        calls.clear()
+        H = descend(group_algebra(L5, e.subgroup), label=e.label)
+        assert len(calls) == L5.group.order, e.label
+        if e.label == "rho":
+            calls.clear()
+            assert explicit_basis_matches(H, "classical")
+            assert len(calls) == len(L5.group.generators)
 
 
 def test_corrupted_comultiplication_fails_axioms(descended3):
@@ -760,7 +791,7 @@ def test_closed_forms_match_the_coordinate_lists(L3):
         ref = _reference_basis(A, kind, gen, w)
         basis = _closed_form(A, kind, gen)
         assert basis.cols == basis.rank() == A.N.order, kind
-        assert spans_equal(basis, ref), kind
+        assert kernel_form(basis) == kernel_form(ref), kind
         if kind == "classical":
             assert basis == ref
         elif kind == "cyclic":
@@ -777,8 +808,8 @@ def test_closed_forms_with_the_unit_for_w_do_not_match(L3, monkeypatch):
         if kind == "classical":
             continue
         ref = _reference_basis(A, kind, gen, quadratic_sqrt_witness(A.L))
-        assert not spans_equal(_closed_form(A, kind, gen), ref), kind
-        assert not spans_equal(_reference_basis(A, kind, gen, A.L.unit), ref), kind
+        assert kernel_form(_closed_form(A, kind, gen)) != kernel_form(ref), kind
+        assert kernel_form(_reference_basis(A, kind, gen, A.L.unit)) != kernel_form(ref), kind
 
 
 def test_nilpotent_witness_matches_the_dense_sum(L3):

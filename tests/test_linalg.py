@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfgalois.descent import group_algebra, semilinear_action
-from hopfgalois.linalg import (Matrix, ONE, Q, ZERO, fixed_basis, hstack, integer_normalized,
-                               kernel_form, mul_kron, rational, spans_equal, vstack)
+from hopfgalois.linalg import (Matrix, ONE, Q, ZERO, fixed_basis, hstack, kernel_form, mul_kron,
+                               rational, vstack)
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7).map(
     lambda f: Q(f.numerator, f.denominator))
@@ -105,11 +105,11 @@ def test_kron_on_simple_tensors(a, b, data):
     assert a.kron(b).apply(xy) == [ai * bj for ai in ax for bj in by]
 
 
-def test_integer_normalized():
-    assert integer_normalized([Q(1, 2), Q(-3, 4)]) == [Q(2), Q(-3)]
-    assert integer_normalized([Q(-2), Q(4)]) == [Q(1), Q(-2)]
-    with pytest.raises(ValueError):
-        integer_normalized([Q(0), Q(0)])
+def test_kernel_form_of_one_column_is_its_primitive_multiple():
+    for v, expected in (([Q(1, 2), Q(-3, 4)], [Q(2), Q(-3)]), ([Q(-2), Q(4)], [Q(1), Q(-2)])):
+        form = kernel_form(Matrix.from_columns([v]))
+        assert form == Matrix.from_columns([expected])
+        assert all(type(c) is Q for c in form.column(0))
 
 
 def test_stacking():
@@ -146,8 +146,8 @@ def test_spans_equal():
     b1 = Matrix.from_columns([[ONE, ZERO], [ZERO, ONE]], rows=2)
     b2 = Matrix.from_columns([[Q(2), Q(2)], [ZERO, Q(3)]], rows=2)
     b3 = Matrix.from_columns([[ONE, ONE]], rows=2)
-    assert spans_equal(b1, b2)
-    assert not spans_equal(b1, b3)
+    assert kernel_form(b1) == kernel_form(b2)
+    assert kernel_form(b1) != kernel_form(b3)
 
 
 # -- sparse inputs ---------------------------------------------------------------

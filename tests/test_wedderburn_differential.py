@@ -9,6 +9,7 @@ same report: summaries, units, bases and the order of the components.
 """
 
 import importlib
+from math import gcd, lcm
 
 import pytest
 
@@ -18,11 +19,27 @@ from hopfgalois.analysis import (KIND_FIELD, KIND_UNDETERMINED, WedderburnCompon
                                  minimal_polynomial, noncommutative_wedderburn_p3,
                                  rational_roots)
 from hopfgalois.groups import cyclic, dihedral
-from hopfgalois.linalg import Matrix, ONE, Q, column_space_basis, hstack
+from hopfgalois.linalg import Matrix, ONE, Q, hstack
 from hopfgalois.polyform import poly_hopf_algebra
 
 
 # -- reference: the split on coordinate lists ---------------------------------------
+
+def _column_basis(m):
+    """The kernel form of the column space of m, computed densely: the rref of
+    m^T with its coordinates reversed, each nonzero row read back in order,
+    scaled to integers with content 1 and a positive first nonzero, and the
+    rows sorted as tuples."""
+    red, pivots = Matrix.from_rows([c[::-1] for c in m.columns()]).rref()
+    cols = []
+    for i in range(len(pivots)):
+        c = red.row(i)[::-1]
+        den = lcm(*(x.denominator for x in c))
+        ints = [int(x * den) for x in c]
+        g = gcd(*ints)
+        cols.append(tuple(x // (g if next(y for y in ints if y) > 0 else -g) for x in ints))
+    return Matrix.from_columns(sorted(cols), rows=m.rows)
+
 
 def _restricted_operator(H, basis, x):
     sol = basis.solve(H.mult_operator(x) * basis)
@@ -65,8 +82,8 @@ def list_split(H):
                 shifted = Mz - Matrix.identity(k) * a
                 ker = shifted.kernel()
                 if 0 < ker.cols < k:
-                    part_a = column_space_basis(basis * ker)
-                    part_b = column_space_basis(basis * shifted)
+                    part_a = _column_basis(basis * ker)
+                    part_b = _column_basis(basis * shifted)
                     assert part_a.cols + part_b.cols == k
                     ua, ub = _split_unit(H, unit, part_a, part_b)
                     split = ((ua, part_a), (ub, part_b))
