@@ -10,8 +10,8 @@ basis tuples (i, j, ...) in base dim, as Matrix.kron does, so H (x) H puts
 Every axiom is checked as an equality of composite linear maps built from
 these matrices, for example m(m (x) 1) = m(1 (x) m) by linalg.mul_kron; a
 failed check names the first column where the two sides differ, decoded into
-basis indices (the tall coassociativity and counit laws compare transposes,
-so that column is their first differing row).
+basis indices (comultiplicativity and the tall coassociativity and counit
+laws compare transposes, so that column is their first differing row).
 """
 
 from __future__ import annotations
@@ -71,10 +71,6 @@ class Algebra:
         """Matrix of left multiplication by x: m(x (x) 1)."""
         self._check_length(x)
         return mul_kron(self.mult, Matrix.from_columns([x]), Matrix.identity(self.dim))
-
-    def right_mult_operator(self, x):
-        """Matrix of right multiplication by x: m(1 (x) x)."""
-        return mul_kron(self.mult, Matrix.identity(self.dim), Matrix.from_columns([x]))
 
     def is_commutative(self):
         """m tau = m, with tau the swap of the tensor factors."""
@@ -268,21 +264,23 @@ def hopf_axiom_report(H):
         report.add("counit-algebra-map", col is None, None if col is None else
                    "counit not multiplicative at ({},{})".format(*divmod(col, n)))
 
+    # on transposes: row (i, j) of m^T d^T is Delta(h_i h_j), and of X (m^T (x) m^T)
+    # is Delta(h_i) Delta(h_j), where row (i, j) of X is Delta h_i (x) Delta h_j,
+    # read off d^T, with its middle legs swapped
+    dt, et, mt = d.transpose(), e.transpose(), m.transpose()
     if d * u != u.kron(u):
         report.add("comul-algebra-map", False, "comul(unit) != unit (x) unit")
     else:
-        # column (i, j) is Delta(h_i) Delta(h_j), the product in H (x) H
-        terms = [H.comul_terms(k) for k in range(n)]
-        dd = Matrix.from_entries(n * n, n * n, (
-            (a * n + b, i * n + j, c) for i in range(n) for j in range(n)
-            for (a, b), c in H.tensor_mul(terms[i], terms[j]).items()))
-        col = first_difference((d * m, dd))
-        report.add("comul-algebra-map", col is None, None if col is None else
-                   "comul not multiplicative at ({},{})".format(*divmod(col, n)))
+        terms = [[(*divmod(ab, n), x) for ab, x in dt.row_entries(i)] for i in range(n)]
+        X = Matrix.from_entries(n * n, n ** 4, (
+            (i * n + j, (a * n + c) * n * n + b * n + f, x * y)
+            for i in range(n) for j in range(n) for a, b, x in terms[i] for c, f, y in terms[j]))
+        row = first_row_difference((mt * dt, mul_kron(X, mt, mt)))
+        report.add("comul-algebra-map", row is None, None if row is None else
+                   "comul not multiplicative at ({},{})".format(*divmod(row, n)))
 
-    # checked on transposes, with n rows: the first differing row of the
-    # transposes is the first differing column of the n^3- and n^2-row originals
-    dt, et = d.transpose(), e.transpose()
+    # the first differing row of the transposes is the first differing
+    # column of the n^3- and n^2-row originals
     row = first_row_difference((mul_kron(dt, dt, one), mul_kron(dt, one, dt)))
     report.add("coassociativity", row is None,
                None if row is None else f"coassociativity fails on basis {row}")

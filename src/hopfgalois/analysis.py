@@ -31,7 +31,7 @@ from math import gcd
 
 from .algebra import Algebra, hopf_map_violation
 from .catalog import catalog
-from .descent import SemilinearAction, descend, group_algebra
+from .descent import SemilinearAction, _provenance_of, descend, group_algebra
 from .groups import dihedral, equivariant_iso_search, left_regular, right_regular
 from .linalg import Matrix, ONE, Q, ZERO, hstack, kernel_form, mul_kron
 
@@ -348,47 +348,46 @@ def _induced_hopf_map(Ha, Hb, iso):
     return sol
 
 
-def _descend_catalog(p, L, descended):
-    """The catalog at p, with every entry descended over L into the cache
-    `descended` (label -> presentation; a new dict when None)."""
-    entries = catalog(p)
-    if descended is None:
-        descended = {}
-    for e in entries:
-        if e.label not in descended:
-            descended[e.label] = descend(group_algebra(L, e.subgroup), label=e.label)
-    return entries, descended
+def descend_catalog(p, L):
+    """The catalog at p with every structure descended over L, as
+    {label: presentation} in catalog order."""
+    return {e.label: descend(group_algebra(L, e.subgroup), label=e.label) for e in catalog(p)}
 
 
-def hopf_iso_classes(p, L, descended=None):
-    """Partition of the catalog labels into Hopf isomorphism classes.
+def _field_of(descended):
+    """The one L that every presentation of `descended` was descended over;
+    ValueError when there is not exactly one."""
+    fields = {_provenance_of(H).parent.L for H in descended.values()}
+    if len(fields) != 1:
+        raise ValueError(f"the presentations are descended over {len(fields)} fields, not one")
+    return fields.pop()
 
-    Every pair is decided by the equivariant-isomorphism criterion; each
-    positive answer is cross-checked by verifying the induced linear map on
-    the descended presentations against all Hopf-map identities, and each
+
+def hopf_iso_classes(descended):
+    """Partition of the labels of `descended` (label -> presentation, all
+    descended over one L) into Hopf isomorphism classes.
+
+    Every pair is decided by the equivariant-isomorphism criterion on the
+    subgroups N of the presentations' provenance, under conjugation by G;
+    each positive answer is cross-checked by verifying the induced linear
+    map on the presentations against all Hopf-map identities, and each
     negative answer records the exhaustive certificate.
     """
-    entries, descended = _descend_catalog(p, L, descended)
-    G = L.group
-    labels = [e.label for e in entries]
+    G = _field_of(descended).group
+    labels = list(descended)
     evidence = {}
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            a, b = entries[i], entries[j]
-            isos, rejected = equivariant_iso_search(a.subgroup, b.subgroup, G)
-            if isos:
-                T = _induced_hopf_map(descended[a.label], descended[b.label], isos[0])
-                violation = hopf_map_violation(T, descended[a.label], descended[b.label])
-                if violation is not None:
-                    raise AssertionError(
-                        f"equivariant witness for ({a.label},{b.label}) fails: {violation}")
-                evidence[(a.label, b.label)] = PairEvidence(
-                    True, witness=isos[0], induced_map_checked=True,
-                    isos_tested=len(isos) + len(rejected))
-            else:
-                cert = [(iso.mapping, (G.names[g], t)) for iso, (g, t) in rejected]
-                evidence[(a.label, b.label)] = PairEvidence(
-                    False, certificate=cert, isos_tested=len(rejected))
+    for a, b in combinations(labels, 2):
+        Ha, Hb = descended[a], descended[b]
+        isos, rejected = equivariant_iso_search(Ha.provenance.parent.N, Hb.provenance.parent.N, G)
+        if isos:
+            violation = hopf_map_violation(_induced_hopf_map(Ha, Hb, isos[0]), Ha, Hb)
+            if violation is not None:
+                raise AssertionError(f"equivariant witness for ({a},{b}) fails: {violation}")
+            evidence[(a, b)] = PairEvidence(True, witness=isos[0], induced_map_checked=True,
+                                            isos_tested=len(isos) + len(rejected))
+        else:
+            cert = [(iso.mapping, (G.names[g], t)) for iso, (g, t) in rejected]
+            evidence[(a, b)] = PairEvidence(False, certificate=cert, isos_tested=len(rejected))
 
     # each label's key is the first label equal or isomorphic to it
     first = {lab: next(la for la in labels if la == lab or evidence[(la, lab)].isomorphic)
@@ -432,12 +431,11 @@ def minimal_splitting_subfield_check(L):
     }
 
 
-def algebra_iso_classes_p3(L, descended=None):
-    """Partition of the five p=3 structures by exact Wedderburn summary."""
-    entries, descended = _descend_catalog(3, L, descended)
-    reports = {}
-    for e in entries:
-        H = descended[e.label]
-        split = commutative_wedderburn if H.is_commutative() else noncommutative_wedderburn_p3
-        reports[e.label] = split(H)
-    return _group_by([e.label for e in entries], lambda lab: reports[lab].summary()), reports
+def algebra_iso_classes_p3(descended):
+    """Partition of the labels of `descended` (label -> presentation of
+    dimension 6 or commutative, all descended over one L) by exact
+    Wedderburn summary."""
+    _field_of(descended)
+    reports = {lab: (commutative_wedderburn if H.is_commutative() else
+                     noncommutative_wedderburn_p3)(H) for lab, H in descended.items()}
+    return _group_by(list(descended), lambda lab: reports[lab].summary()), reports

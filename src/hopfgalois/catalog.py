@@ -72,10 +72,10 @@ def catalog(p):
     return entries
 
 
-def catalog_checks(p, entries=None):
-    """Exact verification of every claimed property of the catalog.
+def catalog_checks(p, entries):
+    """Exact verification of every claimed property of the catalog at p.
 
-    Checks `entries`, by default catalog(p).  Returns a CheckReport covering:
+    Checks `entries`, such as catalog(p).  Returns a CheckReport covering:
     entry count, regularity, normalization by left translations (by the
     generators of lam(D_p) alone, see is_normalized_by), the conjugation laws
     of the cyclic generators (fixed by r, inverted by s), the involution
@@ -85,8 +85,6 @@ def catalog_checks(p, entries=None):
     G = dihedral(p)
     lam = left_regular(G)
     rho = right_regular(G)
-    if entries is None:
-        entries = catalog(p)
     checks = CheckReport()
 
     checks.add("entry-count", len(entries) == p + 2, f"{len(entries)} structures")

@@ -25,7 +25,7 @@ import sys
 from collections import Counter
 
 from .algebra import Check, CheckReport, hopf_axiom_report
-from .analysis import (algebra_iso_classes_p3, hopf_iso_classes,
+from .analysis import (algebra_iso_classes_p3, descend_catalog, hopf_iso_classes,
                        minimal_splitting_subfield_check)
 from .catalog import (SUPPORTED_PRIMES, catalog, catalog_checks, completeness_check_p3,
                       cyclic_generator, matches_catalog)
@@ -36,9 +36,8 @@ from .extensions import (quadratic_sqrt_witness, rational_square_of, split_model
 from .groups import (closure, dihedral, elementary_abelian_4,
                      enumerate_regular_normalized, iso_type, minimal_generators)
 from .linalg import rational
-from .polyform import (PolyMapError, check_iso_to_descended,
-                       point_decomposition_check, poly_hopf_algebra,
-                       scaling_invariance_check)
+from .polyform import (PolyHopfAlgebra, PolyMapError, check_iso_to_descended,
+                       point_decomposition_check, scaling_invariance_check)
 
 # Most digits a 'cubic:<v>' spec may give the numerator or denominator of v:
 # descent takes seconds at the limit, and building v grows without bound past it.
@@ -308,13 +307,13 @@ def cmd_classify(args):
         raise UsageError("classification runs over a cubic splitting field; use --field cubic:<v>")
     L = _parse_field(args.field, p)
 
-    shared = {}
-    hopf = hopf_iso_classes(p, L, descended=shared)
-    algebra_classes, wedder = algebra_iso_classes_p3(L, descended=shared)
+    descended = descend_catalog(p, L)
+    hopf = hopf_iso_classes(descended)
+    algebra_classes, wedder = algebra_iso_classes_p3(descended)
     splitting = minimal_splitting_subfield_check(L)
 
     b = rational_square_of(L, quadratic_sqrt_witness(L))
-    P = poly_hopf_algebra(b)
+    P = PolyHopfAlgebra(b)
     pd = point_decomposition_check(b)
 
     poly_results = {"b": b, "points": [(x, y) for x, y in pd["points"]]}
@@ -351,7 +350,7 @@ def cmd_classify(args):
                f"rank {pd['evaluation_rank']}, units match: {pd['units_match_lagrange']}")
     for c in (0, 1, 2):
         try:
-            check_iso_to_descended(P, shared[f"N{c}"], cyclic_generator(3, c))
+            check_iso_to_descended(P, descended[f"N{c}"], cyclic_generator(3, c))
             checks.add(f"polyform-iso-N{c}", True)
         except PolyMapError as exc:
             checks.add(f"polyform-iso-N{c}", False, exc.identity)

@@ -52,7 +52,7 @@ from functools import cached_property
 
 from .algebra import Algebra, CheckReport, HopfPresentation, action_report, first_difference
 from .extensions import GaloisAlgebra, quadratic_sqrt_witness
-from .groups import left_regular
+from .groups import greedy_generators, left_regular
 from .linalg import Matrix, ONE, ZERO, fixed_basis, hstack, kernel_form, mul_kron, vstack
 
 
@@ -63,10 +63,8 @@ class DescentError(RuntimeError):
 class NormalizationError(RuntimeError):
     """N is not normalized by the left translations."""
 
-    def __init__(self, g_name, eta_name):
-        super().__init__(f"conjugate of {eta_name} by lam[{g_name}] leaves N")
-        self.g_name = g_name
-        self.eta_name = eta_name
+    def __init__(self, g, eta):
+        super().__init__(f"conjugate of {eta} by lam[{g}] leaves N")
 
 
 class GroupAlgebraOverL(Algebra):
@@ -153,10 +151,6 @@ class SemilinearAction:
         return action_report(A.L.group, self.matrix, A.mult)
 
 
-def semilinear_action(A):
-    return SemilinearAction(A)
-
-
 @dataclass
 class DescentProvenance:
     """How a HopfPresentation was obtained: fixed ring of which L[N]."""
@@ -197,7 +191,7 @@ def action_kernel(act):
 def _fixed_coefficients(A, act):
     """(F, L^K[N], its semilinear action) for K = action_kernel(act).
 
-    F is the basis L.fixed_space(K) of L^K, taken over generators of K.
+    F is the basis L.fixed_space(K) of L^K, taken over greedy_generators of K.
     L^K is a GaloisAlgebra of the same G, which acts on it through G/K: mult
     F^-1 m_L (F (x) F), unit F^-1 u and action F^-1 g F.  The action on
     L^K[N] shares act's conjugation maps, as N and G are the same.  When
@@ -208,12 +202,7 @@ def _fixed_coefficients(A, act):
     K = action_kernel(act)
     if len(K) == 1:
         return Matrix.identity(L.dim), A, act
-    gens, seen = [], {G.identity}
-    for g in K:
-        if g not in seen:
-            gens.append(g)
-            seen = G.subgroup_generated(gens)
-    F = L.fixed_space(gens)
+    F = L.fixed_space(greedy_generators(G.table, G.identity, K))
     fail = "L^K is not closed under the product and the Galois action"
     LK = GaloisAlgebra(_solved(F, mul_kron(L.mult, F, F), fail),
                        _solved(F, Matrix.from_columns([L.unit]), fail).column(0),
@@ -236,7 +225,7 @@ def descend(A, label=None):
     solve against the owned rows of I (x) F.  Every structure map is read
     once over B', whose coordinates are those of B.
     """
-    act = semilinear_action(A)
+    act = SemilinearAction(A)
     F, AK, act_K = _fixed_coefficients(A, act)
     n = A.N.order
     Bk = fixed_basis([act_K.matrix(g) for g in A.L.group.generators], AK.dim)

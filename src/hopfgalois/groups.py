@@ -524,18 +524,21 @@ class GroupIso:
         return True
 
 
+def greedy_generators(table, identity, candidates):
+    """The candidates, in order, that the ones kept before them do not
+    generate in the Cayley table `table`: generators of the subgroup that
+    all the candidates generate."""
+    gens, have = [], {identity}
+    for t in candidates:
+        if t not in have:
+            gens.append(t)
+            have = {x for x, _, _ in _walk(table, identity, gens)}
+    return gens
+
+
 def minimal_generators(N):
     """Greedy minimal generating positions, scanning elements in order."""
-    gens = []
-    have = {N.identity_position}
-    for t in range(N.order):
-        if t in have:
-            continue
-        gens.append(t)
-        have = {x for x, _, _ in _walk(N.mult_table, N.identity_position, gens)}
-        if len(have) == N.order:
-            break
-    return tuple(gens)
+    return tuple(greedy_generators(N.mult_table, N.identity_position, range(N.order)))
 
 
 def group_isomorphisms(A, B):

@@ -80,7 +80,7 @@ def evaluate_poly(poly, point):
 
 
 class PolyHopfAlgebra(HopfPresentation):
-    """The presentation Q[x,y]/I as a HopfPresentation, with its parameter."""
+    """The presentation Q[x,y]/I with parameter b as a HopfPresentation."""
 
     def __init__(self, b):
         b = rational(b)
@@ -109,12 +109,6 @@ class PolyHopfAlgebra(HopfPresentation):
                                               for k, (i, j) in enumerate(MONOMIALS)))
 
         super().__init__(mult, unit, comul, counit, antipode, names=MONOMIAL_NAMES)
-        self.b = b
-        self.u = 4 * b
-
-
-def poly_hopf_algebra(b):
-    return PolyHopfAlgebra(b)
 
 
 def variety_points(b):
@@ -200,7 +194,7 @@ def point_decomposition_check(b):
     evaluation matrix) must coincide, as a set, with the component units
     found by the eigenvalue splitting.  Returns a report dict.
     """
-    P = poly_hopf_algebra(b)
+    P = PolyHopfAlgebra(b)
     pts = variety_points(b)
     ev = evaluation_matrix(pts)
     report = {

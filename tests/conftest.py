@@ -1,5 +1,6 @@
 import pytest
 
+from hopfgalois.analysis import descend_catalog
 from hopfgalois.catalog import catalog
 from hopfgalois.descent import descend, group_algebra
 from hopfgalois.extensions import split_model, splitting_field_cubic
@@ -17,9 +18,8 @@ def catalog3():
 
 
 @pytest.fixture(scope="session")
-def descended3(L3, catalog3):
-    return {e.label: descend(group_algebra(L3, e.subgroup), label=e.label)
-            for e in catalog3}
+def descended3(L3):
+    return descend_catalog(3, L3)
 
 
 @pytest.fixture(scope="session")

@@ -10,20 +10,19 @@ from time import perf_counter
 
 from hopfgalois.algebra import hopf_axiom_report
 from hopfgalois.analysis import (algebra_iso_classes_p3, character_idempotents,
-                                 commutative_wedderburn, hopf_iso_classes,
+                                 commutative_wedderburn, descend_catalog, hopf_iso_classes,
                                  minimal_splitting_subfield_check, nilpotent_witness,
                                  noncommutative_wedderburn_p3)
 from hopfgalois.catalog import catalog, catalog_checks, cyclic_generator
-from hopfgalois.descent import (base_change_is_group_algebra, descend,
+from hopfgalois.descent import (SemilinearAction, base_change_is_group_algebra, descend,
                                 explicit_basis_matches, group_algebra,
-                                measuring_report, semilinear_action,
-                                verify_hopf_galois)
+                                measuring_report, verify_hopf_galois)
 from hopfgalois.extensions import (split_model, splitting_field_cubic,
                                    quadratic_sqrt_witness, rational_square_of)
 from hopfgalois.groups import dihedral, enumerate_regular_normalized, iso_type
 from hopfgalois.linalg import Matrix, Q, ZERO
-from hopfgalois.polyform import (check_iso_to_descended, point_decomposition_check,
-                                 poly_hopf_algebra, scaling_invariance_check)
+from hopfgalois.polyform import (PolyHopfAlgebra, check_iso_to_descended,
+                                 point_decomposition_check, scaling_invariance_check)
 
 GROUP_ALGEBRA_D3 = ((1, 1, "field"), (1, 1, "field"), (4, 1, "matrix2_over_center"))
 SIX_FIELDS = tuple([(1, 1, "field")] * 6)
@@ -39,9 +38,7 @@ def _field():
 
 def _descents():
     if "H" not in _cache:
-        L = _field()
-        _cache["H"] = {e.label: descend(group_algebra(L, e.subgroup), label=e.label)
-                       for e in catalog(3)}
+        _cache["H"] = descend_catalog(3, _field())
     return _cache["H"]
 
 
@@ -72,7 +69,7 @@ def test_criterion_02_catalog_all_primes():
         entries = catalog(p)
         if len(entries) != p + 2:
             failures.append((p, "count"))
-        for name, okc, detail in catalog_checks(p):
+        for name, okc, detail in catalog_checks(p, entries):
             if not okc:
                 failures.append((p, name, detail))
     elapsed = perf_counter() - t0
@@ -110,8 +107,7 @@ def test_criterion_04_explicit_basis_reproduction():
 
 
 def test_criterion_05_hopf_isomorphism_classes():
-    L = _field()
-    report = hopf_iso_classes(3, L, descended=dict(_descents()))
+    report = hopf_iso_classes(_descents())
     classes_ok = report.classes == [["rho"], ["lambda"], ["N0", "N1", "N2"]]
     ev = report.evidence[("rho", "lambda")]
     cert_ok = (not ev.isomorphic and ev.isos_tested == 6
@@ -141,7 +137,7 @@ def test_criterion_07_idempotent_and_nilpotent_witnesses():
     H = _descents()["lambda"]
     A = H.provenance.parent
     B = H.provenance.basis
-    act = semilinear_action(A)
+    act = SemilinearAction(A)
     ok = True
 
     def to_ln(coeffs):
@@ -178,8 +174,7 @@ def test_criterion_07_idempotent_and_nilpotent_witnesses():
 
 
 def test_criterion_08_wedderburn_noncommutative():
-    L = _field()
-    classes, reports = algebra_iso_classes_p3(L, descended=dict(_descents()))
+    classes, reports = algebra_iso_classes_p3(_descents())
     shape_ok = (reports["rho"].summary() == GROUP_ALGEBRA_D3
                 and reports["lambda"].summary() == GROUP_ALGEBRA_D3)
     classes_ok = len(classes) == 2 and sorted(
@@ -200,7 +195,7 @@ def test_criterion_09_commutative_decomposition():
     iso_ok = True
     try:
         for c in range(3):
-            check_iso_to_descended(poly_hopf_algebra(-3), descents[f"N{c}"],
+            check_iso_to_descended(PolyHopfAlgebra(-3), descents[f"N{c}"],
                                    cyclic_generator(3, c))
         scaling_invariance_check(-3)
     except Exception:

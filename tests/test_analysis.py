@@ -246,7 +246,7 @@ def test_group_algebra_wedderburn():
 
 
 def test_descended_noncommutative_wedderburn(L3, descended3):
-    classes, reports = algebra_iso_classes_p3(L3, descended=dict(descended3))
+    classes, reports = algebra_iso_classes_p3(descended3)
     assert sorted(sorted(c) for c in classes) == [
         ["N0", "N1", "N2"], ["lambda", "rho"]]
     assert reports["rho"].summary() == GROUP_ALGEBRA_D3
@@ -265,12 +265,12 @@ def test_descended_noncommutative_wedderburn(L3, descended3):
 
 
 def test_nilpotent_witness(L3):
-    from hopfgalois.descent import group_algebra, semilinear_action
+    from hopfgalois.descent import SemilinearAction, group_algebra
     from hopfgalois.groups import left_regular
     b = nilpotent_witness(L3)
     A = group_algebra(L3, left_regular(L3.group))
     assert A.mul(b, b) == [ZERO] * A.dim
-    act = semilinear_action(A)
+    act = SemilinearAction(A)
     for g in range(L3.group.order):
         assert act.matrix(g).apply(b) == b
 
@@ -331,8 +331,8 @@ def test_quaternion_is_division_shaped():
     assert not Hq.is_commutative()
 
 
-def test_hopf_iso_classes(L3, descended3):
-    report = hopf_iso_classes(3, L3, descended=dict(descended3))
+def test_hopf_iso_classes(descended3):
+    report = hopf_iso_classes(descended3)
     assert report.classes == [["rho"], ["lambda"], ["N0", "N1", "N2"]]
     ev = report.evidence[("rho", "lambda")]
     assert not ev.isomorphic
@@ -345,7 +345,7 @@ def test_hopf_iso_classes(L3, descended3):
         report.class_of("N9")
 
 
-def test_hopf_iso_classes_refuses_intransitive_evidence(L3, descended3, monkeypatch):
+def test_hopf_iso_classes_refuses_intransitive_evidence(descended3, monkeypatch):
     # rho ~ N0 and N0 ~ N1, but rho !~ N1
     analysis = importlib.import_module("hopfgalois.analysis")
     linked = {("rho", "N0"), ("N0", "N1")}
@@ -357,7 +357,24 @@ def test_hopf_iso_classes_refuses_intransitive_evidence(L3, descended3, monkeypa
     monkeypatch.setattr(analysis, "_induced_hopf_map", lambda Ha, Hb, iso: None)
     monkeypatch.setattr(analysis, "hopf_map_violation", lambda T, Ha, Hb: None)
     with pytest.raises(AssertionError, match="pairwise evidence is not transitive"):
-        hopf_iso_classes(3, L3, descended=dict(descended3))
+        hopf_iso_classes(descended3)
+
+
+def test_hopf_iso_classes_classify_the_dict_they_are_given(descended3):
+    report = hopf_iso_classes({lab: descended3[lab] for lab in ("N2", "lambda", "N0")})
+    assert report.labels == ["N2", "lambda", "N0"]
+    assert report.classes == [["N2", "N0"], ["lambda"]]
+    assert list(report.evidence) == [("N2", "lambda"), ("N2", "N0"), ("lambda", "N0")]
+
+
+def test_classifiers_refuse_descents_over_two_fields(descended3):
+    # N0 descended over the split model of D_3 instead of over cubic:2
+    N0 = descend(group_algebra(split_model(dihedral(3)), catalog(3)[2].subgroup), label="N0")
+    for classify in (hopf_iso_classes, algebra_iso_classes_p3):
+        with pytest.raises(ValueError, match="descended over 2 fields"):
+            classify({**descended3, "N0": N0})
+        with pytest.raises(ValueError, match="produced by descend"):
+            classify({"rho": descended3["rho"], "Q[D3]": group_hopf_algebra(dihedral(3))})
 
 
 def test_minimal_splitting_subfield(L3):

@@ -16,7 +16,7 @@ catalog_module = importlib.import_module("hopfgalois.catalog")
 
 @pytest.mark.parametrize("p", SUPPORTED_PRIMES)
 def test_catalog_checks_all_pass(p):
-    for name, ok, detail in catalog_checks(p):
+    for name, ok, detail in catalog_checks(p, catalog(p)):
         assert ok, f"{name} failed at p={p}: {detail}"
 
 
@@ -83,19 +83,13 @@ def test_matches_catalog_needs_every_entry():
     assert not matches_catalog(5, subs)
 
 
-def test_catalog_checks_fail_normalized_on_a_non_normalized_entry(monkeypatch):
+def test_catalog_checks_fail_normalized_on_a_non_normalized_entry():
     # the six-cycle generates a regular C6 that lam(D_3) does not normalize
     N = closure([Perm((1, 2, 3, 4, 5, 0))], 6)
     assert is_regular(N)
-    real = catalog_module.catalog
-
-    def patched(p):
-        entries = real(p)
-        entries[2] = CatalogEntry("N0", N, iso_type(N))
-        return entries
-
-    monkeypatch.setattr(catalog_module, "catalog", patched)
-    checks = {c.name: c for c in catalog_checks(3)}
+    entries = catalog(3)
+    entries[2] = CatalogEntry("N0", N, iso_type(N))
+    checks = {c.name: c for c in catalog_checks(3, entries)}
     assert checks["regular"].passed
     assert not checks["normalized"].passed
     assert checks["normalized"].detail == "N0 is not normalized"

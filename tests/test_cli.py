@@ -98,6 +98,20 @@ def test_classify(capsys):
     assert all(c["passed"] for c in report["checks"])
 
 
+def test_classify_descends_each_structure_once(capsys, monkeypatch):
+    analysis = importlib.import_module("hopfgalois.analysis")
+    descend, labels = analysis.descend, []
+
+    def counted(A, label=None):
+        labels.append(label)
+        return descend(A, label=label)
+
+    monkeypatch.setattr(analysis, "descend", counted)
+    code, _, _ = run(capsys, "classify", "--field", "cubic:2")
+    assert code == 0
+    assert labels == ["rho", "lambda", "N0", "N1", "N2"]
+
+
 def test_deterministic_output(capsys):
     _, out1, _ = run(capsys, "classify", "--field", "cubic:2", "--json")
     _, out2, _ = run(capsys, "classify", "--field", "cubic:2", "--json")

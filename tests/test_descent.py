@@ -7,14 +7,13 @@ from hopfgalois.algebra import (HopfPresentation, algebra_axiom_report, group_ho
                                 hopf_axiom_report, hopf_map_violation)
 from hopfgalois.catalog import catalog, cyclic_generator
 from hopfgalois.analysis import nilpotent_witness
-from hopfgalois.descent import (DescentError, NormalizationError, _descended_comultiplication,
-                                base_change_is_group_algebra,
+from hopfgalois.descent import (DescentError, NormalizationError, SemilinearAction,
+                                _descended_comultiplication, base_change_is_group_algebra,
                                 descend, explicit_basis_matches,
                                 explicit_classical_basis, explicit_cyclic_basis,
                                 explicit_translation_basis, group_algebra,
                                 hopf_action, hopf_galois_matrix, inverse_pair_columns,
-                                lform_matrix, measuring_report, semilinear_action,
-                                verify_hopf_galois)
+                                lform_matrix, measuring_report, verify_hopf_galois)
 from hopfgalois.extensions import GaloisAlgebra, quadratic_sqrt_witness, split_model
 from hopfgalois.groups import (FiniteGroup, Perm, PermSubgroup, closure, dihedral,
                                group_isomorphisms, is_normalized_by, left_regular,
@@ -57,7 +56,7 @@ def test_descended_basis_is_pointwise_fixed(L3, descended3):
     for label in LABELS3:
         H = descended3[label]
         A = H.provenance.parent
-        act = semilinear_action(A)
+        act = SemilinearAction(A)
         for j in range(H.dim):
             col = list(H.provenance.basis.column(j))
             for g in range(L3.group.order):
@@ -296,7 +295,7 @@ def test_a_basis_not_closed_under_products_is_refused(monkeypatch, L3, owned):
 
     monkeypatch.setattr(descent, "fixed_basis", perturbed)
     for label, A in _one_split_and_one_cubic(L3):
-        act = semilinear_action(A)
+        act = SemilinearAction(A)
         B = perturbed([act.matrix(g) for g in A.L.group.generators], A.dim)
         assert B.cols == A.N.order and B.rank() == B.cols, label
         with pytest.raises(DescentError, match="^a product of fixed vectors left the fixed ring$"):
@@ -364,10 +363,10 @@ def test_phi_is_built_once_and_kept(monkeypatch, L3, p):
         assert prov.phi == lform_matrix(AK, Bk), e.label
         assert (AK is prov.parent) is (e.label == "lambda"), e.label
         assert AK.N is prov.parent.N and AK.dim == 2 * p * AK.L.dim, e.label
-        K = descent.action_kernel(semilinear_action(prov.parent))
+        K = descent.action_kernel(SemilinearAction(prov.parent))
         F = L.fixed_space(K) if len(K) > 1 else Matrix.identity(L.dim)
         assert Matrix.identity(2 * p).kron(F) * Bk == prov.basis, e.label
-        act = semilinear_action(AK)
+        act = SemilinearAction(AK)
         fixed = descent.fixed_basis([act.matrix(g) for g in L.group.generators], AK.dim)
         assert kernel_form(Bk) == fixed, e.label
 
@@ -375,7 +374,7 @@ def test_phi_is_built_once_and_kept(monkeypatch, L3, p):
 def _full_ambient_descent(A):
     """The fixed ring computed in all of L[N], without L^K: its basis B and
     (mult, unit, comul, counit, antipode) in B's coordinates."""
-    act = semilinear_action(A)
+    act = SemilinearAction(A)
     B = fixed_basis([act.matrix(g) for g in A.L.group.generators], A.dim)
     n = A.N.order
     mult = B.solve(mul_kron(A.mult, B, B))
@@ -400,7 +399,7 @@ def test_descent_through_the_fixed_algebra_matches_the_full_ambient(
             assert B == full_B, (p, label)
             assert H.mult == B.solve(mul_kron(A.mult, B, B)), (p, label)
             assert (H.mult, H.unit, H.comul, H.counit, H.antipode) == maps, (p, label)
-            K = descent.action_kernel(semilinear_action(A))
+            K = descent.action_kernel(SemilinearAction(A))
             sizes = {"rho": (2 * p, 1), "lambda": (1, 2 * p)}.get(label, (p, 2))
             assert (len(K), A.L.fixed_space(K).cols) == sizes, (p, label)
 
@@ -465,12 +464,12 @@ def test_non_normalized_subgroup_rejected(L3):
     assert N.order == 6
     assert not is_normalized_by(N, left_regular(L3.group))
     with pytest.raises(NormalizationError):
-        semilinear_action(group_algebra(L3, N))
+        SemilinearAction(group_algebra(L3, N))
 
 
 def test_semilinear_action_verifies(L3, catalog3):
     for e in catalog3:
-        act = semilinear_action(group_algebra(L3, e.subgroup))
+        act = SemilinearAction(group_algebra(L3, e.subgroup))
         assert act.verify().passed
 
 
@@ -532,7 +531,7 @@ def _slot_map_cases(L3):
         entries = {e.label: e for e in catalog(p)}
         for label, partner in ISO_PARTNER.items():
             A = group_algebra(L, entries[label].subgroup)
-            act = semilinear_action(A)
+            act = SemilinearAction(A)
             for g in range(L.group.order):
                 yield A, act.conj_map[g], L.action[g]
             yield A, A.N.inverse_table, None
@@ -555,7 +554,7 @@ def test_semilinear_matrix_matches_entrywise_formula(L3):
         d = L.dim
         for e in catalog(p):
             A = group_algebra(L, e.subgroup)
-            act = semilinear_action(A)
+            act = SemilinearAction(A)
             for g in range(L.group.order):
                 expected = Matrix.from_entries(A.dim, A.dim, (
                     (tp * d + b, t * d + a, c)
@@ -696,7 +695,7 @@ def test_semilinear_verify_names_the_entrywise_counterexample(L3, catalog3):
     G = L3.group
     for e in (catalog3[1], catalog3[2]):
         A = group_algebra(L3, e.subgroup)
-        act = semilinear_action(A)
+        act = SemilinearAction(A)
         exact = act.matrix
         for _ in range(2):
             g, i, j = rng.randrange(G.order), rng.randrange(A.dim), rng.randrange(A.dim)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfgalois.descent import group_algebra, semilinear_action
+from hopfgalois.descent import SemilinearAction, group_algebra
 from hopfgalois.linalg import (Matrix, ONE, Q, ZERO, fixed_basis, hstack, kernel_form, mul_kron,
                                rational, vstack)
 
@@ -700,7 +700,7 @@ def test_fixed_basis_matches_dense_normalization_p3_cubic(L3, catalog3):
         mats = [L3.action[g] for g in gens]
         assert fixed_basis(mats, L3.dim) == reference_fixed_basis(mats, L3.dim)
     for entry in catalog3:
-        act = semilinear_action(group_algebra(L3, entry.subgroup))
+        act = SemilinearAction(group_algebra(L3, entry.subgroup))
         A = act.parent
         mats = [act.matrix(g) for g in L3.group.generators]
         assert fixed_basis(mats, A.dim) == reference_fixed_basis(mats, A.dim)

@@ -9,6 +9,8 @@ targets that perfbench/tracer.py looks up by name.
 
 A definition that only the tests name is listed in TEST_ONLY with the reason
 it stays; the package's re-exports in __init__.py do not count as a caller.
+Every instance attribute that src/ sets (self.<name> = ...) is read somewhere
+in src/, tests/ or perfbench/.
 """
 
 import ast
@@ -23,7 +25,6 @@ TARGET = re.compile(r"^\w+:[\w.]+$")
 # every definition of the package that no module of it (other than the
 # re-exports of __init__.py) and no perfbench module names, with its reason
 TEST_ONLY = {
-    "right_mult_operator": "the right-hand twin of mult_operator; the axiom oracle checks both",
     "group_hopf_algebra": "Q[G], the reference Hopf algebra of the axiom, Wedderburn and "
                          "descent tests",
     "character_idempotents": "the two character idempotents of Q[D_p], the tests' reference "
@@ -110,3 +111,18 @@ def test_definitions_only_tests_name_are_listed_with_a_reason():
     assert test_only == set(TEST_ONLY), (
         f"named only from tests but not listed: {sorted(test_only - set(TEST_ONLY))}; "
         f"listed but called from the package: {sorted(set(TEST_ONLY) - test_only)}")
+
+
+def test_every_instance_attribute_is_read():
+    sources = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    reads = {node.attr for p in sources
+             for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"), filename=str(p)))
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    stored = [(path, node) for path in sorted(PACKAGE.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Name) and node.value.id == "self"]
+    assert stored, f"no instance attributes found under {PACKAGE}"
+    unread = sorted({f"{path.name}:{node.lineno} self.{node.attr}" for path, node in stored
+                     if node.attr not in reads})
+    assert not unread, f"set but never read: {', '.join(unread)}"

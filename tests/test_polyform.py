@@ -8,12 +8,11 @@ from hopfgalois.algebra import hopf_axiom_report
 from hopfgalois.analysis import commutative_wedderburn
 from hopfgalois.catalog import cyclic_generator
 from hopfgalois.linalg import Q, ZERO
-from hopfgalois.polyform import (MONOMIALS, PolyMapError, check_iso_to_descended,
-                                 evaluate_poly, evaluation_is_homomorphism,
-                                 evaluation_matrix, ideal_generators,
-                                 normal_form, point_decomposition_check,
-                                 poly_hopf_algebra, scaling_invariance_check,
-                                 variety_points)
+from hopfgalois.polyform import (MONOMIALS, PolyHopfAlgebra, PolyMapError,
+                                 check_iso_to_descended, evaluate_poly,
+                                 evaluation_is_homomorphism, evaluation_matrix,
+                                 ideal_generators, normal_form, point_decomposition_check,
+                                 scaling_invariance_check, variety_points)
 
 SIX_POINTS = [(Q(-2), Q(0)), (Q(-1), Q(3)), (Q(1), Q(3)),
               (Q(2), Q(0)), (Q(1), Q(-3)), (Q(-1), Q(-3))]
@@ -76,7 +75,7 @@ def test_reduction_is_confluent(b):
 
 @pytest.mark.parametrize("b", [-3, 5, -1, Q(7, 2)])
 def test_hopf_axioms(b):
-    P = poly_hopf_algebra(b)
+    P = PolyHopfAlgebra(b)
     report = hopf_axiom_report(P)
     assert report.passed, report.failures()
     assert P.is_commutative()
@@ -86,11 +85,11 @@ def test_hopf_axioms(b):
 @pytest.mark.parametrize("bad", [0, 1, 4, Q(9, 4), Q(16)])
 def test_rejects_degenerate_parameters(bad):
     with pytest.raises(ValueError):
-        poly_hopf_algebra(bad)
+        PolyHopfAlgebra(bad)
 
 
 def test_generator_hopf_data():
-    P = poly_hopf_algebra(-3)
+    P = PolyHopfAlgebra(-3)
     x, y = 1, 4
     assert P.comul_terms(x) == {(x, x): Q(1, 2), (y, y): Q(-1, 6)}
     assert P.comul_terms(y) == {(x, y): Q(1, 2), (y, x): Q(1, 2)}
@@ -121,7 +120,7 @@ def test_variety_points_nonsplit():
 
 def test_evaluation_matrix_rank():
     assert evaluation_matrix(SIX_POINTS).rank() == 6
-    P = poly_hopf_algebra(-3)
+    P = PolyHopfAlgebra(-3)
     for pt in SIX_POINTS:
         assert evaluation_is_homomorphism(P, pt)
     assert not evaluation_is_homomorphism(P, (Q(3), Q(0)))
@@ -145,12 +144,12 @@ def test_point_decomposition(b):
 
 
 def test_wedderburn_of_polyform():
-    P = poly_hopf_algebra(-3)
+    P = PolyHopfAlgebra(-3)
     assert commutative_wedderburn(P).summary() == tuple([(1, 1, "field")] * 6)
 
 
 def test_iso_to_descended(descended3):
-    P = poly_hopf_algebra(-3)
+    P = PolyHopfAlgebra(-3)
     for c in range(3):
         T = check_iso_to_descended(P, descended3[f"N{c}"], cyclic_generator(3, c))
         assert T.rank() == 6
@@ -159,19 +158,19 @@ def test_iso_to_descended(descended3):
 def test_iso_to_descended_alternate_generator(descended3):
     # eta^5 = eta^-1 also generates N_0; the map just swaps the legs
     gen = cyclic_generator(3, 0).power(5)
-    T = check_iso_to_descended(poly_hopf_algebra(-3), descended3["N0"], gen)
+    T = check_iso_to_descended(PolyHopfAlgebra(-3), descended3["N0"], gen)
     assert T.rank() == 6
 
 
 def test_iso_wrong_parameter_fails(descended3):
-    P5 = poly_hopf_algebra(5)
+    P5 = PolyHopfAlgebra(5)
     with pytest.raises(PolyMapError) as exc:
         check_iso_to_descended(P5, descended3["N0"], cyclic_generator(3, 0))
     assert exc.value.identity == "multiplication"
 
 
 def test_iso_wrong_generator_fails(descended3):
-    P = poly_hopf_algebra(-3)
+    P = PolyHopfAlgebra(-3)
     involution = cyclic_generator(3, 0).power(3)
     with pytest.raises(PolyMapError):
         check_iso_to_descended(P, descended3["N0"], involution)

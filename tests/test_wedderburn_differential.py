@@ -20,7 +20,7 @@ from hopfgalois.analysis import (KIND_FIELD, KIND_UNDETERMINED, WedderburnCompon
                                  rational_roots)
 from hopfgalois.groups import cyclic, dihedral
 from hopfgalois.linalg import Matrix, ONE, Q, hstack
-from hopfgalois.polyform import poly_hopf_algebra
+from hopfgalois.polyform import PolyHopfAlgebra
 
 
 # -- reference: the split on coordinate lists ---------------------------------------
@@ -115,7 +115,7 @@ def test_cyclic_group_algebras_split_alike(n):
 
 @pytest.mark.parametrize("b", [Q(-3 * 7 ** 2, 5 ** 2), Q(-1)], ids=["split", "nonsplit"])
 def test_polynomial_forms_split_alike(b):
-    assert_same_split(poly_hopf_algebra(b))
+    assert_same_split(PolyHopfAlgebra(b))
 
 
 def test_cubic_p3_nc_presentations_split_alike(descended3):
