@@ -312,7 +312,8 @@ def hopf_map_violation(T, src, dst):
         return "unit"
     if T * src.mult != mul_kron(dst.mult, T, T):
         return "multiplication"
-    if T.kron(T) * src.comul != dst.comul * T:
+    Tt = T.transpose()
+    if mul_kron(src.comul.transpose(), Tt, Tt) != Tt * dst.comul.transpose():
         return "comultiplication"
     if dst.counit * T != src.counit:
         return "counit"

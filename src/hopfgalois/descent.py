@@ -17,12 +17,12 @@ the g whose conjugation map fixes N pointwise).  K acts on L[N] through the
 coefficients only, so H = (L^K[N])^G, and descend works in L^K[N]: L^K is a
 GaloisAlgebra of the same G on the basis F = L.fixed_space(K), and G acts on
 it through G/K.  L^K is Q for rho (K = G), Q<1, w> for every N_c (K = <r>),
-and L itself for lambda (K = 1, F = I, and L^K[N] is the given L[N]).  The
-fixed basis of L^K[N] is written back as X = (I (x) F) fixed_basis, and B =
-kernel_form(X) is the fixed basis of all of L[N].  It is found first, and
-every structure map is read over its preimage B' in L^K[N].
-DescentProvenance keeps L[N] and B, so every check of H reads L[N]
-coordinates.
+and a copy of L for lambda (K = 1, F = I).  The fixed basis of L^K[N] is
+written back as X = (I (x) F) fixed_basis, and B = kernel_form(X) is the
+fixed basis of all of L[N].  It is found first, and every structure map is
+read over its preimage B' in L^K[N].  DescentProvenance keeps L[N] and B, so
+every check of H reads L[N] coordinates; the given L[N] is only a coordinate
+frame, and no check builds its multiplication table.
 
 L[N] is an Algebra: its dim x dim^2 `mult` places L's multiplication in slot
 tu for each slot pair (t, u), and every product in L[N] is one mul_kron over
@@ -46,7 +46,6 @@ assuming it.
 
 from __future__ import annotations
 
-from copy import copy
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -72,7 +71,8 @@ class GroupAlgebraOverL(Algebra):
 
     As (x eta_t)(y eta_u) = (xy) eta_(tu), column (t*d + a)*D + u*d + b of
     `mult` (d = dim L, D = dim L[N]) is column a*d + b of L.mult, placed in
-    slot tu.
+    slot tu.  `mult` is built when first read, so an L[N] that only frames
+    coordinates, as the one handed to descend, never builds it.
     """
 
     def __init__(self, L, N):
@@ -81,17 +81,21 @@ class GroupAlgebraOverL(Algebra):
         self.L = L
         self.N = N
         d, n = L.dim, N.order
-        D = d * n
-        lmult = [(c, *divmod(ab, d), x) for c in range(d) for ab, x in L.mult.row_entries(c)]
-        mult = Matrix.from_entries(D, D * D, (
-            (tu * d + c, (t * d + a) * D + u * d + b, x)
-            for t, row in enumerate(N.mult_table) for u, tu in enumerate(row)
-            for c, a, b, x in lmult))
-        unit = [ZERO] * D
+        self.dim = d * n
+        unit = [ZERO] * self.dim
         e = N.identity_position
         unit[e * d:(e + 1) * d] = L.unit
-        super().__init__(mult, unit, names=[f"{L.names[a]}*{N.name_of(t)}"
-                                            for t in range(n) for a in range(d)])
+        self.unit = tuple(unit)
+        self.names = tuple(f"{L.names[a]}*{N.name_of(t)}" for t in range(n) for a in range(d))
+
+    @cached_property
+    def mult(self):
+        d, D = self.L.dim, self.dim
+        lmult = [(c, *divmod(ab, d), x) for c in range(d) for ab, x in self.L.mult.row_entries(c)]
+        return Matrix.from_entries(D, D * D, (
+            (tu * d + c, (t * d + a) * D + u * d + b, x)
+            for t, row in enumerate(self.N.mult_table) for u, tu in enumerate(row)
+            for c, a, b, x in lmult))
 
     def slot_map(self, images, M=None):
         """The map x * eta_t -> M(x) * eta_images[t], as permutation(images) (x) M.
@@ -188,29 +192,21 @@ def action_kernel(act):
     return [g for g, row in enumerate(act.conj_map) if row == fixed]
 
 
-def _fixed_coefficients(A, act):
-    """(F, L^K[N], its semilinear action) for K = action_kernel(act).
+def _fixed_coefficients(act):
+    """(F, L^K[N]) for K = action_kernel(act), over the L[N] of act.
 
-    F is the basis L.fixed_space(K) of L^K, taken over greedy_generators of K.
-    L^K is a GaloisAlgebra of the same G, which acts on it through G/K: mult
-    F^-1 m_L (F (x) F), unit F^-1 u and action F^-1 g F.  The action on
-    L^K[N] shares act's conjugation maps, as N and G are the same.  When
-    K = 1, F = I and A and act are returned.
+    F is the basis L.fixed_space(K) of L^K, taken over greedy_generators of K
+    (F = I when K = 1).  L^K is a GaloisAlgebra of the same G, which acts on it
+    through G/K: mult F^-1 m_L (F (x) F), unit F^-1 u and action F^-1 g F.
     """
-    L = A.L
+    L = act.parent.L
     G = L.group
-    K = action_kernel(act)
-    if len(K) == 1:
-        return Matrix.identity(L.dim), A, act
-    F = L.fixed_space(greedy_generators(G.table, G.identity, K))
+    F = L.fixed_space(greedy_generators(G.table, G.identity, action_kernel(act)))
     fail = "L^K is not closed under the product and the Galois action"
     LK = GaloisAlgebra(_solved(F, mul_kron(L.mult, F, F), fail),
                        _solved(F, Matrix.from_columns([L.unit]), fail).column(0),
                        G, [_solved(F, m * F, fail) for m in L.action])
-    AK = group_algebra(LK, A.N)
-    act_K = copy(act)
-    act_K.parent, act_K._matrices = AK, {}
-    return F, AK, act_K
+    return F, group_algebra(LK, act.parent.N)
 
 
 def descend(A, label=None):
@@ -226,9 +222,11 @@ def descend(A, label=None):
     once over B', whose coordinates are those of B.
     """
     act = SemilinearAction(A)
-    F, AK, act_K = _fixed_coefficients(A, act)
+    F, AK = _fixed_coefficients(act)
     n = A.N.order
-    Bk = fixed_basis([act_K.matrix(g) for g in A.L.group.generators], AK.dim)
+    # G acts on L^K[N] by SemilinearAction.matrix over act's one conjugation table
+    gens = [AK.slot_map(act.conj_map[g], AK.L.action[g]) for g in A.L.group.generators]
+    Bk = fixed_basis(gens, AK.dim)
     if Bk.cols != n:
         raise DescentError(f"fixed ring has dimension {Bk.cols}, expected {n}")
     lift = Matrix.identity(n).kron(F)

@@ -74,21 +74,15 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, cols_list, rows=None):
-        cols_list = [list(c) for c in cols_list]
+        cols_list = list(cols_list)
         if not cols_list:
             if rows is None:
                 raise ValueError("from_columns with no columns needs an explicit row count")
             return cls.zeros(rows, 0)
-        n = len(cols_list[0])
-        if rows is not None and rows != n:
+        m = cls.from_rows(cols_list)
+        if rows is not None and rows != m.cols:
             raise ValueError("row count mismatch")
-        if any(len(c) != n for c in cols_list):
-            raise ValueError("ragged columns")
-        data = [{} for _ in range(n)]
-        for j, col in enumerate(cols_list):
-            for i, x in _sparse(col).items():
-                data[i][j] = x
-        return cls._wrap(n, len(cols_list), data)
+        return m.transpose()
 
     @classmethod
     def from_entries(cls, rows, cols, entries):

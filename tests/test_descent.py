@@ -305,10 +305,11 @@ def test_a_basis_not_closed_under_products_is_refused(monkeypatch, L3, owned):
 def test_descend_eliminates_only_where_no_row_is_owned(monkeypatch, L3, L5):
     """One descend row-reduces at p = 5 split lambda only once: the fixed-space
     kernel (the stacked M_g - I over the two generators, 200 x 100).  K = 1
-    there, so L^K[N] is L[N] and no fixed space of K is solved.  The
-    structure constants, the unit and the antipode against B', the counit and
-    both stages of Delta against u (x) I, Phi'^-1 and the kernel form of
-    X = (I (x) F) B' are read off owned rows and checked by one product each.
+    there, so F = I: no fixed space of K is solved, and L^K is read off the
+    owned rows of I.  The structure constants, the unit and the antipode
+    against B', the counit and both stages of Delta against u (x) I, Phi'^-1
+    and the kernel form of X = (I (x) F) B' are read off owned rows and
+    checked by one product each.
     At p = 5 split, N0 (K = <r>) row-reduces twice: the fixed space of K in L
     (10 x 10, M_r - I) and the kernel in its 20-dimensional ambient L^K[N]
     (40 x 20).  There X is not its own kernel form, and B' is the preimage
@@ -338,6 +339,46 @@ def test_descend_eliminates_only_where_no_row_is_owned(monkeypatch, L3, L5):
         assert (written_back != [H.provenance.basis]) is (label == "p5-N0"), label
 
 
+def test_group_algebra_builds_its_table_only_when_read():
+    L = split_model(dihedral(13))
+    A = group_algebra(L, catalog(13)[0].subgroup)
+    assert "mult" not in vars(A)
+    assert A.dim == 26 * 26 and len(A.unit) == len(A.names) == A.dim
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_batteries_leave_the_callers_table_unbuilt(L3, p):
+    """Every check of every structure reads L[N] as a coordinate frame only."""
+    L = L3 if p == 3 else split_model(dihedral(p))
+    for e in catalog(p):
+        A = group_algebra(L, e.subgroup)
+        H = descend(A, label=e.label)
+        assert hopf_axiom_report(H).passed and verify_hopf_galois(H).passed, e.label
+        assert base_change_is_group_algebra(H) and measuring_report(H).passed, e.label
+        if e.label in ("rho", "lambda"):
+            kind, gen = {"rho": "classical", "lambda": "translation"}[e.label], None
+        else:
+            kind, gen = "cyclic", cyclic_generator(p, int(e.label[1:]))
+        assert explicit_basis_matches(H, kind, gen=gen), e.label
+        assert "mult" not in vars(A), e.label
+
+
+def test_group_algebra_table_read_on_demand_matches_the_definition(L3):
+    """(x eta_t)(y eta_u) = (xy) eta_tu, column by column over the basis pairs."""
+    for e in catalog(3):
+        A = group_algebra(L3, e.subgroup)
+        d, n = L3.dim, A.N.order
+        cols = []
+        for t in range(n):
+            for a in range(d):
+                for u in range(n):
+                    for b in range(d):
+                        xy = L3.mul(L3.basis_vector(a), L3.basis_vector(b))
+                        cols.append(_embed(A, xy, A.N.mult_table[t][u]))
+        assert A.mult == Matrix.from_columns(cols), e.label
+        assert "mult" in vars(A), e.label
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_phi_is_built_once_and_kept(monkeypatch, L3, p):
     """Phi' is built once, over L^K[N] and the basis B' there, and kept: it is
@@ -361,7 +402,7 @@ def test_phi_is_built_once_and_kept(monkeypatch, L3, p):
         prov = H.provenance
         (AK, Bk), = calls
         assert prov.phi == lform_matrix(AK, Bk), e.label
-        assert (AK is prov.parent) is (e.label == "lambda"), e.label
+        assert AK is not prov.parent, e.label
         assert AK.N is prov.parent.N and AK.dim == 2 * p * AK.L.dim, e.label
         K = descent.action_kernel(SemilinearAction(prov.parent))
         F = L.fixed_space(K) if len(K) > 1 else Matrix.identity(L.dim)
