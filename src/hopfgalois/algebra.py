@@ -12,6 +12,23 @@ these matrices, for example m(m (x) 1) = m(1 (x) m) by linalg.mul_kron; a
 failed check names the first column where the two sides differ, decoded into
 basis indices (comultiplicativity and the tall coassociativity and counit
 laws compare transposes, so that column is their first differing row).
+
+The product identities, associativity and the counit and comultiplication
+as algebra maps, are first checked on a generating set only.  The lemma:
+let S be the set of a with (ab)c = a(bc), or eps(ab) = eps(a)eps(b), or
+Delta(ab) = Delta(a)Delta(b), for all b and c.  S is a subspace, and it is
+closed under products: for associativity ((aa')b)c = (a(a'b))c =
+a((a'b)c) = a(a'(bc)) = (aa')(bc), and the same four steps prove the
+other two once A is associative.  The unit laws (with eps(1) = 1 and
+Delta(1) = 1 (x) 1 for the maps) put 1 in S.  So when the words
+g_1(g_2(...(g_k 1))) in some elements g span A, checking each g proves
+the identity on all of A.  `Algebra.generators` finds basis vectors g and
+such words, multiplied literally out of the columns of `mult`; per
+generator, a reduced identity compares n^2 of associativity's n^3
+columns, or n of the n^2 columns or rows of a map law.  When a
+precondition fails (the unit laws, or associativity for the two maps),
+or a reduced identity fails, the full identity runs, so every report
+names the same first counterexample as the full identity alone.
 """
 
 from __future__ import annotations
@@ -19,7 +36,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from .linalg import Matrix, ONE, Q, ZERO, hstack, mul_kron
+from .linalg import Matrix, ONE, Q, Span, ZERO, hstack, mul_kron, vstack
 
 
 class Algebra:
@@ -42,6 +59,41 @@ class Algebra:
         # entry i*n + j: the nonzero structure constants (k, c) of basis_i*basis_j
         t = self.mult.transpose()
         return tuple(tuple(t.row_entries(col)) for col in range(t.rows))
+
+    @cached_property
+    def generators(self):
+        """Basis vectors that generate the algebra, and the words that prove it.
+
+        Basis vector g is kept when it grows the span of the words
+        g_1(g_2(...(g_k 1))), k >= 1, in the vectors kept so far.  Each word
+        is L_g = `mult_operator(basis_g)` applied to 1 or to a shorter word,
+        so no associativity is assumed.  The words are read breadth first:
+        g meets 1 and every word so far, then every kept vector meets each
+        word that grew the span, which linalg.Span decides.  None when the
+        words do not span the algebra, which happens only when a unit law
+        fails.
+        """
+        n, span = self.dim, Span()
+        indices, operators, words, cols = [], [], [], []
+        for g in range(n):
+            if len(span) == n:
+                break
+            op, before = self.mult_operator(self.basis_vector(g)), len(words)
+            queue = [((g, *w), op.apply(v)) for w, v in zip([(), *words], [self.unit, *cols])]
+            for w, v in queue:  # the queue grows while it is read
+                if len(span) == n:
+                    break
+                if span.add(v):
+                    words.append(w)
+                    cols.append(v)
+                    queue += [((h, *w), L.apply(v))
+                              for h, L in zip((*indices, g), (*operators, op))]
+            if len(words) > before:
+                indices.append(g)
+                operators.append(op)
+        if len(span) < n:
+            return None
+        return Generators(tuple(indices), tuple(operators), tuple(words))
 
     def basis_vector(self, i):
         return list(Matrix.identity(self.dim).column(i))
@@ -167,6 +219,14 @@ def group_hopf_algebra(G, names=None):
                             names=names if names is not None else G.names)
 
 
+class Generators(NamedTuple):
+    """Basis vectors that generate an algebra, with their certificate."""
+
+    indices: tuple  # the basis indices g
+    operators: tuple  # L_g, left multiplication by basis_g, for each g
+    words: tuple  # n words that span it, each spelled (g_1, ..., g_k) for g_1(g_2(...(g_k 1)))
+
+
 class Check(NamedTuple):
     """One named exact claim: its verdict and the first counterexample."""
 
@@ -206,7 +266,14 @@ def first_row_difference(*pairs):
 
 
 def algebra_axiom_report(A):
-    """Exact check of the unit and associativity laws of an Algebra."""
+    """Exact check of the unit and associativity laws of an Algebra.
+
+    Once the unit laws hold, associativity is L_g m = m (L_g (x) I) for each
+    generator g of `A.generators` (the lemma of the module docstring), n^2
+    columns per generator.  When that fails, or a unit law fails, the full
+    n^3-column identity m(m (x) 1) = m(1 (x) m) runs and names the first
+    failing triple.
+    """
     n = A.dim
     m, one, u = A.mult, Matrix.identity(n), Matrix.from_columns([A.unit])
     report = CheckReport()
@@ -214,7 +281,9 @@ def algebra_axiom_report(A):
     col = first_difference((mul_kron(m, u, one), one), (mul_kron(m, one, u), one))
     report.add("unit", col is None, None if col is None else f"unit fails on basis {col}")
 
-    col = first_difference((mul_kron(m, m, one), mul_kron(m, one, m)))
+    gens = A.generators if col is None else None
+    if gens is None or any(op * m != mul_kron(m, op, one) for op in gens.operators):
+        col = first_difference((mul_kron(m, m, one), mul_kron(m, one, m)))
     report.add("associativity", col is None, None if col is None else
                "associativity fails at ({},{},{})".format(col // (n * n), col // n % n, col % n))
     return report
@@ -250,32 +319,51 @@ def hopf_axiom_report(H):
 
     Each axiom is an equality of matrices over Q built from mult, unit,
     comul, counit and antipode; the report lists each axiom with the first
-    counterexample on failure.
+    counterexample on failure.  Associativity is checked as in
+    algebra_axiom_report.  Once the unit laws and associativity hold, the
+    counit and the comultiplication are algebra maps when they are
+    multiplicative on g h_j for each generator g of `H.generators` (the
+    lemma of the module docstring): n of the n^2 columns, or rows, per
+    generator.  When one of those fails, or a precondition fails, the full
+    identity runs and names the first failing pair.
     """
     n = H.dim
     m, d, e, s = H.mult, H.comul, H.counit, H.antipode
     one, u = Matrix.identity(n), Matrix.from_columns([H.unit])
     report = algebra_axiom_report(H)
+    gens = H.generators if report.passed else None
 
     if e * u != Matrix.identity(1):
         report.add("counit-algebra-map", False, "counit(unit) != 1")
     else:
-        col = first_difference((e * m, e.kron(e)))
+        col = None
+        if gens is None or any(e * op != e * e[0, g] for g, op in zip(gens.indices, gens.operators)):
+            col = first_difference((e * m, e.kron(e)))
         report.add("counit-algebra-map", col is None, None if col is None else
                    "counit not multiplicative at ({},{})".format(*divmod(col, n)))
 
     # on transposes: row (i, j) of m^T d^T is Delta(h_i h_j), and of X (m^T (x) m^T)
     # is Delta(h_i) Delta(h_j), where row (i, j) of X is Delta h_i (x) Delta h_j,
-    # read off d^T, with its middle legs swapped
-    dt, et, mt = d.transpose(), e.transpose(), m.transpose()
-    if d * u != u.kron(u):
+    # read off d^T, with its middle legs swapped; the reduced check builds
+    # only the rows (g, j) of X, g a generator, whose rows of m^T are the
+    # columns of L_g
+    dt, et, mt, ut = d.transpose(), e.transpose(), m.transpose(), u.transpose()
+    if ut * dt != ut.kron(ut):
         report.add("comul-algebra-map", False, "comul(unit) != unit (x) unit")
     else:
         terms = [[(*divmod(ab, n), x) for ab, x in dt.row_entries(i)] for i in range(n)]
-        X = Matrix.from_entries(n * n, n ** 4, (
-            (i * n + j, (a * n + c) * n * n + b * n + f, x * y)
-            for i in range(n) for j in range(n) for a, b, x in terms[i] for c, f, y in terms[j]))
-        row = first_row_difference((mt * dt, mul_kron(X, mt, mt)))
+
+        def x_rows(pairs):
+            return Matrix.from_entries(len(pairs), n ** 4, (
+                (r, (a * n + c) * n * n + b * n + f, x * y)
+                for r, (i, j) in enumerate(pairs) for a, b, x in terms[i] for c, f, y in terms[j]))
+
+        row = None
+        if gens is None or (vstack(*(op.transpose() for op in gens.operators)) * dt
+                            != mul_kron(x_rows([(g, j) for g in gens.indices for j in range(n)]),
+                                        mt, mt)):
+            X = x_rows([divmod(ij, n) for ij in range(n * n)])
+            row = first_row_difference((mt * dt, mul_kron(X, mt, mt)))
         report.add("comul-algebra-map", row is None, None if row is None else
                    "comul not multiplicative at ({},{})".format(*divmod(row, n)))
 
@@ -289,8 +377,10 @@ def hopf_axiom_report(H):
     report.add("counit-law", row is None,
                None if row is None else f"counit law fails on basis {row}")
 
-    ue = u * e
-    col = first_difference((mul_kron(m, s, one) * d, ue), (mul_kron(m, one, s) * d, ue))
+    # m (S (x) 1) Delta as m ((S (x) 1) Delta), whose right factor is read off d^T
+    ue, st = u * e, s.transpose()
+    col = first_difference((m * mul_kron(dt, st, one).transpose(), ue),
+                           (m * mul_kron(dt, one, st).transpose(), ue))
     report.add("antipode-law", col is None,
                None if col is None else f"antipode law fails on basis {col}")
     return report

@@ -11,6 +11,7 @@ pivots on, so kernels and solutions are reproducible across runs.  A solve
 against a matrix in which every column owns a row (a row whose only nonzero
 sits in that column), such as a kernel basis with its free rows, eliminates
 nothing: the answer is read off the owned rows and checked by one product.
+A Span grows a subspace one vector at a time and says which vectors grew it.
 
 The scalar type is gmpy2.mpq when available (roughly an order of magnitude
 faster than fractions.Fraction on the elimination-heavy workloads here) and
@@ -477,6 +478,31 @@ def vstack(*mats):
         raise ValueError("column count mismatch in vstack")
     data = [dict(r) for m in mats for r in m._rows]
     return Matrix._wrap(sum(m.rows for m in mats), cols, data)
+
+
+class Span:
+    """A subspace of Q^n grown one vector at a time, for a caller that must
+    know which of a stream of vectors grow it: an echelon basis whose rows
+    lead at distinct columns, each scaled to 1 there."""
+
+    def __init__(self):
+        self._rows = {}  # leading column -> zero-free row dict
+
+    def __len__(self):
+        return len(self._rows)
+
+    def add(self, vec):
+        """Add the sequence `vec`; True when it was not in the span before."""
+        v = _sparse(vec)
+        while v:
+            c = min(v)
+            row = self._rows.get(c)
+            if row is None:
+                a = v[c]
+                self._rows[c] = {j: x / a for j, x in v.items()}
+                return True
+            v = _axpy(v, -v[c], row)
+        return False
 
 
 def fixed_basis(mats, dim):

@@ -1,13 +1,17 @@
+import importlib
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hopfgalois.algebra import (Algebra, Check, HopfPresentation, algebra_axiom_report,
-                                first_difference, first_row_difference, group_hopf_algebra,
-                                hopf_axiom_report, hopf_map_violation)
+from hopfgalois.algebra import (Algebra, Check, CheckReport, HopfPresentation,
+                                algebra_axiom_report, first_difference, first_row_difference,
+                                group_hopf_algebra, hopf_axiom_report, hopf_map_violation)
+from hopfgalois.descent import group_algebra
 from hopfgalois.extensions import rational_square_of
 from hopfgalois.groups import cyclic, dihedral, elementary_abelian_4
-from hopfgalois.linalg import Matrix, ONE, Q, ZERO
+from hopfgalois.linalg import Matrix, ONE, Q, ZERO, mul_kron
+from test_axiom_oracle import ref_algebra_axiom_report, ref_hopf_axiom_report
 
 
 @pytest.mark.parametrize("G", [cyclic(4), dihedral(3), elementary_abelian_4()])
@@ -279,3 +283,219 @@ def test_perturbed_comultiplication_details_are_unchanged(split5_n2, added, coas
         HopfPresentation(H.mult, H.unit, comul, H.counit, H.antipode, names=H.names))}
     assert report["coassociativity"] == ("coassociativity", not coassociativity, coassociativity)
     assert report["counit-law"] == ("counit-law", False, counit_law)
+
+
+# -- product identities on a generating set ------------------------------------------
+
+def full_algebra_axiom_report(A):
+    """The unit and associativity laws with associativity checked on all n^3
+    triples, as algebra_axiom_report did before its generating-set reduction."""
+    n = A.dim
+    m, one, u = A.mult, Matrix.identity(n), Matrix.from_columns([A.unit])
+    report = CheckReport()
+    col = first_difference((mul_kron(m, u, one), one), (mul_kron(m, one, u), one))
+    report.add("unit", col is None, None if col is None else f"unit fails on basis {col}")
+    col = first_difference((mul_kron(m, m, one), mul_kron(m, one, m)))
+    report.add("associativity", col is None, None if col is None else
+               "associativity fails at ({},{},{})".format(col // (n * n), col // n % n, col % n))
+    return report
+
+
+def full_hopf_axiom_report(H):
+    """The Hopf report with every product identity checked on all of H, as
+    hopf_axiom_report did before its generating-set reduction."""
+    n = H.dim
+    m, d, e, s = H.mult, H.comul, H.counit, H.antipode
+    one, u = Matrix.identity(n), Matrix.from_columns([H.unit])
+    report = full_algebra_axiom_report(H)
+    if e * u != Matrix.identity(1):
+        report.add("counit-algebra-map", False, "counit(unit) != 1")
+    else:
+        col = first_difference((e * m, e.kron(e)))
+        report.add("counit-algebra-map", col is None, None if col is None else
+                   "counit not multiplicative at ({},{})".format(*divmod(col, n)))
+    dt, et, mt = d.transpose(), e.transpose(), m.transpose()
+    if d * u != u.kron(u):
+        report.add("comul-algebra-map", False, "comul(unit) != unit (x) unit")
+    else:
+        terms = [[(*divmod(ab, n), x) for ab, x in dt.row_entries(i)] for i in range(n)]
+        X = Matrix.from_entries(n * n, n ** 4, (
+            (i * n + j, (a * n + c) * n * n + b * n + f, x * y)
+            for i in range(n) for j in range(n) for a, b, x in terms[i] for c, f, y in terms[j]))
+        row = first_row_difference((mt * dt, mul_kron(X, mt, mt)))
+        report.add("comul-algebra-map", row is None, None if row is None else
+                   "comul not multiplicative at ({},{})".format(*divmod(row, n)))
+    row = first_row_difference((mul_kron(dt, dt, one), mul_kron(dt, one, dt)))
+    report.add("coassociativity", row is None,
+               None if row is None else f"coassociativity fails on basis {row}")
+    row = first_row_difference((mul_kron(dt, et, one), one), (mul_kron(dt, one, et), one))
+    report.add("counit-law", row is None,
+               None if row is None else f"counit law fails on basis {row}")
+    ue = u * e
+    col = first_difference((mul_kron(m, s, one) * d, ue), (mul_kron(m, one, s) * d, ue))
+    report.add("antipode-law", col is None,
+               None if col is None else f"antipode law fails on basis {col}")
+    return report
+
+
+def literal_words(A, words):
+    """g_1(g_2(...(g_k 1))) for each word (g_1, ..., g_k), multiplied right
+    to left out of the columns of `mult`."""
+    n, columns = A.dim, A.mult.transpose()
+    out = []
+    for word in words:
+        v = list(A.unit)
+        for g in reversed(word):
+            w = [ZERO] * n
+            for j, x in enumerate(v):
+                for k, c in columns.row_entries(g * n + j):
+                    w[k] += x * c
+            v = w
+        out.append(v)
+    return out
+
+
+def assert_certified(A):
+    """A.generators holds n words in its generators that span A, and their
+    left multiplication operators."""
+    gens, n = A.generators, A.dim
+    assert len(gens.words) == n
+    assert all(w and set(w) <= set(gens.indices) for w in gens.words)
+    assert Matrix.from_columns(literal_words(A, gens.words)).rank() == n
+    assert gens.operators == tuple(A.mult_operator(A.basis_vector(g)) for g in gens.indices)
+
+
+def fresh(H, **parts):
+    """A new presentation of H's data (so no certificate is cached), with
+    `parts` replaced."""
+    data = dict(mult=H.mult, unit=H.unit, comul=H.comul, counit=H.counit,
+                antipode=H.antipode, names=H.names)
+    data.update(parts)
+    return HopfPresentation(**data)
+
+
+def test_descended_presentations_are_certified_and_report_as_in_full(descended3, split5_nc):
+    for H in [*descended3.values(), *split5_nc.values()]:
+        assert_certified(H)
+        report = hopf_axiom_report(H)
+        assert report == full_hopf_axiom_report(H) and report.passed
+    # two basis vectors generate every split presentation, two or three the cubic ones
+    assert {H.generators.indices for H in split5_nc.values()} == {(0, 1)}
+    assert {H.generators.indices for H in descended3.values()} == {(0, 1), (0, 1, 2)}
+
+
+def test_a_group_algebra_over_L_is_certified(L3, catalog3):
+    A = group_algebra(L3, next(e for e in catalog3 if e.label == "N1").subgroup)
+    assert_certified(A)
+    assert algebra_axiom_report(A).passed
+
+
+def test_an_idempotent_basis_needs_every_basis_vector():
+    # Q^G for G = C4, the dual of Q[C4]: delta_g delta_h = [g = h] delta_g
+    H = group_hopf_algebra(cyclic(4))
+    D = HopfPresentation(H.comul.transpose(), H.counit.row(0), H.mult.transpose(),
+                         Matrix.from_rows([H.unit]), H.antipode.transpose())
+    assert D.generators.indices == (0, 1, 2, 3)
+    assert_certified(D)
+    report = hopf_axiom_report(D)
+    assert report == full_hopf_axiom_report(D) and report.passed
+
+
+def _algebra(n, products, unit=0):
+    """Basis e_0..e_{n-1}, unit e_unit, e_i e_j = c e_k for (i, j, k, c), others 0."""
+    ident = [(unit, j, j, ONE) for j in range(n)] + [(j, unit, j, ONE) for j in range(n)
+                                                     if j != unit]
+    return Matrix.from_entries(n, n * n, [(k, i * n + j, c) for i, j, k, c in ident + products])
+
+
+def test_words_of_a_non_associative_algebra_are_multiplied_literally():
+    # e1 e1 = e2 and e1 e2 = e3, but e2 e1 = 0: (e1 e1) e1 = 0 while e1 (e1 e1) = e3
+    A = Algebra(_algebra(4, [(1, 1, 2, ONE), (1, 2, 3, ONE)]), (ONE, ZERO, ZERO, ZERO))
+    assert A.generators.indices == (0, 1)
+    assert A.generators.words == ((0,), (1,), (1, 1), (1, 1, 1))
+    assert literal_words(A, [(1, 1, 1)]) == [A.basis_vector(3)]
+    assert_certified(A)
+    report = algebra_axiom_report(A)
+    assert report == full_algebra_axiom_report(A) == ref_algebra_axiom_report(A)
+    assert report.failures() == [("associativity", "associativity fails at (1,1,1)")]
+
+
+@pytest.fixture
+def wide_products(monkeypatch):
+    """A report function that also returns the full products it built: the
+    n x n^3 mul_kron products by `mult` (full associativity) as "assoc", and
+    the n^2-row product by X (full comultiplicativity) as "comul"."""
+    module = importlib.import_module("hopfgalois.algebra")
+    calls = []
+
+    def counted(x, y, z):
+        out = mul_kron(x, y, z)
+        calls.append((x, out))
+        return out
+
+    monkeypatch.setattr(module, "mul_kron", counted)
+
+    def report(H):
+        calls.clear()
+        out = hopf_axiom_report(H)
+        n = H.dim
+        wide = {"assoc" for x, p in calls if x is H.mult and p.cols == n ** 3}
+        wide |= {"comul" for x, p in calls if x.rows == n * n}
+        return out, wide
+    return report
+
+
+def test_a_passing_report_builds_no_full_product(split5_nc, wide_products):
+    H = fresh(split5_nc["N2"])
+    n = H.dim
+    report, wide = wide_products(H)
+    assert report.passed and wide == set()
+    # one changed structure constant: the full associativity identity runs
+    P = fresh(H, mult=H.mult + Matrix.from_entries(n, n * n, [(4, 2 * n + 3, Q(1))]))
+    report, wide = wide_products(P)
+    assert report == ref_hopf_axiom_report(P) and not report.passed
+    assert "assoc" in wide
+    # a changed coproduct: the full comultiplicativity identity runs
+    P = fresh(H, comul=H.comul + Matrix.from_entries(n * n, n, [(n + 2, 5, Q(1, 2))]))
+    report, wide = wide_products(P)
+    assert report == ref_hopf_axiom_report(P) and not report.passed
+    assert wide == {"comul"}
+
+
+def test_a_failed_unit_law_runs_the_full_identities(wide_products):
+    H = group_hopf_algebra(cyclic(3))
+    P = fresh(H, unit=(ZERO, ONE, ZERO))
+    report, wide = wide_products(P)
+    assert report == full_hopf_axiom_report(P) == ref_hopf_axiom_report(P)
+    assert report[0] == Check("unit", False, "unit fails on basis 0")
+    assert wide == {"assoc", "comul"}
+    assert "generators" not in vars(P)
+
+
+# Q[x]/(x^3) on (1, x, x^2); two basis vectors generate it.  By the lemma
+# of the algebra module, the first failing triple or pair of a perturbed
+# algebra is led by one of the perturbed algebra's own generators, so each
+# perturbation here changes the products and makes e2 a generator.
+CUBIC = [(1, 1, 2, ONE)]
+
+
+def test_first_failing_triple_outside_the_generating_set():
+    assert Algebra(_algebra(3, CUBIC), (ONE, ZERO, ZERO)).generators.indices == (0, 1)
+    # x x = 0 and x^2 x = x: (x^2 x^2) x = 0, but x^2 (x^2 x) = x
+    A = Algebra(_algebra(3, [(2, 1, 1, ONE)]), (ONE, ZERO, ZERO))
+    assert A.generators.indices == (0, 1, 2)
+    report = algebra_axiom_report(A)
+    assert report == full_algebra_axiom_report(A) == ref_algebra_axiom_report(A)
+    assert report.failures() == [("associativity", "associativity fails at (2,2,1)")]
+
+
+def test_first_failing_comultiplicative_pair_outside_the_generating_set():
+    # x x = 0: the associative Q[x, y]/(x, y)^2 with y = x^2; Delta(x) = x (x) x
+    # is multiplicative, Delta(y) = y (x) 1 + 1 (x) y is not: Delta(y)^2 = 2 y (x) y
+    comul = Matrix.from_entries(9, 3, [(0, 0, ONE), (4, 1, ONE), (6, 2, ONE), (2, 2, ONE)])
+    H = HopfPresentation(_algebra(3, []), (ONE, ZERO, ZERO), comul,
+                         Matrix.from_rows([[1, 0, 0]]), Matrix.identity(3))
+    assert H.generators.indices == (0, 1, 2)
+    report = hopf_axiom_report(H)
+    assert report == full_hopf_axiom_report(H) == ref_hopf_axiom_report(H)
+    assert ("comul-algebra-map", "comul not multiplicative at (2,2)") in report.failures()

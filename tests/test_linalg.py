@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfgalois.descent import SemilinearAction, group_algebra
-from hopfgalois.linalg import (Matrix, ONE, Q, ZERO, fixed_basis, hstack, kernel_form, mul_kron,
-                               rational, vstack)
+from hopfgalois.linalg import (Matrix, ONE, Q, Span, ZERO, fixed_basis, hstack, kernel_form,
+                               mul_kron, rational, vstack)
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7).map(
     lambda f: Q(f.numerator, f.denominator))
@@ -499,6 +499,15 @@ def test_rref_matches_reference_elimination(m):
     assert pivots == want_pivots
     assert [dict(red.row_entries(i)) for i in range(red.rows)] == want
     assert all(type(x) is Q for i in range(red.rows) for _, x in red.row_entries(i))
+
+
+@given(elimination_matrices())
+@settings(max_examples=60, deadline=None)
+def test_span_grows_on_the_pivot_columns(m):
+    # fed the columns in order, a Span grows on exactly the pivot columns
+    span = Span()
+    grew = tuple(c for c in range(m.cols) if span.add(m.column(c)))
+    assert grew == reference_rref(m)[1] and len(span) == len(grew)
 
 
 @given(elimination_matrices())
