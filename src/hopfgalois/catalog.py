@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .algebra import CheckReport
 from .groups import (PermSubgroup, Perm, conj_by, dihedral,
                      enumerate_regular_normalized, is_normalized_by,
-                     is_regular, iso_type, left_regular, right_regular)
+                     is_regular, iso_type, left_regular, powers, right_regular)
 
 SUPPORTED_PRIMES = (3, 5, 7, 11, 13)
 
@@ -63,9 +63,7 @@ def catalog(p):
     r, s = G.generators
     for c in range(p):
         gen = lam.elements[r] * rho.elements[G.mul(c, s)]  # cyclic_generator(p, c)
-        elems = [Perm.identity(G.order)]  # elems[k] = gen^k
-        while len(elems) < 2 * p:
-            elems.append(gen * elems[-1])
+        elems = powers(Perm.__mul__, gen, Perm.identity(G.order))  # elems[k] = gen^k
         N = PermSubgroup(G.order, tuple(elems), label=f"N{c}",
                          element_names=tuple(f"g^{k}" for k in range(2 * p)))
         entries.append(CatalogEntry(f"N{c}", N, iso_type(N)))
@@ -109,16 +107,11 @@ def catalog_checks(p, entries):
             break
     checks.add("generator-conjugation", ok, detail)
 
-    ok, detail = True, None
-    involutions = []
-    for c, e in enumerate(entries[2:]):
-        expected = rho.elements[G.mul(c % p, G.generators[1])]
-        invol = e.subgroup.elements[p]
-        if invol != expected:
-            ok, detail = False, f"involution of N{c} is not rho(r^{c}s)"
-            break
-        involutions.append(invol)
-    checks.add("involution-identity", ok, detail)
+    involutions = [e.subgroup.elements[p] for e in entries[2:]]
+    bad = next((c for c, invol in enumerate(involutions)
+                if invol != rho.elements[G.mul(c % p, G.generators[1])]), None)
+    checks.add("involution-identity", bad is None,
+               None if bad is None else f"involution of N{bad} is not rho(r^{bad}s)")
 
     distinct = len({inv.images for inv in involutions}) == p
     checks.add("involutions-distinct", distinct,

@@ -51,7 +51,7 @@ from functools import cached_property
 
 from .algebra import Algebra, CheckReport, HopfPresentation, action_report, first_difference
 from .extensions import GaloisAlgebra, quadratic_sqrt_witness
-from .groups import greedy_generators, left_regular
+from .groups import Perm, greedy_generators, left_regular, powers
 from .linalg import Matrix, ONE, ZERO, fixed_basis, hstack, kernel_form, mul_kron, vstack
 
 
@@ -407,13 +407,19 @@ def explicit_classical_basis(A):
 
 
 def inverse_pair_columns(A, sums, differences):
-    """The columns of U + iota U at the slots `sums`, then of W - iota W at `differences`."""
-    inv = A.slot_map(A.N.inverse_table)
-    U, W = A.slots(A.L.unit), A.slots(quadratic_sqrt_witness(A.L))
-    n = A.N.order
-    picks = list(sums) + [n + t for t in differences]
-    return hstack(U + inv * U, W - inv * W) * Matrix.from_entries(
-        2 * n, len(picks), ((t, c, ONE) for c, t in enumerate(picks)))
+    """The columns eta_t + eta_t^-1 at the slots `sums`, then w*(eta_t - eta_t^-1)
+    at `differences`, with w the rational-square witness of L.
+
+    One product hstack(U, W) * S: S holds 1 at t and at iota(t) in a sum's
+    column, and 1 at t and -1 at iota(t) in a difference's, so a repeated
+    slot gives 2 (the identity) or 0 (a difference at an involution).
+    """
+    inv, n, k = A.N.inverse_table, A.N.order, len(sums)
+    picks = Matrix.from_entries(2 * n, k + len(differences), [
+        *((x, c, ONE) for c, t in enumerate(sums) for x in (t, inv[t])),
+        *((n + x, k + c, sign) for c, t in enumerate(differences)
+          for x, sign in ((t, ONE), (inv[t], -ONE)))])
+    return hstack(A.slots(A.L.unit), A.slots(quadratic_sqrt_witness(A.L))) * picks
 
 
 def explicit_translation_basis(A):
@@ -437,11 +443,9 @@ def explicit_translation_basis(A):
     if A.N.canonical_key() != lam.canonical_key():
         raise ValueError("translation basis needs N = lam(G)")
     r_idx, s_idx = G.generators
-    p = G.element_order(r_idx)
+    rpow = powers(G.mul, r_idx, G.identity)  # rpow[i] = r^i
+    p = len(rpow)
     slot = [A.N.index_of(lam.elements[g]) for g in range(G.order)]
-    rpow = [G.identity]  # rpow[i] = r^i
-    while len(rpow) < p:
-        rpow.append(G.mul(rpow[-1], r_idx))
     step = (p + 1) // 2
     rotations = [slot[rpow[i]] for i in range(1, step)]
     # block t of the stack is r^((p+1)/2 * i) at the slot t of r^i s, zero elsewhere
@@ -460,10 +464,11 @@ def explicit_cyclic_basis(A, gen):
     with w the rational-square witness of L (1 and gen^p taken as 2 and 2 gen^p).
     """
     n = A.N.order
-    if n % 2 or gen not in A.N or gen.order() != n:
+    cycle = powers(Perm.__mul__, gen, Perm.identity(gen.degree))  # cycle[k] = gen^k
+    if n % 2 or gen not in A.N or len(cycle) != n:
         raise ValueError("need a generator of a cyclic N of even order")
     p = n // 2
-    slot = [A.N.index_of(gen.power(k)) for k in range(n)]
+    slot = [A.N.index_of(x) for x in cycle]
     return inverse_pair_columns(A, [slot[0], slot[p]] + slot[1:p], slot[1:p])
 
 

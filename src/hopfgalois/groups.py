@@ -8,6 +8,8 @@ Permutation subgroups of Perm(G) are the central object: regularity,
 normalization by left translations, bounded closure, exhaustive enumeration
 of regular normalized subgroups for small G, and isomorphism searches that
 can be required to commute with conjugation by a chosen set of translations.
+Every generated set (a closure, a conjugation orbit, a list of powers, the
+subgroup lattice, the enumerator's search) is one breadth-first `_walk`.
 """
 
 from __future__ import annotations
@@ -94,24 +96,32 @@ class Perm:
         return out
 
 
-def _walk(table, identity, gens):
-    """The subgroup that `gens` generate in the Cayley table `table`.
+def _walk(step, roots, gens, bound=None):
+    """Everything that `roots` reach by y = step(x, g) for g in `gens`.
 
-    Returns it in breadth-first order from `identity` as (element, parent,
-    generator) triples with element = table[parent][generator]; parent and
-    generator are None for the identity.  Following the triples rebuilds any
+    Returns it breadth first as (y, x, g) triples, one per element, where
+    (x, g) is the first step that reached y; x and g are None for a root.
+    Raises ClosureBoundExceeded once more than `bound` elements appear.
+    From the identity of a Cayley table with step its product, this is the
+    subgroup `gens` generate, and following the triples rebuilds any
     homomorphic image from the images of `gens`.
     """
-    walk = [(identity, None, None)]
-    seen = {identity}
+    walk = [(x, None, None) for x in dict.fromkeys(roots)]
+    seen = {x for x, _, _ in walk}
     for x, _, _ in walk:
-        row = table[x]
         for g in gens:
-            y = row[g]
+            y = step(x, g)
             if y not in seen:
+                if bound is not None and len(seen) >= bound:
+                    raise ClosureBoundExceeded(f"closure exceeded bound {bound}")
                 seen.add(y)
                 walk.append((y, x, g))
     return walk
+
+
+def powers(mul, x, identity):
+    """[identity, x, x^2, ...] up to the order of x: the walk of mul(., x)."""
+    return [y for y, _, _ in _walk(mul, [identity], [x])]
 
 
 @dataclass(frozen=True)
@@ -144,29 +154,21 @@ class FiniteGroup:
         return self._inverses[a]
 
     def element_order(self, a):
-        k = 1
-        x = a
-        while x != self.identity:
-            x = self.mul(x, a)
-            k += 1
-        return k
+        return len(powers(self.mul, a, self.identity))
 
     def subgroup_generated(self, gens):
-        return frozenset(x for x, _, _ in _walk(self.table, self.identity, list(gens)))
+        return frozenset(x for x, _, _ in _walk(self.mul, [self.identity], list(gens)))
 
     def all_subgroups(self):
-        """All subgroups reachable from at most two generators.
+        """Every subgroup, ordered by size and then by elements.
 
-        Complete for the groups used here (dihedral of prime degree, Klein
-        four, small cyclic), whose subgroups are all 2-generated.
+        The walk over subgroups S -> <S, g> from the trivial one: each
+        subgroup is reached by adding its elements one at a time.
         """
-        found = {frozenset({self.identity}): (self.identity,)}
-        for a in range(self.order):
-            for b in range(a, self.order):
-                s = self.subgroup_generated([a, b])
-                if s not in found:
-                    found[s] = (a, b) if a != b else (a,)
-        return sorted(found, key=lambda s: (len(s), sorted(s)))
+        def grow(S, g):
+            return S if g in S else self.subgroup_generated((*S, g))
+        walk = _walk(grow, [frozenset({self.identity})], range(self.order))
+        return sorted((S for S, _, _ in walk), key=lambda S: (len(S), sorted(S)))
 
     def center(self):
         return tuple(a for a in range(self.order)
@@ -292,7 +294,8 @@ class PermSubgroup:
 
     def conjugation(self, g):
         """The position of g eta g^-1 for each eta, None where it leaves the subgroup."""
-        return tuple(self._position.get(_conj_images(g, eta)) for eta in self.elements)
+        return tuple(self._position.get(_conj_images(g.images, eta.images))
+                     for eta in self.elements)
 
     def canonical_key(self):
         return tuple(sorted(p.images for p in self.elements))
@@ -339,14 +342,14 @@ def is_regular(N):
 
 def conj_by(g, p):
     """Conjugate g p g^-1, which sends g(x) to g(p(x))."""
-    return Perm(_conj_images(g, p))
+    return Perm(_conj_images(g.images, p.images))
 
 
 def _conj_images(g, p):
-    """The image tuple of g p g^-1, a bijection by construction."""
-    images = [0] * len(g.images)
-    for x, y in zip(g.images, p.images):
-        images[x] = g.images[y]
+    """The image tuple of g p g^-1 from image tuples, a bijection by construction."""
+    images = [0] * len(g)
+    for x, y in zip(g, p):
+        images[x] = g[y]
     return tuple(images)
 
 
@@ -361,7 +364,8 @@ def is_normalized_by(N, translations):
 
 
 def closure(gens, bound):
-    """Subgroup generated by `gens`, elements sorted by image tuple.
+    """Subgroup generated by `gens`, the walk of products from the identity,
+    with its elements sorted by image tuple.
 
     Raises ValueError unless `bound` is a positive integer (a bool is not
     one), and ClosureBoundExceeded once more than `bound` elements appear.
@@ -374,43 +378,25 @@ def closure(gens, bound):
         raise ValueError("mixed degrees")
     if isinstance(bound, bool) or not isinstance(bound, int) or bound <= 0:
         raise ValueError(f"closure bound must be a positive integer, got {bound!r}")
-    seen = {Perm.identity(degree).images: Perm.identity(degree)}
-    frontier = [Perm.identity(degree)]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = x * g
-            if y.images not in seen:
-                if len(seen) >= bound:
-                    raise ClosureBoundExceeded(
-                        f"closure exceeded bound {bound}")
-                seen[y.images] = y
-                frontier.append(y)
-    elems = tuple(seen[img] for img in sorted(seen))
-    return PermSubgroup(degree, elems)
+    walk = _walk(lambda x, g: tuple(map(x.__getitem__, g)), [tuple(range(degree))],
+                 [g.images for g in gens], bound)
+    return PermSubgroup(degree, tuple(Perm(x) for x in sorted(x for x, _, _ in walk)))
 
 
 def _invariant_closure(gens, conjugators, max_order):
     """Subgroup generated by `gens` and their conjugates, pruned.
 
-    The conjugation orbit of `gens` under the group `conjugators` generate is
-    closed under that conjugation, so the subgroup it generates is too.
-    Returns that subgroup (a `closure`), or None when it grows past
-    max_order or a non-identity element has a fixed point.  Any regular
-    subgroup normalized by the translations must contain this closure, which
-    justifies the pruning.
+    The conjugation orbit of `gens` (the walk of conjugation by
+    `conjugators`) is closed under that conjugation, so the subgroup it
+    generates is too.  Returns that subgroup (a `closure`), or None when it
+    grows past max_order or a non-identity element has a fixed point.  Any
+    regular subgroup normalized by the translations must contain this
+    closure, which justifies the pruning.
     """
-    orbit = {g.images: g for g in gens}
-    work = list(gens)
-    while work:
-        x = work.pop()
-        for c in conjugators:
-            y = conj_by(c, x)
-            if y.images not in orbit:
-                orbit[y.images] = y
-                work.append(y)
+    orbit = _walk(lambda x, c: _conj_images(c, x), [g.images for g in gens],
+                  [c.images for c in conjugators])
     try:
-        N = closure(orbit.values(), bound=max_order)
+        N = closure((Perm(x) for x, _, _ in orbit), bound=max_order)
     except ClosureBoundExceeded:
         return None
     for z in N.elements:
@@ -422,48 +408,34 @@ def _invariant_closure(gens, conjugators, max_order):
 def enumerate_regular_normalized(G):
     """All regular subgroups of Perm(G) normalized by left translations.
 
-    Exhaustive search, restricted to |G| <= 8.  Seeds are fixed-point-free
-    permutations; each seed is closed under group operations and conjugation
-    by generators of the translations, which prunes almost everything
-    immediately.  Seeds whose invariant closure stays proper are retried in
-    pairs (every candidate subgroup of order <= 8 met here is generated by
-    two of its elements).
+    Exhaustive search, restricted to |G| <= 8: one walk over the invariant
+    closures (see _invariant_closure) of the fixed-point-free permutations,
+    the seeds.  A closure is full at order |G| and proper below; each proper
+    one grows by every seed whose own closure is proper, and a growth that
+    is None leaves it as it is.  That is complete: a wanted M contains the
+    closure of each of its elements, so either one of those is M, or all
+    are proper and the walk reaches M by adding them one at a time; a seed
+    whose closure is full or None lies in no larger proper closure.
     """
     n = G.order
     if n > 8:
         raise ValueError("exhaustive enumeration is limited to groups of order <= 8")
     lam = left_regular(G)
     conjugators = [lam.elements[g] for g in G.generators]
-    seeds = []
-    for images in permutations(range(n)):
-        if all(images[i] != i for i in range(n)):
-            seeds.append(Perm(images))
+    seeds = (Perm(im) for im in permutations(range(n)) if all(im[i] != i for i in range(n)))
+    closures = {seed: _invariant_closure([seed], conjugators, n) for seed in seeds}
+    growers = [seed for seed, N in closures.items() if N is not None and N.order < n]
 
-    found = {}
-    partial = []
-    for seed in seeds:
-        N = _invariant_closure([seed], conjugators, n)
-        if N is None:
-            continue
-        if N.order == n:
-            found.setdefault(N.canonical_key(), N)
-        else:
-            partial.append((seed, N))
+    def grow(N, seed):
+        if N.order == n or seed in N:
+            return N
+        return _invariant_closure(N.elements + (seed,), conjugators, n) or N
 
-    for i, (a, Na) in enumerate(partial):
-        for b, _ in partial[i + 1:]:
-            if b in Na:
-                continue
-            N = _invariant_closure([a, b], conjugators, n)
-            if N is not None and N.order == n:
-                found.setdefault(N.canonical_key(), N)
-
-    out = []
-    for key in sorted(found):
-        N = found[key]
+    walk = _walk(grow, [N for N in closures.values() if N is not None], growers)
+    out = sorted((N for N, _, _ in walk if N.order == n), key=PermSubgroup.canonical_key)
+    for N in out:
         if not (is_regular(N) and is_normalized_by(N, lam)):
             raise AssertionError("enumerated subgroup is not regular and normalized")
-        out.append(N)
     return out
 
 
@@ -532,7 +504,7 @@ def greedy_generators(table, identity, candidates):
     for t in candidates:
         if t not in have:
             gens.append(t)
-            have = {x for x, _, _ in _walk(table, identity, gens)}
+            have = {x for x, _, _ in _walk(lambda x, g: table[x][g], [identity], gens)}
     return gens
 
 
@@ -546,7 +518,7 @@ def group_isomorphisms(A, B):
     if A.order != B.order:
         return []
     gens = minimal_generators(A)
-    walk = _walk(A.mult_table, A.identity_position, gens)
+    walk = _walk(lambda x, g: A.mult_table[x][g], [A.identity_position], gens)
     if len(walk) != A.order:
         raise AssertionError("generators do not generate")
     candidates = [[u for u in range(B.order) if B.element_orders[u] == A.element_orders[g]]

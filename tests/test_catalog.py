@@ -6,9 +6,9 @@ import pytest
 
 from hopfgalois.catalog import (SUPPORTED_PRIMES, CatalogEntry, catalog, catalog_checks,
                                 completeness_check_p3, cyclic_generator, matches_catalog)
-from hopfgalois.groups import (Perm, closure, conj_by, dihedral, enumerate_regular_normalized,
-                               is_normalized_by, is_regular, iso_type, left_regular,
-                               right_regular)
+from hopfgalois.groups import (Perm, PermSubgroup, closure, conj_by, dihedral,
+                               enumerate_regular_normalized, is_normalized_by, is_regular,
+                               iso_type, left_regular, right_regular)
 
 # the package exports the function catalog under the name of its module
 catalog_module = importlib.import_module("hopfgalois.catalog")
@@ -93,6 +93,19 @@ def test_catalog_checks_fail_normalized_on_a_non_normalized_entry():
     assert checks["regular"].passed
     assert not checks["normalized"].passed
     assert checks["normalized"].detail == "N0 is not normalized"
+
+
+def test_catalog_checks_fail_only_the_involution_identity_on_a_rotated_entry():
+    # N1 listed from gen instead of from 1: the same subgroup, with gen^(p+1) at position p
+    p = 5
+    entries = catalog(p)
+    N = entries[3].subgroup
+    rotated = PermSubgroup(N.degree, N.elements[1:] + N.elements[:1], label=N.label,
+                           element_names=N.element_names)
+    entries[3] = CatalogEntry("N1", rotated, entries[3].iso_label)
+    failed = [c for c in catalog_checks(p, entries) if not c.passed]
+    assert [(c.name, c.detail) for c in failed] == [
+        ("involution-identity", "involution of N1 is not rho(r^1s)")]
 
 
 @pytest.mark.parametrize("bad", [2, 4, 9, 11 * 13])

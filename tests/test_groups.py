@@ -289,6 +289,48 @@ def test_enumerate_rejects_large_groups():
         enumerate_regular_normalized(dihedral(5))
 
 
+def _elementary_abelian_8():
+    """C2^3 on 0..7 with product a ^ b: a group with a 3-generated subgroup."""
+    return FiniteGroup(tuple(tuple(a ^ b for b in range(8)) for a in range(8)),
+                       tuple(str(a) for a in range(8)), identity=0, generators=(1, 2, 4))
+
+
+def _subgroups_by_subsets(G):
+    """Reference for all_subgroups: every subset holding the identity and closed
+    under products, in the same order."""
+    subsets = (frozenset(a for a in range(G.order) if mask >> a & 1)
+               for mask in range(1 << G.order))
+    return sorted((S for S in subsets if G.identity in S
+                   and all(G.mul(a, b) in S for a in S for b in S)),
+                  key=lambda S: (len(S), sorted(S)))
+
+
+@pytest.mark.parametrize("G", [_elementary_abelian_8(), dihedral(3), elementary_abelian_4(),
+                               cyclic(6), cyclic(8)])
+def test_all_subgroups_matches_the_closed_subsets(G):
+    assert G.all_subgroups() == _subgroups_by_subsets(G)
+
+
+def test_all_subgroups_of_c2_cubed_includes_the_whole_group():
+    # the whole group needs three generators
+    assert len(_elementary_abelian_8().all_subgroups()) == 16
+
+
+def test_enumerate_c2_cubed_is_complete():
+    # C2^3 itself is 3-generated, so only a search that adds generators one at
+    # a time finds lam(C2^3); the counts by type are those of the holomorph
+    G = _elementary_abelian_8()
+    subs = enumerate_regular_normalized(G)
+    assert len(subs) == 106
+    assert left_regular(G).canonical_key() in {N.canonical_key() for N in subs}
+    types = {((1, 1), (2, 3), (4, 4)): "C4xC2", ((1, 1), (2, 5), (4, 2)): "D4",
+             ((1, 1), (2, 1), (4, 6)): "Q8", ((1, 1), (2, 7)): "C2^3"}
+    census = Counter(types[tuple(sorted(Counter(N.element_orders).items()))] for N in subs)
+    assert census == Counter({"C4xC2": 42, "D4": 42, "Q8": 14, "C2^3": 8})
+    for N in subs:
+        assert is_regular(N) and N.verify_subgroup()
+
+
 def test_subgroup_lookup():
     N = left_regular(dihedral(3))
     assert N.index_of(N.elements[4]) == 4
