@@ -6,10 +6,12 @@ throughout the catalog and descent code.
 
 Permutation subgroups of Perm(G) are the central object: regularity,
 normalization by left translations, bounded closure, exhaustive enumeration
-of regular normalized subgroups for small G, and isomorphism searches that
-can be required to commute with conjugation by a chosen set of translations.
-Every generated set (a closure, a conjugation orbit, a list of powers, the
-subgroup lattice, the enumerator's search) is one breadth-first `_walk`.
+of regular normalized subgroups for small G (one closure per lambda(G)-orbit
+of fixed-point-free permutations, grown by joins), and isomorphism searches
+that can be required to commute with conjugation by a chosen set of
+translations.  Every generated set (a closure, a conjugation orbit, a list
+of powers, the subgroup lattice, the enumerator's search) is one
+breadth-first `_walk`.
 """
 
 from __future__ import annotations
@@ -81,19 +83,6 @@ class Perm:
                 length += 1
             result = lcm(result, length)
         return result
-
-    def power(self, k):
-        out = Perm.identity(self.degree)
-        base = self
-        if k < 0:
-            base = self.inverse()
-            k = -k
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
 
 def _walk(step, roots, gens, bound=None):
@@ -239,9 +228,9 @@ def elementary_abelian_4():
 
 
 def cyclic(n):
-    """Cyclic group of order n."""
-    if n < 1:
-        raise ValueError("order must be positive")
+    """Cyclic group of order n, a positive integer (a bool is not one)."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"order must be a positive integer, got {n!r}")
     table = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
     names = tuple("1" if a == 0 else ("g" if a == 1 else f"g^{a}") for a in range(n))
     return FiniteGroup(table, names, identity=0, generators=(1 % n,))
@@ -332,12 +321,15 @@ def right_regular(G):
                         element_names=tuple(f"rho[{n}]" for n in G.names))
 
 
+def _is_semiregular(N):
+    """Whether only the identity of N has a fixed point."""
+    return all(p.is_identity() or not p.has_fixed_point() for p in N.elements)
+
+
 def is_regular(N):
     """Regular subgroup: order equals degree and only the identity has a
     fixed point."""
-    if N.order != N.degree:
-        return False
-    return all(p.is_identity() or not p.has_fixed_point() for p in N.elements)
+    return N.order == N.degree and _is_semiregular(N)
 
 
 def conj_by(g, p):
@@ -383,55 +375,50 @@ def closure(gens, bound):
     return PermSubgroup(degree, tuple(Perm(x) for x in sorted(x for x, _, _ in walk)))
 
 
-def _invariant_closure(gens, conjugators, max_order):
-    """Subgroup generated by `gens` and their conjugates, pruned.
-
-    The conjugation orbit of `gens` (the walk of conjugation by
-    `conjugators`) is closed under that conjugation, so the subgroup it
-    generates is too.  Returns that subgroup (a `closure`), or None when it
-    grows past max_order or a non-identity element has a fixed point.  Any
-    regular subgroup normalized by the translations must contain this
-    closure, which justifies the pruning.
-    """
-    orbit = _walk(lambda x, c: _conj_images(c, x), [g.images for g in gens],
-                  [c.images for c in conjugators])
-    try:
-        N = closure((Perm(x) for x, _, _ in orbit), bound=max_order)
-    except ClosureBoundExceeded:
-        return None
-    for z in N.elements:
-        if not z.is_identity() and z.has_fixed_point():
-            return None
-    return N
-
-
 def enumerate_regular_normalized(G):
     """All regular subgroups of Perm(G) normalized by left translations.
 
-    Exhaustive search, restricted to |G| <= 8: one walk over the invariant
-    closures (see _invariant_closure) of the fixed-point-free permutations,
-    the seeds.  A closure is full at order |G| and proper below; each proper
-    one grows by every seed whose own closure is proper, and a growth that
-    is None leaves it as it is.  That is complete: a wanted M contains the
-    closure of each of its elements, so either one of those is M, or all
-    are proper and the walk reaches M by adding them one at a time; a seed
-    whose closure is full or None lies in no larger proper closure.
+    Exhaustive search, restricted to |G| <= 8.  A subgroup is admissible
+    when it has at most |G| elements and every non-identity element moves
+    every point.  The seeds are the fixed-point-free permutations;
+    conjugation by lambda(G) sends a seed's orbit to itself, so every seed
+    of one orbit has the same closure, and each orbit is walked and closed
+    once.  The admissible closures grow by joins: join(N, M) is the closure
+    of N and M, or N when N is full, already holds M, or that closure is
+    not admissible.  The subgroup two invariant subgroups generate is
+    invariant, so a join conjugates nothing.  One walk joins the kept
+    closures with the proper ones and keeps the full results.  That is
+    complete: a wanted M contains the closure of the orbit of each of its
+    elements, so that closure is admissible and kept; M is the join of
+    those closures, and every partial join lies inside M, so it is
+    admissible and the walk reaches M.
     """
     n = G.order
     if n > 8:
         raise ValueError("exhaustive enumeration is limited to groups of order <= 8")
     lam = left_regular(G)
-    conjugators = [lam.elements[g] for g in G.generators]
-    seeds = (Perm(im) for im in permutations(range(n)) if all(im[i] != i for i in range(n)))
-    closures = {seed: _invariant_closure([seed], conjugators, n) for seed in seeds}
-    growers = [seed for seed, N in closures.items() if N is not None and N.order < n]
+    conjugators = [lam.elements[g].images for g in G.generators]
 
-    def grow(N, seed):
-        if N.order == n or seed in N:
+    def admissible(gens):
+        try:
+            N = closure(gens, bound=n)
+        except ClosureBoundExceeded:
+            return None
+        return N if _is_semiregular(N) else None
+
+    def join(N, M):
+        if N.order == n or all(z in N for z in M.elements):
             return N
-        return _invariant_closure(N.elements + (seed,), conjugators, n) or N
+        return admissible(N.elements + M.elements) or N
 
-    walk = _walk(grow, [N for N in closures.values() if N is not None], growers)
+    seen, closures = set(), []
+    for seed in permutations(range(n)):
+        if seed not in seen and all(seed[i] != i for i in range(n)):
+            orbit = [x for x, _, _ in _walk(lambda x, c: _conj_images(c, x), [seed], conjugators)]
+            seen.update(orbit)
+            closures.append(admissible(Perm(x) for x in orbit))
+    kept = [N for N in dict.fromkeys(closures) if N is not None]
+    walk = _walk(join, kept, [N for N in kept if N.order < n])
     out = sorted((N for N, _, _ in walk if N.order == n), key=PermSubgroup.canonical_key)
     for N in out:
         if not (is_regular(N) and is_normalized_by(N, lam)):

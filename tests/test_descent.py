@@ -17,7 +17,7 @@ from hopfgalois.descent import (DescentError, NormalizationError, SemilinearActi
 from hopfgalois.extensions import GaloisAlgebra, quadratic_sqrt_witness, split_model
 from hopfgalois.groups import (FiniteGroup, Perm, PermSubgroup, closure, dihedral,
                                group_isomorphisms, is_normalized_by, left_regular,
-                               minimal_generators)
+                               minimal_generators, powers)
 from hopfgalois.linalg import Matrix, ONE, Q, ZERO, fixed_basis, hstack, kernel_form, mul_kron
 
 LABELS3 = ("rho", "lambda", "N0", "N1", "N2")
@@ -776,7 +776,7 @@ def _reference_basis(A, kind, gen, w):
     if kind == "cyclic":
         n = A.N.order
         p = n // 2
-        slot = [A.N.index_of(gen.power(k)) for k in range(n)]
+        slot = [A.N.index_of(g) for g in powers(Perm.__mul__, gen, Perm.identity(n))]
         cols = [_embed(A, L.unit, slot[0]), _embed(A, L.unit, slot[p])]
         for i in range(1, p):
             cols.extend(_pair_reference(A, w, slot[i], slot[n - i]))

@@ -3,9 +3,11 @@ constant of the package, and every method, is named somewhere outside its
 own definition, in src/, tests/ or perfbench/.  Dunders are exempt, and so
 is a method that extends its base class's method of the same name.
 
-A name counts where the source reads it (a name, an attribute or an
-imported name); strings count only as the "<module>:<Class>.<method>"
-targets that perfbench/tracer.py looks up by name.
+A name counts where the source reads it as an attribute or imports it;
+strings count only as the "<module>:<Class>.<method>" targets that
+perfbench/tracer.py looks up by name.  A bare name (x, not a.x) counts for
+top-level functions, classes and constants only, so a local variable that
+shares a method's name does not keep the method alive.
 
 A definition that only the tests name is listed in TEST_ONLY with the reason
 it stays; the package's re-exports in __init__.py do not count as a caller.
@@ -41,12 +43,14 @@ TEST_ONLY = {
 }
 
 
-def _uses(tree):
-    """Counter of the names a syntax tree reads."""
+def _uses(tree, methods=False):
+    """Counter of the names a syntax tree reads; with `methods`, only the
+    reads that can name a method, so no bare names."""
     found = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            found[node.id] += 1
+            if not methods:
+                found[node.id] += 1
         elif isinstance(node, ast.Attribute):
             found[node.attr] += 1
         elif isinstance(node, ast.ImportFrom):
@@ -58,19 +62,19 @@ def _uses(tree):
 
 
 def _definitions(tree):
-    """(name, node) for the top-level functions, classes and assigned names
-    of a module, and for the methods of its classes."""
+    """(name, node, is_method) for the top-level functions, classes and
+    assigned names of a module, and for the methods of its classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node
+            yield node.name, node, False
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 for name in ast.walk(target):
                     if isinstance(name, ast.Name):
-                        yield name.id, node
+                        yield name.id, node, False
         if isinstance(node, ast.ClassDef):
-            yield from ((m.name, m) for m in node.body
+            yield from ((m.name, m, True) for m in node.body
                         if isinstance(m, ast.FunctionDef) and not _extends(m))
 
 
@@ -82,32 +86,31 @@ def _extends(method):
                and node.value.func.id == "super" for node in ast.walk(method))
 
 
+def _unnamed(trees, callers):
+    """(path, name, node) for each definition of the package, dunders
+    aside, that no tree in `callers` names outside the definition itself."""
+    uses = {methods: sum((_uses(trees[p], methods) for p in callers), Counter())
+            for methods in (False, True)}
+    defined = [(path, name, node, methods) for path in sorted(PACKAGE.glob("*.py"))
+               for name, node, methods in _definitions(trees[path])
+               if not (name.startswith("__") and name.endswith("__"))]
+    assert defined, f"no definitions found under {PACKAGE}"
+    return [(path, name, node) for path, name, node, methods in defined
+            if uses[methods][name] <= _uses(node, methods)[name]]
+
+
 def test_every_definition_is_named_elsewhere():
     sources = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
     trees = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in sources}
-    uses = Counter()
-    for tree in trees.values():
-        uses += _uses(tree)
-    defined = [(path, name, node) for path in sorted(PACKAGE.glob("*.py"))
-               for name, node in _definitions(trees[path])
-               if not (name.startswith("__") and name.endswith("__"))]
-    assert defined, f"no definitions found under {PACKAGE}"
-    unnamed = [f"{path.name}:{node.lineno} {name}" for path, name, node in defined
-               if uses[name] <= _uses(node)[name]]
+    unnamed = [f"{path.name}:{node.lineno} {name}" for path, name, node in _unnamed(trees, sources)]
     assert not unnamed, f"defined but never named elsewhere: {', '.join(unnamed)}"
 
 
 def test_definitions_only_tests_name_are_listed_with_a_reason():
     sources = [p for d in ("src", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
     trees = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in sources}
-    uses = Counter()
-    for path, tree in trees.items():
-        if path.name != "__init__.py":
-            uses += _uses(tree)
-    test_only = {name for path in sorted(PACKAGE.glob("*.py"))
-                 for name, node in _definitions(trees[path])
-                 if not (name.startswith("__") and name.endswith("__"))
-                 and uses[name] <= _uses(node)[name]}
+    test_only = {name for _, name, _ in _unnamed(trees, [p for p in sources
+                                                         if p.name != "__init__.py"])}
     assert test_only == set(TEST_ONLY), (
         f"named only from tests but not listed: {sorted(test_only - set(TEST_ONLY))}; "
         f"listed but called from the package: {sorted(set(TEST_ONLY) - test_only)}")

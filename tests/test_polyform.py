@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hopfgalois.algebra import hopf_axiom_report
 from hopfgalois.analysis import commutative_wedderburn
 from hopfgalois.catalog import cyclic_generator
+from hopfgalois.groups import Perm, powers
 from hopfgalois.linalg import Q, ZERO
 from hopfgalois.polyform import (MONOMIALS, PolyHopfAlgebra, PolyMapError,
                                  check_iso_to_descended, evaluate_poly,
@@ -157,7 +158,7 @@ def test_iso_to_descended(descended3):
 
 def test_iso_to_descended_alternate_generator(descended3):
     # eta^5 = eta^-1 also generates N_0; the map just swaps the legs
-    gen = cyclic_generator(3, 0).power(5)
+    gen = powers(Perm.__mul__, cyclic_generator(3, 0), Perm.identity(6))[5]
     T = check_iso_to_descended(PolyHopfAlgebra(-3), descended3["N0"], gen)
     assert T.rank() == 6
 
@@ -171,7 +172,7 @@ def test_iso_wrong_parameter_fails(descended3):
 
 def test_iso_wrong_generator_fails(descended3):
     P = PolyHopfAlgebra(-3)
-    involution = cyclic_generator(3, 0).power(3)
+    involution = powers(Perm.__mul__, cyclic_generator(3, 0), Perm.identity(6))[3]
     with pytest.raises(PolyMapError):
         check_iso_to_descended(P, descended3["N0"], involution)
 
