@@ -34,7 +34,7 @@ from .descent import (base_change_is_group_algebra, descend, group_algebra,
 from .extensions import (quadratic_sqrt_witness, rational_square_of, split_model,
                          splitting_field_cubic)
 from .groups import (closure, dihedral, elementary_abelian_4,
-                     enumerate_regular_normalized, iso_type, minimal_generators)
+                     enumerate_regular_normalized, iso_type)
 from .linalg import rational
 from .polyform import (PolyHopfAlgebra, PolyMapError, check_iso_to_descended,
                        point_decomposition_check, scaling_invariance_check)
@@ -231,11 +231,11 @@ def cmd_enumerate(args):
         expected_count, expected_census = 4, {"C2xC2": 1, "C4": 3}
     subs = enumerate_regular_normalized(G)
     census = Counter(iso_type(N) for N in subs)
-    # regenerate each subgroup from minimal generators; they lie in N, so the
+    # regenerate each subgroup from its greedy generators; they lie in N, so the
     # closure cannot grow past N.order
     reproduced = True
     for N in subs:
-        gens = [N.elements[t] for t in minimal_generators(N)]
+        gens = [N.elements[t] for t in N.group.generators]
         if tuple(g.images for g in closure(gens, N.order).elements) != tuple(
                 sorted(g.images for g in N.elements)):
             reproduced = False

@@ -83,7 +83,7 @@ class GroupAlgebraOverL(Algebra):
         d, n = L.dim, N.order
         self.dim = d * n
         unit = [ZERO] * self.dim
-        e = N.identity_position
+        e = N.group.identity
         unit[e * d:(e + 1) * d] = L.unit
         self.unit = tuple(unit)
         self.names = tuple(f"{L.names[a]}*{N.name_of(t)}" for t in range(n) for a in range(d))
@@ -94,7 +94,7 @@ class GroupAlgebraOverL(Algebra):
         lmult = [(c, *divmod(ab, d), x) for c in range(d) for ab, x in self.L.mult.row_entries(c)]
         return Matrix.from_entries(D, D * D, (
             (tu * d + c, (t * d + a) * D + u * d + b, x)
-            for t, row in enumerate(self.N.mult_table) for u, tu in enumerate(row)
+            for t, row in enumerate(self.N.group.table) for u, tu in enumerate(row)
             for c, a, b, x in lmult))
 
     def slot_map(self, images, M=None):
@@ -240,7 +240,7 @@ def descend(A, label=None):
     unit = _solved(Bk, Matrix.from_columns([AK.unit]), "the unit of L[N] is not in the fixed ring")
     slot_sums = Matrix(1, n, [ONE] * n).kron(Matrix.identity(AK.L.dim)) * Bk
     counit = _rational_coefficients(AK.L, slot_sums, "counit")
-    antipode = _solved(Bk, AK.slot_map(A.N.inverse_table) * Bk,
+    antipode = _solved(Bk, AK.slot_map(A.N.group.inverses) * Bk,
                        "an antipode image left the fixed ring")
     comul, phi = _descended_comultiplication(AK, Bk)
     prov = DescentProvenance(parent=A, basis=B, phi=phi, label=label)
@@ -252,7 +252,7 @@ def descend(A, label=None):
 def lform_matrix(A, B):
     """Matrix of Phi: L (x) H -> L[N], x (x) h -> x*h, as mult (E (x) B) with E the
     embedding x -> x * eta_1; column (a, k) = a*n + k is e_a * h_k."""
-    eta_1 = Matrix.from_entries(A.N.order, 1, [(A.N.identity_position, 0, ONE)])
+    eta_1 = Matrix.from_entries(A.N.order, 1, [(A.N.group.identity, 0, ONE)])
     return mul_kron(A.mult, eta_1.kron(Matrix.identity(A.L.dim)), B)
 
 
@@ -414,7 +414,7 @@ def inverse_pair_columns(A, sums, differences):
     column, and 1 at t and -1 at iota(t) in a difference's, so a repeated
     slot gives 2 (the identity) or 0 (a difference at an involution).
     """
-    inv, n, k = A.N.inverse_table, A.N.order, len(sums)
+    inv, n, k = A.N.group.inverses, A.N.order, len(sums)
     picks = Matrix.from_entries(2 * n, k + len(differences), [
         *((x, c, ONE) for c, t in enumerate(sums) for x in (t, inv[t])),
         *((n + x, k + c, sign) for c, t in enumerate(differences)

@@ -9,9 +9,10 @@ normalization by left translations, bounded closure, exhaustive enumeration
 of regular normalized subgroups for small G (one closure per lambda(G)-orbit
 of fixed-point-free permutations, grown by joins), and isomorphism searches
 that can be required to commute with conjugation by a chosen set of
-translations.  Every generated set (a closure, a conjugation orbit, a list
-of powers, the subgroup lattice, the enumerator's search) is one
-breadth-first `_walk`.
+translations.  `PermSubgroup.group` is a subgroup as a `FiniteGroup` on its
+positions.  Every generated set (a closure, a conjugation orbit, a list of
+powers, the subgroup lattice, the enumerator's search) is one breadth-first
+`_walk`.
 """
 
 from __future__ import annotations
@@ -130,17 +131,13 @@ class FiniteGroup:
         return self.table[a][b]
 
     @cached_property
-    def _inverses(self):
-        inv = [None] * self.order
-        for a in range(self.order):
-            for b in range(self.order):
-                if self.table[a][b] == self.identity:
-                    inv[a] = b
-                    break
-        return tuple(inv)
+    def inverses(self):
+        """The first b with a * b the identity for each a, None where the table has none."""
+        return tuple(row.index(self.identity) if self.identity in row else None
+                     for row in self.table)
 
     def inv(self, a):
-        return self._inverses[a]
+        return self.inverses[a]
 
     def element_order(self, a):
         return len(powers(self.mul, a, self.identity))
@@ -265,17 +262,14 @@ class PermSubgroup:
         return self._position[perm.images]
 
     @cached_property
-    def identity_position(self):
-        return self.index_of(Perm.identity(self.degree))
-
-    @cached_property
-    def mult_table(self):
-        return tuple(tuple(self.index_of(a * b) for b in self.elements)
-                     for a in self.elements)
-
-    @cached_property
-    def inverse_table(self):
-        return tuple(self.index_of(a.inverse()) for a in self.elements)
+    def group(self):
+        """The FiniteGroup on the positions: table[t][u] is the position of
+        elements[t] * elements[u], with greedy generators scanned in order."""
+        table = tuple(tuple(self.index_of(a * b) for b in self.elements)
+                      for a in self.elements)
+        identity = self.index_of(Perm.identity(self.degree))
+        return FiniteGroup(table, tuple(map(self.name_of, range(self.order))), identity,
+                           tuple(greedy_generators(table, identity, range(self.order))))
 
     @cached_property
     def element_orders(self):
@@ -348,11 +342,11 @@ def _conj_images(g, p):
 def is_normalized_by(N, translations):
     """Whether conjugation by every element of `translations` maps N into N.
 
-    Trying the minimal generators of `translations` is exact: conjugation is
+    Trying the generators of `translations.group` is exact: conjugation is
     injective and N finite, so g N g^-1 within N means g N g^-1 = N, and the
     g with g N g^-1 = N form a group."""
     return all(None not in N.conjugation(translations.elements[t])
-               for t in minimal_generators(translations))
+               for t in translations.group.generators)
 
 
 def closure(gens, bound):
@@ -385,12 +379,13 @@ def enumerate_regular_normalized(G):
     of one orbit has the same closure, and each orbit is walked and closed
     once.  The admissible closures grow by joins: join(N, M) is the closure
     of N and M, or N when N is full, already holds M, or that closure is
-    not admissible.  The subgroup two invariant subgroups generate is
-    invariant, so a join conjugates nothing.  One walk joins the kept
-    closures with the proper ones and keeps the full results.  That is
-    complete: a wanted M contains the closure of the orbit of each of its
-    elements, so that closure is admissible and kept; M is the join of
-    those closures, and every partial join lies inside M, so it is
+    not admissible, which the product set NM shows without a closure when
+    its |N| |M| / |N n M| elements outnumber G.  The subgroup two invariant
+    subgroups generate is invariant, so a join conjugates nothing.  One walk
+    joins the kept closures with the proper ones and keeps the full results.
+    That is complete: a wanted M contains the closure of the orbit of each
+    of its elements, so that closure is admissible and kept; M is the join
+    of those closures, and every partial join lies inside M, so it is
     admissible and the walk reaches M.
     """
     n = G.order
@@ -407,7 +402,8 @@ def enumerate_regular_normalized(G):
         return N if _is_semiregular(N) else None
 
     def join(N, M):
-        if N.order == n or all(z in N for z in M.elements):
+        common = sum(z in N for z in M.elements)
+        if N.order == n or common == M.order or N.order * M.order > n * common:
             return N
         return admissible(N.elements + M.elements) or N
 
@@ -471,16 +467,9 @@ class GroupIso:
     mapping: tuple
 
     def verify(self):
-        A, B, m = self.source, self.target, self.mapping
-        if sorted(m) != list(range(A.order)):
-            return False
-        rows_b = B.mult_table
-        for t, row_a in enumerate(A.mult_table):
-            row_b = rows_b[m[t]]
-            for u, v in enumerate(row_a):
-                if m[v] != row_b[m[u]]:
-                    return False
-        return True
+        A, B, m = self.source.group, self.target.group, self.mapping
+        return sorted(m) == list(range(A.order)) and all(
+            m[A.mul(t, u)] == B.mul(m[t], m[u]) for t in range(A.order) for u in range(A.order))
 
 
 def greedy_generators(table, identity, candidates):
@@ -495,28 +484,23 @@ def greedy_generators(table, identity, candidates):
     return gens
 
 
-def minimal_generators(N):
-    """Greedy minimal generating positions, scanning elements in order."""
-    return tuple(greedy_generators(N.mult_table, N.identity_position, range(N.order)))
-
-
 def group_isomorphisms(A, B):
     """All isomorphisms A -> B, as GroupIso position maps."""
     if A.order != B.order:
         return []
-    gens = minimal_generators(A)
-    walk = _walk(lambda x, g: A.mult_table[x][g], [A.identity_position], gens)
+    GA, GB = A.group, B.group
+    walk = _walk(GA.mul, [GA.identity], GA.generators)
     if len(walk) != A.order:
         raise AssertionError("generators do not generate")
     candidates = [[u for u in range(B.order) if B.element_orders[u] == A.element_orders[g]]
-                  for g in gens]
+                  for g in GA.generators]
     isos = []
     for choice in iter_product(*candidates):
-        images = dict(zip(gens, choice))
+        images = dict(zip(GA.generators, choice))
         m = [None] * A.order
-        m[A.identity_position] = B.identity_position
+        m[GA.identity] = GB.identity
         for x, parent, g in walk[1:]:
-            m[x] = B.mult_table[m[parent]][images[g]]
+            m[x] = GB.table[m[parent]][images[g]]
         iso = GroupIso(A, B, tuple(m))
         if iso.verify():
             isos.append(iso)

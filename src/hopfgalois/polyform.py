@@ -117,9 +117,12 @@ def variety_points(b):
     The x-quartic forces x in {-2,-1,1,2}; at x = +-2 the third generator
     forces y = 0, and at x = +-1 the first forces y^2 = -3b.  All six points
     are rational exactly when -3b is a rational square (e.g. b = -3, where
-    y = +-3).  Raises ValueError otherwise.
+    y = +-3).  Raises ValueError otherwise, and at b = 0, where they collapse
+    to four.
     """
     b = rational(b)
+    if b == 0:
+        raise ValueError("b = 0 gives four points, not six: (-1, 0) and (1, 0) repeat")
     t2 = -3 * b
     if not is_rational_square(t2):
         raise ValueError(f"-3b = {t2} is not a rational square; the variety is not split")

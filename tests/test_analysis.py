@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hopfgalois.algebra import Algebra, algebra_axiom_report, group_hopf_algebra
 from hopfgalois.analysis import (_candidate_operators, _eigen_split, algebra_iso_classes_p3,
                                  character_idempotents, commutative_wedderburn,
-                                 hopf_iso_classes, minimal_polynomial,
+                                 descend_catalog, hopf_iso_classes, minimal_polynomial,
                                  minimal_splitting_subfield_check,
                                  nilpotent_witness,
                                  noncommutative_wedderburn_p3, rational_roots)
@@ -365,6 +365,21 @@ def test_hopf_iso_classes_classify_the_dict_they_are_given(descended3):
     assert report.labels == ["N2", "lambda", "N0"]
     assert report.classes == [["N2", "N0"], ["lambda"]]
     assert list(report.evidence) == [("N2", "lambda"), ("N2", "N0"), ("lambda", "N0")]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+@pytest.mark.parametrize("p", [3, 5])
+def test_split_model_hopf_classes_join_rho_and_lambda(p, request):
+    """Over the split model every H_N is Q[N] (evaluation at the identity
+    point, test_split_model_descents_evaluate_onto_the_group_algebra), so
+    H_rho and H_lambda are one class."""
+    if p == 3:
+        descended = descend_catalog(3, split_model(dihedral(3)))
+    else:
+        descended = {**request.getfixturevalue("split5_rho_lambda"),
+                     **request.getfixturevalue("split5_nc")}
+    report = hopf_iso_classes(descended)
+    assert report.classes == [["rho", "lambda"], [f"N{c}" for c in range(p)]]
 
 
 def test_classifiers_refuse_descents_over_two_fields(descended3):

@@ -143,6 +143,17 @@ def test_readme_reports_keep_their_bytes(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == README_REPORT_DIGESTS[command]
 
 
+def test_readme_library_block_prints_its_comment(capsys):
+    """The python block of the README's Library section runs as printed, and
+    prints the classes its last line, a comment, shows."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    expected = block.rstrip().splitlines()[-1]
+    assert expected.startswith("# ")
+    assert capsys.readouterr().out == expected[2:] + "\n"
+
+
 # SHA-256 of the stdout of every catalog and enumerate report, pinned so a
 # change of any report byte shows
 CATALOG_REPORT_DIGESTS = {

@@ -15,9 +15,8 @@ from hopfgalois.descent import (DescentError, NormalizationError, SemilinearActi
                                 hopf_action, hopf_galois_matrix, inverse_pair_columns,
                                 lform_matrix, measuring_report, verify_hopf_galois)
 from hopfgalois.extensions import GaloisAlgebra, quadratic_sqrt_witness, split_model
-from hopfgalois.groups import (FiniteGroup, Perm, PermSubgroup, closure, dihedral,
-                               group_isomorphisms, is_normalized_by, left_regular,
-                               minimal_generators, powers)
+from hopfgalois.groups import (Perm, PermSubgroup, closure, dihedral, group_isomorphisms,
+                               is_normalized_by, left_regular, powers)
 from hopfgalois.linalg import Matrix, ONE, Q, ZERO, fixed_basis, hstack, kernel_form, mul_kron
 
 LABELS3 = ("rho", "lambda", "N0", "N1", "N2")
@@ -374,7 +373,7 @@ def test_group_algebra_table_read_on_demand_matches_the_definition(L3):
                 for u in range(n):
                     for b in range(d):
                         xy = L3.mul(L3.basis_vector(a), L3.basis_vector(b))
-                        cols.append(_embed(A, xy, A.N.mult_table[t][u]))
+                        cols.append(_embed(A, xy, A.N.group.table[t][u]))
         assert A.mult == Matrix.from_columns(cols), e.label
         assert "mult" in vars(A), e.label
 
@@ -422,7 +421,7 @@ def _full_ambient_descent(A):
     unit = B.solve(Matrix.from_columns([A.unit])).column(0)
     slot_sums = Matrix(1, n, [ONE] * n).kron(Matrix.identity(A.L.dim)) * B
     counit = Matrix.from_columns([A.L.unit]).solve(slot_sums)
-    antipode = B.solve(A.slot_map(A.N.inverse_table) * B)
+    antipode = B.solve(A.slot_map(A.N.group.inverses) * B)
     comul, _ = _descended_comultiplication(A, B)
     return B, (mult, unit, comul, counit, antipode)
 
@@ -544,8 +543,7 @@ def test_split_model_descents_evaluate_onto_the_group_algebra(p):
         N = e.subgroup
         H = descend(group_algebra(L, N), label=e.label)
         E = Matrix.from_rows([H.provenance.basis.row(t * d + one) for t in range(N.order)])
-        QN = group_hopf_algebra(FiniteGroup(N.mult_table, tuple(map(N.name_of, range(N.order))),
-                                            N.identity_position, minimal_generators(N)))
+        QN = group_hopf_algebra(N.group)
         assert hopf_map_violation(E, H, QN) is None, e.label
 
 
@@ -575,7 +573,7 @@ def _slot_map_cases(L3):
             act = SemilinearAction(A)
             for g in range(L.group.order):
                 yield A, act.conj_map[g], L.action[g]
-            yield A, A.N.inverse_table, None
+            yield A, A.N.group.inverses, None
             iso = group_isomorphisms(A.N, entries[partner].subgroup)[-1]
             yield A, iso.mapping, L.mult_operator(L.basis_vector(1))
 
@@ -616,7 +614,7 @@ def _slot_loop_mul(A, x, y):
     out = [ZERO] * A.dim
     for t, xc in chunks(x):
         for u, yc in chunks(y):
-            base = A.N.mult_table[t][u] * d
+            base = A.N.group.table[t][u] * d
             for a, c in enumerate(A.L.mul(xc, yc)):
                 out[base + a] += c
     return out
@@ -669,7 +667,7 @@ def _slot_map_sum(A, x):
     slot_map(row t of N's table, L.mult_operator(x_t))."""
     coeffs = Matrix(A.N.order, A.L.dim, x)  # row t is the L-coefficient of eta_t
     return _disjoint_sum(A.dim, A.dim, [
-        A.slot_map(A.N.mult_table[t], A.L.mult_operator(coeffs.row(t)))
+        A.slot_map(A.N.group.table[t], A.L.mult_operator(coeffs.row(t)))
         for t in range(A.N.order) if coeffs.row_entries(t)])
 
 

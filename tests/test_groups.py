@@ -12,7 +12,7 @@ from hopfgalois.groups import (ClosureBoundExceeded, FiniteGroup, Perm, PermSubg
                                enumerate_regular_normalized,
                                equivariant_iso_search, group_isomorphisms,
                                is_normalized_by, is_regular, iso_type,
-                               left_regular, minimal_generators, right_regular)
+                               left_regular, right_regular)
 
 perms6 = st.permutations(range(6)).map(lambda im: Perm(tuple(im)))
 
@@ -122,7 +122,7 @@ def test_generator_normalization_tries_every_generator():
     G = dihedral(3)
     lam = left_regular(G)
     r, s = G.generators
-    assert minimal_generators(lam) == (r, s)
+    assert lam.group.generators == (r, s)
     ident = Perm.identity(G.order)
     # {1, lam(r)} is preserved by conjugation with lam(r) but not with lam(s),
     # {1, lam(s)} the other way round
@@ -197,11 +197,42 @@ def test_group_isomorphism_counts():
         assert group_isomorphisms(rho, n0) == []
 
 
-def test_minimal_generators_regenerate():
+def test_group_generators_regenerate():
     N = left_regular(dihedral(5))
-    gens = [N.elements[t] for t in minimal_generators(N)]
+    gens = [N.elements[t] for t in N.group.generators]
     assert closure(gens, N.order).canonical_key() == N.canonical_key()
     assert len(gens) == 2
+
+
+@pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+def test_group_view_reads_products_at_positions(p):
+    for e in catalog(p):
+        N = e.subgroup
+        G = N.group
+        assert G.order == N.order
+        assert G.names == tuple(N.name_of(t) for t in range(N.order))
+        assert N.elements[G.identity].is_identity(), e.label
+        for t, a in enumerate(N.elements):
+            assert all(N.elements[G.table[t][u]] == a * b for u, b in enumerate(N.elements))
+            assert (a * N.elements[G.inverses[t]]).is_identity(), e.label
+        gens = [N.elements[t] for t in G.generators]
+        assert closure(gens, N.order).canonical_key() == N.canonical_key(), e.label
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_left_regular_group_is_the_group_it_translates(p):
+    G = dihedral(p)
+    view = left_regular(G).group
+    assert view.table == G.table
+    assert view.identity == G.identity
+    assert view.generators == G.generators
+
+
+def test_check_axioms_names_a_missing_inverse():
+    monoid = FiniteGroup(((0, 1), (1, 1)), ("1", "z"), identity=0, generators=(1,))
+    assert monoid.inverses == (0, None)
+    with pytest.raises(AssertionError, match="missing inverse"):
+        monoid.check_axioms()
 
 
 def test_equivariant_search_separates_translations():

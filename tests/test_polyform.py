@@ -119,6 +119,12 @@ def test_variety_points_nonsplit():
         variety_points(5)  # -15 is not a square
 
 
+def test_variety_points_refuse_b_zero():
+    # -3b = 0 is a square, but t = 0 folds the six points onto four
+    with pytest.raises(ValueError, match="b = 0"):
+        variety_points(0)
+
+
 def test_evaluation_matrix_rank():
     assert evaluation_matrix(SIX_POINTS).rank() == 6
     P = PolyHopfAlgebra(-3)
