@@ -120,9 +120,14 @@ class Algebra:
         return out
 
     def mult_operator(self, x):
-        """Matrix of left multiplication by x: m(x (x) 1)."""
+        """Matrix of left multiplication by x: m(x (x) 1), whose column j is
+        the sum of x_i basis_i*basis_j over the nonzero x_i, read off the
+        cached columns of `mult` only for those i."""
         self._check_length(x)
-        return mul_kron(self.mult, Matrix.from_columns([x]), Matrix.identity(self.dim))
+        n, terms = self.dim, self._products
+        return Matrix.from_entries(n, n, (
+            (k, j, c if a == 1 else a * c)
+            for i, a in enumerate(x) if a for j in range(n) for k, c in terms[i * n + j]))
 
     def is_commutative(self):
         """m tau = m, with tau the swap of the tensor factors."""

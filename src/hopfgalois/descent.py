@@ -24,24 +24,40 @@ read over its preimage B' in L^K[N].  DescentProvenance keeps L[N] and B, so
 every check of H reads L[N] coordinates; the given L[N] is only a coordinate
 frame, and no check builds its multiplication table.
 
+The maps are read through a residue copy.  Let e_K be the sum of the
+distinct K-translates of L's idempotent e (GaloisAlgebra.idempotent).  Then
+E: L^K[N] -> (e_K L^K)[N], x eta -> (e_K x) eta, is an algebra map, injective
+on H because H (x) L^K = L^K[N] (Greither-Pareigis), and with E_B = E B' the
+structure constants are E_B^-1 mult_(e_K L^K)[N] (E_B (x) E_B); the unit,
+counit and antipode are read through E_B too.  Over the split model
+e = d[1], so (e_K L^K)[N] has dimension 2p for every structure, against 4p^2
+for lambda's L^K[N].  E = I when e_K is the unit of L^K (every `cubic:`
+structure, and rho).  When E != I, _check_fixed_ring checks against L^K[N]
+every identity that a solve against B' would.
+
 L[N] is an Algebra: its dim x dim^2 `mult` places L's multiplication in slot
-tu for each slot pair (t, u), and every product in L[N] is one mul_kron over
-it.  The structure constants of H are the solve of mult (B' (x) B'), Phi' is
-mult (E (x) B') for the embedding E: x -> x * eta_1 of L^K, and the
-semilinear-action check reads `mult` directly.  Maps of L[N] are sparse slot
-maps, GroupAlgebraOverL.slot_map = permutation(images) (x) M, with slots(u)
-(column t is u * eta_t) its one-column case.  The closed-form bases are
-products of U = slots(1), W = slots(w) for the rational-square witness w of
-L, and the slot inversion iota: U + iota U has the columns eta_t + eta_t^-1,
-and W - iota W the columns w*(eta_t - eta_t^-1).  The action of H on L is
-built once, as DescentProvenance.action, for the measuring and Hopf-Galois
-checks.  Comultiplication descends through the base-change map
-Phi': L^K (x) H -> L^K[N], x (x) h -> x*h, which descend builds once and
-keeps on DescentProvenance.phi for the base-change check.  Applying Phi'^-1
-to Delta(h) = sum_t x_t (eta_t (x) eta_t) one tensor leg at a time, as one
-sparse product per leg, rewrites it over h_i (x) h_j; the coefficients are
-provably rational, and this implementation checks that exactly instead of
-assuming it.
+tu for each slot pair (t, u), and a product in (e_K L^K)[N] is one mul_kron
+over it; descend builds that one table.  Products in L^K[N] are read slot by
+slot off L^K's own multiplication (_slot_products), so its table is never
+built: Phi' = lform_matrix is the product of e_a * eta_1 and B', and the
+semilinear-action check reads `mult` directly.  Maps of L[N] are sparse
+slot maps, GroupAlgebraOverL.slot_map = permutation(images) (x) M, with
+slots(u) (column t is u * eta_t) its one-column case.  The closed-form bases
+are products of U = slots(1), W = slots(w) for the rational-square witness
+w of L, and the slot inversion iota: U + iota U has the columns
+eta_t + eta_t^-1, and W - iota W the columns w*(eta_t - eta_t^-1).  The
+action of H on L is built once, as DescentProvenance.action, for the
+measuring and Hopf-Galois checks.
+
+Comultiplication.  When dim e_K L^K = 1, (e_K L^K)[N] is Q[N] with
+Delta(eta_t) = eta_t (x) eta_t, and Delta_H = (E_B^-1 (x) E_B^-1) diag E_B.
+Otherwise it descends through the base-change map Phi': L^K (x) H -> L^K[N],
+x (x) h -> x*h: applying Phi'^-1 to Delta(h) = sum_t x_t (eta_t (x) eta_t)
+one tensor leg at a time, as one sparse product per leg, rewrites it over
+h_i (x) h_j; the coefficients are provably rational, and this
+implementation checks that exactly instead of assuming it.  Either way
+descend builds Phi' once and keeps it on DescentProvenance.phi for the
+base-change check.
 """
 
 from __future__ import annotations
@@ -52,7 +68,7 @@ from functools import cached_property
 from .algebra import Algebra, CheckReport, HopfPresentation, action_report, first_difference
 from .extensions import GaloisAlgebra, quadratic_sqrt_witness
 from .groups import Perm, greedy_generators, left_regular, powers
-from .linalg import Matrix, ONE, ZERO, fixed_basis, hstack, kernel_form, mul_kron, vstack
+from .linalg import Matrix, ONE, Span, ZERO, fixed_basis, hstack, kernel_form, mul_kron, vstack
 
 
 class DescentError(RuntimeError):
@@ -69,6 +85,9 @@ class NormalizationError(RuntimeError):
 class GroupAlgebraOverL(Algebra):
     """The group algebra L[N], basis (eta_t, e_a) at index t*dim(L) + a.
 
+    L is any Algebra: descend frames L^K[N] and (e_K L^K)[N] with it too, and
+    group_algebra checks that a GaloisAlgebra L fits N.
+
     As (x eta_t)(y eta_u) = (xy) eta_(tu), column (t*d + a)*D + u*d + b of
     `mult` (d = dim L, D = dim L[N]) is column a*d + b of L.mult, placed in
     slot tu.  `mult` is built when first read, so an L[N] that only frames
@@ -76,8 +95,6 @@ class GroupAlgebraOverL(Algebra):
     """
 
     def __init__(self, L, N):
-        if N.degree != L.group.order:
-            raise ValueError("N must permute the points of G")
         self.L = L
         self.N = N
         d, n = L.dim, N.order
@@ -108,6 +125,11 @@ class GroupAlgebraOverL(Algebra):
             M = Matrix.identity(self.L.dim)
         return Matrix.permutation(images).kron(M)
 
+    @cached_property
+    def slot_sum(self):
+        """The map sum_t x_t eta_t -> sum_t x_t of L[N] onto L, (1 ... 1) (x) I_L."""
+        return Matrix(1, self.N.order, [ONE] * self.N.order).kron(Matrix.identity(self.L.dim))
+
     def slots(self, u):
         """The dim x |N| matrix whose column t is u * eta_t: slot_map(identity, u)."""
         return self.slot_map(range(self.N.order), Matrix.from_columns([u]))
@@ -121,6 +143,9 @@ class GroupAlgebraOverL(Algebra):
 
 
 def group_algebra(L, N):
+    """L[N] for a GaloisAlgebra L of G and N a subgroup of Perm(G)."""
+    if N.degree != L.group.order:
+        raise ValueError("N must permute the points of G")
     return GroupAlgebraOverL(L, N)
 
 
@@ -161,7 +186,9 @@ class DescentProvenance:
 
     parent: GroupAlgebraOverL
     basis: Matrix
-    phi: Matrix  # the base change Phi': L^K (x) H -> L^K[N], as lform_matrix over L^K[N] and B'
+    # the base change Phi': L^K (x) H -> L^K[N], lform_matrix(L^K[N], B'): read
+    # slot by slot off L^K's multiplication, without a table of L^K[N]
+    phi: Matrix
     label: str = None
 
     @cached_property
@@ -193,20 +220,38 @@ def action_kernel(act):
 
 
 def _fixed_coefficients(act):
-    """(F, L^K[N]) for K = action_kernel(act), over the L[N] of act.
+    """(F, L^K, e_K) for K = action_kernel(act), over the L of act.
 
     F is the basis L.fixed_space(K) of L^K, taken over greedy_generators of K
-    (F = I when K = 1).  L^K is a GaloisAlgebra of the same G, which acts on it
-    through G/K: mult F^-1 m_L (F (x) F), unit F^-1 u and action F^-1 g F.
+    (F = I when K = 1).  L^K is a GaloisAlgebra of the same G, which acts on
+    it through G/K: mult F^-1 m_L (F (x) F), unit F^-1 u and action F^-1 g F,
+    solved only at the generators of G, the only ones descend reads.  e_K,
+    the sum of the distinct K-translates of L's idempotent e, is written
+    over F.
     """
     L = act.parent.L
     G = L.group
-    F = L.fixed_space(greedy_generators(G.table, G.identity, action_kernel(act)))
+    K = action_kernel(act)
+    F = L.fixed_space(greedy_generators(G.table, G.identity, K))
     fail = "L^K is not closed under the product and the Galois action"
     LK = GaloisAlgebra(_solved(F, mul_kron(L.mult, F, F), fail),
                        _solved(F, Matrix.from_columns([L.unit]), fail).column(0),
-                       G, [_solved(F, m * F, fail) for m in L.action])
-    return F, group_algebra(LK, act.parent.N)
+                       G, {g: _solved(F, L.action[g] * F, fail) for g in G.generators})
+    e = _solved(F, Matrix.from_columns([[sum(c, ZERO) for c in zip(*L.translates(K))]]), fail)
+    return F, LK, list(e.column(0))
+
+
+def _residue(LK, e):
+    """(R, P) for a nonzero idempotent e of L^K: R is the algebra eL^K on the
+    columns of e's multiplication operator that grow their span, and P is
+    the algebra map L^K -> eL^K, x -> e x, in R's coordinates."""
+    M = LK.mult_operator(e)
+    span = Span()
+    basis = Matrix.from_columns([c for c in M.columns() if span.add(c)])
+    fail = "e L^K is not closed under the product"
+    R = Algebra(_solved(basis, mul_kron(LK.mult, basis, basis), fail),
+                _solved(basis, Matrix.from_columns([e]), fail).column(0))
+    return R, _solved(basis, M, fail)
 
 
 def descend(A, label=None):
@@ -218,14 +263,15 @@ def descend(A, label=None):
     B = kernel_form(X), the fixed_basis of L[N] itself, is found before any
     structure map, so the output is reproducible.  B' is the preimage of B
     under I (x) F: the fixed_basis of L^K[N] when B == X, and otherwise one
-    solve against the owned rows of I (x) F.  Every structure map is read
-    once over B', whose coordinates are those of B.
+    solve against the owned rows of I (x) F.  Every structure map is then
+    read once through E_B = E B' (see the module docstring).
     """
     act = SemilinearAction(A)
-    F, AK = _fixed_coefficients(act)
-    n = A.N.order
+    F, LK, e = _fixed_coefficients(act)
+    N, n = A.N, A.N.order
+    AK = group_algebra(LK, N)
     # G acts on L^K[N] by SemilinearAction.matrix over act's one conjugation table
-    gens = [AK.slot_map(act.conj_map[g], AK.L.action[g]) for g in A.L.group.generators]
+    gens = [AK.slot_map(act.conj_map[g], m) for g, m in LK.generator_action.items()]
     Bk = fixed_basis(gens, AK.dim)
     if Bk.cols != n:
         raise DescentError(f"fixed ring has dimension {Bk.cols}, expected {n}")
@@ -235,25 +281,98 @@ def descend(A, label=None):
     if B != X:
         Bk = _solved(lift, B, "the fixed ring of L[N] is not written over L^K")
 
+    if not any(e) or LK.mul(e, e) != e:
+        raise DescentError("e_K, the sum of the K-translates of e, is not a nonzero idempotent")
+    RA, EB = AK, Bk
+    if e != list(LK.unit):
+        R, P = _residue(LK, e)
+        RA = GroupAlgebraOverL(R, N)
+        EB = RA.slot_map(range(n), P) * Bk
+    # E_B is square when dim e_K L^K = 1, and (e_K L^K)[N] is then Q[N]
+    inv = EB.inverse() if RA.L.dim == 1 else None
+    if (RA.L.dim == 1 and inv is None) or (RA.L.dim > 1 and EB is not Bk and EB.rank() != n):
+        raise DescentError("E_B has rank below n: E is not injective on the fixed ring")
     # column i*n + j is h_i h_j
-    mult = _solved(Bk, mul_kron(AK.mult, Bk, Bk), "a product of fixed vectors left the fixed ring")
-    unit = _solved(Bk, Matrix.from_columns([AK.unit]), "the unit of L[N] is not in the fixed ring")
-    slot_sums = Matrix(1, n, [ONE] * n).kron(Matrix.identity(AK.L.dim)) * Bk
-    counit = _rational_coefficients(AK.L, slot_sums, "counit")
-    antipode = _solved(Bk, AK.slot_map(A.N.group.inverses) * Bk,
+    mult = _solved(EB, mul_kron(RA.mult, EB, EB), "a product of fixed vectors left the fixed ring")
+    unit = _solved(EB, Matrix.from_columns([RA.unit]), "the unit of L[N] is not in the fixed ring")
+    counit = _rational_coefficients(RA.L, RA.slot_sum * EB, "counit")
+    antipode = _solved(EB, RA.slot_map(N.group.inverses) * EB,
                        "an antipode image left the fixed ring")
-    comul, phi = _descended_comultiplication(AK, Bk)
+    if inv is None:
+        comul, phi = _descended_comultiplication(AK, Bk)
+    else:
+        comul, phi = _diagonal_comultiplication(RA, EB, inv), lform_matrix(AK, Bk)
     prov = DescentProvenance(parent=A, basis=B, phi=phi, label=label)
     names = tuple(f"h{k}" for k in range(n))
-    return HopfPresentation(mult, unit.column(0), comul, counit, antipode,
-                            names=names, provenance=prov)
+    H = HopfPresentation(mult, unit.column(0), comul, counit, antipode,
+                         names=names, provenance=prov)
+    if EB is not Bk:
+        _check_fixed_ring(H, AK, Bk)
+    return H
+
+
+def _check_fixed_ring(H, A, B):
+    """The identities a solve against B checks, for maps read through E_B.
+
+    B m_H agrees with the products of B's columns in A = L^K[N] in the columns
+    (g, j), g a generator of H (every column when H has no generating set),
+    and B u_H = 1, the slot sums of B are eps_H times the unit of L^K, and
+    B S_H = S B.  By the lemma of the algebra module the generator columns
+    and the unit prove that span(B) is closed under products, and E_B is
+    injective on it, so m_H is its product.
+    """
+    n = B.cols
+    gens = H.generators
+    indices = range(n) if gens is None else gens.indices
+    picks = Matrix.from_entries(n, len(indices), ((g, r, ONE) for r, g in enumerate(indices)))
+    if _slot_products(A, B * picks, B) != B * (H.mult * picks.kron(Matrix.identity(n))):
+        raise DescentError("a product of fixed vectors left the fixed ring")
+    if B * Matrix.from_columns([H.unit]) != Matrix.from_columns([A.unit]):
+        raise DescentError("the unit of L[N] is not in the fixed ring")
+    if A.slot_sum * B != Matrix.from_columns([A.L.unit]) * H.counit:
+        raise DescentError("counit: expected a rational multiple of the unit")
+    if B * H.antipode != A.slot_map(A.N.group.inverses) * B:
+        raise DescentError("an antipode image left the fixed ring")
+
+
+def _slot_coefficients(A, B):
+    """The dim(L) x (B.cols * |N|) matrix whose column k*|N| + t is the
+    L-coefficient of eta_t in column k of B."""
+    d, n = A.L.dim, A.N.order
+    return Matrix.from_entries(d, B.cols * n, (
+        (a, k * n + t, c) for r in range(B.rows) for t, a in [divmod(r, d)]
+        for k, c in B.row_entries(r)))
+
+
+def _slot_products(A, X, Y):
+    """The products x*y in L[N], x a column of X and y one of Y, at column
+    i*Y.cols + j, read slot by slot, (x_t eta_t)(y_u eta_u) = (x_t y_u) eta_tu:
+    one mul_kron of L.mult over the slot coefficients of X and Y, re-indexed
+    through N's table, so no table of L[N] is read."""
+    d, n, m = A.L.dim, A.N.order, Y.cols
+    prod = mul_kron(A.L.mult, _slot_coefficients(A, X), _slot_coefficients(A, Y))
+    table = A.N.group.table
+    return Matrix.from_entries(A.dim, X.cols * m, (
+        (table[t][u] * d + c, i * m + j, x) for c in range(d) for col, x in prod.row_entries(c)
+        for it, ju in [divmod(col, m * n)] for (i, t), (j, u) in [(divmod(it, n), divmod(ju, n))]))
 
 
 def lform_matrix(A, B):
-    """Matrix of Phi: L (x) H -> L[N], x (x) h -> x*h, as mult (E (x) B) with E the
-    embedding x -> x * eta_1; column (a, k) = a*n + k is e_a * h_k."""
+    """Matrix of Phi: L (x) H -> L[N], x (x) h -> x*h; column (a, k) = a*n + k
+    is e_a * h_k, the slot product of e_a * eta_1 and h_k, so it reads L.mult
+    and never a table of L[N]."""
     eta_1 = Matrix.from_entries(A.N.order, 1, [(A.N.group.identity, 0, ONE)])
-    return mul_kron(A.mult, eta_1.kron(Matrix.identity(A.L.dim)), B)
+    return _slot_products(A, eta_1.kron(Matrix.identity(A.L.dim)), B)
+
+
+def _diagonal_comultiplication(A, EB, inv):
+    """The comultiplication of the fixed ring read through E_B, when A = R[N]
+    with dim R = 1.  R is Q with unit u, so x eta_t -> u x (eta_t (x) eta_t),
+    and Delta = (E_B^-1 (x) E_B^-1)(u diag E_B): on transposes, one mul_kron."""
+    n, u = EB.cols, A.L.unit[0]
+    diag = Matrix.from_entries(n, n * n, ((k, t * n + t, u * x) for t in range(n)
+                                          for k, x in EB.row_entries(t)))
+    return mul_kron(diag, inv.transpose(), inv.transpose()).transpose()
 
 
 def _descended_comultiplication(A, B):
@@ -308,10 +427,8 @@ def _action_matrices(A, B):
     matrices, column k*d + c is column c of M_k."""
     L = A.L
     G = L.group
-    d, n, m = L.dim, A.N.order, B.cols
-    X = Matrix.from_entries(d, m * n, ((a, k * n + t, c) for k in range(m)
-                                       for r, c in B.column_entries(k).items()
-                                       for t, a in [divmod(r, d)]))
+    d, m = L.dim, B.cols
+    X = _slot_coefficients(A, B)
     S = vstack(*[L.action[eta.inverse()(G.identity)] for eta in A.N.elements])
     stacked = mul_kron(mul_kron(L.mult, X, Matrix.identity(d)), Matrix.identity(m), S)
     entries = [[] for _ in range(m)]

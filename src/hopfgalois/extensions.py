@@ -14,6 +14,7 @@ carrying an action of their Galois group by algebra automorphisms:
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import isqrt
 
 from .algebra import Algebra, action_report, algebra_axiom_report, monomials
@@ -66,18 +67,40 @@ class GaloisAlgebra(Algebra):
     """Commutative algebra with a finite group acting by automorphisms.
 
     `action[g]` is the matrix of the automorphism attached to group element
-    index g; the assignment g -> action[g] is a homomorphism.
+    index g; the assignment g -> action[g] is a homomorphism.  It is given
+    element by element, or as a dict at `group.generators` whose products
+    give the rest when `action` is first read; `generator_action` holds the
+    generators' matrices either way.  `idempotent` is an idempotent e whose
+    distinct G-translates are orthogonal and sum to 1, so that L is the
+    product of the eL over the cosets of D, the stabilizer of e; it defaults
+    to the unit (D = G).  descend reads each structure through (eL)[N].
     """
 
-    def __init__(self, mult, unit, group, action, names=None):
+    def __init__(self, mult, unit, group, action, names=None, idempotent=None):
         super().__init__(mult, unit, names=names)
         self.group = group
-        self.action = tuple(action)
-        if len(self.action) != group.order:
-            raise ValueError("need one action matrix per group element")
-        for m in self.action:
+        if not isinstance(action, dict):
+            self.action = tuple(action)
+            if len(self.action) != group.order:
+                raise ValueError("need one action matrix per group element")
+            action = dict(enumerate(self.action))
+        elif set(action) != set(group.generators):
+            raise ValueError("need one action matrix per generator")
+        for m in action.values():
             if m.rows != self.dim or m.cols != self.dim:
                 raise ValueError("action matrix shape mismatch")
+        self.generator_action = {g: action[g] for g in group.generators}
+        self.idempotent = self.unit if idempotent is None else tuple(Q(c) for c in idempotent)
+        self._check_length(self.idempotent)
+
+    @cached_property
+    def action(self):
+        """Every element's matrix, from `generator_action` by group.extend."""
+        return tuple(self.group.extend(self.generator_action, Matrix.identity(self.dim)))
+
+    def translates(self, indices):
+        """The distinct g(e) of the idempotent e for g in indices, in order."""
+        return list(dict.fromkeys(tuple(self.action[g].apply(self.idempotent)) for g in indices))
 
     def fixed_space(self, indices):
         """Normalized basis of the space fixed by action(g) for g in indices."""
@@ -89,6 +112,21 @@ class GaloisAlgebra(Algebra):
         report.add("commutative", self.is_commutative())
         report.extend(action_report(self.group, self.action.__getitem__, self.mult))
         report.add("fixed-field-is-Q", self.fixed_space(range(self.group.order)).cols == 1)
+        # the idempotent: e^2 = e != 0, and its distinct translates, one per
+        # coset of its stabilizer D, are orthogonal, sum to 1 and cut L into
+        # [G : D] copies of eL
+        e = list(self.idempotent)
+        report.add("idempotent", any(e) and self.mul(e, e) == e)
+        translates = self.translates(range(self.group.order))
+        zero = [ZERO] * self.dim
+        report.add("idempotent-translates-orthogonal", all(
+            self.mul(x, y) == zero for i, x in enumerate(translates) for y in translates[:i]))
+        report.add("idempotent-translates-sum-to-unit",
+                   [sum(c, ZERO) for c in zip(*translates)] == list(self.unit))
+        residue, index = self.mult_operator(e).rank(), len(translates)
+        report.add("idempotent-residue-dimension", residue * index == self.dim,
+                   None if residue * index == self.dim else
+                   f"dim(eL) = {residue}, [G : D] = {index}, dim L = {self.dim}")
         return report
 
 
@@ -136,7 +174,8 @@ def quadratic_field(b):
 def split_model(G):
     """The split Galois algebra Maps(G, Q) with the left translation action.
 
-    The basis is the coordinate idempotents d_h; g sends d_h to d_{gh}.
+    The basis is the coordinate idempotents d_h; g sends d_h to d_{gh}.  Its
+    idempotent is d[identity], whose stabilizer is trivial.
     """
     n = G.order
     # d_i d_j = d_i if i == j else 0
@@ -144,7 +183,8 @@ def split_model(G):
     unit = [ONE] * n
     action = [Matrix.permutation(G.table[g]) for g in range(n)]
     names = tuple(f"d[{name}]" for name in G.names)
-    return GaloisAlgebra(mult, unit, G, action, names=names)
+    return GaloisAlgebra(mult, unit, G, action, names=names,
+                         idempotent=Matrix.identity(n).column(G.identity))
 
 
 def quadratic_sqrt_witness(L):

@@ -142,6 +142,15 @@ class FiniteGroup:
     def element_order(self, a):
         return len(powers(self.mul, a, self.identity))
 
+    def extend(self, images, identity):
+        """The values, element by element, of the homomorphism that sends
+        each generator g to images[g]: one product x * images[g] per
+        element along one walk.  That it is a homomorphism is not checked."""
+        out = {}
+        for y, x, g in _walk(self.mul, [self.identity], self.generators):
+            out[y] = identity if x is None else out[x] * images[g]
+        return [out[y] for y in range(self.order)]
+
     def subgroup_generated(self, gens):
         return frozenset(x for x, _, _ in _walk(self.mul, [self.identity], list(gens)))
 

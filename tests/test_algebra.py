@@ -499,3 +499,16 @@ def test_first_failing_comultiplicative_pair_outside_the_generating_set():
     report = hopf_axiom_report(H)
     assert report == full_hopf_axiom_report(H) == ref_hopf_axiom_report(H)
     assert ("comul-algebra-map", "comul not multiplicative at (2,2)") in report.failures()
+
+
+def test_mult_operator_matches_its_kronecker_form(L3, descended3):
+    """L_x read off the columns of x's nonzero coordinates is m(x (x) I),
+    for basis vectors, sparse and dense x, in L and in a descended H."""
+    for A in (L3, descended3["lambda"], descended3["N0"]):
+        n = A.dim
+        xs = [A.basis_vector(i) for i in range(n)]
+        xs += [[Q(i + 1, 2) if i % 2 else ZERO for i in range(n)], [Q(i - 2) for i in range(n)],
+               [ZERO] * n]
+        for x in xs:
+            expected = mul_kron(A.mult, Matrix.from_columns([x]), Matrix.identity(n))
+            assert A.mult_operator(x) == expected

@@ -7,7 +7,8 @@ from hopfgalois.algebra import (HopfPresentation, algebra_axiom_report, group_ho
                                 hopf_axiom_report, hopf_map_violation)
 from hopfgalois.catalog import catalog, cyclic_generator
 from hopfgalois.analysis import nilpotent_witness
-from hopfgalois.descent import (DescentError, NormalizationError, SemilinearAction,
+from hopfgalois.descent import (DescentError, GroupAlgebraOverL, NormalizationError,
+                                SemilinearAction,
                                 _descended_comultiplication, base_change_is_group_algebra,
                                 descend, explicit_basis_matches,
                                 explicit_classical_basis, explicit_cyclic_basis,
@@ -409,6 +410,114 @@ def test_phi_is_built_once_and_kept(monkeypatch, L3, p):
         act = SemilinearAction(AK)
         fixed = descent.fixed_basis([act.matrix(g) for g in L.group.generators], AK.dim)
         assert kernel_form(Bk) == fixed, e.label
+
+
+# -- the residue copy (e_K L^K)[N] -----------------------------------------------
+
+def _with_idempotent(L, e):
+    return GaloisAlgebra(L.mult, L.unit, L.group, L.action, names=L.names, idempotent=e)
+
+
+def _reflection_pair(L):
+    """e = d[1] + d[s], an idempotent with D = <s> and dim eL = 2."""
+    G = L.group
+    return [ONE if g in (G.identity, G.generators[1]) else ZERO for g in range(G.order)]
+
+
+def test_each_split_descent_builds_one_table_of_dimension_2p(monkeypatch, L5):
+    """At p = 5 split, each descend reads one L[N] table, of dimension 2p:
+    that of (e_K L^K)[N] with e_K L^K = Q, never lambda's 4p^2-dimensional
+    L^K[N]."""
+    reads = []
+    real = GroupAlgebraOverL.mult.func
+    monkeypatch.setattr(GroupAlgebraOverL, "mult", property(lambda A: reads.append(A.dim) or real(A)))
+    for e in catalog(5):
+        reads.clear()
+        H = descend(group_algebra(L5, e.subgroup), label=e.label)
+        assert reads == [10], e.label
+        assert base_change_is_group_algebra(H) and reads == [10], e.label
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_descent_through_the_residue_matches_E_equal_I(monkeypatch, L5, split5_rho_lambda,
+                                                      split5_nc, p):
+    """The split model with its idempotent d[1], with the unit (E = I: no
+    residue algebra, lambda through all of L^K[N]) and with d[1] + d[s]
+    (lambda through a 2-dimensional e_K L^K and Phi'^-1) descends to the
+    same presentation, entry for entry, for every structure."""
+    L = L5 if p == 5 else split_model(dihedral(3))
+    residues = []
+    real = descent._residue
+    monkeypatch.setattr(descent, "_residue", lambda LK, e: residues.append(e) or real(LK, e))
+    if p == 5:
+        ref = {**split5_rho_lambda, **split5_nc}
+    else:
+        ref = {e.label: descend(group_algebra(L, e.subgroup), label=e.label) for e in catalog(3)}
+        assert len(residues) == len(ref) - 1  # every structure but rho, whose e_K is 1
+    for e, taken in ((list(L.unit), set()), (_reflection_pair(L), {"lambda"})):
+        other = _with_idempotent(L, e)
+        for entry in catalog(p):
+            residues.clear()
+            H = descend(group_algebra(other, entry.subgroup), label=entry.label)
+            R = ref[entry.label]
+            assert (H.mult, H.unit, H.comul, H.counit, H.antipode) == \
+                (R.mult, R.unit, R.comul, R.counit, R.antipode), entry.label
+            assert H.provenance.basis == R.provenance.basis, entry.label
+            assert H.provenance.phi == R.provenance.phi, entry.label
+            assert bool(residues) is (entry.label in taken), entry.label
+
+
+def test_a_non_idempotent_e_is_refused():
+    L = split_model(dihedral(3))
+    twice = _with_idempotent(L, [2 * x for x in L.idempotent])
+    for e in catalog(3):
+        with pytest.raises(DescentError, match="not a nonzero idempotent"):
+            descend(group_algebra(twice, e.subgroup), label=e.label)
+
+
+@pytest.mark.parametrize("pair", [False, True], ids=["square", "tall"])
+def test_an_E_that_loses_the_fixed_ring_is_refused(monkeypatch, pair):
+    """With P: L^K -> e_K L^K replaced by zero, E_B has rank 0, and descend
+    refuses it, whether E_B is square (e = d[1]) or tall (e = d[1] + d[s])."""
+    L = split_model(dihedral(3))
+    if pair:
+        L = _with_idempotent(L, _reflection_pair(L))
+    real = descent._residue
+
+    def lossy(LK, e):
+        R, P = real(LK, e)
+        return R, Matrix.zeros(P.rows, P.cols)
+
+    monkeypatch.setattr(descent, "_residue", lossy)
+    lam = next(e for e in catalog(3) if e.label == "lambda")
+    with pytest.raises(DescentError, match="E is not injective on the fixed ring"):
+        descend(group_algebra(L, lam.subgroup), label="lambda")
+
+
+def test_each_fixed_ring_identity_of_the_residue_route_names_its_failure(monkeypatch):
+    """p = 3 split lambda reads its maps through E_B; B' m_H, B' u_H, the
+    counit and B' S_H are then checked against L^K[N], and changing any one
+    of them makes its own check fail."""
+    L = split_model(dihedral(3))
+    lam = next(e for e in catalog(3) if e.label == "lambda")
+    frames = []
+    real = descent.lform_matrix
+    monkeypatch.setattr(descent, "lform_matrix", lambda A, B: frames.append((A, B)) or real(A, B))
+    H = descend(group_algebra(L, lam.subgroup), label="lambda")
+    (AK, Bk), = frames
+    descent._check_fixed_ring(H, AK, Bk)
+    n = H.dim
+    swap = Matrix.permutation([1, 0] + list(range(2, n)))
+    parts = {"mult": H.mult, "unit": H.unit, "comul": H.comul, "counit": H.counit,
+             "antipode": H.antipode}
+    changes = [("mult", swap * H.mult, "a product of fixed vectors left the fixed ring"),
+               ("unit", [2 * x for x in H.unit], r"the unit of L\[N\] is not in the fixed ring"),
+               ("counit", H.counit * 2, "counit: expected a rational multiple"),
+               ("antipode", swap * H.antipode, "an antipode image left the fixed ring")]
+    for key, value, message in changes:
+        bad = HopfPresentation(**{**parts, key: value})
+        with pytest.raises(DescentError, match=message):
+            descent._check_fixed_ring(bad, AK, Bk)
 
 
 def _full_ambient_descent(A):

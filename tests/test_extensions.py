@@ -217,3 +217,69 @@ def test_witness_rejects_wrong_model():
     from hopfgalois.groups import cyclic
     with pytest.raises((ValueError, KeyError, IndexError)):
         quadratic_sqrt_witness(split_model(cyclic(3)))
+
+
+def _with_idempotent(L, e):
+    return GaloisAlgebra(L.mult, L.unit, L.group, L.action, names=L.names, idempotent=e)
+
+
+IDEMPOTENT_CHECKS = {"idempotent", "idempotent-translates-orthogonal",
+                     "idempotent-translates-sum-to-unit", "idempotent-residue-dimension"}
+
+
+@pytest.mark.parametrize("p", [3, 5, 13])
+def test_split_model_idempotent_is_the_identity_point(p):
+    G = dihedral(p)
+    L = split_model(G)
+    assert L.idempotent == Matrix.identity(L.dim).column(G.identity)
+    report = L.verify()
+    assert report.passed, report.failures()
+    assert IDEMPOTENT_CHECKS <= {c.name for c in report}
+
+
+@pytest.mark.parametrize("L", [splitting_field_cubic(2), quadratic_field(5)],
+                         ids=["cubic:2", "quadratic:5"])
+def test_fields_take_the_unit_as_their_idempotent(L):
+    assert L.idempotent == L.unit
+    assert L.verify().passed
+
+
+def test_an_idempotent_whose_translates_overlap_fails_verify():
+    """e = d[1] + d[r] at p = 3 is idempotent, but its six translates d[g] + d[gr]
+    overlap, do not sum to 1 and would give L six copies of a plane."""
+    G = dihedral(3)
+    L = split_model(G)
+    e = [ONE if g in (G.identity, G.generators[0]) else ZERO for g in range(G.order)]
+    assert _with_idempotent(L, e).verify().failures() == [
+        ("idempotent-translates-orthogonal", ""),
+        ("idempotent-translates-sum-to-unit", ""),
+        ("idempotent-residue-dimension", "dim(eL) = 2, [G : D] = 6, dim L = 6"),
+    ]
+
+
+def test_idempotent_checks_refuse_zero_and_non_idempotents():
+    L = split_model(dihedral(3))
+    for e in ([ZERO] * 6, [2 * x for x in L.idempotent]):
+        assert ("idempotent", "") in _with_idempotent(L, e).verify().failures()
+    with pytest.raises(ValueError):
+        _with_idempotent(L, [ONE] * 5)
+
+
+def test_an_idempotent_fixed_by_a_reflection_passes_verify():
+    """e = d[1] + d[s]: D = <s>, three orthogonal translates d[g] + d[gs] sum
+    to 1, and 2 * [G : D] = 6."""
+    G = dihedral(3)
+    e = [ONE if g in (G.identity, G.generators[1]) else ZERO for g in range(G.order)]
+    assert _with_idempotent(split_model(G), e).verify().passed
+
+
+def test_an_action_given_at_the_generators_extends_to_every_element():
+    L = split_model(dihedral(5))
+    G = L.group
+    lazy = GaloisAlgebra(L.mult, L.unit, G, {g: L.action[g] for g in G.generators})
+    assert "action" not in vars(lazy)
+    assert lazy.generator_action == L.generator_action
+    assert lazy.action == L.action
+    assert lazy.verify().passed
+    with pytest.raises(ValueError, match="per generator"):
+        GaloisAlgebra(L.mult, L.unit, G, {G.generators[0]: L.action[G.generators[0]]})
