@@ -22,18 +22,24 @@ written back as X = (I (x) F) fixed_basis, and B = kernel_form(X) is the
 fixed basis of all of L[N].  It is found first, and every structure map is
 read over its preimage B' in L^K[N].  DescentProvenance keeps L[N] and B, so
 every check of H reads L[N] coordinates; the given L[N] is only a coordinate
-frame, and no check builds its multiplication table.
+frame, and no check builds its multiplication table.  Over the split model G
+permutes the coordinates of L, so F is made of orbit sums, G permutes the
+basis of L^K, and each generator map of L^K[N], a slot map of a permutation
+of N and one of L^K, is a permutation matrix: fixed_basis reads both fixed
+spaces off orbit sums, with no elimination.  The Galois matrices of a
+`cubic:` model are not monomial, and there the stacked M_g - I is reduced.
 
 The maps are read through a residue copy.  Let e_K be the sum of the
 distinct K-translates of L's idempotent e (GaloisAlgebra.idempotent).  Then
 E: L^K[N] -> (e_K L^K)[N], x eta -> (e_K x) eta, is an algebra map, injective
 on H because H (x) L^K = L^K[N] (Greither-Pareigis), and with E_B = E B' the
 structure constants are E_B^-1 mult_(e_K L^K)[N] (E_B (x) E_B); the unit,
-counit and antipode are read through E_B too.  Over the split model
-e = d[1], so (e_K L^K)[N] has dimension 2p for every structure, against 4p^2
-for lambda's L^K[N].  E = I when e_K is the unit of L^K (every `cubic:`
-structure, and rho).  When E != I, _check_fixed_ring checks against L^K[N]
-every identity that a solve against B' would.
+counit and antipode are read through E_B too, the antipode image of E_B as
+its rows re-indexed through N's inverses (_slots_inverted).  Over the split
+model e = d[1], so (e_K L^K)[N] has dimension 2p for every structure,
+against 4p^2 for lambda's L^K[N].  E = I when e_K is the unit of L^K (every
+`cubic:` structure, and rho).  When E != I, _check_fixed_ring checks against
+L^K[N] every identity that a solve against B' would.
 
 L[N] is an Algebra: its dim x dim^2 `mult` places L's multiplication in slot
 tu for each slot pair (t, u), and a product in (e_K L^K)[N] is one mul_kron
@@ -296,8 +302,7 @@ def descend(A, label=None):
     mult = _solved(EB, mul_kron(RA.mult, EB, EB), "a product of fixed vectors left the fixed ring")
     unit = _solved(EB, Matrix.from_columns([RA.unit]), "the unit of L[N] is not in the fixed ring")
     counit = _rational_coefficients(RA.L, RA.slot_sum * EB, "counit")
-    antipode = _solved(EB, RA.slot_map(N.group.inverses) * EB,
-                       "an antipode image left the fixed ring")
+    antipode = _solved(EB, _slots_inverted(RA, EB), "an antipode image left the fixed ring")
     if inv is None:
         comul, phi = _descended_comultiplication(AK, Bk)
     else:
@@ -331,8 +336,16 @@ def _check_fixed_ring(H, A, B):
         raise DescentError("the unit of L[N] is not in the fixed ring")
     if A.slot_sum * B != Matrix.from_columns([A.L.unit]) * H.counit:
         raise DescentError("counit: expected a rational multiple of the unit")
-    if B * H.antipode != A.slot_map(A.N.group.inverses) * B:
+    if B * H.antipode != _slots_inverted(A, B):
         raise DescentError("an antipode image left the fixed ring")
+
+
+def _slots_inverted(A, B):
+    """slot_map(N.group.inverses) * B, eta_t -> eta_t^-1 on the columns of B:
+    the inversion is an involution, so row t*d + a is row inv[t]*d + a of B,
+    and no dim x dim operator is built."""
+    d, inv = A.L.dim, A.N.group.inverses
+    return B.take_rows([inv[t] * d + a for t in range(A.N.order) for a in range(d)])
 
 
 def _slot_coefficients(A, B):

@@ -5,6 +5,7 @@ from hopfgalois.catalog import catalog
 from hopfgalois.descent import descend, group_algebra
 from hopfgalois.extensions import split_model, splitting_field_cubic
 from hopfgalois.groups import dihedral
+from hopfgalois.linalg import Matrix
 
 
 @pytest.fixture(scope="session")
@@ -28,14 +29,30 @@ def L5():
 
 
 @pytest.fixture(scope="session")
-def split5_nc(L5):
-    """The p = 5 N_c presentations descended over the split model, by label."""
-    return {e.label: descend(group_algebra(L5, e.subgroup), label=e.label)
-            for e in catalog(5) if e.label not in ("rho", "lambda")}
+def split_descents(L5):
+    """The split-model presentations at p = 3, 5 and 7, by (p, label), and
+    the shapes of the matrices each descend row-reduced, by the same key."""
+    cases = [(p, e, L5 if p == 5 else split_model(dihedral(p)))
+             for p in (3, 5, 7) for e in catalog(p)]
+    real, seen, shapes, presentations = Matrix.rref, [], {}, {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Matrix, "rref", lambda m: seen.append((m.rows, m.cols)) or real(m))
+        for p, e, L in cases:
+            seen.clear()
+            presentations[p, e.label] = descend(group_algebra(L, e.subgroup), label=e.label)
+            shapes[p, e.label] = list(seen)
+    return presentations, shapes
 
 
 @pytest.fixture(scope="session")
-def split5_rho_lambda(L5):
+def split5_nc(split_descents):
+    """The p = 5 N_c presentations descended over the split model, by label."""
+    return {label: H for (p, label), H in split_descents[0].items()
+            if p == 5 and label not in ("rho", "lambda")}
+
+
+@pytest.fixture(scope="session")
+def split5_rho_lambda(split_descents):
     """The p = 5 rho and lambda presentations descended over the split model."""
-    return {e.label: descend(group_algebra(L5, e.subgroup), label=e.label)
-            for e in catalog(5) if e.label in ("rho", "lambda")}
+    return {label: H for (p, label), H in split_descents[0].items()
+            if p == 5 and label in ("rho", "lambda")}

@@ -303,20 +303,17 @@ def test_a_basis_not_closed_under_products_is_refused(monkeypatch, L3, owned):
 
 
 def test_descend_eliminates_only_where_no_row_is_owned(monkeypatch, L3, L5):
-    """One descend row-reduces at p = 5 split lambda only once: the fixed-space
-    kernel (the stacked M_g - I over the two generators, 200 x 100).  K = 1
-    there, so F = I: no fixed space of K is solved, and L^K is read off the
-    owned rows of I.  The structure constants, the unit and the antipode
-    against B', the counit and both stages of Delta against u (x) I, Phi'^-1
-    and the kernel form of X = (I (x) F) B' are read off owned rows and
-    checked by one product each.
-    At p = 5 split, N0 (K = <r>) row-reduces twice: the fixed space of K in L
-    (10 x 10, M_r - I) and the kernel in its 20-dimensional ambient L^K[N]
-    (40 x 20).  There X is not its own kernel form, and B' is the preimage
-    of B = kernel_form(X), read off the owned rows of I (x) F.  At p = 3 over
-    cubic:2, N0 (K = <r>) row-reduces three times: the fixed space of K in L
-    (6 x 6), the kernel in L^K[N] (24 x 12) and the solve for Phi'^-1
-    (12 x 24), as that Phi' has a column that owns no row."""
+    """Over the split model G permutes the coordinates of L, so every
+    generator map of L^K[N] is monomial and every fixed space, of K in L and
+    of G in L^K[N], is read off orbit sums: p = 5 split lambda (K = 1, F = I)
+    and N0 (K = <r>) row-reduce nothing.  L^K, B', the structure constants,
+    the unit and the antipode against B', the counit and Phi'^-1 are read off
+    owned rows and checked by one product each.  For N0, X = (I (x) F) B' is
+    not its own kernel form, and B' is the preimage of B = kernel_form(X),
+    read off the owned rows of I (x) F.  At p = 3 over cubic:2, where G does
+    not act monomially, N0 (K = <r>) row-reduces three times: the fixed
+    space of K in L (6 x 6), the kernel in L^K[N] (24 x 12) and the solve
+    for Phi'^-1 (12 x 24), as that Phi' has a column that owns no row."""
     shapes, written_back = [], []
     real, real_form = Matrix.rref, descent.kernel_form
 
@@ -328,8 +325,7 @@ def test_descend_eliminates_only_where_no_row_is_owned(monkeypatch, L3, L5):
     monkeypatch.setattr(descent, "kernel_form", lambda X: written_back.append(X) or real_form(X))
     n0 = next(e for e in catalog(5) if e.label == "N0")
     cases = _one_split_and_one_cubic(L3) + [("p5-N0", group_algebra(L5, n0.subgroup))]
-    expected = {"p5-lambda": [(200, 100)], "p3-N0": [(6, 6), (24, 12), (12, 24)],
-                "p5-N0": [(10, 10), (40, 20)]}
+    expected = {"p5-lambda": [], "p3-N0": [(6, 6), (24, 12), (12, 24)], "p5-N0": []}
     for label, A in cases:
         shapes.clear()
         written_back.clear()
@@ -337,6 +333,14 @@ def test_descend_eliminates_only_where_no_row_is_owned(monkeypatch, L3, L5):
         assert shapes == expected[label], label
         assert _owns_a_row_per_column(H.provenance.phi) is (label != "p3-N0"), label
         assert (written_back != [H.provenance.basis]) is (label == "p5-N0"), label
+
+
+def test_no_split_model_descend_row_reduces(split_descents):
+    """At p = 3, 5 and 7 every split-model descend reads its fixed spaces off
+    orbit sums and its solves off owned rows, so it row-reduces nothing."""
+    shapes = split_descents[1]
+    assert len(shapes) == 5 + 7 + 9
+    assert {key: seen for key, seen in shapes.items() if seen} == {}
 
 
 def test_group_algebra_builds_its_table_only_when_read():

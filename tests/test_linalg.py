@@ -662,15 +662,56 @@ monomial_actions = st.integers(1, 8).flatmap(lambda n: st.lists(
     max_size=3).map(lambda gens: (n, gens)))
 
 
+def _refuse_rref(m):
+    """A stand-in for Matrix.rref in tests of a route that must not row-reduce."""
+    raise AssertionError(f"rref of a {m.rows}x{m.cols} matrix")
+
+
 @given(monomial_actions)
 @settings(max_examples=100, deadline=None)
 def test_fixed_basis_matches_dense_normalization(action):
+    """Monomial matrices take the orbit-sum route, which row-reduces nothing."""
     n, gens = action
     mats = [Matrix.permutation(images) for images, _ in gens]
     signed = [P * Matrix.from_entries(n, n, [(i, i, s) for i, s in enumerate(signs)])
               for P, (_, signs) in zip(mats, gens)]
     for group in (mats, signed):
-        assert fixed_basis(group, n) == reference_fixed_basis(group, n)
+        expected = reference_fixed_basis(group, n)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Matrix, "rref", _refuse_rref)
+            assert fixed_basis(group, n) == expected
+
+
+def test_an_orbit_whose_cycle_scales_by_two_gives_no_vector(monkeypatch):
+    """v_1 = 2 v_0 and v_0 = c v_1 hold together only for c = 1/2 or v = 0."""
+    monkeypatch.setattr(Matrix, "rref", _refuse_rref)
+    for c, expected in ((ONE, [[0, 0, 1]]), (Q(1, 2), [[0, 0, 1], [1, 2, 0]])):
+        m = Matrix.from_entries(3, 3, [(1, 0, 2), (0, 1, c), (2, 2, ONE)])
+        assert fixed_basis([m], 3) == Matrix.from_columns(expected), c
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 1, 0], [0, 1, 0], [0, 0, 1]],  # one nonzero per row, column 1 twice
+    [[1, 1, 1], [0, 1, 0], [0, 0, 1]],  # a full row
+])
+def test_a_matrix_that_is_not_monomial_is_row_reduced(monkeypatch, rows):
+    m = Matrix.from_rows(rows)
+    expected = reference_fixed_basis([m], 3)
+    shapes, real = [], Matrix.rref
+    monkeypatch.setattr(Matrix, "rref", lambda x: shapes.append((x.rows, x.cols)) or real(x))
+    assert fixed_basis([m], 3) == expected and fixed_basis([Matrix.identity(3), m], 3) == expected
+    assert shapes
+
+
+@pytest.mark.parametrize("m", [
+    Matrix.permutation([1, 0, 2]),  # monomial, 3 x 3 against dim 4
+    Matrix.from_entries(4, 3, [(i, i % 3, ONE) for i in range(4)]),  # one per row, not square
+    Matrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]]),  # not monomial, 3 x 3
+])
+def test_fixed_basis_refuses_a_matrix_of_another_shape(m):
+    for mats in ([m], [Matrix.identity(4), m]):
+        with pytest.raises(ValueError, match="^shape mismatch$"):
+            fixed_basis(mats, 4)
 
 
 @given(square, st.data())
