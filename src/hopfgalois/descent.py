@@ -14,56 +14,54 @@ check L (x) H = L[N], and span comparison against closed-form bases.
 
 The route.  Let K be the kernel of G's conjugation action on N (action_kernel:
 the g whose conjugation map fixes N pointwise).  K acts on L[N] through the
-coefficients only, so H = (L^K[N])^G, and descend works in L^K[N]: L^K is a
-GaloisAlgebra of the same G on the basis F = L.fixed_space(K), and G acts on
-it through G/K.  L^K is Q for rho (K = G), Q<1, w> for every N_c (K = <r>),
-and a copy of L for lambda (K = 1, F = I).  The fixed basis of L^K[N] is
-written back as X = (I (x) F) fixed_basis, and B = kernel_form(X) is the
-fixed basis of all of L[N].  It is found first, and every structure map is
-read over its preimage B' in L^K[N].  DescentProvenance keeps L[N] and B, so
-every check of H reads L[N] coordinates; the given L[N] is only a coordinate
-frame, and no check builds its multiplication table.  Over the split model G
-permutes the coordinates of L, so F is made of orbit sums, G permutes the
-basis of L^K, and each generator map of L^K[N], a slot map of a permutation
-of N and one of L^K, is a permutation matrix: fixed_basis reads both fixed
-spaces off orbit sums, with no elimination.  The Galois matrices of a
-`cubic:` model are not monomial, and there the stacked M_g - I is reduced.
+coefficients only, so H = (L^K[N])^G.  L^K is a GaloisAlgebra of the same G
+on the basis F = L.fixed_space(K): Q for rho (K = G), Q<1, w> for every N_c
+(K = <r>), and a copy of L for lambda (K = 1, F = I).  Its idempotent e_K
+is the sum of the distinct K-translates of L's idempotent e.  descend
+refuses e_K unless it is a nonzero idempotent whose distinct G-translates
+sum to 1.  D is its stabilizer, and D acts on the residue R = e_K L^K.
 
-The maps are read through a residue copy.  Let e_K be the sum of the
-distinct K-translates of L's idempotent e (GaloisAlgebra.idempotent).  Then
-E: L^K[N] -> (e_K L^K)[N], x eta -> (e_K x) eta, is an algebra map, injective
-on H because H (x) L^K = L^K[N] (Greither-Pareigis), and with E_B = E B' the
-structure constants are E_B^-1 mult_(e_K L^K)[N] (E_B (x) E_B); the unit,
-counit and antipode are read through E_B too, the antipode image of E_B as
-its rows re-indexed through N's inverses (_slots_inverted).  Over the split
-model e = d[1], so (e_K L^K)[N] has dimension 2p for every structure,
-against 4p^2 for lambda's L^K[N].  E = I when e_K is the unit of L^K (every
-`cubic:` structure, and rho).  When E != I, _check_fixed_ring checks against
-L^K[N] every identity that a solve against B' would.
+H is read in R[N] under D and written back by induction.  Y = fixed_basis
+of R[N] under D; X' = the sum of g.Y over one g per coset gD; B =
+kernel_form((I (x) F) X'), and B' is its preimage in L^K[N].  descend checks
+that B has n columns and that G's generators fix B'.  That suffices: dim
+L[N]^G <= n, as L (x) L[N]^G -> L[N] is injective for the Galois algebra L,
+so B spans H.  The maps are read through the algebra map E: L^K[N] -> R[N],
+x eta -> (e_K x) eta.  Induction is a left inverse of E on H, as the sum of
+the g.(e_K h) is (sum of the g(e_K)) h = h.  So E is injective on H, and
+with E_B = E B' the structure constants are E_B^-1 mult_R[N] (E_B (x) E_B):
+one solve, which checks itself.  The unit, counit and antipode are read
+through E_B too; the antipode image of E_B is its rows re-indexed through
+N's inverses (_slots_inverted).  This is Shapiro's lemma in degree 0, and
+the descent of Greither-Pareigis.  Over the split model e = d[1], and R = Q
+with D acting trivially for every structure, so Y is the identity and H is
+read in the 2p-dimensional Q[N], against 4p^2 for lambda's L^K[N].  A
+`cubic:` model has e = 1: R = L^K, D = G, and the induction is the
+identity.  There the Galois matrices are not monomial, and fixed_basis
+reduces the stacked M_g - I.
 
 L[N] is an Algebra: its dim x dim^2 `mult` places L's multiplication in slot
-tu for each slot pair (t, u), and a product in (e_K L^K)[N] is one mul_kron
-over it; descend builds that one table.  Products in L^K[N] are read slot by
-slot off L^K's own multiplication (_slot_products), so its table is never
-built: Phi' = lform_matrix is the product of e_a * eta_1 and B', and the
-semilinear-action check reads `mult` directly.  Maps of L[N] are sparse
-slot maps, GroupAlgebraOverL.slot_map = permutation(images) (x) M, with
-slots(u) (column t is u * eta_t) its one-column case.  The closed-form bases
-are products of U = slots(1), W = slots(w) for the rational-square witness
-w of L, and the slot inversion iota: U + iota U has the columns
+tu for each slot pair (t, u).  A product in R[N] is one mul_kron over it;
+descend builds that one table, and no other.  Maps of L[N] are sparse slot
+maps, GroupAlgebraOverL.slot_map = permutation(images) (x) M, with
+slots(u) (column t is u * eta_t) its one-column case.  The induction, I (x) F,
+E and the invariance check apply slot maps through the slot coefficients of
+a basis (_translated), so they build no operator on L^K[N].  The closed-form
+bases are products of U = slots(1), W = slots(w) for the rational-square
+witness w of L, and the slot inversion iota: U + iota U has the columns
 eta_t + eta_t^-1, and W - iota W the columns w*(eta_t - eta_t^-1).  The
 action of H on L is built once, as DescentProvenance.action, for the
 measuring and Hopf-Galois checks.
 
-Comultiplication.  When dim e_K L^K = 1, (e_K L^K)[N] is Q[N] with
+Comultiplication.  When dim R = 1, R[N] is Q[N] with
 Delta(eta_t) = eta_t (x) eta_t, and Delta_H = (E_B^-1 (x) E_B^-1) diag E_B.
-Otherwise it descends through the base-change map Phi': L^K (x) H -> L^K[N],
-x (x) h -> x*h: applying Phi'^-1 to Delta(h) = sum_t x_t (eta_t (x) eta_t)
-one tensor leg at a time, as one sparse product per leg, rewrites it over
-h_i (x) h_j; the coefficients are provably rational, and this
+Otherwise it descends through the base-change map Phi': R (x) H -> R[N],
+x (x) h -> x*E(h).  Applying Phi'^-1 to Delta(E h) = sum_t x_t (eta_t (x)
+eta_t) one tensor leg at a time, as one sparse product per leg, rewrites it
+over E h_i (x) E h_j.  The coefficients are provably rational, and this
 implementation checks that exactly instead of assuming it.  Either way
-descend builds Phi' once and keeps it on DescentProvenance.phi for the
-base-change check.
+descend builds Phi' once, from R's own multiplication, and keeps it on
+DescentProvenance.phi for the base-change check.
 """
 
 from __future__ import annotations
@@ -192,8 +190,9 @@ class DescentProvenance:
 
     parent: GroupAlgebraOverL
     basis: Matrix
-    # the base change Phi': L^K (x) H -> L^K[N], lform_matrix(L^K[N], B'): read
-    # slot by slot off L^K's multiplication, without a table of L^K[N]
+    # the base change Phi': R (x) H -> R[N], lform_matrix(R[N], E_B), for the
+    # residue R = e_K L^K: G permutes the components g(e_K) L^K[N], so Phi is
+    # bijective exactly when this one is
     phi: Matrix
     label: str = None
 
@@ -226,118 +225,110 @@ def action_kernel(act):
 
 
 def _fixed_coefficients(act):
-    """(F, L^K, e_K) for K = action_kernel(act), over the L of act.
+    """(F, L^K) for K = action_kernel(act), over the L of act.
 
-    F is the basis L.fixed_space(K) of L^K, taken over greedy_generators of K
-    (F = I when K = 1).  L^K is a GaloisAlgebra of the same G, which acts on
-    it through G/K: mult F^-1 m_L (F (x) F), unit F^-1 u and action F^-1 g F,
-    solved only at the generators of G, the only ones descend reads.  e_K,
-    the sum of the distinct K-translates of L's idempotent e, is written
-    over F.
+    F is the basis L.fixed_space(K) of L^K, taken over greedy_generators of K.
+    L^K is a GaloisAlgebra of the same G, which acts on it through G/K: mult
+    F^-1 m_L (F (x) F), unit F^-1 u and action F^-1 g F, solved only at the
+    generators of G.  Its idempotent is e_K, the sum of the distinct
+    K-translates of L's idempotent, written over F.  When K = 1, F = I and
+    L^K is L itself, whose action the model keeps.
     """
     L = act.parent.L
     G = L.group
     K = action_kernel(act)
+    if len(K) == 1:
+        return Matrix.identity(L.dim), L
     F = L.fixed_space(greedy_generators(G.table, G.identity, K))
     fail = "L^K is not closed under the product and the Galois action"
-    LK = GaloisAlgebra(_solved(F, mul_kron(L.mult, F, F), fail),
-                       _solved(F, Matrix.from_columns([L.unit]), fail).column(0),
-                       G, {g: _solved(F, L.action[g] * F, fail) for g in G.generators})
     e = _solved(F, Matrix.from_columns([[sum(c, ZERO) for c in zip(*L.translates(K))]]), fail)
-    return F, LK, list(e.column(0))
+    return F, GaloisAlgebra(_solved(F, mul_kron(L.mult, F, F), fail),
+                            _solved(F, Matrix.from_columns([L.unit]), fail).column(0),
+                            G, {g: _solved(F, L.action[g] * F, fail) for g in G.generators},
+                            idempotent=e.column(0))
 
 
-def _residue(LK, e):
-    """(R, P) for a nonzero idempotent e of L^K: R is the algebra eL^K on the
-    columns of e's multiplication operator that grow their span, and P is
-    the algebra map L^K -> eL^K, x -> e x, in R's coordinates."""
+def _residue(LK, gens):
+    """(R, J, P, maps) for the nonzero idempotent e of L^K and generators gens
+    of its stabilizer D.  R is the algebra eL^K on J, the columns of e's
+    multiplication operator that grow their span; P is the algebra map
+    L^K -> eL^K, x -> e x, in R's coordinates; maps holds D's action on R,
+    P g J for each g in gens; R = L^K and J = P = I when e is the unit."""
+    e = list(LK.idempotent)
+    if e == list(LK.unit):
+        one = Matrix.identity(LK.dim)
+        return LK, one, one, {g: LK.action[g] for g in gens}
     M = LK.mult_operator(e)
     span = Span()
-    basis = Matrix.from_columns([c for c in M.columns() if span.add(c)])
+    J = Matrix.from_columns([c for c in M.columns() if span.add(c)])
     fail = "e L^K is not closed under the product"
-    R = Algebra(_solved(basis, mul_kron(LK.mult, basis, basis), fail),
-                _solved(basis, Matrix.from_columns([e]), fail).column(0))
-    return R, _solved(basis, M, fail)
+    R = Algebra(_solved(J, mul_kron(LK.mult, J, J), fail),
+                _solved(J, Matrix.from_columns([e]), fail).column(0))
+    P = _solved(J, M, fail)
+    return R, J, P, {g: P * (LK.action[g] * J) for g in gens}
 
 
 def descend(A, label=None):
     """The fixed ring of L[N] as an exact Hopf presentation over Q.
 
-    K acts on L[N] through the coefficients only, so the fixed ring is
-    computed in L^K[N] (see _fixed_coefficients).  Its fixed_basis there is
-    written back to L[N] as X by the algebra embedding I (x) F, and the basis
-    B = kernel_form(X), the fixed_basis of L[N] itself, is found before any
-    structure map, so the output is reproducible.  B' is the preimage of B
-    under I (x) F: the fixed_basis of L^K[N] when B == X, and otherwise one
-    solve against the owned rows of I (x) F.  Every structure map is then
-    read once through E_B = E B' (see the module docstring).
+    The fixed ring is read in R[N] under D and written back to L^K[N] by
+    induction, then to L[N] by the algebra embedding I (x) F (see the module
+    docstring).  The basis B = kernel_form((I (x) F) X') of L[N] is found
+    before any structure map, so the output is reproducible.  B' is its
+    preimage in L^K[N]; with F = I (K = 1) it is B, and no embedding is
+    built.  Every structure map is then read once through E_B = E B'.
     """
     act = SemilinearAction(A)
-    F, LK, e = _fixed_coefficients(act)
-    N, n = A.N, A.N.order
-    AK = group_algebra(LK, N)
-    # G acts on L^K[N] by SemilinearAction.matrix over act's one conjugation table
-    gens = [AK.slot_map(act.conj_map[g], m) for g, m in LK.generator_action.items()]
-    Bk = fixed_basis(gens, AK.dim)
-    if Bk.cols != n:
-        raise DescentError(f"fixed ring has dimension {Bk.cols}, expected {n}")
-    lift = Matrix.identity(n).kron(F)
-    X = lift * Bk
-    B = kernel_form(X)
-    if B != X:
-        Bk = _solved(lift, B, "the fixed ring of L[N] is not written over L^K")
+    F, LK = _fixed_coefficients(act)
+    G, N, n = LK.group, A.N, A.N.order
+    e, cosets = list(LK.idempotent), LK.translates(range(G.order))
+    if not any(e) or LK.mul(e, e) != e or [sum(c, ZERO) for c in zip(*cosets)] != list(LK.unit):
+        raise DescentError("e_K, the sum of the K-translates of e, is not a nonzero "
+                           "idempotent whose distinct G-translates sum to 1")
+    R, J, P, maps = _residue(LK, greedy_generators(G.table, G.identity, cosets[tuple(e)]))
+    RA = GroupAlgebraOverL(R, N)
+    Y = fixed_basis([RA.slot_map(act.conj_map[g], m) for g, m in maps.items()], RA.dim)
+    Xk = _translated(_slot_coefficients(Y, R.dim),
+                     [(act.conj_map[g], LK.action[g] * J) for g, *_ in cosets.values()])
+    if F.cols == F.rows:  # K = 1: F = I, and L^K[N] is L[N]
+        B = Bk = kernel_form(Xk)
+    else:
+        X = _translated(_slot_coefficients(Xk, LK.dim), [(range(n), F)])
+        B = kernel_form(X)
+        Bk = Xk if B == X else _solved(Matrix.identity(n).kron(F), B,
+                                          "the fixed ring of L[N] is not written over L^K")
+    if B.cols != n:
+        raise DescentError(f"fixed ring has dimension {B.cols}, expected {n}")
+    coeffs = _slot_coefficients(Bk, LK.dim)
+    if any(_translated(coeffs, [(act.conj_map[g], m)]) != Bk
+           for g, m in LK.generator_action.items()):
+        raise DescentError("the written-back basis is not fixed by G")
 
-    if not any(e) or LK.mul(e, e) != e:
-        raise DescentError("e_K, the sum of the K-translates of e, is not a nonzero idempotent")
-    RA, EB = AK, Bk
-    if e != list(LK.unit):
-        R, P = _residue(LK, e)
-        RA = GroupAlgebraOverL(R, N)
-        EB = RA.slot_map(range(n), P) * Bk
-    # E_B is square when dim e_K L^K = 1, and (e_K L^K)[N] is then Q[N]
-    inv = EB.inverse() if RA.L.dim == 1 else None
-    if (RA.L.dim == 1 and inv is None) or (RA.L.dim > 1 and EB is not Bk and EB.rank() != n):
-        raise DescentError("E_B has rank below n: E is not injective on the fixed ring")
+    EB = _translated(coeffs, [(range(n), P)])
     # column i*n + j is h_i h_j
     mult = _solved(EB, mul_kron(RA.mult, EB, EB), "a product of fixed vectors left the fixed ring")
     unit = _solved(EB, Matrix.from_columns([RA.unit]), "the unit of L[N] is not in the fixed ring")
-    counit = _rational_coefficients(RA.L, RA.slot_sum * EB, "counit")
+    counit = _rational_coefficients(R, RA.slot_sum * EB, "counit")
     antipode = _solved(EB, _slots_inverted(RA, EB), "an antipode image left the fixed ring")
-    if inv is None:
-        comul, phi = _descended_comultiplication(AK, Bk)
+    if R.dim == 1:  # R[N] is Q[N], and E_B is square
+        inv = _solved(EB, Matrix.identity(n), "E is not injective on the fixed ring")
+        comul, phi = _diagonal_comultiplication(RA, EB, inv), lform_matrix(RA, EB)
     else:
-        comul, phi = _diagonal_comultiplication(RA, EB, inv), lform_matrix(AK, Bk)
+        comul, phi = _descended_comultiplication(RA, EB)
     prov = DescentProvenance(parent=A, basis=B, phi=phi, label=label)
-    names = tuple(f"h{k}" for k in range(n))
-    H = HopfPresentation(mult, unit.column(0), comul, counit, antipode,
-                         names=names, provenance=prov)
-    if EB is not Bk:
-        _check_fixed_ring(H, AK, Bk)
-    return H
+    return HopfPresentation(mult, unit.column(0), comul, counit, antipode,
+                            names=tuple(f"h{k}" for k in range(n)), provenance=prov)
 
 
-def _check_fixed_ring(H, A, B):
-    """The identities a solve against B checks, for maps read through E_B.
-
-    B m_H agrees with the products of B's columns in A = L^K[N] in the columns
-    (g, j), g a generator of H (every column when H has no generating set),
-    and B u_H = 1, the slot sums of B are eps_H times the unit of L^K, and
-    B S_H = S B.  By the lemma of the algebra module the generator columns
-    and the unit prove that span(B) is closed under products, and E_B is
-    injective on it, so m_H is its product.
-    """
-    n = B.cols
-    gens = H.generators
-    indices = range(n) if gens is None else gens.indices
-    picks = Matrix.from_entries(n, len(indices), ((g, r, ONE) for r, g in enumerate(indices)))
-    if _slot_products(A, B * picks, B) != B * (H.mult * picks.kron(Matrix.identity(n))):
-        raise DescentError("a product of fixed vectors left the fixed ring")
-    if B * Matrix.from_columns([H.unit]) != Matrix.from_columns([A.unit]):
-        raise DescentError("the unit of L[N] is not in the fixed ring")
-    if A.slot_sum * B != Matrix.from_columns([A.L.unit]) * H.counit:
-        raise DescentError("counit: expected a rational multiple of the unit")
-    if B * H.antipode != _slots_inverted(A, B):
-        raise DescentError("an antipode image left the fixed ring")
+def _translated(coeffs, maps):
+    """The sum over (images, M) in maps of slot_map(images, M) * B, for
+    coeffs = _slot_coefficients(B, M.cols): the coefficient x of eta_t in a
+    column of B goes to M x at eta_images[t].  Each M multiplies the slot
+    coefficients once, and no operator on L[N] is built."""
+    n, m = len(maps[0][0]), maps[0][1].rows
+    return Matrix.from_entries(n * m, coeffs.cols // n, (
+        (images[t] * m + a, k, x) for images, M in maps for prod in [M * coeffs]
+        for a in range(m) for kt, x in prod.row_entries(a) for k, t in [divmod(kt, n)]))
 
 
 def _slots_inverted(A, B):
@@ -348,34 +339,25 @@ def _slots_inverted(A, B):
     return B.take_rows([inv[t] * d + a for t in range(A.N.order) for a in range(d)])
 
 
-def _slot_coefficients(A, B):
-    """The dim(L) x (B.cols * |N|) matrix whose column k*|N| + t is the
-    L-coefficient of eta_t in column k of B."""
-    d, n = A.L.dim, A.N.order
+def _slot_coefficients(B, d):
+    """The d x (B.cols * n) matrix, n = B.rows / d slots, whose column k*n + t
+    is the coefficient of eta_t in column k of B."""
+    n = B.rows // d
     return Matrix.from_entries(d, B.cols * n, (
         (a, k * n + t, c) for r in range(B.rows) for t, a in [divmod(r, d)]
         for k, c in B.row_entries(r)))
 
 
-def _slot_products(A, X, Y):
-    """The products x*y in L[N], x a column of X and y one of Y, at column
-    i*Y.cols + j, read slot by slot, (x_t eta_t)(y_u eta_u) = (x_t y_u) eta_tu:
-    one mul_kron of L.mult over the slot coefficients of X and Y, re-indexed
-    through N's table, so no table of L[N] is read."""
-    d, n, m = A.L.dim, A.N.order, Y.cols
-    prod = mul_kron(A.L.mult, _slot_coefficients(A, X), _slot_coefficients(A, Y))
-    table = A.N.group.table
-    return Matrix.from_entries(A.dim, X.cols * m, (
-        (table[t][u] * d + c, i * m + j, x) for c in range(d) for col, x in prod.row_entries(c)
-        for it, ju in [divmod(col, m * n)] for (i, t), (j, u) in [(divmod(it, n), divmod(ju, n))]))
-
-
 def lform_matrix(A, B):
-    """Matrix of Phi: L (x) H -> L[N], x (x) h -> x*h; column (a, k) = a*n + k
-    is e_a * h_k, the slot product of e_a * eta_1 and h_k, so it reads L.mult
-    and never a table of L[N]."""
-    eta_1 = Matrix.from_entries(A.N.order, 1, [(A.N.group.identity, 0, ONE)])
-    return _slot_products(A, eta_1.kron(Matrix.identity(A.L.dim)), B)
+    """Matrix of Phi: L (x) H -> L[N], x (x) h -> x*h; column (a, k) = a*m + k
+    is e_a * h_k, whose coefficient of eta_t is e_a x_kt for x_kt that of h_k:
+    one mul_kron of L.mult over I_L and the slot coefficients of B,
+    re-indexed, so it reads L.mult and never a table of L[N]."""
+    d, n, m = A.L.dim, A.N.order, B.cols
+    prod = mul_kron(A.L.mult, Matrix.identity(d), _slot_coefficients(B, d))
+    return Matrix.from_entries(A.dim, d * m, (
+        (t * d + c, a * m + k, x) for c in range(d) for col, x in prod.row_entries(c)
+        for a, kt in [divmod(col, m * n)] for k, t in [divmod(kt, n)]))
 
 
 def _diagonal_comultiplication(A, EB, inv):
@@ -441,7 +423,7 @@ def _action_matrices(A, B):
     L = A.L
     G = L.group
     d, m = L.dim, B.cols
-    X = _slot_coefficients(A, B)
+    X = _slot_coefficients(B, d)
     S = vstack(*[L.action[eta.inverse()(G.identity)] for eta in A.N.elements])
     stacked = mul_kron(mul_kron(L.mult, X, Matrix.identity(d)), Matrix.identity(m), S)
     entries = [[] for _ in range(m)]

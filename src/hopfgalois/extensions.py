@@ -73,7 +73,7 @@ class GaloisAlgebra(Algebra):
     generators' matrices either way.  `idempotent` is an idempotent e whose
     distinct G-translates are orthogonal and sum to 1, so that L is the
     product of the eL over the cosets of D, the stabilizer of e; it defaults
-    to the unit (D = G).  descend reads each structure through (eL)[N].
+    to the unit (D = G).  descend reads each structure in (eL)[N] under D.
     """
 
     def __init__(self, mult, unit, group, action, names=None, idempotent=None):
@@ -99,8 +99,12 @@ class GaloisAlgebra(Algebra):
         return tuple(self.group.extend(self.generator_action, Matrix.identity(self.dim)))
 
     def translates(self, indices):
-        """The distinct g(e) of the idempotent e for g in indices, in order."""
-        return list(dict.fromkeys(tuple(self.action[g].apply(self.idempotent)) for g in indices))
+        """The distinct g(e) of the idempotent e for g in indices, in order,
+        each with the list of those g: over all of G, the cosets gD."""
+        out = {}
+        for g in indices:
+            out.setdefault(tuple(self.action[g].apply(self.idempotent)), []).append(g)
+        return out
 
     def fixed_space(self, indices):
         """Normalized basis of the space fixed by action(g) for g in indices."""
@@ -117,7 +121,7 @@ class GaloisAlgebra(Algebra):
         # [G : D] copies of eL
         e = list(self.idempotent)
         report.add("idempotent", any(e) and self.mul(e, e) == e)
-        translates = self.translates(range(self.group.order))
+        translates = list(self.translates(range(self.group.order)))
         zero = [ZERO] * self.dim
         report.add("idempotent-translates-orthogonal", all(
             self.mul(x, y) == zero for i, x in enumerate(translates) for y in translates[:i]))

@@ -387,15 +387,15 @@ def enumerate_regular_normalized(G):
     conjugation by lambda(G) sends a seed's orbit to itself, so every seed
     of one orbit has the same closure, and each orbit is walked and closed
     once.  The admissible closures grow by joins: join(N, M) is the closure
-    of N and M, or N when N is full, already holds M, or that closure is
-    not admissible, which the product set NM shows without a closure when
-    its |N| |M| / |N n M| elements outnumber G.  The subgroup two invariant
-    subgroups generate is invariant, so a join conjugates nothing.  One walk
-    joins the kept closures with the proper ones and keeps the full results.
-    That is complete: a wanted M contains the closure of the orbit of each
-    of its elements, so that closure is admissible and kept; M is the join
-    of those closures, and every partial join lies inside M, so it is
-    admissible and the walk reaches M.
+    of the generators of N and M, or N when N is full, already holds M, or
+    that closure is not admissible, which the product set NM shows without
+    a closure when its |N| |M| / |N n M| elements outnumber G.  The subgroup
+    two invariant subgroups generate is invariant, so a join conjugates
+    nothing.  One walk joins the kept closures with the proper ones and
+    keeps the full results.  That is complete: a wanted M contains the
+    closure of the orbit of each of its elements, so that closure is
+    admissible and kept; M is the join of those closures, and every partial
+    join lies inside M, so it is admissible and the walk reaches M.
     """
     n = G.order
     if n > 8:
@@ -414,7 +414,7 @@ def enumerate_regular_normalized(G):
         common = sum(z in N for z in M.elements)
         if N.order == n or common == M.order or N.order * M.order > n * common:
             return N
-        return admissible(N.elements + M.elements) or N
+        return admissible([X.elements[i] for X in (N, M) for i in X.group.generators]) or N
 
     seen, closures = set(), []
     for seed in permutations(range(n)):

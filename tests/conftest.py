@@ -30,18 +30,28 @@ def L5():
 
 @pytest.fixture(scope="session")
 def split_descents(L5):
-    """The split-model presentations at p = 3, 5 and 7, by (p, label), and
-    the shapes of the matrices each descend row-reduced, by the same key."""
+    """The split-model presentations at p = 3, 5 and 7, by (p, label); the
+    shapes of the matrices each descend row-reduced, by the same key; and
+    the shapes of the Kronecker products each descend built, by the same key."""
     cases = [(p, e, L5 if p == 5 else split_model(dihedral(p)))
              for p in (3, 5, 7) for e in catalog(p)]
     real, seen, shapes, presentations = Matrix.rref, [], {}, {}
+    real_kron, built, krons = Matrix.kron, [], {}
+
+    def kron(x, y):
+        out = real_kron(x, y)
+        built.append((out.rows, out.cols))
+        return out
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Matrix, "rref", lambda m: seen.append((m.rows, m.cols)) or real(m))
+        patch.setattr(Matrix, "kron", kron)
         for p, e, L in cases:
             seen.clear()
+            built.clear()
             presentations[p, e.label] = descend(group_algebra(L, e.subgroup), label=e.label)
-            shapes[p, e.label] = list(seen)
-    return presentations, shapes
+            shapes[p, e.label], krons[p, e.label] = list(seen), list(built)
+    return presentations, shapes, krons
 
 
 @pytest.fixture(scope="session")

@@ -274,13 +274,17 @@ def _owns_a_row_per_column(m):
 
 @pytest.mark.parametrize("owned", [True, False])
 def test_a_basis_not_closed_under_products_is_refused(monkeypatch, L3, owned):
-    """The fixed basis with e_i, outside its span, added to column 0, so the
-    span is no longer closed under products.  With `owned` every column keeps
-    an owned row and the structure constants are read off and refused by
-    their product check; otherwise column 1 first loses its owned rows
-    (column 0 += column 1, which keeps the span) and the refusal comes from
-    elimination."""
+    """The D-fixed basis Y of R[N] with e_i, outside its span, added to
+    column 0, so the written-back span is not the fixed ring and not closed
+    under products.  With `owned` every column keeps an owned row; otherwise
+    column 1 first loses its owned rows (column 0 += column 1, which keeps the
+    span).  Either way G no longer fixes the written-back basis, and descend
+    refuses it at its invariance check, before any product is read.  The
+    split case is p = 5 lambda with e = d[1] + d[s], where D = <s> moves the
+    coordinates of R[N]: with e = d[1], D = 1 and Y is the identity, whose
+    span holds every e_i."""
     real = descent.fixed_basis
+    seen = []
 
     def perturbed(mats, dim):
         B = real(mats, dim)
@@ -290,16 +294,48 @@ def test_a_basis_not_closed_under_products_is_refused(monkeypatch, L3, owned):
             e_i = Matrix.from_entries(B.rows, B.cols, [(i, 0, ONE)])
             moved = B + e_i
             if hstack(B, e_i).rank() > B.cols and _owns_a_row_per_column(moved) is owned:
+                seen.append(moved)
                 return moved
         pytest.fail("no row to move column 0 at")
 
+    L5 = split_model(dihedral(5))
+    pair = _with_idempotent(L5, _reflection_pair(L5))
+    lam5 = next(e for e in catalog(5) if e.label == "lambda")
+    n0 = next(e for e in catalog(3) if e.label == "N0")
+    cases = [("p5-lambda", group_algebra(pair, lam5.subgroup)),
+             ("p3-N0", group_algebra(L3, n0.subgroup))]
     monkeypatch.setattr(descent, "fixed_basis", perturbed)
-    for label, A in _one_split_and_one_cubic(L3):
-        act = SemilinearAction(A)
-        B = perturbed([act.matrix(g) for g in A.L.group.generators], A.dim)
-        assert B.cols == A.N.order and B.rank() == B.cols, label
-        with pytest.raises(DescentError, match="^a product of fixed vectors left the fixed ring$"):
+    for label, A in cases:
+        seen.clear()
+        with pytest.raises(DescentError, match="^the written-back basis is not fixed by G$"):
             descend(A, label=label)
+        (Y,) = seen
+        assert Y.cols == A.N.order and Y.rank() == Y.cols, label
+
+
+def test_a_corrupted_write_back_is_refused(monkeypatch, L3):
+    """One entry of the written-back X' is changed, in a column with more
+    than one nonzero: its span keeps n dimensions but is no longer fixed,
+    and descend refuses it at its invariance check, at p = 5 split lambda
+    (X' is the sum of 2p translates) and p = 3 cubic:2 N0 (D = G, one
+    translate).  The first _translated of a descend is the write-back."""
+    real = descent._translated
+
+    def corrupted(coeffs, maps):
+        out = real(coeffs, maps)
+        if calls:
+            return out
+        calls.append(len(maps))
+        j, column = next((j, c) for j in range(out.cols)
+                         for c in [out.column_entries(j)] if len(c) > 1)
+        return out + Matrix.from_entries(out.rows, out.cols, [(min(column), j, ONE)])
+
+    monkeypatch.setattr(descent, "_translated", corrupted)
+    for label, A in _one_split_and_one_cubic(L3):
+        calls = []
+        with pytest.raises(DescentError, match="^the written-back basis is not fixed by G$"):
+            descend(A, label=label)
+        assert calls == [10 if label == "p5-lambda" else 1], label
 
 
 def test_descend_eliminates_only_where_no_row_is_owned(monkeypatch, L3, L5):
@@ -308,8 +344,8 @@ def test_descend_eliminates_only_where_no_row_is_owned(monkeypatch, L3, L5):
     of G in L^K[N], is read off orbit sums: p = 5 split lambda (K = 1, F = I)
     and N0 (K = <r>) row-reduce nothing.  L^K, B', the structure constants,
     the unit and the antipode against B', the counit and Phi'^-1 are read off
-    owned rows and checked by one product each.  For N0, X = (I (x) F) B' is
-    not its own kernel form, and B' is the preimage of B = kernel_form(X),
+    owned rows and checked by one product each.  There the written-back X is
+    B with its columns in another order, and for N0 B' is the preimage of B,
     read off the owned rows of I (x) F.  At p = 3 over cubic:2, where G does
     not act monomially, N0 (K = <r>) row-reduces three times: the fixed
     space of K in L (6 x 6), the kernel in L^K[N] (24 x 12) and the solve
@@ -332,7 +368,9 @@ def test_descend_eliminates_only_where_no_row_is_owned(monkeypatch, L3, L5):
         H = descend(A, label=label)
         assert shapes == expected[label], label
         assert _owns_a_row_per_column(H.provenance.phi) is (label != "p3-N0"), label
-        assert (written_back != [H.provenance.basis]) is (label == "p5-N0"), label
+        (X,), B = written_back, H.provenance.basis
+        assert sorted(X.columns()) == sorted(B.columns()), label
+        assert (X != B) is (label != "p3-N0"), label
 
 
 def test_no_split_model_descend_row_reduces(split_descents):
@@ -341,6 +379,17 @@ def test_no_split_model_descend_row_reduces(split_descents):
     shapes = split_descents[1]
     assert len(shapes) == 5 + 7 + 9
     assert {key: seen for key, seen in shapes.items() if seen} == {}
+
+
+def test_no_split_model_descend_builds_an_operator_on_the_full_group_algebra(split_descents):
+    """At p = 3, 5 and 7 no split-model descend builds a Kronecker product of
+    the size of L[N], 4p^2 x 4p^2: the fixed ring is read in Q[N], and the
+    write-back and the invariance check run through the basis's nonzeros.
+    Some Kronecker product is built, so the fixture does see them."""
+    krons = split_descents[2]
+    assert len(krons) == 5 + 7 + 9 and all(krons.values())
+    full = [(p, label) for (p, label), shapes in krons.items() if (4 * p * p, 4 * p * p) in shapes]
+    assert full == []
 
 
 def test_group_algebra_builds_its_table_only_when_read():
@@ -385,11 +434,14 @@ def test_group_algebra_table_read_on_demand_matches_the_definition(L3):
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_phi_is_built_once_and_kept(monkeypatch, L3, p):
-    """Phi' is built once, over L^K[N] and the basis B' there, and kept: it is
-    lform_matrix of exactly those, (I (x) F) B' is the descended basis, and
-    B' spans the fixed space of L^K[N]."""
+    """Phi' is built once, over the residue frame R[N] and E_B there, and
+    kept: it is lform_matrix of exactly those, square of side 2p dim R.
+    Over cubic:2, E = I, R = L^K and (I (x) F) E_B is the descended basis;
+    over the split model, E_B is the rows of that basis at d[1] of each
+    slot."""
     # p = 3 over cubic:2, p = 5 over the split model; every structure of each
     L = L3 if p == 3 else split_model(dihedral(p))
+    one = L.idempotent.index(ONE)
     calls = []
 
     def counted(A, B):
@@ -404,16 +456,17 @@ def test_phi_is_built_once_and_kept(monkeypatch, L3, p):
             assert base_change_is_group_algebra(H)
         assert [B.cols for _, B in calls] == [2 * p], e.label
         prov = H.provenance
-        (AK, Bk), = calls
-        assert prov.phi == lform_matrix(AK, Bk), e.label
-        assert AK is not prov.parent, e.label
-        assert AK.N is prov.parent.N and AK.dim == 2 * p * AK.L.dim, e.label
-        K = descent.action_kernel(SemilinearAction(prov.parent))
-        F = L.fixed_space(K) if len(K) > 1 else Matrix.identity(L.dim)
-        assert Matrix.identity(2 * p).kron(F) * Bk == prov.basis, e.label
-        act = SemilinearAction(AK)
-        fixed = descent.fixed_basis([act.matrix(g) for g in L.group.generators], AK.dim)
-        assert kernel_form(Bk) == fixed, e.label
+        (RA, EB), = calls
+        assert prov.phi == lform_matrix(RA, EB), e.label
+        assert prov.phi.rows == prov.phi.cols == RA.dim == 2 * p * RA.L.dim, e.label
+        assert RA is not prov.parent and RA.N is prov.parent.N, e.label
+        B, d = prov.basis, L.dim
+        if p == 3:
+            K = descent.action_kernel(SemilinearAction(prov.parent))
+            F = L.fixed_space(K) if len(K) > 1 else Matrix.identity(L.dim)
+            assert Matrix.identity(2 * p).kron(F) * EB == B, e.label
+        else:
+            assert EB == Matrix.from_rows([B.row(t * d + one) for t in range(2 * p)]), e.label
 
 
 # -- the residue copy (e_K L^K)[N] -----------------------------------------------
@@ -442,23 +495,22 @@ def test_each_split_descent_builds_one_table_of_dimension_2p(monkeypatch, L5):
         assert base_change_is_group_algebra(H) and reads == [10], e.label
 
 
-@pytest.mark.parametrize("p", [3, 5])
-def test_descent_through_the_residue_matches_E_equal_I(monkeypatch, L5, split5_rho_lambda,
-                                                      split5_nc, p):
-    """The split model with its idempotent d[1], with the unit (E = I: no
-    residue algebra, lambda through all of L^K[N]) and with d[1] + d[s]
-    (lambda through a 2-dimensional e_K L^K and Phi'^-1) descends to the
-    same presentation, entry for entry, for every structure."""
-    L = L5 if p == 5 else split_model(dihedral(3))
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_descent_through_the_residue_matches_E_equal_I(monkeypatch, split_descents, p):
+    """The split model with its idempotent d[1], with the unit (R = L^K and
+    D = G: lambda through all of L^K[N]) and with d[1] + d[s] (lambda through
+    a 2-dimensional R, D = <s>, and Phi'^-1) descends to the same
+    presentation, entry for entry, for every structure.  Each descend
+    builds one residue, of the expected dimension, and Phi' is square of
+    side 2p dim R."""
+    L = split_model(dihedral(p))
     residues = []
     real = descent._residue
-    monkeypatch.setattr(descent, "_residue", lambda LK, e: residues.append(e) or real(LK, e))
-    if p == 5:
-        ref = {**split5_rho_lambda, **split5_nc}
-    else:
-        ref = {e.label: descend(group_algebra(L, e.subgroup), label=e.label) for e in catalog(3)}
-        assert len(residues) == len(ref) - 1  # every structure but rho, whose e_K is 1
-    for e, taken in ((list(L.unit), set()), (_reflection_pair(L), {"lambda"})):
+    monkeypatch.setattr(descent, "_residue",
+                        lambda LK, gens: residues.append(real(LK, gens)) or residues[-1])
+    ref = {label: H for (q, label), H in split_descents[0].items() if q == p}
+    dims = {"unit": {"rho": 1, "lambda": 2 * p}, "pair": {"rho": 1, "lambda": 2}}
+    for kind, e in (("unit", list(L.unit)), ("pair", _reflection_pair(L))):
         other = _with_idempotent(L, e)
         for entry in catalog(p):
             residues.clear()
@@ -467,8 +519,11 @@ def test_descent_through_the_residue_matches_E_equal_I(monkeypatch, L5, split5_r
             assert (H.mult, H.unit, H.comul, H.counit, H.antipode) == \
                 (R.mult, R.unit, R.comul, R.counit, R.antipode), entry.label
             assert H.provenance.basis == R.provenance.basis, entry.label
-            assert H.provenance.phi == R.provenance.phi, entry.label
-            assert bool(residues) is (entry.label in taken), entry.label
+            (residue, *_), = residues
+            assert residue.dim == dims[kind].get(entry.label, 2), (kind, entry.label)
+            phi = H.provenance.phi
+            assert base_change_is_group_algebra(H), (kind, entry.label)
+            assert phi.rows == phi.cols == 2 * p * residue.dim, (kind, entry.label)
 
 
 def test_a_non_idempotent_e_is_refused():
@@ -479,49 +534,41 @@ def test_a_non_idempotent_e_is_refused():
             descend(group_algebra(twice, e.subgroup), label=e.label)
 
 
+def test_an_idempotent_whose_translates_overlap_is_refused_by_every_structure():
+    """e = d[1] + d[r] at p = 3: its six translates cover every point twice,
+    so for every structure e_K, or its G-translates, sum to 2 and not 1.
+    Every structure refuses it with the same error."""
+    L = split_model(dihedral(3))
+    G = L.group
+    overlap = _with_idempotent(L, [ONE if g in (G.identity, G.generators[0]) else ZERO
+                                   for g in range(G.order)])
+    assert "idempotent-translates-sum-to-unit" in dict(overlap.verify().failures())
+    messages = set()
+    for e in catalog(3):
+        with pytest.raises(DescentError, match="distinct G-translates sum to 1$") as err:
+            descend(group_algebra(overlap, e.subgroup), label=e.label)
+        messages.add(str(err.value))
+    assert len(messages) == 1
+
+
 @pytest.mark.parametrize("pair", [False, True], ids=["square", "tall"])
 def test_an_E_that_loses_the_fixed_ring_is_refused(monkeypatch, pair):
-    """With P: L^K -> e_K L^K replaced by zero, E_B has rank 0, and descend
-    refuses it, whether E_B is square (e = d[1]) or tall (e = d[1] + d[s])."""
+    """With P: L^K -> e_K L^K replaced by zero, E_B is zero, whether it is
+    square (e = d[1]) or tall (e = d[1] + d[s]); the products solve to zero,
+    and descend refuses E_B at the unit, which no zero column reaches."""
     L = split_model(dihedral(3))
     if pair:
         L = _with_idempotent(L, _reflection_pair(L))
     real = descent._residue
 
-    def lossy(LK, e):
-        R, P = real(LK, e)
-        return R, Matrix.zeros(P.rows, P.cols)
+    def lossy(LK, gens):
+        R, J, P, maps = real(LK, gens)
+        return R, J, Matrix.zeros(P.rows, P.cols), maps
 
     monkeypatch.setattr(descent, "_residue", lossy)
     lam = next(e for e in catalog(3) if e.label == "lambda")
-    with pytest.raises(DescentError, match="E is not injective on the fixed ring"):
+    with pytest.raises(DescentError, match=r"^the unit of L\[N\] is not in the fixed ring$"):
         descend(group_algebra(L, lam.subgroup), label="lambda")
-
-
-def test_each_fixed_ring_identity_of_the_residue_route_names_its_failure(monkeypatch):
-    """p = 3 split lambda reads its maps through E_B; B' m_H, B' u_H, the
-    counit and B' S_H are then checked against L^K[N], and changing any one
-    of them makes its own check fail."""
-    L = split_model(dihedral(3))
-    lam = next(e for e in catalog(3) if e.label == "lambda")
-    frames = []
-    real = descent.lform_matrix
-    monkeypatch.setattr(descent, "lform_matrix", lambda A, B: frames.append((A, B)) or real(A, B))
-    H = descend(group_algebra(L, lam.subgroup), label="lambda")
-    (AK, Bk), = frames
-    descent._check_fixed_ring(H, AK, Bk)
-    n = H.dim
-    swap = Matrix.permutation([1, 0] + list(range(2, n)))
-    parts = {"mult": H.mult, "unit": H.unit, "comul": H.comul, "counit": H.counit,
-             "antipode": H.antipode}
-    changes = [("mult", swap * H.mult, "a product of fixed vectors left the fixed ring"),
-               ("unit", [2 * x for x in H.unit], r"the unit of L\[N\] is not in the fixed ring"),
-               ("counit", H.counit * 2, "counit: expected a rational multiple"),
-               ("antipode", swap * H.antipode, "an antipode image left the fixed ring")]
-    for key, value, message in changes:
-        bad = HopfPresentation(**{**parts, key: value})
-        with pytest.raises(DescentError, match=message):
-            descent._check_fixed_ring(bad, AK, Bk)
 
 
 def _full_ambient_descent(A):
