@@ -41,27 +41,25 @@ identity.  There the Galois matrices are not monomial, and fixed_basis
 reduces the stacked M_g - I.
 
 L[N] is an Algebra: its dim x dim^2 `mult` places L's multiplication in slot
-tu for each slot pair (t, u).  A product in R[N] is one mul_kron over it;
-descend builds that one table, and no other.  Maps of L[N] are sparse slot
-maps, GroupAlgebraOverL.slot_map = permutation(images) (x) M, with
-slots(u) (column t is u * eta_t) its one-column case.  The induction, I (x) F,
-E and the invariance check apply slot maps through the slot coefficients of
-a basis (_translated), so they build no operator on L^K[N].  The closed-form
-bases are products of U = slots(1), W = slots(w) for the rational-square
-witness w of L, and the slot inversion iota: U + iota U has the columns
-eta_t + eta_t^-1, and W - iota W the columns w*(eta_t - eta_t^-1).  The
-action of H on L is built once, as DescentProvenance.action, for the
-measuring and Hopf-Galois checks.
+tu for each slot pair (t, u); `pointwise`, that of Map(N, L), in slot t for
+(t, t).  A product is one mul_kron over one of them, and descend builds only
+those of R[N].  Maps of L[N] are sparse slot maps, GroupAlgebraOverL.slot_map
+= permutation(images) (x) M, with slots(u) (column t is u * eta_t) its
+one-column case.  The induction, I (x) F, E and the invariance check apply
+slot maps through the slot coefficients of a basis (_translated), so they
+build no operator on L^K[N].  The closed-form bases are products of U =
+slots(1), W = slots(w) for the rational-square witness w of L, and the slot
+inversion iota: U + iota U has the columns eta_t + eta_t^-1, and W - iota W
+the columns w*(eta_t - eta_t^-1).  The action of H on L is built once, as
+DescentProvenance.action, for the measuring and Hopf-Galois checks.
 
-Comultiplication.  When dim R = 1, R[N] is Q[N] with
-Delta(eta_t) = eta_t (x) eta_t, and Delta_H = (E_B^-1 (x) E_B^-1) diag E_B.
-Otherwise it descends through the base-change map Phi': R (x) H -> R[N],
-x (x) h -> x*E(h).  Applying Phi'^-1 to Delta(E h) = sum_t x_t (eta_t (x)
-eta_t) one tensor leg at a time, as one sparse product per leg, rewrites it
-over E h_i (x) E h_j.  The coefficients are provably rational, and this
-implementation checks that exactly instead of assuming it.  Either way
-descend builds Phi' once, from R's own multiplication, and keeps it on
-DescentProvenance.phi for the base-change check.
+Comultiplication.  R[N] and Map(N, R) are the same D-module in the same
+coordinates, so E_B is also a basis of the dual H*, and Delta_H is the
+transpose of H*'s slot-by-slot product, read through the Gram matrix P of
+the pairing sum_t x_t y_t on E_B (_comultiplication).  P is provably
+rational, and this implementation checks that exactly instead of assuming
+it.  descend builds the base change Phi': R (x) H -> R[N], x (x) h -> x*E(h)
+once, from R's own multiplication, for the base-change check alone.
 """
 
 from __future__ import annotations
@@ -109,14 +107,25 @@ class GroupAlgebraOverL(Algebra):
         self.unit = tuple(unit)
         self.names = tuple(f"{L.names[a]}*{N.name_of(t)}" for t in range(n) for a in range(d))
 
-    @cached_property
-    def mult(self):
+    def _table(self, slots):
+        """The dim x dim^2 matrix that places L's product of the coefficients
+        of eta_t and eta_u in slot v, for each triple (t, u, v) of slots."""
         d, D = self.L.dim, self.dim
         lmult = [(c, *divmod(ab, d), x) for c in range(d) for ab, x in self.L.mult.row_entries(c)]
         return Matrix.from_entries(D, D * D, (
-            (tu * d + c, (t * d + a) * D + u * d + b, x)
-            for t, row in enumerate(self.N.group.table) for u, tu in enumerate(row)
+            (v * d + c, (t * d + a) * D + u * d + b, x) for t, u, v in slots
             for c, a, b, x in lmult))
+
+    @cached_property
+    def mult(self):
+        return self._table((t, u, tu) for t, row in enumerate(self.N.group.table)
+                           for u, tu in enumerate(row))
+
+    @cached_property
+    def pointwise(self):
+        """The product of Map(N, L) in the same coordinates, (x eta_t)(y eta_u)
+        = [t = u] (xy) eta_t, n times sparser than `mult`."""
+        return self._table((t, t, t) for t in range(self.N.order))
 
     def slot_map(self, images, M=None):
         """The map x * eta_t -> M(x) * eta_images[t], as permutation(images) (x) M.
@@ -191,8 +200,8 @@ class DescentProvenance:
     parent: GroupAlgebraOverL
     basis: Matrix
     # the base change Phi': R (x) H -> R[N], lform_matrix(R[N], E_B), for the
-    # residue R = e_K L^K: G permutes the components g(e_K) L^K[N], so Phi is
-    # bijective exactly when this one is
+    # residue R = e_K L^K, read only by base_change_is_group_algebra: G permutes
+    # the components g(e_K) L^K[N], so Phi is bijective exactly when Phi' is
     phi: Matrix
     label: str = None
 
@@ -275,8 +284,10 @@ def descend(A, label=None):
     induction, then to L[N] by the algebra embedding I (x) F (see the module
     docstring).  The basis B = kernel_form((I (x) F) X') of L[N] is found
     before any structure map, so the output is reproducible.  B' is its
-    preimage in L^K[N]; with F = I (K = 1) it is B, and no embedding is
-    built.  Every structure map is then read once through E_B = E B'.
+    preimage in L^K[N]: B itself when F = I (K = 1), and X' in B's order when B
+    reorders the columns of X = (I (x) F) X', as over the split model; only
+    otherwise is I (x) F built.  Every structure map is then read once through
+    E_B = E B'.
     """
     act = SemilinearAction(A)
     F, LK = _fixed_coefficients(act)
@@ -295,8 +306,12 @@ def descend(A, label=None):
     else:
         X = _translated(_slot_coefficients(Xk, LK.dim), [(range(n), F)])
         B = kernel_form(X)
-        Bk = Xk if B == X else _solved(Matrix.identity(n).kron(F), B,
-                                          "the fixed ring of L[N] is not written over L^K")
+        Xt, Bt = X.transpose(), B.transpose()  # match columns by their nonzeros
+        cols = [Xt.row_entries(k) for k in range(X.cols)]
+        order = [next((j for j, c in enumerate(cols) if c == b), None)
+                 for b in map(Bt.row_entries, range(B.cols))]
+        Bk = (Xk.transpose().take_rows(order).transpose() if None not in order else _solved(
+            Matrix.identity(n).kron(F), B, "the fixed ring of L[N] is not written over L^K"))
     if B.cols != n:
         raise DescentError(f"fixed ring has dimension {B.cols}, expected {n}")
     coeffs = _slot_coefficients(Bk, LK.dim)
@@ -310,12 +325,8 @@ def descend(A, label=None):
     unit = _solved(EB, Matrix.from_columns([RA.unit]), "the unit of L[N] is not in the fixed ring")
     counit = _rational_coefficients(R, RA.slot_sum * EB, "counit")
     antipode = _solved(EB, _slots_inverted(RA, EB), "an antipode image left the fixed ring")
-    if R.dim == 1:  # R[N] is Q[N], and E_B is square
-        inv = _solved(EB, Matrix.identity(n), "E is not injective on the fixed ring")
-        comul, phi = _diagonal_comultiplication(RA, EB, inv), lform_matrix(RA, EB)
-    else:
-        comul, phi = _descended_comultiplication(RA, EB)
-    prov = DescentProvenance(parent=A, basis=B, phi=phi, label=label)
+    comul = _comultiplication(RA, EB)
+    prov = DescentProvenance(parent=A, basis=B, phi=lform_matrix(RA, EB), label=label)
     return HopfPresentation(mult, unit.column(0), comul, counit, antipode,
                             names=tuple(f"h{k}" for k in range(n)), provenance=prov)
 
@@ -360,42 +371,30 @@ def lform_matrix(A, B):
         for a, kt in [divmod(col, m * n)] for k, t in [divmod(kt, n)]))
 
 
-def _diagonal_comultiplication(A, EB, inv):
-    """The comultiplication of the fixed ring read through E_B, when A = R[N]
-    with dim R = 1.  R is Q with unit u, so x eta_t -> u x (eta_t (x) eta_t),
-    and Delta = (E_B^-1 (x) E_B^-1)(u diag E_B): on transposes, one mul_kron."""
-    n, u = EB.cols, A.L.unit[0]
-    diag = Matrix.from_entries(n, n * n, ((k, t * n + t, u * x) for t in range(n)
-                                          for k, x in EB.row_entries(t)))
-    return mul_kron(diag, inv.transpose(), inv.transpose()).transpose()
+def _comultiplication(A, B):
+    """The comultiplication of the fixed ring with basis B of A = R[N], read
+    off the dual H* in Map(N, R), whose product is A.pointwise.
 
-
-def _descended_comultiplication(A, B):
-    """The comultiplication of the fixed ring with basis B, and Phi."""
-    d, n = A.L.dim, B.cols
-    phi = lform_matrix(A, B)
-    phi_inv = phi.inverse()
-    if phi_inv is None:
-        raise DescentError("base change L (x) H -> L[N] is not invertible")
-    # stage 1: column k*n + t of `pieces` is the term x_t eta_t of h_k, and
-    # Phi^-1 writes it as sum_i y_i h_i over L, so Delta(h_k) = sum_i h_i (x) w_i
-    # with w_i = sum_t y_i eta_t, column k*n + i of `w`
-    pieces = Matrix.from_entries(A.dim, n * n, ((r, k * n + r // d, c) for k in range(n)
-                                               for r, c in B.column_entries(k).items()))
-    y = phi_inv * pieces
-    entries = []
-    for r in range(y.rows):
-        a, i = divmod(r, n)
-        for kt, c in y.row_entries(r):
-            k, t = divmod(kt, n)
-            entries.append((t * d + a, k * n + i, c))
-    w = Matrix.from_entries(A.dim, n * n, entries)
-    # stage 2: w_i = sum_j c_ij h_j, and every c_ij must be rational
-    coeffs = _rational_coefficients(A.L, phi_inv * w, "comultiplication")
-    comul = Matrix.from_entries(n * n, n, ((i * n + j, k, c) for j in range(n)
-                                           for ki, c in coeffs.row_entries(j)
-                                           for k, i in [divmod(ki, n)]))
-    return comul, phi
+    Proof.  <x, y> = slot_sum(x y), with the product pointwise, is R-bilinear,
+    and Delta(eta_t) = eta_t (x) eta_t gives <Delta h_k, h_a (x) h_b> =
+    sum_t x_kt x_at x_bt = <h_k, h_a h_b>.  D acts by algebra maps of R and
+    permutations of the slots, so h_a h_b = sum_m M*_m,ab h_m with M* = B^-1 W,
+    and P = (<h_i, h_j>) lies in R^D = Q 1, which is checked.  For C the
+    n x n^2 matrix of Delta h_k = sum C_k,ij h_i (x) h_j that reads C (P (x) P)
+    = P M*, so C = P M* (P^-1 (x) P^-1), and comul = C^T.  An invertible P
+    gives B full column rank, and, the pairing being R-bilinear, makes Phi'
+    injective, so bijective.
+    """
+    n = B.cols
+    W = mul_kron(A.pointwise, B, B)  # column i*n + j is h_i h_j, slot by slot
+    gram = _rational_coefficients(A.L, A.slot_sum * W, "comultiplication")
+    P = Matrix.from_entries(n, n, ((i, j, x) for ij, x in gram.row_entries(0)
+                                   for i, j in [divmod(ij, n)]))
+    P_inv = P.inverse()
+    if P_inv is None:
+        raise DescentError("the pairing <x, y> = sum_t x_t y_t is degenerate on the fixed ring")
+    dual = _solved(B, W, "a slot-by-slot product of fixed vectors left the fixed ring")
+    return mul_kron(P * dual, P_inv, P_inv).transpose()
 
 
 def _provenance_of(H):

@@ -9,7 +9,7 @@ from hopfgalois.catalog import catalog, cyclic_generator
 from hopfgalois.analysis import nilpotent_witness
 from hopfgalois.descent import (DescentError, GroupAlgebraOverL, NormalizationError,
                                 SemilinearAction,
-                                _descended_comultiplication, base_change_is_group_algebra,
+                                _comultiplication, base_change_is_group_algebra,
                                 descend, explicit_basis_matches,
                                 explicit_classical_basis, explicit_cyclic_basis,
                                 explicit_translation_basis, group_algebra,
@@ -342,14 +342,17 @@ def test_descend_eliminates_only_where_no_row_is_owned(monkeypatch, L3, L5):
     """Over the split model G permutes the coordinates of L, so every
     generator map of L^K[N] is monomial and every fixed space, of K in L and
     of G in L^K[N], is read off orbit sums: p = 5 split lambda (K = 1, F = I)
-    and N0 (K = <r>) row-reduce nothing.  L^K, B', the structure constants,
-    the unit and the antipode against B', the counit and Phi'^-1 are read off
-    owned rows and checked by one product each.  There the written-back X is
-    B with its columns in another order, and for N0 B' is the preimage of B,
-    read off the owned rows of I (x) F.  At p = 3 over cubic:2, where G does
-    not act monomially, N0 (K = <r>) row-reduces three times: the fixed
-    space of K in L (6 x 6), the kernel in L^K[N] (24 x 12) and the solve
-    for Phi'^-1 (12 x 24), as that Phi' has a column that owns no row."""
+    and N0 (K = <r>) row-reduce nothing.  L^K, the structure constants, the
+    unit, the antipode and the slot-by-slot products against E_B, the counit,
+    the Gram matrix P and P^-1 are read off owned rows and checked by one
+    product each: the orbit sums have disjoint supports, so P is diagonal.
+    There the written-back X is B with its columns in another order, and for
+    N0 B' is the write-back in L^K[N] with its columns in that order.  At
+    p = 3 over cubic:2, where G does not act monomially, N0 (K = <r>)
+    row-reduces three times: the fixed space of K in L (6 x 6), the kernel
+    in L^K[N] (24 x 12) and the inverse of the 6 x 6 Gram matrix (6 x 12),
+    which has a column that owns no row.  Phi' is kept for the base-change
+    check alone, and there too it has such a column."""
     shapes, written_back = [], []
     real, real_form = Matrix.rref, descent.kernel_form
 
@@ -361,7 +364,7 @@ def test_descend_eliminates_only_where_no_row_is_owned(monkeypatch, L3, L5):
     monkeypatch.setattr(descent, "kernel_form", lambda X: written_back.append(X) or real_form(X))
     n0 = next(e for e in catalog(5) if e.label == "N0")
     cases = _one_split_and_one_cubic(L3) + [("p5-N0", group_algebra(L5, n0.subgroup))]
-    expected = {"p5-lambda": [], "p3-N0": [(6, 6), (24, 12), (12, 24)], "p5-N0": []}
+    expected = {"p5-lambda": [], "p3-N0": [(6, 6), (24, 12), (6, 12)], "p5-N0": []}
     for label, A in cases:
         shapes.clear()
         written_back.clear()
@@ -413,7 +416,7 @@ def test_batteries_leave_the_callers_table_unbuilt(L3, p):
         else:
             kind, gen = "cyclic", cyclic_generator(p, int(e.label[1:]))
         assert explicit_basis_matches(H, kind, gen=gen), e.label
-        assert "mult" not in vars(A), e.label
+        assert "mult" not in vars(A) and "pointwise" not in vars(A), e.label
 
 
 def test_group_algebra_table_read_on_demand_matches_the_definition(L3):
@@ -482,25 +485,27 @@ def _reflection_pair(L):
 
 
 def test_each_split_descent_builds_one_table_of_dimension_2p(monkeypatch, L5):
-    """At p = 5 split, each descend reads one L[N] table, of dimension 2p:
-    that of (e_K L^K)[N] with e_K L^K = Q, never lambda's 4p^2-dimensional
-    L^K[N]."""
+    """At p = 5 split, each descend reads the product of (e_K L^K)[N] once
+    and the slot-by-slot product of Map(N, e_K L^K) once, both of dimension
+    2p as e_K L^K = Q: never a table of lambda's 4p^2-dimensional L^K[N]."""
     reads = []
-    real = GroupAlgebraOverL.mult.func
-    monkeypatch.setattr(GroupAlgebraOverL, "mult", property(lambda A: reads.append(A.dim) or real(A)))
+    for name in ("mult", "pointwise"):
+        real = getattr(GroupAlgebraOverL, name).func
+        monkeypatch.setattr(GroupAlgebraOverL, name, property(
+            lambda A, name=name, real=real: reads.append((name, A.dim)) or real(A)))
     for e in catalog(5):
         reads.clear()
         H = descend(group_algebra(L5, e.subgroup), label=e.label)
-        assert reads == [10], e.label
-        assert base_change_is_group_algebra(H) and reads == [10], e.label
+        assert reads == [("mult", 10), ("pointwise", 10)], e.label
+        assert base_change_is_group_algebra(H) and len(reads) == 2, e.label
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_descent_through_the_residue_matches_E_equal_I(monkeypatch, split_descents, p):
     """The split model with its idempotent d[1], with the unit (R = L^K and
     D = G: lambda through all of L^K[N]) and with d[1] + d[s] (lambda through
-    a 2-dimensional R, D = <s>, and Phi'^-1) descends to the same
-    presentation, entry for entry, for every structure.  Each descend
+    a 2-dimensional R, D = <s>) descends to the same presentation, entry for
+    entry, for every structure.  Each descend
     builds one residue, of the expected dimension, and Phi' is square of
     side 2p dim R."""
     L = split_model(dihedral(p))
@@ -571,9 +576,33 @@ def test_an_E_that_loses_the_fixed_ring_is_refused(monkeypatch, pair):
         descend(group_algebra(L, lam.subgroup), label="lambda")
 
 
+def _comultiplication_by_base_change(A, B):
+    """The comultiplication of the fixed ring with basis B of A = L[N],
+    through Phi^-1 for the base change Phi: L (x) H -> L[N].  Phi^-1 writes
+    the term x_t eta_t of h_k as sum_i y_i h_i over L, so Delta(h_k) =
+    sum_i h_i (x) w_i with w_i = sum_t y_i eta_t; Phi^-1 writes each w_i as
+    sum_j c_ij h_j, and every c_ij must be a rational multiple of the unit."""
+    d, n = A.L.dim, B.cols
+    phi_inv = lform_matrix(A, B).inverse()
+    # column k*n + t of `pieces` is the term x_t eta_t of h_k
+    pieces = Matrix.from_entries(A.dim, n * n, ((r, k * n + r // d, c) for k in range(n)
+                                               for r, c in B.column_entries(k).items()))
+    y = phi_inv * pieces  # row a*n + i, column k*n + t: coefficient a of y_i
+    w = Matrix.from_entries(A.dim, n * n, (
+        (t * d + a, k * n + i, c) for r in range(y.rows) for a, i in [divmod(r, n)]
+        for kt, c in y.row_entries(r) for k, t in [divmod(kt, n)]))
+    coeffs = Matrix.from_columns([A.L.unit]).kron(Matrix.identity(n)).solve(phi_inv * w)
+    if coeffs is None:
+        pytest.fail("comultiplication coefficients are not rational")
+    return Matrix.from_entries(n * n, n, ((i * n + j, k, c) for j in range(n)
+                                          for ki, c in coeffs.row_entries(j)
+                                          for k, i in [divmod(ki, n)]))
+
+
 def _full_ambient_descent(A):
     """The fixed ring computed in all of L[N], without L^K: its basis B and
-    (mult, unit, comul, counit, antipode) in B's coordinates."""
+    (mult, unit, comul, counit, antipode) in B's coordinates, the
+    comultiplication through the base change."""
     act = SemilinearAction(A)
     B = fixed_basis([act.matrix(g) for g in A.L.group.generators], A.dim)
     n = A.N.order
@@ -582,16 +611,19 @@ def _full_ambient_descent(A):
     slot_sums = Matrix(1, n, [ONE] * n).kron(Matrix.identity(A.L.dim)) * B
     counit = Matrix.from_columns([A.L.unit]).solve(slot_sums)
     antipode = B.solve(A.slot_map(A.N.group.inverses) * B)
-    comul, _ = _descended_comultiplication(A, B)
-    return B, (mult, unit, comul, counit, antipode)
+    return B, (mult, unit, _comultiplication_by_base_change(A, B), counit, antipode)
 
 
 def test_descent_through_the_fixed_algebra_matches_the_full_ambient(
         descended3, split5_rho_lambda, split5_nc):
-    """Every structure at p = 3 over cubic:2 and at p = 5 split: the route
-    through L^K gives the basis and every structure map of the fixed ring of
-    all of L[N], and K and L^K have the expected sizes."""
-    presentations = [(3, descended3)] + [(5, split5_rho_lambda), (5, split5_nc)]
+    """Every structure at p = 3 over cubic:2, at p = 5 split and at p = 3
+    split with the idempotent d[1] + d[s] (a 2-dimensional R under D = <s>):
+    the route through L^K gives the basis and every structure map of the
+    fixed ring of all of L[N], its comultiplication read through Phi^-1, and
+    K and L^K have the expected sizes."""
+    pair3 = _with_idempotent(split_model(dihedral(3)), _reflection_pair(split_model(dihedral(3))))
+    paired = {e.label: descend(group_algebra(pair3, e.subgroup), label=e.label) for e in catalog(3)}
+    presentations = [(3, descended3), (5, split5_rho_lambda), (5, split5_nc), (3, paired)]
     for p, by_label in presentations:
         for label, H in by_label.items():
             A, B = H.provenance.parent, H.provenance.basis
@@ -604,6 +636,16 @@ def test_descent_through_the_fixed_algebra_matches_the_full_ambient(
             assert (len(K), A.L.fixed_space(K).cols) == sizes, (p, label)
 
 
+def _rebased(base, row):
+    """base on the basis e_j + e_row (j != row), e_row."""
+    n = base.dim
+    T = Matrix.from_entries(n, n, [(i, i, ONE) for i in range(n)]
+                            + [(row, j, ONE) for j in range(n) if j != row])
+    T_inv = T.inverse()
+    return GaloisAlgebra(T_inv * mul_kron(base.mult, T, T), T_inv.apply(base.unit), base.group,
+                         [T_inv * m * T for m in base.action])
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_descent_over_another_basis_of_L_changes_to_the_fixed_basis(monkeypatch, L3, L5, p):
     """L on another basis: cubic:2 on 1, 1 + e_j (j > 0) and the p = 5 split
@@ -612,14 +654,7 @@ def test_descent_over_another_basis_of_L_changes_to_the_fixed_basis(monkeypatch,
     Hopf automorphism (at p = 3 it does not commute with the antipode, at
     p = 5 it moves the unit); the route still gives the full ambient's basis
     and every structure map."""
-    base = L3 if p == 3 else L5
-    n = base.dim
-    row = 0 if p == 3 else n - 1
-    T = Matrix.from_entries(n, n, [(i, i, ONE) for i in range(n)]
-                            + [(row, j, ONE) for j in range(n) if j != row])
-    T_inv = T.inverse()
-    L = GaloisAlgebra(T_inv * mul_kron(base.mult, T, T), T_inv.apply(base.unit), base.group,
-                      [T_inv * m * T for m in base.action])
+    L = _rebased(L3, 0) if p == 3 else _rebased(L5, L5.dim - 1)
     written_back = []
     real = descent.kernel_form
     monkeypatch.setattr(descent, "kernel_form", lambda X: written_back.append(X) or real(X))
@@ -630,6 +665,27 @@ def test_descent_over_another_basis_of_L_changes_to_the_fixed_basis(monkeypatch,
         full_B, maps = _full_ambient_descent(H.provenance.parent)
         assert B == full_B and (H.mult, H.unit, H.comul, H.counit, H.antipode) == maps, e.label
         assert (written_back != [B]) is (e.label not in ("rho", "lambda")), e.label
+
+
+def test_a_reordered_write_back_is_taken_without_the_lift(monkeypatch, L5):
+    """At p = 5 split, B is the written-back (I (x) F) X' with its columns in
+    another order for every N_c, so B' is X' in that order and descend builds
+    no I (x) F.  Over another basis of L, where B = X S for an S that is no
+    reordering, descend still solves against I (x) F for B'."""
+    built = []
+    real = Matrix.kron
+    monkeypatch.setattr(Matrix, "kron", lambda x, y: built.append((x, y)) or real(x, y))
+    for L, lifts in ((L5, False), (_rebased(L5, L5.dim - 1), True)):
+        for e in catalog(5):
+            if e.label in ("rho", "lambda"):
+                continue
+            A = group_algebra(L, e.subgroup)
+            lift = (Matrix.identity(A.N.order),
+                    L.fixed_space(descent.action_kernel(SemilinearAction(A))))
+            built.clear()
+            H = descend(A, label=e.label)
+            assert (lift in built) is lifts, (lifts, e.label)
+            assert lift[1].cols == 2 and H.provenance.basis.cols == A.N.order, e.label
 
 
 def test_one_conjugation_table_per_descend(monkeypatch, L5):
@@ -908,13 +964,28 @@ def test_semilinear_verify_names_the_entrywise_counterexample(L3, catalog3):
 
 def test_irrational_comultiplication_coefficients_are_refused(descended3):
     """Scaling the fixed basis by the cube root a keeps Phi invertible, but
-    Delta(a h_k) has coefficients in a^-1 Q, which the descent must refuse."""
+    Delta(a h_k) has coefficients in a^-1 Q, and the pairing of a h_i with
+    a h_j lies in a^2 Q, which the descent must refuse."""
     H = descended3["N0"]
     A = H.provenance.parent
     scaled = A.slot_map(range(A.N.order), A.L.mult_operator(A.L.basis_vector(1))) * H.provenance.basis
     assert base_change_is_group_algebra(H)
     with pytest.raises(DescentError, match="comultiplication: expected a rational multiple"):
-        _descended_comultiplication(A, scaled)
+        _comultiplication(A, scaled)
+
+
+def test_a_degenerate_pairing_is_refused(descended3, split5_nc):
+    """The fixed basis with its last column replaced by its first, at p = 3
+    over cubic:2 and p = 5 split: the pairing stays rational, but the Gram
+    matrix has two equal rows, and the comultiplication is refused before
+    any product is solved.  The basis itself still gives the comultiplication
+    that descend read."""
+    for H in (descended3["N0"], split5_nc["N0"]):
+        A, B = H.provenance.parent, H.provenance.basis
+        assert _comultiplication(A, B) == H.comul
+        repeated = Matrix.from_columns(B.columns()[:-1] + [B.column(0)], rows=A.dim)
+        with pytest.raises(DescentError, match="^the pairing .* is degenerate on the fixed ring$"):
+            _comultiplication(A, repeated)
 
 
 # -- closed-form bases against their coordinate-list constructions -------------
