@@ -36,7 +36,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from .linalg import Matrix, ONE, Q, Span, ZERO, hstack, mul_kron, vstack
+from .linalg import Matrix, ONE, Span, ZERO, hstack, mul_kron, rational, vstack
 
 
 class Algebra:
@@ -47,7 +47,7 @@ class Algebra:
         if mult.cols != self.dim * self.dim:
             raise ValueError("multiplication matrix must be dim x dim^2")
         self.mult = mult
-        self.unit = tuple(Q(c) for c in unit)
+        self.unit = tuple(map(rational, unit))
         if len(self.unit) != self.dim:
             raise ValueError("unit vector length mismatch")
         self.names = tuple(names) if names is not None else tuple(f"e{i}" for i in range(self.dim))
@@ -217,8 +217,8 @@ def group_hopf_algebra(G, names=None):
     mult = Matrix.from_entries(n, n * n, ((G.table[i][j], i * n + j, ONE)
                                           for i in range(n) for j in range(n)))
     unit = Matrix.identity(n).column(G.identity)
-    comul = Matrix.from_entries(n * n, n, ((k * n + k, k, Q(1)) for k in range(n)))
-    counit = Matrix(1, n, [Q(1)] * n)
+    comul = Matrix.from_entries(n * n, n, ((k * n + k, k, ONE) for k in range(n)))
+    counit = Matrix(1, n, [ONE] * n)
     antipode = Matrix.permutation([G.inv(k) for k in range(n)])
     return HopfPresentation(mult, unit, comul, counit, antipode,
                             names=names if names is not None else G.names)

@@ -91,7 +91,9 @@ def _json(value, pad="\n"):
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(value, list) and value:
         return "[" + inner + ("," + inner).join(_json(v, inner) for v in value) + pad + "]"
-    return json.dumps(value)  # a scalar, {} or []
+    if type(value) is int:  # not a bool, which json.dumps spells true/false
+        return str(value)
+    return json.dumps(value)  # any other scalar, {} or []
 
 
 def _render_value(value, indent, lines):

@@ -167,17 +167,26 @@ class SemilinearAction:
 
     Conjugation position maps are computed eagerly (this is where a
     normalization failure surfaces, with the offending pair); the action
-    matrices themselves are built on demand.
+    matrices themselves are built on demand.  Only the generators of G are
+    conjugated: conjugation by gh is conjugation by g after h, so the other
+    maps are composed along G's walk (FiniteGroup.extend).  When a generator
+    does not normalize N, every element is conjugated, so the error names
+    the same first (g, eta) as a full table.
     """
 
     def __init__(self, parent):
         self.parent = parent
         L, N = parent.L, parent.N
         G = L.group
-        self.conj_map = tuple(N.conjugation(lamg) for lamg in left_regular(G).elements)
-        for g, row in enumerate(self.conj_map):
-            if None in row:
-                raise NormalizationError(G.names[g], N.name_of(row.index(None)))
+        lam = left_regular(G).elements
+        gens = {g: N.conjugation(lam[g]) for g in G.generators}
+        if any(None in row for row in gens.values()):
+            for g, lamg in enumerate(lam):
+                row = N.conjugation(lamg)
+                if None in row:
+                    raise NormalizationError(G.names[g], N.name_of(row.index(None)))
+        self.conj_map = tuple(c.images for c in G.extend(
+            {g: Perm(row) for g, row in gens.items()}, Perm.identity(N.order)))
         self._matrices = {}
 
     def matrix(self, g):
@@ -519,18 +528,22 @@ def explicit_classical_basis(A):
 
 def inverse_pair_columns(A, sums, differences):
     """The columns eta_t + eta_t^-1 at the slots `sums`, then w*(eta_t - eta_t^-1)
-    at `differences`, with w the rational-square witness of L.
+    at `differences`, with w the rational-square witness of L."""
+    return Matrix.from_entries(A.dim, len(sums) + len(differences),
+                               _inverse_pair_entries(A, sums, differences))
 
-    One product hstack(U, W) * S: S holds 1 at t and at iota(t) in a sum's
-    column, and 1 at t and -1 at iota(t) in a difference's, so a repeated
-    slot gives 2 (the identity) or 0 (a difference at an involution).
-    """
-    inv, n, k = A.N.group.inverses, A.N.order, len(sums)
-    picks = Matrix.from_entries(2 * n, k + len(differences), [
-        *((x, c, ONE) for c, t in enumerate(sums) for x in (t, inv[t])),
-        *((n + x, k + c, sign) for c, t in enumerate(differences)
-          for x, sign in ((t, ONE), (inv[t], -ONE)))])
-    return hstack(A.slots(A.L.unit), A.slots(quadratic_sqrt_witness(A.L))) * picks
+
+def _inverse_pair_entries(A, sums, differences):
+    """The (row, column, value) entries of inverse_pair_columns, straight from
+    the slots: a column holds the unit of L at slots t and iota(t), or w at t
+    and -w at iota(t), and from_entries adds a repeated slot to 2 (the
+    identity) or 0 (a difference at an involution)."""
+    inv, d, k = A.N.group.inverses, A.L.dim, len(sums)
+    u, w = A.L.unit, quadratic_sqrt_witness(A.L)
+    pairs = ([(c, t, u, u) for c, t in enumerate(sums)]
+             + [(k + c, t, w, [-y for y in w]) for c, t in enumerate(differences)])
+    return ((x * d + a, c, y) for c, t, at_t, at_inv in pairs
+            for x, v in ((t, at_t), (inv[t], at_inv)) for a, y in enumerate(v) if y)
 
 
 def explicit_translation_basis(A):
@@ -543,10 +556,11 @@ def explicit_translation_basis(A):
       lam(r^i) + lam(r^(p-i))        and   w*(lam(r^i) - lam(r^(p-i))),
       sum_i r^((p+1)/2 * i)(y) * lam(r^i s).
 
-    The first two lines are columns of U + iota U and W - iota W (1 as
-    2 * lam(1)).  The reflection coefficients solve the fixedness recursion
-    b_{i+2} = r(b_i) on the coefficients of lam(r^i s): the last line is
-    (sum over i of e_(r^i s) (x) r^((p+1)/2 * i)) * Y.
+    The first two lines are inverse_pair_columns (1 as 2 * lam(1)).  The
+    reflection coefficients solve the fixedness recursion b_{i+2} = r(b_i)
+    on the coefficients of lam(r^i s): the last line holds the columns of
+    r^((p+1)/2 * i) Y at the slot of r^i s, written straight to that slot
+    from one product of the p stacked Galois matrices with Y.
     """
     L = A.L
     G = L.group
@@ -559,13 +573,13 @@ def explicit_translation_basis(A):
     slot = [A.N.index_of(lam.elements[g]) for g in range(G.order)]
     step = (p + 1) // 2
     rotations = [slot[rpow[i]] for i in range(1, step)]
-    # block t of the stack is r^((p+1)/2 * i) at the slot t of r^i s, zero elsewhere
-    blocks = [Matrix.zeros(L.dim, L.dim)] * A.N.order
-    for i in range(p):
-        blocks[slot[G.mul(rpow[i], s_idx)]] = L.action[rpow[step * i % p]]
-    reflections = vstack(*blocks)
-    return hstack(inverse_pair_columns(A, [slot[G.identity]] + rotations, rotations),
-                  reflections * L.fixed_space([s_idx]))
+    pairs, d, Y = 2 * len(rotations) + 1, L.dim, L.fixed_space([s_idx])
+    # row block i is r^((p+1)/2 * i) Y, the coefficient of lam(r^i s)
+    blocks = vstack(*[L.action[rpow[step * i % p]] for i in range(p)]) * Y
+    return Matrix.from_entries(A.dim, pairs + Y.cols, [
+        *_inverse_pair_entries(A, [slot[G.identity]] + rotations, rotations),
+        *((slot[G.mul(rpow[i], s_idx)] * d + a, pairs + c, x) for ia in range(p * d)
+          for i, a in [divmod(ia, d)] for c, x in blocks.row_entries(ia))])
 
 
 def explicit_cyclic_basis(A, gen):
@@ -584,7 +598,13 @@ def explicit_cyclic_basis(A, gen):
 
 
 def explicit_basis_matches(H, kind, gen=None):
-    """Span equality of the descended basis with a closed-form basis."""
+    """Span equality of the descended basis with a closed-form basis.
+
+    The basis is in kernel_form, so each of its columns owns a row, and
+    basis.solve(ref) reads X off those rows with no elimination and checks
+    basis * X = ref: ref lies in the span.  The basis has full column rank,
+    so the spans are equal exactly when X has rank basis.cols.
+    """
     prov = _provenance_of(H)
     A = prov.parent
     if kind == "classical":
@@ -597,4 +617,5 @@ def explicit_basis_matches(H, kind, gen=None):
         ref = explicit_cyclic_basis(A, gen)
     else:
         raise ValueError(f"unknown basis kind {kind!r}")
-    return prov.basis == kernel_form(ref)
+    X = prov.basis.solve(ref)
+    return X is not None and X.rank() == prov.basis.cols

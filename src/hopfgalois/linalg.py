@@ -3,18 +3,29 @@
 Immutable sparse-row matrices over arbitrary-precision rationals: each row
 keeps only its nonzero entries, so work scales with the nonzeros, not the
 shape.  Everything is computed exactly; no floating point appears anywhere
-in this package.  In a matrix product a left factor equal to one costs no
-arithmetic, and so does scaling by one; mul_kron multiplies by a Kronecker
-product without building it.  Row reduction eliminates on primitive integer
-rows and returns the unique reduced row echelon form, whichever rows it
-pivots on, so kernels and solutions are reproducible across runs.  A solve
-against a matrix in which every column owns a row (a row whose only nonzero
-sits in that column), such as a kernel basis with its free rows, eliminates
-nothing: the answer is read off the owned rows and checked by one product.
-Nor does fixed_basis when the matrices are monomial (one nonzero in each row
-and column, as for a group acting by signed permutations): their common
-fixed space is read off orbit vectors, whose supports are disjoint.  A Span
-grows a subspace one vector at a time and says which vectors grew it.
+in this package.  mul_kron multiplies by a Kronecker product without
+building it.  The product kernels (Matrix.__mul__, mul_kron, kron and the
+row sums of + and -) ask a scalar nothing that one of two rules answers:
+
+* A factor of one is the shared ONE.  Every constructor that coerces or
+  adds up values (from_entries, Matrix(), from_rows, identity, permutation,
+  rref, kernel_form, rational, and so the unit of an Algebra) stores ONE
+  for an entry equal to 1, so a kernel tests `a is ONE` and then adds or
+  copies without arithmetic.  A 1 made some other way, say 2 * 1/2, is
+  simply multiplied: the value is the same.
+* A stored row is zero-free, and a product of nonzeros is nonzero, so a
+  kernel tests for zero only at the positions where it formed a sum.
+
+Row reduction eliminates on primitive integer rows and returns the unique
+reduced row echelon form, whichever rows it pivots on, so kernels and
+solutions are reproducible across runs.  A solve against a matrix in which
+every column owns a row (a row whose only nonzero sits in that column),
+such as a kernel basis with its free rows, eliminates nothing: the answer
+is read off the owned rows and checked by one product.  Nor does
+fixed_basis when the matrices are monomial (one nonzero in each row and
+column, as for a group acting by signed permutations): their common fixed
+space is read off orbit vectors, whose supports are disjoint.  A Span grows
+a subspace one vector at a time and says which vectors grew it.
 
 The scalar type is gmpy2.mpq when available (roughly an order of magnitude
 faster than fractions.Fraction on the elimination-heavy workloads here) and
@@ -37,10 +48,10 @@ ONE = Q(1)
 
 
 def rational(value, den=None):
-    """Coerce an int, a string like '3/4' or '-5', or a rational to Q."""
-    if den is not None:
-        return Q(value, den)
-    return Q(value)
+    """Coerce an int, a string like '3/4' or '-5', or a rational to Q; a value
+    equal to 1 is the shared ONE."""
+    q = Q(value) if den is None else Q(value, den)
+    return ONE if q == 1 else q
 
 
 class Matrix:
@@ -97,15 +108,15 @@ class Matrix:
                 raise IndexError(f"entry ({i}, {j}) outside {rows}x{cols}")
             row = data[i]
             y = row.get(j)
-            if y is None:
-                if type(x) is not Q:
-                    x = Q(x)
-            else:
+            if y is not None:
                 x += y
-            if x:
-                row[j] = x
-            elif y is not None:
-                del row[j]
+            elif type(x) is not Q:
+                x = Q(x)
+            if not x:
+                if y is not None:
+                    del row[j]
+            else:
+                row[j] = x if x is ONE or x != 1 else ONE
         return cls._wrap(rows, cols, data)
 
     @classmethod
@@ -203,8 +214,9 @@ class Matrix:
     def __mul__(self, other):
         """Matrix product, or scalar multiple when `other` is a scalar.
 
-        A left entry equal to one adds its right-hand row unchanged, so a
-        factor of one costs no arithmetic.
+        A left entry that is ONE adds its right-hand row unchanged, and only
+        the positions where a sum was formed are tested for zero (see the
+        module docstring).
         """
         if isinstance(other, Matrix):
             if self.cols != other.rows:
@@ -212,17 +224,18 @@ class Matrix:
             brows = other._rows
             out = []
             for r in self._rows:
-                acc = {}
+                acc, summed = {}, set()
                 for k, a in r.items():
-                    if a == 1:
-                        for j, b in brows[k].items():
-                            x = acc.get(j)
-                            acc[j] = b if x is None else x + b
-                    else:
-                        for j, b in brows[k].items():
-                            x = acc.get(j)
-                            acc[j] = a * b if x is None else x + a * b
-                out.append({j: x for j, x in acc.items() if x})
+                    for j, b in brows[k].items():
+                        if a is not ONE:
+                            b = a * b
+                        x = acc.get(j)
+                        if x is None:
+                            acc[j] = b
+                        else:
+                            acc[j] = x + b
+                            summed.add(j)
+                out.append(_drop_zeros(acc, summed))
             return Matrix._wrap(self.rows, other.cols, out)
         return self._scaled(Q(other))
 
@@ -315,8 +328,8 @@ class Matrix:
                     rows[i] = {j: x // g for j, x in row.items()}
             if len(order) == self.rows:
                 break
-        data = [{j: ONE if j == c else Q(x, rows[pr][c]) for j, x in rows[pr].items()}
-                for c, pr in order]
+        data = [{j: ONE if x == pv else Q(x, pv) for j, x in rows[pr].items()}
+                for c, pr in order for pv in [rows[pr][c]]]
         data.extend({} for _ in range(self.rows - len(order)))
         return Matrix._wrap(self.rows, self.cols, data), tuple(c for c, _ in order)
 
@@ -412,59 +425,75 @@ def _primitive(row):
 
 
 def _sparse(values):
-    """Zero-free {index: value} dict of a sequence, coerced to Q."""
+    """Zero-free {index: value} dict of a sequence, coerced to Q, with ONE
+    for each entry equal to 1."""
     out = {}
     for j, x in enumerate(values):
         if type(x) is not Q:
             x = Q(x)
         if x:
-            out[j] = x
+            out[j] = x if x is ONE or x != 1 else ONE
     return out
 
 
+def _drop_zeros(acc, summed):
+    """acc without the zeros among its `summed` positions, the only places a
+    product kernel can have made one."""
+    for j in summed:
+        if not acc[j]:
+            del acc[j]
+    return acc
+
+
 def _axpy(a, s, b):
-    """The zero-free row dict a + s*b; a position only b fills takes no addition,
-    so a sum of matrices with disjoint supports costs no arithmetic."""
+    """The zero-free row dict a + s*b for a nonzero s; a position only b fills
+    takes no addition and no zero test, so a sum of matrices with disjoint
+    supports costs no arithmetic."""
     out = dict(a)
     for j, x in b.items():
         x = x if s is ONE else s * x
         y = out.get(j)
-        y = x if y is None else y + x
-        if y:
-            out[j] = y
+        if y is None:
+            out[j] = x
         else:
-            del out[j]
+            y += x
+            if y:
+                out[j] = y
+            else:
+                del out[j]
     return out
 
 
 def mul_kron(x, y, z):
     """The product x (y (x) z), without building y (x) z: each nonzero of x at
-    column i*z.rows + k meets row i of y and row k of z.  Entries equal to one
-    become the shared ONE first, so, as in kron, a factor of one costs no
-    arithmetic."""
+    column i*z.rows + k meets row i of y and row k of z.  As in __mul__, a
+    factor that is ONE costs no arithmetic, and only summed positions are
+    tested for zero."""
     h, w = z.rows, z.cols
     if x.cols != y.rows * h:
         raise ValueError("shape mismatch in product")
-    yrows, zrows = ([tuple((j, ONE if b == 1 else b) for j, b in r.items()) for r in m._rows]
-                    for m in (y, z))
+    yrows, zrows = y._rows, z._rows
     out = []
     for r in x._rows:
-        acc = {}
+        acc, summed = {}, set()
         for ik, a in r.items():
             i, k = divmod(ik, h)
             zrow = zrows[k]
             if not zrow:
                 continue
-            if a == 1:
-                a = ONE
-            for j, b in yrows[i]:
+            for j, b in yrows[i].items():
                 ab = b if a is ONE else a if b is ONE else a * b
                 base = j * w
-                for l, c in zrow:
+                for l, c in zrow.items():
                     v = c if ab is ONE else ab if c is ONE else ab * c
-                    s = acc.get(base + l)
-                    acc[base + l] = v if s is None else s + v
-        out.append({j: v for j, v in acc.items() if v})
+                    jl = base + l
+                    s = acc.get(jl)
+                    if s is None:
+                        acc[jl] = v
+                    else:
+                        acc[jl] = s + v
+                        summed.add(jl)
+        out.append(_drop_zeros(acc, summed))
     return Matrix._wrap(x.rows, y.cols * w, out)
 
 
@@ -602,7 +631,8 @@ def kernel_form(m):
                                                for c in cols]).rref()
         cols = [{n - 1 - j: x for j, x in r.items()} for r in red._rows[:len(pivots)]]
     vecs = sorted((_primitive(c) for c in cols), key=lambda v: _dense(v, n))
-    return Matrix._wrap(len(vecs), n, [{j: Q(x) for j, x in v.items()} for v in vecs]).transpose()
+    return Matrix._wrap(len(vecs), n, [{j: ONE if x == 1 else Q(x) for j, x in v.items()}
+                                       for v in vecs]).transpose()
 
 
 def _dense(v, n):

@@ -144,6 +144,18 @@ def test_explicit_bases(descended3):
                                       gen=cyclic_generator(3, c))
 
 
+def test_explicit_basis_match_needs_the_whole_span(descended3, monkeypatch):
+    H = descended3["rho"]
+    basis = H.provenance.basis
+    part = Matrix.from_columns(basis.columns()[1:], rows=basis.rows)
+    outside = next(e for e in Matrix.identity(basis.rows).columns()
+                   if hstack(basis, Matrix.from_columns([e])).rank() > basis.cols)
+    for ref, matches in ((basis, True), (hstack(part, part), False),  # in the span, rank n - 1
+                         (hstack(basis, Matrix.from_columns([outside])), False)):
+        monkeypatch.setattr(descent, "explicit_classical_basis", lambda A, ref=ref: ref)
+        assert explicit_basis_matches(H, "classical") is matches
+
+
 def test_explicit_basis_kind_mismatch(descended3):
     # the translation form insists on N = lambda(G)
     with pytest.raises(ValueError):
@@ -689,15 +701,16 @@ def test_a_reordered_write_back_is_taken_without_the_lift(monkeypatch, L5):
 
 
 def test_one_conjugation_table_per_descend(monkeypatch, L5):
-    """A descend conjugates N by each element of G once, L^K[N] sharing the
-    table of L[N], and the classical basis conjugates only by G's generators."""
+    """A descend conjugates N by each generator of G once, composing the other
+    tables and L^K[N] sharing the table of L[N], and the classical basis
+    conjugates only by G's generators."""
     calls = []
     real = PermSubgroup.conjugation
     monkeypatch.setattr(PermSubgroup, "conjugation", lambda N, g: calls.append(g) or real(N, g))
     for e in catalog(5):
         calls.clear()
         H = descend(group_algebra(L5, e.subgroup), label=e.label)
-        assert len(calls) == L5.group.order, e.label
+        assert len(calls) == len(L5.group.generators), e.label
         if e.label == "rho":
             calls.clear()
             assert explicit_basis_matches(H, "classical")
@@ -718,9 +731,24 @@ def test_non_normalized_subgroup_rejected(L3):
     six_cycle = Perm((1, 2, 3, 4, 5, 0))
     N = closure([six_cycle], 6)
     assert N.order == 6
-    assert not is_normalized_by(N, left_regular(L3.group))
-    with pytest.raises(NormalizationError):
+    G = L3.group
+    assert not is_normalized_by(N, left_regular(G))
+    # the first element of G, and the first eta, whose conjugate leaves N
+    g, row = next((g, row) for g, lamg in enumerate(left_regular(G).elements)
+                  for row in [N.conjugation(lamg)] if None in row)
+    with pytest.raises(NormalizationError) as err:
         SemilinearAction(group_algebra(L3, N))
+    assert str(err.value) == str(NormalizationError(G.names[g], N.name_of(row.index(None))))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_composed_conjugation_tables_are_the_conjugations(p):
+    G = dihedral(p)
+    L = split_model(G)
+    lam = left_regular(G).elements
+    for e in catalog(p):
+        act = SemilinearAction(group_algebra(L, e.subgroup))
+        assert act.conj_map == tuple(e.subgroup.conjugation(lamg) for lamg in lam), e.label
 
 
 def test_semilinear_action_verifies(L3, catalog3):

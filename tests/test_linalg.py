@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfgalois.algebra import Algebra
 from hopfgalois.descent import SemilinearAction, group_algebra
 from hopfgalois.linalg import (Matrix, ONE, Q, Span, ZERO, fixed_basis, hstack, kernel_form,
                                mul_kron, rational, vstack)
@@ -364,6 +365,96 @@ def test_mul_kron_refuses_a_shape_mismatch():
         mul_kron(Matrix.identity(3), Matrix.identity(2), Matrix.identity(2))
     with pytest.raises(ValueError):
         mul_kron(Matrix.zeros(1, 4), Matrix.identity(2), Matrix.zeros(1, 2))
+
+
+# -- the two kernel rules ------------------------------------------------------------
+#
+# A kernel tests for zero only where it formed a sum, and takes a factor of
+# one without arithmetic only when it is the shared ONE.  Entries in -2..2,
+# mostly zero, make sums cancel often; `fresh` stores each entry as a new
+# object (a 1 there is 1/2 * 2, not ONE), which a kernel must simply multiply.
+
+cancelling = st.sampled_from([-2, -1, 0, 0, 0, 1, 2])
+
+
+def cancelling_matrix(rows, cols):
+    return st.lists(cancelling, min_size=rows * cols,
+                    max_size=rows * cols).map(lambda e: Matrix(rows, cols, e))
+
+
+def fresh(m):
+    return m * Q(1, 2) * 2
+
+
+def dense(m):
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
+def is_zero_free(m):
+    return all(x for i in range(m.rows) for _, x in m.row_entries(i))
+
+
+@st.composite
+def cancelling_operands(draw):
+    r, k, c, h = (draw(st.integers(1, 4)) for _ in range(4))
+    a, b, x, y, z = (draw(cancelling_matrix(*s)) for s in (
+        (r, k), (k, c), (r, k * h), (k, c), (h, c)))
+    a, b, x, y, z = ((fresh(m) if draw(st.booleans()) else m) for m in (a, b, x, y, z))
+    return a, b, x, y, z, draw(cancelling_matrix(r, k))
+
+
+@given(cancelling_operands())
+@settings(max_examples=150, deadline=None)
+def test_kernels_with_cancelling_sums_match_dense(ops):
+    a, b, x, y, z, a2 = ops
+    yz = [[y[i // z.rows, j // z.cols] * z[i % z.rows, j % z.cols]
+           for j in range(y.cols * z.cols)] for i in range(y.rows * z.rows)]
+    for got, want in ((a * b, dense_product(a, b)),
+                      (mul_kron(x, y, z), dense_product(x, Matrix.from_rows(yz))),
+                      (a + a2, [[p + q for p, q in zip(r, s)] for r, s in zip(dense(a), dense(a2))]),
+                      (a - a2, [[p - q for p, q in zip(r, s)] for r, s in zip(dense(a), dense(a2))]),
+                      (a - a, dense(Matrix.zeros(a.rows, a.cols)))):
+        assert got == Matrix.from_rows(want)
+        assert is_zero_free(got)
+        assert all_entries_are_q(got)
+
+
+def ones_are_shared(m):
+    return all(x is ONE for i in range(m.rows) for _, x in m.row_entries(i) if x == 1)
+
+
+@given(st.lists(st.sampled_from([0, 1, -1, 2, "1", Q(2, 2), Q(1, 2)]), min_size=6, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_constructors_store_the_shared_one(values):
+    m = Matrix(2, 3, values)
+    halves = [(0, 0, Q(1, 2)), (0, 0, Q(1, 2)), (1, 1, Q(3, 2)), (1, 1, Q(-1, 2))]
+    for got in (m, Matrix.from_rows([values[:3], values[3:]]),
+                Matrix.from_columns([values[:2], values[2:4], values[4:]]),
+                Matrix.from_entries(2, 3, [(k // 3, k % 3, v) for k, v in enumerate(values)]),
+                Matrix.from_entries(2, 2, halves), kernel_form(m), kernel_form(m.transpose()),
+                m.rref()[0], Matrix.identity(3), Matrix.permutation([2, 0, 1])):
+        assert ones_are_shared(got)
+        assert all_entries_are_q(got)
+    assert Matrix.from_entries(2, 2, halves)[0, 0] is ONE
+    assert rational("1") is ONE and rational(3, 3) is ONE
+    unit = Algebra(Matrix.from_rows([[1]]), [Q(2, 2)]).unit
+    assert unit == (ONE,) and unit[0] is ONE
+
+
+def test_products_by_the_shared_one_ask_no_scalar(monkeypatch):
+    """Permutation inputs hold only ONE and form no sum, so the kernels call
+    neither Q.__eq__ nor Q.__bool__."""
+    p, q = Matrix.permutation([2, 0, 3, 1]), Matrix.permutation([1, 0])
+    x = Matrix.permutation([5, 3, 7, 0, 1, 6, 2, 4])
+    calls = []
+    for name in ("__eq__", "__bool__"):
+        real = getattr(Q, name)
+        monkeypatch.setattr(Q, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    products = [p * p, x * x, mul_kron(x, p, q), mul_kron(x, q, p), p.kron(q)]
+    monkeypatch.undo()
+    assert calls == []
+    assert products[2] == x * p.kron(q) and products[3] == x * q.kron(p)
+    assert all(ones_are_shared(m) for m in products)
 
 
 def test_sparse_stacks_keep_offsets():

@@ -2,9 +2,10 @@
 
 gmpy2 is optional, so this puts a small `gmpy2` on sys.path whose `mpq` is a
 rational type distinct from fractions.Fraction and closed under arithmetic.
-Row reduction, kernels, solves, products by unit and Kronecker factors and a
-p = 3 descent must give the same str() output with it as with Fraction, and
-every entry they return must be an mpq.
+Row reduction, kernels, solves, products by unit and Kronecker factors, products
+whose sums cancel and a p = 3 descent must give the same str() output with it
+as with Fraction; every entry they return must be a nonzero mpq, and every
+entry equal to 1 that a constructor stores must be the shared ONE.
 """
 
 import subprocess
@@ -49,7 +50,8 @@ SCRIPT = textwrap.dedent('''
     from hopfgalois.catalog import catalog
     from hopfgalois.descent import descend, group_algebra
     from hopfgalois.extensions import splitting_field_cubic
-    from hopfgalois.linalg import Matrix, Q, mul_kron, rational
+    from hopfgalois.algebra import Algebra
+    from hopfgalois.linalg import ONE, Matrix, Q, kernel_form, mul_kron, rational
 
     print("backend", Q.__module__)
 
@@ -58,10 +60,19 @@ SCRIPT = textwrap.dedent('''
         if m is None:
             print(name, None)
             return
-        bad = [x for i in range(m.rows) for _, x in m.row_entries(i) if type(x) is not Q]
+        stored = [x for i in range(m.rows) for _, x in m.row_entries(i)]
+        bad = [x for x in stored if type(x) is not Q]
         if bad:
             sys.exit(f"{name}: entry of type {type(bad[0]).__name__}")
+        if not all(stored):
+            sys.exit(f"{name}: a stored zero")
         print(name, m.rows, m.cols, [str(x) for x in m.entries])
+
+
+    def shares_one(name, m):
+        if any(x == 1 and x is not ONE for i in range(m.rows) for _, x in m.row_entries(i)):
+            sys.exit(f"{name}: an entry equal to 1 that is not ONE")
+        show(name, m)
 
 
     m = Matrix.from_rows([[rational(x) for x in row] for row in (
@@ -83,6 +94,22 @@ SCRIPT = textwrap.dedent('''
     show("unit-product", unit * m)
     show("unit-scaled", m * 1)
     show("mul-kron", mul_kron(unit, m, Matrix.from_rows([[Q(2, 2), rational("-1/3")]])))
+    # sums that cancel, to zero or to 1, with shared and fresh (1/2 * 2) ones
+    a = Matrix.from_rows([[1, 1, 0, 2], [2, -1, 1, 0], [0, 0, 0, 0]])
+    b = Matrix.from_rows([[1, -1], [-1, 1], [0, 3], [1, Q(1, 2)]])
+    show("cancel-product", a * b)
+    show("cancel-fresh", a * (b * Q(1, 2) * 2))
+    show("cancel-sum", a + (-a) + Matrix.from_rows([[0, 0, 0, 1]] * 3))
+    show("cancel-mul-kron", mul_kron(a, Matrix.from_rows([[1, -1], [-1, 1]]), Matrix.identity(2)))
+    shares_one("ones-from-entries", Matrix.from_entries(2, 2, [
+        (0, 0, 1), (1, 1, "1"), (0, 1, Q(1, 2)), (0, 1, Q(1, 2)), (1, 0, Q(2, 2))]))
+    shares_one("ones-from-rows", Matrix.from_rows([[Q(2, 2), "1", 1, Q(3, 3)]]))
+    shares_one("ones-kernel-form", kernel_form(Matrix.from_rows([[2, 1], [4, 2]])))
+    shares_one("ones-identity", Matrix.identity(2))
+    shares_one("ones-rref", m.rref()[0])
+    unit = Algebra(Matrix.from_rows([[1]]), [Q(2, 2)]).unit
+    if unit[0] is not ONE:
+        sys.exit("ones-unit: the unit of an Algebra is not ONE")
 
     L = splitting_field_cubic(2)
     for entry in catalog(3):
