@@ -36,7 +36,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from .linalg import Matrix, ONE, Span, ZERO, hstack, mul_kron, rational, vstack
+from .linalg import Matrix, ONE, Span, ZERO, _checked, hstack, mul_kron, rational, vstack
 
 
 class Algebra:
@@ -96,7 +96,9 @@ class Algebra:
         return Generators(tuple(indices), tuple(operators), tuple(words))
 
     def basis_vector(self, i):
-        return list(Matrix.identity(self.dim).column(i))
+        v = [ZERO] * self.dim
+        v[_checked(i, self.dim, "basis")] = ONE
+        return v
 
     def _check_length(self, *vectors):
         if any(len(v) != self.dim for v in vectors):

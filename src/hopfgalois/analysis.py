@@ -172,13 +172,14 @@ def _eigen_split(H, unit, basis, operators):
 def _candidate_operators(H):
     """A function returning an iterator over the left multiplication operators
     L_z of the splitting candidates z of H: the basis vectors, then the sums
-    e_i + e_j with i < j.  Each L_z is built from `mult` on first use and kept."""
-    n, one = H.dim, Matrix.identity(H.dim)
+    e_i + e_j with i < j.  Each L_z is built by `mult_operator` on first use
+    and kept."""
+    n = H.dim
     sums = [*combinations(range(n), 1), *combinations(range(n), 2)]
 
     @cache
     def operator(z):  # L_z for z the sum of the basis vectors indexed by z
-        return mul_kron(H.mult, Matrix.from_entries(n, 1, ((i, 0, ONE) for i in z)), one)
+        return H.mult_operator([ONE if i in z else ZERO for i in range(n)])
 
     return lambda: map(operator, sums)
 
@@ -246,7 +247,7 @@ def noncommutative_wedderburn_p3(H):
         raise ValueError("this routine handles dimension 6 only")
     if H.is_commutative():
         raise ValueError("use commutative_wedderburn for commutative input")
-    n, one = H.dim, Matrix.identity(H.dim)
+    n = H.dim
     # row j*n + k, column i: coordinate k of e_i e_j - e_j e_i, read off mult
     Z = Matrix.from_entries(n * n, n, (t for k in range(n) for ij, c in H.mult.row_entries(k)
                                        for i, j in [divmod(ij, n)]
@@ -263,7 +264,7 @@ def noncommutative_wedderburn_p3(H):
     components = []
     for comp in commutative_wedderburn(Algebra(mult, unit.column(0))).components:
         e = Z * Matrix.from_columns([comp.unit])
-        basis = kernel_form(mul_kron(H.mult, e, one))
+        basis = kernel_form(H.mult_operator(e.column(0)))
         kind = KIND_FIELD if basis.cols == 1 else KIND_UNDETERMINED
         if basis.cols == 4 and comp.dim == 1:
             gram = mul_kron(trace_form, basis, basis).row_entries(0)

@@ -268,14 +268,11 @@ def _fixed_coefficients(act):
 
 def _residue(LK, gens):
     """(R, J, P, maps) for the nonzero idempotent e of L^K and generators gens
-    of its stabilizer D.  R is the algebra eL^K on J, the columns of e's
-    multiplication operator that grow their span; P is the algebra map
+    of its stabilizer D.  R is the plain Algebra eL^K on J, the columns of
+    e's multiplication operator that grow their span; P is the algebra map
     L^K -> eL^K, x -> e x, in R's coordinates; maps holds D's action on R,
-    P g J for each g in gens; R = L^K and J = P = I when e is the unit."""
+    P g J for each g in gens."""
     e = list(LK.idempotent)
-    if e == list(LK.unit):
-        one = Matrix.identity(LK.dim)
-        return LK, one, one, {g: LK.action[g] for g in gens}
     M = LK.mult_operator(e)
     span = Span()
     J = Matrix.from_columns([c for c in M.columns() if span.add(c)])
@@ -296,7 +293,10 @@ def descend(A, label=None):
     preimage in L^K[N]: B itself when F = I (K = 1), and X' in B's order when B
     reorders the columns of X = (I (x) F) X', as over the split model; only
     otherwise is I (x) F built.  Every structure map is then read once through
-    E_B = E B'.
+    E_B = E B'.  Both shortcuts are kept for what they save in one p = 13
+    split-model descend (cProfile calls): without B' = B, lambda makes 63 068
+    calls against 52 420; solving by I (x) F in place of the column matching,
+    rho makes 46 286 against 38 194 and N0 40 771 against 32 653.
     """
     act = SemilinearAction(A)
     F, LK = _fixed_coefficients(act)

@@ -66,25 +66,20 @@ def is_rational_square(q):
 class GaloisAlgebra(Algebra):
     """Commutative algebra with a finite group acting by automorphisms.
 
-    `action[g]` is the matrix of the automorphism attached to group element
-    index g; the assignment g -> action[g] is a homomorphism.  It is given
-    element by element, or as a dict at `group.generators` whose products
-    give the rest when `action` is first read; `generator_action` holds the
-    generators' matrices either way.  `idempotent` is an idempotent e whose
-    distinct G-translates are orthogonal and sum to 1, so that L is the
-    product of the eL over the cosets of D, the stabilizer of e; it defaults
-    to the unit (D = G).  descend reads each structure in (eL)[N] under D.
+    `action` is a dict {generator: matrix} at `group.generators`, kept as
+    `generator_action`.  `action[g]`, the matrix of the automorphism attached
+    to group element index g, is their product along group.extend, formed
+    when `action` is first read; g -> action[g] is a homomorphism.
+    `idempotent` is an idempotent e whose distinct G-translates are
+    orthogonal and sum to 1, so that L is the product of the eL over the
+    cosets of D, the stabilizer of e; it defaults to the unit (D = G).
+    descend reads each structure in (eL)[N] under D.
     """
 
     def __init__(self, mult, unit, group, action, names=None, idempotent=None):
         super().__init__(mult, unit, names=names)
         self.group = group
-        if not isinstance(action, dict):
-            self.action = tuple(action)
-            if len(self.action) != group.order:
-                raise ValueError("need one action matrix per group element")
-            action = dict(enumerate(self.action))
-        elif set(action) != set(group.generators):
+        if not isinstance(action, dict) or set(action) != set(group.generators):
             raise ValueError("need one action matrix per generator")
         for m in action.values():
             if m.rows != self.dim or m.cols != self.dim:
@@ -152,14 +147,13 @@ def splitting_field_cubic(v):
     Z = Matrix.from_entries(6, 6, [(i + 3, i, ONE) for i in range(3)]
                             + [(k, i + 3, -ONE) for i in range(3) for k in (i, i + 3)])
     mult = monomials(A, Z, basis, Matrix.identity(6))
-    # r: a -> az, z -> z and s: a -> a, z -> z^2; r^i s^j sits at index i + 3j
-    e0 = Matrix.from_entries(6, 1, [(0, 0, ONE)])
-    r = monomials(A * Z, Z, basis, e0)
-    s = monomials(A, Z * Z, basis, e0)
-    action = [Matrix.identity(6), r, r * r, s, r * s, r * r * s]
+    # r: a -> az, z -> z and s: a -> a, z -> z^2
+    G, e0 = dihedral(3), Matrix.from_entries(6, 1, [(0, 0, ONE)])
+    r, s = G.generators
+    action = {r: monomials(A * Z, Z, basis, e0), s: monomials(A, Z * Z, basis, e0)}
     unit = [ONE] + [ZERO] * 5
     names = ("1", "a", "a^2", "z", "az", "a^2z")
-    return GaloisAlgebra(mult, unit, dihedral(3), action, names=names)
+    return GaloisAlgebra(mult, unit, G, action, names=names)
 
 
 def quadratic_field(b):
@@ -171,7 +165,7 @@ def quadratic_field(b):
     # columns 1*1, 1*w, w*1, w*w
     mult = Matrix.from_rows([[ONE, ZERO, ZERO, b], [ZERO, ONE, ONE, ZERO]])
     unit = (ONE, ZERO)
-    action = (Matrix.identity(2), Matrix.from_rows([[ONE, ZERO], [ZERO, -ONE]]))
+    action = {G.generators[0]: Matrix.from_rows([[ONE, ZERO], [ZERO, -ONE]])}
     return GaloisAlgebra(mult, unit, G, action, names=("1", "w"))
 
 
@@ -185,7 +179,7 @@ def split_model(G):
     # d_i d_j = d_i if i == j else 0
     mult = Matrix.from_entries(n, n * n, ((i, i * n + i, ONE) for i in range(n)))
     unit = [ONE] * n
-    action = [Matrix.permutation(G.table[g]) for g in range(n)]
+    action = {g: Matrix.permutation(G.table[g]) for g in G.generators}
     names = tuple(f"d[{name}]" for name in G.names)
     return GaloisAlgebra(mult, unit, G, action, names=names,
                          idempotent=Matrix.identity(n).column(G.identity))

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from hopfgalois import descent
-from hopfgalois.algebra import (HopfPresentation, algebra_axiom_report, group_hopf_algebra,
-                                hopf_axiom_report, hopf_map_violation)
+from hopfgalois.algebra import (Algebra, HopfPresentation, algebra_axiom_report,
+                                group_hopf_algebra, hopf_axiom_report, hopf_map_violation)
 from hopfgalois.catalog import catalog, cyclic_generator
 from hopfgalois.analysis import nilpotent_witness
 from hopfgalois.descent import (DescentError, GroupAlgebraOverL, NormalizationError,
@@ -487,7 +487,8 @@ def test_phi_is_built_once_and_kept(monkeypatch, L3, p):
 # -- the residue copy (e_K L^K)[N] -----------------------------------------------
 
 def _with_idempotent(L, e):
-    return GaloisAlgebra(L.mult, L.unit, L.group, L.action, names=L.names, idempotent=e)
+    return GaloisAlgebra(L.mult, L.unit, L.group, L.generator_action, names=L.names,
+                         idempotent=e)
 
 
 def _reflection_pair(L):
@@ -541,6 +542,26 @@ def test_descent_through_the_residue_matches_E_equal_I(monkeypatch, split_descen
             phi = H.provenance.phi
             assert base_change_is_group_algebra(H), (kind, entry.label)
             assert phi.rows == phi.cols == 2 * p * residue.dim, (kind, entry.label)
+
+
+def test_the_unit_residue_is_L_K_itself(monkeypatch, L3):
+    """For every cubic:2 structure e_K is the unit of L^K: the general route
+    keeps every column of e_K's operator, so J = P = I, and R is a plain
+    Algebra with L^K's mult and unit on which D acts by L^K's matrices."""
+    seen = []
+    real = descent._residue
+    monkeypatch.setattr(descent, "_residue",
+                        lambda LK, gens: seen.append((LK, gens, real(LK, gens))) or seen[-1][2])
+    for entry in catalog(3):
+        seen.clear()
+        descend(group_algebra(L3, entry.subgroup), label=entry.label)
+        (LK, gens, (R, J, P, maps)), = seen
+        one = Matrix.identity(LK.dim)
+        assert list(LK.idempotent) == list(LK.unit), entry.label
+        assert J == P == one, entry.label
+        assert type(R) is Algebra, entry.label
+        assert (R.mult, R.unit) == (LK.mult, LK.unit), entry.label
+        assert maps == {g: LK.action[g] for g in gens}, entry.label
 
 
 def test_a_non_idempotent_e_is_refused():
@@ -655,7 +676,7 @@ def _rebased(base, row):
                             + [(row, j, ONE) for j in range(n) if j != row])
     T_inv = T.inverse()
     return GaloisAlgebra(T_inv * mul_kron(base.mult, T, T), T_inv.apply(base.unit), base.group,
-                         [T_inv * m * T for m in base.action])
+                         {g: T_inv * m * T for g, m in base.generator_action.items()})
 
 
 @pytest.mark.parametrize("p", [3, 5])

@@ -122,7 +122,7 @@ QUADRATIC_5 = Matrix.from_columns([(ONE, ZERO), (ZERO, ONE), (ZERO, ONE), (Q(5),
 def test_verify_names_first_counterexamples():
     # g acts as w -> 2w: neither an involution nor an algebra map
     L = GaloisAlgebra(QUADRATIC_5, (ONE, ZERO), cyclic(2),
-                      [Matrix.identity(2), Matrix.from_rows([[ONE, ZERO], [ZERO, Q(2)]])])
+                      {1: Matrix.from_rows([[ONE, ZERO], [ZERO, Q(2)]])})
     assert L.verify().failures() == [
         ("action-homomorphism", "fails at (g, g)"),
         ("action-by-algebra-maps", "fails for g at basis (1,1)"),
@@ -138,7 +138,7 @@ def test_verify_fails_loudly_under_python_O():
         "from hopfgalois.groups import cyclic\n"
         "from hopfgalois.linalg import Matrix, ONE, Q, ZERO\n"
         "mult = Matrix.from_columns([(ONE, ZERO), (ZERO, ONE), (ZERO, ONE), (Q(5), ZERO)])\n"
-        "L = GaloisAlgebra(mult, (ONE, ZERO), cyclic(2), [Matrix.identity(2)] * 2)\n"
+        "L = GaloisAlgebra(mult, (ONE, ZERO), cyclic(2), {1: Matrix.identity(2)})\n"
         "print(json.dumps([sys.flags.optimize, L.verify().failures()]))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -220,7 +220,8 @@ def test_witness_rejects_wrong_model():
 
 
 def _with_idempotent(L, e):
-    return GaloisAlgebra(L.mult, L.unit, L.group, L.action, names=L.names, idempotent=e)
+    return GaloisAlgebra(L.mult, L.unit, L.group, L.generator_action, names=L.names,
+                         idempotent=e)
 
 
 IDEMPOTENT_CHECKS = {"idempotent", "idempotent-translates-orthogonal",
@@ -283,3 +284,20 @@ def test_an_action_given_at_the_generators_extends_to_every_element():
     assert lazy.verify().passed
     with pytest.raises(ValueError, match="per generator"):
         GaloisAlgebra(L.mult, L.unit, G, {G.generators[0]: L.action[G.generators[0]]})
+    for listed in (list(L.action), L.action):  # element by element is refused
+        with pytest.raises(ValueError, match="^need one action matrix per generator$"):
+            GaloisAlgebra(L.mult, L.unit, G, listed)
+
+
+def test_cubic_action_extends_to_the_hand_listed_elements():
+    """The cubic field's action read off r and s by group.extend is the list
+    (I, r, r^2, s, rs, r^2 s) that r^i s^j at index i + 3j gives, for r and s
+    written out on (1, a, a^2, z, az, a^2z): r(a^i z^j) = a^i z^(i+j) and
+    s(a^i z^j) = a^i z^(2j), with z^2 = -1 - z and z^3 = 1."""
+    L = splitting_field_cubic(2)
+    r = Matrix.from_columns([(1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, -1, 0, 0, -1),
+                             (0, 0, 0, 1, 0, 0), (0, -1, 0, 0, -1, 0), (0, 0, 1, 0, 0, 0)])
+    s = Matrix.from_columns([(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0),
+                             (-1, 0, 0, -1, 0, 0), (0, -1, 0, 0, -1, 0), (0, 0, -1, 0, 0, -1)])
+    assert L.generator_action == {1: r, 3: s}
+    assert L.action == (Matrix.identity(6), r, r * r, s, r * s, r * r * s)
