@@ -11,7 +11,7 @@ The attribute `catalog` is the function, which shadows its module (so does
 returns the module, which keeps its name because the benchmark imports it.
 """
 
-from .algebra import (Algebra, Check, CheckReport, HopfPresentation,
+from .algebra import (Algebra, Check, CheckFailed, CheckReport, HopfPresentation,
                       action_report, algebra_axiom_report, group_hopf_algebra,
                       hopf_axiom_report, hopf_map_violation)
 from .analysis import (WedderburnComponent, WedderburnReport,
@@ -22,7 +22,7 @@ from .catalog import (SUPPORTED_PRIMES, CatalogEntry, catalog, catalog_checks,
                       completeness_check_p3, cyclic_generator)
 from .descent import (DescentError, GroupAlgebraOverL, NormalizationError,
                       SemilinearAction, base_change_is_group_algebra, descend,
-                      explicit_basis_matches, group_algebra, hopf_action,
+                      descend_and_verify, explicit_basis_matches, group_algebra, hopf_action,
                       measuring_report, verify_hopf_galois)
 from .extensions import (GaloisAlgebra, quadratic_field, quadratic_sqrt_witness,
                          rational_square_of, split_model, splitting_field_cubic)
@@ -38,7 +38,7 @@ from .polyform import (PolyHopfAlgebra, PolyMapError, check_iso_to_descended,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Algebra", "CatalogEntry", "Check", "CheckReport", "ClosureBoundExceeded",
+    "Algebra", "CatalogEntry", "Check", "CheckFailed", "CheckReport", "ClosureBoundExceeded",
     "DescentError", "FiniteGroup", "GaloisAlgebra", "GroupAlgebraOverL",
     "HopfPresentation", "Matrix", "NormalizationError", "Perm",
     "PermSubgroup", "PolyHopfAlgebra", "PolyMapError", "Q",
@@ -46,8 +46,8 @@ __all__ = [
     "WedderburnComponent", "WedderburnReport", "action_report",
     "algebra_axiom_report", "algebra_iso_classes_p3",
     "base_change_is_group_algebra", "catalog", "catalog_checks",
-    "check_iso_to_descended", "commutative_wedderburn",
-    "completeness_check_p3", "cyclic_generator", "descend", "descend_catalog",
+    "check_iso_to_descended", "commutative_wedderburn", "completeness_check_p3",
+    "cyclic_generator", "descend", "descend_and_verify", "descend_catalog",
     "dihedral", "elementary_abelian_4", "enumerate_regular_normalized",
     "explicit_basis_matches", "group_algebra", "group_hopf_algebra",
     "group_isomorphisms", "hopf_action", "hopf_axiom_report",

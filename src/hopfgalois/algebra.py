@@ -242,6 +242,10 @@ class Check(NamedTuple):
     detail: str = ""
 
 
+class CheckFailed(RuntimeError):
+    """An exact identity that must hold failed; the message names it."""
+
+
 class CheckReport(list):
     """Ordered list of Checks; passes when every check passes."""
 

@@ -29,7 +29,7 @@ from itertools import combinations
 
 from math import gcd
 
-from .algebra import Algebra, hopf_map_violation
+from .algebra import Algebra, CheckFailed, hopf_map_violation
 from .catalog import catalog
 from .descent import SemilinearAction, _provenance_of, descend, group_algebra
 from .groups import dihedral, equivariant_iso_search, left_regular, right_regular
@@ -72,7 +72,7 @@ def minimal_polynomial(M):
         sol = Matrix.from_columns(vectors).solve(Matrix.from_columns([power.entries]))
         if sol is not None:
             return [-x for x in sol.column(0)] + [ONE]
-    raise AssertionError("minimal polynomial must have degree <= dim")
+    raise CheckFailed("minimal polynomial must have degree <= dim")
 
 
 def _at_half(p, t):
@@ -139,16 +139,16 @@ def _split_unit(H, unit, part_a, part_b):
     """The units ua and unit - ua of the (right) ideals spanned by part_a and part_b."""
     sol = hstack(part_a, part_b).solve(unit)
     if sol is None:
-        raise AssertionError("unit left the component")
+        raise CheckFailed("unit left the component")
     ua = hstack(part_a, Matrix.zeros(H.dim, part_b.cols)) * sol
     ub, zero = unit - ua, Matrix.zeros(H.dim, 1)
     if zero in (ua, ub):
-        raise AssertionError("component unit is zero")
+        raise CheckFailed("component unit is zero")
     for u in (ua, ub):
         if mul_kron(H.mult, u, u) != u:
-            raise AssertionError("component unit is not idempotent")
+            raise CheckFailed("component unit is not idempotent")
     if mul_kron(H.mult, ua, ub) != zero:
-        raise AssertionError("component units are not orthogonal")
+        raise CheckFailed("component units are not orthogonal")
     return ua, ub
 
 
@@ -159,7 +159,7 @@ def _eigen_split(H, unit, basis, operators):
     for op in operators:
         Mz = basis.solve(op * basis)
         if Mz is None:
-            raise AssertionError("span is not an ideal")
+            raise CheckFailed("span is not an ideal")
         for a in rational_roots(minimal_polynomial(Mz)):
             shifted = Mz - Matrix.identity(k) * a
             ker = shifted.kernel()
@@ -255,7 +255,7 @@ def noncommutative_wedderburn_p3(H):
     mult = Z.solve(mul_kron(H.mult, Z, Z))
     unit = Z.solve(Matrix.from_columns([H.unit]))
     if mult is None or unit is None:
-        raise AssertionError("the center is not a subalgebra")
+        raise CheckFailed("the center is not a subalgebra")
 
     operators = _candidate_operators(H)
     # t(e_i) = Tr(L_{e_i}) = sum_k mult[k, i*n + k]; column i*n + j is t(e_i e_j)
@@ -273,7 +273,7 @@ def noncommutative_wedderburn_p3(H):
                 kind = KIND_MATRIX2
         components.append(WedderburnComponent(basis.cols, comp.dim, kind, e.column(0), basis))
     if sum(c.dim for c in components) != H.dim:
-        raise AssertionError("block dimensions do not add up")
+        raise CheckFailed("block dimensions do not add up")
     return WedderburnReport(components)
 
 
@@ -345,7 +345,7 @@ def _induced_hopf_map(Ha, Hb, iso):
     moved = Ha.provenance.parent.slot_map(iso.mapping) * Ha.provenance.basis
     sol = Hb.provenance.basis.solve(moved)
     if sol is None:
-        raise AssertionError("induced image left the target fixed ring")
+        raise CheckFailed("induced image left the target fixed ring")
     return sol
 
 
@@ -383,7 +383,7 @@ def hopf_iso_classes(descended):
         if isos:
             violation = hopf_map_violation(_induced_hopf_map(Ha, Hb, isos[0]), Ha, Hb)
             if violation is not None:
-                raise AssertionError(f"equivariant witness for ({a},{b}) fails: {violation}")
+                raise CheckFailed(f"equivariant witness for ({a},{b}) fails: {violation}")
             evidence[(a, b)] = PairEvidence(True, witness=isos[0], induced_map_checked=True,
                                             isos_tested=len(isos) + len(rejected))
         else:
@@ -398,7 +398,7 @@ def hopf_iso_classes(descended):
     # consistency: evidence must agree with the partition
     for (la, lb), ev in evidence.items():
         if (first[la] == first[lb]) != ev.isomorphic:
-            raise AssertionError("pairwise evidence is not transitive")
+            raise CheckFailed("pairwise evidence is not transitive")
     return HopfIsoClassReport(labels=labels, classes=classes, evidence=evidence)
 
 

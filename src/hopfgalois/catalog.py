@@ -47,6 +47,8 @@ class CatalogEntry:
     label: str
     subgroup: PermSubgroup
     iso_label: str
+    basis_kind: str  # H's closed-form basis: "classical", "translation" or "cyclic"
+    generator: Perm | None  # cyclic_generator(p, c) for N_c, None for rho and lambda
 
 
 def catalog(p):
@@ -57,8 +59,8 @@ def catalog(p):
     rho = right_regular(G)
     lam = left_regular(G)
     entries = [
-        CatalogEntry("rho", rho, iso_type(rho)),
-        CatalogEntry("lambda", lam, iso_type(lam)),
+        CatalogEntry("rho", rho, iso_type(rho), "classical", None),
+        CatalogEntry("lambda", lam, iso_type(lam), "translation", None),
     ]
     r, s = G.generators
     for c in range(p):
@@ -66,7 +68,7 @@ def catalog(p):
         elems = powers(Perm.__mul__, gen, Perm.identity(G.order))  # elems[k] = gen^k
         N = PermSubgroup(G.order, tuple(elems), label=f"N{c}",
                          element_names=tuple(f"g^{k}" for k in range(2 * p)))
-        entries.append(CatalogEntry(f"N{c}", N, iso_type(N)))
+        entries.append(CatalogEntry(f"N{c}", N, iso_type(N), "cyclic", gen))
     return entries
 
 

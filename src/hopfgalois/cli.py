@@ -9,7 +9,8 @@ Four subcommands, all exact and deterministic:
 
 Every command emits a report whose ``checks`` entry is a CheckReport of
 Check(name, passed, detail) records.  The exit code is 0 when all checks
-pass, 1 when any fails, and 2 on usage errors: bad arguments or an
+pass, 1 when any fails or a CheckFailed stops the command (one ``failed:``
+line on stderr, no report), and 2 on usage errors: bad arguments or an
 ``--out`` file that cannot be written.  ``--json`` switches to a stable
 JSON rendering, ``--out`` writes the rendered report to a file instead of
 stdout.
@@ -24,13 +25,12 @@ import re
 import sys
 from collections import Counter
 
-from .algebra import Check, CheckReport, hopf_axiom_report
+from .algebra import Check, CheckFailed, CheckReport
 from .analysis import (algebra_iso_classes_p3, descend_catalog, hopf_iso_classes,
                        minimal_splitting_subfield_check)
 from .catalog import (SUPPORTED_PRIMES, catalog, catalog_checks, completeness_check_p3,
                       cyclic_generator, matches_catalog)
-from .descent import (base_change_is_group_algebra, descend, group_algebra,
-                      measuring_report, verify_hopf_galois, explicit_basis_matches)
+from .descent import descend_and_verify
 from .extensions import (quadratic_sqrt_witness, rational_square_of, split_model,
                          splitting_field_cubic)
 from .groups import (closure, dihedral, elementary_abelian_4,
@@ -271,22 +271,7 @@ def cmd_descend(args):
         raise UsageError(
             f"unknown structure {_shown(args.structure)}; choose from {sorted(entries)}")
     entry = entries[args.structure]
-    A = group_algebra(L, entry.subgroup)
-    H = descend(A, label=entry.label)
-
-    checks = CheckReport(c._replace(name=f"axiom:{c.name}") for c in hopf_axiom_report(H))
-    hg = verify_hopf_galois(H)
-    checks.add("action-bijective", hg.passed, f"rank {hg.rank} of {hg.expected}")
-    checks.add("base-change-recovers-group-algebra", base_change_is_group_algebra(H))
-    checks.extend(measuring_report(H))
-    if entry.label == "rho":
-        kind, gen = "classical", None
-    elif entry.label == "lambda":
-        kind, gen = "translation", None
-    else:
-        kind, gen = "cyclic", cyclic_generator(p, int(entry.label[1:]))
-    checks.add(f"explicit-basis-{kind}", explicit_basis_matches(H, kind, gen=gen))
-
+    H, checks = descend_and_verify(L, entry)
     results = {
         "p": p,
         "structure": entry.label,
@@ -295,7 +280,7 @@ def cmd_descend(args):
         "dim": H.dim,
         "commutative": H.is_commutative(),
         "cocommutative": H.is_cocommutative(),
-        "basis": [_ln_string(A, H.provenance.basis.column_entries(j))
+        "basis": [_ln_string(H.provenance.parent, H.provenance.basis.column_entries(j))
                   for j in range(H.dim)],
     }
     return {"command": "descend",
@@ -428,6 +413,9 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except CheckFailed as exc:
+        print(f"failed: {exc}", file=sys.stderr)
+        return 1
     rendered = render_json(report) if args.json else render_text(report)
     if args.out:
         try:

@@ -67,13 +67,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra import Algebra, CheckReport, HopfPresentation, action_report, first_difference
+from .algebra import (Algebra, CheckFailed, CheckReport, HopfPresentation, action_report,
+                      first_difference, hopf_axiom_report)
 from .extensions import GaloisAlgebra, quadratic_sqrt_witness
 from .groups import Perm, greedy_generators, left_regular, powers
 from .linalg import Matrix, ONE, Span, ZERO, fixed_basis, hstack, kernel_form, mul_kron, vstack
 
 
-class DescentError(RuntimeError):
+class DescentError(CheckFailed):
     """An exact identity that descent theory guarantees failed to hold."""
 
 
@@ -619,3 +620,18 @@ def explicit_basis_matches(H, kind, gen=None):
         raise ValueError(f"unknown basis kind {kind!r}")
     X = prov.basis.solve(ref)
     return X is not None and X.rank() == prov.basis.cols
+
+
+def descend_and_verify(L, entry):
+    """(H, report) for the catalog entry's structure over L: descend, then the
+    Hopf axioms (named axiom:<name>), the bijectivity of j, the base change,
+    measuring and the entry's closed-form basis, in that order."""
+    H = descend(group_algebra(L, entry.subgroup), label=entry.label)
+    report = CheckReport(c._replace(name=f"axiom:{c.name}") for c in hopf_axiom_report(H))
+    hg = verify_hopf_galois(H)
+    report.add("action-bijective", hg.passed, f"rank {hg.rank} of {hg.expected}")
+    report.add("base-change-recovers-group-algebra", base_change_is_group_algebra(H))
+    report.extend(measuring_report(H))
+    report.add(f"explicit-basis-{entry.basis_kind}",
+               explicit_basis_matches(H, entry.basis_kind, gen=entry.generator))
+    return H, report

@@ -23,6 +23,8 @@ from functools import cached_property
 from itertools import permutations, product as iter_product
 from math import gcd, lcm
 
+from .algebra import CheckFailed
+
 
 class ClosureBoundExceeded(RuntimeError):
     """Raised when a closure grows past the bound its caller gave."""
@@ -173,14 +175,14 @@ class FiniteGroup:
         n = self.order
         for a in range(n):
             if self.mul(self.identity, a) != a or self.mul(a, self.identity) != a:
-                raise AssertionError("identity law fails")
+                raise CheckFailed("identity law fails")
             if self.inv(a) is None:
-                raise AssertionError("missing inverse")
+                raise CheckFailed("missing inverse")
         for a in range(n):
             for b in range(n):
                 for c in range(n):
                     if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
-                        raise AssertionError("associativity fails")
+                        raise CheckFailed("associativity fails")
 
 
 def _is_odd_prime(p):
@@ -427,7 +429,7 @@ def enumerate_regular_normalized(G):
     out = sorted((N for N, _, _ in walk if N.order == n), key=PermSubgroup.canonical_key)
     for N in out:
         if not (is_regular(N) and is_normalized_by(N, lam)):
-            raise AssertionError("enumerated subgroup is not regular and normalized")
+            raise CheckFailed("enumerated subgroup is not regular and normalized")
     return out
 
 
@@ -500,7 +502,7 @@ def group_isomorphisms(A, B):
     GA, GB = A.group, B.group
     walk = _walk(GA.mul, [GA.identity], GA.generators)
     if len(walk) != A.order:
-        raise AssertionError("generators do not generate")
+        raise CheckFailed("generators do not generate")
     candidates = [[u for u in range(B.order) if B.element_orders[u] == A.element_orders[g]]
                   for g in GA.generators]
     isos = []

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .algebra import Algebra, HopfPresentation, hopf_map_violation, monomials
+from .algebra import Algebra, CheckFailed, HopfPresentation, hopf_map_violation, monomials
 from .analysis import commutative_wedderburn
 from .descent import _provenance_of, inverse_pair_columns
 from .extensions import is_rational_square
@@ -32,7 +32,7 @@ MONOMIALS = ((0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1))
 MONOMIAL_NAMES = ("1", "x", "x^2", "x^3", "y", "xy")
 
 
-class PolyMapError(RuntimeError):
+class PolyMapError(CheckFailed):
     """An explicit Hopf-map identity failed; carries the identity name."""
 
     def __init__(self, identity):
@@ -133,7 +133,7 @@ def variety_points(b):
     for g in ideal_generators(b):
         for pt in pts:
             if evaluate_poly(g, pt) != 0:
-                raise AssertionError(f"point {pt} does not annihilate the ideal")
+                raise CheckFailed(f"point {pt} does not annihilate the ideal")
     return pts
 
 

@@ -217,13 +217,7 @@ def test_criterion_10_split_model_general_p():
             ok = ok and H.dim == 2 * p
             ok = ok and hopf_axiom_report(H).passed
             ok = ok and base_change_is_group_algebra(H)
-            if e.label == "rho":
-                ok = ok and explicit_basis_matches(H, "classical")
-            elif e.label == "lambda":
-                ok = ok and explicit_basis_matches(H, "translation")
-            else:
-                gen = cyclic_generator(p, int(e.label[1:]))
-                ok = ok and explicit_basis_matches(H, "cyclic", gen=gen)
+            ok = ok and explicit_basis_matches(H, e.basis_kind, gen=e.generator)
     elapsed = perf_counter() - t0
     ok = ok and elapsed < 120
     _report(10, ok, f"all 16 split-model structures at p in (5,7) descend to "

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfgalois.algebra import Algebra, algebra_axiom_report, group_hopf_algebra
+from hopfgalois.algebra import Algebra, CheckFailed, algebra_axiom_report, group_hopf_algebra
 from hopfgalois.analysis import (_candidate_operators, _eigen_split, algebra_iso_classes_p3,
                                  character_idempotents, commutative_wedderburn,
                                  descend_catalog, hopf_iso_classes, minimal_polynomial,
@@ -356,7 +356,7 @@ def test_hopf_iso_classes_refuses_intransitive_evidence(descended3, monkeypatch)
     monkeypatch.setattr(analysis, "equivariant_iso_search", search)
     monkeypatch.setattr(analysis, "_induced_hopf_map", lambda Ha, Hb, iso: None)
     monkeypatch.setattr(analysis, "hopf_map_violation", lambda T, Ha, Hb: None)
-    with pytest.raises(AssertionError, match="pairwise evidence is not transitive"):
+    with pytest.raises(CheckFailed, match="pairwise evidence is not transitive"):
         hopf_iso_classes(descended3)
 
 

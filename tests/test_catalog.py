@@ -1,6 +1,7 @@
 import importlib
 import sys
 import types
+from dataclasses import replace
 
 import pytest
 
@@ -32,6 +33,14 @@ def test_catalog_shape(p):
         assert entries[2 + c].iso_label == f"C{2 * p}"
         gen = cyclic_generator(p, c)
         assert entries[2 + c].subgroup.elements == tuple(powers(Perm.__mul__, gen, Perm.identity(2 * p)))
+
+
+@pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+def test_entries_name_their_closed_form_basis(p):
+    entries = catalog(p)
+    assert [(e.basis_kind, e.generator) for e in entries] == [
+        ("classical", None), ("translation", None),
+        *(("cyclic", cyclic_generator(p, c)) for c in range(p))]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -85,10 +94,11 @@ def test_matches_catalog_needs_every_entry():
 
 def test_catalog_checks_fail_normalized_on_a_non_normalized_entry():
     # the six-cycle generates a regular C6 that lam(D_3) does not normalize
-    N = closure([Perm((1, 2, 3, 4, 5, 0))], 6)
+    six_cycle = Perm((1, 2, 3, 4, 5, 0))
+    N = closure([six_cycle], 6)
     assert is_regular(N)
     entries = catalog(3)
-    entries[2] = CatalogEntry("N0", N, iso_type(N))
+    entries[2] = CatalogEntry("N0", N, iso_type(N), "cyclic", six_cycle)
     checks = {c.name: c for c in catalog_checks(3, entries)}
     assert checks["regular"].passed
     assert not checks["normalized"].passed
@@ -102,7 +112,7 @@ def test_catalog_checks_fail_only_the_involution_identity_on_a_rotated_entry():
     N = entries[3].subgroup
     rotated = PermSubgroup(N.degree, N.elements[1:] + N.elements[:1], label=N.label,
                            element_names=N.element_names)
-    entries[3] = CatalogEntry("N1", rotated, entries[3].iso_label)
+    entries[3] = replace(entries[3], subgroup=rotated)
     failed = [c for c in catalog_checks(p, entries) if not c.passed]
     assert [(c.name, c.detail) for c in failed] == [
         ("involution-identity", "involution of N1 is not rho(r^1s)")]

@@ -112,6 +112,29 @@ def test_classify_descends_each_structure_once(capsys, monkeypatch):
     assert labels == ["rho", "lambda", "N0", "N1", "N2"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("descend", "--p", "3", "--structure", "rho", "--field", "cubic:2"),
+    ("classify", "--field", "cubic:2")])
+def test_a_failed_descent_identity_exits_1_with_one_failed_line(capsys, monkeypatch, argv):
+    descent = importlib.import_module("hopfgalois.descent")
+
+    def degenerate(A, B):
+        raise descent.DescentError("the pairing is degenerate (injected)")
+
+    monkeypatch.setattr(descent, "_comultiplication", degenerate)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "failed: the pairing is degenerate (injected)\n"
+
+
+def test_a_failed_equivariant_witness_exits_1_with_one_failed_line(capsys, monkeypatch):
+    analysis = importlib.import_module("hopfgalois.analysis")
+    monkeypatch.setattr(analysis, "hopf_map_violation", lambda T, Ha, Hb: "antipode")
+    code, out, err = run(capsys, "classify", "--field", "cubic:2")
+    assert (code, out) == (1, "")
+    assert err == "failed: equivariant witness for (N0,N1) fails: antipode\n"
+
+
 def test_deterministic_output(capsys):
     _, out1, _ = run(capsys, "classify", "--field", "cubic:2", "--json")
     _, out2, _ = run(capsys, "classify", "--field", "cubic:2", "--json")

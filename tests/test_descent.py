@@ -10,7 +10,7 @@ from hopfgalois.analysis import nilpotent_witness
 from hopfgalois.descent import (DescentError, GroupAlgebraOverL, NormalizationError,
                                 SemilinearAction,
                                 _comultiplication, base_change_is_group_algebra,
-                                descend, explicit_basis_matches,
+                                descend, descend_and_verify, explicit_basis_matches,
                                 explicit_classical_basis, explicit_cyclic_basis,
                                 explicit_translation_basis, group_algebra,
                                 hopf_action, hopf_galois_matrix, inverse_pair_columns,
@@ -419,15 +419,9 @@ def test_batteries_leave_the_callers_table_unbuilt(L3, p):
     """Every check of every structure reads L[N] as a coordinate frame only."""
     L = L3 if p == 3 else split_model(dihedral(p))
     for e in catalog(p):
-        A = group_algebra(L, e.subgroup)
-        H = descend(A, label=e.label)
-        assert hopf_axiom_report(H).passed and verify_hopf_galois(H).passed, e.label
-        assert base_change_is_group_algebra(H) and measuring_report(H).passed, e.label
-        if e.label in ("rho", "lambda"):
-            kind, gen = {"rho": "classical", "lambda": "translation"}[e.label], None
-        else:
-            kind, gen = "cyclic", cyclic_generator(p, int(e.label[1:]))
-        assert explicit_basis_matches(H, kind, gen=gen), e.label
+        H, report = descend_and_verify(L, e)
+        assert report.passed, (e.label, report.failures())
+        A = H.provenance.parent
         assert "mult" not in vars(A) and "pointwise" not in vars(A), e.label
 
 
@@ -732,9 +726,9 @@ def test_one_conjugation_table_per_descend(monkeypatch, L5):
         calls.clear()
         H = descend(group_algebra(L5, e.subgroup), label=e.label)
         assert len(calls) == len(L5.group.generators), e.label
-        if e.label == "rho":
+        if e.basis_kind == "classical":
             calls.clear()
-            assert explicit_basis_matches(H, "classical")
+            assert explicit_basis_matches(H, e.basis_kind)
             assert len(calls) == len(L5.group.generators)
 
 
@@ -787,13 +781,7 @@ def test_split_model_descents(p, label):
     assert H.dim == 2 * p
     assert hopf_axiom_report(H).passed
     assert base_change_is_group_algebra(H)
-    if label == "rho":
-        assert explicit_basis_matches(H, "classical")
-    elif label == "lambda":
-        assert explicit_basis_matches(H, "translation")
-    else:
-        assert explicit_basis_matches(H, "cyclic",
-                                      gen=cyclic_generator(p, int(label[1:])))
+    assert explicit_basis_matches(H, entry.basis_kind, gen=entry.generator)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -1088,11 +1076,7 @@ def _closed_form_cases(L3):
     """(A, kind, gen) for every structure at p = 3 over cubic:2 and p = 5, 7 split."""
     for L, p in ((L3, 3), (split_model(dihedral(5)), 5), (split_model(dihedral(7)), 7)):
         for e in catalog(p):
-            A = group_algebra(L, e.subgroup)
-            if e.label in ("rho", "lambda"):
-                yield A, "classical" if e.label == "rho" else "translation", None
-            else:
-                yield A, "cyclic", cyclic_generator(p, int(e.label[1:]))
+            yield group_algebra(L, e.subgroup), e.basis_kind, e.generator
 
 
 def _closed_form(A, kind, gen):

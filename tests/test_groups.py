@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfgalois.algebra import CheckFailed
 from hopfgalois.catalog import SUPPORTED_PRIMES, catalog
 from hopfgalois.groups import (ClosureBoundExceeded, FiniteGroup, Perm, PermSubgroup,
                                GroupIso, UnknownGroupType, closure, conj_by,
@@ -231,7 +232,7 @@ def test_left_regular_group_is_the_group_it_translates(p):
 def test_check_axioms_names_a_missing_inverse():
     monoid = FiniteGroup(((0, 1), (1, 1)), ("1", "z"), identity=0, generators=(1,))
     assert monoid.inverses == (0, None)
-    with pytest.raises(AssertionError, match="missing inverse"):
+    with pytest.raises(CheckFailed, match="missing inverse"):
         monoid.check_axioms()
 
 
