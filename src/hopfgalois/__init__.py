@@ -23,7 +23,7 @@ from .catalog import (SUPPORTED_PRIMES, CatalogEntry, catalog, catalog_checks,
 from .descent import (DescentError, GroupAlgebraOverL, NormalizationError,
                       SemilinearAction, base_change_is_group_algebra, descend,
                       descend_and_verify, explicit_basis_matches, group_algebra, hopf_action,
-                      measuring_report, verify_hopf_galois)
+                      measuring_report, module_report, verify_hopf_galois)
 from .extensions import (GaloisAlgebra, quadratic_field, quadratic_sqrt_witness,
                          rational_square_of, split_model, splitting_field_cubic)
 from .groups import (ClosureBoundExceeded, FiniteGroup, Perm, PermSubgroup,
@@ -52,8 +52,8 @@ __all__ = [
     "explicit_basis_matches", "group_algebra", "group_hopf_algebra",
     "group_isomorphisms", "hopf_action", "hopf_axiom_report",
     "hopf_iso_classes", "hopf_map_violation", "iso_type", "left_regular",
-    "measuring_report", "minimal_splitting_subfield_check", "nilpotent_witness",
-    "noncommutative_wedderburn_p3", "normal_form",
+    "measuring_report", "minimal_splitting_subfield_check", "module_report",
+    "nilpotent_witness", "noncommutative_wedderburn_p3", "normal_form",
     "point_decomposition_check", "quadratic_field", "quadratic_sqrt_witness",
     "rational", "rational_square_of", "right_regular", "scaling_invariance_check",
     "split_model", "splitting_field_cubic", "variety_points", "verify_hopf_galois",

@@ -171,6 +171,7 @@ class HopfPresentation(Algebra):
         self.counit = counit
         self.antipode = antipode
         self.provenance = provenance
+        self._axiom_report = None  # the checks of hopf_axiom_report(self), once computed
 
     def comul_terms(self, k):
         """Sparse form of comul column k: dict (i, j) -> coefficient."""
@@ -337,7 +338,14 @@ def hopf_axiom_report(H):
     lemma of the module docstring): n of the n^2 columns, or rows, per
     generator.  When one of those fails, or a precondition fails, the full
     identity runs and names the first failing pair.
+
+    A presentation's matrices are never replaced, so the checks are computed
+    once per presentation and kept: a later call, as measuring_report and
+    module_report make, returns a new report of the same checks without a
+    product.
     """
+    if H._axiom_report is not None:
+        return CheckReport(H._axiom_report)
     n = H.dim
     m, d, e, s = H.mult, H.comul, H.counit, H.antipode
     one, u = Matrix.identity(n), Matrix.from_columns([H.unit])
@@ -394,6 +402,7 @@ def hopf_axiom_report(H):
                            (m * mul_kron(dt, one, st).transpose(), ue))
     report.add("antipode-law", col is None,
                None if col is None else f"antipode law fails on basis {col}")
+    H._axiom_report = tuple(report)
     return report
 
 

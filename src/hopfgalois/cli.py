@@ -31,8 +31,7 @@ from .analysis import (algebra_iso_classes_p3, descend_catalog, hopf_iso_classes
 from .catalog import (SUPPORTED_PRIMES, catalog, catalog_checks, completeness_check_p3,
                       cyclic_generator, matches_catalog)
 from .descent import descend_and_verify
-from .extensions import (quadratic_sqrt_witness, rational_square_of, split_model,
-                         splitting_field_cubic)
+from .extensions import rational_square_of, split_model, splitting_field_cubic
 from .groups import (closure, dihedral, elementary_abelian_4,
                      enumerate_regular_normalized, iso_type)
 from .linalg import rational
@@ -299,7 +298,7 @@ def cmd_classify(args):
     algebra_classes, wedder = algebra_iso_classes_p3(descended)
     splitting = minimal_splitting_subfield_check(L)
 
-    b = rational_square_of(L, quadratic_sqrt_witness(L))
+    b = rational_square_of(L, L.sqrt_witness)
     P = PolyHopfAlgebra(b)
     pd = point_decomposition_check(b)
 

@@ -8,9 +8,10 @@ group algebra L[N] carries the semilinear action
 and its fixed ring H is a Q-Hopf algebra of dimension |N|.  This module
 computes H with exact structure constants, counit, antipode and
 comultiplication, and provides the verification operations: Hopf axiom
-report, the induced action of H on L with its measuring property, exact
-bijectivity of the Hopf-Galois map j: L (x) H -> End(L), the base-change
-check L (x) H = L[N], and span comparison against closed-form bases.
+report, the induced action of H on L with its module law and measuring
+property, exact bijectivity of the Hopf-Galois map j: L (x) H -> End(L),
+the base-change check L (x) H = L[N], and span comparison against
+closed-form bases.
 
 The route.  Let K be the kernel of G's conjugation action on N (action_kernel:
 the g whose conjugation map fixes N pointwise).  K acts on L[N] through the
@@ -50,8 +51,9 @@ slot maps through the slot coefficients of a basis (_translated), so they
 build no operator on L^K[N].  The closed-form bases are products of U =
 slots(1), W = slots(w) for the rational-square witness w of L, and the slot
 inversion iota: U + iota U has the columns eta_t + eta_t^-1, and W - iota W
-the columns w*(eta_t - eta_t^-1).  The action of H on L is built once, as
-DescentProvenance.action, for the measuring and Hopf-Galois checks.
+the columns w*(eta_t - eta_t^-1), w being read once per L
+(GaloisAlgebra.sqrt_witness).  The action of H on L is built once, as
+DescentProvenance.action, for the module, measuring and Hopf-Galois checks.
 
 Comultiplication.  R[N] and Map(N, R) are the same D-module in the same
 coordinates, so E_B is also a basis of the dual H*, and Delta_H is the
@@ -69,7 +71,7 @@ from functools import cached_property
 
 from .algebra import (Algebra, CheckFailed, CheckReport, HopfPresentation, action_report,
                       first_difference, hopf_axiom_report)
-from .extensions import GaloisAlgebra, quadratic_sqrt_witness
+from .extensions import GaloisAlgebra
 from .groups import Perm, greedy_generators, left_regular, powers
 from .linalg import Matrix, ONE, Span, ZERO, fixed_basis, hstack, kernel_form, mul_kron, vstack
 
@@ -443,6 +445,50 @@ def _action_matrices(A, B):
     return [Matrix.from_entries(d, d, e) for e in entries]
 
 
+def module_report(H):
+    """Exact check that L is an H-module: 1.x = x and (hh').x = h.(h'.x).
+
+    With S = (M_0 ... M_{n-1}) the action matrices of the basis of H side by
+    side (d x nd, d = dim L) and u the unit of H, the unit law is M_1 =
+    S (u (x) I_d) = I_d, one mul_kron.  For h in H with left multiplication
+    L_h on H, column b*d + c of S (L_h (x) I_d) is column c of M_(h h_b), and
+    of M_h S that of M_h M_b, so the law at h is M_h S = S (L_h (x) I_d).
+
+    The lemma: let T be the set of h with M_(hb) = M_h M_b for every b.  T
+    is a subspace.  When H is unital and associative and M_1 = I, 1 lies in
+    T, and T is closed under products, as for h, h' in T and every b,
+    M_((hh')b) = M_(h(h'b)) = M_h M_(h'b) = M_h M_h' M_b = M_(hh') M_b, the
+    last step being h in T at b = h'.  So T holds every word
+    g_1(g_2(...(g_k 1))) in the generators g of `H.generators`, which span
+    H, and the law need only be checked at those g: nd of the n^2 d columns
+    per generator.  When M_1 != I or H's Hopf axiom report fails, or the
+    reduced identity does, the full identity over every basis vector runs,
+    so a failure names the same first (h_k, h_b, e_c) as it alone.
+    """
+    L = _provenance_of(H).parent.L
+    d, n = L.dim, H.dim
+    mats = hopf_action(H)
+    S, one = hstack(*mats), Matrix.identity(d)
+    report = CheckReport()
+
+    col = first_difference((mul_kron(S, Matrix.from_columns([H.unit]), one), one))
+    report.add("module-unit", col is None,
+               None if col is None else f"1.{L.names[col]} != {L.names[col]}")
+
+    gens = H.generators if col is None and hopf_axiom_report(H).passed else None
+    col = None
+    if gens is None or any(mats[g] * S != mul_kron(S, op, one)
+                           for g, op in zip(gens.indices, gens.operators)):
+        col = first_difference((hstack(*[m * S for m in mats]), mul_kron(S, H.mult, one)))
+    if col is None:
+        report.add("module-law", True)
+    else:
+        k, bc = divmod(col, n * d)
+        b, c = divmod(bc, d)
+        report.add("module-law", False, f"module law fails at (h{k}, h{b}, {L.names[c]})")
+    return report
+
+
 def measuring_report(H):
     """Exact check that H measures L: h.(xy) = sum (h1.x)(h2.y), h.1 = eps(h)1.
 
@@ -450,6 +496,18 @@ def measuring_report(H):
     M_k m_L = m_L (sum of c M_i (x) M_j over the terms c h_i (x) h_j of
     Delta(h_k)), stacked side by side over k, with each m_L (M_i (x) M_j) one
     mul_kron.  The action matrices are built once per provenance.
+
+    The lemma: let T be the set of h with h.(xy) = sum (h1.x)(h2.y) for all
+    x and y, a subspace.  When L is an H-module (module_report) and Delta
+    is an algebra map (H's Hopf axiom report), 1 lies in T, as M_1 = I and
+    Delta(1) = 1 (x) 1, and T is closed under products: for h, h' in T,
+    (hh').(xy) = h.(h'.(xy)) = h.(sum (h'1.x)(h'2.y)) = sum (h1 h'1.x)(h2
+    h'2.y), which is sum ((hh')1.x)((hh')2.y) as Delta(hh') = Delta(h)
+    Delta(h').  So T holds every word in the generators of `H.generators`,
+    which span H, and when both reports pass the product law is compared
+    on the generators' columns only: d^2 of the n d^2.  When a report or
+    the reduced identity fails, the full identity runs, so every verdict
+    and first counterexample is that of the full identity.
     """
     L = _provenance_of(H).parent.L
     d = L.dim
@@ -462,9 +520,19 @@ def measuring_report(H):
                None if col is None else f"h{col}.1 != eps(h{col})1")
 
     zero = Matrix.zeros(d, d * d)
-    rhs = [sum((mul_kron(L.mult, mats[i], mats[j]) * c for (i, j), c in H.comul_terms(k).items()),
-               zero) for k in range(H.dim)]
-    col = first_difference((hstack(*[m * L.mult for m in mats]), hstack(*rhs)))
+
+    def first_failure(ks):
+        """The first column of the full identity, (k*d + a)*d + b, at which
+        the law fails for some k in ks, or None."""
+        rhs = [sum((mul_kron(L.mult, mats[i], mats[j]) * c
+                    for (i, j), c in H.comul_terms(k).items()), zero) for k in ks]
+        col = first_difference((hstack(*[mats[k] * L.mult for k in ks]), hstack(*rhs)))
+        return None if col is None else ks[col // (d * d)] * d * d + col % (d * d)
+
+    reduced = hopf_axiom_report(H).passed and module_report(H).passed
+    col = first_failure(H.generators.indices if reduced else range(H.dim))
+    if col is not None and reduced:
+        col = first_failure(range(H.dim))
     if col is None:
         report.add("measures-products", True)
     else:
@@ -540,7 +608,7 @@ def _inverse_pair_entries(A, sums, differences):
     and -w at iota(t), and from_entries adds a repeated slot to 2 (the
     identity) or 0 (a difference at an involution)."""
     inv, d, k = A.N.group.inverses, A.L.dim, len(sums)
-    u, w = A.L.unit, quadratic_sqrt_witness(A.L)
+    u, w = A.L.unit, A.L.sqrt_witness
     pairs = ([(c, t, u, u) for c, t in enumerate(sums)]
              + [(k + c, t, w, [-y for y in w]) for c, t in enumerate(differences)])
     return ((x * d + a, c, y) for c, t, at_t, at_inv in pairs

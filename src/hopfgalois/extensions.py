@@ -93,6 +93,11 @@ class GaloisAlgebra(Algebra):
         """Every element's matrix, from `generator_action` by group.extend."""
         return tuple(self.group.extend(self.generator_action, Matrix.identity(self.dim)))
 
+    @cached_property
+    def sqrt_witness(self):
+        """quadratic_sqrt_witness(self) as a tuple, computed once."""
+        return tuple(quadratic_sqrt_witness(self))
+
     def translates(self, indices):
         """The distinct g(e) of the idempotent e for g in indices, in order,
         each with the list of those g: over all of G, the cosets gD."""

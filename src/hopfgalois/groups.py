@@ -57,8 +57,16 @@ class Perm:
         return self.images[x]
 
     def __mul__(self, other):
-        """Composition: (self * other)(x) = self(other(x))."""
-        return Perm(tuple(map(self.images.__getitem__, other.images)))
+        """Composition: (self * other)(x) = self(other(x)).
+
+        A composition of two bijections of one degree is a bijection, so the
+        product skips __post_init__'s check; unequal degrees are refused."""
+        images = self.images
+        if len(images) != len(other.images):
+            raise ValueError("cannot compose permutations of different degrees")
+        out = object.__new__(Perm)
+        object.__setattr__(out, "images", tuple([images[x] for x in other.images]))
+        return out
 
     def inverse(self):
         inv = [0] * self.degree

@@ -21,11 +21,14 @@ reduced row echelon form, whichever rows it pivots on, so kernels and
 solutions are reproducible across runs.  A solve against a matrix in which
 every column owns a row (a row whose only nonzero sits in that column),
 such as a kernel basis with its free rows, eliminates nothing: the answer
-is read off the owned rows and checked by one product.  Nor does
-fixed_basis when the matrices are monomial (one nonzero in each row and
-column, as for a group acting by signed permutations): their common fixed
-space is read off orbit vectors, whose supports are disjoint.  A Span grows
-a subspace one vector at a time and says which vectors grew it.
+is read off the owned rows and checked by one product.  The rank rule uses
+the same test: the owned rows of such a matrix hold a diagonal of nonzeros,
+so its rank is its column count, read with no elimination; a monomial
+matrix (one nonzero in each row and column) is one.  Nor does fixed_basis
+eliminate when the matrices are monomial, as for a group acting by signed
+permutations: their common fixed space is read off orbit vectors, whose
+supports are disjoint.  A Span grows a subspace one vector at a time and
+says which vectors grew it.
 
 The scalar type is gmpy2.mpq when available (roughly an order of magnitude
 faster than fractions.Fraction on the elimination-heavy workloads here) and
@@ -334,7 +337,20 @@ class Matrix:
         return Matrix._wrap(self.rows, self.cols, data), tuple(c for c, _ in order)
 
     def rank(self):
+        """The number of pivots of rref, or, by the rank rule of the module
+        docstring, cols with no elimination when every column owns a row."""
+        if len(self._owned_rows()) == self.cols:
+            return self.cols
         return len(self.rref()[1])
+
+    def _owned_rows(self):
+        """{j: i} for each column j that owns a row, i the first row whose
+        only nonzero sits in column j."""
+        owner = {}
+        for i, r in enumerate(self._rows):
+            if len(r) == 1:
+                owner.setdefault(next(iter(r)), i)
+        return owner
 
     def kernel(self):
         """Basis of the right null space, one column per free variable."""
@@ -363,10 +379,7 @@ class Matrix:
         """
         if rhs.rows != self.rows:
             raise ValueError("rhs row count mismatch")
-        owner = {}
-        for i, r in enumerate(self._rows):
-            if len(r) == 1:
-                owner.setdefault(next(iter(r)), i)
+        owner = self._owned_rows()
         n = self.cols
         if len(owner) == n:
             out = []

@@ -55,6 +55,13 @@ def split_descents(L5):
 
 
 @pytest.fixture(scope="session")
+def split13_descents():
+    """The p = 13 split-model presentations, by label."""
+    L = split_model(dihedral(13))
+    return {e.label: descend(group_algebra(L, e.subgroup), label=e.label) for e in catalog(13)}
+
+
+@pytest.fixture(scope="session")
 def split5_nc(split_descents):
     """The p = 5 N_c presentations descended over the split model, by label."""
     return {label: H for (p, label), H in split_descents[0].items()

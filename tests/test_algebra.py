@@ -462,6 +462,16 @@ def test_a_passing_report_builds_no_full_product(split5_nc, wide_products):
     assert wide == {"comul"}
 
 
+def test_the_axiom_report_is_computed_once_per_presentation(split5_nc, monkeypatch):
+    H = fresh(split5_nc["N2"])
+    first = hopf_axiom_report(H)
+    first.add("added-by-a-caller", False)
+    module = importlib.import_module("hopfgalois.algebra")
+    monkeypatch.setattr(module, "mul_kron", lambda x, y, z: pytest.fail("report recomputed"))
+    again = hopf_axiom_report(H)
+    assert again == full_hopf_axiom_report(H) and again.passed and again is not first
+
+
 def test_a_failed_unit_law_runs_the_full_identities(wide_products):
     H = group_hopf_algebra(cyclic(3))
     P = fresh(H, unit=(ZERO, ONE, ZERO))

@@ -112,6 +112,16 @@ def test_classify_descends_each_structure_once(capsys, monkeypatch):
     assert labels == ["rho", "lambda", "N0", "N1", "N2"]
 
 
+def test_classify_computes_the_sqrt_witness_once(capsys, monkeypatch):
+    extensions = importlib.import_module("hopfgalois.extensions")
+    real, fields = extensions.quadratic_sqrt_witness, []
+    monkeypatch.setattr(extensions, "quadratic_sqrt_witness", lambda L: fields.append(L) or real(L))
+    code, out, err = run(capsys, "classify", "--field", "cubic:2")
+    assert (code, err) == (0, "") and len(fields) == 1
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == CLASSIFY_REPORT_DIGESTS["classify --field cubic:2"])
+
+
 @pytest.mark.parametrize("argv", [
     ("descend", "--p", "3", "--structure", "rho", "--field", "cubic:2"),
     ("classify", "--field", "cubic:2")])

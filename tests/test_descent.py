@@ -125,6 +125,22 @@ def test_hopf_galois_property(descended3):
         assert check.rank == 36
 
 
+def test_j_is_ranked_without_elimination_over_the_split_model(monkeypatch, descended3,
+                                                                split5_nc, split5_rho_lambda):
+    """j is monomial over the split model, so its rank is its column count
+    read off the owned rows; over cubic:2 it is row-reduced once."""
+    seen, real = [], Matrix.rref
+    monkeypatch.setattr(Matrix, "rref", lambda m: seen.append((m.rows, m.cols)) or real(m))
+    for H in [*split5_nc.values(), *split5_rho_lambda.values()]:
+        hopf_action(H)
+        seen.clear()
+        assert verify_hopf_galois(H).passed and seen == []
+    for label in LABELS3:
+        hopf_action(descended3[label])
+        seen.clear()
+        assert verify_hopf_galois(descended3[label]).passed and seen == [(36, 36)], label
+
+
 def test_measuring(descended3):
     for label in LABELS3:
         report = measuring_report(descended3[label])
@@ -1105,7 +1121,7 @@ def test_closed_forms_match_the_coordinate_lists(L3):
 
 def test_closed_forms_with_the_unit_for_w_do_not_match(L3, monkeypatch):
     # negative control: w * (eta_t - eta_t^-1) is what tells these forms apart
-    monkeypatch.setattr(descent, "quadratic_sqrt_witness", lambda L: L.unit)
+    monkeypatch.setattr(GaloisAlgebra, "sqrt_witness", property(lambda L: L.unit))
     for A, kind, gen in _closed_form_cases(L3):
         if kind == "classical":
             continue

@@ -32,6 +32,24 @@ def test_perm_inverse_antihomomorphism(p, q):
     assert (p * q).inverse() == q.inverse() * p.inverse()
 
 
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(st.permutations(range(n)),
+                                                       st.permutations(range(n)))))
+@settings(max_examples=80, deadline=None)
+def test_a_product_is_the_validated_composition(pair):
+    p, q = (Perm(tuple(im)) for im in pair)
+    validated = Perm(tuple(p(q(x)) for x in range(p.degree)))
+    product = p * q
+    assert product == validated and hash(product) == hash(validated)
+    assert type(product) is Perm and product.images == validated.images
+    assert product * q.inverse() == p
+
+
+@pytest.mark.parametrize("left, right", [((1, 0), (0, 2, 1)), ((0, 2, 1), (1, 0))])
+def test_permutations_of_different_degrees_do_not_compose(left, right):
+    with pytest.raises(ValueError, match="different degrees"):
+        Perm(left) * Perm(right)
+
+
 def test_dihedral_construction():
     G = dihedral(3)
     G.check_axioms()

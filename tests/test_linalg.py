@@ -698,6 +698,48 @@ def test_a_zero_column_owns_no_row_and_is_solved_by_elimination(m, data):
     assert zeroed.solve(rhs) == reference_solve(zeroed, rhs)
 
 
+@st.composite
+def rank_matrices(draw):
+    """Sparse matrices for the rank rule: scaled permutations, matrices in
+    which every column owns a row (some owning two rows, among other rows),
+    the same with one column cleared, and sparse ones with empty rows and
+    columns."""
+    kind = draw(st.sampled_from(["monomial", "owned", "cleared", "sparse"]))
+    if kind == "monomial":
+        return draw(st.integers(1, 8).flatmap(lambda n: owned_row_matrices(n, 0, twice=False)))
+    if kind in ("owned", "cleared"):
+        m = draw(owned_row_matrices())
+        if kind == "owned":
+            return m
+        j = draw(st.integers(0, m.cols - 1))
+        return m * Matrix.from_entries(m.cols, m.cols,
+                                       [(c, c, ONE) for c in range(m.cols) if c != j])
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    cells = st.tuples(st.integers(0, max(rows - 1, 0)), st.integers(0, max(cols - 1, 0)),
+                      nonzero_entries)
+    entries = draw(st.lists(cells, max_size=2 * rows * cols)) if rows and cols else []
+    return Matrix.from_entries(rows, cols, entries)
+
+
+@given(rank_matrices())
+@settings(max_examples=80, deadline=None)
+def test_rank_is_the_pivot_count(m):
+    owned = len({j for i in range(m.rows) for j, _ in m.row_entries(i)
+                 if len(m.row_entries(i)) == 1}) == m.cols
+    if owned:
+        assert _without_elimination(m.rank) == m.cols
+    assert m.rank() == len(m.rref()[1]) == len(reference_rref(m)[1])
+
+
+def test_rank_rule_cases():
+    # two rows own column 0; column 1 owns none, so rref decides
+    m = Matrix.from_rows([[2, 0], [-1, 0], [0, 0]])
+    assert m.rank() == 1
+    assert _without_elimination(Matrix.from_rows([[0, 3], [5, 0], [1, 1]]).rank) == 2
+    assert _without_elimination(Matrix.zeros(3, 0).rank) == 0
+    assert Matrix.zeros(0, 2).rank() == 0
+
+
 def test_solve_with_no_columns():
     # every column of a matrix with none owns a row; only a zero rhs is solvable
     m = Matrix.zeros(3, 0)
