@@ -31,7 +31,7 @@ from math import gcd
 
 from .algebra import Algebra, CheckFailed, hopf_map_violation
 from .catalog import catalog
-from .descent import SemilinearAction, _provenance_of, descend, group_algebra
+from .descent import SemilinearAction, _provenance_of, _slots_permuted, descend, group_algebra
 from .groups import dihedral, equivariant_iso_search, left_regular, right_regular
 from .linalg import Matrix, ONE, Q, ZERO, hstack, kernel_form, mul_kron
 
@@ -342,7 +342,7 @@ def _group_by(labels, key):
 
 def _induced_hopf_map(Ha, Hb, iso):
     """The linear map of descended presentations induced by a subgroup iso."""
-    moved = Ha.provenance.parent.slot_map(iso.mapping) * Ha.provenance.basis
+    moved = _slots_permuted(Ha.provenance.parent, Ha.provenance.basis, iso.mapping)
     sol = Hb.provenance.basis.solve(moved)
     if sol is None:
         raise CheckFailed("induced image left the target fixed ring")

@@ -144,7 +144,7 @@ def render_text(report):
 
 def _parse_prime(p, allowed, what):
     if p not in allowed:
-        raise UsageError(f"{what} supports p in {allowed}, got {p}")
+        raise UsageError(f"{what} supports p in {allowed}, got {_shown(str(p))}")
     return p
 
 

@@ -23,32 +23,40 @@ refuses e_K unless it is a nonzero idempotent whose distinct G-translates
 sum to 1.  D is its stabilizer, and D acts on the residue R = e_K L^K.
 
 H is read in R[N] under D and written back by induction.  Y = fixed_basis
-of R[N] under D; X' = the sum of g.Y over one g per coset gD; B =
-kernel_form((I (x) F) X'), and B' is its preimage in L^K[N].  descend checks
-that B has n columns and that G's generators fix B'.  That suffices: dim
+of R[N] under D; X' = the sum of g.(J Y) over one g per coset gD, J being R's
+basis in L^K; X = (I (x) F) X'; and B = kernel_form(X) = X T.  descend checks
+that B has n columns and that G's generators fix X'.  That suffices: dim
 L[N]^G <= n, as L (x) L[N]^G -> L[N] is injective for the Galois algebra L,
 so B spans H.  The maps are read through the algebra map E: L^K[N] -> R[N],
 x eta -> (e_K x) eta.  Induction is a left inverse of E on H, as the sum of
 the g.(e_K h) is (sum of the g(e_K)) h = h.  So E is injective on H, and
-with E_B = E B' the structure constants are E_B^-1 mult_R[N] (E_B (x) E_B):
-one solve, which checks itself.  The unit, counit and antipode are read
-through E_B too; the antipode image of E_B is its rows re-indexed through
-N's inverses (_slots_inverted).  This is Shapiro's lemma in degree 0, and
-the descent of Greither-Pareigis.  Over the split model e = d[1], and R = Q
-with D acting trivially for every structure, so Y is the identity and H is
-read in the 2p-dimensional Q[N], against 4p^2 for lambda's L^K[N].  A
-`cubic:` model has e = 1: R = L^K, D = G, and the induction is the
-identity.  There the Galois matrices are not monomial, and fixed_basis
-reduces the stacked M_g - I.
+E_B = E X' T is a basis of E(H).
+
+E X' = Y, so E_B = Y T and E is never built.  Proof: the distinct
+G-translates of e_K are idempotents of the etale L^K with sum 1, so they are
+orthogonal, and e_K g(e_K) = 0 for g outside D: E sends g.(J Y), which lies
+in g(e_K) L^K[N], to 0.  The representative g of the coset D fixes e_K, so
+e_K g(J y) = g(J y) for each column y of Y, and E(g.(J Y)) is g.Y under D's
+action on R; that is Y, which D fixes.
+
+The structure constants are E_B^-1 mult_R[N] (E_B (x) E_B): one solve, which
+checks itself.  The unit, counit and antipode are read through E_B too; the
+antipode image of E_B is its rows re-indexed through N's inverses
+(_slots_permuted).  This is Shapiro's lemma in degree 0, and the descent of
+Greither-Pareigis.  Over the split model e = d[1], and R = Q with D acting
+trivially for every structure, so Y is the identity and H is read in the
+2p-dimensional Q[N], against 4p^2 for lambda's L^K[N].  A `cubic:` model has
+e = 1: R = L^K, J = I, D = G, and the induction is the identity.  There the
+Galois matrices are not monomial, and fixed_basis reduces the stacked M_g - I.
 
 L[N] is an Algebra: its dim x dim^2 `mult` places L's multiplication in slot
 tu for each slot pair (t, u); `pointwise`, that of Map(N, L), in slot t for
 (t, t).  A product is one mul_kron over one of them, and descend builds only
 those of R[N].  Maps of L[N] are sparse slot maps, GroupAlgebraOverL.slot_map
 = permutation(images) (x) M, with slots(u) (column t is u * eta_t) its
-one-column case.  The induction, I (x) F, E and the invariance check apply
-slot maps through the slot coefficients of a basis (_translated), so they
-build no operator on L^K[N].  The closed-form bases are products of U =
+one-column case.  The induction, I (x) F and the invariance check apply slot
+maps through the slot coefficients of a basis (_translated), so they build no
+operator on L^K[N].  The closed-form bases are products of U =
 slots(1), W = slots(w) for the rational-square witness w of L, and the slot
 inversion iota: U + iota U has the columns eta_t + eta_t^-1, and W - iota W
 the columns w*(eta_t - eta_t^-1), w being read once per L
@@ -270,20 +278,18 @@ def _fixed_coefficients(act):
 
 
 def _residue(LK, gens):
-    """(R, J, P, maps) for the nonzero idempotent e of L^K and generators gens
+    """(R, J, maps) for the nonzero idempotent e of L^K and generators gens
     of its stabilizer D.  R is the plain Algebra eL^K on J, the columns of
-    e's multiplication operator that grow their span; P is the algebra map
-    L^K -> eL^K, x -> e x, in R's coordinates; maps holds D's action on R,
-    P g J for each g in gens."""
+    e's multiplication operator that grow their span; maps holds D's action
+    on R, the m with J m = g J for each g in gens: g fixes e, so it
+    preserves eL^K."""
     e = list(LK.idempotent)
-    M = LK.mult_operator(e)
     span = Span()
-    J = Matrix.from_columns([c for c in M.columns() if span.add(c)])
-    fail = "e L^K is not closed under the product"
+    J = Matrix.from_columns([c for c in LK.mult_operator(e).columns() if span.add(c)])
+    fail = "e L^K is not closed under the product and the action of D"
     R = Algebra(_solved(J, mul_kron(LK.mult, J, J), fail),
                 _solved(J, Matrix.from_columns([e]), fail).column(0))
-    P = _solved(J, M, fail)
-    return R, J, P, {g: P * (LK.action[g] * J) for g in gens}
+    return R, J, {g: _solved(J, LK.action[g] * J, fail) for g in gens}
 
 
 def descend(A, label=None):
@@ -291,15 +297,9 @@ def descend(A, label=None):
 
     The fixed ring is read in R[N] under D and written back to L^K[N] by
     induction, then to L[N] by the algebra embedding I (x) F (see the module
-    docstring).  The basis B = kernel_form((I (x) F) X') of L[N] is found
-    before any structure map, so the output is reproducible.  B' is its
-    preimage in L^K[N]: B itself when F = I (K = 1), and X' in B's order when B
-    reorders the columns of X = (I (x) F) X', as over the split model; only
-    otherwise is I (x) F built.  Every structure map is then read once through
-    E_B = E B'.  Both shortcuts are kept for what they save in one p = 13
-    split-model descend (cProfile calls): without B' = B, lambda makes 63 068
-    calls against 52 420; solving by I (x) F in place of the column matching,
-    rho makes 46 286 against 38 194 and N0 40 771 against 32 653.
+    docstring).  The basis B = kernel_form(X) of L[N] is found before any
+    structure map, so the output is reproducible, and every structure map
+    is then read once through E_B = Y T, for the T with X T = B.
     """
     act = SemilinearAction(A)
     F, LK = _fixed_coefficients(act)
@@ -308,35 +308,28 @@ def descend(A, label=None):
     if not any(e) or LK.mul(e, e) != e or [sum(c, ZERO) for c in zip(*cosets)] != list(LK.unit):
         raise DescentError("e_K, the sum of the K-translates of e, is not a nonzero "
                            "idempotent whose distinct G-translates sum to 1")
-    R, J, P, maps = _residue(LK, greedy_generators(G.table, G.identity, cosets[tuple(e)]))
+    R, J, maps = _residue(LK, greedy_generators(G.table, G.identity, cosets[tuple(e)]))
     RA = GroupAlgebraOverL(R, N)
     Y = fixed_basis([RA.slot_map(act.conj_map[g], m) for g, m in maps.items()], RA.dim)
     Xk = _translated(_slot_coefficients(Y, R.dim),
                      [(act.conj_map[g], LK.action[g] * J) for g, *_ in cosets.values()])
-    if F.cols == F.rows:  # K = 1: F = I, and L^K[N] is L[N]
-        B = Bk = kernel_form(Xk)
-    else:
-        X = _translated(_slot_coefficients(Xk, LK.dim), [(range(n), F)])
-        B = kernel_form(X)
-        Xt, Bt = X.transpose(), B.transpose()  # match columns by their nonzeros
-        cols = [Xt.row_entries(k) for k in range(X.cols)]
-        order = [next((j for j, c in enumerate(cols) if c == b), None)
-                 for b in map(Bt.row_entries, range(B.cols))]
-        Bk = (Xk.transpose().take_rows(order).transpose() if None not in order else _solved(
-            Matrix.identity(n).kron(F), B, "the fixed ring of L[N] is not written over L^K"))
+    coeffs = _slot_coefficients(Xk, LK.dim)
+    # K = 1 when F is square: F = I, and L^K[N] is L[N]
+    X = Xk if F.cols == F.rows else _translated(coeffs, [(range(n), F)])
+    B = kernel_form(X)
     if B.cols != n:
         raise DescentError(f"fixed ring has dimension {B.cols}, expected {n}")
-    coeffs = _slot_coefficients(Bk, LK.dim)
-    if any(_translated(coeffs, [(act.conj_map[g], m)]) != Bk
+    if any(_translated(coeffs, [(act.conj_map[g], m)]) != Xk
            for g, m in LK.generator_action.items()):
         raise DescentError("the written-back basis is not fixed by G")
 
-    EB = _translated(coeffs, [(range(n), P)])
+    EB = Y * _solved(X, B, "the fixed basis is not in the span of the written-back basis")
     # column i*n + j is h_i h_j
     mult = _solved(EB, mul_kron(RA.mult, EB, EB), "a product of fixed vectors left the fixed ring")
     unit = _solved(EB, Matrix.from_columns([RA.unit]), "the unit of L[N] is not in the fixed ring")
     counit = _rational_coefficients(R, RA.slot_sum * EB, "counit")
-    antipode = _solved(EB, _slots_inverted(RA, EB), "an antipode image left the fixed ring")
+    antipode = _solved(EB, _slots_permuted(RA, EB, N.group.inverses),
+                       "an antipode image left the fixed ring")
     comul = _comultiplication(RA, EB)
     prov = DescentProvenance(parent=A, basis=B, phi=lform_matrix(RA, EB), label=label)
     return HopfPresentation(mult, unit.column(0), comul, counit, antipode,
@@ -354,12 +347,12 @@ def _translated(coeffs, maps):
         for a in range(m) for kt, x in prod.row_entries(a) for k, t in [divmod(kt, n)]))
 
 
-def _slots_inverted(A, B):
-    """slot_map(N.group.inverses) * B, eta_t -> eta_t^-1 on the columns of B:
-    the inversion is an involution, so row t*d + a is row inv[t]*d + a of B,
-    and no dim x dim operator is built."""
-    d, inv = A.L.dim, A.N.group.inverses
-    return B.take_rows([inv[t] * d + a for t in range(A.N.order) for a in range(d)])
+def _slots_permuted(A, B, images):
+    """slot_map(images) * B, eta_t -> eta_images[t] on the columns of B: row
+    images[t]*d + a is row t*d + a of B, so row s*d + a is read from the
+    inverse image of s, and no dim x dim operator is built."""
+    d, inv = A.L.dim, Perm(tuple(images)).inverse().images
+    return B.take_rows([inv[s] * d + a for s in range(A.N.order) for a in range(d)])
 
 
 def _slot_coefficients(B, d):

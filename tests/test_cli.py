@@ -408,6 +408,16 @@ def test_usage_errors(capsys, argv):
     assert err.startswith("error:")
 
 
+def test_an_unsupported_long_prime_is_echoed_only_in_part(capsys):
+    """4000 digits parse as an int, so the refusal is the supported-prime
+    check's, which cuts p as it cuts every other echoed value."""
+    text = "7" * 4000
+    code, out, err = run(capsys, "catalog", "--p", text)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and f"{text[:40]!r}... (4000 characters)" in err
+    assert len(err) < 200
+
+
 def test_huge_cube_is_named_without_printing_it(capsys):
     code, out, err = run(capsys, "descend", "--p", "3", "--structure", "N0",
                          "--field", "cubic:1e30000")

@@ -374,8 +374,8 @@ def test_descend_eliminates_only_where_no_row_is_owned(monkeypatch, L3, L5):
     unit, the antipode and the slot-by-slot products against E_B, the counit,
     the Gram matrix P and P^-1 are read off owned rows and checked by one
     product each: the orbit sums have disjoint supports, so P is diagonal.
-    There the written-back X is B with its columns in another order, and for
-    N0 B' is the write-back in L^K[N] with its columns in that order.  At
+    There the written-back X is B with its columns in another order, and T,
+    with X T = B, is that reordering, read off X's owned rows.  At
     p = 3 over cubic:2, where G does not act monomially, N0 (K = <r>)
     row-reduces three times: the fixed space of K in L (6 x 6), the kernel
     in L^K[N] (24 x 12) and the inverse of the 6 x 6 Gram matrix (6 x 12),
@@ -556,8 +556,8 @@ def test_descent_through_the_residue_matches_E_equal_I(monkeypatch, split_descen
 
 def test_the_unit_residue_is_L_K_itself(monkeypatch, L3):
     """For every cubic:2 structure e_K is the unit of L^K: the general route
-    keeps every column of e_K's operator, so J = P = I, and R is a plain
-    Algebra with L^K's mult and unit on which D acts by L^K's matrices."""
+    keeps every column of e_K's operator, so J = I, and R is a plain Algebra
+    with L^K's mult and unit on which D acts by L^K's matrices."""
     seen = []
     real = descent._residue
     monkeypatch.setattr(descent, "_residue",
@@ -565,10 +565,9 @@ def test_the_unit_residue_is_L_K_itself(monkeypatch, L3):
     for entry in catalog(3):
         seen.clear()
         descend(group_algebra(L3, entry.subgroup), label=entry.label)
-        (LK, gens, (R, J, P, maps)), = seen
-        one = Matrix.identity(LK.dim)
+        (LK, gens, (R, J, maps)), = seen
         assert list(LK.idempotent) == list(LK.unit), entry.label
-        assert J == P == one, entry.label
+        assert J == Matrix.identity(LK.dim), entry.label
         assert type(R) is Algebra, entry.label
         assert (R.mult, R.unit) == (LK.mult, LK.unit), entry.label
         assert maps == {g: LK.action[g] for g in gens}, entry.label
@@ -599,21 +598,33 @@ def test_an_idempotent_whose_translates_overlap_is_refused_by_every_structure():
     assert len(messages) == 1
 
 
+def _with_a_lost_factor(R, J, maps):
+    """The frame R x Q on (J | 0), D acting on the new factor trivially: E
+    sends L^K into R x 0, so E_B is the true E_B with a zero row per slot."""
+    d = R.dim
+    m = d + 1
+    mult = Matrix.from_entries(m, m * m, [(c, a * m + b, x) for c in range(d)
+                                          for ab, x in R.mult.row_entries(c)
+                                          for a, b in [divmod(ab, d)]] + [(d, d * m + d, ONE)])
+    lost = Algebra(mult, list(R.unit) + [ONE])
+    grow = Matrix.from_entries(m, d, [(i, i, ONE) for i in range(d)])
+    extend = Matrix.from_entries(m, m, [(d, d, ONE)])
+    return (lost, hstack(J, Matrix.zeros(J.rows, 1)),
+            {g: grow * mg * grow.transpose() + extend for g, mg in maps.items()})
+
+
 @pytest.mark.parametrize("pair", [False, True], ids=["square", "tall"])
 def test_an_E_that_loses_the_fixed_ring_is_refused(monkeypatch, pair):
-    """With P: L^K -> e_K L^K replaced by zero, E_B is zero, whether it is
-    square (e = d[1]) or tall (e = d[1] + d[s]); the products solve to zero,
-    and descend refuses E_B at the unit, which no zero column reaches."""
+    """The residue R replaced by R x Q on the columns of J and a zero column,
+    whether R is Q (e = d[1]) or 2-dimensional (e = d[1] + d[s]): the written-back
+    basis, B and its invariance are unchanged, E_B = Y T lies in R[N] x 0,
+    where the products of fixed vectors stay, and descend refuses E_B at the
+    unit (1, 1), which no such column reaches."""
     L = split_model(dihedral(3))
     if pair:
         L = _with_idempotent(L, _reflection_pair(L))
     real = descent._residue
-
-    def lossy(LK, gens):
-        R, J, P, maps = real(LK, gens)
-        return R, J, Matrix.zeros(P.rows, P.cols), maps
-
-    monkeypatch.setattr(descent, "_residue", lossy)
+    monkeypatch.setattr(descent, "_residue", lambda LK, gens: _with_a_lost_factor(*real(LK, gens)))
     lam = next(e for e in catalog(3) if e.label == "lambda")
     with pytest.raises(DescentError, match=r"^the unit of L\[N\] is not in the fixed ring$"):
         descend(group_algebra(L, lam.subgroup), label="lambda")
@@ -693,7 +704,7 @@ def _rebased(base, row):
 def test_descent_over_another_basis_of_L_changes_to_the_fixed_basis(monkeypatch, L3, L5, p):
     """L on another basis: cubic:2 on 1, 1 + e_j (j > 0) and the p = 5 split
     model on d_j + d_last (j < last), d_last.  For N_c the written-back
-    X = (I (x) F) B' is not the fixed basis B, and B = X S for an S that is no
+    X = (I (x) F) X' is not the fixed basis B, and B = X S for an S that is no
     Hopf automorphism (at p = 3 it does not commute with the antipode, at
     p = 5 it moves the unit); the route still gives the full ambient's basis
     and every structure map."""
@@ -710,25 +721,52 @@ def test_descent_over_another_basis_of_L_changes_to_the_fixed_basis(monkeypatch,
         assert (written_back != [B]) is (e.label not in ("rho", "lambda")), e.label
 
 
-def test_a_reordered_write_back_is_taken_without_the_lift(monkeypatch, L5):
-    """At p = 5 split, B is the written-back (I (x) F) X' with its columns in
-    another order for every N_c, so B' is X' in that order and descend builds
-    no I (x) F.  Over another basis of L, where B = X S for an S that is no
-    reordering, descend still solves against I (x) F for B'."""
+def test_a_reordered_write_back_is_taken_without_the_lift(monkeypatch, L3, L5):
+    """No descend builds the lift I (x) F of L^K[N] into L[N], over cubic:2,
+    the p = 5 split model and another basis of each, where B = X S for an S
+    that is no reordering: E_B is Y T for the T with X T = B, so B needs no
+    preimage in L^K[N]."""
     built = []
     real = Matrix.kron
     monkeypatch.setattr(Matrix, "kron", lambda x, y: built.append((x, y)) or real(x, y))
-    for L, lifts in ((L5, False), (_rebased(L5, L5.dim - 1), True)):
-        for e in catalog(5):
-            if e.label in ("rho", "lambda"):
-                continue
+    for L, p in ((L3, 3), (_rebased(L3, 0), 3), (L5, 5), (_rebased(L5, L5.dim - 1), 5)):
+        for e in catalog(p):
             A = group_algebra(L, e.subgroup)
-            lift = (Matrix.identity(A.N.order),
-                    L.fixed_space(descent.action_kernel(SemilinearAction(A))))
+            F = L.fixed_space(descent.action_kernel(SemilinearAction(A)))
             built.clear()
             H = descend(A, label=e.label)
-            assert (lift in built) is lifts, (lifts, e.label)
-            assert lift[1].cols == 2 and H.provenance.basis.cols == A.N.order, e.label
+            assert built and (Matrix.identity(A.N.order), F) not in built, (p, e.label)
+            assert H.provenance.basis.cols == A.N.order, (p, e.label)
+
+
+def test_E_B_is_E_of_the_preimage_of_B(monkeypatch, L3, L5):
+    """E_B = Y T is E B', for B' the preimage of B under I (x) F and E =
+    I (x) P, P: L^K -> e_K L^K the map x -> e_K x in R's coordinates: for
+    every structure over cubic:2, the split model at p = 3 and 5, another
+    basis of cubic:2 and of the p = 5 split model, and the p = 3 split model
+    with e = d[1] + d[s]."""
+    L3s = split_model(dihedral(3))
+    models = [(L3, 3), (L3s, 3), (L5, 5), (_rebased(L3, 0), 3), (_rebased(L5, L5.dim - 1), 5),
+              (_with_idempotent(L3s, _reflection_pair(L3s)), 3)]
+    frames, forms = [], []
+    real_frame, real_residue, real_form = (descent._fixed_coefficients, descent._residue,
+                                           descent.lform_matrix)
+    monkeypatch.setattr(descent, "_fixed_coefficients",
+                        lambda act: frames.append(real_frame(act)) or frames[-1])
+    monkeypatch.setattr(descent, "_residue",
+                        lambda LK, gens: frames.append(real_residue(LK, gens)) or frames[-1])
+    monkeypatch.setattr(descent, "lform_matrix", lambda A, B: forms.append(B) or real_form(A, B))
+    for L, p in models:
+        for e in catalog(p):
+            frames.clear()
+            forms.clear()
+            H = descend(group_algebra(L, e.subgroup), label=e.label)
+            ((F, LK), (_, J, _)), (EB,) = frames, forms
+            P = J.solve(LK.mult_operator(LK.idempotent))
+            ident = Matrix.identity(H.dim)
+            B_pre = ident.kron(F).solve(H.provenance.basis)
+            assert P is not None and B_pre is not None, (p, e.label)
+            assert ident.kron(P) * B_pre == EB, (p, e.label)
 
 
 def test_one_conjugation_table_per_descend(monkeypatch, L5):
