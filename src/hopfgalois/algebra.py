@@ -33,7 +33,7 @@ names the same first counterexample as the full identity alone.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 from .linalg import Matrix, ONE, Span, ZERO, _checked, hstack, mul_kron, rational, vstack
@@ -336,8 +336,10 @@ def hopf_axiom_report(H):
     counit and the comultiplication are algebra maps when they are
     multiplicative on g h_j for each generator g of `H.generators` (the
     lemma of the module docstring): n of the n^2 columns, or rows, per
-    generator.  When one of those fails, or a precondition fails, the full
-    identity runs and names the first failing pair.
+    generator.  For the comultiplication that is Delta L_g = Delta(h_g) Delta,
+    Delta(h_g) acting as the sum of c L_a (x) L_b over its terms c h_a (x) h_b.
+    When one of those fails, or a precondition fails, the full identity runs
+    over every basis index and names the first failing pair.
 
     A presentation's matrices are never replaced, so the checks are computed
     once per presentation and kept: a later call, as measuring_report and
@@ -361,28 +363,24 @@ def hopf_axiom_report(H):
         report.add("counit-algebra-map", col is None, None if col is None else
                    "counit not multiplicative at ({},{})".format(*divmod(col, n)))
 
-    # on transposes: row (i, j) of m^T d^T is Delta(h_i h_j), and of X (m^T (x) m^T)
-    # is Delta(h_i) Delta(h_j), where row (i, j) of X is Delta h_i (x) Delta h_j,
-    # read off d^T, with its middle legs swapped; the reduced check builds
-    # only the rows (g, j) of X, g a generator, whose rows of m^T are the
-    # columns of L_g
-    dt, et, mt, ut = d.transpose(), e.transpose(), m.transpose(), u.transpose()
+    # on transposes: row j of L_i^T d^T is Delta(h_i h_j), and of the sum over
+    # the terms c h_a (x) h_b of Delta(h_i) of c d^T (L_a^T (x) L_b^T) it is
+    # Delta(h_i) Delta(h_j); stacked over every i, row i*n + j is the pair (i, j)
+    dt, et, ut = d.transpose(), e.transpose(), u.transpose()
     if ut * dt != ut.kron(ut):
         report.add("comul-algebra-map", False, "comul(unit) != unit (x) unit")
     else:
-        terms = [[(*divmod(ab, n), x) for ab, x in dt.row_entries(i)] for i in range(n)]
+        op_t = cache(lambda a: H.mult_operator(H.basis_vector(a)).transpose())  # L_a^T
+        zero = Matrix.zeros(n, n * n)
 
-        def x_rows(pairs):
-            return Matrix.from_entries(len(pairs), n ** 4, (
-                (r, (a * n + c) * n * n + b * n + f, x * y)
-                for r, (i, j) in enumerate(pairs) for a, b, x in terms[i] for c, f, y in terms[j]))
+        def sides(i):
+            return op_t(i) * dt, sum((mul_kron(dt, op_t(ab // n), op_t(ab % n)) * c
+                                      for ab, c in dt.row_entries(i)), zero)
 
         row = None
-        if gens is None or (vstack(*(op.transpose() for op in gens.operators)) * dt
-                            != mul_kron(x_rows([(g, j) for g in gens.indices for j in range(n)]),
-                                        mt, mt)):
-            X = x_rows([divmod(ij, n) for ij in range(n * n)])
-            row = first_row_difference((mt * dt, mul_kron(X, mt, mt)))
+        if gens is None or any(lhs != rhs for lhs, rhs in map(sides, gens.indices)):
+            lhs, rhs = zip(*map(sides, range(n)))
+            row = first_row_difference((vstack(*lhs), vstack(*rhs)))
         report.add("comul-algebra-map", row is None, None if row is None else
                    "comul not multiplicative at ({},{})".format(*divmod(row, n)))
 

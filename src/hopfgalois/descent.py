@@ -98,8 +98,8 @@ class NormalizationError(RuntimeError):
 class GroupAlgebraOverL(Algebra):
     """The group algebra L[N], basis (eta_t, e_a) at index t*dim(L) + a.
 
-    L is any Algebra: descend frames L^K[N] and (e_K L^K)[N] with it too, and
-    group_algebra checks that a GaloisAlgebra L fits N.
+    L is any Algebra: descend frames R[N], for the residue R = e_K L^K, with
+    it too, and group_algebra checks that a GaloisAlgebra L fits N.
 
     As (x eta_t)(y eta_u) = (xy) eta_(tu), column (t*d + a)*D + u*d + b of
     `mult` (d = dim L, D = dim L[N]) is column a*d + b of L.mult, placed in
@@ -138,15 +138,13 @@ class GroupAlgebraOverL(Algebra):
         = [t = u] (xy) eta_t, n times sparser than `mult`."""
         return self._table((t, t, t) for t in range(self.N.order))
 
-    def slot_map(self, images, M=None):
+    def slot_map(self, images, M):
         """The map x * eta_t -> M(x) * eta_images[t], as permutation(images) (x) M.
 
-        M acts on the L-coefficients and defaults to the identity of L; an
-        M with another shape maps into or out of the slots of another
-        coefficient space (a one-column M = u sends Q[N] to L[N], e_t -> u * eta_t).
+        M acts on the L-coefficients; an M with another shape maps into or
+        out of the slots of another coefficient space (a one-column M = u
+        sends Q[N] to L[N], e_t -> u * eta_t).
         """
-        if M is None:
-            M = Matrix.identity(self.L.dim)
         return Matrix.permutation(images).kron(M)
 
     @cached_property
@@ -348,7 +346,7 @@ def _translated(coeffs, maps):
 
 
 def _slots_permuted(A, B, images):
-    """slot_map(images) * B, eta_t -> eta_images[t] on the columns of B: row
+    """slot_map(images, I) * B, eta_t -> eta_images[t] on the columns of B: row
     images[t]*d + a is row t*d + a of B, so row s*d + a is read from the
     inverse image of s, and no dim x dim operator is built."""
     d, inv = A.L.dim, Perm(tuple(images)).inverse().images
@@ -569,9 +567,11 @@ def verify_hopf_galois(H):
 
 def base_change_is_group_algebra(H):
     """Whether L (x) H -> L[N] is bijective (H is an L-form of L[N]), read off
-    the Phi': L^K (x) H -> L^K[N] that descend built and kept: Phi' is square
-    with full rank.  L (x)_{L^K} - is faithfully flat and carries Phi' to Phi,
-    so Phi is bijective exactly when Phi' is."""
+    the Phi' = lform_matrix(R[N], E_B): R (x) H -> R[N] that descend built and
+    kept, for the residue R = e_K L^K: Phi' is square with full rank.  G
+    permutes the components g(e_K) L^K[N], so Phi' is bijective exactly when
+    L^K (x) H -> L^K[N] is, and L (x)_{L^K} - is faithfully flat and carries
+    that map to Phi."""
     phi = _provenance_of(H).phi
     return phi.cols == phi.rows and phi.rank() == phi.rows
 

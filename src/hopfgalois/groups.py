@@ -24,6 +24,7 @@ from itertools import permutations, product as iter_product
 from math import gcd, lcm
 
 from .algebra import CheckFailed
+from .linalg import require_permutation
 
 
 class ClosureBoundExceeded(RuntimeError):
@@ -41,9 +42,7 @@ class Perm:
     images: tuple
 
     def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(n)):
-            raise ValueError("not a bijection")
+        require_permutation(self.images)
 
     @classmethod
     def identity(cls, degree):
@@ -179,19 +178,6 @@ class FiniteGroup:
         return tuple(a for a in range(self.order)
                      if all(self.mul(a, b) == self.mul(b, a) for b in range(self.order)))
 
-    def check_axioms(self):
-        n = self.order
-        for a in range(n):
-            if self.mul(self.identity, a) != a or self.mul(a, self.identity) != a:
-                raise CheckFailed("identity law fails")
-            if self.inv(a) is None:
-                raise CheckFailed("missing inverse")
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
-                        raise CheckFailed("associativity fails")
-
 
 def _is_odd_prime(p):
     if p < 3 or p % 2 == 0:
@@ -301,17 +287,6 @@ class PermSubgroup:
 
     def canonical_key(self):
         return tuple(sorted(p.images for p in self.elements))
-
-    def verify_subgroup(self):
-        if Perm.identity(self.degree) not in self:
-            return False
-        for a in self.elements:
-            if a.inverse() not in self:
-                return False
-            for b in self.elements:
-                if (a * b) not in self:
-                    return False
-        return True
 
     def name_of(self, t):
         if self.element_names is not None:

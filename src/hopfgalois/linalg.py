@@ -133,9 +133,7 @@ class Matrix:
     @classmethod
     def permutation(cls, images):
         """The matrix sending basis vector j to basis vector images[j]."""
-        n = len(images)
-        if sorted(images) != list(range(n)):
-            raise ValueError("images must be a permutation of 0..n-1")
+        n = require_permutation(images)
         data = [{} for _ in range(n)]
         for j, i in enumerate(images):
             data[i][j] = ONE
@@ -418,6 +416,14 @@ class Matrix:
                             [{j * w + l: a if b is ONE else b if a is ONE else a * b
                               for j, a in arow.items() for l, b in brow.items()}
                              for arow in self._rows for brow in other._rows])
+
+
+def require_permutation(images):
+    """n = len(images) when `images` lists the ints 0..n-1 (a bool is not one), else ValueError."""
+    n = len(images)
+    if {*map(type, images)} - {int} or sorted(images) != list(range(n)):
+        raise ValueError("images must be a permutation of 0..n-1")
+    return n
 
 
 def _checked(i, n, kind):

@@ -10,7 +10,7 @@ from hopfgalois.algebra import (Algebra, Check, CheckReport, HopfPresentation,
 from hopfgalois.descent import group_algebra
 from hopfgalois.extensions import rational_square_of
 from hopfgalois.groups import cyclic, dihedral, elementary_abelian_4
-from hopfgalois.linalg import Matrix, ONE, Q, ZERO, mul_kron
+from hopfgalois.linalg import Matrix, ONE, Q, ZERO, mul_kron, vstack
 from test_axiom_oracle import ref_algebra_axiom_report, ref_hopf_axiom_report
 
 
@@ -424,23 +424,31 @@ def test_words_of_a_non_associative_algebra_are_multiplied_literally():
 def wide_products(monkeypatch):
     """A report function that also returns the full products it built: the
     n x n^3 mul_kron products by `mult` (full associativity) as "assoc", and
-    the n^2-row product by X (full comultiplicativity) as "comul"."""
+    the n^2-row stacks of both sides over every basis index (full
+    comultiplicativity) as "comul"."""
     module = importlib.import_module("hopfgalois.algebra")
-    calls = []
+    calls, stacks = [], []
 
     def counted(x, y, z):
         out = mul_kron(x, y, z)
         calls.append((x, out))
         return out
 
+    def stacked(*mats):
+        out = vstack(*mats)
+        stacks.append(out)
+        return out
+
     monkeypatch.setattr(module, "mul_kron", counted)
+    monkeypatch.setattr(module, "vstack", stacked)
 
     def report(H):
         calls.clear()
+        stacks.clear()
         out = hopf_axiom_report(H)
         n = H.dim
         wide = {"assoc" for x, p in calls if x is H.mult and p.cols == n ** 3}
-        wide |= {"comul" for x, p in calls if x.rows == n * n}
+        wide |= {"comul" for s in stacks if s.rows == n * n}
         return out, wide
     return report
 

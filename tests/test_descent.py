@@ -664,7 +664,7 @@ def _full_ambient_descent(A):
     unit = B.solve(Matrix.from_columns([A.unit])).column(0)
     slot_sums = Matrix(1, n, [ONE] * n).kron(Matrix.identity(A.L.dim)) * B
     counit = Matrix.from_columns([A.L.unit]).solve(slot_sums)
-    antipode = B.solve(A.slot_map(A.N.group.inverses) * B)
+    antipode = B.solve(A.slot_map(A.N.group.inverses, Matrix.identity(A.L.dim)) * B)
     return B, (mult, unit, _comultiplication_by_base_change(A, B), counit, antipode)
 
 
@@ -880,7 +880,7 @@ def _slot_map_cases(L3):
             act = SemilinearAction(A)
             for g in range(L.group.order):
                 yield A, act.conj_map[g], L.action[g]
-            yield A, A.N.group.inverses, None
+            yield A, A.N.group.inverses, Matrix.identity(L.dim)
             iso = group_isomorphisms(A.N, entries[partner].subgroup)[-1]
             yield A, iso.mapping, L.mult_operator(L.basis_vector(1))
 
@@ -888,11 +888,10 @@ def _slot_map_cases(L3):
 def test_slot_map_sends_each_slot_through_M(L3):
     for A, images, M in _slot_map_cases(L3):
         S = A.slot_map(images, M)
-        oracle = Matrix.identity(A.L.dim) if M is None else M
         for t in range(A.N.order):
             for a in range(A.L.dim):
                 x = A.L.basis_vector(a)
-                assert S.apply(_embed(A, x, t)) == _embed(A, oracle.apply(x), images[t])
+                assert S.apply(_embed(A, x, t)) == _embed(A, M.apply(x), images[t])
 
 
 def test_semilinear_matrix_matches_entrywise_formula(L3):

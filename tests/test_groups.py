@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfgalois.algebra import CheckFailed
+from hopfgalois.algebra import group_hopf_algebra, hopf_axiom_report
 from hopfgalois.catalog import SUPPORTED_PRIMES, catalog
 from hopfgalois.groups import (ClosureBoundExceeded, FiniteGroup, Perm, PermSubgroup,
                                GroupIso, UnknownGroupType, closure, conj_by,
@@ -50,9 +50,20 @@ def test_permutations_of_different_degrees_do_not_compose(left, right):
         Perm(left) * Perm(right)
 
 
+def _is_group_table(G):
+    """The group axioms of a Cayley table, as Q[G]'s Hopf axiom report."""
+    return hopf_axiom_report(group_hopf_algebra(G)).passed
+
+
+def _is_subgroup(N):
+    """Closure of N's element list under products: closure(N.elements,
+    N.order) raises ClosureBoundExceeded when it grows past N."""
+    return closure(N.elements, N.order).canonical_key() == N.canonical_key()
+
+
 def test_dihedral_construction():
     G = dihedral(3)
-    G.check_axioms()
+    assert _is_group_table(G)
     assert G.order == 6
     r, s = G.generators
     assert G.element_order(r) == 3
@@ -68,9 +79,9 @@ def test_dihedral_rejects_non_odd_primes(bad):
 
 
 def test_cyclic_and_klein():
-    cyclic(6).check_axioms()
+    assert _is_group_table(cyclic(6))
     V = elementary_abelian_4()
-    V.check_axioms()
+    assert _is_group_table(V)
     assert sorted(V.element_order(a) for a in range(4)) == [1, 2, 2, 2]
 
 
@@ -158,9 +169,12 @@ def test_closure_and_bound():
     lam = left_regular(G)
     full = closure([lam.elements[1], lam.elements[3]], 6)
     assert full.order == 6
-    assert full.verify_subgroup()
+    assert _is_subgroup(full)
     with pytest.raises(ClosureBoundExceeded):
         closure([lam.elements[1], lam.elements[3]], bound=4)
+    # four of the six elements are not closed: their closure outgrows them
+    with pytest.raises(ClosureBoundExceeded):
+        _is_subgroup(PermSubgroup(6, full.elements[:4]))
 
 
 @pytest.mark.parametrize("bound", [0, -3, True, False, 2.5, "x", "6"])
@@ -186,7 +200,7 @@ def test_iso_type_rejects_unknown_census():
               for b2 in range(2) for b4 in range(4))
         for a2 in range(2) for a4 in range(4))
     G = FiniteGroup(table, tuple(str(i) for i in range(8)), 0, (4, 1))
-    G.check_axioms()
+    assert _is_group_table(G)
     with pytest.raises(UnknownGroupType):
         iso_type(left_regular(G))
     with pytest.raises(ValueError):
@@ -236,6 +250,7 @@ def test_group_view_reads_products_at_positions(p):
             assert (a * N.elements[G.inverses[t]]).is_identity(), e.label
         gens = [N.elements[t] for t in G.generators]
         assert closure(gens, N.order).canonical_key() == N.canonical_key(), e.label
+        assert _is_subgroup(N), e.label
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -250,8 +265,8 @@ def test_left_regular_group_is_the_group_it_translates(p):
 def test_check_axioms_names_a_missing_inverse():
     monoid = FiniteGroup(((0, 1), (1, 1)), ("1", "z"), identity=0, generators=(1,))
     assert monoid.inverses == (0, None)
-    with pytest.raises(CheckFailed, match="missing inverse"):
-        monoid.check_axioms()
+    with pytest.raises(ValueError, match="permutation"):
+        group_hopf_algebra(monoid)
 
 
 def test_equivariant_search_separates_translations():
@@ -309,7 +324,7 @@ def test_enumerate_d3():
     assert census == ["C6", "C6", "C6", "D3", "D3"]
     for N in subs:
         assert is_regular(N)
-        assert N.verify_subgroup()
+        assert _is_subgroup(N)
 
 
 def test_enumerate_klein():
@@ -375,7 +390,7 @@ def test_enumerate_c2_cubed_is_complete():
     census = Counter(types[tuple(sorted(Counter(N.element_orders).items()))] for N in subs)
     assert census == Counter({"C4xC2": 42, "D4": 42, "Q8": 14, "C2^3": 8})
     for N in subs:
-        assert is_regular(N) and N.verify_subgroup()
+        assert is_regular(N) and _is_subgroup(N)
 
 
 def _group_of_order_8(invert, square):
@@ -410,7 +425,7 @@ ENUMERATIONS = {
 @pytest.mark.parametrize("name", ENUMERATIONS)
 def test_enumeration_matches_its_reference(name):
     G, orders, count, digest = ENUMERATIONS[name]
-    G.check_axioms()
+    assert _is_group_table(G)
     assert Counter(G.element_order(a) for a in range(G.order)) == orders
     subs = enumerate_regular_normalized(G)
     assert len(subs) == count
@@ -418,7 +433,38 @@ def test_enumeration_matches_its_reference(name):
     assert hashlib.sha256(keys).hexdigest() == digest
     lam = left_regular(G)
     for N in subs:
-        assert is_regular(N) and is_normalized_by(N, lam) and N.verify_subgroup()
+        assert is_regular(N) and is_normalized_by(N, lam) and _is_subgroup(N)
+
+
+# every hand-written Cayley table: D_p at each supported p, C_n for n <= 8,
+# the Klein four group and the five tables of order 8
+TABLES = {**{f"D{p}": dihedral(p) for p in SUPPORTED_PRIMES},
+          **{f"C{n}": cyclic(n) for n in range(1, 9)}, "C2xC2": elementary_abelian_4(),
+          **{name: ENUMERATIONS[name][0] for name in ("C8", "C4xC2", "C2^3", "D4", "Q8")}}
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_every_hand_written_table_is_a_group(name):
+    assert _is_group_table(TABLES[name])
+
+
+def test_a_non_associative_latin_square_fails_associativity():
+    # a loop of order 5: a Latin square with identity 0, so every element has an
+    # inverse, but (1 1) 2 = 2 while 1 (1 2) = 4
+    table = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1),
+             (4, 3, 1, 2, 0))
+    loop = FiniteGroup(table, tuple(map(str, range(5))), identity=0, generators=(1,))
+    first = next((a, b, c) for a in range(5) for b in range(5) for c in range(5)
+                 if table[table[a][b]][c] != table[a][table[b][c]])
+    report = hopf_axiom_report(group_hopf_algebra(loop))
+    assert report[0].passed
+    assert report[1] == ("associativity", False, "associativity fails at ({},{},{})".format(*first))
+
+
+@pytest.mark.parametrize("images", [(0, None), (0.0, 1), (1, 0.0), (True, 0), (0, 0), (1, 2)])
+def test_perm_refuses_images_that_are_not_the_ints_below_the_degree(images):
+    with pytest.raises(ValueError, match="permutation of 0..n-1"):
+        Perm(images)
 
 
 def test_subgroup_lookup():

@@ -141,6 +141,10 @@ def test_permutation_rejects_non_bijections():
         Matrix.permutation([0, 0, 1])
     with pytest.raises(ValueError):
         Matrix.permutation([1, 2])
+    # images that are not ints, even when equal to one, are refused alike
+    for images in ([0, None], [1.0, 0], [0, 1.0], [False, 1]):
+        with pytest.raises(ValueError, match="permutation of 0..n-1"):
+            Matrix.permutation(images)
 
 
 def test_spans_equal():

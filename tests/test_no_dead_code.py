@@ -35,9 +35,6 @@ TEST_ONLY = {
                          "acceptance criterion 7 checks",
     "quadratic_field": "Q(sqrt b), a second Galois model for the extension tests "
                        "(ROADMAP item 2 builds on it)",
-    "check_axioms": "the group axioms of the hand-written Cayley tables",
-    "verify_subgroup": "closure of a catalog subgroup's element list under products "
-                       "and inverses",
     "normal_form": "x^i y^j on the basis of the p = 3 presentation, the tests' handle "
                    "on its relations",
 }
