@@ -23,9 +23,9 @@ Two classifications run side by side and are cross-checked:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
+from typing import NamedTuple
 
 from math import gcd
 
@@ -40,8 +40,7 @@ KIND_MATRIX2 = "matrix2_over_center"
 KIND_UNDETERMINED = "undetermined"
 
 
-@dataclass
-class WedderburnComponent:
+class WedderburnComponent(NamedTuple):
     dim: int
     center_dim: int
     kind: str
@@ -52,8 +51,7 @@ class WedderburnComponent:
         return (self.dim, self.center_dim, self.kind)
 
 
-@dataclass
-class WedderburnReport:
+class WedderburnReport(NamedTuple):
     components: list
 
     def summary(self):
@@ -307,8 +305,7 @@ def nilpotent_witness(L):
 
 # -- isomorphism classes ------------------------------------------------------
 
-@dataclass
-class PairEvidence:
+class PairEvidence(NamedTuple):
     """Outcome of comparing one pair of structures."""
 
     isomorphic: bool
@@ -318,8 +315,7 @@ class PairEvidence:
     isos_tested: int = 0
 
 
-@dataclass
-class HopfIsoClassReport:
+class HopfIsoClassReport(NamedTuple):
     labels: list
     classes: list
     evidence: dict

@@ -16,7 +16,7 @@ one another.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import CheckReport
 from .groups import (PermSubgroup, Perm, conj_by, dihedral,
@@ -42,8 +42,7 @@ def cyclic_generator(p, c):
     return Perm(tuple(G.mul(G.mul(r, x), rcs) for x in range(G.order)))
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     label: str
     subgroup: PermSubgroup
     iso_label: str

@@ -74,8 +74,9 @@ once, from R's own multiplication, for the base-change check alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
+from typing import NamedTuple
 
 from .algebra import (Algebra, CheckFailed, CheckReport, HopfPresentation, action_report,
                       first_difference, hopf_axiom_report)
@@ -211,17 +212,14 @@ class SemilinearAction:
         return action_report(A.L.group, self.matrix, A.mult)
 
 
-@dataclass
-class DescentProvenance:
-    """How a HopfPresentation was obtained: fixed ring of which L[N]."""
+class DescentProvenance(namedtuple("DescentProvenance", "parent basis phi label",
+                                   defaults=(None,))):
+    """How a HopfPresentation was obtained: fixed ring of which L[N].
 
-    parent: GroupAlgebraOverL
-    basis: Matrix
-    # the base change Phi': R (x) H -> R[N], lform_matrix(R[N], E_B), for the
-    # residue R = e_K L^K, read only by base_change_is_group_algebra: G permutes
-    # the components g(e_K) L^K[N], so Phi is bijective exactly when Phi' is
-    phi: Matrix
-    label: str = None
+    phi is the base change Phi': R (x) H -> R[N], lform_matrix(R[N], E_B), for
+    the residue R = e_K L^K, read only by base_change_is_group_algebra: G
+    permutes the components g(e_K) L^K[N], so Phi is bijective exactly when Phi' is.
+    """
 
     @cached_property
     def action(self):
@@ -349,7 +347,7 @@ def _slots_permuted(A, B, images):
     """slot_map(images, I) * B, eta_t -> eta_images[t] on the columns of B: row
     images[t]*d + a is row t*d + a of B, so row s*d + a is read from the
     inverse image of s, and no dim x dim operator is built."""
-    d, inv = A.L.dim, Perm(tuple(images)).inverse().images
+    d, inv = A.L.dim, Perm(images).inverse().images
     return B.take_rows([inv[s] * d + a for s in range(A.N.order) for a in range(d)])
 
 
@@ -548,8 +546,7 @@ def hopf_galois_matrix(L, action_matrices):
         for ak, q in [divmod(akq, d)]))
 
 
-@dataclass
-class HopfGaloisCheck:
+class HopfGaloisCheck(NamedTuple):
     rank: int
     expected: int
     passed: bool

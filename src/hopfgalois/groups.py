@@ -17,11 +17,11 @@ powers, the subgroup lattice, the enumerator's search) is one breadth-first
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import cached_property
 from itertools import permutations, product as iter_product
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .algebra import CheckFailed
 from .linalg import require_permutation
@@ -35,14 +35,20 @@ class UnknownGroupType(ValueError):
     """Raised when iso_type meets a group outside its small catalog."""
 
 
-@dataclass(frozen=True)
-class Perm:
-    """A permutation of {0..degree-1}, stored as its image tuple."""
+class Perm(namedtuple("Perm", "images")):
+    """A permutation of {0..degree-1}, given by any sequence of its images and
+    stored as their tuple."""
 
-    images: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        require_permutation(self.images)
+    def __new__(cls, images):
+        require_permutation(images)
+        return tuple.__new__(cls, (tuple(images),))
+
+    @classmethod
+    def _make(cls, iterable):
+        """The base's _make, then checked as __new__ checks, so _replace checks too."""
+        return cls(*super()._make(iterable))
 
     @classmethod
     def identity(cls, degree):
@@ -59,19 +65,17 @@ class Perm:
         """Composition: (self * other)(x) = self(other(x)).
 
         A composition of two bijections of one degree is a bijection, so the
-        product skips __post_init__'s check; unequal degrees are refused."""
+        product skips __new__'s check; unequal degrees are refused."""
         images = self.images
         if len(images) != len(other.images):
             raise ValueError("cannot compose permutations of different degrees")
-        out = object.__new__(Perm)
-        object.__setattr__(out, "images", tuple([images[x] for x in other.images]))
-        return out
+        return tuple.__new__(Perm, (tuple([images[x] for x in other.images]),))
 
     def inverse(self):
         inv = [0] * self.degree
         for x, y in enumerate(self.images):
             inv[y] = x
-        return Perm(tuple(inv))
+        return Perm(inv)
 
     def is_identity(self):
         return all(self.images[x] == x for x in range(self.degree))
@@ -123,14 +127,8 @@ def powers(mul, x, identity):
     return [y for y, _, _ in _walk(mul, [identity], [x])]
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(namedtuple("FiniteGroup", "table names identity generators")):
     """A finite group as a Cayley table with named elements."""
-
-    table: tuple
-    names: tuple
-    identity: int
-    generators: tuple
 
     @property
     def order(self):
@@ -238,19 +236,14 @@ def cyclic(n):
     return FiniteGroup(table, names, identity=0, generators=(1 % n,))
 
 
-@dataclass(frozen=True)
-class PermSubgroup:
+class PermSubgroup(namedtuple("PermSubgroup", "degree elements label element_names",
+                              defaults=(None, None))):
     """A subgroup of Perm({0..degree-1}) given by its element list.
 
     The element order is part of the value: constructors choose it
     deterministically (group order for translation subgroups, generator
     powers for cyclic catalog entries, sorted image tuples for closures).
     """
-
-    degree: int
-    elements: tuple
-    label: str = None
-    element_names: tuple = None
 
     @property
     def order(self):
@@ -296,7 +289,7 @@ class PermSubgroup:
 
 def left_regular(G):
     """Left translations g -> (h -> gh), in group element order."""
-    elems = tuple(Perm(tuple(G.table[g])) for g in range(G.order))
+    elems = tuple(Perm(G.table[g]) for g in range(G.order))
     return PermSubgroup(G.order, elems, label="lambda",
                         element_names=tuple(f"lam[{n}]" for n in G.names))
 
@@ -452,8 +445,7 @@ def iso_type(N):
     raise UnknownGroupType(f"order census {dict(sorted(census.items()))} not in catalog")
 
 
-@dataclass(frozen=True)
-class GroupIso:
+class GroupIso(NamedTuple):
     """An isomorphism between two permutation subgroups, as a position map."""
 
     source: PermSubgroup

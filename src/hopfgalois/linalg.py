@@ -67,6 +67,7 @@ class Matrix:
     __slots__ = ("rows", "cols", "_rows")
 
     def __init__(self, rows, cols, entries):
+        _require_shape(rows, cols)
         entries = list(entries)
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
@@ -105,6 +106,7 @@ class Matrix:
     @classmethod
     def from_entries(cls, rows, cols, entries):
         """Matrix from (i, j, value) triples; repeated positions add up."""
+        _require_shape(rows, cols)
         data = [{} for _ in range(rows)]
         for i, j, x in entries:
             if not (0 <= i < rows and 0 <= j < cols):
@@ -124,10 +126,12 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows, cols):
+        _require_shape(rows, cols)
         return cls._wrap(rows, cols, [{} for _ in range(rows)])
 
     @classmethod
     def identity(cls, n):
+        _require_shape(n, n)
         return cls._wrap(n, n, [{i: ONE} for i in range(n)])
 
     @classmethod
@@ -424,6 +428,12 @@ def require_permutation(images):
     if {*map(type, images)} - {int} or sorted(images) != list(range(n)):
         raise ValueError("images must be a permutation of 0..n-1")
     return n
+
+
+def _require_shape(rows, cols):
+    """ValueError unless rows and cols are ints >= 0 (a bool is not one)."""
+    if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
+        raise ValueError(f"a matrix shape is two ints >= 0, got {rows!r} x {cols!r}")
 
 
 def _checked(i, n, kind):

@@ -1,7 +1,6 @@
 import importlib
 import sys
 import types
-from dataclasses import replace
 
 import pytest
 
@@ -113,7 +112,7 @@ def test_catalog_checks_fail_only_the_involution_identity_on_a_rotated_entry():
     N = entries[3].subgroup
     rotated = PermSubgroup(N.degree, N.elements[1:] + N.elements[:1], label=N.label,
                            element_names=N.element_names)
-    entries[3] = replace(entries[3], subgroup=rotated)
+    entries[3] = entries[3]._replace(subgroup=rotated)
     failed = [c for c in catalog_checks(p, entries) if not c.passed]
     assert [(c.name, c.detail) for c in failed] == [
         ("involution-identity", "involution of N1 is not rho(r^1s)")]

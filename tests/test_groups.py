@@ -467,6 +467,17 @@ def test_perm_refuses_images_that_are_not_the_ints_below_the_degree(images):
         Perm(images)
 
 
+def test_perm_stores_its_images_as_a_tuple():
+    p = Perm([1, 0])
+    assert type(p.images) is tuple
+    assert p == Perm((1, 0)) and hash(p) == hash(Perm((1, 0)))
+    assert PermSubgroup(2, (Perm((0, 1)), Perm([1, 0]))).index_of(Perm((1, 0))) == 1
+    # a copy with other images is checked as a new Perm is
+    assert p._replace(images=[0, 1]) == Perm((0, 1))
+    with pytest.raises(ValueError, match="permutation of 0..n-1"):
+        p._replace(images=(0, 0))
+
+
 def test_subgroup_lookup():
     N = left_regular(dihedral(3))
     assert N.index_of(N.elements[4]) == 4

@@ -32,6 +32,23 @@ def test_construction_and_entries():
     assert m.transpose() == Matrix.from_rows([[1, 3], [2, 4]])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Matrix(-1, 2, []), lambda: Matrix(2, -1, []), lambda: Matrix(1.0, 1, [1]),
+    lambda: Matrix.zeros(-1, 2), lambda: Matrix.zeros(2, True), lambda: Matrix.zeros(None, 0),
+    lambda: Matrix.identity(-1), lambda: Matrix.identity(2.0), lambda: Matrix.identity(True),
+    lambda: Matrix.from_entries(-2, 3, []), lambda: Matrix.from_entries(2, "3", []),
+])
+def test_matrix_refuses_an_impossible_shape(build):
+    with pytest.raises(ValueError, match="shape"):
+        build()
+
+
+def test_empty_shapes_are_matrices():
+    assert Matrix(0, 3, []) == Matrix.zeros(0, 3) == Matrix.from_entries(0, 3, [])
+    assert Matrix.identity(0) == Matrix.zeros(0, 0)
+    assert Matrix.zeros(2, 0).transpose() == Matrix.zeros(0, 2)
+
+
 def test_rational_coercion():
     assert rational("3/4") == Q(3, 4)
     assert rational(-5) == Q(-5)

@@ -7,8 +7,6 @@ check here is compared with a reference written entry by entry or as the
 full identity over every basis vector.
 """
 
-import dataclasses
-
 import pytest
 
 from hopfgalois import descent
@@ -81,7 +79,7 @@ def full_measuring_report(H):
 def with_action(H, mats, **parts):
     """A new presentation of H's data whose basis acts on L by `mats`, with
     `parts` of the presentation replaced."""
-    prov = dataclasses.replace(H.provenance)
+    prov = H.provenance._replace()
     prov.action = mats
     data = dict(mult=H.mult, unit=H.unit, comul=H.comul, counit=H.counit,
                 antipode=H.antipode, names=H.names)

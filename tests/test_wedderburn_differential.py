@@ -101,7 +101,7 @@ def list_split(H):
 def assert_same_split(H):
     ours, reference = commutative_wedderburn(H), list_split(H)
     assert ours.summary() == reference.summary()
-    # dataclass equality: dim, center_dim, kind, unit and basis, in order
+    # named-tuple equality: dim, center_dim, kind, unit and basis, in order
     assert ours.components == reference.components
     assert all(type(c.unit) is tuple for c in ours.components)
 
