@@ -13,63 +13,60 @@ property, exact bijectivity of the Hopf-Galois map j: L (x) H -> End(L),
 the base-change check L (x) H = L[N], and span comparison against
 closed-form bases.
 
-The route.  Let K be the kernel of G's conjugation action on N (action_kernel:
-the g whose conjugation map fixes N pointwise).  K acts on L[N] through the
-coefficients only, so H = (L^K[N])^G.  L^K is a GaloisAlgebra of the same G
-on the basis F = L.fixed_space(K): Q for rho (K = G), Q<1, w> for every N_c
-(K = <r>), and a copy of L for lambda (K = 1, F = I).  Its idempotent e_K
-is the sum of the distinct K-translates of L's idempotent e.  descend
-refuses e_K unless it is a nonzero idempotent whose distinct G-translates
-sum to 1.  D is its stabilizer, and D acts on the residue R = e_K L^K.
+The route.  L has a normal element theta, one whose G-translates are a
+basis of L (GaloisAlgebra.normal_translates finds and checks it: e = d[1]
+over the split model, z + az + a^2z over cubic:v).  So L[N] is the free
+Q[G]-module on the theta eta_t, as h.(theta eta_t) = h(theta)
+eta_(h t h^-1) runs over the basis g(theta) eta_s once, and its fixed ring
+has the basis of the traces of those generators (Speiser's proof of Galois
+descent; Childs, Taming Wild Extensions, 2000, ch. 2; Greither-Pareigis
+1987): the n columns X_t = Tr(theta eta_t) = sum over g of g(theta)
+eta_(g t g^-1), which are G-fixed.  So dim H = n.  descend builds X with
+one from_entries, takes B = kernel_form(X), the reproducible basis that
+reports print, and checks that B has n columns and that G's generators
+fix it.
 
-H is read in R[N] under D and written back by induction.  Y = fixed_basis
-of R[N] under D; X' = the sum of g.(J Y) over one g per coset gD, J being R's
-basis in L^K; X = (I (x) F) X'; and B = kernel_form(X) = X T.  descend checks
-that B has n columns and that G's generators fix X'.  That suffices: dim
-L[N]^G <= n, as L (x) L[N]^G -> L[N] is injective for the Galois algebra L,
-so B spans H.  The maps are read through the algebra map E: L^K[N] -> R[N],
-x eta -> (e_K x) eta.  Induction is a left inverse of E on H, as the sum of
-the g.(e_K h) is (sum of the g(e_K)) h = h.  So E is injective on H, and
-E_B = E X' T is a basis of E(H).
-
-E X' = Y, so E_B = Y T and E is never built.  Proof: the distinct
-G-translates of e_K are idempotents of the etale L^K with sum 1, so they are
-orthogonal, and e_K g(e_K) = 0 for g outside D: E sends g.(J Y), which lies
-in g(e_K) L^K[N], to 0.  The representative g of the coset D fixes e_K, so
-e_K g(J y) = g(J y) for each column y of Y, and E(g.(J Y)) is g.Y under D's
-action on R; that is Y, which D fixes.
-
-The structure constants are E_B^-1 mult_R[N] (E_B (x) E_B): one solve, which
-checks itself.  The unit, counit and antipode are read through E_B too; the
-antipode image of E_B is its rows re-indexed through N's inverses
-(_slots_permuted).  This is Shapiro's lemma in degree 0, and the descent of
-Greither-Pareigis.  Over the split model e = d[1], and R = Q with D acting
-trivially for every structure, so Y is the identity and H is read in the
-2p-dimensional Q[N], against 4p^2 for lambda's L^K[N].  A `cubic:` model has
-e = 1: R = L^K, J = I, D = G, and the induction is the identity.  There the
-Galois matrices are not monomial, and fixed_basis reduces the stacked M_g - I.
+The maps are read through the algebra map E: x eta -> (e x) eta, e the
+model's idempotent.  E is injective on H: e h = 0 for a fixed h gives g(e)
+h = g.(e h) = 0 for every g, and the distinct g(e) sum to 1.  E(H) lies in
+R[N], R the span of e times the slot coefficients of B (_frame), a
+subalgebra of eL that contains e, as two self-checking solves confirm; E_B
+= E B, in the coordinates of R's basis J, is a basis of E(H).  Over the
+split model R = Q d[1], so H is read in the 2p-dimensional Q[N], against
+4p^2 for L[N]; over cubic:v, e = 1 and R is L^K, K the kernel of G's
+conjugation action on N (Q, Q<1, w> or L).  The structure constants are
+E_B^-1 mult_R[N] (E_B (x) E_B): one solve, which checks itself.  The unit,
+counit and antipode are read through E_B too, the antipode image of E_B
+being its rows re-indexed through N's inverses (_slots_permuted).
 
 L[N] is an Algebra: its dim x dim^2 `mult` places L's multiplication in slot
 tu for each slot pair (t, u); `pointwise`, that of Map(N, L), in slot t for
 (t, t).  A product is one mul_kron over one of them, and descend builds only
 those of R[N].  Maps of L[N] are sparse slot maps, GroupAlgebraOverL.slot_map
 = permutation(images) (x) M, with slots(u) (column t is u * eta_t) its
-one-column case.  The induction, I (x) F and the invariance check apply slot
-maps through the slot coefficients of a basis (_translated), so they build no
-operator on L^K[N].  The closed-form bases are products of U =
+one-column case.  The invariance check and E apply slot maps through the
+slot coefficients of a basis (_translated), so they build no operator on
+L[N].  The closed-form bases are products of U =
 slots(1), W = slots(w) for the rational-square witness w of L, and the slot
 inversion iota: U + iota U has the columns eta_t + eta_t^-1, and W - iota W
 the columns w*(eta_t - eta_t^-1), w being read once per L
 (GaloisAlgebra.sqrt_witness).  The action of H on L is built once, as
 DescentProvenance.action, for the module, measuring and Hopf-Galois checks.
 
-Comultiplication.  R[N] and Map(N, R) are the same D-module in the same
-coordinates, so E_B is also a basis of the dual H*, and Delta_H is the
-transpose of H*'s slot-by-slot product, read through the Gram matrix P of
-the pairing sum_t x_t y_t on E_B (_comultiplication).  P is provably
-rational, and this implementation checks that exactly instead of assuming
-it.  descend builds the base change Phi': R (x) H -> R[N], x (x) h -> x*E(h)
-once, from R's own multiplication, for the base-change check alone.
+Comultiplication.  Map(N, L) shares the coordinates and G-action of L[N],
+and E is multiplicative for its slot-by-slot product too, so E_B is also a
+basis of E(H*) for the dual H* in Map(N, L), and Delta_H is the transpose
+of H*'s slot-by-slot product, read through the Gram matrix P of the
+pairing sum_t x_t y_t on E_B (_comultiplication).  That pairing is e times
+the G-fixed one on H, so P is provably rational; this implementation checks
+that exactly instead of assuming it.
+
+Base change.  descend builds Phi': R (x) H -> R[N], x (x) h -> x*E(h) once,
+for the base-change check alone.  Phi is bijective exactly when Phi' is:
+eL (x)_R - carries Phi' to eL (x) H -> (eL)[N], x (x) h -> x e h = x h; G
+carries that to each g(e)L (x) H -> g(e)L[N], H being fixed; and the
+distinct g(e), idempotents of the etale L with sum 1, are orthogonal, so
+Phi is the sum of those maps.  Conversely Phi' is a restriction of Phi.
 """
 
 from __future__ import annotations
@@ -78,15 +75,11 @@ from collections import namedtuple
 from functools import cached_property
 from typing import NamedTuple
 
-from .algebra import (Algebra, CheckFailed, CheckReport, HopfPresentation, action_report,
+from .algebra import (Algebra, CheckReport, HopfPresentation, action_report,
                       first_difference, hopf_axiom_report)
-from .extensions import GaloisAlgebra
-from .groups import Perm, greedy_generators, left_regular, powers
-from .linalg import Matrix, ONE, Span, ZERO, fixed_basis, hstack, kernel_form, mul_kron, vstack
-
-
-class DescentError(CheckFailed):
-    """An exact identity that descent theory guarantees failed to hold."""
+from .extensions import DescentError
+from .groups import Perm, left_regular, powers
+from .linalg import Matrix, ONE, ZERO, hstack, kernel_form, mul_kron, vstack
 
 
 class NormalizationError(RuntimeError):
@@ -99,8 +92,9 @@ class NormalizationError(RuntimeError):
 class GroupAlgebraOverL(Algebra):
     """The group algebra L[N], basis (eta_t, e_a) at index t*dim(L) + a.
 
-    L is any Algebra: descend frames R[N], for the residue R = e_K L^K, with
-    it too, and group_algebra checks that a GaloisAlgebra L fits N.
+    L is any Algebra: descend frames R[N], for the span R of e times the
+    coefficients of H, with it too, and group_algebra checks that a
+    GaloisAlgebra L fits N.
 
     As (x eta_t)(y eta_u) = (xy) eta_(tu), column (t*d + a)*D + u*d + b of
     `mult` (d = dim L, D = dim L[N]) is column a*d + b of L.mult, placed in
@@ -217,8 +211,8 @@ class DescentProvenance(namedtuple("DescentProvenance", "parent basis phi label"
     """How a HopfPresentation was obtained: fixed ring of which L[N].
 
     phi is the base change Phi': R (x) H -> R[N], lform_matrix(R[N], E_B), for
-    the residue R = e_K L^K, read only by base_change_is_group_algebra: G
-    permutes the components g(e_K) L^K[N], so Phi is bijective exactly when Phi' is.
+    descend's frame R, a subalgebra of eL that contains e, read only by
+    base_change_is_group_algebra: Phi is bijective exactly when Phi' is.
     """
 
     @cached_property
@@ -242,84 +236,32 @@ def _rational_coefficients(L, z, context):
                    f"{context}: expected a rational multiple of the unit")
 
 
-def action_kernel(act):
-    """K, the elements g of G whose conjugation fixes N pointwise (the kernel
-    of G -> Aut(N)), read off the conjugation maps of a SemilinearAction."""
-    fixed = tuple(range(act.parent.N.order))
-    return [g for g, row in enumerate(act.conj_map) if row == fixed]
-
-
-def _fixed_coefficients(act):
-    """(F, L^K) for K = action_kernel(act), over the L of act.
-
-    F is the basis L.fixed_space(K) of L^K, taken over greedy_generators of K.
-    L^K is a GaloisAlgebra of the same G, which acts on it through G/K: mult
-    F^-1 m_L (F (x) F), unit F^-1 u and action F^-1 g F, solved only at the
-    generators of G.  Its idempotent is e_K, the sum of the distinct
-    K-translates of L's idempotent, written over F.  When K = 1, F = I and
-    L^K is L itself, whose action the model keeps.
-    """
-    L = act.parent.L
-    G = L.group
-    K = action_kernel(act)
-    if len(K) == 1:
-        return Matrix.identity(L.dim), L
-    F = L.fixed_space(greedy_generators(G.table, G.identity, K))
-    fail = "L^K is not closed under the product and the Galois action"
-    e = _solved(F, Matrix.from_columns([[sum(c, ZERO) for c in zip(*L.translates(K))]]), fail)
-    return F, GaloisAlgebra(_solved(F, mul_kron(L.mult, F, F), fail),
-                            _solved(F, Matrix.from_columns([L.unit]), fail).column(0),
-                            G, {g: _solved(F, L.action[g] * F, fail) for g in G.generators},
-                            idempotent=e.column(0))
-
-
-def _residue(LK, gens):
-    """(R, J, maps) for the nonzero idempotent e of L^K and generators gens
-    of its stabilizer D.  R is the plain Algebra eL^K on J, the columns of
-    e's multiplication operator that grow their span; maps holds D's action
-    on R, the m with J m = g J for each g in gens: g fixes e, so it
-    preserves eL^K."""
-    e = list(LK.idempotent)
-    span = Span()
-    J = Matrix.from_columns([c for c in LK.mult_operator(e).columns() if span.add(c)])
-    fail = "e L^K is not closed under the product and the action of D"
-    R = Algebra(_solved(J, mul_kron(LK.mult, J, J), fail),
-                _solved(J, Matrix.from_columns([e]), fail).column(0))
-    return R, J, {g: _solved(J, LK.action[g] * J, fail) for g in gens}
-
-
 def descend(A, label=None):
     """The fixed ring of L[N] as an exact Hopf presentation over Q.
 
-    The fixed ring is read in R[N] under D and written back to L^K[N] by
-    induction, then to L[N] by the algebra embedding I (x) F (see the module
-    docstring).  The basis B = kernel_form(X) of L[N] is found before any
-    structure map, so the output is reproducible, and every structure map
-    is then read once through E_B = Y T, for the T with X T = B.
+    X, the traces of theta eta_t, is a basis of the fixed ring, and B =
+    kernel_form(X) is found before any structure map, so the output is
+    reproducible.  Every structure map is then read once through E_B, the
+    image of B in R[N] (see the module docstring).
     """
-    act = SemilinearAction(A)
-    F, LK = _fixed_coefficients(act)
-    G, N, n = LK.group, A.N, A.N.order
-    e, cosets = list(LK.idempotent), LK.translates(range(G.order))
-    if not any(e) or LK.mul(e, e) != e or [sum(c, ZERO) for c in zip(*cosets)] != list(LK.unit):
-        raise DescentError("e_K, the sum of the K-translates of e, is not a nonzero "
-                           "idempotent whose distinct G-translates sum to 1")
-    R, J, maps = _residue(LK, greedy_generators(G.table, G.identity, cosets[tuple(e)]))
-    RA = GroupAlgebraOverL(R, N)
-    Y = fixed_basis([RA.slot_map(act.conj_map[g], m) for g, m in maps.items()], RA.dim)
-    Xk = _translated(_slot_coefficients(Y, R.dim),
-                     [(act.conj_map[g], LK.action[g] * J) for g, *_ in cosets.values()])
-    coeffs = _slot_coefficients(Xk, LK.dim)
-    # K = 1 when F is square: F = I, and L^K[N] is L[N]
-    X = Xk if F.cols == F.rows else _translated(coeffs, [(range(n), F)])
+    act, L, N, n = SemilinearAction(A), A.L, A.N, A.N.order
+    d, theta = L.dim, L.normal_translates
+    # column t is Tr(theta eta_t), the sum over g of g(theta) eta_(g t g^-1)
+    X = Matrix.from_entries(A.dim, n, (
+        (conj[t] * d + a, t, x) for g, conj in enumerate(act.conj_map)
+        for a, x in theta.row_entries(g) for t in range(n)))
     B = kernel_form(X)
     if B.cols != n:
         raise DescentError(f"fixed ring has dimension {B.cols}, expected {n}")
-    if any(_translated(coeffs, [(act.conj_map[g], m)]) != Xk
-           for g, m in LK.generator_action.items()):
-        raise DescentError("the written-back basis is not fixed by G")
-
-    EB = Y * _solved(X, B, "the fixed basis is not in the span of the written-back basis")
+    coeffs = _slot_coefficients(B, d)
+    if any(_translated(coeffs, act.conj_map[g], m) != B for g, m in L.generator_action.items()):
+        raise DescentError("the trace basis is not fixed by G")
+    ecoeffs = L.mult_operator(L.idempotent) * coeffs
+    R, J = _frame(L, ecoeffs)
+    RA = GroupAlgebraOverL(R, N)
+    # E_B = E B, the coefficients e x of B in J's coordinates
+    EB = _translated(_solved(J, ecoeffs, "e times a coefficient of H left R"), range(n),
+                     Matrix.identity(R.dim))
     # column i*n + j is h_i h_j
     mult = _solved(EB, mul_kron(RA.mult, EB, EB), "a product of fixed vectors left the fixed ring")
     unit = _solved(EB, Matrix.from_columns([RA.unit]), "the unit of L[N] is not in the fixed ring")
@@ -332,15 +274,29 @@ def descend(A, label=None):
                             names=tuple(f"h{k}" for k in range(n)), provenance=prov)
 
 
-def _translated(coeffs, maps):
-    """The sum over (images, M) in maps of slot_map(images, M) * B, for
-    coeffs = _slot_coefficients(B, M.cols): the coefficient x of eta_t in a
-    column of B goes to M x at eta_images[t].  Each M multiplies the slot
-    coefficients once, and no operator on L[N] is built."""
-    n, m = len(maps[0][0]), maps[0][1].rows
+def _frame(L, ecoeffs):
+    """(R, J): the span R of the columns of ecoeffs, e times the slot
+    coefficients of H's basis, as a plain Algebra on J, the kernel_form of
+    their distinct nonzero columns (a zero or repeated column would make
+    kernel_form row-reduce), with unit e.  Both closure solves check
+    themselves: R is a subalgebra of eL that contains e."""
+    rows = ecoeffs.transpose()
+    cols = {tuple(rows.row_entries(k)): None for k in range(rows.rows) if rows.row_entries(k)}
+    J = kernel_form(Matrix.from_entries(L.dim, len(cols), (
+        (a, c, x) for c, col in enumerate(cols) for a, x in col)))
+    fail = "e times the coefficients of H do not span a subalgebra of eL"
+    return Algebra(_solved(J, mul_kron(L.mult, J, J), fail),
+                   _solved(J, Matrix.from_columns([L.idempotent]), fail).column(0)), J
+
+
+def _translated(coeffs, images, M):
+    """slot_map(images, M) * B for coeffs = _slot_coefficients(B, M.cols): the
+    coefficient x of eta_t in a column of B goes to M x at eta_images[t].  M
+    multiplies the slot coefficients once, and no operator on L[N] is built."""
+    n, m, prod = len(images), M.rows, M * coeffs
     return Matrix.from_entries(n * m, coeffs.cols // n, (
-        (images[t] * m + a, k, x) for images, M in maps for prod in [M * coeffs]
-        for a in range(m) for kt, x in prod.row_entries(a) for k, t in [divmod(kt, n)]))
+        (images[t] * m + a, k, x) for a in range(m) for kt, x in prod.row_entries(a)
+        for k, t in [divmod(kt, n)]))
 
 
 def _slots_permuted(A, B, images):
@@ -565,10 +521,8 @@ def verify_hopf_galois(H):
 def base_change_is_group_algebra(H):
     """Whether L (x) H -> L[N] is bijective (H is an L-form of L[N]), read off
     the Phi' = lform_matrix(R[N], E_B): R (x) H -> R[N] that descend built and
-    kept, for the residue R = e_K L^K: Phi' is square with full rank.  G
-    permutes the components g(e_K) L^K[N], so Phi' is bijective exactly when
-    L^K (x) H -> L^K[N] is, and L (x)_{L^K} - is faithfully flat and carries
-    that map to Phi."""
+    kept, for its frame R: Phi' is square with full rank, which holds exactly
+    when Phi is bijective (the module docstring)."""
     phi = _provenance_of(H).phi
     return phi.cols == phi.rows and phi.rank() == phi.rows
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import cached_property
 from math import isqrt
 
-from .algebra import Algebra, action_report, algebra_axiom_report, monomials
+from .algebra import Algebra, CheckFailed, action_report, algebra_axiom_report, monomials
 from .groups import cyclic, dihedral
 from .linalg import Matrix, Q, ZERO, ONE, fixed_basis, kernel_form, mul_kron, rational
 
@@ -63,6 +63,10 @@ def is_rational_square(q):
     return isqrt(num) ** 2 == num and isqrt(den) ** 2 == den
 
 
+class DescentError(CheckFailed):
+    """An exact identity that descent theory guarantees failed to hold."""
+
+
 class GaloisAlgebra(Algebra):
     """Commutative algebra with a finite group acting by automorphisms.
 
@@ -73,7 +77,8 @@ class GaloisAlgebra(Algebra):
     `idempotent` is an idempotent e whose distinct G-translates are
     orthogonal and sum to 1, so that L is the product of the eL over the
     cosets of D, the stabilizer of e; it defaults to the unit (D = G).
-    descend reads each structure in (eL)[N] under D.
+    descend takes its traces from `normal_translates` and reads each
+    structure in (eL)[N].
     """
 
     def __init__(self, mult, unit, group, action, names=None, idempotent=None):
@@ -105,6 +110,33 @@ class GaloisAlgebra(Algebra):
         for g in indices:
             out.setdefault(tuple(self.action[g].apply(self.idempotent)), []).append(g)
         return out
+
+    @cached_property
+    def normal_translates(self):
+        """The |G| x d matrix whose row g is g(theta), for the normal element
+        theta whose traces descend takes: its translates have rank d = dim L.
+
+        DescentError unless e is a nonzero idempotent whose distinct
+        G-translates sum to 1.  theta = e c for the first c of e, e_(d-1),
+        e_(d-2) + e_(d-1), ..., e_0 + ... + e_(d-1) that gives rank d, and
+        DescentError when none does.  theta is e, the point d[1], over the
+        split model, read off the e check's translates, and z + az + a^2z
+        over cubic:v."""
+        G, e, d = self.group, list(self.idempotent), self.dim
+        cosets = self.translates(range(G.order))
+        if not any(e) or self.mul(e, e) != e or \
+                [sum(c, ZERO) for c in zip(*cosets)] != list(self.unit):
+            raise DescentError("e is not a nonzero idempotent whose distinct G-translates sum to 1")
+        for k in range(d, -1, -1):  # c = e, then the suffix sums e_k + ... + e_(d-1)
+            if k == d:  # theta = e, whose translate g(e) the e check keyed by g
+                rows = [t for _, t in sorted((g, t) for t, gs in cosets.items() for g in gs)]
+            else:
+                theta = self.mul(e, [ZERO] * k + [ONE] * (d - k))
+                rows = [m.apply(theta) for m in self.action]
+            translates = Matrix.from_rows(rows)
+            if translates.rank() == d:
+                return translates
+        raise DescentError("L has no normal element e c, for c = e or a suffix sum of its basis")
 
     def fixed_space(self, indices):
         """Normalized basis of the space fixed by action(g) for g in indices."""

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from hopfgalois import descent
-from hopfgalois.algebra import (Algebra, HopfPresentation, algebra_axiom_report,
+from hopfgalois.algebra import (Algebra, CheckFailed, HopfPresentation, algebra_axiom_report,
                                 group_hopf_algebra, hopf_axiom_report, hopf_map_violation)
 from hopfgalois.catalog import catalog, cyclic_generator
 from hopfgalois.analysis import nilpotent_witness
@@ -15,7 +15,8 @@ from hopfgalois.descent import (DescentError, GroupAlgebraOverL, NormalizationEr
                                 explicit_translation_basis, group_algebra,
                                 hopf_action, hopf_galois_matrix, inverse_pair_columns,
                                 lform_matrix, measuring_report, verify_hopf_galois)
-from hopfgalois.extensions import GaloisAlgebra, quadratic_sqrt_witness, split_model
+from hopfgalois.extensions import (GaloisAlgebra, quadratic_sqrt_witness, split_model,
+                                   splitting_field_cubic)
 from hopfgalois.groups import (Perm, PermSubgroup, closure, dihedral, group_isomorphisms,
                                is_normalized_by, left_regular, powers)
 from hopfgalois.linalg import Matrix, ONE, Q, ZERO, fixed_basis, hstack, kernel_form, mul_kron
@@ -300,88 +301,96 @@ def _owns_a_row_per_column(m):
     return {next(iter(r)) for r in rows if len(r) == 1} == set(range(m.cols))
 
 
-@pytest.mark.parametrize("owned", [True, False])
-def test_a_basis_not_closed_under_products_is_refused(monkeypatch, L3, owned):
-    """The D-fixed basis Y of R[N] with e_i, outside its span, added to
-    column 0, so the written-back span is not the fixed ring and not closed
-    under products.  With `owned` every column keeps an owned row; otherwise
-    column 1 first loses its owned rows (column 0 += column 1, which keeps the
-    span).  Either way G no longer fixes the written-back basis, and descend
-    refuses it at its invariance check, before any product is read.  The
-    split case is p = 5 lambda with e = d[1] + d[s], where D = <s> moves the
-    coordinates of R[N]: with e = d[1], D = 1 and Y is the identity, whose
-    span holds every e_i."""
-    real = descent.fixed_basis
-    seen = []
+def _first_kernel_form_patched(monkeypatch, change):
+    """Patch descent.kernel_form so that its first call in each descend,
+    the one that takes B from the trace basis X, returns change(X, B)
+    instead of B; `calls` lists each changed (X, B, result)."""
+    real, calls = descent.kernel_form, []
 
-    def perturbed(mats, dim):
-        B = real(mats, dim)
-        if not owned:
-            B += Matrix.from_columns([B.column(1)] + [[ZERO] * B.rows] * (B.cols - 1))
-        for i in range(B.rows):
-            e_i = Matrix.from_entries(B.rows, B.cols, [(i, 0, ONE)])
-            moved = B + e_i
-            if hstack(B, e_i).rank() > B.cols and _owns_a_row_per_column(moved) is owned:
-                seen.append(moved)
-                return moved
-        pytest.fail("no row to move column 0 at")
+    def patched(m):
+        B = real(m)
+        if calls and calls[-1] is None:
+            out = change(m, B)
+            calls[-1] = (m, B, out)
+            return out
+        return B
 
+    monkeypatch.setattr(descent, "kernel_form", patched)
+    return calls
+
+
+def _trace_cases(L3):
+    """(label, L[N]) for p = 5 split lambda with e = d[1] + d[s] and p = 3
+    cubic:2 N0."""
     L5 = split_model(dihedral(5))
     pair = _with_idempotent(L5, _reflection_pair(L5))
     lam5 = next(e for e in catalog(5) if e.label == "lambda")
     n0 = next(e for e in catalog(3) if e.label == "N0")
-    cases = [("p5-lambda", group_algebra(pair, lam5.subgroup)),
-             ("p3-N0", group_algebra(L3, n0.subgroup))]
-    monkeypatch.setattr(descent, "fixed_basis", perturbed)
-    for label, A in cases:
-        seen.clear()
-        with pytest.raises(DescentError, match="^the written-back basis is not fixed by G$"):
+    return [("p5-lambda", group_algebra(pair, lam5.subgroup)),
+            ("p3-N0", group_algebra(L3, n0.subgroup))]
+
+
+@pytest.mark.parametrize("owned", [True, False])
+def test_a_basis_not_closed_under_products_is_refused(monkeypatch, L3, owned):
+    """B with e_i, outside its span, added to column 0, so its span is not
+    the fixed ring and not closed under products.  With `owned` every
+    column keeps an owned row; otherwise column 1 first loses its owned rows
+    (column 0 += column 1, which keeps the span).  Either way G no longer
+    fixes the basis, and descend refuses it at its invariance check, before
+    any product is read."""
+    def moved(X, B):
+        if not owned:
+            B += Matrix.from_columns([B.column(1)] + [[ZERO] * B.rows] * (B.cols - 1))
+        for i in range(B.rows):
+            e_i = Matrix.from_entries(B.rows, B.cols, [(i, 0, ONE)])
+            if hstack(B, e_i).rank() > B.cols and _owns_a_row_per_column(B + e_i) is owned:
+                return B + e_i
+        pytest.fail("no row to move column 0 at")
+
+    calls = _first_kernel_form_patched(monkeypatch, moved)
+    for label, A in _trace_cases(L3):
+        calls.append(None)
+        with pytest.raises(DescentError, match="^the trace basis is not fixed by G$"):
             descend(A, label=label)
-        (Y,) = seen
-        assert Y.cols == A.N.order and Y.rank() == Y.cols, label
+        (_, _, B), = calls[-1:]
+        assert B.cols == A.N.order and B.rank() == B.cols, label
 
 
-def test_a_corrupted_write_back_is_refused(monkeypatch, L3):
-    """One entry of the written-back X' is changed, in a column with more
+def test_a_corrupted_trace_basis_is_refused(monkeypatch, L3):
+    """One entry of the trace basis X is changed, in a column with more
     than one nonzero: its span keeps n dimensions but is no longer fixed,
     and descend refuses it at its invariance check, at p = 5 split lambda
-    (X' is the sum of 2p translates) and p = 3 cubic:2 N0 (D = G, one
-    translate).  The first _translated of a descend is the write-back."""
-    real = descent._translated
+    with e = d[1] + d[s] (theta is one point d[g], and each column of X
+    sums 2p of its translates) and p = 3 cubic:2 N0."""
+    def corrupted(X, B):
+        j, column = next((j, c) for j in range(X.cols)
+                         for c in [X.column_entries(j)] if len(c) > 1)
+        return kernel_form(X + Matrix.from_entries(X.rows, X.cols, [(min(column), j, ONE)]))
 
-    def corrupted(coeffs, maps):
-        out = real(coeffs, maps)
-        if calls:
-            return out
-        calls.append(len(maps))
-        j, column = next((j, c) for j in range(out.cols)
-                         for c in [out.column_entries(j)] if len(c) > 1)
-        return out + Matrix.from_entries(out.rows, out.cols, [(min(column), j, ONE)])
-
-    monkeypatch.setattr(descent, "_translated", corrupted)
-    for label, A in _one_split_and_one_cubic(L3):
-        calls = []
-        with pytest.raises(DescentError, match="^the written-back basis is not fixed by G$"):
+    calls = _first_kernel_form_patched(monkeypatch, corrupted)
+    for label, A in _trace_cases(L3):
+        calls.append(None)
+        with pytest.raises(DescentError, match="^the trace basis is not fixed by G$"):
             descend(A, label=label)
-        assert calls == [10 if label == "p5-lambda" else 1], label
+        (X, B, changed), = calls[-1:]
+        assert X.cols == changed.cols == A.N.order and changed != B, label
 
 
 def test_descend_eliminates_only_where_no_row_is_owned(monkeypatch, L3, L5):
-    """Over the split model G permutes the coordinates of L, so every
-    generator map of L^K[N] is monomial and every fixed space, of K in L and
-    of G in L^K[N], is read off orbit sums: p = 5 split lambda (K = 1, F = I)
-    and N0 (K = <r>) row-reduce nothing.  L^K, the structure constants, the
-    unit, the antipode and the slot-by-slot products against E_B, the counit,
-    the Gram matrix P and P^-1 are read off owned rows and checked by one
-    product each: the orbit sums have disjoint supports, so P is diagonal.
-    There the written-back X is B with its columns in another order, and T,
-    with X T = B, is that reordering, read off X's owned rows.  At
-    p = 3 over cubic:2, where G does not act monomially, N0 (K = <r>)
-    row-reduces three times: the fixed space of K in L (6 x 6), the kernel
-    in L^K[N] (24 x 12) and the inverse of the 6 x 6 Gram matrix (6 x 12),
-    which has a column that owns no row.  Phi' is kept for the base-change
-    check alone, and there too it has such a column."""
-    shapes, written_back = [], []
+    """Over the split model G permutes the coordinates of L, theta = d[1],
+    and every row of the trace basis X holds one nonzero, so B is X with its
+    columns sorted, read with no elimination: p = 5 split lambda and N0
+    row-reduce nothing.  R = Q d[1] for every structure; its frame J, the
+    structure constants, the unit, the antipode and the slot-by-slot
+    products against E_B, the counit, the Gram matrix P and P^-1 are read
+    off owned rows and checked by one product each: the translates have
+    disjoint supports, so P is diagonal.  At p = 3 over cubic:2, where G
+    does not act monomially, N0 row-reduces three times: B from X (36 x 6,
+    reduced as its 6 x 36 transpose), J from the 3 distinct nonzero
+    coefficient columns of B, and the inverse of the 6 x 6 Gram matrix
+    (6 x 12), which has a column that owns no row.  Phi' is kept for the
+    base-change check alone, and there too it has such a column."""
+    shapes, forms = [], []
     real, real_form = Matrix.rref, descent.kernel_form
 
     def counted(m):
@@ -389,19 +398,20 @@ def test_descend_eliminates_only_where_no_row_is_owned(monkeypatch, L3, L5):
         return real(m)
 
     monkeypatch.setattr(Matrix, "rref", counted)
-    monkeypatch.setattr(descent, "kernel_form", lambda X: written_back.append(X) or real_form(X))
+    monkeypatch.setattr(descent, "kernel_form", lambda X: forms.append(X) or real_form(X))
     n0 = next(e for e in catalog(5) if e.label == "N0")
     cases = _one_split_and_one_cubic(L3) + [("p5-N0", group_algebra(L5, n0.subgroup))]
-    expected = {"p5-lambda": [], "p3-N0": [(6, 6), (24, 12), (6, 12)], "p5-N0": []}
+    expected = {"p5-lambda": [], "p3-N0": [(6, 36), (3, 6), (6, 12)], "p5-N0": []}
     for label, A in cases:
+        A.L.normal_translates  # the per-model search ranks its candidates once, first
         shapes.clear()
-        written_back.clear()
+        forms.clear()
         H = descend(A, label=label)
         assert shapes == expected[label], label
         assert _owns_a_row_per_column(H.provenance.phi) is (label != "p3-N0"), label
-        (X,), B = written_back, H.provenance.basis
-        assert sorted(X.columns()) == sorted(B.columns()), label
-        assert (X != B) is (label != "p3-N0"), label
+        (X, J), B = forms, H.provenance.basis
+        assert (sorted(X.columns()) == sorted(B.columns())) is (label != "p3-N0"), label
+        assert X != B and J.cols == (3 if label == "p3-N0" else 1), label
 
 
 def test_no_split_model_descend_row_reduces(split_descents):
@@ -459,15 +469,14 @@ def test_group_algebra_table_read_on_demand_matches_the_definition(L3):
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_phi_is_built_once_and_kept(monkeypatch, L3, p):
-    """Phi' is built once, over the residue frame R[N] and E_B there, and
-    kept: it is lform_matrix of exactly those, square of side 2p dim R.
-    Over cubic:2, E = I, R = L^K and (I (x) F) E_B is the descended basis;
-    over the split model, E_B is the rows of that basis at d[1] of each
-    slot."""
+    """Phi' is built once, over the frame R[N] and E_B there, and kept: it
+    is lform_matrix of exactly those, square of side 2p dim R.  Over
+    cubic:2, e = 1 and (I (x) J) E_B is the descended basis; over the split
+    model, E_B is the rows of that basis at d[1] of each slot."""
     # p = 3 over cubic:2, p = 5 over the split model; every structure of each
     L = L3 if p == 3 else split_model(dihedral(p))
     one = L.idempotent.index(ONE)
-    calls = []
+    calls, frames = [], _recorded_frames(monkeypatch)
 
     def counted(A, B):
         calls.append((A, B))
@@ -475,6 +484,7 @@ def test_phi_is_built_once_and_kept(monkeypatch, L3, p):
 
     for e in catalog(p):
         calls.clear()
+        frames.clear()
         with monkeypatch.context() as patch:
             patch.setattr(descent, "lform_matrix", counted)
             H = descend(group_algebra(L, e.subgroup), label=e.label)
@@ -487,14 +497,13 @@ def test_phi_is_built_once_and_kept(monkeypatch, L3, p):
         assert RA is not prov.parent and RA.N is prov.parent.N, e.label
         B, d = prov.basis, L.dim
         if p == 3:
-            K = descent.action_kernel(SemilinearAction(prov.parent))
-            F = L.fixed_space(K) if len(K) > 1 else Matrix.identity(L.dim)
-            assert Matrix.identity(2 * p).kron(F) * EB == B, e.label
+            (_, J), = frames
+            assert Matrix.identity(2 * p).kron(J) * EB == B, e.label
         else:
             assert EB == Matrix.from_rows([B.row(t * d + one) for t in range(2 * p)]), e.label
 
 
-# -- the residue copy (e_K L^K)[N] -----------------------------------------------
+# -- the frame R[N], R = e times the coefficients of H -------------------------
 
 def _with_idempotent(L, e):
     return GaloisAlgebra(L.mult, L.unit, L.group, L.generator_action, names=L.names,
@@ -508,9 +517,9 @@ def _reflection_pair(L):
 
 
 def test_each_split_descent_builds_one_table_of_dimension_2p(monkeypatch, L5):
-    """At p = 5 split, each descend reads the product of (e_K L^K)[N] once
-    and the slot-by-slot product of Map(N, e_K L^K) once, both of dimension
-    2p as e_K L^K = Q: never a table of lambda's 4p^2-dimensional L^K[N]."""
+    """At p = 5 split, each descend reads the product of R[N] once and the
+    slot-by-slot product of Map(N, R) once, both of dimension 2p as R =
+    Q d[1]: never a table of the 4p^2-dimensional L[N]."""
     reads = []
     for name in ("mult", "pointwise"):
         real = getattr(GroupAlgebraOverL, name).func
@@ -523,54 +532,58 @@ def test_each_split_descent_builds_one_table_of_dimension_2p(monkeypatch, L5):
         assert base_change_is_group_algebra(H) and len(reads) == 2, e.label
 
 
+def _recorded_frames(monkeypatch):
+    """The list to which each descend's _frame appends its (R, J)."""
+    frames, real = [], descent._frame
+    monkeypatch.setattr(descent, "_frame", lambda L, c: frames.append(real(L, c)) or frames[-1])
+    return frames
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_descent_through_the_residue_matches_E_equal_I(monkeypatch, split_descents, p):
-    """The split model with its idempotent d[1], with the unit (R = L^K and
-    D = G: lambda through all of L^K[N]) and with d[1] + d[s] (lambda through
-    a 2-dimensional R, D = <s>) descends to the same presentation, entry for
-    entry, for every structure.  Each descend
-    builds one residue, of the expected dimension, and Phi' is square of
-    side 2p dim R."""
+    """The split model with its idempotent d[1], with the unit (theta the
+    last point, and R for lambda all of L) and with d[1] + d[s] (R for
+    lambda 2-dimensional) descends to the same presentation, entry for
+    entry, for every structure.  Each descend builds one frame R, of the
+    expected dimension, and Phi' is square of side 2p dim R."""
     L = split_model(dihedral(p))
-    residues = []
-    real = descent._residue
-    monkeypatch.setattr(descent, "_residue",
-                        lambda LK, gens: residues.append(real(LK, gens)) or residues[-1])
+    frames = _recorded_frames(monkeypatch)
     ref = {label: H for (q, label), H in split_descents[0].items() if q == p}
     dims = {"unit": {"rho": 1, "lambda": 2 * p}, "pair": {"rho": 1, "lambda": 2}}
     for kind, e in (("unit", list(L.unit)), ("pair", _reflection_pair(L))):
         other = _with_idempotent(L, e)
         for entry in catalog(p):
-            residues.clear()
+            frames.clear()
             H = descend(group_algebra(other, entry.subgroup), label=entry.label)
             R = ref[entry.label]
             assert (H.mult, H.unit, H.comul, H.counit, H.antipode) == \
                 (R.mult, R.unit, R.comul, R.counit, R.antipode), entry.label
             assert H.provenance.basis == R.provenance.basis, entry.label
-            (residue, *_), = residues
-            assert residue.dim == dims[kind].get(entry.label, 2), (kind, entry.label)
+            (frame, _), = frames
+            assert frame.dim == dims[kind].get(entry.label, 2), (kind, entry.label)
             phi = H.provenance.phi
             assert base_change_is_group_algebra(H), (kind, entry.label)
-            assert phi.rows == phi.cols == 2 * p * residue.dim, (kind, entry.label)
+            assert phi.rows == phi.cols == 2 * p * frame.dim, (kind, entry.label)
 
 
 def test_the_unit_residue_is_L_K_itself(monkeypatch, L3):
-    """For every cubic:2 structure e_K is the unit of L^K: the general route
-    keeps every column of e_K's operator, so J = I, and R is a plain Algebra
-    with L^K's mult and unit on which D acts by L^K's matrices."""
-    seen = []
-    real = descent._residue
-    monkeypatch.setattr(descent, "_residue",
-                        lambda LK, gens: seen.append((LK, gens, real(LK, gens))) or seen[-1][2])
+    """For every cubic:2 structure e = 1, and the coefficients of H span
+    L^K, for K the kernel of G's conjugation action on N: J is
+    L.fixed_space(K), Q for rho, Q<1, w> for the N_c and L for lambda, and
+    R is a plain Algebra with the product and unit of L restricted to it."""
+    frames = _recorded_frames(monkeypatch)
+    sizes = {"rho": 1, "lambda": 6}
     for entry in catalog(3):
-        seen.clear()
-        descend(group_algebra(L3, entry.subgroup), label=entry.label)
-        (LK, gens, (R, J, maps)), = seen
-        assert list(LK.idempotent) == list(LK.unit), entry.label
-        assert J == Matrix.identity(LK.dim), entry.label
+        frames.clear()
+        A = group_algebra(L3, entry.subgroup)
+        descend(A, label=entry.label)
+        (R, J), = frames
+        fixed = tuple(range(A.N.order))
+        K = [g for g, row in enumerate(SemilinearAction(A).conj_map) if row == fixed]
+        assert J == L3.fixed_space(K) and J.cols == sizes.get(entry.label, 2), entry.label
         assert type(R) is Algebra, entry.label
-        assert (R.mult, R.unit) == (LK.mult, LK.unit), entry.label
-        assert maps == {g: LK.action[g] for g in gens}, entry.label
+        assert J * R.mult == mul_kron(L3.mult, J, J), entry.label
+        assert (J * Matrix.from_columns([R.unit])).column(0) == L3.unit, entry.label
 
 
 def test_a_non_idempotent_e_is_refused():
@@ -583,8 +596,8 @@ def test_a_non_idempotent_e_is_refused():
 
 def test_an_idempotent_whose_translates_overlap_is_refused_by_every_structure():
     """e = d[1] + d[r] at p = 3: its six translates cover every point twice,
-    so for every structure e_K, or its G-translates, sum to 2 and not 1.
-    Every structure refuses it with the same error."""
+    so they sum to 2 and not 1.  Every structure refuses it with the same
+    error."""
     L = split_model(dihedral(3))
     G = L.group
     overlap = _with_idempotent(L, [ONE if g in (G.identity, G.generators[0]) else ZERO
@@ -598,33 +611,55 @@ def test_an_idempotent_whose_translates_overlap_is_refused_by_every_structure():
     assert len(messages) == 1
 
 
-def _with_a_lost_factor(R, J, maps):
-    """The frame R x Q on (J | 0), D acting on the new factor trivially: E
-    sends L^K into R x 0, so E_B is the true E_B with a zero row per slot."""
+def test_a_group_acting_trivially_is_refused_for_want_of_a_normal_element():
+    """The split model's algebra with G acting trivially and e = 1 passes
+    the e check, but every translate of every candidate e c is e c itself,
+    of rank 1: the model has no normal element, and descend says so."""
+    L = split_model(dihedral(3))
+    trivial = GaloisAlgebra(L.mult, L.unit, L.group,
+                            {g: Matrix.identity(L.dim) for g in L.group.generators})
+    for e in catalog(3):
+        with pytest.raises(CheckFailed, match="^L has no normal element e c, for c = e or a "
+                                              "suffix sum of its basis$"):
+            descend(group_algebra(trivial, e.subgroup), label=e.label)
+
+
+def test_a_theta_that_is_not_normal_leaves_too_few_traces():
+    """theta = 1 over cubic:2, whose translates are all 1: X_t is 6 times
+    the sum of eta over the conjugation orbit of t, one independent column
+    per orbit, so descend refuses lambda (3 orbits) and every N_c (4) by
+    the dimension of the fixed ring."""
+    L = splitting_field_cubic(2)
+    L.__dict__["normal_translates"] = Matrix.from_rows([L.unit] * L.group.order)
+    for e in catalog(3)[1:]:
+        dim = 3 if e.label == "lambda" else 4
+        with pytest.raises(DescentError, match=f"^fixed ring has dimension {dim}, expected 6$"):
+            descend(group_algebra(L, e.subgroup), label=e.label)
+
+
+def _with_a_lost_factor(R, J):
+    """The frame R x Q on (J | 0): E sends H into R x 0, so E_B is the true
+    E_B with a zero row per slot."""
     d = R.dim
     m = d + 1
     mult = Matrix.from_entries(m, m * m, [(c, a * m + b, x) for c in range(d)
                                           for ab, x in R.mult.row_entries(c)
                                           for a, b in [divmod(ab, d)]] + [(d, d * m + d, ONE)])
-    lost = Algebra(mult, list(R.unit) + [ONE])
-    grow = Matrix.from_entries(m, d, [(i, i, ONE) for i in range(d)])
-    extend = Matrix.from_entries(m, m, [(d, d, ONE)])
-    return (lost, hstack(J, Matrix.zeros(J.rows, 1)),
-            {g: grow * mg * grow.transpose() + extend for g, mg in maps.items()})
+    return Algebra(mult, list(R.unit) + [ONE]), hstack(J, Matrix.zeros(J.rows, 1))
 
 
 @pytest.mark.parametrize("pair", [False, True], ids=["square", "tall"])
 def test_an_E_that_loses_the_fixed_ring_is_refused(monkeypatch, pair):
-    """The residue R replaced by R x Q on the columns of J and a zero column,
-    whether R is Q (e = d[1]) or 2-dimensional (e = d[1] + d[s]): the written-back
-    basis, B and its invariance are unchanged, E_B = Y T lies in R[N] x 0,
-    where the products of fixed vectors stay, and descend refuses E_B at the
-    unit (1, 1), which no such column reaches."""
+    """The frame R replaced by R x Q on the columns of J and a zero column,
+    whether R is Q (e = d[1]) or 2-dimensional (e = d[1] + d[s]): B and its
+    invariance are unchanged, E_B lies in R[N] x 0, where the products of
+    fixed vectors stay, and descend refuses E_B at the unit (1, 1), which
+    no such column reaches."""
     L = split_model(dihedral(3))
     if pair:
         L = _with_idempotent(L, _reflection_pair(L))
-    real = descent._residue
-    monkeypatch.setattr(descent, "_residue", lambda LK, gens: _with_a_lost_factor(*real(LK, gens)))
+    real = descent._frame
+    monkeypatch.setattr(descent, "_frame", lambda L, c: _with_a_lost_factor(*real(L, c)))
     lam = next(e for e in catalog(3) if e.label == "lambda")
     with pytest.raises(DescentError, match=r"^the unit of L\[N\] is not in the fixed ring$"):
         descend(group_algebra(L, lam.subgroup), label="lambda")
@@ -654,7 +689,7 @@ def _comultiplication_by_base_change(A, B):
 
 
 def _full_ambient_descent(A):
-    """The fixed ring computed in all of L[N], without L^K: its basis B and
+    """The fixed ring computed in all of L[N], without a trace: its basis B and
     (mult, unit, comul, counit, antipode) in B's coordinates, the
     comultiplication through the base change."""
     act = SemilinearAction(A)
@@ -671,10 +706,9 @@ def _full_ambient_descent(A):
 def test_descent_through_the_fixed_algebra_matches_the_full_ambient(
         descended3, split5_rho_lambda, split5_nc):
     """Every structure at p = 3 over cubic:2, at p = 5 split and at p = 3
-    split with the idempotent d[1] + d[s] (a 2-dimensional R under D = <s>):
-    the route through L^K gives the basis and every structure map of the
-    fixed ring of all of L[N], its comultiplication read through Phi^-1, and
-    K and L^K have the expected sizes."""
+    split with the idempotent d[1] + d[s] (a 2-dimensional frame R): the
+    trace route gives the basis and every structure map of the fixed ring
+    of all of L[N], its comultiplication read through Phi^-1."""
     pair3 = _with_idempotent(split_model(dihedral(3)), _reflection_pair(split_model(dihedral(3))))
     paired = {e.label: descend(group_algebra(pair3, e.subgroup), label=e.label) for e in catalog(3)}
     presentations = [(3, descended3), (5, split5_rho_lambda), (5, split5_nc), (3, paired)]
@@ -685,9 +719,6 @@ def test_descent_through_the_fixed_algebra_matches_the_full_ambient(
             assert B == full_B, (p, label)
             assert H.mult == B.solve(mul_kron(A.mult, B, B)), (p, label)
             assert (H.mult, H.unit, H.comul, H.counit, H.antipode) == maps, (p, label)
-            K = descent.action_kernel(SemilinearAction(A))
-            sizes = {"rho": (2 * p, 1), "lambda": (1, 2 * p)}.get(label, (p, 2))
-            assert (len(K), A.L.fixed_space(K).cols) == sizes, (p, label)
 
 
 def _rebased(base, row):
@@ -701,78 +732,69 @@ def _rebased(base, row):
 
 
 @pytest.mark.parametrize("p", [3, 5])
-def test_descent_over_another_basis_of_L_changes_to_the_fixed_basis(monkeypatch, L3, L5, p):
+def test_descent_over_another_basis_of_L_changes_to_the_fixed_basis(L3, L5, p):
     """L on another basis: cubic:2 on 1, 1 + e_j (j > 0) and the p = 5 split
-    model on d_j + d_last (j < last), d_last.  For N_c the written-back
-    X = (I (x) F) X' is not the fixed basis B, and B = X S for an S that is no
-    Hopf automorphism (at p = 3 it does not commute with the antipode, at
-    p = 5 it moves the unit); the route still gives the full ambient's basis
-    and every structure map."""
+    model on d_j + d_last (j < last), d_last.  theta is then another
+    element of L, and the route still gives the full ambient's basis and
+    every structure map."""
     L = _rebased(L3, 0) if p == 3 else _rebased(L5, L5.dim - 1)
-    written_back = []
-    real = descent.kernel_form
-    monkeypatch.setattr(descent, "kernel_form", lambda X: written_back.append(X) or real(X))
     for e in catalog(p):
-        written_back.clear()
         H = descend(group_algebra(L, e.subgroup), label=e.label)
         B = H.provenance.basis
         full_B, maps = _full_ambient_descent(H.provenance.parent)
         assert B == full_B and (H.mult, H.unit, H.comul, H.counit, H.antipode) == maps, e.label
-        assert (written_back != [B]) is (e.label not in ("rho", "lambda")), e.label
 
 
-def test_a_reordered_write_back_is_taken_without_the_lift(monkeypatch, L3, L5):
-    """No descend builds the lift I (x) F of L^K[N] into L[N], over cubic:2,
-    the p = 5 split model and another basis of each, where B = X S for an S
-    that is no reordering: E_B is Y T for the T with X T = B, so B needs no
-    preimage in L^K[N]."""
-    built = []
-    real = Matrix.kron
-    monkeypatch.setattr(Matrix, "kron", lambda x, y: built.append((x, y)) or real(x, y))
-    for L, p in ((L3, 3), (_rebased(L3, 0), 3), (L5, 5), (_rebased(L5, L5.dim - 1), 5)):
+def _answer_cases(L3, L5):
+    """(L, p) for cubic:2, the split model at p = 3 and 5, another basis of
+    cubic:2 and of the p = 5 split model, and the p = 3 split model with e =
+    d[1] + d[s]."""
+    L3s = split_model(dihedral(3))
+    return [(L3, 3), (L3s, 3), (L5, 5), (_rebased(L3, 0), 3), (_rebased(L5, L5.dim - 1), 5),
+            (_with_idempotent(L3s, _reflection_pair(L3s)), 3)]
+
+
+def test_E_B_is_read_without_a_solve_against_the_trace_basis(monkeypatch, L3, L5):
+    """No descend solves against the trace basis X for a change of basis T
+    with X T = B: E_B is E B, read off B's own slot coefficients.  Over the
+    split model, with e = d[1] or d[1] + d[s], B is X with its columns in
+    another order; over cubic:2 and the other bases it is no reordering of
+    X for every N_c."""
+    solved, forms = [], []
+    real_solve, real_form = Matrix.solve, descent.kernel_form
+    monkeypatch.setattr(Matrix, "solve", lambda m, rhs: solved.append(m) or real_solve(m, rhs))
+    monkeypatch.setattr(descent, "kernel_form", lambda X: forms.append(X) or real_form(X))
+    for L, p in _answer_cases(L3, L5):
         for e in catalog(p):
             A = group_algebra(L, e.subgroup)
-            F = L.fixed_space(descent.action_kernel(SemilinearAction(A)))
-            built.clear()
+            solved.clear()
+            forms.clear()
             H = descend(A, label=e.label)
-            assert built and (Matrix.identity(A.N.order), F) not in built, (p, e.label)
-            assert H.provenance.basis.cols == A.N.order, (p, e.label)
+            X = forms[0]
+            assert solved and not any(m is X for m in solved), (p, e.label)
+            assert X.cols == H.provenance.basis.cols == A.N.order, (p, e.label)
 
 
-def test_E_B_is_E_of_the_preimage_of_B(monkeypatch, L3, L5):
-    """E_B = Y T is E B', for B' the preimage of B under I (x) F and E =
-    I (x) P, P: L^K -> e_K L^K the map x -> e_K x in R's coordinates: for
-    every structure over cubic:2, the split model at p = 3 and 5, another
-    basis of cubic:2 and of the p = 5 split model, and the p = 3 split model
-    with e = d[1] + d[s]."""
-    L3s = split_model(dihedral(3))
-    models = [(L3, 3), (L3s, 3), (L5, 5), (_rebased(L3, 0), 3), (_rebased(L5, L5.dim - 1), 5),
-              (_with_idempotent(L3s, _reflection_pair(L3s)), 3)]
-    frames, forms = [], []
-    real_frame, real_residue, real_form = (descent._fixed_coefficients, descent._residue,
-                                           descent.lform_matrix)
-    monkeypatch.setattr(descent, "_fixed_coefficients",
-                        lambda act: frames.append(real_frame(act)) or frames[-1])
-    monkeypatch.setattr(descent, "_residue",
-                        lambda LK, gens: frames.append(real_residue(LK, gens)) or frames[-1])
+def test_E_B_is_e_times_B_in_the_coordinates_of_J(monkeypatch, L3, L5):
+    """(I (x) J) E_B = (I (x) L_e) B: E_B is e times the descended basis, in
+    the coordinates of the frame's basis J, for every structure over every
+    model of _answer_cases."""
+    frames, forms = _recorded_frames(monkeypatch), []
+    real_form = descent.lform_matrix
     monkeypatch.setattr(descent, "lform_matrix", lambda A, B: forms.append(B) or real_form(A, B))
-    for L, p in models:
+    for L, p in _answer_cases(L3, L5):
+        times_e = Matrix.identity(2 * p).kron(L.mult_operator(L.idempotent))
         for e in catalog(p):
             frames.clear()
             forms.clear()
             H = descend(group_algebra(L, e.subgroup), label=e.label)
-            ((F, LK), (_, J, _)), (EB,) = frames, forms
-            P = J.solve(LK.mult_operator(LK.idempotent))
-            ident = Matrix.identity(H.dim)
-            B_pre = ident.kron(F).solve(H.provenance.basis)
-            assert P is not None and B_pre is not None, (p, e.label)
-            assert ident.kron(P) * B_pre == EB, (p, e.label)
+            ((_, J),), (EB,) = frames, forms
+            assert Matrix.identity(2 * p).kron(J) * EB == times_e * H.provenance.basis, (p, e.label)
 
 
 def test_one_conjugation_table_per_descend(monkeypatch, L5):
     """A descend conjugates N by each generator of G once, composing the other
-    tables and L^K[N] sharing the table of L[N], and the classical basis
-    conjugates only by G's generators."""
+    tables, and the classical basis conjugates only by G's generators."""
     calls = []
     real = PermSubgroup.conjugation
     monkeypatch.setattr(PermSubgroup, "conjugation", lambda N, g: calls.append(g) or real(N, g))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfgalois.catalog import SUPPORTED_PRIMES
 from hopfgalois.extensions import (GaloisAlgebra, is_rational_cube, is_rational_square,
                                    quadratic_field, quadratic_sqrt_witness,
                                    rational_square_of, split_model,
@@ -272,6 +273,30 @@ def test_an_idempotent_fixed_by_a_reflection_passes_verify():
     G = dihedral(3)
     e = [ONE if g in (G.identity, G.generators[1]) else ZERO for g in range(G.order)]
     assert _with_idempotent(split_model(G), e).verify().passed
+
+
+@pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+def test_the_split_model_takes_its_idempotent_as_its_normal_element(p):
+    """theta = e = d[1], whose translate by g is the point d[g]: row g of
+    the normal translates is basis vector g."""
+    L = split_model(dihedral(p))
+    assert L.normal_translates == Matrix.identity(2 * p)
+
+
+# every non-cube v = a/b with 0 < |a| <= 40 and 1 <= b <= 7, each value once
+CUBIC_VALUES = sorted({v for a in range(-40, 41) if a for b in range(1, 8)
+                       for v in [Q(a, b)] if not is_rational_cube(v)})
+
+
+def test_every_cubic_field_takes_z_plus_az_plus_a2z_as_its_normal_element():
+    """theta = z + az + a^2z, the fourth candidate (after e = 1, a^2z and
+    az + a^2z), for all 368 values, and row g of the normal translates is
+    g(theta)."""
+    theta = [ZERO, ZERO, ZERO, ONE, ONE, ONE]
+    assert len(CUBIC_VALUES) == 368
+    for v in CUBIC_VALUES:
+        L = splitting_field_cubic(v)
+        assert L.normal_translates == Matrix.from_rows([m.apply(theta) for m in L.action]), v
 
 
 def test_an_action_given_at_the_generators_extends_to_every_element():
