@@ -19,6 +19,13 @@ Two classifications run side by side and are cross-checked:
   operator finds an idempotent in it other than 0 and the block's unit (a
   division algebra has none); otherwise the block is reported as
   undetermined, never guessed.
+
+Each runs once per distinct input.  descend reads N only through N.group
+(table, identity, inverses) and SemilinearAction(L[N]).conj_map; catalog
+lists N_c as gen_c^k, which lam(r) fixes and lam(s) inverts, so all N_c
+share that key and descend to the same matrices (the G-equivariant slot
+relabelling that carries one fixed ring onto another, Greither-Pareigis
+1987, is the identity).  The Wedderburn routines read only mult and unit.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from typing import NamedTuple
 
 from math import gcd
 
-from .algebra import Algebra, CheckFailed, hopf_map_violation
+from .algebra import Algebra, CheckFailed, HopfPresentation, hopf_map_violation
 from .catalog import catalog
 from .descent import SemilinearAction, _provenance_of, _slots_permuted, descend, group_algebra
 from .groups import dihedral, equivariant_iso_search, left_regular, right_regular
@@ -347,8 +354,27 @@ def _induced_hopf_map(Ha, Hb, iso):
 
 def descend_catalog(p, L):
     """The catalog at p with every structure descended over L, as
-    {label: presentation} in catalog order."""
-    return {e.label: descend(group_algebra(L, e.subgroup), label=e.label) for e in catalog(p)}
+    {label: presentation} in catalog order.
+
+    descend reads N only through (N.group, conj_map), a key that all N_c
+    share (module docstring), so it runs once per distinct key: for rho,
+    lambda and N_0.  A later label with a seen key gets a new presentation
+    over the same matrices and its own provenance, as hopf_action reads the
+    elements of the parent's N.  Building the key still checks that N is
+    normalized.
+    """
+    out, seen = {}, {}
+    for e in catalog(p):
+        A = group_algebra(L, e.subgroup)
+        key = (e.subgroup.group, SemilinearAction(A).conj_map)
+        if key in seen:
+            H = seen[key]
+            out[e.label] = HopfPresentation(
+                H.mult, H.unit, H.comul, H.counit, H.antipode, names=H.names,
+                provenance=H.provenance._replace(parent=A, label=e.label))
+        else:
+            out[e.label] = seen[key] = descend(A, label=e.label)
+    return out
 
 
 def _field_of(descended):
@@ -431,8 +457,16 @@ def minimal_splitting_subfield_check(L):
 def algebra_iso_classes_p3(descended):
     """Partition of the labels of `descended` (label -> presentation of
     dimension 6 or commutative, all descended over one L) by exact
-    Wedderburn summary."""
+    Wedderburn summary.
+
+    The Wedderburn routines read only H.mult and H.unit, so each distinct
+    (mult, unit) is split once: the N_c of descend_catalog share one."""
     _field_of(descended)
-    reports = {lab: (commutative_wedderburn if H.is_commutative() else
-                     noncommutative_wedderburn_p3)(H) for lab, H in descended.items()}
+    reports, splits = {}, {}
+    for lab, H in descended.items():
+        key = (H.mult, H.unit)
+        if key not in splits:
+            splits[key] = (commutative_wedderburn if H.is_commutative() else
+                           noncommutative_wedderburn_p3)(H)
+        reports[lab] = splits[key]
     return _group_by(list(descended), lambda lab: reports[lab].summary()), reports

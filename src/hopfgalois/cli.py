@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
 from collections import Counter
@@ -77,22 +76,25 @@ def _jsonable(obj):
 
 
 def render_json(report):
-    return _json(_jsonable(report)) + "\n"
+    import json  # here, not at module level, so only a JSON rendering loads it
+
+    return _json(_jsonable(report), json.dumps) + "\n"
 
 
-def _json(value, pad="\n"):
-    """json.dumps(value, indent=2, sort_keys=True) by plain recursion: the
-    stdlib's indenting encoder is closures that reference one another, so
-    every call of it would leave reference cycles behind."""
+def _json(value, dumps, pad="\n"):
+    """json.dumps(value, indent=2, sort_keys=True) by plain recursion, with
+    `dumps` json.dumps: the stdlib's indenting encoder is closures that
+    reference one another, so every call of it would leave reference cycles
+    behind."""
     inner = pad + "  "
     if isinstance(value, dict) and value:
-        items = [f"{json.dumps(k)}: {_json(value[k], inner)}" for k in sorted(value)]
+        items = [f"{dumps(k)}: {_json(value[k], dumps, inner)}" for k in sorted(value)]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(value, list) and value:
-        return "[" + inner + ("," + inner).join(_json(v, inner) for v in value) + pad + "]"
+        return "[" + inner + ("," + inner).join(_json(v, dumps, inner) for v in value) + pad + "]"
     if type(value) is int:  # not a bool, which json.dumps spells true/false
         return str(value)
-    return json.dumps(value)  # any other scalar, {} or []
+    return dumps(value)  # any other scalar, {} or []
 
 
 def _render_value(value, indent, lines):

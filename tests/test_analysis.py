@@ -14,11 +14,13 @@ from hopfgalois.analysis import (_candidate_operators, _eigen_split, algebra_iso
                                  nilpotent_witness,
                                  noncommutative_wedderburn_p3, rational_roots)
 from hopfgalois.catalog import catalog
-from hopfgalois.descent import descend, group_algebra
+from hopfgalois.descent import descend, group_algebra, hopf_action
 from hopfgalois.extensions import quadratic_field, split_model, splitting_field_cubic
 from hopfgalois.groups import cyclic, dihedral
 from hopfgalois.linalg import Matrix, ONE, Q, ZERO, rational
 from hopfgalois.polyform import point_decomposition_check
+
+from conftest import ANSWER_MODELS
 
 SIX_FIELDS = tuple([(1, 1, "field")] * 6)
 GROUP_ALGEBRA_D3 = ((1, 1, "field"), (1, 1, "field"), (4, 1, "matrix2_over_center"))
@@ -365,6 +367,31 @@ def test_hopf_iso_classes_classify_the_dict_they_are_given(descended3):
     assert report.labels == ["N2", "lambda", "N0"]
     assert report.classes == [["N2", "N0"], ["lambda"]]
     assert list(report.evidence) == [("N2", "lambda"), ("N2", "N0"), ("lambda", "N0")]
+
+
+@pytest.mark.parametrize("model", ANSWER_MODELS, ids=lambda m: f"{m[0]}-p{m[1]}")
+def test_descend_catalog_equals_each_structure_descended_alone(batteries, model, monkeypatch):
+    """descend_catalog descends rho, lambda and N0 only, and every label's
+    maps, basis and phi equal that structure's own descend.  Each label has
+    its own provenance: its parent is L[N] for its own N, whose elements
+    hopf_action reads."""
+    analysis = importlib.import_module("hopfgalois.analysis")
+    real, calls = analysis.descend, []
+    monkeypatch.setattr(analysis, "descend",
+                        lambda A, label=None: calls.append(label) or real(A, label=label))
+    runs, p = batteries[model], model[1]
+    descended = descend_catalog(p, runs["rho"].H.provenance.parent.L)
+    assert calls == ["rho", "lambda", "N0"]
+    subgroups = {e.label: e.subgroup for e in catalog(p)}
+    assert list(descended) == list(runs) == list(subgroups)
+    for label, H in descended.items():
+        want = runs[label].H
+        for field in ("mult", "unit", "comul", "counit", "antipode"):
+            assert getattr(H, field) == getattr(want, field), (label, field)
+        for field in ("basis", "phi"):
+            assert getattr(H.provenance, field) == getattr(want.provenance, field), (label, field)
+        assert (H.provenance.parent.N, H.provenance.label) == (subgroups[label], label)
+        assert hopf_action(H) == hopf_action(want), label
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")

@@ -99,17 +99,29 @@ def test_classify(capsys):
 
 
 def test_classify_descends_each_structure_once(capsys, monkeypatch):
+    """Once for each distinct descent and Wedderburn split: the N_c share
+    one of each."""
     analysis = importlib.import_module("hopfgalois.analysis")
-    descend, labels = analysis.descend, []
+    descend, labels, splits = analysis.descend, [], []
 
     def counted(A, label=None):
         labels.append(label)
         return descend(A, label=label)
 
+    def split_counted(split):
+        def wrapped(H):  # the center that noncommutative_wedderburn_p3 splits has no provenance
+            if getattr(H, "provenance", None) is not None:
+                splits.append(H.provenance.label)
+            return split(H)
+        return wrapped
+
     monkeypatch.setattr(analysis, "descend", counted)
+    for name in ("commutative_wedderburn", "noncommutative_wedderburn_p3"):
+        monkeypatch.setattr(analysis, name, split_counted(getattr(analysis, name)))
     code, _, _ = run(capsys, "classify", "--field", "cubic:2")
     assert code == 0
-    assert labels == ["rho", "lambda", "N0", "N1", "N2"]
+    assert labels == ["rho", "lambda", "N0"]
+    assert splits == ["rho", "lambda", "N0"]
 
 
 def test_classify_computes_the_sqrt_witness_once(capsys, monkeypatch):
