@@ -13,7 +13,10 @@ Two classifications run side by side and are cross-checked:
 * Algebra structure, decided by exact Wedderburn data: a commutative
   algebra is split into ideals by rational eigenvalues of multiplication
   operators, and a 6-dimensional noncommutative one by the primitive
-  idempotents of its center, split the same way.  A 4-dimensional block
+  idempotents of its center, split the same way.  One candidate splits a
+  block into all of its rational eigenspaces at once, and the rest, in one
+  step; a candidate that acts on the block as a scalar is skipped before
+  its minimal polynomial is taken.  A 4-dimensional block
   with center Q is 2x2 matrices over Q once its trace form is nondegenerate
   (so it is semisimple) and the eigen-split of a left multiplication
   operator finds an idempotent in it other than 0 and the block's unit (a
@@ -140,37 +143,46 @@ def rational_roots(coeffs):
     return sorted(roots)
 
 
-def _split_unit(H, unit, part_a, part_b):
-    """The units ua and unit - ua of the (right) ideals spanned by part_a and part_b."""
-    sol = hstack(part_a, part_b).solve(unit)
-    if sol is None:
-        raise CheckFailed("unit left the component")
-    ua = hstack(part_a, Matrix.zeros(H.dim, part_b.cols)) * sol
-    ub, zero = unit - ua, Matrix.zeros(H.dim, 1)
-    if zero in (ua, ub):
-        raise CheckFailed("component unit is zero")
-    for u in (ua, ub):
-        if mul_kron(H.mult, u, u) != u:
-            raise CheckFailed("component unit is not idempotent")
-    if mul_kron(H.mult, ua, ub) != zero:
-        raise CheckFailed("component units are not orthogonal")
-    return ua, ub
-
-
 def _eigen_split(H, unit, basis, operators):
     """The component (unit, basis) split by the first of the operators with a
-    complementary eigen-split, as two (unit, basis) pairs, or None."""
+    complementary eigenvalue into its parts (commutative_wedderburn), as
+    (unit, basis) pairs, or None.  The units come from one solve against
+    the parts side by side; each is checked nonzero and idempotent, and
+    the units pairwise orthogonal."""
     k = basis.cols
+    ident = Matrix.identity(k)
     for op in operators:
         Mz = basis.solve(op * basis)
         if Mz is None:
             raise CheckFailed("span is not an ideal")
+        if Mz == ident * Mz[0, 0]:
+            continue  # one eigenvalue, whose kernel is the whole component
+        parts, rest = [], ident
         for a in rational_roots(minimal_polynomial(Mz)):
-            shifted = Mz - Matrix.identity(k) * a
+            shifted = Mz - ident * a
             ker = shifted.kernel()
             if ker.cols < k and hstack(ker, shifted).rank() == k:
-                parts = kernel_form(basis * ker), kernel_form(basis * shifted)
-                return list(zip(_split_unit(H, unit, *parts), parts))
+                parts.append(kernel_form(basis * ker))
+                rest = rest * shifted
+        if not parts:
+            continue
+        if rest != Matrix.zeros(k, k):
+            parts.append(kernel_form(basis * rest))
+        sol = hstack(*parts).solve(unit)
+        if sol is None:
+            raise CheckFailed("unit left the component")
+        units, start, zero = [], 0, Matrix.zeros(H.dim, 1)
+        for part in parts:
+            u = part * sol.take_rows(range(start, start + part.cols))
+            start += part.cols
+            if u == zero:
+                raise CheckFailed("component unit is zero")
+            if mul_kron(H.mult, u, u) != u:
+                raise CheckFailed("component unit is not idempotent")
+            units.append(u)
+        if any(mul_kron(H.mult, ua, ub) != zero for ua, ub in combinations(units, 2)):
+            raise CheckFailed("component units are not orthogonal")
+        return list(zip(units, parts))
     return None
 
 
@@ -195,11 +207,37 @@ def commutative_wedderburn(H):
     Splitting elements are the basis vectors and their pairwise sums; each
     is used through the rational eigenvalues a of its multiplication operator
     L_z.  On a component eH, z acts as ez does, so L_z restricts to it as
-    basis.solve(L_z * basis).  The ideals ker(L_z - a) and im(L_z - a) of
-    the component split it when they are complementary, as they always are
-    in a semisimple algebra.  Components that no splitting element separates
-    are reported with kind "field" when 1-dimensional and "undetermined"
-    otherwise.
+    M = basis.solve(L_z * basis).  A component is split by the first
+    candidate with a rational a whose ker(M - a) is proper and
+    complementary to im(M - a) (a scalar M has none and is skipped), in
+    one step, into ker(M - a) for every such a and the rest, im(P(M)) for P
+    the product of those M - a, when it is nonzero.  L_z commutes with
+    every L_w, so each part is an ideal.  For each such a, ker(M - a) is
+    the generalized eigenspace of a, so P(M) kills it and is invertible on
+    the sum of the other generalized eigenspaces: the parts add up
+    directly to the component.  Each part starts again at the first
+    candidate.  Components that no candidate splits are reported with kind
+    "field" when 1-dimensional and "undetermined" otherwise.
+
+    On a semisimple component this gives the ideals that splitting off one
+    eigenvalue at a time reaches.  The component is F_1 x ... x F_m, fields,
+    and z acts on F_i as multiplication by its component z_i, so:
+
+    * ker(M - a) is the sum of the F_i with z_i = a, and im(M - a) the sum
+      of the others, so every rational root passes the test unless M = a;
+    * the rest is the sum of the F_i on which z_i is not rational, since
+      every rational z_i is a root;
+    * call F_i ~ F_j when, for every candidate z, z_i = z_j as soon as one
+      of them is rational.  This is an equivalence.  Either route puts F_i
+      and F_j in different parts only when the splitting z has z_i = a
+      rational and z_j != a, so never when F_i ~ F_j.  And a component
+      holding two factors that are not ~-related is split by either route:
+      some z has, say, z_i = a rational and z_j != a, so a is a root with a
+      proper kernel.  Both routes therefore end at the ~-classes.
+
+    The decomposition of an algebra into ideals is unique, an ideal's unit
+    and `kernel_form` basis depend on the ideal alone, and components are
+    sorted by (dim, unit), so both routes give the same report.
     """
     if not H.is_commutative():
         raise ValueError("commutative_wedderburn needs a commutative algebra")
@@ -239,7 +277,9 @@ def noncommutative_wedderburn_p3(H):
     center dimension.  As e is central, eH is a two-sided ideal, so every
     left multiplication L_z restricts to it, and ker(L_z - a) and
     im(L_z - a) are right ideals of eH; when they are complementary, the
-    eigen-split's units are idempotents of eH other than 0 and e.  A
+    eigen-split's units are idempotents of eH other than 0 and e.  The
+    split is only asked whether it exists, and a scalar L_z, which has no
+    such a, is skipped as in commutative_wedderburn.  A
     4-dimensional block with a 1-dimensional center is 2x2 matrices over
     it when it is semisimple and has such an idempotent, which a division
     algebra has not.  In characteristic 0 the block is semisimple exactly

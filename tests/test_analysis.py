@@ -17,8 +17,8 @@ from hopfgalois.catalog import catalog
 from hopfgalois.descent import descend, group_algebra, hopf_action
 from hopfgalois.extensions import quadratic_field, split_model, splitting_field_cubic
 from hopfgalois.groups import cyclic, dihedral
-from hopfgalois.linalg import Matrix, ONE, Q, ZERO, rational
-from hopfgalois.polyform import point_decomposition_check
+from hopfgalois.linalg import Matrix, ONE, Q, ZERO, mul_kron, rational
+from hopfgalois.polyform import PolyHopfAlgebra, point_decomposition_check
 
 from conftest import ANSWER_MODELS
 
@@ -456,3 +456,37 @@ def test_non_semisimple_block_stays_undetermined():
     assert not H.is_commutative()
     rep = noncommutative_wedderburn_p3(H)
     assert rep.summary() == ((1, 1, "field"), (1, 1, "field"), (4, 1, "undetermined"))
+
+
+def test_the_polynomial_form_splits_on_three_minimal_polynomials(monkeypatch):
+    # x splits P(b) by its four eigenvalues -2, -1, 1, 2 at once, and y splits
+    # each 2-dimensional eigenspace of x; every other candidate is scalar there
+    analysis = importlib.import_module("hopfgalois.analysis")
+    calls = []
+
+    def counting(M):
+        calls.append(M)
+        return minimal_polynomial(M)
+
+    monkeypatch.setattr(analysis, "minimal_polynomial", counting)
+    assert commutative_wedderburn(PolyHopfAlgebra(Q(-147, 25))).summary() == SIX_FIELDS
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("square, message", [(True, "component unit is not idempotent"),
+                                             (False, "component units are not orthogonal")])
+def test_the_unit_guards_catch_one_wrong_product(monkeypatch, square, message):
+    analysis = importlib.import_module("hopfgalois.analysis")
+    perturbed = []
+
+    def one_wrong(x, y, z):
+        out = mul_kron(x, y, z)
+        if not perturbed and (y == z) == square:
+            perturbed.append((y, z))
+            out = out + Matrix.from_entries(out.rows, out.cols, [(0, 0, ONE)])
+        return out
+
+    monkeypatch.setattr(analysis, "mul_kron", one_wrong)
+    with pytest.raises(CheckFailed, match=message):
+        commutative_wedderburn(PolyHopfAlgebra(Q(-147, 25)))
+    assert len(perturbed) == 1

@@ -124,6 +124,29 @@ def test_classify_descends_each_structure_once(capsys, monkeypatch):
     assert splits == ["rho", "lambda", "N0"]
 
 
+@pytest.mark.parametrize("failure", [None, "counit"])
+def test_classify_checks_the_polynomial_map_once_per_descent(capsys, monkeypatch, failure):
+    """The N_c share one descent and gen_c's slot, so one verdict, a pass or
+    the identity that failed, serves all three polyform-iso lines."""
+    cli = importlib.import_module("hopfgalois.cli")
+    polyform = importlib.import_module("hopfgalois.polyform")
+    real, labels = cli.check_iso_to_descended, []
+
+    def counted(P, H, gen):
+        labels.append(H.provenance.label)
+        if failure:
+            raise polyform.PolyMapError(failure)
+        return real(P, H, gen)
+
+    monkeypatch.setattr(cli, "check_iso_to_descended", counted)
+    code, out, _ = run(capsys, "classify", "--field", "cubic:2", "--json")
+    assert code == (1 if failure else 0)
+    assert labels == ["N0"]
+    lines = [c for c in json.loads(out)["checks"] if c["name"].startswith("polyform-iso-")]
+    assert lines == [{"name": f"polyform-iso-N{c}", "passed": not failure, "detail": failure or ""}
+                     for c in range(3)]
+
+
 def test_classify_computes_the_sqrt_witness_once(capsys, monkeypatch):
     extensions = importlib.import_module("hopfgalois.extensions")
     real, fields = extensions.quadratic_sqrt_witness, []

@@ -2,10 +2,12 @@
 
 `list_split` below is the split written on coordinate lists: each candidate
 z is first multiplied into the component unit e, and ez acts on the
-component through a restricted operator.  The package splits on the
-multiplication operators L_z of the candidates themselves, with elements as
-one-column matrices.  On every semisimple input here both must give the
-same report: summaries, units, bases and the order of the components.
+component through a restricted operator, and it splits off one eigenvalue
+at a time.  The package splits on the multiplication operators L_z of the
+candidates themselves, with elements as one-column matrices, by every
+rational eigenvalue of one candidate at once.  On every semisimple input
+here both must give the same report: summaries, units, bases and the order
+of the components.
 """
 
 import importlib
@@ -113,7 +115,14 @@ def test_cyclic_group_algebras_split_alike(n):
     assert_same_split(group_hopf_algebra(cyclic(n)))
 
 
-@pytest.mark.parametrize("b", [Q(-3 * 7 ** 2, 5 ** 2), Q(-1)], ids=["split", "nonsplit"])
+# b = -3 (m/5)^2 for the first prime m of each 17..25-bit band of the
+# roots_bitsize benchmark
+BAND_PRIMES = (97, 193, 397, 563, 809, 1129, 1613)
+
+
+@pytest.mark.parametrize("b", [Q(-3 * 7 ** 2, 5 ** 2), Q(-1)]
+                         + [Q(-3 * m ** 2, 5 ** 2) for m in BAND_PRIMES],
+                         ids=["split", "nonsplit"] + [f"band-m{m}" for m in BAND_PRIMES])
 def test_polynomial_forms_split_alike(b):
     assert_same_split(PolyHopfAlgebra(b))
 
@@ -153,7 +162,8 @@ def test_only_a_pairwise_sum_splits_the_gaussian_pair_algebra():
     assert_same_split(A)
 
 
-def test_centres_of_the_noncommutative_p3_algebras_split_alike(descended3, monkeypatch):
+def test_centres_of_the_noncommutative_p3_algebras_split_alike(batteries, descended3,
+                                                                monkeypatch):
     analysis = importlib.import_module("hopfgalois.analysis")
     seen = []
 
@@ -163,8 +173,10 @@ def test_centres_of_the_noncommutative_p3_algebras_split_alike(descended3, monke
         return report
 
     monkeypatch.setattr(analysis, "commutative_wedderburn", recording)
-    for H in (group_hopf_algebra(dihedral(3)), descended3["rho"], descended3["lambda"]):
+    cubic7 = batteries["cubic:7", 3]
+    for H in (group_hopf_algebra(dihedral(3)), descended3["rho"], descended3["lambda"],
+              cubic7["rho"].H, cubic7["lambda"].H):
         noncommutative_wedderburn_p3(H)
-    assert len(seen) == 3
+    assert len(seen) == 5
     for C, report in seen:
         assert report.components == list_split(C).components
