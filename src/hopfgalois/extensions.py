@@ -19,7 +19,7 @@ from math import isqrt
 
 from .algebra import Algebra, CheckFailed, action_report, algebra_axiom_report, monomials
 from .groups import cyclic, dihedral
-from .linalg import Matrix, Q, ZERO, ONE, fixed_basis, kernel_form, mul_kron, rational
+from .linalg import Matrix, Q, ZERO, ONE, _checked, fixed_basis, kernel_form, mul_kron, rational
 
 
 def _int_is_cube(n):
@@ -119,35 +119,35 @@ class GaloisAlgebra(Algebra):
         DescentError unless e is a nonzero idempotent whose distinct
         G-translates sum to 1.  theta = e c for the first c of e, e_(d-1),
         e_(d-2) + e_(d-1), ..., e_0 + ... + e_(d-1) that gives rank d, and
-        DescentError when none does.  theta is e, the point d[1], over the
-        split model, read off the e check's translates, and z + az + a^2z
-        over cubic:v."""
-        G, e, d = self.group, list(self.idempotent), self.dim
-        cosets = self.translates(range(G.order))
+        DescentError when none does.  Row g is g(theta), taken by
+        action[g].  theta is e e = e, the point d[1], over the split model,
+        and z + az + a^2z over cubic:v."""
+        e, d = list(self.idempotent), self.dim
+        cosets = self.translates(range(self.group.order))
         if not any(e) or self.mul(e, e) != e or \
                 [sum(c, ZERO) for c in zip(*cosets)] != list(self.unit):
             raise DescentError("e is not a nonzero idempotent whose distinct G-translates sum to 1")
-        for k in range(d, -1, -1):  # c = e, then the suffix sums e_k + ... + e_(d-1)
-            if k == d:  # theta = e, whose translate g(e) the e check keyed by g
-                rows = [t for _, t in sorted((g, t) for t, gs in cosets.items() for g in gs)]
-            else:
-                theta = self.mul(e, [ZERO] * k + [ONE] * (d - k))
-                rows = [m.apply(theta) for m in self.action]
-            translates = Matrix.from_rows(rows)
+        for c in [e] + [[ZERO] * k + [ONE] * (d - k) for k in range(d - 1, -1, -1)]:
+            theta = self.mul(e, c)
+            translates = Matrix.from_rows([m.apply(theta) for m in self.action])
             if translates.rank() == d:
                 return translates
         raise DescentError("L has no normal element e c, for c = e or a suffix sum of its basis")
 
     def fixed_space(self, indices):
-        """Normalized basis of the space fixed by action(g) for g in indices."""
-        return fixed_basis([self.action[g] for g in indices], self.dim)
+        """Normalized basis of the space fixed by action(g) for g in indices;
+        IndexError for an index outside 0 .. |G| - 1."""
+        n = self.group.order
+        return fixed_basis([self.action[_checked(g, n, "group element")] for g in indices],
+                           self.dim)
 
     def verify(self):
         """Full invariant check as a CheckReport; used by tests, not by hot paths."""
         report = algebra_axiom_report(self)
         report.add("commutative", self.is_commutative())
         report.extend(action_report(self.group, self.action.__getitem__, self.mult))
-        report.add("fixed-field-is-Q", self.fixed_space(range(self.group.order)).cols == 1)
+        # a vector the generators fix is fixed by every product of them
+        report.add("fixed-field-is-Q", self.fixed_space(self.group.generators).cols == 1)
         # the idempotent: e^2 = e != 0, and its distinct translates, one per
         # coset of its stabilizer D, are orthogonal, sum to 1 and cut L into
         # [G : D] copies of eL

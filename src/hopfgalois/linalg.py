@@ -24,11 +24,8 @@ such as a kernel basis with its free rows, eliminates nothing: the answer
 is read off the owned rows and checked by one product.  The rank rule uses
 the same test: the owned rows of such a matrix hold a diagonal of nonzeros,
 so its rank is its column count, read with no elimination; a monomial
-matrix (one nonzero in each row and column) is one.  Nor does fixed_basis
-eliminate when the matrices are monomial, as for a group acting by signed
-permutations: their common fixed space is read off orbit vectors, whose
-supports are disjoint.  A Span grows a subspace one vector at a time and
-says which vectors grew it.
+matrix (one nonzero in each row and column) is one.  A Span grows a
+subspace one vector at a time and says which vectors grew it.
 
 The scalar type is gmpy2.mpq when available (roughly an order of magnitude
 faster than fractions.Fraction on the elimination-heavy workloads here) and
@@ -574,69 +571,12 @@ class Span:
 
 def fixed_basis(mats, dim):
     """Basis of the common fixed space of the dim x dim matrices `mats`, in
-    kernel_form; the identity when `mats` is empty.
-
-    When every matrix is monomial (one nonzero in each row and each column),
-    Mv = v says exactly that v_i = a v_j for each nonzero a = M[i, j].  Along
-    an orbit of coordinates these fix every v_i from the first one, so the
-    orbit carries one fixed vector when all its edges agree (each cycle's
-    scalars multiply to 1) and none otherwise.  The orbit vectors have
-    disjoint supports, so their kernel_form eliminates nothing.  Other
-    matrices give the kernel of the stacked M - I, the same space.
-    """
+    kernel_form: the kernel of the stacked M - I.  The identity when `mats`
+    is empty; ValueError("shape mismatch") for a matrix of another shape."""
     ident = Matrix.identity(dim)
-    for m in mats:
-        ident._check_same_shape(m)
     if not mats:
         return ident
-    images = _monomial_images(mats)
-    if images is None:
-        return kernel_form(vstack(*[m - ident for m in mats]).kernel())
-    return kernel_form(_orbit_vectors(images, dim))
-
-
-def _monomial_images(mats):
-    """For each matrix the list whose entry j is (i, a), a = M[i, j] the one
-    nonzero of column j; None at the first row that does not hold exactly
-    one nonzero or that repeats a column."""
-    out = []
-    for m in mats:
-        images = [None] * m.cols
-        for i, r in enumerate(m._rows):
-            if len(r) != 1:
-                return None
-            (j, a), = r.items()
-            if images[j] is not None:
-                return None
-            images[j] = (i, a)
-        out.append(images)
-    return out
-
-
-def _orbit_vectors(images, dim):
-    """The fixed vectors, one column per orbit, of the monomial matrices with
-    these _monomial_images: each orbit is walked breadth first from its
-    lowest coordinate, 1 there, with v_i = a v_j for each image (i, a) of j;
-    an orbit on which some edge disagrees gives no column."""
-    value, rows, k = [None] * dim, [{} for _ in range(dim)], 0
-    for root in range(dim):
-        if value[root] is not None:
-            continue
-        value[root], orbit, agrees = ONE, [root], True
-        for j in orbit:  # grows while it is walked
-            for im in images:
-                i, a = im[j]
-                vi = value[j] if a is ONE else a * value[j]
-                if value[i] is None:
-                    value[i] = vi
-                    orbit.append(i)
-                else:
-                    agrees = agrees and value[i] == vi
-        if agrees:
-            for i in orbit:
-                rows[i] = {k: value[i]}
-            k += 1
-    return Matrix._wrap(dim, k, rows)
+    return kernel_form(vstack(*[m - ident for m in mats]).kernel())
 
 
 def kernel_form(m):

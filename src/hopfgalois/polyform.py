@@ -155,12 +155,14 @@ def check_iso_to_descended(P, H, gen):
 
     Returns the 6x6 matrix of the map on the chosen bases after verifying
     every Hopf-map identity exactly; raises PolyMapError naming the first
-    violated identity otherwise.
+    violated identity otherwise, and ValueError when gen is not in H's N.
     """
     prov = _provenance_of(H)
     A = prov.parent
     if H.dim != 6 or P.dim != 6:
         raise ValueError("presentation and target must have dimension 6")
+    if gen not in A.N:
+        raise ValueError("gen is not an element of the target's N")
     t = A.N.index_of(gen)
     sol = prov.basis.solve(inverse_pair_columns(A, [t], [t]))
     if sol is None:

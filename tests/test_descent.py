@@ -415,8 +415,8 @@ def test_descend_eliminates_only_where_no_row_is_owned(monkeypatch, L3, L5):
 
 
 def test_no_split_model_descend_row_reduces(split_descents):
-    """At p = 3, 5 and 7 every split-model descend reads its fixed spaces off
-    orbit sums and its solves off owned rows, so it row-reduces nothing."""
+    """At p = 3, 5 and 7 every split-model descend takes its trace basis into
+    kernel_form and its solves off owned rows, so it row-reduces nothing."""
     shapes = split_descents[1]
     assert len(shapes) == 5 + 7 + 9
     assert {key: seen for key, seen in shapes.items() if seen} == {}

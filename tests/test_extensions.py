@@ -177,6 +177,14 @@ def test_fixed_space_is_rationals():
         fixed = L.fixed_space(range(L.group.order))
         assert fixed.cols == 1
         assert fixed.column(0) == L.unit
+        assert L.fixed_space(L.group.generators) == fixed
+
+
+@pytest.mark.parametrize("g", [-1, -6, 6])
+def test_fixed_space_refuses_an_index_outside_the_group(g):
+    """A negative index does not count from the end: -1 is not element 5."""
+    with pytest.raises(IndexError, match=f"group element index {g} out of range for size 6"):
+        split_model(dihedral(3)).fixed_space([g])
 
 
 def _is_closed_subalgebra(L, basis):

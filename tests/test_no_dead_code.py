@@ -12,7 +12,9 @@ shares a method's name does not keep the method alive.
 A definition that only the tests name is listed in TEST_ONLY with the reason
 it stays; the package's re-exports in __init__.py do not count as a caller.
 Every instance attribute that src/ sets (self.<name> = ...) is read somewhere
-in src/, tests/ or perfbench/.
+in src/, tests/ or perfbench/.  Every top-level function or class of tests/
+that pytest does not collect or inject (a test_* function or a fixture) is
+named elsewhere in tests/.
 """
 
 import ast
@@ -126,3 +128,23 @@ def test_every_instance_attribute_is_read():
     unread = sorted({f"{path.name}:{node.lineno} self.{node.attr}" for path, node in stored
                      if node.attr not in reads})
     assert not unread, f"set but never read: {', '.join(unread)}"
+
+
+def _is_fixture(node):
+    """Whether a definition is decorated with pytest.fixture, called or not."""
+    return any(isinstance(d, ast.Attribute) and d.attr == "fixture"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr == "fixture" for d in node.decorator_list)
+
+
+def test_every_test_helper_is_named_elsewhere():
+    sources = sorted((ROOT / "tests").glob("*.py"))
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in sources}
+    uses = sum((_uses(tree) for tree in trees.values()), Counter())
+    helpers = [(path, node) for path, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("test_") and not _is_fixture(node)]
+    assert helpers, "no test helpers found under tests/"
+    unnamed = [f"{path.name}:{node.lineno} {node.name}" for path, node in helpers
+               if uses[node.name] <= _uses(node)[node.name]]
+    assert not unnamed, f"test helpers never named elsewhere: {', '.join(unnamed)}"

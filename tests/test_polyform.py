@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfgalois.algebra import hopf_axiom_report
-from hopfgalois.analysis import commutative_wedderburn
+from hopfgalois.analysis import commutative_wedderburn, descend_catalog
 from hopfgalois.catalog import cyclic_generator
 from hopfgalois.groups import Perm, powers
 from hopfgalois.linalg import Q, ZERO
@@ -181,6 +181,14 @@ def test_iso_wrong_generator_fails(descended3):
     involution = powers(Perm.__mul__, cyclic_generator(3, 0), Perm.identity(6))[3]
     with pytest.raises(PolyMapError):
         check_iso_to_descended(P, descended3["N0"], involution)
+
+
+def test_iso_refuses_a_generator_of_another_N(L3):
+    """N0's generator with N1's presentation: the N_c share matrices, so the
+    mix-up is easy, and it is refused before any slot is looked up."""
+    H = descend_catalog(3, L3)["N1"]
+    with pytest.raises(ValueError, match="not an element of the target's N"):
+        check_iso_to_descended(PolyHopfAlgebra(-3), H, cyclic_generator(3, 0))
 
 
 @pytest.mark.parametrize("b", [-3, 5, Q(-7, 3)])
