@@ -428,7 +428,7 @@ def main(argv=None):
         print(f"failed: {exc}", file=sys.stderr)
         return 1
     rendered = render_json(report) if args.json else render_text(report)
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(rendered)

@@ -29,8 +29,12 @@ subspace one vector at a time and says which vectors grew it.
 
 The scalar type is gmpy2.mpq when available (roughly an order of magnitude
 faster than fractions.Fraction on the elimination-heavy workloads here) and
-falls back to fractions.Fraction otherwise.  Both keep values in lowest
-terms with positive denominator, print as "num/den", and hash alike.
+falls back to Q, a fractions.Fraction subclass, otherwise.  Q works on the
+numerator and denominator ints directly when both operands are Q or int,
+skipping Fraction's operand dispatch and its second normalisation; every
+other operand goes to Fraction's own method, and a rational result comes
+back as a Q.  Both types keep values in lowest terms with positive
+denominator, print as "num/den", and hash alike.
 """
 
 from __future__ import annotations
@@ -40,8 +44,169 @@ from math import gcd, lcm
 
 try:
     from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    Q = Fraction
+except ImportError:  # gmpy2 is optional
+    _new = object.__new__
+
+    def _as_q(x):
+        # a rational result of a Fraction method, as a Q; anything else as it is
+        if type(x) is Fraction:
+            q = _new(Q)
+            q._numerator, q._denominator = x._numerator, x._denominator
+            return q
+        return x
+
+    class Q(Fraction):
+        """A Fraction whose arithmetic with a Q or an int works on the
+        numerator and denominator ints directly.
+
+        Sums, products and quotients split their gcds as CPython 3.12's
+        fractions does (Knuth, TAOCP vol. 2, 4.5.1), so each result is built
+        once, already in lowest terms with a positive denominator.  Any other
+        operand goes to Fraction's own method, and a Fraction it returns comes
+        back as a Q.
+        """
+
+        __slots__ = ()
+
+        def __new__(cls, numerator=0, denominator=None):
+            if type(numerator) is int:
+                if denominator is None:
+                    q = _new(cls)
+                    q._numerator, q._denominator = numerator, 1
+                    return q
+                if type(denominator) is int:
+                    if not denominator:
+                        raise ZeroDivisionError(f"Fraction({numerator}, 0)")
+                    g = gcd(numerator, denominator)
+                    if denominator < 0:
+                        g = -g
+                    q = _new(cls)
+                    q._numerator, q._denominator = numerator // g, denominator // g
+                    return q
+            return Fraction.__new__(cls, numerator, denominator)
+
+        def __add__(a, b):
+            na, da = a._numerator, a._denominator
+            if type(b) is Q:
+                nb, db = b._numerator, b._denominator
+                g = gcd(da, db)
+                if g == 1:
+                    n, d = na * db + da * nb, da * db
+                else:
+                    s = da // g
+                    t = na * (db // g) + nb * s
+                    g = gcd(t, g)
+                    n, d = t // g, s * (db // g)
+            elif type(b) is int:
+                n, d = na + b * da, da
+            else:
+                return _as_q(Fraction.__add__(a, b))
+            q = _new(Q)
+            q._numerator, q._denominator = n, d
+            return q
+
+        __radd__ = __add__
+
+        def __sub__(a, b):
+            na, da = a._numerator, a._denominator
+            if type(b) is Q:
+                nb, db = b._numerator, b._denominator
+                g = gcd(da, db)
+                if g == 1:
+                    n, d = na * db - da * nb, da * db
+                else:
+                    s = da // g
+                    t = na * (db // g) - nb * s
+                    g = gcd(t, g)
+                    n, d = t // g, s * (db // g)
+            elif type(b) is int:
+                n, d = na - b * da, da
+            else:
+                return _as_q(Fraction.__sub__(a, b))
+            q = _new(Q)
+            q._numerator, q._denominator = n, d
+            return q
+
+        def __rsub__(a, b):
+            return Q(b) - a if type(b) is int else _as_q(Fraction.__rsub__(a, b))
+
+        def __mul__(a, b):
+            na, da = a._numerator, a._denominator
+            if type(b) is Q:
+                nb, db = b._numerator, b._denominator
+                g1, g2 = gcd(na, db), gcd(nb, da)
+                n, d = (na // g1) * (nb // g2), (da // g2) * (db // g1)
+            elif type(b) is int:
+                g = gcd(b, da)
+                n, d = na * (b // g), da // g
+            else:
+                return _as_q(Fraction.__mul__(a, b))
+            q = _new(Q)
+            q._numerator, q._denominator = n, d
+            return q
+
+        __rmul__ = __mul__
+
+        def __truediv__(a, b):
+            na, da = a._numerator, a._denominator
+            if type(b) is Q:
+                nb, db = b._numerator, b._denominator
+            elif type(b) is int:
+                nb, db = b, 1
+            else:
+                return _as_q(Fraction.__truediv__(a, b))
+            if not nb:
+                raise ZeroDivisionError(f"Fraction({db}, 0)")
+            g1, g2 = gcd(na, nb), gcd(db, da)
+            n, d = (na // g1) * (db // g2), (nb // g1) * (da // g2)
+            if d < 0:
+                n, d = -n, -d
+            q = _new(Q)
+            q._numerator, q._denominator = n, d
+            return q
+
+        def __rtruediv__(a, b):
+            return Q(b) / a if type(b) is int else _as_q(Fraction.__rtruediv__(a, b))
+
+        def __pow__(a, b):
+            if type(b) is not int:
+                return _as_q(Fraction.__pow__(a, b))
+            na, da = a._numerator, a._denominator
+            if b < 0:
+                if not na:
+                    raise ZeroDivisionError(f"Fraction({da ** -b}, 0)")
+                na, da, b = (da, na, -b) if na > 0 else (-da, -na, -b)
+            q = _new(Q)
+            q._numerator, q._denominator = na ** b, da ** b
+            return q
+
+        def __rpow__(a, b):
+            # Fraction.__rpow__ would hand a Fraction ** a back to this method
+            return _as_q(b ** Fraction(a._numerator, a._denominator))
+
+        def __neg__(a):
+            q = _new(Q)
+            q._numerator, q._denominator = -a._numerator, a._denominator
+            return q
+
+        def __pos__(a):
+            return a
+
+        def __abs__(a):
+            return -a if a._numerator < 0 else a
+
+        def __eq__(a, b):
+            if type(b) is Q:
+                return a._numerator == b._numerator and a._denominator == b._denominator
+            if type(b) is int:
+                return a._numerator == b and a._denominator == 1
+            return Fraction.__eq__(a, b)
+
+        # defining __eq__ would otherwise leave the class unhashable
+        __hash__ = Fraction.__hash__
+
+        def __bool__(a):
+            return a._numerator != 0
 
 ZERO = Q(0)
 ONE = Q(1)

@@ -529,6 +529,13 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_empty_out_path_is_usage_error(capsys):
+    code, out, err = run(capsys, "catalog", "--p", "3", "--out", "")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write report to : ")
+
+
 def test_rationals_rendered_as_strings(capsys):
     _, out, _ = run(capsys, "classify", "--field", "cubic:2", "--json")
     points = json.loads(out)["results"]["polyform"]["points"]

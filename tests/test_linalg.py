@@ -1,3 +1,5 @@
+import operator
+from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
@@ -66,6 +68,100 @@ def test_arithmetic():
     assert (a * b)[0, 0] == 2
     assert (a * Q(1, 2))[1, 1] == 2
     assert (Q(1, 2) * a) == a * Q(1, 2)
+
+
+# -- Q against fractions.Fraction, operator by operator ---------------------------
+#
+# Without gmpy2, Q is a Fraction subclass with integer fast paths for Q and int
+# operands; every other operand goes to Fraction's own method.  Each operator
+# must give Fraction's value (or raise ZeroDivisionError exactly where Fraction
+# does), a Q wherever Fraction gives a Fraction, and that Q in lowest terms with
+# a positive denominator.  With gmpy2, Q is gmpy2.mpq and these tests skip.
+
+HUGE = 2 ** 200
+q_ints = st.one_of(st.integers(-50, 50), st.sampled_from([0, HUGE, -HUGE]))
+plain_fractions = st.builds(Fraction, st.one_of(q_ints, st.integers(-10 ** 6, 10 ** 6)),
+                            st.one_of(st.integers(1, 10 ** 6), st.just(HUGE)))
+q_values = plain_fractions.map(lambda f: Q(f.numerator, f.denominator))
+operands = st.one_of(q_values, q_ints, st.booleans(), plain_fractions)
+BINARY = (operator.add, operator.sub, operator.mul, operator.truediv,
+          operator.eq, operator.ne, operator.lt, operator.le)
+EXPONENTS = (-3, -1, 0, 1, 2, 3, True, False)
+UNARY = (operator.neg, operator.pos, abs, hash, str, bool, int)
+fraction_fallback = pytest.mark.skipif(not issubclass(Q, Fraction),
+                                       reason="Q is gmpy2.mpq, not the Fraction fallback")
+
+
+def as_fraction(x):
+    return Fraction(x.numerator, x.denominator) if type(x) is Q else x
+
+
+def outcome(op, *args):
+    try:
+        return op(*args)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+def check_like_fraction(op, *args, reference=None):
+    """op on args against `reference` (op itself by default) on the same
+    values as plain Fractions."""
+    got, want = outcome(op, *args), outcome(reference or op, *map(as_fraction, args))
+    if not isinstance(want, Fraction):
+        assert (type(got), got) == (type(want), want), (op, args)
+        return
+    assert type(got) is Q, (op, args)
+    n, d = got.numerator, got.denominator
+    assert (n, d) == (want.numerator, want.denominator), (op, args)
+    assert d > 0 and gcd(n, d) == 1 and (n or d == 1), (op, args)
+    assert (hash(got), str(got)) == (hash(want), str(want)), (op, args)
+
+
+def check_q_operators(x, y):
+    """Every binary operator on (x, y), and every unary one on each Q of them."""
+    for op in BINARY:
+        check_like_fraction(op, x, y)
+    for v in (x, y):
+        if type(v) is Q:
+            for op in UNARY:
+                check_like_fraction(op, v)
+            for k in EXPONENTS:
+                check_like_fraction(operator.pow, v, k)
+
+
+def check_q_constructor(n, d):
+    for args in [(n,), (n, d), (f"{n}/{abs(d)}",)]:
+        check_like_fraction(Q, *args, reference=Fraction)
+
+
+@fraction_fallback
+@given(q_values, operands, st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_q_operators_match_fraction(q, other, q_first):
+    check_q_operators(*((q, other) if q_first else (other, q)))
+
+
+@fraction_fallback
+@given(q_ints, q_ints)
+@settings(max_examples=100, deadline=None)
+def test_q_constructor_matches_fraction(n, d):
+    check_q_constructor(n, d)
+
+
+@fraction_fallback
+def test_q_edge_cases_match_fraction():
+    zero, half = Q(0), Q(-1, 2)
+    for x, y in [(zero, 0), (zero, zero), (0, zero), (half, False), (True, half),
+                 (half, Fraction(0)), (Fraction(1, 2), half), (Q(-HUGE, 3), Q(HUGE, 3))]:
+        check_q_operators(x, y)
+    for base in (2, -3, Fraction(-3, 2), half):
+        for k in range(-2, 3):
+            check_like_fraction(operator.pow, base, Q(k))
+    check_q_constructor(0, -7)
+    check_q_constructor(6, 0)
+    check_like_fraction(Q, True, -2, reference=Fraction)
+    assert Q(1.5) == Q(3, 2) and type(Q(1.5)) is Q and type(Q(Fraction(1, 3))) is Q
+    assert half + 0.25 == -0.25 and type(half + 0.25) is float
 
 
 @given(square)

@@ -4,8 +4,10 @@ gmpy2 is optional, so this puts a small `gmpy2` on sys.path whose `mpq` is a
 rational type distinct from fractions.Fraction and closed under arithmetic.
 Row reduction, kernels, solves, products by unit and Kronecker factors, products
 whose sums cancel and a p = 3 descent must give the same str() output with it
-as with Fraction; every entry they return must be a nonzero mpq, and every
-entry equal to 1 that a constructor stores must be the shared ONE.
+as with the fallback linalg.Q; the stand-in's operators are Fraction's own, so
+this also compares Q's integer fast paths with Fraction arithmetic.  Every
+entry they return must be a nonzero mpq (a Q on the fallback), and every entry
+equal to 1 that a constructor stores must be the shared ONE.
 """
 
 import subprocess
@@ -142,7 +144,7 @@ def run_script(tmp_path, with_stand_in):
 def test_stand_in_mpq_gives_the_fraction_output(tmp_path):
     plain = run_script(tmp_path, with_stand_in=False)
     stood_in = run_script(tmp_path, with_stand_in=True)
-    assert plain.startswith("backend fractions\n")
+    assert plain.startswith("backend hopfgalois.linalg\n")
     assert stood_in.startswith("backend gmpy2\n")
     assert "cli 0\n" in plain
     assert stood_in.split("\n", 1)[1] == plain.split("\n", 1)[1]
