@@ -29,12 +29,14 @@ subspace one vector at a time and says which vectors grew it.
 
 The scalar type is gmpy2.mpq when available (roughly an order of magnitude
 faster than fractions.Fraction on the elimination-heavy workloads here) and
-falls back to Q, a fractions.Fraction subclass, otherwise.  Q works on the
-numerator and denominator ints directly when both operands are Q or int,
-skipping Fraction's operand dispatch and its second normalisation; every
-other operand goes to Fraction's own method, and a rational result comes
-back as a Q.  Both types keep values in lowest terms with positive
-denominator, print as "num/den", and hash alike.
+falls back to Q, a fractions.Fraction subclass, otherwise.  Q's constructor,
++, *, /, ** by an int, unary -, == and truth test work on the numerator and
+denominator ints directly for Q and int operands, skipping Fraction's operand
+dispatch and its second normalisation.  Other operands, and binary -, %,
+unary + and abs (wrapped by _closed), go to Fraction's own method; a rational
+result comes back as a Q, so Q stays closed as mpq does and the two backends
+agree.  Both types keep values in lowest terms with positive denominator,
+print as "num/den", and hash alike.
 """
 
 from __future__ import annotations
@@ -55,15 +57,20 @@ except ImportError:  # gmpy2 is optional
             return q
         return x
 
+    def _closed(name):
+        # Fraction's own operator, with a Fraction result returned as a Q
+        method = getattr(Fraction, name)
+        return lambda *args: _as_q(method(*args))
+
     class Q(Fraction):
-        """A Fraction whose arithmetic with a Q or an int works on the
-        numerator and denominator ints directly.
+        """A Fraction whose constructor, +, *, /, ** by an int, unary -, ==
+        and truth test work on the ints directly for Q and int operands.
 
         Sums, products and quotients split their gcds as CPython 3.12's
         fractions does (Knuth, TAOCP vol. 2, 4.5.1), so each result is built
         once, already in lowest terms with a positive denominator.  Any other
-        operand goes to Fraction's own method, and a Fraction it returns comes
-        back as a Q.
+        operand or operator goes to Fraction's own method, and a Fraction it
+        returns comes back as a Q.
         """
 
         __slots__ = ()
@@ -107,29 +114,6 @@ except ImportError:  # gmpy2 is optional
 
         __radd__ = __add__
 
-        def __sub__(a, b):
-            na, da = a._numerator, a._denominator
-            if type(b) is Q:
-                nb, db = b._numerator, b._denominator
-                g = gcd(da, db)
-                if g == 1:
-                    n, d = na * db - da * nb, da * db
-                else:
-                    s = da // g
-                    t = na * (db // g) - nb * s
-                    g = gcd(t, g)
-                    n, d = t // g, s * (db // g)
-            elif type(b) is int:
-                n, d = na - b * da, da
-            else:
-                return _as_q(Fraction.__sub__(a, b))
-            q = _new(Q)
-            q._numerator, q._denominator = n, d
-            return q
-
-        def __rsub__(a, b):
-            return Q(b) - a if type(b) is int else _as_q(Fraction.__rsub__(a, b))
-
         def __mul__(a, b):
             na, da = a._numerator, a._denominator
             if type(b) is Q:
@@ -146,6 +130,11 @@ except ImportError:  # gmpy2 is optional
             return q
 
         __rmul__ = __mul__
+
+        # no measured workload calls these; __rpow__ below is not among them,
+        # as Fraction's would send Fraction(2) ** Q(1, 2) back to Q.__rpow__
+        __sub__, __rsub__, __mod__, __rmod__, __pos__, __abs__ = map(_closed, (
+            "__sub__", "__rsub__", "__mod__", "__rmod__", "__pos__", "__abs__"))
 
         def __truediv__(a, b):
             na, da = a._numerator, a._denominator
@@ -188,12 +177,6 @@ except ImportError:  # gmpy2 is optional
             q = _new(Q)
             q._numerator, q._denominator = -a._numerator, a._denominator
             return q
-
-        def __pos__(a):
-            return a
-
-        def __abs__(a):
-            return -a if a._numerator < 0 else a
 
         def __eq__(a, b):
             if type(b) is Q:

@@ -13,8 +13,10 @@ from hopfgalois.groups import dihedral
 from hopfgalois.linalg import (Matrix, ONE, Q, Span, ZERO, fixed_basis, hstack, kernel_form,
                                mul_kron, rational, vstack)
 
-rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7).map(
-    lambda f: Q(f.numerator, f.denominator))
+# every rational in [-30, 30] with denominator at most 7, drawn as n/d from two
+# integers: far cheaper for Hypothesis than st.fractions, with the same values
+rationals = st.integers(1, 7).flatmap(lambda d: st.integers(-30 * d, 30 * d).map(
+    lambda n: Q(n, d)))
 
 
 def small_matrix(rows, cols):
@@ -162,6 +164,25 @@ def test_q_edge_cases_match_fraction():
     check_like_fraction(Q, True, -2, reference=Fraction)
     assert Q(1.5) == Q(3, 2) and type(Q(1.5)) is Q and type(Q(Fraction(1, 3))) is Q
     assert half + 0.25 == -0.25 and type(half + 0.25) is float
+
+
+@fraction_fallback
+def test_q_operators_without_fast_paths_stay_in_q():
+    """Binary - and % (both ways), unary + and abs run Fraction's own code
+    through linalg._closed, and give a Q wherever Fraction gives a Fraction:
+    on the operand pairs of test_q_edge_cases_match_fraction, plus two whose
+    remainder is not an integer."""
+    zero, half = Q(0), Q(-1, 2)
+    for x, y in [(zero, 0), (zero, zero), (0, zero), (half, False), (True, half),
+                 (half, Fraction(0)), (Fraction(1, 2), half), (Q(-HUGE, 3), Q(HUGE, 3)),
+                 (Q(7, 3), Q(1, 2)), (2, Q(7, 3))]:
+        for a, b in [(x, y), (y, x)]:
+            check_like_fraction(operator.mod, a, b)
+            check_like_fraction(operator.sub, a, b)
+        for v in (x, y):
+            if type(v) is Q:
+                check_like_fraction(operator.pos, v)
+                check_like_fraction(abs, v)
 
 
 @given(square)
