@@ -69,8 +69,8 @@ except ImportError:  # gmpy2 is optional
         Sums, products and quotients split their gcds as CPython 3.12's
         fractions does (Knuth, TAOCP vol. 2, 4.5.1), so each result is built
         once, already in lowest terms with a positive denominator.  Any other
-        operand or operator goes to Fraction's own method, and a Fraction it
-        returns comes back as a Q.
+        operand, and binary -, %, unary + and abs, go to Fraction's own
+        method, and a Fraction it returns comes back as a Q.
         """
 
         __slots__ = ()
