@@ -16,12 +16,27 @@ Two classifications run side by side and are cross-checked:
   idempotents of its center, split the same way.  One candidate splits a
   block into all of its rational eigenspaces at once, and the rest, in one
   step; a candidate that acts on the block as a scalar is skipped before
-  its minimal polynomial is taken.  A 4-dimensional block
-  with center Q is 2x2 matrices over Q once its trace form is nondegenerate
-  (so it is semisimple) and the eigen-split of a left multiplication
-  operator finds an idempotent in it other than 0 and the block's unit (a
-  division algebra has none); otherwise the block is reported as
-  undetermined, never guessed.
+  its minimal polynomial is taken.  Both splitting rules read that
+  polynomial mu of the operator M on the block:
+
+  - Simple-root rule: ker(M - a) is complementary to im(M - a) exactly
+    when a is a simple root of mu.  With m the multiplicity of a, primary
+    decomposition makes the block the direct sum of ker(M - a)^m and
+    im(M - a)^m, which is the claim when m = 1.  When m >= 2, (M - a) does
+    not vanish on ker(M - a)^m (else m would be 1), so some v has
+    (M - a)^2 v = 0 but (M - a) v != 0, and (M - a) v lies in both spaces.
+  - Filled-block rule: when the kernels ker(M - a_i) of the simple roots
+    add up to the block's dimension, they span it, and the product of the
+    commuting M - a_i, which kills each of them, is zero, so no rest is
+    formed.  Otherwise, with mu = g prod(x - a_i), the product kills the
+    kernels and is invertible on ker g(M), the complement of their sum,
+    which is then nonzero: the rest is its image, ker g(M).
+
+  A 4-dimensional block with center Q is 2x2 matrices over Q once its
+  trace form is nondegenerate (so it is semisimple) and the eigen-split of
+  a left multiplication operator finds an idempotent in it other than 0
+  and the block's unit (a division algebra has none); otherwise the block
+  is reported as undetermined, never guessed.
 
 Each runs once per distinct input.  descend reads N only through N.group
 (table, identity, inverses) and SemilinearAction(L[N]).conj_map; catalog
@@ -33,8 +48,9 @@ relabelling that carries one fixed ring onto another, Greither-Pareigis
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations
+from operator import mul
 from typing import NamedTuple
 
 from math import gcd
@@ -43,7 +59,7 @@ from .algebra import Algebra, CheckFailed, HopfPresentation, hopf_map_violation
 from .catalog import catalog
 from .descent import SemilinearAction, _provenance_of, _slots_permuted, descend, group_algebra
 from .groups import dihedral, equivariant_iso_search, left_regular, right_regular
-from .linalg import Matrix, ONE, Q, ZERO, hstack, kernel_form, mul_kron
+from .linalg import Matrix, ONE, Q, ZERO, _axpy, hstack, kernel_form, mul_kron
 
 KIND_FIELD = "field"
 KIND_MATRIX2 = "matrix2_over_center"
@@ -72,15 +88,45 @@ class WedderburnReport(NamedTuple):
 # -- commutative splitting ----------------------------------------------------
 
 def minimal_polynomial(M):
-    """Monic minimal polynomial of a square matrix, low degree first."""
-    power, vectors = Matrix.identity(M.rows), []
-    while len(vectors) <= M.rows:
-        vectors.append(power.entries)
+    """Monic minimal polynomial of a square matrix, low degree first.
+
+    One incremental elimination: vec(I), vec(M), vec(M^2), ... are reduced in
+    turn against the rows kept so far, each row carrying its combination of
+    powers in coordinates k^2 + i after the k^2 entries.  The first power
+    that reduces to zero there is the first dependency, M^d = -(c_0 I + ...
+    + c_(d-1) M^(d-1)), and its carried combination, which is 1 at M^d, is
+    mu = c_0 + ... + c_(d-1) x^(d-1) + x^d."""
+    k = M.rows
+    end, rows, power = k * k, {}, Matrix.identity(k)
+    for d in range(k + 1):
+        v = {i * k + j: x for i in range(k) for j, x in power.row_entries(i)}
+        v[end + d] = ONE
+        while (c := min(v)) < end:
+            row = rows.get(c)
+            if row is None:
+                a = v[c]
+                rows[c] = {j: x / a for j, x in v.items()}
+                break
+            v = _axpy(v, -v[c], row)
+        else:
+            return [v.get(end + i, ZERO) for i in range(d + 1)]
         power = power * M
-        sol = Matrix.from_columns(vectors).solve(Matrix.from_columns([power.entries]))
-        if sol is not None:
-            return [-x for x in sol.column(0)] + [ONE]
     raise CheckFailed("minimal polynomial must have degree <= dim")
+
+
+def _is_simple_root(p, a):
+    """Whether a, a root of the polynomial p (low degree first), is a simple
+    one, that is, no root of q = p / (x - a): one synthetic division by
+    x - a gives q, high degree first, and a second one, of q, gives its
+    remainder q(a)."""
+    q, r = [], ZERO
+    for c in reversed(p[1:]):
+        r = r * a + c
+        q.append(r)
+    r = ZERO
+    for c in q:
+        r = r * a + c
+    return bool(r)
 
 
 def _at_half(p, t):
@@ -146,9 +192,12 @@ def rational_roots(coeffs):
 def _eigen_split(H, unit, basis, operators):
     """The component (unit, basis) split by the first of the operators with a
     complementary eigenvalue into its parts (commutative_wedderburn), as
-    (unit, basis) pairs, or None.  The units come from one solve against
-    the parts side by side; each is checked nonzero and idempotent, and
-    the units pairwise orthogonal."""
+    (unit, basis) pairs, or None.  By the simple-root and filled-block rules
+    (module docstring), an eigenvalue is complementary exactly when it is a
+    simple root of the minimal polynomial, which no elimination tests, and
+    no rest is formed when the kernels of those roots fill the component.
+    The units come from one solve against the parts side by side; each is
+    checked nonzero and idempotent, and the units pairwise orthogonal."""
     k = basis.cols
     ident = Matrix.identity(k)
     for op in operators:
@@ -157,17 +206,16 @@ def _eigen_split(H, unit, basis, operators):
             raise CheckFailed("span is not an ideal")
         if Mz == ident * Mz[0, 0]:
             continue  # one eigenvalue, whose kernel is the whole component
-        parts, rest = [], ident
-        for a in rational_roots(minimal_polynomial(Mz)):
-            shifted = Mz - ident * a
-            ker = shifted.kernel()
-            if ker.cols < k and hstack(ker, shifted).rank() == k:
-                parts.append(kernel_form(basis * ker))
-                rest = rest * shifted
+        mu = minimal_polynomial(Mz)
+        parts, shifts = [], []
+        for a in rational_roots(mu):
+            if _is_simple_root(mu, a):
+                shifts.append(Mz - ident * a)
+                parts.append(kernel_form(basis * shifts[-1].kernel()))
         if not parts:
             continue
-        if rest != Matrix.zeros(k, k):
-            parts.append(kernel_form(basis * rest))
+        if sum(part.cols for part in parts) < k:  # else the rest is zero
+            parts.append(kernel_form(basis * reduce(mul, shifts)))
         sol = hstack(*parts).solve(unit)
         if sol is None:
             raise CheckFailed("unit left the component")
@@ -208,23 +256,27 @@ def commutative_wedderburn(H):
     is used through the rational eigenvalues a of its multiplication operator
     L_z.  On a component eH, z acts as ez does, so L_z restricts to it as
     M = basis.solve(L_z * basis).  A component is split by the first
-    candidate with a rational a whose ker(M - a) is proper and
-    complementary to im(M - a) (a scalar M has none and is skipped), in
-    one step, into ker(M - a) for every such a and the rest, im(P(M)) for P
-    the product of those M - a, when it is nonzero.  L_z commutes with
-    every L_w, so each part is an ideal.  For each such a, ker(M - a) is
-    the generalized eigenspace of a, so P(M) kills it and is invertible on
-    the sum of the other generalized eigenspaces: the parts add up
-    directly to the component.  Each part starts again at the first
-    candidate.  Components that no candidate splits are reported with kind
-    "field" when 1-dimensional and "undetermined" otherwise.
+    candidate with a rational a that is a simple root of M's minimal
+    polynomial, that is, whose ker(M - a) is complementary to im(M - a)
+    (the simple-root rule of the module docstring; a scalar M is skipped,
+    and on any other M such a kernel is proper), in one step, into
+    ker(M - a) for every such a and the rest, im(P(M)) for P the product
+    of those M - a, unless those kernels already fill the component (the
+    filled-block rule: then P(M) = 0).  L_z commutes with every L_w, so
+    each part is an ideal.  For each such a, ker(M - a) is the generalized
+    eigenspace of a, so P(M) kills it and is invertible on the sum of the
+    other generalized eigenspaces: the parts add up directly to the
+    component.  Each part starts again at the first candidate.  Components
+    that no candidate splits are reported with kind "field" when
+    1-dimensional and "undetermined" otherwise.
 
     On a semisimple component this gives the ideals that splitting off one
     eigenvalue at a time reaches.  The component is F_1 x ... x F_m, fields,
     and z acts on F_i as multiplication by its component z_i, so:
 
     * ker(M - a) is the sum of the F_i with z_i = a, and im(M - a) the sum
-      of the others, so every rational root passes the test unless M = a;
+      of the others, so every rational root passes the test unless M = a
+      (M is semisimple, so mu has no multiple root);
     * the rest is the sum of the F_i on which z_i is not rational, since
       every rational z_i is a root;
     * call F_i ~ F_j when, for every candidate z, z_i = z_j as soon as one
@@ -276,10 +328,11 @@ def noncommutative_wedderburn_p3(H):
     idempotent of H, and the block eH has the component's dimension as its
     center dimension.  As e is central, eH is a two-sided ideal, so every
     left multiplication L_z restricts to it, and ker(L_z - a) and
-    im(L_z - a) are right ideals of eH; when they are complementary, the
-    eigen-split's units are idempotents of eH other than 0 and e.  The
-    split is only asked whether it exists, and a scalar L_z, which has no
-    such a, is skipped as in commutative_wedderburn.  A
+    im(L_z - a) are right ideals of eH; when they are complementary, which
+    the simple-root rule of the module docstring decides from the
+    restriction alone, the eigen-split's units are idempotents of eH other
+    than 0 and e.  The split is only asked whether it exists, and a scalar
+    L_z, which has no such a, is skipped as in commutative_wedderburn.  A
     4-dimensional block with a 1-dimensional center is 2x2 matrices over
     it when it is semisimple and has such an idempotent, which a division
     algebra has not.  In characteristic 0 the block is semisimple exactly

@@ -33,10 +33,11 @@ falls back to Q, a fractions.Fraction subclass, otherwise.  Q's constructor,
 +, *, /, ** by an int, unary -, == and truth test work on the numerator and
 denominator ints directly for Q and int operands, skipping Fraction's operand
 dispatch and its second normalisation.  Other operands, and binary -, %,
-unary + and abs (wrapped by _closed), go to Fraction's own method; a rational
-result comes back as a Q, so Q stays closed as mpq does and the two backends
-agree.  Both types keep values in lowest terms with positive denominator,
-print as "num/den", and hash alike.
+divmod, unary +, abs, round and limit_denominator (wrapped by _closed), go to
+Fraction's own method; a rational result, also one inside divmod's pair,
+comes back as a Q, so Q stays closed as mpq does and the two backends agree.
+Both types keep values in lowest terms with positive denominator, print as
+"num/den", and hash alike.
 """
 
 from __future__ import annotations
@@ -50,11 +51,14 @@ except ImportError:  # gmpy2 is optional
     _new = object.__new__
 
     def _as_q(x):
-        # a rational result of a Fraction method, as a Q; anything else as it is
+        # a rational result of a Fraction method, as a Q, also inside a tuple
+        # (divmod's); anything else as it is
         if type(x) is Fraction:
             q = _new(Q)
             q._numerator, q._denominator = x._numerator, x._denominator
             return q
+        if type(x) is tuple:
+            return tuple(map(_as_q, x))
         return x
 
     def _closed(name):
@@ -69,8 +73,9 @@ except ImportError:  # gmpy2 is optional
         Sums, products and quotients split their gcds as CPython 3.12's
         fractions does (Knuth, TAOCP vol. 2, 4.5.1), so each result is built
         once, already in lowest terms with a positive denominator.  Any other
-        operand, and binary -, %, unary + and abs, go to Fraction's own
-        method, and a Fraction it returns comes back as a Q.
+        operand, and binary -, %, divmod, unary +, abs, round and
+        limit_denominator, go to Fraction's own method, and a Fraction it
+        returns, alone or in a tuple, comes back as a Q.
         """
 
         __slots__ = ()
@@ -133,8 +138,10 @@ except ImportError:  # gmpy2 is optional
 
         # no measured workload calls these; __rpow__ below is not among them,
         # as Fraction's would send Fraction(2) ** Q(1, 2) back to Q.__rpow__
-        __sub__, __rsub__, __mod__, __rmod__, __pos__, __abs__ = map(_closed, (
-            "__sub__", "__rsub__", "__mod__", "__rmod__", "__pos__", "__abs__"))
+        (__sub__, __rsub__, __mod__, __rmod__, __divmod__, __rdivmod__, __pos__, __abs__,
+         __round__, limit_denominator) = map(_closed, (
+            "__sub__", "__rsub__", "__mod__", "__rmod__", "__divmod__", "__rdivmod__", "__pos__",
+            "__abs__", "__round__", "limit_denominator"))
 
         def __truediv__(a, b):
             na, da = a._numerator, a._denominator
@@ -287,11 +294,6 @@ class Matrix:
         for j, i in enumerate(images):
             data[i][j] = ONE
         return cls._wrap(n, n, data)
-
-    @property
-    def entries(self):
-        """Row-major flat tuple of all entries."""
-        return tuple(e for i in range(self.rows) for e in self.row(i))
 
     def __getitem__(self, key):
         i, j = key

@@ -3,11 +3,12 @@ from math import gcd
 from time import perf_counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopfgalois.algebra import Algebra, CheckFailed, algebra_axiom_report, group_hopf_algebra
-from hopfgalois.analysis import (_candidate_operators, _eigen_split, algebra_iso_classes_p3,
+from hopfgalois.analysis import (_candidate_operators, _eigen_split, _is_simple_root,
+                                 algebra_iso_classes_p3,
                                  character_idempotents, commutative_wedderburn,
                                  descend_catalog, hopf_iso_classes, minimal_polynomial,
                                  minimal_splitting_subfield_check,
@@ -17,7 +18,7 @@ from hopfgalois.catalog import catalog
 from hopfgalois.descent import descend, group_algebra, hopf_action
 from hopfgalois.extensions import quadratic_field, split_model, splitting_field_cubic
 from hopfgalois.groups import cyclic, dihedral
-from hopfgalois.linalg import Matrix, ONE, Q, ZERO, mul_kron, rational
+from hopfgalois.linalg import Matrix, ONE, Q, ZERO, hstack, mul_kron, rational
 from hopfgalois.polyform import PolyHopfAlgebra, point_decomposition_check
 
 from conftest import ANSWER_MODELS
@@ -50,6 +51,70 @@ def test_minimal_polynomial():
     n = Matrix.from_rows([[0, 1], [0, 0]])
     assert minimal_polynomial(n) == [Q(0), Q(0), Q(1)]
     assert minimal_polynomial(Matrix.identity(3)) == [Q(-1), Q(1)]
+
+
+# -- minimal polynomial: one solve per degree as the reference ---------------------
+
+def _flat(m):
+    return [x for i in range(m.rows) for x in m.row(i)]
+
+
+def ref_minimal_polynomial(M):
+    """The first power M^d in the span of I, ..., M^(d-1), found by a fresh
+    solve for each degree d."""
+    power, vectors = Matrix.identity(M.rows), []
+    while len(vectors) <= M.rows:
+        vectors.append(_flat(power))
+        power = power * M
+        sol = Matrix.from_columns(vectors).solve(Matrix.from_columns([_flat(power)]))
+        if sol is not None:
+            return [-x for x in sol.column(0)] + [ONE]
+    raise AssertionError("minimal polynomial must have degree <= dim")
+
+
+def _jordan_sum(blocks):
+    """The direct sum of the Jordan blocks J_m(a) for (a, m) in `blocks`, as
+    long as the size stays at most 5."""
+    entries, start = [], 0
+    for a, m in blocks:
+        if start + m > 5:
+            break
+        entries += [(start + i, start + i, a) for i in range(m)]
+        entries += [(start + i, start + i + 1, 1) for i in range(m - 1)]
+        start += m
+    return Matrix.from_entries(start, start, entries)
+
+
+def _conjugated(J, perm):
+    P = Matrix.permutation(perm)
+    return P.transpose() * J * P
+
+
+entry = st.integers(-3, 3)
+dense_matrices = st.integers(1, 5).flatmap(lambda k: st.lists(
+    st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k).map(Matrix.from_rows))
+# eigenvalues from -1..1, so blocks often share one: derogatory matrices
+jordan_matrices = st.lists(st.tuples(st.integers(-1, 1), st.integers(1, 3)), min_size=1,
+                           max_size=3).map(_jordan_sum).flatmap(
+    lambda J: st.permutations(range(J.rows)).map(lambda perm: _conjugated(J, perm)))
+
+
+@given(st.one_of(dense_matrices, jordan_matrices))
+@example(_jordan_sum([(2, 3)]))
+@example(_jordan_sum([(1, 2), (1, 1), (-1, 2)]))
+@example(_jordan_sum([(0, 1), (0, 1), (3, 1)]))
+@settings(max_examples=100, deadline=None)
+def test_minimal_polynomial_and_simple_roots_match_the_references(M):
+    """minimal_polynomial equals the solve-per-degree reference, and at every
+    rational root a of it, a is simple exactly when ker(M - a) is
+    complementary to im(M - a)."""
+    mu = minimal_polynomial(M)
+    assert mu == ref_minimal_polynomial(M)
+    assert all(type(c) is Q for c in mu) and mu[-1] == 1
+    k, ident = M.rows, Matrix.identity(M.rows)
+    for a in rational_roots(mu):
+        shifted = M - ident * a
+        assert _is_simple_root(mu, a) == (hstack(shifted.kernel(), shifted).rank() == k)
 
 
 def test_rational_roots():
@@ -221,6 +286,45 @@ def test_wedderburn_keeps_a_non_semisimple_block_whole():
     rep = commutative_wedderburn(mixed)
     assert rep.summary() == ((1, 1, "field"), (2, 2, "undetermined"))
     assert [c.unit for c in rep.components] == [(ONE, ZERO, ZERO), (ZERO, ONE, ZERO)]
+
+
+def _root_algebra(*roots):
+    """Q[x]/(f), f the product of the x - a over `roots`, on the basis 1, x,
+    ..., x^(d-1): column i*d + j of mult is x^(i+j), a power of the
+    companion matrix applied to 1."""
+    f = [ONE]
+    for a in roots:
+        f = poly_mul(f, [Q(-a), ONE])
+    d = len(roots)
+    x = Matrix.from_entries(d, d, [(j + 1, j, ONE) for j in range(d - 1)]
+                            + [(i, d - 1, -f[i]) for i in range(d)])
+    powers = [Matrix.identity(d).column(0)]
+    for _ in range(2 * d - 2):
+        powers.append(x.apply(powers[-1]))
+    return Algebra(Matrix.from_columns([powers[i + j] for i in range(d) for j in range(d)]),
+                   powers[0])
+
+
+# the full reports: (unit, basis columns) of each component, in report order
+@pytest.mark.parametrize("roots, summary, components", [
+    ((0, 0, 1), ((1, 1, "field"), (2, 2, "undetermined")),
+     [((0, 0, 1), [(0, 0, 1)]),
+      ((1, 0, -1), [(1, -1, 0), (1, 0, -1)])]),
+    ((1, 1, -1, -1, 2), ((1, 1, "field"), (4, 4, "undetermined")),
+     [((Q(1, 9), 0, Q(-2, 9), 0, Q(1, 9)), [(1, 0, -2, 0, 1)]),
+      ((Q(8, 9), 0, Q(2, 9), 0, Q(-1, 9)),
+       [(2, -1, 0, 0, 0), (4, 0, -1, 0, 0), (8, 0, 0, -1, 0), (16, 0, 0, 0, -1)])]),
+], ids=["x^2(x-1)", "(x-1)^2(x+1)^2(x-2)"])
+def test_wedderburn_splits_off_only_simple_roots(roots, summary, components):
+    """A block on which every candidate's rational roots are multiple roots
+    of its minimal polynomial stays whole: x has the simple root 1 (resp. 2),
+    which splits off Q, and no candidate has a simple root on the rest,
+    though Q[x]/((x-1)^2(x+1)^2) is the product of two local rings."""
+    H = _root_algebra(*roots)
+    assert algebra_axiom_report(H).passed
+    rep = commutative_wedderburn(H)
+    assert rep.summary() == summary
+    assert [(c.unit, c.basis.columns()) for c in rep.components] == components
 
 
 def test_character_idempotents():

@@ -168,10 +168,11 @@ def test_q_edge_cases_match_fraction():
 
 @fraction_fallback
 def test_q_operators_without_fast_paths_stay_in_q():
-    """Binary - and % (both ways), unary + and abs run Fraction's own code
-    through linalg._closed, and give a Q wherever Fraction gives a Fraction:
-    on the operand pairs of test_q_edge_cases_match_fraction, plus two whose
-    remainder is not an integer."""
+    """Binary -, % and divmod (both ways), unary +, abs, round and
+    limit_denominator run Fraction's own code through linalg._closed, and
+    give a Q wherever Fraction gives a Fraction, each half of divmod's pair
+    included: on the operand pairs of test_q_edge_cases_match_fraction, plus
+    two whose remainder is not an integer."""
     zero, half = Q(0), Q(-1, 2)
     for x, y in [(zero, 0), (zero, zero), (0, zero), (half, False), (True, half),
                  (half, Fraction(0)), (Fraction(1, 2), half), (Q(-HUGE, 3), Q(HUGE, 3)),
@@ -179,10 +180,18 @@ def test_q_operators_without_fast_paths_stay_in_q():
         for a, b in [(x, y), (y, x)]:
             check_like_fraction(operator.mod, a, b)
             check_like_fraction(operator.sub, a, b)
+            check_like_fraction(lambda a, b: divmod(a, b)[0], a, b)
+            check_like_fraction(lambda a, b: divmod(a, b)[1], a, b)
         for v in (x, y):
             if type(v) is Q:
                 check_like_fraction(operator.pos, v)
                 check_like_fraction(abs, v)
+                check_like_fraction(round, v)
+                for n in (-1, 0, 2):
+                    check_like_fraction(round, v, n)
+                for n in (1, 2, 10 ** 6):
+                    check_like_fraction(lambda q, n: q.limit_denominator(n), v, n)
+    assert type(divmod(Q(7, 3), Q(1, 2))) is tuple
 
 
 @given(square)
@@ -354,7 +363,7 @@ def test_sparse_entries_round_trip(m):
     assert m.transpose().transpose() == m
     assert hash(m.transpose().transpose()) == hash(m)
     assert Matrix.from_columns(m.columns(), rows=m.rows) == m
-    assert Matrix(m.rows, m.cols, m.entries) == m
+    assert Matrix(m.rows, m.cols, [x for i in range(m.rows) for x in m.row(i)]) == m
     for i in range(m.rows):
         assert dict(m.row_entries(i)) == {j: x for j, x in enumerate(m.row(i)) if x}
     for j in range(m.cols):

@@ -68,7 +68,7 @@ SCRIPT = textwrap.dedent('''
             sys.exit(f"{name}: entry of type {type(bad[0]).__name__}")
         if not all(stored):
             sys.exit(f"{name}: a stored zero")
-        print(name, m.rows, m.cols, [str(x) for x in m.entries])
+        print(name, m.rows, m.cols, [str(x) for i in range(m.rows) for x in m.row(i)])
 
 
     def shares_one(name, m):
