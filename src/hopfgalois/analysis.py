@@ -59,7 +59,7 @@ from .algebra import Algebra, CheckFailed, HopfPresentation, hopf_map_violation
 from .catalog import catalog
 from .descent import SemilinearAction, _provenance_of, _slots_permuted, descend, group_algebra
 from .groups import dihedral, equivariant_iso_search, left_regular, right_regular
-from .linalg import Matrix, ONE, Q, ZERO, _axpy, hstack, kernel_form, mul_kron
+from .linalg import Matrix, ONE, Q, Span, ZERO, _dense, _primitive, hstack, kernel_form, mul_kron
 
 KIND_FIELD = "field"
 KIND_MATRIX2 = "matrix2_over_center"
@@ -90,26 +90,18 @@ class WedderburnReport(NamedTuple):
 def minimal_polynomial(M):
     """Monic minimal polynomial of a square matrix, low degree first.
 
-    One incremental elimination: vec(I), vec(M), vec(M^2), ... are reduced in
-    turn against the rows kept so far, each row carrying its combination of
-    powers in coordinates k^2 + i after the k^2 entries.  The first power
-    that reduces to zero there is the first dependency, M^d = -(c_0 I + ...
-    + c_(d-1) M^(d-1)), and its carried combination, which is 1 at M^d, is
-    mu = c_0 + ... + c_(d-1) x^(d-1) + x^d."""
+    vec(I), vec(M), vec(M^2), ... are reduced in turn against a Span, each
+    carrying its combination of powers in coordinates k^2 + i after the k^2
+    entries.  The first power whose residue has no entry below k^2 is the
+    first dependency, M^d = -(c_0 I + ... + c_(d-1) M^(d-1)), and that
+    residue, which is 1 at M^d, is mu = c_0 + ... + c_(d-1) x^(d-1) + x^d."""
     k = M.rows
-    end, rows, power = k * k, {}, Matrix.identity(k)
+    end, span, power = k * k, Span(), Matrix.identity(k)
     for d in range(k + 1):
         v = {i * k + j: x for i in range(k) for j, x in power.row_entries(i)}
         v[end + d] = ONE
-        while (c := min(v)) < end:
-            row = rows.get(c)
-            if row is None:
-                a = v[c]
-                rows[c] = {j: x / a for j, x in v.items()}
-                break
-            v = _axpy(v, -v[c], row)
-        else:
-            return [v.get(end + i, ZERO) for i in range(d + 1)]
+        if (mu := span.reduce(v, end)) is not None:
+            return [mu.get(end + i, ZERO) for i in range(d + 1)]
         power = power * M
     raise CheckFailed("minimal polynomial must have degree <= dim")
 
@@ -152,7 +144,7 @@ def rational_roots(coeffs):
         coeffs = coeffs[:-1]
     if not coeffs:
         raise ValueError("zero polynomial")
-    ints = [int(c) for c in kernel_form(Matrix.from_columns([coeffs])).column(0)]
+    ints = _dense(_primitive({i: c for i, c in enumerate(coeffs) if c}), len(coeffs))
     low = next(i for i, c in enumerate(ints) if c)
     roots = [ZERO] if low else []
     n, a = len(ints) - low - 1, ints[-1]

@@ -16,16 +16,17 @@ row sums of + and -) ask a scalar nothing that one of two rules answers:
 * A stored row is zero-free, and a product of nonzeros is nonzero, so a
   kernel tests for zero only at the positions where it formed a sum.
 
-Row reduction eliminates on primitive integer rows and returns the unique
-reduced row echelon form, whichever rows it pivots on, so kernels and
-solutions are reproducible across runs.  A solve against a matrix in which
-every column owns a row (a row whose only nonzero sits in that column),
-such as a kernel basis with its free rows, eliminates nothing: the answer
-is read off the owned rows and checked by one product.  The rank rule uses
-the same test: the owned rows of such a matrix hold a diagonal of nonzeros,
-so its rank is its column count, read with no elimination; a monomial
-matrix (one nonzero in each row and column) is one.  A Span grows a
-subspace one vector at a time and says which vectors grew it.
+Row reduction is one loop, Span.reduce, that rref and minimal_polynomial
+run.  rref returns the unique reduced row echelon form whatever the order
+of the rows, so kernels and solutions are reproducible across runs.  A
+solve against a matrix in which every column owns a row (a row whose only
+nonzero sits in that column), such as a kernel basis with its free rows,
+eliminates nothing: the answer is read off the owned rows and checked by
+one product.  The rank rule uses the same test: the owned rows of such a
+matrix hold a diagonal of nonzeros, so its rank is its column count, read
+with no elimination; a monomial matrix (one nonzero in each row and column)
+is one.  A Span grows a subspace one vector at a time and says which
+vectors grew it.
 
 The scalar type is gmpy2.mpq when available (roughly an order of magnitude
 faster than fractions.Fraction on the elimination-heavy workloads here) and
@@ -426,64 +427,26 @@ class Matrix:
     def rref(self):
         """Reduced row echelon form and the tuple of pivot columns.
 
-        Fraction-free sparse Gauss-Jordan.  Each row is kept as a primitive
-        integer row and a column -> rows index is kept up to date, so
-        column c is searched and eliminated only in the rows nonzero there.
-        The pivot is the shortest unused candidate row (ties to the lower
-        row number); the reduced form is unique, so the choice changes only
-        the cost.  Pivot rows are divided by their pivot once, at the end.
+        The rows go into a Span, shortest first; the reduced form is
+        unique, so the order changes only the cost.  Each pivot row, last
+        first, is then cleared at the later pivot columns by the rows below
+        it, already reduced.  When every column leads a row, the form is the
+        identity on top and nothing is cleared.
         """
-        rows = [_primitive(r) if r else {} for r in self._rows]
-        index = {}
-        for i, row in enumerate(rows):
-            for j in row:
-                index.setdefault(j, set()).add(i)
-        used = [False] * self.rows
-        order = []
-        for c in range(self.cols):
-            cand = index.get(c)
-            if not cand:
-                continue
-            pr = min((i for i in cand if not used[i]), key=lambda i: (len(rows[i]), i),
-                     default=None)
-            if pr is None:
-                continue
-            used[pr] = True
-            order.append((c, pr))
-            prow = rows[pr]
-            pv = prow[c]
-            items = tuple(prow.items())
-            for i in tuple(cand):
-                if i == pr:
-                    continue
-                row = rows[i]
-                f = row[c]
-                g = gcd(pv, f)
-                a, b = pv // g, f // g
-                if a != 1:
-                    rows[i] = row = {j: a * x for j, x in row.items()}
-                # row := a*row - b*prow, which cancels column c
-                for j, y in items:
-                    x = row.get(j)
-                    if x is None:
-                        row[j] = -b * y
-                        index.setdefault(j, set()).add(i)
-                    else:
-                        x -= b * y
-                        if x:
-                            row[j] = x
-                        else:
-                            del row[j]
-                            index[j].discard(i)
-                g = gcd(*row.values())
-                if g > 1:
-                    rows[i] = {j: x // g for j, x in row.items()}
-            if len(order) == self.rows:
-                break
-        data = [{j: ONE if x == pv else Q(x, pv) for j, x in rows[pr].items()}
-                for c, pr in order for pv in [rows[pr][c]]]
-        data.extend({} for _ in range(self.rows - len(order)))
-        return Matrix._wrap(self.rows, self.cols, data), tuple(c for c, _ in order)
+        span = Span()
+        for r in sorted(self._rows, key=len):
+            span.reduce(r, self.cols)
+        lead = span._rows
+        pivots = sorted(lead)
+        if len(pivots) == self.cols:
+            data = [{c: ONE} for c in pivots]
+        else:
+            for c in reversed(pivots):
+                for j in [j for j in lead[c] if j != c and j in lead]:
+                    lead[c] = _axpy(lead[c], -lead[c][j], lead[j])
+            data = [{j: ONE if x == 1 else x for j, x in lead[c].items()} for c in pivots]
+        data.extend({} for _ in range(self.rows - len(pivots)))
+        return Matrix._wrap(self.rows, self.cols, data), tuple(pivots)
 
     def rank(self):
         """The number of pivots of rref, or, by the rank rule of the module
@@ -700,23 +663,29 @@ class Span:
     lead at distinct columns, each scaled to 1 there."""
 
     def __init__(self):
-        self._rows = {}  # leading column -> zero-free row dict
+        self._rows = {}  # leading column -> zero-free row dict, 1 there
 
     def __len__(self):
         return len(self._rows)
 
     def add(self, vec):
         """Add the sequence `vec`; True when it was not in the span before."""
-        v = _sparse(vec)
-        while v:
-            c = min(v)
-            row = self._rows.get(c)
-            if row is None:
-                a = v[c]
-                self._rows[c] = {j: x / a for j, x in v.items()}
-                return True
-            v = _axpy(v, -v[c], row)
-        return False
+        return self.reduce(_sparse(vec), len(vec)) is None
+
+    def reduce(self, row, end):
+        """Reduce the zero-free row dict `row`, lowest column first, while it
+        has an entry below column `end`.  A residue that still leads below
+        `end` is kept, scaled to 1 at its lead (`row` itself, not to be
+        changed later, when that entry is ONE), and None is returned; any
+        other residue is returned, empty when `row` was in the span."""
+        while row and (c := min(row)) < end:
+            basis_row = self._rows.get(c)
+            if basis_row is None:
+                a = row[c]
+                self._rows[c] = row if a is ONE else {j: x / a for j, x in row.items()}
+                return None
+            row = _axpy(row, -row[c], basis_row)
+        return row
 
 
 def fixed_basis(mats, dim):

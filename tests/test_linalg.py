@@ -640,9 +640,9 @@ def test_index_outside_the_shape_raises(read):
 #
 # reference_rref is plain Gauss-Jordan over the rationals on the sparse rows:
 # the pivot of each column is the first remaining row that is nonzero there,
-# and every step is Fraction arithmetic.  Matrix.rref pivots on other rows and
-# eliminates on integer rows, so agreeing with it on rows, pivots and scalar
-# type checks both the reduced form and the conversion back to Q.
+# and every step is Fraction arithmetic.  Matrix.rref reduces the rows shortest
+# first through a Span and clears above the pivots afterwards, so agreeing with
+# it on rows, pivots and scalar type checks the reduced form and its Q entries.
 
 def reference_rref(m):
     data = [dict(m.row_entries(i)) for i in range(m.rows)]
@@ -739,6 +739,33 @@ def test_rref_matches_reference_elimination(m):
     assert pivots == want_pivots
     assert [dict(red.row_entries(i)) for i in range(red.rows)] == want
     assert all(type(x) is Q for i in range(red.rows) for _, x in red.row_entries(i))
+
+
+@given(elimination_matrices(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_rref_depends_on_the_rows_alone_and_changes_none(m, data):
+    """The rows' order, a repeated row and a zero row change only the cost.
+    rref, kernel, solve and rank leave their matrix as it was, and rref's
+    result shares no row dict with it: on m, on its rref, whose rows a Span
+    adopts as they lead with ONE, and on the rref with each row plus the
+    next, adopted too and then cleared at the next pivot."""
+    red, pivots = m.rref()
+    order = data.draw(st.permutations(range(m.rows)))
+    twice = data.draw(st.integers(0, m.rows - 1))
+    zero = Matrix.zeros(1, m.cols)
+    assert m.take_rows(order).rref() == (red, pivots)
+    assert m.take_rows([*range(m.rows), twice]).rref() == (vstack(red, zero), pivots)
+    assert vstack(m, zero).rref() == (vstack(red, zero), pivots)
+    stepped = red + red.take_rows([*range(1, m.rows), m.rows - 1])
+    for x in (m, red, stepped):
+        before = Matrix.from_rows([x.row(i) for i in range(x.rows)])
+        got = x.rref()
+        assert got == (red, pivots)
+        assert not {id(r) for r in got[0]._rows} & {id(r) for r in x._rows}
+        x.kernel()
+        x.solve(Matrix.from_columns([x.column(0)]))
+        x.rank()
+        assert x == before
 
 
 @given(elimination_matrices())
