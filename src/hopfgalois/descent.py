@@ -44,9 +44,9 @@ tu for each slot pair (t, u); `pointwise`, that of Map(N, L), in slot t for
 (t, t).  A product is one mul_kron over one of them, and descend builds only
 those of R[N].  Maps of L[N] are sparse slot maps, GroupAlgebraOverL.slot_map
 = permutation(images) (x) M, with slots(u) (column t is u * eta_t) its
-one-column case.  The invariance check and E apply slot maps through the
-slot coefficients of a basis (_translated), so they build no operator on
-L[N].  The closed-form bases are products of U =
+one-column case.  The invariance check, E and Phi' multiply the slot
+coefficients of a basis and put them back in slots (_unslot), so they build
+no operator on L[N].  The closed-form bases are products of U =
 slots(1), W = slots(w) for the rational-square witness w of L, and the slot
 inversion iota: U + iota U has the columns eta_t + eta_t^-1, and W - iota W
 the columns w*(eta_t - eta_t^-1), w being read once per L
@@ -254,14 +254,13 @@ def descend(A, label=None):
     if B.cols != n:
         raise DescentError(f"fixed ring has dimension {B.cols}, expected {n}")
     coeffs = _slot_coefficients(B, d)
-    if any(_translated(coeffs, act.conj_map[g], m) != B for g, m in L.generator_action.items()):
+    if any(_unslot(m * coeffs, act.conj_map[g]) != B for g, m in L.generator_action.items()):
         raise DescentError("the trace basis is not fixed by G")
     ecoeffs = L.mult_operator(L.idempotent) * coeffs
     R, J = _frame(L, ecoeffs)
     RA = GroupAlgebraOverL(R, N)
     # E_B = E B, the coefficients e x of B in J's coordinates
-    EB = _translated(_solved(J, ecoeffs, "e times a coefficient of H left R"), range(n),
-                     Matrix.identity(R.dim))
+    EB = _unslot(_solved(J, ecoeffs, "e times a coefficient of H left R"), range(n))
     # column i*n + j is h_i h_j
     mult = _solved(EB, mul_kron(RA.mult, EB, EB), "a product of fixed vectors left the fixed ring")
     unit = _solved(EB, Matrix.from_columns([RA.unit]), "the unit of L[N] is not in the fixed ring")
@@ -289,13 +288,15 @@ def _frame(L, ecoeffs):
                    _solved(J, Matrix.from_columns([L.idempotent]), fail).column(0)), J
 
 
-def _translated(coeffs, images, M):
-    """slot_map(images, M) * B for coeffs = _slot_coefficients(B, M.cols): the
-    coefficient x of eta_t in a column of B goes to M x at eta_images[t].  M
-    multiplies the slot coefficients once, and no operator on L[N] is built."""
-    n, m, prod = len(images), M.rows, M * coeffs
+def _unslot(coeffs, images):
+    """slot_map(images, I) * B for coeffs = _slot_coefficients(B, coeffs.rows),
+    the inverse of _slot_coefficients with a slot relabel: column k*n + t of
+    coeffs, the coefficient of eta_t in column k, goes to eta_images[t].  So
+    slot_map(images, M) * B is _unslot(M * coeffs, images), and no operator
+    on L[N] is built."""
+    n, m = len(images), coeffs.rows
     return Matrix.from_entries(n * m, coeffs.cols // n, (
-        (images[t] * m + a, k, x) for a in range(m) for kt, x in prod.row_entries(a)
+        (images[t] * m + a, k, x) for a in range(m) for kt, x in coeffs.row_entries(a)
         for k, t in [divmod(kt, n)]))
 
 
@@ -318,14 +319,13 @@ def _slot_coefficients(B, d):
 
 def lform_matrix(A, B):
     """Matrix of Phi: L (x) H -> L[N], x (x) h -> x*h; column (a, k) = a*m + k
-    is e_a * h_k, whose coefficient of eta_t is e_a x_kt for x_kt that of h_k:
-    one mul_kron of L.mult over I_L and the slot coefficients of B,
-    re-indexed, so it reads L.mult and never a table of L[N]."""
-    d, n, m = A.L.dim, A.N.order, B.cols
-    prod = mul_kron(A.L.mult, Matrix.identity(d), _slot_coefficients(B, d))
-    return Matrix.from_entries(A.dim, d * m, (
-        (t * d + c, a * m + k, x) for c in range(d) for col, x in prod.row_entries(c)
-        for a, kt in [divmod(col, m * n)] for k, t in [divmod(kt, n)]))
+    is e_a * h_k, whose coefficient of eta_t is e_a x_kt for x_kt that of h_k.
+    Column (a*m + k)*n + t of one mul_kron of L.mult over I_L and the slot
+    coefficients of B is that coefficient, so Phi is its _unslot: it reads
+    L.mult and never a table of L[N]."""
+    d = A.L.dim
+    return _unslot(mul_kron(A.L.mult, Matrix.identity(d), _slot_coefficients(B, d)),
+                   range(A.N.order))
 
 
 def _comultiplication(A, B):

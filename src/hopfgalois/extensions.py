@@ -105,9 +105,11 @@ class GaloisAlgebra(Algebra):
 
     def translates(self, indices):
         """The distinct g(e) of the idempotent e for g in indices, in order,
-        each with the list of those g: over all of G, the cosets gD."""
-        out = {}
+        each with the list of those g: over all of G, the cosets gD.
+        IndexError for an index outside 0 .. |G| - 1."""
+        out, n = {}, self.group.order
         for g in indices:
+            g = _checked(g, n, "group element")
             out.setdefault(tuple(self.action[g].apply(self.idempotent)), []).append(g)
         return out
 

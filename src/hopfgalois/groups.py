@@ -24,7 +24,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .algebra import CheckFailed
-from .linalg import require_permutation
+from .linalg import _checked, require_permutation
 
 
 class ClosureBoundExceeded(RuntimeError):
@@ -500,12 +500,13 @@ def equivariant_iso_search(N, N2, G, respect=None):
     equivariance means commuting with conjugation by those left translations.
     Returns (equivariant, rejections) where each rejection pairs a GroupIso
     with the first witness (g_index, element_position) where it fails.
-    Raises ValueError when a respected translation does not normalize N or N2.
+    Raises ValueError when a respected translation does not normalize N or N2,
+    and IndexError for an index outside 0 .. |G| - 1.
     """
     lam = left_regular(G)
     if respect is None:
         respect = range(G.order)
-    respect = list(respect)
+    respect = [_checked(g, G.order, "group element") for g in respect]
     conj_on = {g: N.conjugation(lam.elements[g]) for g in respect}
     conj_on2 = {g: N2.conjugation(lam.elements[g]) for g in respect}
     for g in respect:

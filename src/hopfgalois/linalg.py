@@ -4,8 +4,9 @@ Immutable sparse-row matrices over arbitrary-precision rationals: each row
 keeps only its nonzero entries, so work scales with the nonzeros, not the
 shape.  Everything is computed exactly; no floating point appears anywhere
 in this package.  mul_kron multiplies by a Kronecker product without
-building it.  The product kernels (Matrix.__mul__, mul_kron, kron and the
-row sums of + and -) ask a scalar nothing that one of two rules answers:
+building it, and kron is mul_kron by the identity.  The product kernels
+(Matrix.__mul__, mul_kron and the row sums of + and -) ask a scalar nothing
+that one of two rules answers:
 
 * A factor of one is the shared ONE.  Every constructor that coerces or
   adds up values (from_entries, Matrix(), from_rows, identity, permutation,
@@ -30,13 +31,15 @@ vectors grew it.
 
 The scalar type is gmpy2.mpq when available (roughly an order of magnitude
 faster than fractions.Fraction on the elimination-heavy workloads here) and
-falls back to Q, a fractions.Fraction subclass, otherwise.  Q's constructor,
-+, *, /, ** by an int, unary -, == and truth test work on the numerator and
-denominator ints directly for Q and int operands, skipping Fraction's operand
-dispatch and its second normalisation.  Other operands, and binary -, %,
-divmod, unary +, abs, round and limit_denominator (wrapped by _closed), go to
-Fraction's own method; a rational result, also one inside divmod's pair,
-comes back as a Q, so Q stays closed as mpq does and the two backends agree.
+falls back to Q, a fractions.Fraction subclass, otherwise.  Q works on the
+numerator and denominator ints directly, skipping Fraction's operand dispatch
+and its second normalisation, only where the workloads send traffic: + and /
+by a Q, * by a Q or an int, ** by an int >= 0, the constructor from ints,
+unary -, == with a Q or an int, and the truth test.  Other operands, and
+binary -, %, divmod, unary +, abs, round and limit_denominator (wrapped by
+_closed), go to Fraction's own method; a rational result, also one inside
+divmod's pair, comes back as a Q, so Q stays closed as mpq does and the two
+backends agree.
 Both types keep values in lowest terms with positive denominator, print as
 "num/den", and hash alike.
 """
@@ -68,8 +71,9 @@ except ImportError:  # gmpy2 is optional
         return lambda *args: _as_q(method(*args))
 
     class Q(Fraction):
-        """A Fraction whose constructor, +, *, /, ** by an int, unary -, ==
-        and truth test work on the ints directly for Q and int operands.
+        """A Fraction that works on the ints directly for + and / by a Q, *
+        by a Q or an int, ** by an int >= 0, the constructor from ints, unary
+        -, == with a Q or an int, and the truth test.
 
         Sums, products and quotients split their gcds as CPython 3.12's
         fractions does (Knuth, TAOCP vol. 2, 4.5.1), so each result is built
@@ -99,21 +103,17 @@ except ImportError:  # gmpy2 is optional
             return Fraction.__new__(cls, numerator, denominator)
 
         def __add__(a, b):
-            na, da = a._numerator, a._denominator
-            if type(b) is Q:
-                nb, db = b._numerator, b._denominator
-                g = gcd(da, db)
-                if g == 1:
-                    n, d = na * db + da * nb, da * db
-                else:
-                    s = da // g
-                    t = na * (db // g) + nb * s
-                    g = gcd(t, g)
-                    n, d = t // g, s * (db // g)
-            elif type(b) is int:
-                n, d = na + b * da, da
-            else:
+            if type(b) is not Q:
                 return _as_q(Fraction.__add__(a, b))
+            na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
+            g = gcd(da, db)
+            if g == 1:
+                n, d = na * db + da * nb, da * db
+            else:
+                s = da // g
+                t = na * (db // g) + nb * s
+                g = gcd(t, g)
+                n, d = t // g, s * (db // g)
             q = _new(Q)
             q._numerator, q._denominator = n, d
             return q
@@ -145,13 +145,9 @@ except ImportError:  # gmpy2 is optional
             "__abs__", "__round__", "limit_denominator"))
 
         def __truediv__(a, b):
-            na, da = a._numerator, a._denominator
-            if type(b) is Q:
-                nb, db = b._numerator, b._denominator
-            elif type(b) is int:
-                nb, db = b, 1
-            else:
+            if type(b) is not Q:
                 return _as_q(Fraction.__truediv__(a, b))
+            na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
             if not nb:
                 raise ZeroDivisionError(f"Fraction({db}, 0)")
             g1, g2 = gcd(na, nb), gcd(db, da)
@@ -166,15 +162,10 @@ except ImportError:  # gmpy2 is optional
             return Q(b) / a if type(b) is int else _as_q(Fraction.__rtruediv__(a, b))
 
         def __pow__(a, b):
-            if type(b) is not int:
+            if type(b) is not int or b < 0:
                 return _as_q(Fraction.__pow__(a, b))
-            na, da = a._numerator, a._denominator
-            if b < 0:
-                if not na:
-                    raise ZeroDivisionError(f"Fraction({da ** -b}, 0)")
-                na, da, b = (da, na, -b) if na > 0 else (-da, -na, -b)
             q = _new(Q)
-            q._numerator, q._denominator = na ** b, da ** b
+            q._numerator, q._denominator = a._numerator ** b, a._denominator ** b
             return q
 
         def __rpow__(a, b):
@@ -521,15 +512,8 @@ class Matrix:
 
     def kron(self, other):
         """Kronecker product; index (i,j) of a factor pair maps to i*dim+j.
-
-        Identity factors are common (A (x) 1 and 1 (x) A in the axiom
-        checks), so a product by the shared ONE is taken without arithmetic.
-        """
-        w = other.cols
-        return Matrix._wrap(self.rows * other.rows, self.cols * w,
-                            [{j * w + l: a if b is ONE else b if a is ONE else a * b
-                              for j, a in arow.items() for l, b in brow.items()}
-                             for arow in self._rows for brow in other._rows])
+        It is mul_kron by the identity, so one loop keeps the kernel rules."""
+        return mul_kron(Matrix.identity(self.rows * other.rows), self, other)
 
 
 def require_permutation(images):

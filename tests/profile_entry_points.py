@@ -3,40 +3,40 @@ write the (file, first line) of every Python function entered, as JSON.
 
     python tests/profile_entry_points.py OUT
 
-with src/ on PYTHONPATH.  The entry points are the README's five commands,
-the CLI commands that reach the subcommand paths those leave out, and one
-polynomial-form check; the package is imported under the profiler, so what
-runs at import counts.  tests/test_reachability.py reads the output.
+with src/ on PYTHONPATH.  The entry points are every command of the
+benchmark's CLI pool (cli_pool of perfbench/workloads.py, loaded by path),
+the README's five among them, and one polynomial-form check; the package is
+imported under the profiler, so what runs at import counts.
+tests/test_reachability.py reads the output.
 """
 
 import contextlib
+import importlib.util
 import io
 import json
 import sys
 from pathlib import Path
 
-# the README's commands (perfbench's README_COMMANDS), then the rest
-COMMANDS = (
-    "catalog --p 13",
-    "enumerate --group d3 --json",
-    "descend --p 3 --structure lambda --field cubic:2",
-    "descend --p 7 --structure N3 --field split --json",
-    "classify --field cubic:2 --json --out report.json",
-    "catalog --p 3",
-    "enumerate --group klein4",
-    "descend --p 3 --structure rho --field cubic:2",
-    "descend --p 3 --structure N0 --field cubic:2",
-)
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 # b = -3 * 1129^2 / 25, a point of the roots_bitsize pool
 POLYFORM_B = (-3 * 1129 ** 2, 25)
 
 
+def cli_pool():
+    """The benchmark's CLI commands, from perfbench/workloads.py, which
+    imports nothing of the package."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.cli_pool()
+
+
 def run_entry_points():
-    """Run COMMANDS, writing --out files to the working directory, then the
-    polynomial-form checks at POLYFORM_B."""
+    """Run the CLI pool, writing --out files to the working directory, then
+    the polynomial-form checks at POLYFORM_B."""
     from hopfgalois import cli, linalg, polyform
 
-    for cmd in COMMANDS:
+    for cmd in cli_pool():
         with contextlib.redirect_stdout(io.StringIO()):
             rc = cli.main(cmd.split())
         if rc != 0:

@@ -550,6 +550,17 @@ def test_noncommutative_wedderburn_needs_dim6(descended3):
         noncommutative_wedderburn_p3(descended3["N0"])  # commutative
 
 
+def test_noncommutative_wedderburn_refuses_a_center_that_is_not_closed():
+    # e0 e1 = e1 e0 = e2 and e2 e3 = e4: only e2 and e3 fail to commute, so
+    # the commutant is spanned by e0, e1, e4 and e5, and e0 e1 = e2 leaves
+    # it.  No associative algebra has such a center; the unit given, e5, is
+    # central, so the product alone trips the guard.
+    H = _algebra(6, {(0, 1): 2, (1, 0): 2, (2, 3): 4}, (ZERO,) * 5 + (ONE,))
+    assert not H.is_commutative()
+    with pytest.raises(CheckFailed, match="^the center is not a subalgebra$"):
+        noncommutative_wedderburn_p3(H)
+
+
 def test_non_semisimple_block_stays_undetermined():
     # Q x Q x T, T = {[[a, x, y], [0, d, 0], [0, 0, d]]} on f0, f1, E11, E12,
     # E13, D: E11 is an idempotent other than 0 and 1 of T, but x and y span

@@ -8,8 +8,8 @@ from hopfgalois.algebra import (Algebra, CheckFailed, HopfPresentation, algebra_
 from hopfgalois.catalog import catalog, cyclic_generator
 from hopfgalois.analysis import nilpotent_witness
 from hopfgalois.descent import (DescentError, GroupAlgebraOverL, NormalizationError,
-                                SemilinearAction,
-                                _comultiplication, base_change_is_group_algebra,
+                                SemilinearAction, _comultiplication, _slot_coefficients,
+                                _slots_permuted, _unslot, base_change_is_group_algebra,
                                 descend, descend_and_verify, explicit_basis_matches,
                                 explicit_classical_basis, explicit_cyclic_basis,
                                 explicit_translation_basis, group_algebra,
@@ -243,6 +243,18 @@ def _differential_presentations(descended3):
     for e in catalog(5):
         if e.label in ("lambda", "N2"):
             yield f"p5-{e.label}", descend(group_algebra(L5, e.subgroup), label=e.label)
+
+
+def test_unslot_inverts_the_slot_coefficients(batteries):
+    """_unslot puts slot coefficients back in their slots: on every descended
+    basis B it undoes _slot_coefficients, and with N's inverses as the
+    relabel it is _slots_permuted, eta_t -> eta_t^-1."""
+    for model, runs in batteries.items():
+        for label, battery in runs.items():
+            A, B = battery.H.provenance.parent, battery.H.provenance.basis
+            coeffs, inverses = _slot_coefficients(B, A.L.dim), A.N.group.inverses
+            assert _unslot(coeffs, range(A.N.order)) == B, (model, label)
+            assert _unslot(coeffs, inverses) == _slots_permuted(A, B, inverses), (model, label)
 
 
 def test_phi_and_j_match_their_per_basis_formulas(descended3):

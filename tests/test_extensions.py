@@ -187,6 +187,13 @@ def test_fixed_space_refuses_an_index_outside_the_group(g):
         split_model(dihedral(3)).fixed_space([g])
 
 
+@pytest.mark.parametrize("g", [-1, 6])
+def test_translates_refuse_an_index_outside_the_group(g):
+    """A negative index does not count from the end: -1 is not element 5."""
+    with pytest.raises(IndexError, match=f"group element index {g} out of range for size 6"):
+        split_model(dihedral(3)).translates([g])
+
+
 def _is_closed_subalgebra(L, basis):
     """Whether the span of the columns of `basis` holds 1 and every product."""
     return (basis.solve(Matrix.from_columns([L.unit])) is not None

@@ -308,6 +308,15 @@ def test_equivariant_search_rejects_a_subgroup_that_is_not_normalized():
         equivariant_iso_search(left_regular(G), N, G)
 
 
+@pytest.mark.parametrize("g", [-1, 6])
+def test_equivariant_search_refuses_an_index_outside_the_group(g):
+    """A negative index does not count from the end: -1 is not element 5."""
+    G = dihedral(3)
+    lam = left_regular(G)
+    with pytest.raises(IndexError, match=f"group element index {g} out of range for size 6"):
+        equivariant_iso_search(lam, lam, G, respect=[g])
+
+
 def test_equivariant_search_positive():
     G = dihedral(3)
     lam = left_regular(G)

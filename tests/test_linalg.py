@@ -74,11 +74,12 @@ def test_arithmetic():
 
 # -- Q against fractions.Fraction, operator by operator ---------------------------
 #
-# Without gmpy2, Q is a Fraction subclass with integer fast paths for Q and int
-# operands; every other operand goes to Fraction's own method.  Each operator
-# must give Fraction's value (or raise ZeroDivisionError exactly where Fraction
-# does), a Q wherever Fraction gives a Fraction, and that Q in lowest terms with
-# a positive denominator.  With gmpy2, Q is gmpy2.mpq and these tests skip.
+# Without gmpy2, Q is a Fraction subclass with integer fast paths for + and /
+# by a Q, * by a Q or an int and ** by an int >= 0; every other operand goes to
+# Fraction's own method.  Each operator must give Fraction's value (or raise
+# ZeroDivisionError exactly where Fraction does), a Q wherever Fraction gives a
+# Fraction, and that Q in lowest terms with a positive denominator.  With
+# gmpy2, Q is gmpy2.mpq and these tests skip.
 
 HUGE = 2 ** 200
 q_ints = st.one_of(st.integers(-50, 50), st.sampled_from([0, HUGE, -HUGE]))
