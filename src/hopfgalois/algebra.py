@@ -195,17 +195,19 @@ def monomials(x, y, exponents, m):
     With the multiplication operators of two commuting generators and m = I,
     this is the multiplication matrix on the monomial basis `exponents`; with
     the operators of two images and m the unit column, it is the algebra map
-    that sends the generators to those images.
+    that sends the generators to those images.  Each column is taken from
+    its predecessor, x^i y^j m = x (x^(i-1) y^j m) and y^j m = y (y^(j-1) m),
+    and kept, so no product is formed twice, in any order of `exponents`.
     """
-    ys = [m]  # ys[j] = y^j m
+    powers = [[m]]  # powers[j][i] = x^i y^j m
     out = []
     for i, j in exponents:
-        while len(ys) <= j:
-            ys.append(y * ys[-1])
-        col = ys[j]
-        for _ in range(i):
-            col = x * col
-        out.append(col)
+        while len(powers) <= j:
+            powers.append([y * powers[-1][0]])
+        row = powers[j]
+        while len(row) <= i:
+            row.append(x * row[-1])
+        out.append(row[i])
     return hstack(*out)
 
 

@@ -32,6 +32,14 @@ Two classifications run side by side and are cross-checked:
     kernels and is invertible on ker g(M), the complement of their sum,
     which is then nonzero: the rest is its image, ker g(M).
 
+  The roots come from rational_roots, which reads a quadratic's roots off
+  its discriminant: the monic integer y^2 + by + c has the integer roots
+  (-b +- r)/2 exactly when b^2 - 4c = r^2, with r = isqrt(b^2 - 4c); every
+  other degree goes through Sturm bisection.  The parts' units are checked
+  nonzero, idempotent and pairwise orthogonal; each unit u gets its
+  multiplication operator L_u once, which gives u u and u u' for every
+  later unit u'.
+
   A 4-dimensional block with center Q is 2x2 matrices over Q once its
   trace form is nondegenerate (so it is semisimple) and the eigen-split of
   a left multiplication operator finds an idempotent in it other than 0
@@ -53,7 +61,7 @@ from itertools import combinations
 from operator import mul
 from typing import NamedTuple
 
-from math import gcd
+from math import gcd, isqrt
 
 from .algebra import Algebra, CheckFailed, HopfPresentation, hopf_map_violation
 from .catalog import catalog
@@ -94,8 +102,11 @@ def minimal_polynomial(M):
     carrying its combination of powers in coordinates k^2 + i after the k^2
     entries.  The first power whose residue has no entry below k^2 is the
     first dependency, M^d = -(c_0 I + ... + c_(d-1) M^(d-1)), and that
-    residue, which is 1 at M^d, is mu = c_0 + ... + c_(d-1) x^(d-1) + x^d."""
+    residue, which is 1 at M^d, is mu = c_0 + ... + c_(d-1) x^(d-1) + x^d.
+    ValueError when M is not square."""
     k = M.rows
+    if M.cols != k:
+        raise ValueError(f"a minimal polynomial needs a square matrix, got {k} x {M.cols}")
     end, span, power = k * k, Span(), Matrix.identity(k)
     for d in range(k + 1):
         v = {i * k + j: x for i in range(k) for j, x in power.row_entries(i)}
@@ -139,6 +150,9 @@ def rational_roots(coeffs):
     half-integers, never roots of g.  Bisection from the Cauchy bound
     1 + max|g_i| takes O(n log2 bound) chain evaluations down to unit
     intervals; g is evaluated exactly at the integer in each one with a root.
+    A quadratic g = y^2 + by + c takes no chain: its roots are the integers
+    (-b +- r)/2 exactly when b^2 - 4c = r^2 for an integer r = isqrt(b^2 - 4c)
+    (then r and b have one parity), and it has no rational root otherwise.
     """
     while coeffs and coeffs[-1] == 0:
         coeffs = coeffs[:-1]
@@ -149,6 +163,12 @@ def rational_roots(coeffs):
     roots = [ZERO] if low else []
     n, a = len(ints) - low - 1, ints[-1]
     g = [c * a ** (n - 1 - i) for i, c in enumerate(ints[low:-1])] + [1]
+    if n == 2:
+        b, d = g[1], g[1] ** 2 - 4 * g[0]
+        r = isqrt(d) if d >= 0 else -1
+        if r * r == d:
+            roots += {Q((r - b) // 2, a), Q((-r - b) // 2, a)}
+        return sorted(roots)
     chain = [g, [i * c for i, c in enumerate(g)][1:]]
     while len(chain[-1]) > 1:
         r, b = chain[-2], chain[-1]
@@ -189,7 +209,8 @@ def _eigen_split(H, unit, basis, operators):
     simple root of the minimal polynomial, which no elimination tests, and
     no rest is formed when the kernels of those roots fill the component.
     The units come from one solve against the parts side by side; each is
-    checked nonzero and idempotent, and the units pairwise orthogonal."""
+    checked nonzero and idempotent, and the units pairwise orthogonal, by
+    the operator L_u of each unit (module docstring)."""
     k = basis.cols
     ident = Matrix.identity(k)
     for op in operators:
@@ -211,16 +232,17 @@ def _eigen_split(H, unit, basis, operators):
         sol = hstack(*parts).solve(unit)
         if sol is None:
             raise CheckFailed("unit left the component")
-        units, start, zero = [], 0, Matrix.zeros(H.dim, 1)
+        units, unit_ops, start, zero = [], [], 0, Matrix.zeros(H.dim, 1)
         for part in parts:
             u = part * sol.take_rows(range(start, start + part.cols))
             start += part.cols
             if u == zero:
                 raise CheckFailed("component unit is zero")
-            if mul_kron(H.mult, u, u) != u:
+            unit_ops.append(H.mult_operator(u.column(0)))
+            if unit_ops[-1] * u != u:
                 raise CheckFailed("component unit is not idempotent")
             units.append(u)
-        if any(mul_kron(H.mult, ua, ub) != zero for ua, ub in combinations(units, 2)):
+        if any(unit_ops[a] * units[b] != zero for a, b in combinations(range(len(units)), 2)):
             raise CheckFailed("component units are not orthogonal")
         return list(zip(units, parts))
     return None

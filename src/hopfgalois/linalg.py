@@ -35,11 +35,13 @@ falls back to Q, a fractions.Fraction subclass, otherwise.  Q works on the
 numerator and denominator ints directly, skipping Fraction's operand dispatch
 and its second normalisation, only where the workloads send traffic: + and /
 by a Q, * by a Q or an int, ** by an int >= 0, the constructor from ints,
-unary -, == with a Q or an int, and the truth test.  Other operands, and
-binary -, %, divmod, unary +, abs, round and limit_denominator (wrapped by
-_closed), go to Fraction's own method; a rational result, also one inside
-divmod's pair, comes back as a Q, so Q stays closed as mpq does and the two
-backends agree.
+unary -, == with a Q or an int, and the truth test.  Between two Q's whose
+denominators are both 1, + and * are one int operation with no gcd and /
+keeps one gcd and the sign fix, and the hash of such a Q is its int's hash.
+Other operands, and binary -, %, divmod, unary +, abs, round and
+limit_denominator (wrapped by _closed), go to Fraction's own method; a
+rational result, also one inside divmod's pair, comes back as a Q, so Q stays
+closed as mpq does and the two backends agree.
 Both types keep values in lowest terms with positive denominator, print as
 "num/den", and hash alike.
 """
@@ -73,11 +75,15 @@ except ImportError:  # gmpy2 is optional
     class Q(Fraction):
         """A Fraction that works on the ints directly for + and / by a Q, *
         by a Q or an int, ** by an int >= 0, the constructor from ints, unary
-        -, == with a Q or an int, and the truth test.
+        -, == with a Q or an int, the hash of an integer, and the truth test.
 
         Sums, products and quotients split their gcds as CPython 3.12's
         fractions does (Knuth, TAOCP vol. 2, 4.5.1), so each result is built
-        once, already in lowest terms with a positive denominator.  Any other
+        once, already in lowest terms with a positive denominator.  Their
+        trivial case, two denominators of 1, is int arithmetic: + and * take
+        no gcd, and / takes one, of the numerators, and fixes the sign.  The
+        hash of an integer-valued Q is its int's, which is Fraction's hash
+        without the modular inverse of the denominator 1.  Any other
         operand, and binary -, %, divmod, unary +, abs, round and
         limit_denominator, go to Fraction's own method, and a Fraction it
         returns, alone or in a tuple, comes back as a Q.
@@ -106,8 +112,9 @@ except ImportError:  # gmpy2 is optional
             if type(b) is not Q:
                 return _as_q(Fraction.__add__(a, b))
             na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
-            g = gcd(da, db)
-            if g == 1:
+            if da == db == 1:
+                n, d = na + nb, 1
+            elif (g := gcd(da, db)) == 1:
                 n, d = na * db + da * nb, da * db
             else:
                 s = da // g
@@ -124,8 +131,11 @@ except ImportError:  # gmpy2 is optional
             na, da = a._numerator, a._denominator
             if type(b) is Q:
                 nb, db = b._numerator, b._denominator
-                g1, g2 = gcd(na, db), gcd(nb, da)
-                n, d = (na // g1) * (nb // g2), (da // g2) * (db // g1)
+                if da == db == 1:
+                    n, d = na * nb, 1
+                else:
+                    g1, g2 = gcd(na, db), gcd(nb, da)
+                    n, d = (na // g1) * (nb // g2), (da // g2) * (db // g1)
             elif type(b) is int:
                 g = gcd(b, da)
                 n, d = na * (b // g), da // g
@@ -150,8 +160,12 @@ except ImportError:  # gmpy2 is optional
             na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
             if not nb:
                 raise ZeroDivisionError(f"Fraction({db}, 0)")
-            g1, g2 = gcd(na, nb), gcd(db, da)
-            n, d = (na // g1) * (db // g2), (nb // g1) * (da // g2)
+            if da == db == 1:
+                g = gcd(na, nb)
+                n, d = na // g, nb // g
+            else:
+                g1, g2 = gcd(na, nb), gcd(db, da)
+                n, d = (na // g1) * (db // g2), (nb // g1) * (da // g2)
             if d < 0:
                 n, d = -n, -d
             q = _new(Q)
@@ -184,8 +198,9 @@ except ImportError:  # gmpy2 is optional
                 return a._numerator == b and a._denominator == 1
             return Fraction.__eq__(a, b)
 
-        # defining __eq__ would otherwise leave the class unhashable
-        __hash__ = Fraction.__hash__
+        def __hash__(a):
+            # an int's hash is Fraction's, without the modular inverse of 1
+            return hash(a._numerator) if a._denominator == 1 else Fraction.__hash__(a)
 
         def __bool__(a):
             return a._numerator != 0

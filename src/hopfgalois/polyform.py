@@ -94,14 +94,12 @@ class PolyHopfAlgebra(HopfPresentation):
 
         dx = {(1, 1): Q(1, 2), (4, 4): 1 / (2 * b)}
         dy = {(1, 4): Q(1, 2), (4, 1): Q(1, 2)}
-        comul_entries = []
+        # D(x^i y^j) from its predecessor in MONOMIALS: D(x^(i-1) y^j) D(x) or D(y^(j-1)) D(y)
+        terms, comul_entries = {}, []
         for k, (i, j) in enumerate(MONOMIALS):
-            term = {(0, 0): ONE}
-            for _ in range(i):
-                term = plain.tensor_mul(term, dx)
-            for _ in range(j):
-                term = plain.tensor_mul(term, dy)
-            comul_entries.extend((a * 6 + bb, k, c) for (a, bb), c in term.items())
+            terms[i, j] = (plain.tensor_mul(terms[i - 1, j], dx) if i else
+                           plain.tensor_mul(terms[0, j - 1], dy) if j else {(0, 0): ONE})
+            comul_entries.extend((a * 6 + bb, k, c) for (a, bb), c in terms[i, j].items())
         comul = Matrix.from_entries(36, 6, comul_entries)
 
         counit = Matrix(1, 6, [Q(2) ** i if j == 0 else ZERO for (i, j) in MONOMIALS])

@@ -1,4 +1,5 @@
 import importlib
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -6,7 +7,8 @@ from hypothesis import strategies as st
 
 from hopfgalois.algebra import (Algebra, Check, CheckReport, HopfPresentation,
                                 algebra_axiom_report, first_difference, first_row_difference,
-                                group_hopf_algebra, hopf_axiom_report, hopf_map_violation)
+                                group_hopf_algebra, hopf_axiom_report, hopf_map_violation,
+                                monomials)
 from hopfgalois.descent import group_algebra
 from hopfgalois.extensions import rational_square_of
 from hopfgalois.groups import cyclic, dihedral, elementary_abelian_4
@@ -530,3 +532,56 @@ def test_mult_operator_matches_its_kronecker_form(L3, descended3):
         for x in xs:
             expected = mul_kron(A.mult, Matrix.from_columns([x]), Matrix.identity(n))
             assert A.mult_operator(x) == expected
+
+
+# -- monomials against the naive product x^i y^j m ------------------------------
+
+def naive_monomial(x, y, i, j, m):
+    for _ in range(j):
+        m = y * m
+    for _ in range(i):
+        m = x * m
+    return m
+
+
+def polynomial_in(A, coeffs):
+    """c_0 I + c_1 A + c_2 A^2 + ..., so any two commute."""
+    out, power = Matrix.zeros(A.rows, A.cols), Matrix.identity(A.rows)
+    for c in coeffs:
+        out, power = out + power * Q(c), power * A
+    return out
+
+
+@st.composite
+def commuting_pairs(draw):
+    k = draw(st.integers(1, 4))
+    A = Matrix.from_rows(draw(st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k),
+                                       min_size=k, max_size=k)))
+    x, y = (polynomial_in(A, draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3)))
+            for _ in range(2))
+    m = Matrix.from_rows(draw(st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=2),
+                                       min_size=k, max_size=k)))
+    return x, y, m
+
+
+@given(commuting_pairs(), st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1,
+                                   max_size=8))
+@example((Matrix.identity(1), Matrix.identity(1) * Q(2), Matrix.identity(1)), [(3, 0), (0, 0)])
+@settings(max_examples=60, deadline=None)
+def test_monomials_match_the_naive_products(pair, exponents):
+    """Exponents in any order, with repeats and gaps."""
+    x, y, m = pair
+    want = [naive_monomial(x, y, i, j, m) for i, j in exponents]
+    assert monomials(x, y, exponents, m).columns() == [c for w in want for c in w.columns()]
+
+
+def test_monomials_reach_a_high_power_without_recursing():
+    # x has order 3, so x^i is x^(i mod 3); i exceeds the recursion limit
+    x = Matrix.from_rows([[0, -1], [1, -1]])
+    y = x * x + Matrix.identity(2)
+    i = sys.getrecursionlimit() + 1
+    exponents = [(i, 2), (1, 0), (i, 2), (0, 5)]
+    want = [naive_monomial(x, y, a, b, Matrix.identity(2)) for a, b in exponents]
+    got = monomials(x, y, exponents, Matrix.identity(2))
+    assert got.columns() == [c for w in want for c in w.columns()]
+    assert want[0] == naive_monomial(x, y, i % 3, 2, Matrix.identity(2))

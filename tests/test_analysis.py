@@ -18,7 +18,7 @@ from hopfgalois.catalog import catalog
 from hopfgalois.descent import descend, group_algebra, hopf_action
 from hopfgalois.extensions import quadratic_field, split_model, splitting_field_cubic
 from hopfgalois.groups import cyclic, dihedral
-from hopfgalois.linalg import Matrix, ONE, Q, ZERO, hstack, mul_kron, rational
+from hopfgalois.linalg import Matrix, ONE, Q, ZERO, hstack, rational
 from hopfgalois.polyform import PolyHopfAlgebra, point_decomposition_check
 
 from conftest import ANSWER_MODELS
@@ -51,6 +51,15 @@ def test_minimal_polynomial():
     n = Matrix.from_rows([[0, 1], [0, 0]])
     assert minimal_polynomial(n) == [Q(0), Q(0), Q(1)]
     assert minimal_polynomial(Matrix.identity(3)) == [Q(-1), Q(1)]
+    assert minimal_polynomial(Matrix.zeros(0, 0)) == [ONE]
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 2), (2, 3), (2, 1)])
+def test_minimal_polynomial_refuses_a_non_square_matrix(rows, cols):
+    M = Matrix.from_rows([[Q(i * cols + j + 1) for j in range(cols)] for i in range(rows)])
+    with pytest.raises(ValueError, match=f"^a minimal polynomial needs a square matrix, "
+                                         f"got {rows} x {cols}$"):
+        minimal_polynomial(M)
 
 
 # -- minimal polynomial: one solve per degree as the reference ---------------------
@@ -199,6 +208,37 @@ def test_rational_roots_differential(roots, zero_mult, leading, factor):
     for c in poly:
         scale = scale * c.denominator // gcd(scale, c.denominator)
     if max(abs(c * scale) for c in poly) < 10 ** 4:
+        assert got == ref_rational_roots(poly)
+
+
+# Quadratics, whose roots rational_roots reads off the discriminant: roots of
+# up to 25 bits, as roots_bitsize's +-3m/n, over small denominators.
+QUADRATIC_ROOTS = st.builds(Q, st.integers(-2 ** 25, 2 ** 25), st.sampled_from((1, 2, 5, 7, 243)))
+QUADRATIC_KINDS = ("distinct", "double", "zero", "surd", "complex")
+
+
+@settings(max_examples=300, deadline=None)
+@given(QUADRATIC_ROOTS, QUADRATIC_ROOTS, LEADING, st.sampled_from(QUADRATIC_KINDS),
+       st.integers(1, 2 ** 25))
+@example(Q(3, 2), Q(3, 2), (-1, 1), "double", 1)
+@example(Q(0), Q(5), (-3, 7), "zero", 1)
+@example(Q(0), Q(0), (1, 1), "surd", 2)
+def test_rational_roots_of_quadratics(r, s, leading, kind, k):
+    """c (x - r)(x - s), c (x - r)^2, c x (x - s), and c ((x - r)^2 -+ e) with
+    e = (k^2 + 1)/den(s)^2, whose discriminant 4e is no square, or -4e < 0."""
+    c = Q(*leading)
+    if kind in ("distinct", "double", "zero"):
+        r = {"distinct": r, "double": s, "zero": ZERO}[kind]
+        poly, expected = poly_mul([-r * c, c], [-s, ONE]), sorted({r, s})
+    else:
+        e = Q(k * k + 1, s.denominator ** 2) * (1 if kind == "surd" else -1)
+        poly, expected = [(r * r - e) * c, -2 * r * c, c], []
+    got = rational_roots(poly)
+    assert got == expected
+    scale = 1
+    for x in poly:
+        scale = scale * x.denominator // gcd(scale, x.denominator)
+    if max(abs(x * scale) for x in poly) < 10 ** 4:
         assert got == ref_rational_roots(poly)
 
 
@@ -591,17 +631,24 @@ def test_the_polynomial_form_splits_on_three_minimal_polynomials(monkeypatch):
 @pytest.mark.parametrize("square, message", [(True, "component unit is not idempotent"),
                                              (False, "component units are not orthogonal")])
 def test_the_unit_guards_catch_one_wrong_product(monkeypatch, square, message):
-    analysis = importlib.import_module("hopfgalois.analysis")
-    perturbed = []
+    # the guards read u u as L_u u and u u' as L_u u', one product of a unit's
+    # operator by a single column; the first such product, of u itself when
+    # square and of another unit otherwise, comes back with one entry off
+    H = PolyHopfAlgebra(Q(-147, 25))
+    build, perturbed = H.mult_operator, []
 
-    def one_wrong(x, y, z):
-        out = mul_kron(x, y, z)
-        if not perturbed and (y == z) == square:
-            perturbed.append((y, z))
-            out = out + Matrix.from_entries(out.rows, out.cols, [(0, 0, ONE)])
-        return out
+    class OneWrong:
+        def __init__(self, x):
+            self.op, self.x = build(x), tuple(x)
 
-    monkeypatch.setattr(analysis, "mul_kron", one_wrong)
+        def __mul__(self, m):
+            out = self.op * m
+            if not perturbed and m.cols == 1 and (m.column(0) == self.x) == square:
+                perturbed.append(m)
+                out = out + Matrix.from_entries(out.rows, 1, [(0, 0, ONE)])
+            return out
+
+    monkeypatch.setattr(H, "mult_operator", OneWrong)
     with pytest.raises(CheckFailed, match=message):
-        commutative_wedderburn(PolyHopfAlgebra(Q(-147, 25)))
+        commutative_wedderburn(H)
     assert len(perturbed) == 1

@@ -85,7 +85,9 @@ HUGE = 2 ** 200
 q_ints = st.one_of(st.integers(-50, 50), st.sampled_from([0, HUGE, -HUGE]))
 plain_fractions = st.builds(Fraction, st.one_of(q_ints, st.integers(-10 ** 6, 10 ** 6)),
                             st.one_of(st.integers(1, 10 ** 6), st.just(HUGE)))
-q_values = plain_fractions.map(lambda f: Q(f.numerator, f.denominator))
+# integer-valued Q's too, so that Q op Q often meets two denominators of 1
+q_values = st.one_of(plain_fractions.map(lambda f: Q(f.numerator, f.denominator)),
+                     st.one_of(q_ints, st.integers(-10 ** 6, 10 ** 6)).map(Q))
 operands = st.one_of(q_values, q_ints, st.booleans(), plain_fractions)
 BINARY = (operator.add, operator.sub, operator.mul, operator.truediv,
           operator.eq, operator.ne, operator.lt, operator.le)
@@ -160,6 +162,12 @@ def test_q_edge_cases_match_fraction():
     for base in (2, -3, Fraction(-3, 2), half):
         for k in range(-2, 3):
             check_like_fraction(operator.pow, base, Q(k))
+    for x, y in [(Q(6), Q(-4)), (Q(-6), Q(-3)), (Q(0), Q(-3)), (Q(HUGE), Q(-HUGE - 2)),
+                 (Q(-1), Q(-1))]:
+        check_q_operators(x, y)
+    for n in (-1, 2 ** 61, -2 ** 61, HUGE, -HUGE):
+        check_like_fraction(hash, Q(n))
+        assert hash(Q(n)) == hash(n)
     check_q_constructor(0, -7)
     check_q_constructor(6, 0)
     check_like_fraction(Q, True, -2, reference=Fraction)
