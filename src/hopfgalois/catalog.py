@@ -65,8 +65,7 @@ def catalog(p):
     for c in range(p):
         gen = lam.elements[r] * rho.elements[G.mul(c, s)]  # cyclic_generator(p, c)
         elems = powers(Perm.__mul__, gen, Perm.identity(G.order))  # elems[k] = gen^k
-        N = PermSubgroup(G.order, tuple(elems), label=f"N{c}",
-                         element_names=tuple(f"g^{k}" for k in range(2 * p)))
+        N = PermSubgroup(G.order, tuple(elems), element_names=tuple(f"g^{k}" for k in range(2 * p)))
         entries.append(CatalogEntry(f"N{c}", N, iso_type(N), "cyclic", gen))
     return entries
 

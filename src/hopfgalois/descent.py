@@ -43,11 +43,11 @@ L[N] is an Algebra: its dim x dim^2 `mult` places L's multiplication in slot
 tu for each slot pair (t, u); `pointwise`, that of Map(N, L), in slot t for
 (t, t).  A product is one mul_kron over one of them, and descend builds only
 those of R[N].  Maps of L[N] are sparse slot maps, GroupAlgebraOverL.slot_map
-= permutation(images) (x) M, with slots(u) (column t is u * eta_t) its
-one-column case.  The invariance check, E and Phi' multiply the slot
-coefficients of a basis and put them back in slots (_unslot), so they build
-no operator on L[N].  The closed-form bases are products of U =
-slots(1), W = slots(w) for the rational-square witness w of L, and the slot
+= permutation(images) (x) M.  The invariance check, E, Phi' and j multiply
+slot coefficients (j: the action matrices) and put them back in slots
+(_unslot), so they build no operator on L[N]; j flattens End(L)
+column-major.  The closed-form bases are products of U = slot_map(id, 1),
+W = slot_map(id, w) for the rational-square witness w of L, and the slot
 inversion iota: U + iota U has the columns eta_t + eta_t^-1, and W - iota W
 the columns w*(eta_t - eta_t^-1), w being read once per L
 (GaloisAlgebra.sqrt_witness).  The action of H on L is built once, as
@@ -57,9 +57,9 @@ Comultiplication.  Map(N, L) shares the coordinates and G-action of L[N],
 and E is multiplicative for its slot-by-slot product too, so E_B is also a
 basis of E(H*) for the dual H* in Map(N, L), and Delta_H is the transpose
 of H*'s slot-by-slot product, read through the Gram matrix P of the
-pairing sum_t x_t y_t on E_B (_comultiplication).  That pairing is e times
-the G-fixed one on H, so P is provably rational; this implementation checks
-that exactly instead of assuming it.
+pairing sum_t x_t y_t on E_B, the _unslot of its values (_comultiplication).
+That pairing is e times the G-fixed one on H, so P is provably rational;
+this implementation checks that exactly instead of assuming it.
 
 Base change.  descend builds Phi': R (x) H -> R[N], x (x) h -> x*E(h) once,
 for the base-change check alone.  Phi is bijective exactly when Phi' is:
@@ -147,16 +147,7 @@ class GroupAlgebraOverL(Algebra):
         """The map sum_t x_t eta_t -> sum_t x_t of L[N] onto L, (1 ... 1) (x) I_L."""
         return Matrix(1, self.N.order, [ONE] * self.N.order).kron(Matrix.identity(self.L.dim))
 
-    def slots(self, u):
-        """The dim x |N| matrix whose column t is u * eta_t: slot_map(identity, u)."""
-        return self.slot_map(range(self.N.order), Matrix.from_columns([u]))
-
-    def mul(self, x, y):
-        """x * y as mult (x (x) y) on one-column matrices, without the
-        per-column index of `mult` that Algebra.mul builds."""
-        self._check_length(x, y)
-        return list(mul_kron(self.mult, Matrix.from_columns([x]),
-                             Matrix.from_columns([y])).column(0))
+    mul = Algebra.mul  # named in the class body, where the per-layer tracer wraps it
 
 
 def group_algebra(L, N):
@@ -345,8 +336,8 @@ def _comultiplication(A, B):
     n = B.cols
     W = mul_kron(A.pointwise, B, B)  # column i*n + j is h_i h_j, slot by slot
     gram = _rational_coefficients(A.L, A.slot_sum * W, "comultiplication")
-    P = Matrix.from_entries(n, n, ((i, j, x) for ij, x in gram.row_entries(0)
-                                   for i, j in [divmod(ij, n)]))
+    # _unslot gives P^T, which is P: the pairing on the commutative R is symmetric
+    P = _unslot(gram, range(n))
     P_inv = P.inverse()
     if P_inv is None:
         raise DescentError("the pairing <x, y> = sum_t x_t y_t is degenerate on the fixed ring")
@@ -491,15 +482,13 @@ def measuring_report(H):
 def hopf_galois_matrix(L, action_matrices):
     """Matrix of j: L (x) H -> End(L), x (x) h -> (y -> x*(h.y)).
 
-    Endomorphisms are flattened row-major; column (a, k) is a*|H| + k.  Entry
-    (p, (a*|H| + k)*d + q) of L.mult (1 (x) (M_0 ... M_|H|-1)) is entry (p, q)
-    of e_a M_k, so j is that one product re-indexed.
+    Endomorphisms are flattened column-major, (p, q) at row q*d + p; column
+    (a, k) is a*|H| + k.  Entry (p, (a*|H| + k)*d + q) of L.mult (I_d (x) (M_0
+    ... M_|H|-1)) is entry (p, q) of e_a M_k, so j is its _unslot, as Phi' is
+    in lform_matrix with the action matrices for the slot coefficients.
     """
-    d, n = L.dim, len(action_matrices)
-    prod = mul_kron(L.mult, Matrix.identity(d), hstack(*action_matrices))
-    return Matrix.from_entries(d * d, d * n, (
-        (p * d + q, ak, c) for p in range(d) for akq, c in prod.row_entries(p)
-        for ak, q in [divmod(akq, d)]))
+    d = L.dim
+    return _unslot(mul_kron(L.mult, Matrix.identity(d), hstack(*action_matrices)), range(d))
 
 
 class HopfGaloisCheck(NamedTuple):
@@ -536,7 +525,7 @@ def explicit_classical_basis(A):
     lam = left_regular(G).elements
     if any(A.N.conjugation(lam[g]) != fixed for g in G.generators):
         raise ValueError("classical basis needs a centralized N")
-    return A.slots(A.L.unit)
+    return A.slot_map(range(A.N.order), Matrix.from_columns([A.L.unit]))
 
 
 def inverse_pair_columns(A, sums, differences):

@@ -55,12 +55,17 @@ def is_rational_cube(q):
     return _int_is_cube(int(q.numerator)) and _int_is_cube(int(q.denominator))
 
 
-def is_rational_square(q):
+def rational_sqrt(q):
+    """The rational r >= 0 with r^2 = q, or None when q is not a rational square."""
     q = Q(q)
     if q < 0:
-        return False
-    num, den = int(q.numerator), int(q.denominator)
-    return isqrt(num) ** 2 == num and isqrt(den) ** 2 == den
+        return None
+    r, s = isqrt(int(q.numerator)), isqrt(int(q.denominator))
+    return Q(r, s) if r * r == q.numerator and s * s == q.denominator else None
+
+
+def is_rational_square(q):
+    return rational_sqrt(q) is not None
 
 
 class DescentError(CheckFailed):

@@ -236,8 +236,8 @@ def cyclic(n):
     return FiniteGroup(table, names, identity=0, generators=(1 % n,))
 
 
-class PermSubgroup(namedtuple("PermSubgroup", "degree elements label element_names",
-                              defaults=(None, None))):
+class PermSubgroup(namedtuple("PermSubgroup", "degree elements element_names",
+                              defaults=(None,))):
     """A subgroup of Perm({0..degree-1}) given by its element list.
 
     The element order is part of the value: constructors choose it
@@ -290,16 +290,14 @@ class PermSubgroup(namedtuple("PermSubgroup", "degree elements label element_nam
 def left_regular(G):
     """Left translations g -> (h -> gh), in group element order."""
     elems = tuple(Perm(G.table[g]) for g in range(G.order))
-    return PermSubgroup(G.order, elems, label="lambda",
-                        element_names=tuple(f"lam[{n}]" for n in G.names))
+    return PermSubgroup(G.order, elems, element_names=tuple(f"lam[{n}]" for n in G.names))
 
 
 def right_regular(G):
     """Right translations g -> (h -> h g^-1), in group element order."""
     elems = tuple(Perm(tuple(G.table[h][G.inv(g)] for h in range(G.order)))
                   for g in range(G.order))
-    return PermSubgroup(G.order, elems, label="rho",
-                        element_names=tuple(f"rho[{n}]" for n in G.names))
+    return PermSubgroup(G.order, elems, element_names=tuple(f"rho[{n}]" for n in G.names))
 
 
 def _is_semiregular(N):

@@ -20,12 +20,10 @@ quadratic witness; all Hopf identities of that map are checked exactly.
 
 from __future__ import annotations
 
-from math import isqrt
-
 from .algebra import Algebra, CheckFailed, HopfPresentation, hopf_map_violation, monomials
 from .analysis import commutative_wedderburn
 from .descent import _provenance_of, inverse_pair_columns
-from .extensions import is_rational_square
+from .extensions import is_rational_square, rational_sqrt
 from .linalg import Matrix, ONE, Q, ZERO, rational
 
 MONOMIALS = ((0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1))
@@ -122,11 +120,9 @@ def variety_points(b):
     if b == 0:
         raise ValueError("b = 0 gives four points, not six: (-1, 0) and (1, 0) repeat")
     t2 = -3 * b
-    if not is_rational_square(t2):
+    t = rational_sqrt(t2)
+    if t is None:
         raise ValueError(f"-3b = {t2} is not a rational square; the variety is not split")
-    num = isqrt(int(t2.numerator))
-    den = isqrt(int(t2.denominator))
-    t = Q(num, den)
     pts = [(Q(-2), ZERO), (Q(-1), t), (Q(1), t), (Q(2), ZERO), (Q(1), -t), (Q(-1), -t)]
     for g in ideal_generators(b):
         for pt in pts:

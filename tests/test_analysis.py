@@ -16,9 +16,10 @@ from hopfgalois.analysis import (_candidate_operators, _eigen_split, _is_simple_
                                  noncommutative_wedderburn_p3, rational_roots)
 from hopfgalois.catalog import catalog
 from hopfgalois.descent import descend, group_algebra, hopf_action
-from hopfgalois.extensions import quadratic_field, split_model, splitting_field_cubic
+from hopfgalois.extensions import (GaloisAlgebra, quadratic_field, split_model,
+                                   splitting_field_cubic)
 from hopfgalois.groups import cyclic, dihedral
-from hopfgalois.linalg import Matrix, ONE, Q, ZERO, hstack, rational
+from hopfgalois.linalg import Matrix, ONE, Q, ZERO, hstack, mul_kron, rational
 from hopfgalois.polyform import PolyHopfAlgebra, point_decomposition_check
 
 from conftest import ANSWER_MODELS
@@ -402,7 +403,8 @@ def test_descended_noncommutative_wedderburn(L3, descended3):
         H = descended3[label]
         A = H.provenance.parent
         sol = H.provenance.basis.solve(
-            A.slots(L3.unit) * Matrix.from_columns(character_idempotents(3)))
+            A.slot_map(range(A.N.order), Matrix.from_columns([L3.unit]))
+            * Matrix.from_columns(character_idempotents(3)))
         assert sol is not None
         e1, e2 = (list(sol.column(j)) for j in range(2))
         assert {c.unit for c in reports[label].components} == _character_units(H, e1, e2)
@@ -495,9 +497,11 @@ def test_hopf_iso_classes_refuses_intransitive_evidence(descended3, monkeypatch)
     # rho ~ N0 and N0 ~ N1, but rho !~ N1
     analysis = importlib.import_module("hopfgalois.analysis")
     linked = {("rho", "N0"), ("N0", "N1")}
+    label_of = {e.subgroup.canonical_key(): e.label for e in catalog(3)}
 
     def search(N, N2, G):
-        return (["iso"], []) if (N.label, N2.label) in linked else ([], [])
+        pair = (label_of[N.canonical_key()], label_of[N2.canonical_key()])
+        return (["iso"], []) if pair in linked else ([], [])
 
     monkeypatch.setattr(analysis, "equivariant_iso_search", search)
     monkeypatch.setattr(analysis, "_induced_hopf_map", lambda Ha, Hb, iso: None)
@@ -551,6 +555,40 @@ def test_split_model_hopf_classes_join_rho_and_lambda(p, request):
                      **request.getfixturevalue("split5_nc")}
     report = hopf_iso_classes(descended)
     assert report.classes == [["rho", "lambda"], [f"N{c}" for c in range(p)]]
+
+
+# an invertible integer matrix: the p = 3 split model on its columns is the
+# same Galois algebra in another basis
+_ANOTHER_BASIS = Matrix.from_rows([
+    [-2, -1, -3, 2, 0, 0], [-2, -3, -3, -3, 0, 1], [-1, 3, 3, -3, -2, 1],
+    [1, -1, -1, 3, -2, 3], [-3, -1, -2, -3, 3, 2], [3, -1, 3, -1, -2, -2]])
+
+
+def _conjugated_split_model():
+    """The p = 3 split model in the basis of _ANOTHER_BASIS S: mult S^-1
+    mult (S (x) S), action S^-1 A_g S, unit and idempotent mapped by S^-1."""
+    L, S = split_model(dihedral(3)), _ANOTHER_BASIS
+    S_inv = S.inverse()
+    return GaloisAlgebra(S_inv * mul_kron(L.mult, S, S), S_inv.apply(L.unit), L.group,
+                         {g: S_inv * m * S for g, m in L.generator_action.items()},
+                         idempotent=S_inv.apply(L.idempotent))
+
+
+def test_conjugated_split_model_is_a_galois_algebra():
+    assert _conjugated_split_model().verify().passed
+
+
+def test_split_model_algebra_classes_join_rho_and_lambda():
+    classes, _ = algebra_iso_classes_p3(descend_catalog(3, split_model(dihedral(3))))
+    assert classes == [["rho", "lambda"], ["N0", "N1", "N2"]]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 31")
+def test_conjugated_split_model_keeps_rho_and_lambda_in_one_algebra_class():
+    """A change of basis of L changes no algebra class: H_rho and H_lambda
+    are both Q[D_3], as over the split model itself."""
+    classes, _ = algebra_iso_classes_p3(descend_catalog(3, _conjugated_split_model()))
+    assert classes == [["rho", "lambda"], ["N0", "N1", "N2"]]
 
 
 def test_classifiers_refuse_descents_over_two_fields(descended3):

@@ -110,7 +110,7 @@ def test_catalog_checks_fail_only_the_involution_identity_on_a_rotated_entry():
     p = 5
     entries = catalog(p)
     N = entries[3].subgroup
-    rotated = PermSubgroup(N.degree, N.elements[1:] + N.elements[:1], label=N.label,
+    rotated = PermSubgroup(N.degree, N.elements[1:] + N.elements[:1],
                            element_names=N.element_names)
     entries[3] = entries[3]._replace(subgroup=rotated)
     failed = [c for c in catalog_checks(p, entries) if not c.passed]

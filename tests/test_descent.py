@@ -224,14 +224,15 @@ def _lform_by_slot_maps(A, B):
 
 
 def _hopf_galois_by_products(L, action_matrices):
-    """j with column a*n + k the flattened product L.mult_operator(e_a) * M_k."""
+    """j with column a*n + k the product L.mult_operator(e_a) * M_k, flattened
+    column-major: entry (p, q) at row q*d + p."""
     d, n = L.dim, len(action_matrices)
     entries = []
     for a in range(d):
         mult_op = L.mult_operator(L.basis_vector(a))
         for k, m in enumerate(action_matrices):
             composed = mult_op * m
-            entries.extend((p * d + q, a * n + k, c)
+            entries.extend((q * d + p, a * n + k, c)
                            for p in range(d) for q, c in composed.row_entries(p))
     return Matrix.from_entries(d * d, d * n, entries)
 

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+from math import isqrt
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from hopfgalois.catalog import SUPPORTED_PRIMES
 from hopfgalois.extensions import (GaloisAlgebra, is_rational_cube, is_rational_square,
                                    quadratic_field, quadratic_sqrt_witness,
-                                   rational_square_of, split_model,
+                                   rational_sqrt, rational_square_of, split_model,
                                    splitting_field_cubic)
 from hopfgalois.groups import cyclic, dihedral
 from hopfgalois.linalg import Matrix, ONE, Q, ZERO
@@ -31,7 +32,27 @@ def test_cube_and_square_predicates():
     assert is_rational_square(Q(9, 4))
     assert not is_rational_square(Q(-1))
     assert not is_rational_square(Q(5))
+    assert rational_sqrt(Q(9, 4)) == Q(3, 2)
+    assert rational_sqrt(0) == 0
 
+
+_BIG = 2 ** 200
+_NUMERATORS = st.integers(-_BIG, _BIG)
+_DENOMINATORS = st.integers(1, _BIG)
+_NON_SQUARES = st.integers(-_BIG, _BIG).filter(lambda q: q < 0 or isqrt(q) ** 2 != q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_NUMERATORS, _DENOMINATORS, _NON_SQUARES, st.integers(1, _BIG), _DENOMINATORS)
+def test_rational_sqrt_is_the_nonnegative_root_of_a_square(a, b, q, m, n):
+    x, s = Q(a, b), Q(m, n)
+    assert rational_sqrt(x * x) == abs(x)
+    # q s^2 = r^2 would make the integer q the rational square (r/s)^2
+    assert rational_sqrt(q * s * s) is None
+    negative = -abs(x) if x else -s
+    assert rational_sqrt(negative) is None
+    for v in (x * x, q * s * s, negative, x, s):
+        assert is_rational_square(v) == (rational_sqrt(v) is not None)
 
 
 def test_cube_predicate_on_huge_powers_of_ten():

@@ -67,7 +67,7 @@ CASES = {
     "Perm": lambda: (Perm([2, 0, 1]), Perm((2, 0, 1)), Perm((0, 2, 1))),
     "FiniteGroup": lambda: (dihedral(3), dihedral(3), dihedral(5)),
     "PermSubgroup": lambda: (left_regular(dihedral(3)), left_regular(dihedral(3)),
-                             left_regular(dihedral(3))._replace(label="other")),
+                             left_regular(dihedral(3))._replace(element_names=None)),
     "GroupIso": lambda: (GroupIso(_N, _N, tuple(range(6))), GroupIso(_N, _N, tuple(range(6))),
                          GroupIso(_N, _N, (0, 2, 1, 3, 5, 4))),
     "CatalogEntry": lambda: (catalog(3)[2], catalog(3)[2], catalog(3)[3]),
