@@ -36,7 +36,8 @@ from __future__ import annotations
 from functools import cache, cached_property
 from typing import NamedTuple
 
-from .linalg import Matrix, ONE, Span, ZERO, _checked, hstack, mul_kron, rational, vstack
+from .linalg import (Matrix, ONE, Span, ZERO, _checked, hstack, mul_kron, mul_kron_sum, rational,
+                     vstack)
 
 
 class Algebra:
@@ -56,9 +57,13 @@ class Algebra:
 
     @cached_property
     def _products(self):
-        # entry i*n + j: the nonzero structure constants (k, c) of basis_i*basis_j
-        t = self.mult.transpose()
-        return tuple(tuple(t.row_entries(col)) for col in range(t.rows))
+        # {i*n + j: the nonzero structure constants ((k, c), ...) of basis_i*basis_j}
+        # for the nonzero columns of mult only, so a sparse mult indexes no empty one
+        out = {}
+        for k, row in enumerate(self.mult._rows):
+            for col, c in row.items():
+                out.setdefault(col, []).append((k, c))
+        return out
 
     @cached_property
     def generators(self):
@@ -114,7 +119,7 @@ class Algebra:
                 continue
             row = i * n
             for j, b in ys:
-                ij = terms[row + j]
+                ij = terms.get(row + j)
                 if ij:
                     ab = a * b
                     for k, c in ij:
@@ -129,7 +134,7 @@ class Algebra:
         n, terms = self.dim, self._products
         return Matrix.from_entries(n, n, (
             (k, j, c if a == 1 else a * c)
-            for i, a in enumerate(x) if a for j in range(n) for k, c in terms[i * n + j]))
+            for i, a in enumerate(x) if a for j in range(n) for k, c in terms.get(i * n + j, ())))
 
     def is_commutative(self):
         """m tau = m, with tau the swap of the tensor factors."""
@@ -142,8 +147,8 @@ class Algebra:
         for (a, b), c1 in u.items():
             for (cc, d), c2 in v.items():
                 coeff = c1 * c2
-                right = terms[b * n + d]
-                for i, li in terms[a * n + cc]:
+                right = terms.get(b * n + d, ())
+                for i, li in terms.get(a * n + cc, ()):
                     cli = coeff * li
                     for j, rj in right:
                         key = (i, j)
@@ -376,8 +381,8 @@ def hopf_axiom_report(H):
         zero = Matrix.zeros(n, n * n)
 
         def sides(i):
-            return op_t(i) * dt, sum((mul_kron(dt, op_t(ab // n), op_t(ab % n)) * c
-                                      for ab, c in dt.row_entries(i)), zero)
+            terms = [(c, op_t(ab // n), op_t(ab % n)) for ab, c in dt.row_entries(i)]
+            return op_t(i) * dt, mul_kron_sum(dt, terms) if terms else zero
 
         row = None
         if gens is None or any(lhs != rhs for lhs, rhs in map(sides, gens.indices)):

@@ -79,7 +79,7 @@ from .algebra import (Algebra, CheckReport, HopfPresentation, action_report,
                       first_difference, hopf_axiom_report)
 from .extensions import DescentError
 from .groups import Perm, left_regular, powers
-from .linalg import Matrix, ONE, ZERO, hstack, kernel_form, mul_kron, vstack
+from .linalg import Matrix, ONE, ZERO, hstack, kernel_form, mul_kron, mul_kron_sum, vstack
 
 
 class NormalizationError(RuntimeError):
@@ -118,7 +118,7 @@ class GroupAlgebraOverL(Algebra):
         of eta_t and eta_u in slot v, for each triple (t, u, v) of slots."""
         d, D = self.L.dim, self.dim
         lmult = [(c, *divmod(ab, d), x) for c in range(d) for ab, x in self.L.mult.row_entries(c)]
-        return Matrix.from_entries(D, D * D, (
+        return Matrix._adopt(D, D * D, (
             (v * d + c, (t * d + a) * D + u * d + b, x) for t, u, v in slots
             for c, a, b, x in lmult))
 
@@ -272,7 +272,7 @@ def _frame(L, ecoeffs):
     themselves: R is a subalgebra of eL that contains e."""
     rows = ecoeffs.transpose()
     cols = {tuple(rows.row_entries(k)): None for k in range(rows.rows) if rows.row_entries(k)}
-    J = kernel_form(Matrix.from_entries(L.dim, len(cols), (
+    J = kernel_form(Matrix._adopt(L.dim, len(cols), (
         (a, c, x) for c, col in enumerate(cols) for a, x in col)))
     fail = "e times the coefficients of H do not span a subalgebra of eL"
     return Algebra(_solved(J, mul_kron(L.mult, J, J), fail),
@@ -286,7 +286,7 @@ def _unslot(coeffs, images):
     slot_map(images, M) * B is _unslot(M * coeffs, images), and no operator
     on L[N] is built."""
     n, m = len(images), coeffs.rows
-    return Matrix.from_entries(n * m, coeffs.cols // n, (
+    return Matrix._adopt(n * m, coeffs.cols // n, (
         (images[t] * m + a, k, x) for a in range(m) for kt, x in coeffs.row_entries(a)
         for k, t in [divmod(kt, n)]))
 
@@ -303,7 +303,7 @@ def _slot_coefficients(B, d):
     """The d x (B.cols * n) matrix, n = B.rows / d slots, whose column k*n + t
     is the coefficient of eta_t in column k of B."""
     n = B.rows // d
-    return Matrix.from_entries(d, B.cols * n, (
+    return Matrix._adopt(d, B.cols * n, (
         (a, k * n + t, c) for r in range(B.rows) for t, a in [divmod(r, d)]
         for k, c in B.row_entries(r)))
 
@@ -378,7 +378,7 @@ def _action_matrices(A, B):
         for kc, x in stacked.row_entries(p):
             k, c = divmod(kc, d)
             entries[k].append((p, c, x))
-    return [Matrix.from_entries(d, d, e) for e in entries]
+    return [Matrix._adopt(d, d, e) for e in entries]
 
 
 def module_report(H):
@@ -460,8 +460,8 @@ def measuring_report(H):
     def first_failure(ks):
         """The first column of the full identity, (k*d + a)*d + b, at which
         the law fails for some k in ks, or None."""
-        rhs = [sum((mul_kron(L.mult, mats[i], mats[j]) * c
-                    for (i, j), c in H.comul_terms(k).items()), zero) for k in ks]
+        rhs = [mul_kron_sum(L.mult, terms) if terms else zero for terms in (
+            [(c, mats[i], mats[j]) for (i, j), c in H.comul_terms(k).items()] for k in ks)]
         col = first_difference((hstack(*[mats[k] * L.mult for k in ks]), hstack(*rhs)))
         return None if col is None else ks[col // (d * d)] * d * d + col % (d * d)
 

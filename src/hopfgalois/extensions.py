@@ -128,14 +128,24 @@ class GaloisAlgebra(Algebra):
         e_(d-2) + e_(d-1), ..., e_0 + ... + e_(d-1) that gives rank d, and
         DescentError when none does.  Row g is g(theta), taken by
         action[g].  theta is e e = e, the point d[1], over the split model,
-        and z + az + a^2z over cubic:v."""
+        and z + az + a^2z over cubic:v, where a^2z and az + a^2z are skipped
+        unranked: with |G| = d, a theta of trace 0 cannot give rank d."""
         e, d = list(self.idempotent), self.dim
         cosets = self.translates(range(self.group.order))
         if not any(e) or self.mul(e, e) != e or \
                 [sum(c, ZERO) for c in zip(*cosets)] != list(self.unit):
             raise DescentError("e is not a nonzero idempotent whose distinct G-translates sum to 1")
+        # e e = e has trace sum_g g(e) = |D| 1, as its distinct translates sum
+        # to 1.  With |G| = d the translates of a later theta of trace 0 sum to
+        # 0, so their rank is below d; the trace map is formed when first read
+        trace = None
         for c in [e] + [[ZERO] * k + [ONE] * (d - k) for k in range(d - 1, -1, -1)]:
             theta = self.mul(e, c)
+            if c is not e and self.group.order == d:
+                if trace is None:
+                    trace = sum(self.action[1:], self.action[0])
+                if not any(trace.apply(theta)):
+                    continue
             translates = Matrix.from_rows([m.apply(theta) for m in self.action])
             if translates.rank() == d:
                 return translates

@@ -3,17 +3,19 @@
 Immutable sparse-row matrices over arbitrary-precision rationals: each row
 keeps only its nonzero entries, so work scales with the nonzeros, not the
 shape.  Everything is computed exactly; no floating point appears anywhere
-in this package.  mul_kron multiplies by a Kronecker product without
-building it, and kron is mul_kron by the identity.  The product kernels
-(Matrix.__mul__, mul_kron and the row sums of + and -) ask a scalar nothing
-that one of two rules answers:
+in this package.  mul_kron_sum adds up scaled products by Kronecker
+products, sum c x (y (x) z), into one row dict without building any of
+them; mul_kron is its one-term call, and kron is mul_kron by the identity.
+The product kernels (Matrix.__mul__, mul_kron_sum and the row sums of + and
+-) ask a scalar nothing that one of two rules answers:
 
 * A factor of one is the shared ONE.  Every constructor that coerces or
   adds up values (from_entries, Matrix(), from_rows, identity, permutation,
   rref, kernel_form, rational, and so the unit of an Algebra) stores ONE
   for an entry equal to 1, so a kernel tests `a is ONE` and then adds or
-  copies without arithmetic.  A 1 made some other way, say 2 * 1/2, is
-  simply multiplied: the value is the same.
+  copies without arithmetic.  _adopt, for a re-index of stored entries,
+  keeps each value as it was, so a ONE stays ONE.  A 1 made some other way,
+  say 2 * 1/2, is simply multiplied: the value is the same.
 * A stored row is zero-free, and a product of nonzeros is nonzero, so a
   kernel tests for zero only at the positions where it formed a sum.
 
@@ -26,8 +28,15 @@ eliminates nothing: the answer is read off the owned rows and checked by
 one product.  The rank rule uses the same test: the owned rows of such a
 matrix hold a diagonal of nonzeros, so its rank is its column count, read
 with no elimination; a monomial matrix (one nonzero in each row and column)
-is one.  A Span grows a subspace one vector at a time and says which
-vectors grew it.
+is one.  Any other rank is first tried modulo the prime MODULUS: when the
+rank over F_MODULUS is min(rows, cols), so is the rank over Q.  Reduction
+mod MODULUS is a ring map on the rationals whose denominators MODULUS does
+not divide, so it carries each minor over Q to the same minor mod MODULUS,
+and a minor that is nonzero mod MODULUS is nonzero over Q (the small-primes
+modular method: von zur Gathen and Gerhard, Modern Computer Algebra, ch.
+5).  In every other case rank counts the pivots of rref, so it is always
+exact.  A Span grows a subspace one vector at a time and says which vectors
+grew it.
 
 The scalar type is gmpy2.mpq when available (roughly an order of magnitude
 faster than fractions.Fraction on the elimination-heavy workloads here) and
@@ -207,6 +216,7 @@ except ImportError:  # gmpy2 is optional
 
 ZERO = Q(0)
 ONE = Q(1)
+MODULUS = 1073741789  # the largest prime below 2^30: Matrix.rank's certificate works mod it
 
 
 def rational(value, den=None):
@@ -281,6 +291,21 @@ class Matrix:
                     del row[j]
             else:
                 row[j] = x if x is ONE or x != 1 else ONE
+        return cls._wrap(rows, cols, data)
+
+    @classmethod
+    def _adopt(cls, rows, cols, entries):
+        """Matrix from (i, j, value) triples at distinct positions whose values
+        are nonzero scalars, as a re-index of a stored matrix reads them: each
+        value is stored as given, with no coercion, lookup, zero test or
+        comparison with 1, so a 1 that was ONE stays ONE.  IndexError for a
+        position outside rows x cols, a negative one included."""
+        _require_shape(rows, cols)
+        data = [{} for _ in range(rows)]
+        for i, j, x in entries:
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise IndexError(f"entry ({i}, {j}) outside {rows}x{cols}")
+            data[i][j] = x
         return cls._wrap(rows, cols, data)
 
     @classmethod
@@ -455,10 +480,25 @@ class Matrix:
         return Matrix._wrap(self.rows, self.cols, data), tuple(pivots)
 
     def rank(self):
-        """The number of pivots of rref, or, by the rank rule of the module
-        docstring, cols with no elimination when every column owns a row."""
+        """The number of pivots of rref, read with less work in two cases.
+
+        By the rank rule of the module docstring, it is cols with no
+        elimination when every column owns a row.  Otherwise, when the
+        matrix reduced modulo the prime MODULUS has rank min(rows, cols)
+        over F_MODULUS, that is the rank over Q.  Proof: no denominator is
+        divisible by MODULUS, so every entry lies in Z_(MODULUS), and
+        reduction Z_(MODULUS) -> F_MODULUS is a ring map.  It carries each
+        minor, a polynomial in the entries, to the same minor of the reduced
+        matrix, so a nonzero r x r minor mod MODULUS is the image of a
+        nonzero minor over Q: the rank over Q is at least r, and no rank
+        exceeds min(rows, cols).  In every other case (MODULUS divides a
+        denominator, or the reduced matrix is singular, as every
+        rank-deficient matrix is) the pivots of rref are counted, so the
+        rank is always exact."""
         if len(self._owned_rows()) == self.cols:
             return self.cols
+        if _full_rank_mod(self):
+            return min(self.rows, self.cols)
         return len(self.rref()[1])
 
     def _owned_rows(self):
@@ -551,6 +591,52 @@ def _checked(i, n, kind):
     return i
 
 
+def _full_rank_mod(m):
+    """Whether m has rank min(rows, cols) over F_p, p = MODULUS; False also
+    when p divides a denominator.  Each entry n/d becomes n d^-1 mod p, reading only its
+    .numerator and .denominator, so either scalar backend works.  Column by
+    column, the shortest row with a nonzero there is the pivot and clears
+    that column from the other rows that have it, so a column's work is the
+    rows it meets; False as soon as too few rows or columns are left."""
+    p, full = MODULUS, min(m.rows, m.cols)
+    rows = []
+    for r in m._rows:
+        row = {}
+        for j, x in r.items():
+            n, d = x.numerator, x.denominator
+            if d != 1:
+                d %= p
+                if not d:
+                    return False
+                n *= pow(int(d), -1, p)
+            n %= p
+            if n:
+                row[j] = n
+        if row:
+            rows.append(row)
+    rank = 0
+    for c in range(m.cols):
+        if rank + min(len(rows), m.cols - c) < full:
+            return False
+        with_c = [r for r in rows if c in r]
+        if not with_c:
+            continue
+        pivot = min(with_c, key=len)
+        rows = [r for r in rows if r is not pivot]
+        a = pow(int(pivot.pop(c)), -1, p)
+        for r in with_c:
+            if r is not pivot:
+                s = r.pop(c) * a % p
+                for j, v in pivot.items():
+                    w = (r.get(j, 0) - s * v) % p
+                    if w:
+                        r[j] = w
+                    else:
+                        del r[j]
+        rank += 1
+    return rank == full
+
+
 def _primitive(row):
     """The integer multiple of a nonzero sparse rational row {j: x} with
     content 1 and a positive entry at its lowest column; it is unique."""
@@ -603,34 +689,49 @@ def _axpy(a, s, b):
 
 
 def mul_kron(x, y, z):
-    """The product x (y (x) z), without building y (x) z: each nonzero of x at
-    column i*z.rows + k meets row i of y and row k of z.  As in __mul__, a
-    factor that is ONE costs no arithmetic, and only summed positions are
-    tested for zero."""
+    """The product x (y (x) z), without building y (x) z: the one-term
+    mul_kron_sum."""
+    return mul_kron_sum(x, [(ONE, y, z)])
+
+
+def mul_kron_sum(x, terms):
+    """The sum of c x (y (x) z) over the nonempty list of terms (c, y, z), c a
+    nonzero scalar, every y of one shape and every z of another, with no
+    Kronecker product, scaled matrix or partial sum built: each nonzero a of
+    x at column i*z.rows + k meets row i of y and row k of z, term by term,
+    and c a y_ij z_kl adds into one row dict at column j*z.cols + l.  As in
+    __mul__, a factor that is ONE costs no arithmetic, and only summed
+    positions are tested for zero."""
+    _, y, z = terms[0]
+    shape = (y.rows, y.cols, z.rows, z.cols)
     h, w = z.rows, z.cols
-    if x.cols != y.rows * h:
+    if x.cols != y.rows * h or any((yt.rows, yt.cols, zt.rows, zt.cols) != shape
+                                   for _, yt, zt in terms):
         raise ValueError("shape mismatch in product")
-    yrows, zrows = y._rows, z._rows
+    parts = [(c, yt._rows, zt._rows) for c, yt, zt in terms]
     out = []
     for r in x._rows:
         acc, summed = {}, set()
-        for ik, a in r.items():
-            i, k = divmod(ik, h)
-            zrow = zrows[k]
-            if not zrow:
-                continue
-            for j, b in yrows[i].items():
-                ab = b if a is ONE else a if b is ONE else a * b
-                base = j * w
-                for l, c in zrow.items():
-                    v = c if ab is ONE else ab if c is ONE else ab * c
-                    jl = base + l
-                    s = acc.get(jl)
-                    if s is None:
-                        acc[jl] = v
-                    else:
-                        acc[jl] = s + v
-                        summed.add(jl)
+        for t, yrows, zrows in parts:
+            for ik, a in r.items():
+                i, k = divmod(ik, h)
+                zrow = zrows[k]
+                if not zrow:
+                    continue
+                if t is not ONE:
+                    a = t if a is ONE else t * a
+                for j, b in yrows[i].items():
+                    ab = b if a is ONE else a if b is ONE else a * b
+                    base = j * w
+                    for l, c in zrow.items():
+                        v = c if ab is ONE else ab if c is ONE else ab * c
+                        jl = base + l
+                        s = acc.get(jl)
+                        if s is None:
+                            acc[jl] = v
+                        else:
+                            acc[jl] = s + v
+                            summed.add(jl)
         out.append(_drop_zeros(acc, summed))
     return Matrix._wrap(x.rows, y.cols * w, out)
 

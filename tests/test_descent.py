@@ -129,7 +129,8 @@ def test_hopf_galois_property(descended3):
 def test_j_is_ranked_without_elimination_over_the_split_model(monkeypatch, descended3,
                                                                 split5_nc, split5_rho_lambda):
     """j is monomial over the split model, so its rank is its column count
-    read off the owned rows; over cubic:2 it is row-reduced once."""
+    read off the owned rows; over cubic:2 its full rank is certified modulo
+    a prime, so neither is row-reduced."""
     seen, real = [], Matrix.rref
     monkeypatch.setattr(Matrix, "rref", lambda m: seen.append((m.rows, m.cols)) or real(m))
     for H in [*split5_nc.values(), *split5_rho_lambda.values()]:
@@ -139,7 +140,8 @@ def test_j_is_ranked_without_elimination_over_the_split_model(monkeypatch, desce
     for label in LABELS3:
         hopf_action(descended3[label])
         seen.clear()
-        assert verify_hopf_galois(descended3[label]).passed and seen == [(36, 36)], label
+        check = verify_hopf_galois(descended3[label])
+        assert check.passed and check.rank == 36 and seen == [], label
 
 
 def test_measuring(descended3):
@@ -978,6 +980,20 @@ def test_mult_operator_matches_the_slot_loop(L3):
                 expected = _slot_loop_mul(A, x, y)
                 assert A.mult_operator(x).apply(y) == expected
                 assert A.mul(x, y) == expected
+
+
+def test_the_product_index_holds_only_the_nonzero_columns_of_mult():
+    L = split_model(dihedral(7))
+    A = group_algebra(L, next(e for e in catalog(7) if e.label == "lambda").subgroup)
+    nonzero = {j for i in range(A.dim) for j, _ in A.mult.row_entries(i)}
+    assert A.mult.cols == A.dim ** 2 == 196 ** 2 and len(nonzero) < A.mult.cols
+    index = A._products
+    assert len(index) == len(nonzero) and set(index) == nonzero
+    for col, terms in index.items():
+        assert dict(terms) == A.mult.column_entries(col)
+    rng = random.Random(7)
+    x, y = _random_sparse(rng, A.dim), _random_sparse(rng, A.dim)
+    assert A.mul(x, y) == _slot_loop_mul(A, x, y)
 
 
 @pytest.mark.parametrize("model", ["p3-cubic2", "p5-split-lambda"])

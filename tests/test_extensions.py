@@ -335,6 +335,18 @@ def test_every_cubic_field_takes_z_plus_az_plus_a2z_as_its_normal_element():
         assert L.normal_translates == Matrix.from_rows([m.apply(theta) for m in L.action]), v
 
 
+def test_the_normal_element_search_ranks_no_theta_of_trace_zero(monkeypatch):
+    """With |G| = dim L, the translates of a theta whose trace sum_g g(theta)
+    is 0 sum to 0, so their rank is below dim L.  Over cubic:v the candidates
+    a^2z and az + a^2z have trace 0, so only e = 1 (trace 6, rank 1) and
+    z + az + a^2z are ranked."""
+    ranked, real = [], Matrix.rank
+    monkeypatch.setattr(Matrix, "rank", lambda m: ranked.append((m, real(m))) or ranked[-1][1])
+    L = splitting_field_cubic(Q(1, 2))
+    translates = L.normal_translates
+    assert ranked == [(Matrix.from_rows([L.unit] * 6), 1), (translates, 6)]
+
+
 def test_an_action_given_at_the_generators_extends_to_every_element():
     L = split_model(dihedral(5))
     G = L.group

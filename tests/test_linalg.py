@@ -10,8 +10,8 @@ from hopfgalois.algebra import Algebra
 from hopfgalois.descent import SemilinearAction, group_algebra
 from hopfgalois.extensions import split_model
 from hopfgalois.groups import dihedral
-from hopfgalois.linalg import (Matrix, ONE, Q, Span, ZERO, fixed_basis, hstack, kernel_form,
-                               mul_kron, rational, vstack)
+from hopfgalois.linalg import (MODULUS, Matrix, ONE, Q, Span, ZERO, fixed_basis, hstack,
+                               kernel_form, mul_kron, mul_kron_sum, rational, vstack)
 
 # every rational in [-30, 30] with denominator at most 7, drawn as n/d from two
 # integers: far cheaper for Hypothesis than st.fractions, with the same values
@@ -507,6 +507,33 @@ def test_mul_kron_is_the_product_by_the_kronecker_factor(triple):
     assert all_entries_are_q(got)
 
 
+@given(kron_triples(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_mul_kron_sum_is_the_sum_of_scaled_products(triple, data):
+    x, y, z = triple
+    terms = [(ONE, y, z)] + [
+        (data.draw(kron_entries.filter(bool)),
+         data.draw(st.lists(kron_entries, min_size=y.rows * y.cols, max_size=y.rows * y.cols).map(
+             lambda e: Matrix(y.rows, y.cols, e))),
+         data.draw(st.lists(kron_entries, min_size=z.rows * z.cols, max_size=z.rows * z.cols).map(
+             lambda e: Matrix(z.rows, z.cols, e))))
+        for _ in range(data.draw(st.integers(0, 3)))]
+    got = mul_kron_sum(x, terms)
+    want = Matrix.zeros(x.rows, y.cols * z.cols)
+    for c, v, w in terms:
+        want = want + x * v.kron(w) * c
+    assert got == want
+    assert all_entries_are_q(got)
+    # a term and its negative cancel to zero, which is not stored
+    assert mul_kron_sum(x, [(ONE, y, z), (-ONE, y, z)]) == Matrix.zeros(x.rows, y.cols * z.cols)
+
+
+def test_mul_kron_sum_refuses_terms_of_two_shapes():
+    with pytest.raises(ValueError):
+        mul_kron_sum(Matrix.identity(4), [(ONE, Matrix.identity(2), Matrix.identity(2)),
+                                          (ONE, Matrix.identity(2), Matrix.zeros(2, 3))])
+
+
 def test_mul_kron_with_fresh_ones_and_zero_rows():
     one = Q(2, 2)
     assert one == 1 and one is not ONE
@@ -923,6 +950,135 @@ def test_rank_rule_cases():
     assert _without_elimination(Matrix.from_rows([[0, 3], [5, 0], [1, 1]]).rank) == 2
     assert _without_elimination(Matrix.zeros(3, 0).rank) == 0
     assert Matrix.zeros(0, 2).rank() == 0
+
+
+# -- the modular certificate of full rank ----------------------------------------------
+#
+# When no rank rule applies, rank reduces the matrix mod the prime MODULUS and
+# returns min(rows, cols) when the reduction has that rank; in every other case
+# rref counts the pivots.  The inputs put MODULUS in numerators and in
+# denominators, and include matrices of full rank over Q that are singular mod
+# MODULUS and rank-deficient ones.
+
+multiples_of_modulus = st.builds(lambda n, d: Q(n * MODULUS, d),
+                                 st.integers(-3, 3).filter(bool), st.integers(1, 5))
+modulus_denominators = st.builds(lambda n, d: Q(n, d * MODULUS),
+                                 st.integers(-9, 9).filter(bool), st.integers(1, 4))
+certificate_entries = st.one_of(elimination_entries, multiples_of_modulus)
+
+
+def modulus_matrix(rows, cols, entries=certificate_entries):
+    return st.lists(entries, min_size=rows * cols,
+                    max_size=rows * cols).map(lambda e: Matrix(rows, cols, e))
+
+
+@st.composite
+def certificate_matrices(draw):
+    """Matrices up to 6 x 6 of four kinds: entries that include multiples of
+    MODULUS; one row scaled by MODULUS, so that a matrix of full rank over Q
+    is singular mod MODULUS (diag(MODULUS, 1) among them); one entry whose
+    denominator MODULUS divides; and products through fewer than min(rows,
+    cols) columns, which are rank-deficient."""
+    kind = draw(st.sampled_from(["entries", "singular-mod", "denominator", "deficient"]))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    if kind == "deficient":
+        if min(rows, cols) == 1:
+            return Matrix.zeros(rows, cols)
+        k = draw(st.integers(1, min(rows, cols) - 1))
+        return draw(modulus_matrix(rows, k)) * draw(modulus_matrix(k, cols))
+    if kind == "singular-mod":
+        i = draw(st.integers(0, rows - 1))
+        scale = Matrix.from_entries(rows, rows, [(r, r, MODULUS if r == i else ONE)
+                                                 for r in range(rows)])
+        return scale * draw(modulus_matrix(rows, cols, rationals))
+    m = draw(modulus_matrix(rows, cols))
+    if kind == "denominator":
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        m = m + Matrix.from_entries(rows, cols, [(i, j, draw(modulus_denominators))])
+    return m
+
+
+def reference_rank_mod(m):
+    """The rank of m over F_MODULUS by dense elimination, or None when MODULUS
+    divides a denominator."""
+    p = MODULUS
+    entries = [m.row(i) for i in range(m.rows)]
+    if any(x.denominator % p == 0 for row in entries for x in row):
+        return None
+    rows = [[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in entries]
+    rank = 0
+    for c in range(m.cols):
+        pivot = next((i for i in range(rank, m.rows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for i in range(rank + 1, m.rows):
+            f = rows[i][c] * inv % p
+            rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _counted_rank(m):
+    """(m.rank(), the number of rref calls it made)."""
+    calls, real = [], Matrix.rref
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Matrix, "rref", lambda x: calls.append(x) or real(x))
+        rank = m.rank()
+    return rank, len(calls)
+
+
+def _falls_back(m):
+    """Whether rank must row-reduce m: no column rule applies, and MODULUS
+    divides a denominator or the rank mod MODULUS is below min(rows, cols)."""
+    owned = {j for i in range(m.rows) if len(m.row_entries(i)) == 1 for j, _ in m.row_entries(i)}
+    return len(owned) != m.cols and reference_rank_mod(m) != min(m.rows, m.cols)
+
+
+@given(certificate_matrices())
+@settings(max_examples=150, deadline=None)
+def test_rank_certificate_is_the_pivot_count(m):
+    rank, calls = _counted_rank(m)
+    assert rank == len(m.rref()[1]) == len(reference_rref(m)[1])
+    assert calls == _falls_back(m)
+
+
+def test_rank_certificate_cases():
+    ell = Q(MODULUS)
+    cases = [
+        (Matrix.from_rows([[ell, 1], [1, 1]]), 2, False),  # a multiple of MODULUS, certified
+        (Matrix.from_rows([[ell, 0], [0, 1]]), 2, False),  # diag(MODULUS, 1): owned rows
+        (Matrix.from_rows([[ell, 1], [0, 1]]), 2, True),  # full rank over Q, singular mod MODULUS
+        (Matrix.from_rows([[ell, 1], [1, 0], [0, 1]]) * Matrix.from_rows([[ell, 1], [0, 1]]),
+         2, True),  # full rank over Q, rank 1 mod MODULUS
+        (Matrix.from_rows([[1 / ell, 1], [1, 1]]), 2, True),  # MODULUS divides a denominator
+        (Matrix.from_rows([[1, 2, 3], [2, 4, 6]]), 1, True),  # rank-deficient
+        (Matrix.from_rows([[1, 2, 3], [2, 4, 7]]), 2, False),  # wide, full row rank
+    ]
+    for m, rank, fallback in cases:
+        assert _counted_rank(m) == (rank, fallback) and _falls_back(m) == fallback
+
+
+# -- adoption: a re-index stores its entries as given ---------------------------------
+
+@given(st.integers(0, 6), st.integers(0, 6), st.data())
+@settings(max_examples=100, deadline=None)
+def test_adopt_is_from_entries_on_distinct_nonzero_entries(rows, cols, data):
+    cells = st.tuples(st.integers(0, max(rows - 1, 0)), st.integers(0, max(cols - 1, 0)))
+    positions = data.draw(st.lists(cells, unique=True)) if rows and cols else []
+    values = data.draw(st.lists(nonzero_entries, min_size=len(positions),
+                                max_size=len(positions)))
+    entries = [(i, j, x) for (i, j), x in zip(positions, values)]
+    got = Matrix._adopt(rows, cols, iter(entries))
+    assert got == Matrix.from_entries(rows, cols, entries)
+    assert all(got.row_entries(i) and dict(got.row_entries(i))[j] is x for i, j, x in entries)
+
+
+@pytest.mark.parametrize("i, j", [(2, 0), (0, 3), (-1, 0), (0, -1), (-3, 5), (7, 1)])
+def test_adopt_refuses_a_position_out_of_range(i, j):
+    with pytest.raises(IndexError, match=rf"\({i}, {j}\) outside 2x3"):
+        Matrix._adopt(2, 3, [(0, 0, ONE), (i, j, Q(2)), (1, 2, Q(-1, 3))])
 
 
 def test_solve_with_no_columns():

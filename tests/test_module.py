@@ -137,18 +137,19 @@ def test_a_failed_axiom_report_checks_the_module_law_in_full(presentations):
 
 
 def _counted_measuring(monkeypatch, H):
-    """measuring_report(H) and the products m_L (M_i (x) M_j) it took, one
-    per comultiplication term of each h_k its product identity compared."""
+    """measuring_report(H) and the terms c m_L (M_i (x) M_j) it handed to the
+    Kronecker kernel, one per comultiplication term of each h_k its product
+    identity compared."""
     L = H.provenance.parent.L
-    terms, real = [], descent.mul_kron
+    terms, real = [], descent.mul_kron_sum
 
-    def counted(x, y, z):
+    def counted(x, kernel_terms):
         if x is L.mult:
-            terms.append((y, z))
-        return real(x, y, z)
+            terms.extend(kernel_terms)
+        return real(x, kernel_terms)
 
     with monkeypatch.context() as patch:
-        patch.setattr(descent, "mul_kron", counted)
+        patch.setattr(descent, "mul_kron_sum", counted)
         report = measuring_report(H)
     return report, terms
 

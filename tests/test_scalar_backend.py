@@ -2,7 +2,7 @@
 
 gmpy2 is optional, so this puts a small `gmpy2` on sys.path whose `mpq` is a
 rational type distinct from fractions.Fraction and closed under arithmetic.
-Row reduction, kernels, solves, products by unit and Kronecker factors, products
+Row reduction, ranks, kernels, solves, products by unit and Kronecker factors, products
 whose sums cancel and a p = 3 descent must give the same str() output with it
 as with the fallback linalg.Q; the stand-in's operators are Fraction's own, so
 this also compares Q's integer fast paths with Fraction arithmetic.  Every
@@ -91,6 +91,9 @@ SCRIPT = textwrap.dedent('''
     rhs = m * Matrix.from_rows([[Q(k - j, 1 + j) for j in range(2)] for k in range(5)])
     show("solve", m.solve(rhs))
     show("inverse", (m + Matrix.identity(5)).inverse())
+    # rank mod a prime reads only .numerator and .denominator: it falls back on
+    # m, which is singular, and certifies the full rank of m + I
+    print("rank", m.rank(), (m + Matrix.identity(5)).rank())
     # left factors equal to one (shared, fresh and unnormalized) add rows without arithmetic
     unit = Matrix.from_rows([[Q(1), Q(0), Q(2, 2), Q(0), Q(0)], [Q(0)] * 4 + [rational("1")]])
     show("unit-product", unit * m)
