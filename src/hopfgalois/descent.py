@@ -15,8 +15,8 @@ closed-form bases.
 
 The route.  L has a normal element theta, one whose G-translates are a
 basis of L (GaloisAlgebra.normal_translates finds and checks it: e = d[1]
-over the split model, z + az + a^2z over cubic:v).  So L[N] is the free
-Q[G]-module on the theta eta_t, as h.(theta eta_t) = h(theta)
+over the split model, (1 + a + a^2)(1 + z) over cubic:v).  So L[N] is the
+free Q[G]-module on the theta eta_t, as h.(theta eta_t) = h(theta)
 eta_(h t h^-1) runs over the basis g(theta) eta_s once, and its fixed ring
 has the basis of the traces of those generators (Speiser's proof of Galois
 descent; Childs, Taming Wild Extensions, 2000, ch. 2; Greither-Pareigis

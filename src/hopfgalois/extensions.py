@@ -120,36 +120,32 @@ class GaloisAlgebra(Algebra):
 
     @cached_property
     def normal_translates(self):
-        """The |G| x d matrix whose row g is g(theta), for the normal element
-        theta whose traces descend takes: its translates have rank d = dim L.
+        """The |G| x d matrix whose row g is g(theta), taken by action[g],
+        for the normal element theta whose traces descend takes: its
+        translates have rank d = dim L.
 
         DescentError unless e is a nonzero idempotent whose distinct
-        G-translates sum to 1.  theta = e c for the first c of e, e_(d-1),
-        e_(d-2) + e_(d-1), ..., e_0 + ... + e_(d-1) that gives rank d, and
-        DescentError when none does.  Row g is g(theta), taken by
-        action[g].  theta is e e = e, the point d[1], over the split model,
-        and z + az + a^2z over cubic:v, where a^2z and az + a^2z are skipped
-        unranked: with |G| = d, a theta of trace 0 cannot give rank d."""
+        G-translates sum to 1.  theta = e c for the first suffix sum c =
+        e_k + ... + e_(d-1), k = 0, 1, ..., d - 1, that gives rank d, and
+        DescentError when none does.  The first is normal on every model the
+        CLI builds: theta = e = d[1] over the split model, whose basis sums
+        to 1, and (1 + a + a^2)(1 + z) over cubic:v, whose translates do not
+        involve v, as no power of a reaches 3.  e is no candidate of its own,
+        and none is lost: if e is normal, its distinct translates are
+        orthogonal idempotents spanning L, so dim eL = 1 and e c = phi(c) e
+        for a nonzero functional phi, nonzero at some suffix sum, as they
+        are a basis of L."""
         e, d = list(self.idempotent), self.dim
         cosets = self.translates(range(self.group.order))
         if not any(e) or self.mul(e, e) != e or \
                 [sum(c, ZERO) for c in zip(*cosets)] != list(self.unit):
             raise DescentError("e is not a nonzero idempotent whose distinct G-translates sum to 1")
-        # e e = e has trace sum_g g(e) = |D| 1, as its distinct translates sum
-        # to 1.  With |G| = d the translates of a later theta of trace 0 sum to
-        # 0, so their rank is below d; the trace map is formed when first read
-        trace = None
-        for c in [e] + [[ZERO] * k + [ONE] * (d - k) for k in range(d - 1, -1, -1)]:
-            theta = self.mul(e, c)
-            if c is not e and self.group.order == d:
-                if trace is None:
-                    trace = sum(self.action[1:], self.action[0])
-                if not any(trace.apply(theta)):
-                    continue
+        for k in range(d):
+            theta = self.mul(e, [ZERO] * k + [ONE] * (d - k))
             translates = Matrix.from_rows([m.apply(theta) for m in self.action])
             if translates.rank() == d:
                 return translates
-        raise DescentError("L has no normal element e c, for c = e or a suffix sum of its basis")
+        raise DescentError("L has no normal element e c, for c a suffix sum of its basis")
 
     def fixed_space(self, indices):
         """Normalized basis of the space fixed by action(g) for g in indices;

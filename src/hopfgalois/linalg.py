@@ -28,15 +28,15 @@ eliminates nothing: the answer is read off the owned rows and checked by
 one product.  The rank rule uses the same test: the owned rows of such a
 matrix hold a diagonal of nonzeros, so its rank is its column count, read
 with no elimination; a monomial matrix (one nonzero in each row and column)
-is one.  Any other rank is first tried modulo the prime MODULUS: when the
-rank over F_MODULUS is min(rows, cols), so is the rank over Q.  Reduction
-mod MODULUS is a ring map on the rationals whose denominators MODULUS does
-not divide, so it carries each minor over Q to the same minor mod MODULUS,
-and a minor that is nonzero mod MODULUS is nonzero over Q (the small-primes
-modular method: von zur Gathen and Gerhard, Modern Computer Algebra, ch.
-5).  In every other case rank counts the pivots of rref, so it is always
-exact.  A Span grows a subspace one vector at a time and says which vectors
-grew it.
+is one.  Any other rank is first tried modulo the prime MODULUS, by
+Span.reduce's loop on unscaled int rows: when the rank over F_MODULUS is
+min(rows, cols), so is the rank over Q.  Reduction mod MODULUS is a ring
+map on the rationals whose denominators MODULUS does not divide, so it
+carries each minor over Q to the same minor mod MODULUS, and a minor that
+is nonzero mod MODULUS is nonzero over Q (the small-primes modular method:
+von zur Gathen and Gerhard, Modern Computer Algebra, ch. 5).  In every
+other case rank counts the pivots of rref, so it is always exact.  A Span
+grows a subspace one vector at a time and says which vectors grew it.
 
 The scalar type is gmpy2.mpq when available (roughly an order of magnitude
 faster than fractions.Fraction on the elimination-heavy workloads here) and
@@ -483,18 +483,18 @@ class Matrix:
         """The number of pivots of rref, read with less work in two cases.
 
         By the rank rule of the module docstring, it is cols with no
-        elimination when every column owns a row.  Otherwise, when the
-        matrix reduced modulo the prime MODULUS has rank min(rows, cols)
-        over F_MODULUS, that is the rank over Q.  Proof: no denominator is
-        divisible by MODULUS, so every entry lies in Z_(MODULUS), and
-        reduction Z_(MODULUS) -> F_MODULUS is a ring map.  It carries each
-        minor, a polynomial in the entries, to the same minor of the reduced
-        matrix, so a nonzero r x r minor mod MODULUS is the image of a
-        nonzero minor over Q: the rank over Q is at least r, and no rank
-        exceeds min(rows, cols).  In every other case (MODULUS divides a
-        denominator, or the reduced matrix is singular, as every
-        rank-deficient matrix is) the pivots of rref are counted, so the
-        rank is always exact."""
+        elimination when every column owns a row.  Otherwise, when
+        _full_rank_mod finds rank min(rows, cols) over F_MODULUS, reducing
+        int rows as Span.reduce reduces rows over Q, that is the rank over
+        Q.  Proof: no denominator is divisible by MODULUS, so every entry
+        lies in Z_(MODULUS), and reduction Z_(MODULUS) -> F_MODULUS is a
+        ring map.  It carries each minor, a polynomial in the entries, to
+        the same minor of the reduced matrix, so a nonzero r x r minor mod
+        MODULUS is the image of a nonzero minor over Q: the rank over Q is
+        at least r, and no rank exceeds min(rows, cols).  In every other
+        case (MODULUS divides a denominator, or the reduced matrix is
+        singular, as every rank-deficient matrix is) the pivots of rref are
+        counted, so the rank is always exact."""
         if len(self._owned_rows()) == self.cols:
             return self.cols
         if _full_rank_mod(self):
@@ -593,14 +593,14 @@ def _checked(i, n, kind):
 
 def _full_rank_mod(m):
     """Whether m has rank min(rows, cols) over F_p, p = MODULUS; False also
-    when p divides a denominator.  Each entry n/d becomes n d^-1 mod p, reading only its
-    .numerator and .denominator, so either scalar backend works.  Column by
-    column, the shortest row with a nonzero there is the pivot and clears
-    that column from the other rows that have it, so a column's work is the
-    rows it meets; False as soon as too few rows or columns are left."""
-    p, full = MODULUS, min(m.rows, m.cols)
-    rows = []
-    for r in m._rows:
+    when p divides a denominator.  Each entry n/d becomes the int n d^-1 mod
+    p, read through .numerator and .denominator, so either scalar backend
+    works.  Rows are reduced as Span.reduce does, shortest first and lowest
+    column first, against one kept row per leading column, and a nonzero
+    residue is kept unscaled; False once the kept rows and the rows left
+    cannot reach min(rows, cols), True only after every row is converted."""
+    p, full, lead = MODULUS, min(m.rows, m.cols), {}
+    for done, r in enumerate(sorted(m._rows, key=len), 1):
         row = {}
         for j, x in r.items():
             n, d = x.numerator, x.denominator
@@ -609,32 +609,20 @@ def _full_rank_mod(m):
                 if not d:
                     return False
                 n *= pow(int(d), -1, p)
-            n %= p
-            if n:
+            if n := int(n % p):
                 row[j] = n
+        while row and (basis_row := lead.get(c := min(row))) is not None:
+            s = row[c] * pow(basis_row[c], -1, p) % p
+            for j, v in basis_row.items():
+                if w := (row.get(j, 0) - s * v) % p:
+                    row[j] = w
+                else:
+                    del row[j]
         if row:
-            rows.append(row)
-    rank = 0
-    for c in range(m.cols):
-        if rank + min(len(rows), m.cols - c) < full:
+            lead[c] = row
+        if len(lead) + m.rows - done < full:
             return False
-        with_c = [r for r in rows if c in r]
-        if not with_c:
-            continue
-        pivot = min(with_c, key=len)
-        rows = [r for r in rows if r is not pivot]
-        a = pow(int(pivot.pop(c)), -1, p)
-        for r in with_c:
-            if r is not pivot:
-                s = r.pop(c) * a % p
-                for j, v in pivot.items():
-                    w = (r.get(j, 0) - s * v) % p
-                    if w:
-                        r[j] = w
-                    else:
-                        del r[j]
-        rank += 1
-    return rank == full
+    return True
 
 
 def _primitive(row):

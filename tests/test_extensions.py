@@ -324,27 +324,28 @@ CUBIC_VALUES = sorted({v for a in range(-40, 41) if a for b in range(1, 8)
                        for v in [Q(a, b)] if not is_rational_cube(v)})
 
 
-def test_every_cubic_field_takes_z_plus_az_plus_a2z_as_its_normal_element():
-    """theta = z + az + a^2z, the fourth candidate (after e = 1, a^2z and
-    az + a^2z), for all 368 values, and row g of the normal translates is
+def test_every_cubic_field_takes_the_sum_of_its_basis_as_its_normal_element():
+    """theta = 1 + a + a^2 + z + az + a^2z = (1 + a + a^2)(1 + z), the first
+    candidate, for all 368 values, and row g of the normal translates is
     g(theta)."""
-    theta = [ZERO, ZERO, ZERO, ONE, ONE, ONE]
+    theta = [ONE] * 6
     assert len(CUBIC_VALUES) == 368
     for v in CUBIC_VALUES:
         L = splitting_field_cubic(v)
         assert L.normal_translates == Matrix.from_rows([m.apply(theta) for m in L.action]), v
 
 
-def test_the_normal_element_search_ranks_no_theta_of_trace_zero(monkeypatch):
-    """With |G| = dim L, the translates of a theta whose trace sum_g g(theta)
-    is 0 sum to 0, so their rank is below dim L.  Over cubic:v the candidates
-    a^2z and az + a^2z have trace 0, so only e = 1 (trace 6, rank 1) and
-    z + az + a^2z are ranked."""
+def test_the_normal_element_search_ranks_one_theta(monkeypatch):
+    """The sum of the basis, the first candidate, is normal over cubic:1/2
+    and over the split model at every supported p: the search ranks it
+    alone."""
     ranked, real = [], Matrix.rank
     monkeypatch.setattr(Matrix, "rank", lambda m: ranked.append((m, real(m))) or ranked[-1][1])
-    L = splitting_field_cubic(Q(1, 2))
-    translates = L.normal_translates
-    assert ranked == [(Matrix.from_rows([L.unit] * 6), 1), (translates, 6)]
+    for L in [splitting_field_cubic(Q(1, 2))] + [split_model(dihedral(p))
+                                                 for p in SUPPORTED_PRIMES]:
+        ranked.clear()
+        translates = L.normal_translates
+        assert ranked == [(translates, L.dim)], L.dim
 
 
 def test_an_action_given_at_the_generators_extends_to_every_element():
